@@ -14,6 +14,7 @@
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/table.hpp"
+#include "liplib/xir/xir.hpp"
 
 using namespace liplib;
 
@@ -112,7 +113,7 @@ int main() {
       // Worst-case liveness.
       skeleton::ScreeningOptions wc;
       wc.worst_case_occupancy = true;
-      const auto verdict = skeleton::screen_for_deadlock(topo, wc);
+      const auto verdict = xir::screen_for_deadlock(topo, wc);
 
       t.add_row({c.name, pol.name, std::to_string(registers),
                  res.found ? res.system_throughput().str() : "?",

@@ -14,6 +14,7 @@
 #include "liplib/graph/generators.hpp"
 #include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/table.hpp"
+#include "liplib/xir/xir.hpp"
 
 using namespace liplib;
 using graph::RsKind;
@@ -34,7 +35,7 @@ skeleton::ScreeningVerdict screen(const graph::Topology& topo, bool wc,
   skeleton::ScreeningOptions opts;
   opts.skeleton.resolution = res;
   opts.worst_case_occupancy = wc;
-  return skeleton::screen_for_deadlock(topo, opts);
+  return xir::screen_for_deadlock(topo, opts);
 }
 
 }  // namespace
@@ -110,7 +111,7 @@ int main() {
         std::vector<std::size_t>(name_sizes.second, 1), RsKind::kHalf).topo;
     skeleton::ScreeningOptions opts;
     opts.worst_case_occupancy = true;
-    const auto cure = skeleton::cure_deadlocks(topo, opts);
+    const auto cure = xir::cure_deadlocks(topo, opts);
     ct.add_row({name_sizes.first, std::to_string(cure.substitutions),
                 cure.success ? "yes" : "no",
                 cure.cured.total_stations() == topo.total_stations()

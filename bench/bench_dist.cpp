@@ -83,8 +83,7 @@ int main() {
       opts.index_base = range.lo;
       const auto results = campaign::Engine(opts).run(slice);
       const auto manifest = dist::make_manifest(
-          campaign_spec, jobs.size(), kSeed, kBudget,
-          xir::engine_mode_name(spec.engine), range);
+          campaign_spec, jobs.size(), kSeed, kBudget, range);
       partial_docs.push_back(
           dist::partial_to_json(manifest, campaign::aggregate(results))
               .dump(2));

@@ -162,12 +162,13 @@ int main(int argc, char** argv) {
 
   const auto [interp_s, interp_cycles, interp_deadlocks] =
       screen_loop([&](const graph::Topology& t) {
-        return skeleton::screen_for_deadlock(t, sopts, kBudget);
+        skeleton::Skeleton sk(t, sopts.skeleton);
+        const auto r = sk.analyze(kBudget);
+        return skeleton::screening_verdict(r, sk.cycle());
       });
   const auto [compiled_s, compiled_cycles, compiled_deadlocks] =
       screen_loop([&](const graph::Topology& t) {
-        return xir::screen_for_deadlock(t, sopts, kBudget,
-                                        xir::EngineMode::kCompiled);
+        return xir::screen_for_deadlock(t, sopts, kBudget);
       });
 
   std::uint64_t sliced_cycles = 0;

@@ -18,6 +18,7 @@
 #include "liplib/graph/analysis.hpp"
 #include "liplib/graph/generators.hpp"
 #include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 
 using namespace liplib;
 
@@ -37,7 +38,7 @@ int main() {
 
   // 2. Reset-state screening (the paper's recipe).
   skeleton::ScreeningOptions reset_opts;
-  const auto from_reset = skeleton::screen_for_deadlock(gen.topo, reset_opts);
+  const auto from_reset = xir::screen_for_deadlock(gen.topo, reset_opts);
   std::cout << "screening from reset: "
             << (from_reset.deadlock_found ? "deadlock" : "live") << ", T = "
             << from_reset.min_throughput.str() << " (simulated "
@@ -48,13 +49,13 @@ int main() {
   // 3. Worst-case-occupancy screening: every station holding a token.
   skeleton::ScreeningOptions wc_opts;
   wc_opts.worst_case_occupancy = true;
-  const auto worst = skeleton::screen_for_deadlock(gen.topo, wc_opts);
+  const auto worst = xir::screen_for_deadlock(gen.topo, wc_opts);
   std::cout << "screening under worst-case occupancy: "
             << (worst.deadlock_found ? "DEADLOCK (stop latch asserted)"
                                      : "live")
             << "\n";
   wc_opts.skeleton.resolution = lip::StopResolution::kOptimistic;
-  const auto worst_opt = skeleton::screen_for_deadlock(gen.topo, wc_opts);
+  const auto worst_opt = xir::screen_for_deadlock(gen.topo, wc_opts);
   std::cout << "same state, optimistic settling: "
             << (worst_opt.deadlock_found ? "deadlock" : "live") << ", T = "
             << worst_opt.min_throughput.str()
@@ -62,12 +63,12 @@ int main() {
 
   // 4. Cure: substitute as few relay stations as possible.
   wc_opts.skeleton.resolution = lip::StopResolution::kPessimistic;
-  const auto cure = skeleton::cure_deadlocks(gen.topo, wc_opts);
+  const auto cure = xir::cure_deadlocks(gen.topo, wc_opts);
   std::cout << "cure: " << (cure.success ? "succeeded" : "failed") << " with "
             << cure.substitutions << " half->full substitution(s); station "
             << "count unchanged ("
             << cure.cured.total_stations() << ")\n";
-  const auto after = skeleton::screen_for_deadlock(cure.cured, wc_opts);
+  const auto after = xir::screen_for_deadlock(cure.cured, wc_opts);
   std::cout << "re-screen cured design under worst case: "
             << (after.deadlock_found ? "deadlock" : "live") << ", T = "
             << after.min_throughput.str() << "\n";

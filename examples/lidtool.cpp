@@ -35,6 +35,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -95,8 +96,6 @@ structural commands (take a .lid netlist file):
     --postmortem FILE  on trip, write the post-mortem bundle (replayable
                        with `lidtool replay`) to FILE
   screen    <file.lid>          deadlock screening (reset + worst case)
-    --engine interp|compiled|sliced   skeleton evaluator (default interp;
-                       the xir engines are bit-identical, see docs/xir.md)
   prove     <file.lid>          static deadlock-freedom proof: exhaustive
                                 reachability, bounded model checking and
                                 k-induction over every sink-stop environment
@@ -108,8 +107,6 @@ structural commands (take a .lid netlist file):
     --induction        k-induction certificates only (same as
                        --method induction)
     --budget N         distinct-state budget (default 2^20)
-    --engine scalar|sliced   search frontier (default sliced, 64 states
-                       per settle pass; verdicts are identical)
     --policy variant|strict  stop policy (default variant)
     --json             render the result as canonical JSON
     --postmortem FILE  write the counterexample's replayable
@@ -145,8 +142,7 @@ campaign commands (parallel mass simulation; see docs/campaign.md):
                                 mismatch failure)
   campaign mix <file.lid>       screen random half/full station-kind
                                 variants of one design from worst-case
-                                occupancy; the sliced engine (default)
-                                batches 64 variants per bit-parallel job
+                                occupancy, 64 variants per bit-sliced job
   campaign t1                   the EXPERIMENTS.md T1 fuzz pass
                                 (750 randomized runs) on the engine
   campaign options:
@@ -157,8 +153,6 @@ campaign commands (parallel mass simulation; see docs/campaign.md):
     --policy variant|strict|both   stop policy (default both for sweep,
                                    variant for fuzz)
     --shape composite|reconvergent|feedforward   fuzz topology shape
-    --engine interp|compiled|sliced   skeleton evaluator for sweep / fuzz
-                  / mix jobs (default interp; mix defaults to sliced)
     --variants N  mix: number of kind-variants to screen (default 64)
     --json PATH   write the aggregated report as JSON
     --csv PATH    write per-job results as CSV
@@ -180,7 +174,7 @@ distributed campaign commands (see docs/dist.md):
     --seed S       campaign base seed (default 1; decimal or 0x-hex)
     --budget B     per-job cycle budget (default 2^18)
     --lease-ms N   lease deadline before re-dispatch (default 30000)
-    --policy P / --shape S / --engine E   fuzz-job knobs as for campaign
+    --policy P / --shape S   fuzz-job knobs as for campaign
     --json PATH    write the merged aggregate as JSON
     --trace PATH   record the lease -> execute -> merge span timeline
                    (workers trace automatically when leases carry the
@@ -220,7 +214,6 @@ serve commands (the liplib.rpc/1 daemon; see docs/serve.md):
            prints the daemon's liplib.trace/1 span document)
     --port N       daemon port (default 7177)
     --policy P     variant | strict (screen / prove / campaign)
-    --engine E     interp | compiled | sliced (screen / prove / campaign)
     --budget N     cycle budget (screen / campaign); state budget (prove)
     --cycles N     cycles to simulate (profile)
     --method M     auto | reach | bmc | induction (prove)
@@ -395,7 +388,7 @@ int cmd_simulate(const graph::Topology& topo,
   // reported (with evidence) instead of silently draining the analyze
   // budget.  Skeleton steps are cheap enough to pay twice.
   {
-    skeleton::Skeleton guard(topo);
+    xir::ScalarEngine guard(topo);
     if (worst_case) guard.saturate_stations();
     telemetry::WatchdogOptions wopts;
     wopts.worst_case_occupancy = worst_case;
@@ -412,9 +405,9 @@ int cmd_simulate(const graph::Topology& topo,
     }
   }
 
-  skeleton::Skeleton sk(topo);
-  if (worst_case) sk.saturate_stations();
-  const auto r = sk.analyze();
+  xir::ScalarEngine eng(topo);
+  if (worst_case) eng.saturate_stations();
+  const auto r = eng.analyze();
   if (!r.found) {
     std::cout << "no steady state within budget\n";
     return 1;
@@ -434,17 +427,15 @@ int cmd_simulate(const graph::Topology& topo,
   return 0;
 }
 
-int cmd_screen(const graph::Topology& topo,
-               xir::EngineMode engine = xir::EngineMode::kInterp) {
-  skeleton::ScreeningOptions reset;
-  const auto a = xir::screen_for_deadlock(topo, reset, 1u << 20, engine);
+int cmd_screen(const graph::Topology& topo) {
+  const auto a = xir::screen_for_deadlock(topo);
   std::cout << "from reset: "
             << (a.deadlock_found ? "DEADLOCK" : "live, T = " +
                                                     a.min_throughput.str())
             << " (" << a.cycles_simulated << " skeleton cycles)\n";
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
-  const auto b = xir::screen_for_deadlock(topo, wc, 1u << 20, engine);
+  const auto b = xir::screen_for_deadlock(topo, wc);
   std::cout << "worst-case occupancy: "
             << (b.deadlock_found ? "DEADLOCK" : "live, T = " +
                                                     b.min_throughput.str())
@@ -457,8 +448,7 @@ int cmd_screen(const graph::Topology& topo,
                    b.cycles_simulated
             << " (reset " << a.cycles_simulated << " + worst-case "
             << b.cycles_simulated
-            << ") seed=0 (skeleton runs are deterministic) engine="
-            << xir::engine_mode_name(engine) << " verdict="
+            << ") seed=0 (skeleton runs are deterministic) verdict="
             << (bad ? "deadlock" : "live") << "\n";
   return bad ? 1 : 0;
 }
@@ -486,19 +476,6 @@ int cmd_prove(const graph::Topology& topo,
     } else if (rest[i] == "--budget") {
       LIPLIB_EXPECT(i + 1 < rest.size(), "--budget requires a value");
       opts.max_states = parse_u64(rest[++i], "--budget");
-    } else if (rest[i] == "--engine") {
-      LIPLIB_EXPECT(i + 1 < rest.size(), "--engine requires a value");
-      const std::string v = rest[++i];
-      if (v == "scalar") {
-        opts.sliced_frontier = false;
-      } else if (v == "sliced") {
-        opts.sliced_frontier = true;
-      } else {
-        std::cerr << "unknown prove engine '" << v
-                  << "' (expected scalar | sliced)\n\n"
-                  << kUsage;
-        return 2;
-      }
     } else if (rest[i] == "--policy") {
       LIPLIB_EXPECT(i + 1 < rest.size(), "--policy requires a value");
       const std::string v = rest[++i];
@@ -549,7 +526,7 @@ int cmd_prove(const graph::Topology& topo,
 int cmd_cure(const graph::Topology& topo) {
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
-  const auto cure = skeleton::cure_deadlocks(topo, wc);
+  const auto cure = xir::cure_deadlocks(topo, wc);
   std::cout << "substitutions: " << cure.substitutions << "\n"
             << "result: " << (cure.success ? "deadlock free" : "NOT cured")
             << "\n\n"
@@ -781,11 +758,6 @@ struct CampaignArgs {
   std::size_t station_lo = 1, station_hi = 4;
   std::vector<lip::StopPolicy> policies;  // empty = command default
   campaign::FuzzSpec::Shape shape = campaign::FuzzSpec::Shape::kComposite;
-  /// Skeleton evaluator for screen/fuzz jobs (xir engines are verdict-
-  /// identical to the interpreter); `eval_set` records an explicit
-  /// --engine so modes with a different default (mix: sliced) keep it.
-  xir::EngineMode eval = xir::EngineMode::kInterp;
-  bool eval_set = false;
   std::size_t variants = 64;  ///< campaign mix: kind variants to screen
   std::string json_path;
   std::string csv_path;
@@ -825,26 +797,22 @@ std::string policies_label(const std::vector<lip::StopPolicy>& ps) {
   return out;
 }
 
-/// stoull with a readable diagnostic ("--seed expects a number, got
-/// 'xyz'") instead of the bare std::invalid_argument from the library.
-/// Accepts 0x-prefixed hex (seeds are naturally quoted in hex: failure
-/// reports print them that way); trailing garbage is always rejected,
-/// so "1x" or "0x12g3" fail instead of silently truncating.
+/// An unsigned number with a readable diagnostic ("--seed expects a
+/// number, got 'xyz'").  Decimal digits, or 0x-prefixed hex (seeds are
+/// naturally quoted in hex: failure reports print them that way).
+/// Signs, whitespace, trailing garbage and overflow are rejected, so
+/// "-1", " 7", "1x" or "0x12g3" fail instead of wrapping or truncating.
 std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  try {
-    const bool hex = text.size() > 2 && text[0] == '0' &&
-                     (text[1] == 'x' || text[1] == 'X');
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(text, &used, hex ? 16 : 10);
-    if (used != text.size()) {
-      throw ApiError(what + " expects a number, got '" + text + "'");
-    }
-    return v;
-  } catch (const ApiError&) {
-    throw;
-  } catch (const std::exception&) {
+  const bool hex = text.size() > 2 && text[0] == '0' &&
+                   (text[1] == 'x' || text[1] == 'X');
+  const char* first = text.data() + (hex ? 2 : 0);
+  const char* last = text.data() + text.size();
+  std::uint64_t v = 0;
+  const auto [p, ec] = std::from_chars(first, last, v, hex ? 16 : 10);
+  if (ec != std::errc() || p != last) {
     throw ApiError(what + " expects a number, got '" + text + "'");
   }
+  return v;
 }
 
 /// Parses the flags shared by the campaign subcommands; throws ApiError
@@ -901,12 +869,6 @@ CampaignArgs parse_campaign_args(int argc, char** argv, int first) {
       } else {
         throw ApiError("unknown fuzz shape '" + v + "'");
       }
-    } else if (a == "--engine") {
-      const std::string v = value("--engine");
-      LIPLIB_EXPECT(xir::parse_engine_mode(v, &args.eval),
-                    "unknown engine '" + v +
-                        "' (expected interp | compiled | sliced)");
-      args.eval_set = true;
     } else if (a == "--variants") {
       args.variants = static_cast<std::size_t>(
           parse_u64(value("--variants"), "--variants"));
@@ -985,8 +947,7 @@ int run_shard_and_export(const std::vector<campaign::Job>& jobs,
   const auto results = campaign::Engine(eopts).run(slice, &stats);
   const auto agg = campaign::aggregate(results);
   const auto manifest = dist::make_manifest(
-      args.spec_id, jobs.size(), eopts.base_seed, eopts.cycle_budget,
-      xir::engine_mode_name(args.eval), range);
+      args.spec_id, jobs.size(), eopts.base_seed, eopts.cycle_budget, range);
   std::ofstream os(args.out_path);
   if (!os) {
     std::cerr << "cannot write " << args.out_path << "\n";
@@ -1044,8 +1005,7 @@ int cmd_campaign_sweep(const graph::Topology& base, CampaignArgs args) {
                  std::to_string(serve::topology_hash(base)) +
                  ";stations=" + std::to_string(args.station_lo) + ":" +
                  std::to_string(args.station_hi) +
-                 ";policies=" + policies_label(args.policies) +
-                 ";engine=" + xir::engine_mode_name(args.eval);
+                 ";policies=" + policies_label(args.policies);
   std::vector<campaign::Job> jobs;
   for (std::size_t k = args.station_lo; k <= args.station_hi; ++k) {
     graph::Topology variant = base;
@@ -1065,7 +1025,7 @@ int cmd_campaign_sweep(const graph::Topology& base, CampaignArgs args) {
       opts.policy = policy;
       jobs.push_back(campaign::make_steady_state_job(
           "sweep/st=" + std::to_string(k) + "/" + policy_label(policy),
-          variant, opts, args.eval));
+          variant, opts));
     }
   }
   return run_campaign_and_report(jobs, args);
@@ -1079,14 +1039,12 @@ int cmd_campaign_fuzz(std::size_t n, CampaignArgs args) {
   }
   args.spec_id = "lidtool/fuzz;n=" + std::to_string(n) +
                  ";shape=" + shape_label(args.shape) +
-                 ";policies=" + policies_label(args.policies) +
-                 ";engine=" + xir::engine_mode_name(args.eval);
+                 ";policies=" + policies_label(args.policies);
   std::vector<campaign::Job> jobs;
   for (std::size_t i = 0; i < n; ++i) {
     campaign::FuzzSpec spec;
     spec.shape = args.shape;
     spec.policy = args.policies[i % args.policies.size()];
-    spec.engine = args.eval;
     spec.size = 4;
     jobs.push_back(campaign::make_fuzz_job(
         "fuzz/" + std::to_string(i) + "/" + policy_label(spec.policy),
@@ -1096,24 +1054,19 @@ int cmd_campaign_fuzz(std::size_t n, CampaignArgs args) {
 }
 
 /// `campaign mix <file.lid>`: screen N random half/full station-kind
-/// variants of one design from worst-case occupancy.  Under the sliced
-/// engine (the default here) the campaign batches 64 variants per job
-/// into one bit-parallel evaluation.
+/// variants of one design from worst-case occupancy, batched 64 variants
+/// per job into one bit-sliced evaluation.
 int cmd_campaign_mix(graph::Topology topo, CampaignArgs args) {
   campaign::MixScreenSpec spec;
   spec.topo = std::move(topo);
   if (!args.policies.empty()) spec.skeleton.policy = args.policies.front();
   spec.variants = args.variants;
-  spec.engine = args.eval_set ? args.eval : xir::EngineMode::kSliced;
-  args.eval = spec.engine;  // the manifest names the engine actually run
   args.spec_id = "lidtool/mix;netlist=" +
                  std::to_string(serve::topology_hash(spec.topo)) +
                  ";variants=" + std::to_string(spec.variants) +
-                 ";policy=" + policy_label(spec.skeleton.policy) +
-                 ";engine=" + xir::engine_mode_name(spec.engine);
+                 ";policy=" + policy_label(spec.skeleton.policy);
   std::cout << "screening " << spec.variants
-            << " station-kind variants, engine "
-            << xir::engine_mode_name(spec.engine) << "\n\n";
+            << " station-kind variants, 64 per bit-sliced job\n\n";
   return run_campaign_and_report(campaign::make_mix_screen_campaign(spec),
                                  args);
 }
@@ -1306,11 +1259,6 @@ int cmd_dist_coordinate(int argc, char** argv) {
       } else {
         throw ApiError("unknown fuzz shape '" + v + "'");
       }
-    } else if (a == "--engine") {
-      const std::string v = value("--engine");
-      LIPLIB_EXPECT(xir::parse_engine_mode(v, &opts.spec.engine),
-                    "unknown engine '" + v +
-                        "' (expected interp | compiled | sliced)");
     } else if (a == "--json") {
       json_path = value("--json");
     } else if (a == "--trace") {
@@ -1640,8 +1588,6 @@ int cmd_client(int argc, char** argv) {
       port = static_cast<std::uint16_t>(parse_u64(value("--port"), "--port"));
     } else if (a == "--policy") {
       request.set("policy", value("--policy"));
-    } else if (a == "--engine") {
-      request.set("engine", value("--engine"));
     } else if (a == "--budget") {
       request.set("budget", parse_u64(value("--budget"), "--budget"));
     } else if (a == "--cycles") {
@@ -1928,21 +1874,8 @@ int main(int argc, char** argv) {
       return cmd_simulate(topo, rest);
     }
     if (cmd == "screen") {
-      xir::EngineMode engine = xir::EngineMode::kInterp;
-      for (std::size_t i = 0; i < rest.size(); ++i) {
-        if (rest[i] == "--engine") {
-          LIPLIB_EXPECT(i + 1 < rest.size(), "--engine requires a value");
-          const std::string v = rest[++i];
-          LIPLIB_EXPECT(xir::parse_engine_mode(v, &engine),
-                        "unknown engine '" + v +
-                            "' (expected interp | compiled | sliced)");
-        } else {
-          std::cerr << "unknown screen option '" << rest[i] << "'\n\n"
-                    << kUsage;
-          return 2;
-        }
-      }
-      return cmd_screen(topo, engine);
+      if (reject_extras("screen")) return 2;
+      return cmd_screen(topo);
     }
     if (cmd == "prove") {
       return cmd_prove(topo, rest);

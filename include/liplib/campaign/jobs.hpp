@@ -27,25 +27,21 @@
 #include "liplib/lip/token.hpp"
 #include "liplib/prove/prove.hpp"
 #include "liplib/skeleton/skeleton.hpp"
-#include "liplib/xir/xir.hpp"
 
 namespace liplib::campaign {
 
-/// Skeleton deadlock screen of a fixed topology.  Outcome: kLive,
-/// kDeadlock (full deadlock), kStarvation (starved shells), or
-/// kBudgetExhausted when no steady state shows within the cycle budget.
-/// `engine` selects the evaluator (xir engines produce bit-identical
-/// verdicts; kSliced here runs the single scenario in one lane — batched
-/// slicing is make_mix_screen_campaign).
+/// Skeleton deadlock screen of a fixed topology (xir::screen_for_deadlock).
+/// Outcome: kLive, kDeadlock (full deadlock), kStarvation (starved
+/// shells), or kBudgetExhausted when no steady state shows within the
+/// cycle budget.
 Job make_screening_job(std::string name, graph::Topology topo,
-                       skeleton::ScreeningOptions opts = {},
-                       xir::EngineMode engine = xir::EngineMode::kInterp);
+                       skeleton::ScreeningOptions opts = {});
 
-/// Skeleton steady-state analysis of a fixed topology: exact throughput,
-/// transient and period.  Outcomes as for screening.
+/// Skeleton steady-state analysis of a fixed topology on the compiled
+/// scalar engine: exact throughput, transient and period.  Outcomes as
+/// for screening.
 Job make_steady_state_job(std::string name, graph::Topology topo,
-                          skeleton::SkeletonOptions opts = {},
-                          xir::EngineMode engine = xir::EngineMode::kInterp);
+                          skeleton::SkeletonOptions opts = {});
 
 /// Full-data spot check of a fixed topology: binds default pearls,
 /// measures the steady state on a lip::System and checks latency
@@ -80,9 +76,6 @@ struct FuzzSpec {
   /// Also run the full-data latency-equivalence check (slower; the
   /// skeleton checks alone are nearly free).
   bool check_equivalence = true;
-  /// Evaluator for the skeleton analysis part of the job (the analytic
-  /// cross-checks and the full-data equivalence run are engine-blind).
-  xir::EngineMode engine = xir::EngineMode::kInterp;
 };
 
 /// Randomized-topology fuzz job.  The topology is generated from the
@@ -189,16 +182,14 @@ struct MixScreenSpec {
   bool worst_case_occupancy = true;
   /// Number of kind-variants to screen.
   std::size_t variants = 64;
-  xir::EngineMode engine = xir::EngineMode::kSliced;
 };
 
 /// Builds the sweep.  Variant `v`'s kinds are always drawn from
-/// Rng(job_seed(base_seed, v)) — independent of the engine — so the
-/// per-variant verdicts are bit-identical across engines.  Under
-/// kInterp/kCompiled this is one job per variant; under kSliced the
-/// topology is lowered once and the campaign auto-batches 64 variants
-/// per job into a single bit-sliced evaluation (ceil(variants/64)
-/// jobs), each job's detail carrying the per-variant outcome tally.
+/// Rng(job_seed(base_seed, v)), so a variant's verdict is a pure
+/// function of (base seed, variant index).  The topology is lowered once
+/// and the campaign packs 64 variants per job into a single bit-sliced
+/// evaluation (ceil(variants/64) jobs), each job's detail carrying the
+/// per-variant outcome tally.
 std::vector<Job> make_mix_screen_campaign(MixScreenSpec spec);
 
 /// A generated campaign identified by a stable wire name — the
@@ -208,11 +199,10 @@ std::vector<Job> make_mix_screen_campaign(MixScreenSpec spec);
 struct NamedCampaignSpec {
   std::string mode = "fuzz";  ///< fuzz | lint | probe | prove
   std::size_t jobs = 0;       ///< batch size
-  /// fuzz only: stop policy, topology shape, skeleton evaluator.  The
-  /// other modes draw everything from each job's deterministic seed.
+  /// fuzz only: stop policy and topology shape.  The other modes draw
+  /// everything from each job's deterministic seed.
   lip::StopPolicy policy = lip::StopPolicy::kCasuDiscardOnVoid;
   FuzzSpec::Shape shape = FuzzSpec::Shape::kComposite;
-  xir::EngineMode engine = xir::EngineMode::kInterp;
 };
 
 /// Builds the job vector of a named campaign.  A pure function of the

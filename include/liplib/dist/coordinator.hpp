@@ -7,7 +7,7 @@
 // serve/protocol.hpp) with its own message vocabulary:
 //
 //   {"rpc":"liplib.dist/1","msg":"lease"}
-//       -> {"msg":"lease","manifest":{...liplib.shard/1...}}
+//       -> {"msg":"lease","manifest":{...liplib.shard/2...}}
 //        | {"msg":"wait","retry_ms":N}     every shard leased, none expired
 //        | {"msg":"done"}                  every shard merged
 //   {"rpc":"liplib.dist/1","msg":"result","partial":{...},"spans":{...}}

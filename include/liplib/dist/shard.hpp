@@ -12,7 +12,7 @@
 // the unsharded run would have produced for those indices.
 //
 // Each shard exports a partial document ("liplib.dist.partial/1"): its
-// manifest ("liplib.shard/1" — the campaign identity plus the range)
+// manifest ("liplib.shard/2" — the campaign identity plus the range)
 // and the aggregate of its slice.  merge_partials() validates that the
 // manifests name the same campaign and that the ranges tile
 // [0, total_jobs) exactly, then folds the partial aggregates with
@@ -37,7 +37,7 @@
 namespace liplib::dist {
 
 /// Schema tag of a shard manifest.
-inline constexpr const char* kShardSchema = "liplib.shard/1";
+inline constexpr const char* kShardSchema = "liplib.shard/2";
 /// Schema tag of a partial-aggregate document.
 inline constexpr const char* kPartialSchema = "liplib.dist.partial/1";
 
@@ -56,8 +56,9 @@ struct ShardRange {
 ShardRange shard_range(std::size_t total_jobs, std::size_t index,
                        std::size_t count);
 
-/// Parses an "i/N" shard token (as in `lidtool campaign --shard 2/4`).
-/// Throws ApiError on malformed text, N == 0 or i >= N.
+/// Parses an "i/N" shard token (as in `lidtool campaign --shard 2/4`);
+/// both numbers are plain decimal digits.  Throws ApiError on malformed
+/// text (signs and whitespace included), N == 0 or i >= N.
 std::pair<std::size_t, std::size_t> parse_shard_token(
     const std::string& text);
 
@@ -75,23 +76,19 @@ struct ShardManifest {
   std::size_t total_jobs = 0;
   std::uint64_t base_seed = 1;
   std::uint64_t cycle_budget = 0;
-  /// Skeleton evaluator name ("interp" | "compiled" | "sliced").
-  /// Engines are verdict-identical, but a plan runs one engine and the
-  /// merge rejects mixtures so a partial always names its provenance.
-  std::string engine = "interp";
   ShardRange shard;
 };
 
 /// Builds a manifest (fills campaign_hash from the spec string).
 ShardManifest make_manifest(const std::string& campaign_spec,
                             std::size_t total_jobs, std::uint64_t base_seed,
-                            std::uint64_t cycle_budget,
-                            const std::string& engine, ShardRange shard);
+                            std::uint64_t cycle_budget, ShardRange shard);
 
-/// "liplib.shard/1" document of a manifest / its strict inverse.
-/// manifest_from_json throws ApiError on malformed documents, on a
-/// campaign_hash that does not match the spec string, and on a range
-/// that does not equal shard_range(total_jobs, index, count).
+/// "liplib.shard/2" document of a manifest / its strict inverse.
+/// manifest_from_json throws ApiError on malformed documents (another
+/// schema tag included), on a campaign_hash that does not match the
+/// spec string, and on a range that does not equal
+/// shard_range(total_jobs, index, count).
 Json manifest_to_json(const ShardManifest& m);
 ShardManifest manifest_from_json(const Json& doc);
 
@@ -111,7 +108,7 @@ Partial partial_from_json(const Json& doc);
 
 /// Validates and merges partials into the campaign's full aggregate:
 /// every manifest must name the same campaign (spec string, hash,
-/// total_jobs, base_seed, cycle_budget, engine) and the shard ranges
+/// total_jobs, base_seed, cycle_budget) and the shard ranges
 /// must tile [0, total_jobs) exactly — duplicates, gaps and overlaps
 /// are all rejected with ApiError.  The fold runs in range order, so
 /// the result is byte-identical (via campaign::to_json) to
@@ -119,10 +116,12 @@ Partial partial_from_json(const Json& doc);
 campaign::Aggregate merge_partials(std::vector<Partial> parts);
 
 /// Canonical spec string of a named campaign
-/// ("mode=fuzz;jobs=300;policy=variant;shape=composite;engine=interp")
-/// and its strict inverse.  This is the wire form the coordinator
-/// leases to workers; both sides rebuild the identical job vector from
-/// it via campaign::make_named_campaign.
+/// ("mode=fuzz;jobs=300;policy=variant;shape=composite") and its strict
+/// inverse, which accepts only that canonical spelling (all four fields
+/// once, in order, jobs in plain decimal digits), so an accepted string
+/// re-renders byte for byte.  This is the wire form the coordinator leases to workers; both sides
+/// rebuild the identical job vector from it via
+/// campaign::make_named_campaign.
 std::string named_campaign_to_string(const campaign::NamedCampaignSpec& spec);
 campaign::NamedCampaignSpec named_campaign_from_string(
     const std::string& text);

@@ -79,6 +79,7 @@ struct CheckResult {
   bool exhausted_budget = false;       ///< state budget hit before closure
   std::uint64_t states_explored = 0;   ///< distinct states visited
   std::uint64_t transitions = 0;       ///< transitions expanded
+  std::uint64_t depth_reached = 0;     ///< deepest BFS layer expanded
   /// Peak bytes of search bookkeeping: visited keys + parent choice
   /// labels + per-record overhead + the frontier (which stores pointers
   /// into the visited set, not state copies).  formal_test bounds this

@@ -153,7 +153,7 @@ struct StopCycleInfo {
 /// Enumerates the combinational stop cycles of a topology (budgeted like
 /// enumerate_cycles).  Empty result == no latent stop latch anywhere ==
 /// worst-case-occupancy screening is guaranteed live; the test suite
-/// locks this equivalence against skeleton::screen_for_deadlock.
+/// locks this equivalence against xir::screen_for_deadlock.
 std::vector<StopCycleInfo> find_stop_cycles(const Topology& topo,
                                             std::size_t max_cycles = 4096);
 

@@ -26,7 +26,7 @@
 //   LIP008  slowest cycle bottleneck (info)     loop bound via the exact MCR
 //   LIP009  transient bound          (info)     predictable-upfront transient
 //
-// The dynamic screening these rules replace (skeleton::screen_for_deadlock
+// The dynamic screening these rules replace (xir::screen_for_deadlock
 // under worst-case occupancy) is locked against LIP006 by the test suite
 // and by campaign::make_lint_crosscheck_campaign: on randomized topologies
 // the static hazard verdict must agree with the simulator exactly.

@@ -93,7 +93,7 @@ class ResultCache {
   const CacheOptions& options() const { return opts_; }
 
   /// Counter snapshot as a Json object (schema fragment of
-  /// "liplib.serve.status/1"): hit/miss/insertion/eviction/expiration
+  /// "liplib.serve.status/3"): hit/miss/insertion/eviction/expiration
   /// counts, entry/byte occupancy and the configured limits.
   Json stats_json() const;
 

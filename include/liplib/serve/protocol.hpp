@@ -73,7 +73,7 @@ enum class RequestKind : std::uint8_t {
   /// endpoint for both the cache and the campaign in flight.
   kDistStatus,
   /// Prometheus text exposition of the daemon's MetricsRegistry
-  /// (request-latency histograms split by kind/engine/cache outcome).
+  /// (request-latency histograms split by kind and cache outcome).
   kMetrics,
   /// The daemon's accumulated span document ("liplib.trace/1") — the
   /// scrape side of `lidtool trace`.
@@ -92,10 +92,6 @@ struct Request {
   Json id;                   ///< echoed verbatim in the response (null ok)
   std::string netlist;       ///< lint / screen / profile: .lid text
   std::string policy = "variant";  ///< screen / profile: variant | strict
-  /// screen / campaign: skeleton evaluator, interp | compiled | sliced
-  /// (xir::EngineMode; verdicts are bit-identical across engines, so the
-  /// engine is a performance knob that still keys the cache separately).
-  std::string engine = "interp";
   std::uint64_t budget = 0;  ///< screen: watchdog cycle budget; 0 = default
   std::uint64_t cycles = 0;  ///< profile: cycles to simulate; 0 = default
   std::string mode = "fuzz";  ///< campaign: fuzz | lint | probe | prove

@@ -92,25 +92,20 @@ struct ServeContext {
   metrics::Counter protocol_errors;      ///< malformed frames / requests
   metrics::Counter request_errors;       ///< well-formed requests that failed
   metrics::Counter deadlock_verdicts;    ///< watchdog-tripped answers
-  /// Cache hits/misses of engine-keyed requests (screen / campaign),
-  /// indexed by xir::EngineMode — the per-engine traffic split of the
-  /// status document.
-  metrics::Counter engine_hits[3];
-  metrics::Counter engine_misses[3];
   metrics::Gauge inflight;               ///< requests being computed now
 
   /// Request-lifecycle spans (serve.<kind> roots with cache-lookup /
   /// execute children); scraped via the `trace` request kind.
   trace::Recorder recorder;
   /// The scrapeable registry (`metrics` request kind):
-  /// liplib_serve_request_latency_us{kind,engine,cache} histograms plus
+  /// liplib_serve_request_latency_us{kind,cache} histograms plus
   /// cache occupancy gauges.  Self-synchronized; not guarded by `mu`.
   metrics::MetricsRegistry registry;
 
   std::atomic<bool> draining{false};  ///< set by a shutdown request
 
   /// Counter snapshot for the status document (schema
-  /// "liplib.serve.status/2"); includes the cache counters plus the
+  /// "liplib.serve.status/3"); includes the cache counters plus the
   /// top-level `evictions` counter and `cache_bytes` gauge.
   Json status_json();
 };

@@ -10,6 +10,11 @@
 // those of lip::System (the test suite locks the two together), but its
 // state is a few bytes per block, which makes transient-extinction
 // screening essentially free.
+//
+// Skeleton is the interpreter: the reference model the compiled xir
+// engines are held to bit for bit, and the only evaluator of queued
+// shells (input_queue_depth > 0).  Screening, steady-state analysis and
+// the cure run on xir::ScalarEngine (liplib/xir/xir.hpp).
 
 #pragma once
 
@@ -166,7 +171,8 @@ class Skeleton {
 
 /// Paper's deadlock screening recipe: simulate the skeleton up to the
 /// transient's extinction; "either the deadlock will show, or will be
-/// forever avoided".
+/// forever avoided".  xir::screen_for_deadlock runs the recipe on the
+/// compiled scalar engine; xir::screen_variants batches it.
 struct ScreeningVerdict {
   bool ran_to_steady_state = false;
   bool deadlock_found = false;  ///< full deadlock or starved shells
@@ -177,7 +183,13 @@ struct ScreeningVerdict {
   std::vector<graph::NodeId> starved;
 };
 
-/// How screen_for_deadlock initializes the design.
+/// The screening verdict of a steady-state analysis that simulated
+/// `cycles_simulated` cycles — the one verdict rule every evaluator
+/// shares.
+ScreeningVerdict screening_verdict(const SkeletonResult& r,
+                                   std::uint64_t cycles_simulated);
+
+/// How xir::screen_for_deadlock initializes the design.
 struct ScreeningOptions {
   SkeletonOptions skeleton;
   /// When set, screening starts from worst-case occupancy (one valid
@@ -188,25 +200,14 @@ struct ScreeningOptions {
   bool worst_case_occupancy = false;
 };
 
-ScreeningVerdict screen_for_deadlock(const graph::Topology& topo,
-                                     ScreeningOptions opts = {},
-                                     std::uint64_t max_cycles = 1u << 20);
-
-/// Paper's cure: "the cases that inject deadlocks can be cured by low
-/// intrusive changes (adding/substituting few relay stations)".  This
-/// upgrades half relay stations to full ones — preferring channels on
-/// cycles that feed starved shells — re-screening after each
-/// substitution, until the design is deadlock free or no half stations
-/// remain on cycles.
+/// Result of xir::cure_deadlocks, the paper's cure: "the cases that
+/// inject deadlocks can be cured by low intrusive changes
+/// (adding/substituting few relay stations)".
 struct CureResult {
   graph::Topology cured;
   bool success = false;
   std::size_t substitutions = 0;
   std::vector<graph::ChannelId> touched_channels;
 };
-
-CureResult cure_deadlocks(const graph::Topology& topo,
-                          ScreeningOptions opts = {},
-                          std::uint64_t max_cycles = 1u << 20);
 
 }  // namespace liplib::skeleton

@@ -6,8 +6,8 @@
 // loop "creates the possibility of deadlock", and once the combinational
 // stop latch closes the simulation just stops making progress — no
 // crash, no error, the cycle budget drains.  A Watchdog rides the probe
-// plumbing (probe::CycleObserver) over a live lip::System or
-// skeleton::Skeleton run and
+// plumbing (probe::CycleObserver) over a live lip::System,
+// xir::ScalarEngine or skeleton::Skeleton run and
 //
 //  - keeps a bounded ring buffer of the last N cycles of settled
 //    channel/shell state (the flight recorder),
@@ -210,8 +210,8 @@ GuardedRun run_guarded(xir::ScalarEngine& eng, Watchdog& dog,
                        std::uint64_t max_cycles);
 
 /// Reconstructs the design from a bundle (netlist + protocol config +
-/// saturation state), re-runs it under a fresh watchdog with the
-/// bundle's thresholds, and checks the failure reproduces at the
+/// saturation state), re-runs it on xir::ScalarEngine under a fresh
+/// watchdog with the bundle's thresholds, and checks the failure reproduces at the
 /// identical cycle indices.
 ReplayResult replay(const PostMortem& pm);
 

@@ -133,7 +133,7 @@ struct VariantSpec {
 /// Screens up to 64 kind-variants of one topology in a single sliced
 /// evaluation: the topology is lowered once, each variant occupies one
 /// lane, and one batched analyze() yields every verdict.  Verdicts are
-/// bit-identical to skeleton::screen_for_deadlock on the equivalent
+/// bit-identical to xir::screen_for_deadlock on the equivalent
 /// per-variant topologies.
 std::vector<skeleton::ScreeningVerdict> screen_variants(
     const graph::Topology& topo, const std::vector<VariantSpec>& variants,

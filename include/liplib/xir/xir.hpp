@@ -25,9 +25,10 @@
 //    word — 64 station-kind variants or screening scenarios settled per
 //    pass, lane divergence handled by masked updates.
 //
-// Engine selection for screening flows (campaign jobs, serve requests,
-// lidtool) is the EngineMode enum below; screen_for_deadlock here is
-// the drop-in dispatching twin of skeleton::screen_for_deadlock.
+// Each job has one evaluator: a single design's screen, steady state,
+// cure, replay and watchdog guard run on ScalarEngine; batched variant
+// screens run 64 variants per SlicedEngine pass.  The interpreter stays
+// as the reference model the differential suite holds both against.
 //
 // See docs/xir.md for the IR layout and lowering rules.
 
@@ -36,7 +37,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "liplib/graph/topology.hpp"
@@ -48,19 +48,6 @@ struct Wiring;
 }  // namespace liplib::probe
 
 namespace liplib::xir {
-
-/// Which evaluator screens a design.
-enum class EngineMode : std::uint8_t {
-  kInterp = 0,    ///< the interpreted skeleton (skeleton::Skeleton)
-  kCompiled = 1,  ///< xir::ScalarEngine (compiled straight-line sweeps)
-  kSliced = 2,    ///< xir::SlicedEngine (64 scenarios per machine word)
-};
-
-/// Stable lower-case wire/CLI name ("interp", "compiled", "sliced").
-const char* engine_mode_name(EngineMode m);
-
-/// Inverse of engine_mode_name; returns false on an unknown name.
-bool parse_engine_mode(std::string_view name, EngineMode* out);
 
 /// The settle schedule of a lowered program: the stop producers that can
 /// be evaluated exactly once in dependency order, and the combinational
@@ -208,26 +195,20 @@ class ScalarEngine {
   std::vector<std::vector<std::uint8_t>> sink_pattern_;  ///< per sink
 };
 
-/// Engine-dispatching twin of skeleton::screen_for_deadlock: identical
-/// verdicts from any engine.  kSliced runs the single scenario in lane
-/// 0 of a one-lane sliced evaluation (batched sliced screening lives in
-/// xir/sliced.hpp and campaign::make_mix_screen_campaign).
+/// The paper's deadlock screen on the ScalarEngine: from reset or from
+/// worst-case occupancy, run to the transient's extinction (rho
+/// detection) within `max_cycles`.  Batched screens of station-kind
+/// variants are xir::screen_variants (xir/sliced.hpp).
 skeleton::ScreeningVerdict screen_for_deadlock(
     const graph::Topology& topo, skeleton::ScreeningOptions opts = {},
-    std::uint64_t max_cycles = 1u << 20,
-    EngineMode engine = EngineMode::kCompiled);
+    std::uint64_t max_cycles = 1u << 20);
 
-/// Steady-state analysis via a selected engine; result plus the cycles
-/// actually simulated (== Skeleton::cycle() after analyze()).
-struct AnalyzeOutcome {
-  skeleton::SkeletonResult result;
-  std::uint64_t cycles = 0;
-};
-AnalyzeOutcome analyze_with_engine(const graph::Topology& topo,
-                                   skeleton::SkeletonOptions opts,
-                                   std::uint64_t max_cycles,
-                                   EngineMode engine,
-                                   bool worst_case_occupancy = false);
+/// The paper's cure: upgrades half relay stations on cycles to full ones
+/// — one substitution at a time, re-screening after each — until the
+/// design screens deadlock free or no half station remains on a cycle.
+skeleton::CureResult cure_deadlocks(const graph::Topology& topo,
+                                    skeleton::ScreeningOptions opts = {},
+                                    std::uint64_t max_cycles = 1u << 20);
 
 /// Builds the probe::Wiring of a lowered program (the same wiring the
 /// interpreter builds in Skeleton::attach_probe).

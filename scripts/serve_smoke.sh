@@ -113,8 +113,8 @@ echo "serve_smoke: $requests requests served, $deadlock_answers deadlock verdict
 
 client status > "$work/status.json" || fail "status request failed"
 get() { sed -n "s/.*\"$1\": \([0-9][0-9]*\).*/\1/p" "$work/status.json" | head -n1; }
-# "hits" also appears in the per-engine counters, which render before
-# the cache section — scope the cache lookup to its object.
+# Scope cache counters to the "cache" object: names like "evictions"
+# also appear at the top level of the status document.
 cache_get() {
   sed -n '/"cache"/,/}/p' "$work/status.json" |
     sed -n "s/.*\"$1\": \([0-9][0-9]*\).*/\1/p" | head -n1

@@ -14,6 +14,7 @@
 #include "liplib/probe/probe.hpp"
 #include "liplib/support/rng.hpp"
 #include "liplib/xir/sliced.hpp"
+#include "liplib/xir/xir.hpp"
 
 namespace liplib::campaign {
 
@@ -97,6 +98,15 @@ JobResult from_skeleton_result(const skeleton::SkeletonResult& res,
   return r;
 }
 
+/// Steady-state analysis of one design on the compiled scalar engine.
+JobResult analyze_steady_state(const graph::Topology& topo,
+                               const skeleton::SkeletonOptions& opts,
+                               std::uint64_t budget) {
+  xir::ScalarEngine eng(topo, opts);
+  const auto res = eng.analyze(budget);
+  return from_skeleton_result(res, eng.cycle());
+}
+
 /// Randomizes the station kinds of a feedforward topology in place
 /// (~1/3 half stations) — the "mixed half/full chains" of the T1 pass.
 void mix_station_kinds(graph::Topology& topo, Rng& rng) {
@@ -117,23 +127,19 @@ JobResult fuzz_feedforward(const FuzzSpec& spec, Rng& rng,
 }  // namespace
 
 Job make_screening_job(std::string name, graph::Topology topo,
-                       skeleton::ScreeningOptions opts,
-                       xir::EngineMode engine) {
+                       skeleton::ScreeningOptions opts) {
   return Job{std::move(name),
-             [topo = std::move(topo), opts, engine](const JobContext& ctx) {
-               return from_screening(xir::screen_for_deadlock(
-                   topo, opts, ctx.cycle_budget, engine));
+             [topo = std::move(topo), opts](const JobContext& ctx) {
+               return from_screening(
+                   xir::screen_for_deadlock(topo, opts, ctx.cycle_budget));
              }};
 }
 
 Job make_steady_state_job(std::string name, graph::Topology topo,
-                          skeleton::SkeletonOptions opts,
-                          xir::EngineMode engine) {
+                          skeleton::SkeletonOptions opts) {
   return Job{std::move(name),
-             [topo = std::move(topo), opts, engine](const JobContext& ctx) {
-               const auto out = xir::analyze_with_engine(
-                   topo, opts, ctx.cycle_budget, engine);
-               return from_skeleton_result(out.result, out.cycles);
+             [topo = std::move(topo), opts](const JobContext& ctx) {
+               return analyze_steady_state(topo, opts, ctx.cycle_budget);
              }};
 }
 
@@ -192,11 +198,7 @@ JobResult fuzz_reconvergent(const FuzzSpec& spec, Rng& rng,
   auto gen = graph::make_reconvergent(short_st, long_shells, per_hop);
   mix_station_kinds(gen.topo, rng);
 
-  skeleton::SkeletonOptions sk_opts;
-  sk_opts.policy = spec.policy;
-  const auto out =
-      xir::analyze_with_engine(gen.topo, sk_opts, budget, spec.engine);
-  JobResult r = from_skeleton_result(out.result, out.cycles);
+  JobResult r = analyze_steady_state(gen.topo, {spec.policy}, budget);
   std::ostringstream shape;
   shape << "reconvergent short=" << short_st << " shells=" << long_shells
         << " per_hop=" << per_hop << " policy=" << policy_name(spec.policy);
@@ -228,11 +230,7 @@ JobResult fuzz_composite(const FuzzSpec& spec, Rng& rng,
                                           /*allow_half=*/true,
                                           /*allow_half_in_loops=*/false);
 
-  skeleton::SkeletonOptions sk_opts;
-  sk_opts.policy = spec.policy;
-  const auto out =
-      xir::analyze_with_engine(gen.topo, sk_opts, budget, spec.engine);
-  JobResult r = from_skeleton_result(out.result, out.cycles);
+  JobResult r = analyze_steady_state(gen.topo, {spec.policy}, budget);
   if (r.outcome != Outcome::kLive) {
     r.detail += " (composite segments=" + std::to_string(segments) + ")";
     return r;
@@ -275,11 +273,7 @@ JobResult fuzz_feedforward(const FuzzSpec& spec, Rng& rng,
       2 + rng.below(std::max<std::size_t>(spec.size, 1));
   auto gen = graph::make_random_feedforward(rng, processes);
 
-  skeleton::SkeletonOptions sk_opts;
-  sk_opts.policy = spec.policy;
-  const auto out =
-      xir::analyze_with_engine(gen.topo, sk_opts, budget, spec.engine);
-  JobResult r = from_skeleton_result(out.result, out.cycles);
+  JobResult r = analyze_steady_state(gen.topo, {spec.policy}, budget);
   if (r.outcome != Outcome::kLive) {
     r.detail += " (feedforward processes=" + std::to_string(processes) + ")";
     return r;
@@ -302,14 +296,12 @@ JobResult fuzz_feedforward(const FuzzSpec& spec, Rng& rng,
 JobResult run_probe_measurement(const graph::Topology& topo,
                                 lip::StopPolicy policy,
                                 std::uint64_t budget) {
-  // Exact steady state from the (cheap) skeleton; System and Skeleton
-  // share one protocol trajectory from reset, so the skeleton's
-  // transient/period window the full-data probe run.
-  skeleton::SkeletonOptions sk_opts;
-  sk_opts.policy = policy;
-  skeleton::Skeleton sk(topo, sk_opts);
-  const auto res = sk.analyze(budget);
-  JobResult r = from_skeleton_result(res, sk.cycle());
+  // Exact steady state from the (cheap) skeleton; System and the
+  // skeleton share one protocol trajectory from reset, so the
+  // skeleton's transient/period window the full-data probe run.
+  xir::ScalarEngine eng(topo, {policy});
+  const auto res = eng.analyze(budget);
+  JobResult r = from_skeleton_result(res, eng.cycle());
   if (r.outcome != Outcome::kLive && r.outcome != Outcome::kStarvation) {
     return r;
   }
@@ -459,7 +451,7 @@ Job make_lint_crosscheck_job(std::string name, LintCrossCheckSpec spec) {
     skeleton::ScreeningOptions wc;
     wc.worst_case_occupancy = true;
     const auto verdict =
-        skeleton::screen_for_deadlock(gen.topo, wc, ctx.cycle_budget);
+        xir::screen_for_deadlock(gen.topo, wc, ctx.cycle_budget);
     JobResult r;
     r.cycles = verdict.cycles_simulated;
     if (!verdict.ran_to_steady_state) {
@@ -483,7 +475,7 @@ Job make_lint_crosscheck_job(std::string name, LintCrossCheckSpec spec) {
         return r;
       }
       const auto cured =
-          skeleton::screen_for_deadlock(fixed.fixed, wc, ctx.cycle_budget);
+          xir::screen_for_deadlock(fixed.fixed, wc, ctx.cycle_budget);
       r.cycles += cured.cycles_simulated;
       if (cured.deadlock_found) {
         r.outcome = Outcome::kMismatch;
@@ -571,7 +563,7 @@ Job make_prove_crosscheck_job(std::string name, ProveCrossCheckSpec spec) {
     skeleton::ScreeningOptions wc;
     wc.worst_case_occupancy = true;
     const auto verdict =
-        skeleton::screen_for_deadlock(gen.topo, wc, ctx.cycle_budget);
+        xir::screen_for_deadlock(gen.topo, wc, ctx.cycle_budget);
     JobResult r;
     r.cycles = verdict.cycles_simulated;
     if (!verdict.ran_to_steady_state) {
@@ -621,7 +613,7 @@ std::vector<graph::RsKind> mix_screen_variant_kinds(
   // The same draw order as mix_station_kinds (channel-major — which is
   // also the xir program's station order), from the variant's own
   // job_seed stream, so a variant's mix is a pure function of
-  // (base seed, variant index) at any engine or batching factor.
+  // (base seed, variant index) at any batching factor.
   Rng rng(job_seed(base_seed, variant));
   std::vector<graph::RsKind> kinds;
   kinds.reserve(topo.total_stations());
@@ -635,16 +627,6 @@ std::vector<graph::RsKind> mix_screen_variant_kinds(
 }
 
 namespace {
-
-graph::Topology with_station_kinds(const graph::Topology& topo,
-                                   const std::vector<graph::RsKind>& kinds) {
-  graph::Topology out = topo;
-  std::size_t next = 0;
-  for (graph::ChannelId c = 0; c < out.channels().size(); ++c) {
-    for (auto& kind : out.channel_mut(c).stations) kind = kinds[next++];
-  }
-  return out;
-}
 
 /// Severity order for folding a batch of screening verdicts into one
 /// job outcome (worst lane wins).
@@ -661,29 +643,7 @@ int screen_severity(Outcome o) {
 
 std::vector<Job> make_mix_screen_campaign(MixScreenSpec spec) {
   std::vector<Job> jobs;
-  skeleton::ScreeningOptions screen;
-  screen.skeleton = spec.skeleton;
-  screen.worst_case_occupancy = spec.worst_case_occupancy;
-
-  if (spec.engine != xir::EngineMode::kSliced) {
-    // One job per variant; job index == variant index.
-    jobs.reserve(spec.variants);
-    for (std::size_t v = 0; v < spec.variants; ++v) {
-      jobs.push_back(Job{
-          "mix-screen/" + std::to_string(v),
-          [topo = spec.topo, screen, engine = spec.engine](
-              const JobContext& ctx) {
-            const auto kinds =
-                mix_screen_variant_kinds(topo, ctx.base_seed, ctx.index);
-            return from_screening(xir::screen_for_deadlock(
-                with_station_kinds(topo, kinds), screen, ctx.cycle_budget,
-                engine));
-          }});
-    }
-    return jobs;
-  }
-
-  // Sliced: 64 variants ride one lowered program and one evaluation.
+  // 64 variants ride one lowered program and one sliced evaluation.
   const std::size_t per_job = xir::SlicedEngine::kLanes;
   const std::size_t num_jobs = (spec.variants + per_job - 1) / per_job;
   jobs.reserve(num_jobs);
@@ -692,16 +652,17 @@ std::vector<Job> make_mix_screen_campaign(MixScreenSpec spec) {
     const std::size_t hi = std::min(spec.variants, lo + per_job);
     jobs.push_back(Job{
         "mix-screen/" + std::to_string(lo) + ".." + std::to_string(hi - 1),
-        [topo = spec.topo, screen, lo, hi](const JobContext& ctx) {
+        [topo = spec.topo, opts = spec.skeleton,
+         worst_case = spec.worst_case_occupancy, lo, hi](
+            const JobContext& ctx) {
           std::vector<xir::VariantSpec> variants(hi - lo);
           for (std::size_t v = lo; v < hi; ++v) {
             variants[v - lo].kinds =
                 mix_screen_variant_kinds(topo, ctx.base_seed, v);
-            variants[v - lo].worst_case_occupancy =
-                screen.worst_case_occupancy;
+            variants[v - lo].worst_case_occupancy = worst_case;
           }
-          const auto verdicts = xir::screen_variants(
-              topo, variants, screen.skeleton, ctx.cycle_budget);
+          const auto verdicts =
+              xir::screen_variants(topo, variants, opts, ctx.cycle_budget);
           // Fold the batch: worst outcome, summed cycles, min
           // throughput; detail tallies every lane.
           JobResult r;
@@ -779,7 +740,6 @@ std::vector<Job> make_named_campaign(const NamedCampaignSpec& spec) {
       FuzzSpec fuzz;
       fuzz.shape = spec.shape;
       fuzz.policy = spec.policy;
-      fuzz.engine = spec.engine;
       fuzz.size = 4;
       jobs.push_back(make_fuzz_job("fuzz/" + std::to_string(i), fuzz));
     }

@@ -215,7 +215,6 @@ Json Coordinator::handle_lease() {
   }
   const ShardManifest m = make_manifest(
       campaign_spec_, total_jobs_, opts_.base_seed, opts_.cycle_budget,
-      xir::engine_mode_name(opts_.spec.engine),
       shard_range(total_jobs_, pick, slots_.size()));
   Json resp = Json::object()
                   .set("rpc", kDistRpcSchema)

@@ -1,10 +1,10 @@
 #include "liplib/dist/shard.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 #include "liplib/serve/cache.hpp"
 #include "liplib/support/check.hpp"
-#include "liplib/xir/xir.hpp"
 
 namespace liplib::dist {
 
@@ -24,6 +24,14 @@ std::string string_of(const Json& doc, const char* key) {
                 std::string("shard manifest: field '") + key +
                     "' must be a string");
   return f->as_string();
+}
+
+/// Plain decimal digits only: no sign, no whitespace, no trailing
+/// bytes, no overflow (std::stoull would accept " 7", "+7" and "-1").
+bool parse_digits(const std::string& text, std::uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && p == end;
 }
 
 const char* policy_name(lip::StopPolicy p) {
@@ -63,14 +71,8 @@ std::pair<std::size_t, std::size_t> parse_shard_token(
                     slash + 1 < text.size(),
                 "--shard expects i/N (e.g. 2/4), got '" + text + "'");
   auto to_size = [&](const std::string& part) {
-    std::size_t used = 0;
-    unsigned long long v = 0;
-    try {
-      v = std::stoull(part, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    LIPLIB_EXPECT(used == part.size(),
+    std::uint64_t v = 0;
+    LIPLIB_EXPECT(parse_digits(part, &v),
                   "--shard expects i/N (e.g. 2/4), got '" + text + "'");
     return static_cast<std::size_t>(v);
   };
@@ -83,15 +85,13 @@ std::pair<std::size_t, std::size_t> parse_shard_token(
 
 ShardManifest make_manifest(const std::string& campaign_spec,
                             std::size_t total_jobs, std::uint64_t base_seed,
-                            std::uint64_t cycle_budget,
-                            const std::string& engine, ShardRange shard) {
+                            std::uint64_t cycle_budget, ShardRange shard) {
   ShardManifest m;
   m.campaign = campaign_spec;
   m.campaign_hash = serve::fnv1a64(campaign_spec);
   m.total_jobs = total_jobs;
   m.base_seed = base_seed;
   m.cycle_budget = cycle_budget;
-  m.engine = engine;
   m.shard = shard;
   return m;
 }
@@ -104,7 +104,6 @@ Json manifest_to_json(const ShardManifest& m) {
       .set("total_jobs", static_cast<std::uint64_t>(m.total_jobs))
       .set("base_seed", m.base_seed)
       .set("cycle_budget", m.cycle_budget)
-      .set("engine", m.engine)
       .set("shard",
            Json::object()
                .set("index", static_cast<std::uint64_t>(m.shard.index))
@@ -127,10 +126,6 @@ ShardManifest manifest_from_json(const Json& doc) {
   m.total_jobs = static_cast<std::size_t>(uint_of(doc, "total_jobs"));
   m.base_seed = uint_of(doc, "base_seed");
   m.cycle_budget = uint_of(doc, "cycle_budget");
-  m.engine = string_of(doc, "engine");
-  xir::EngineMode mode;
-  LIPLIB_EXPECT(xir::parse_engine_mode(m.engine, &mode),
-                "shard manifest: unknown engine '" + m.engine + "'");
   const Json* shard = doc.find("shard");
   LIPLIB_EXPECT(shard && shard->is_object(),
                 "shard manifest: field 'shard' must be an object");
@@ -196,8 +191,6 @@ campaign::Aggregate merge_partials(std::vector<Partial> parts) {
                   "merge: partials disagree on base_seed");
     LIPLIB_EXPECT(m.cycle_budget == ref.cycle_budget,
                   "merge: partials disagree on cycle_budget");
-    LIPLIB_EXPECT(m.engine == ref.engine,
-                  "merge: partials disagree on engine");
   }
   std::sort(parts.begin(), parts.end(),
             [](const Partial& a, const Partial& b) {
@@ -230,14 +223,12 @@ std::string named_campaign_to_string(
   s += ";jobs=" + std::to_string(spec.jobs);
   s += ";policy=" + std::string(policy_name(spec.policy));
   s += ";shape=" + std::string(shape_name(spec.shape));
-  s += ";engine=" + std::string(xir::engine_mode_name(spec.engine));
   return s;
 }
 
 campaign::NamedCampaignSpec named_campaign_from_string(
     const std::string& text) {
   campaign::NamedCampaignSpec spec;
-  bool saw_mode = false, saw_jobs = false;
   std::size_t pos = 0;
   while (pos <= text.size()) {
     const auto semi = std::min(text.find(';', pos), text.size());
@@ -250,19 +241,11 @@ campaign::NamedCampaignSpec named_campaign_from_string(
     const std::string value = field.substr(eq + 1);
     if (key == "mode") {
       spec.mode = value;
-      saw_mode = true;
     } else if (key == "jobs") {
-      std::size_t used = 0;
-      unsigned long long v = 0;
-      try {
-        v = std::stoull(value, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      LIPLIB_EXPECT(used == value.size() && !value.empty(),
+      std::uint64_t v = 0;
+      LIPLIB_EXPECT(parse_digits(value, &v),
                     "campaign spec: bad job count '" + value + "'");
       spec.jobs = static_cast<std::size_t>(v);
-      saw_jobs = true;
     } else if (key == "policy") {
       if (value == "strict") {
         spec.policy = lip::StopPolicy::kCarloniStrict;
@@ -281,17 +264,18 @@ campaign::NamedCampaignSpec named_campaign_from_string(
                       "campaign spec: unknown shape '" + value + "'");
         spec.shape = campaign::FuzzSpec::Shape::kComposite;
       }
-    } else if (key == "engine") {
-      LIPLIB_EXPECT(xir::parse_engine_mode(value, &spec.engine),
-                    "campaign spec: unknown engine '" + value + "'");
     } else {
       throw ApiError("campaign spec: unknown field '" + key + "'");
     }
     pos = semi + 1;
   }
-  LIPLIB_EXPECT(saw_mode && saw_jobs,
-                "campaign spec: 'mode' and 'jobs' are required in '" +
-                    text + "'");
+  // One spelling per campaign: the string is hashed into the campaign
+  // identity, so a reordered, repeated, zero-padded or incomplete
+  // spelling of the same jobs is rejected instead of hashing apart.
+  const std::string canonical = named_campaign_to_string(spec);
+  LIPLIB_EXPECT(text == canonical, "campaign spec: '" + text +
+                                       "' is not the canonical '" +
+                                       canonical + "'");
   return spec;
 }
 

@@ -7,6 +7,7 @@
 #include "liplib/graph/mcr.hpp"
 #include "liplib/lint/lint.hpp"
 #include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 
 namespace liplib::flow {
 
@@ -74,9 +75,8 @@ FlowResult run_design_flow(const graph::Topology& topo,
   // 3. Screening (reset + worst case), with cure.
   {
     skeleton::ScreeningOptions reset_opts;
-    const auto reset =
-        skeleton::screen_for_deadlock(r.topology, reset_opts,
-                                      options.screen_budget);
+    const auto reset = xir::screen_for_deadlock(r.topology, reset_opts,
+                                                options.screen_budget);
     r.deadlock_from_reset = reset.deadlock_found;
     r.measured_transient = reset.transient;
     r.measured_throughput = reset.min_throughput;
@@ -91,15 +91,13 @@ FlowResult run_design_flow(const graph::Topology& topo,
       skeleton::ScreeningOptions wc;
       wc.worst_case_occupancy = true;
       const auto worst =
-          skeleton::screen_for_deadlock(r.topology, wc,
-                                        options.screen_budget);
+          xir::screen_for_deadlock(r.topology, wc, options.screen_budget);
       r.latch_found = worst.deadlock_found;
       if (worst.deadlock_found) {
         say("worst-case screening: stop latch found");
         if (options.cure) {
           const auto cure =
-              skeleton::cure_deadlocks(r.topology, wc,
-                                       options.screen_budget);
+              xir::cure_deadlocks(r.topology, wc, options.screen_budget);
           r.cure_substitutions = cure.substitutions;
           r.latch_cured = cure.success;
           if (!cure.success) {

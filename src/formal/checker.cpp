@@ -105,7 +105,12 @@ CheckResult check_safety(const Model& model, std::uint64_t max_states) {
   };
 
   std::size_t head = 0;
+  std::size_t layer_end = frontier.size();  // one past the current layer
   while (head < frontier.size()) {
+    if (head == layer_end) {  // the BFS queue holds layers back to back
+      ++result.depth_reached;
+      layer_end = frontier.size();
+    }
     const std::string* state = frontier[head++];
     ++result.states_explored;
 

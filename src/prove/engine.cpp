@@ -783,8 +783,8 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
           formal::check_safety(*model, opts.max_states);
       r.states_explored = cr.states_explored;
       r.transitions = cr.transitions;
+      r.depth_reached = cr.depth_reached;
       if (!cr.ok && !cr.exhausted_budget) {
-        r.depth_reached = cr.steps.empty() ? 0 : cr.steps.size() - 1;
         detail::finish_counterexample(topo, prog, L, cm,
                                       detail::path_from_trace(cr), opts, &r);
         return;

@@ -20,7 +20,6 @@
 #include "liplib/pearls/design_io.hpp"
 #include "liplib/prove/prove.hpp"
 #include "liplib/serve/server.hpp"
-#include "liplib/skeleton/skeleton.hpp"
 #include "liplib/telemetry/watchdog.hpp"
 #include "liplib/xir/xir.hpp"
 
@@ -34,7 +33,7 @@ ServeContext::ServeContext(ServerOptions options,
       recorder(std::move(now_us)) {
   registry.describe(
       "liplib_serve_request_latency_us", metrics::MetricType::kHistogram,
-      "Request latency in microseconds by kind, engine and cache outcome.");
+      "Request latency in microseconds by kind and cache outcome.");
   registry.describe("liplib_serve_cache_bytes", metrics::MetricType::kGauge,
                     "Result cache occupancy in bytes.");
   registry.describe("liplib_serve_cache_entries", metrics::MetricType::kGauge,
@@ -55,25 +54,17 @@ Json ServeContext::status_json() {
   requests.set("protocol_errors", protocol_errors.value())
       .set("request_errors", request_errors.value())
       .set("deadlock_verdicts", deadlock_verdicts.value());
-  Json engines = Json::object();
-  for (int e = 0; e < 3; ++e) {
-    engines.set(xir::engine_mode_name(static_cast<xir::EngineMode>(e)),
-                Json::object()
-                    .set("hits", engine_hits[e].value())
-                    .set("misses", engine_misses[e].value()));
-  }
   const CacheStats cs = cache.stats();
   return Json::object()
-      .set("schema", "liplib.serve.status/2")
+      .set("schema", "liplib.serve.status/3")
       .set("draining", draining.load())
       .set("inflight", static_cast<std::int64_t>(inflight.value()))
       // Top-level eviction / occupancy mirrors of the cache block, so a
       // dashboard can alert on byte-budget pressure without digging into
-      // the nested document (the /2 additions; every /1 field remains).
+      // the nested document.
       .set("evictions", cs.evictions)
       .set("cache_bytes", static_cast<std::uint64_t>(cs.bytes))
       .set("requests", std::move(requests))
-      .set("engines", std::move(engines))
       .set("cache", cache.stats_json())
       .set("config",
            Json::object()
@@ -101,13 +92,6 @@ std::string hex64(std::uint64_t v) {
 lip::StopPolicy policy_of(const Request& req) {
   return req.policy == "strict" ? lip::StopPolicy::kCarloniStrict
                                 : lip::StopPolicy::kCasuDiscardOnVoid;
-}
-
-xir::EngineMode engine_of(const Request& req) {
-  xir::EngineMode m = xir::EngineMode::kInterp;
-  // parse_request already validated the name; the fallback never fires.
-  xir::parse_engine_mode(req.engine, &m);
-  return m;
 }
 
 /// Request budget clamped to the server's ceiling (tenants may ask for
@@ -166,40 +150,23 @@ Computed compute_lint(const ParsedDesign& d) {
 
 // ---- screen -------------------------------------------------------------
 
-/// One watchdog-guarded screening pass (reset or worst-case occupancy).
-/// A deadlocked design yields a verdict object carrying the post-mortem
-/// bundle instead of wedging the worker on a drained budget.  The
-/// engine selects the evaluator; verdicts, cycle indices and the
-/// post-mortem bundle are bit-identical across engines (the xir
-/// engines replay the interpreter's probe wiring, so the watchdog sees
-/// the same frames).  kSliced screens this single scenario through the
-/// compiled guard and a one-lane sliced analysis.
-Json screen_one(const graph::Topology& topo, bool worst_case,
-                lip::StopPolicy policy, std::uint64_t budget,
-                std::uint64_t threshold, xir::EngineMode engine,
+/// One watchdog-guarded screening pass (reset or worst-case occupancy)
+/// on the compiled scalar engine.  A deadlocked design yields a verdict
+/// object carrying the post-mortem bundle instead of wedging the worker
+/// on a drained budget.
+Json screen_one(const xir::ProgramRef& prog, bool worst_case,
+                std::uint64_t budget, std::uint64_t threshold,
                 bool* deadlocked) {
-  skeleton::SkeletonOptions sopts;
-  sopts.policy = policy;
   {
     telemetry::WatchdogOptions wopts;
     wopts.no_progress_threshold = threshold;
     wopts.worst_case_occupancy = worst_case;
     telemetry::Watchdog dog(wopts);
-    std::uint64_t guard_cycles = 0;
-    if (engine == xir::EngineMode::kInterp) {
-      skeleton::Skeleton guard(topo, sopts);
-      if (worst_case) guard.saturate_stations();
-      dog.attach(guard);
-      guard_cycles = telemetry::run_guarded(guard, dog, budget).cycles;
-    } else {
-      // The watchdog rides the scalar engine for both compiled and
-      // sliced requests; sliced lanes have no per-lane probe hook and
-      // the guard verdict is engine-invariant anyway.
-      xir::ScalarEngine guard(topo, sopts);
-      if (worst_case) guard.saturate_stations();
-      dog.attach(guard);
-      guard_cycles = telemetry::run_guarded(guard, dog, budget).cycles;
-    }
+    xir::ScalarEngine guard(prog);
+    if (worst_case) guard.saturate_stations();
+    dog.attach(guard);
+    const std::uint64_t guard_cycles =
+        telemetry::run_guarded(guard, dog, budget).cycles;
     if (dog.tripped()) {
       *deadlocked = true;
       return Json::object()
@@ -211,16 +178,10 @@ Json screen_one(const graph::Topology& topo, bool worst_case,
           .set("post_mortem", dog.post_mortem().to_json());
     }
   }
-  // Guard passed: a fresh evaluator delivers the exact steady state.
-  skeleton::SkeletonResult r;
-  if (engine == xir::EngineMode::kInterp) {
-    skeleton::Skeleton sk(topo, sopts);
-    if (worst_case) sk.saturate_stations();
-    r = sk.analyze(budget);
-  } else {
-    r = xir::analyze_with_engine(topo, sopts, budget, engine, worst_case)
-            .result;
-  }
+  // Guard passed: a fresh engine delivers the exact steady state.
+  xir::ScalarEngine eng(prog);
+  if (worst_case) eng.saturate_stations();
+  const skeleton::SkeletonResult r = eng.analyze(budget);
   Json j = Json::object().set("deadlock", false).set("found", r.found);
   if (r.found) {
     j.set("transient", r.transient)
@@ -233,19 +194,17 @@ Json screen_one(const graph::Topology& topo, bool worst_case,
 Computed compute_screen(const ParsedDesign& d, const Request& req,
                         const ServerOptions& opts) {
   const std::uint64_t budget = effective_budget(req, opts);
-  const xir::EngineMode engine = engine_of(req);
+  // Both passes and both engines of each pass run one lowered program.
+  const xir::ProgramRef prog = xir::lower(d.net.topo, {policy_of(req)});
   bool deadlocked = false;
-  Json from_reset = screen_one(d.net.topo, /*worst_case=*/false,
-                               policy_of(req), budget,
-                               opts.watchdog_threshold, engine, &deadlocked);
-  Json worst = screen_one(d.net.topo, /*worst_case=*/true, policy_of(req),
-                          budget, opts.watchdog_threshold, engine,
-                          &deadlocked);
+  Json from_reset = screen_one(prog, /*worst_case=*/false, budget,
+                               opts.watchdog_threshold, &deadlocked);
+  Json worst = screen_one(prog, /*worst_case=*/true, budget,
+                          opts.watchdog_threshold, &deadlocked);
   Json result = Json::object()
-                    .set("schema", "liplib.serve.screen/1")
+                    .set("schema", "liplib.serve.screen/2")
                     .set("topology_hash", hex64(topology_hash(d.net.topo)))
                     .set("policy", req.policy)
-                    .set("engine", req.engine)
                     .set("budget", budget)
                     .set("verdict", deadlocked ? "deadlock" : "live")
                     .set("from_reset", std::move(from_reset))
@@ -285,13 +244,10 @@ Computed compute_profile(const Request& req, const ServerOptions& opts) {
 
 // ---- prove --------------------------------------------------------------
 
-/// Static proof via liplib::prove.  Purely deterministic in the request
-/// knobs, so the result is ideal cache fodder: a fleet that keeps
-/// re-proving the same design text is answered from memory.  The engine
-/// field selects the frontier: interp = scalar reference search, sliced
-/// (or compiled) = the 64-way bit-sliced frontier — verdicts are
-/// identical, so like screen requests the engine is a performance knob
-/// that still keys the cache separately.
+/// Static proof via liplib::prove on the library's default (bit-sliced)
+/// frontier.  Purely deterministic in the request knobs, so the result
+/// is ideal cache fodder: a fleet that keeps re-proving the same design
+/// text is answered from memory.
 Computed compute_prove(const ParsedDesign& d, const Request& req,
                        const ServerOptions& opts) {
   prove::ProveOptions popts;
@@ -299,14 +255,12 @@ Computed compute_prove(const ParsedDesign& d, const Request& req,
   popts.worst_case_occupancy = req.worst_case;
   prove::parse_method(req.method, &popts.method);
   popts.depth = req.depth;
-  popts.sliced_frontier = req.engine != "interp";
   popts.max_states = effective_budget(req, opts);
   const auto pr = prove::prove(d.net.topo, popts);
   Json result = Json::object()
-                    .set("schema", "liplib.serve.prove/1")
+                    .set("schema", "liplib.serve.prove/2")
                     .set("topology_hash", hex64(topology_hash(d.net.topo)))
                     .set("policy", req.policy)
-                    .set("engine", req.engine)
                     .set("worst_case", req.worst_case)
                     .set("verdict", prove::verdict_name(pr.verdict))
                     .set("exit_code", pr.exit_code())
@@ -324,7 +278,6 @@ Computed compute_campaign(const Request& req, const ServerOptions& opts,
   spec.jobs = static_cast<std::size_t>(req.jobs);
   spec.policy = policy_of(req);
   spec.shape = campaign::FuzzSpec::Shape::kComposite;
-  spec.engine = engine_of(req);
   const auto jobs = campaign::make_named_campaign(spec);
   campaign::EngineOptions eopts;
   eopts.threads = opts.threads;
@@ -336,9 +289,8 @@ Computed compute_campaign(const Request& req, const ServerOptions& opts,
   const auto agg = campaign::aggregate(results);
   Json result =
       Json::object()
-          .set("schema", "liplib.serve.campaign/1")
+          .set("schema", "liplib.serve.campaign/2")
           .set("mode", req.mode)
-          .set("engine", req.engine)
           .set("jobs", req.jobs)
           .set("seed", req.seed)
           .set("budget", eopts.cycle_budget)
@@ -405,7 +357,6 @@ std::string cache_key(const Request& req, const ParsedDesign* design,
       break;
     case RequestKind::kScreen:
       key += "/" + hex64(design->content_hash) + "/" + req.policy +
-             "/engine=" + req.engine +
              "/budget=" + std::to_string(effective_budget(req, opts));
       break;
     case RequestKind::kProfile:
@@ -415,14 +366,12 @@ std::string cache_key(const Request& req, const ParsedDesign* design,
     case RequestKind::kProve:
       key += "/" + hex64(design->content_hash) + "/" + req.policy;
       key += "/method=" + req.method;
-      key += "/engine=" + req.engine;
       key += "/depth=" + std::to_string(req.depth);
       key += req.worst_case ? "/wc=1" : "/wc=0";
       key += "/budget=" + std::to_string(effective_budget(req, opts));
       break;
     case RequestKind::kCampaign:
       key += "/" + req.mode + "/" + req.policy +
-             "/engine=" + req.engine +
              "/jobs=" + std::to_string(req.jobs) +
              "/seed=" + std::to_string(req.seed) +
              "/budget=" + std::to_string(effective_budget(req, opts));
@@ -483,9 +432,6 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
   root.track = "serve";
   root.ts_us = t0;
 
-  const bool engine_labelled = req.kind == RequestKind::kScreen ||
-                               req.kind == RequestKind::kCampaign ||
-                               req.kind == RequestKind::kProve;
   /// Closes the request: counters, the latency sample (kept equal to
   /// the per-kind request counters whenever the daemon is idle) and the
   /// root span.  `observe_latency` is false only for the metrics kind,
@@ -502,9 +448,7 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
     if (observe_latency) {
       ctx.registry.observe(
           "liplib_serve_request_latency_us",
-          {{"kind", request_kind_name(req.kind)},
-           {"engine", engine_labelled ? req.engine : "none"},
-           {"cache", cache_label}},
+          {{"kind", request_kind_name(req.kind)}, {"cache", cache_label}},
           t1 - t0);
     }
     if (tracing) {
@@ -539,7 +483,6 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
                              "liplib_serve_cache_evictions_total", {}));
       ctx.registry.observe("liplib_serve_request_latency_us",
                            {{"kind", request_kind_name(req.kind)},
-                            {"engine", "none"},
                             {"cache", "none"}},
                            ctx.recorder.now_us() - t0);
       const std::string result =
@@ -578,11 +521,6 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
 
     const std::string key =
         cache_key(req, needs_design ? &design : nullptr, ctx.opts);
-    // Per-engine cache traffic (engine-keyed kinds only): screen and
-    // campaign answers depend on the requested evaluator's key.
-    const bool engine_keyed = req.kind == RequestKind::kScreen ||
-                              req.kind == RequestKind::kCampaign;
-    const int engine_idx = static_cast<int>(engine_of(req));
 
     const std::uint64_t lookup_ts = ctx.recorder.now_us();
     auto hit = ctx.cache.lookup(key);
@@ -601,16 +539,8 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
       root.events.push_back({hit ? "cache.hit" : "cache.miss", lookup_end});
     }
     if (hit) {
-      if (engine_keyed) {
-        std::lock_guard<std::mutex> lock(ctx.mu);
-        ctx.engine_hits[engine_idx].add();
-      }
       finish(false, false, "hit");
       return success_envelope(req.id, req.kind, /*cached=*/true, *hit);
-    }
-    if (engine_keyed) {
-      std::lock_guard<std::mutex> lock(ctx.mu);
-      ctx.engine_misses[engine_idx].add();
     }
 
     const std::uint64_t exec_ts = ctx.recorder.now_us();
@@ -643,7 +573,6 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
       ex.track = "serve";
       ex.ts_us = exec_ts;
       ex.dur_us = ctx.recorder.now_us() - exec_ts;
-      if (engine_labelled) ex.attrs.emplace_back("engine", req.engine);
       ctx.recorder.record(std::move(ex));
     }
     const std::size_t evicted = ctx.cache.insert(key, computed.result);

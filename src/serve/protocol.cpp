@@ -170,12 +170,6 @@ Request parse_request(const Json& doc) {
     throw ApiError("unknown policy '" + req.policy +
                    "' (expected variant | strict)");
   }
-  req.engine = string_field(doc, "engine", "interp");
-  if (req.engine != "interp" && req.engine != "compiled" &&
-      req.engine != "sliced") {
-    throw ApiError("unknown engine '" + req.engine +
-                   "' (expected interp | compiled | sliced)");
-  }
   req.budget = uint_field(doc, "budget", 0);
   req.cycles = uint_field(doc, "cycles", 0);
 

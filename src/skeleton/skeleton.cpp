@@ -467,53 +467,17 @@ SkeletonResult Skeleton::analyze(std::uint64_t max_cycles,
   return result;
 }
 
-ScreeningVerdict screen_for_deadlock(const graph::Topology& topo,
-                                     ScreeningOptions opts,
-                                     std::uint64_t max_cycles) {
-  Skeleton sk(topo, opts.skeleton);
-  if (opts.worst_case_occupancy) sk.saturate_stations();
-  const auto r = sk.analyze(max_cycles);
+ScreeningVerdict screening_verdict(const SkeletonResult& r,
+                                   std::uint64_t cycles_simulated) {
   ScreeningVerdict v;
   v.ran_to_steady_state = r.found;
   v.deadlock_found = r.deadlocked || r.has_starved_shell;
   v.transient = r.transient;
   v.period = r.period;
-  v.cycles_simulated = sk.cycle();
+  v.cycles_simulated = cycles_simulated;
   v.min_throughput = r.system_throughput();
   v.starved = r.starved_shells();
   return v;
-}
-
-CureResult cure_deadlocks(const graph::Topology& topo, ScreeningOptions opts,
-                          std::uint64_t max_cycles) {
-  CureResult result;
-  result.cured = topo;
-  for (;;) {
-    const auto verdict = screen_for_deadlock(result.cured, opts, max_cycles);
-    if (verdict.ran_to_steady_state && !verdict.deadlock_found) {
-      result.success = true;
-      return result;
-    }
-    // Substitute one half relay station on a cycle with a full one; the
-    // combinational stop loop it participated in is then broken there.
-    const auto on_cycle = result.cured.channels_on_cycles();
-    bool substituted = false;
-    for (graph::ChannelId c = 0;
-         c < result.cured.channels().size() && !substituted; ++c) {
-      if (!on_cycle[c]) continue;
-      auto& ch = result.cured.channel_mut(c);
-      for (auto& kind : ch.stations) {
-        if (kind == graph::RsKind::kHalf) {
-          kind = graph::RsKind::kFull;
-          result.touched_channels.push_back(c);
-          ++result.substitutions;
-          substituted = true;
-          break;
-        }
-      }
-    }
-    if (!substituted) return result;  // nothing left to cure; failed
-  }
 }
 
 }  // namespace liplib::skeleton

@@ -388,8 +388,8 @@ ReplayResult replay(const PostMortem& pm) {
                            : lip::StopPolicy::kCasuDiscardOnVoid;
   sopts.resolution = pm.optimistic ? lip::StopResolution::kOptimistic
                                    : lip::StopResolution::kPessimistic;
-  skeleton::Skeleton sk(topo, sopts);
-  if (pm.worst_case_occupancy) sk.saturate_stations();
+  xir::ScalarEngine eng(topo, sopts);
+  if (pm.worst_case_occupancy) eng.saturate_stations();
 
   WatchdogOptions wopts;
   wopts.no_progress_threshold = pm.no_progress_threshold;
@@ -398,11 +398,11 @@ ReplayResult replay(const PostMortem& pm) {
   wopts.worst_case_occupancy = pm.worst_case_occupancy;
   wopts.optimistic = pm.optimistic;
   Watchdog dog(wopts);
-  dog.attach(sk);
+  dog.attach(eng);
 
   // The failure, if it reproduces, reproduces by the bundle's own trip
   // cycle; the margin absorbs nothing more than off-by-one drift.
-  run_guarded(sk, dog, pm.trip_cycle + pm.no_progress_threshold + 16);
+  run_guarded(eng, dog, pm.trip_cycle + pm.no_progress_threshold + 16);
 
   ReplayResult r;
   r.tripped = dog.tripped();

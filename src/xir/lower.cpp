@@ -15,31 +15,6 @@ constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 constexpr std::uint32_t kNoUnit = static_cast<std::uint32_t>(-1);
 }  // namespace
 
-const char* engine_mode_name(EngineMode m) {
-  switch (m) {
-    case EngineMode::kInterp:
-      return "interp";
-    case EngineMode::kCompiled:
-      return "compiled";
-    case EngineMode::kSliced:
-      return "sliced";
-  }
-  return "interp";
-}
-
-bool parse_engine_mode(std::string_view name, EngineMode* out) {
-  if (name == "interp") {
-    *out = EngineMode::kInterp;
-  } else if (name == "compiled") {
-    *out = EngineMode::kCompiled;
-  } else if (name == "sliced") {
-    *out = EngineMode::kSliced;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 SettleSchedule build_settle_schedule(
     const Program& p, const std::vector<std::uint8_t>& station_dynamic) {
   LIPLIB_EXPECT(station_dynamic.size() == p.num_stations(),

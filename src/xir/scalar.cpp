@@ -8,7 +8,6 @@
 
 #include "liplib/probe/probe.hpp"
 #include "liplib/support/check.hpp"
-#include "liplib/xir/sliced.hpp"
 #include "liplib/xir/xir.hpp"
 
 namespace liplib::xir {
@@ -358,60 +357,44 @@ skeleton::SkeletonResult ScalarEngine::analyze(std::uint64_t max_cycles,
 
 skeleton::ScreeningVerdict screen_for_deadlock(const graph::Topology& topo,
                                                skeleton::ScreeningOptions opts,
-                                               std::uint64_t max_cycles,
-                                               EngineMode engine) {
-  if (engine == EngineMode::kInterp) {
-    return skeleton::screen_for_deadlock(topo, opts, max_cycles);
-  }
-  if (engine == EngineMode::kSliced) {
-    VariantSpec base;
-    base.worst_case_occupancy = opts.worst_case_occupancy;
-    return screen_variants(topo, {base}, opts.skeleton, max_cycles)[0];
-  }
+                                               std::uint64_t max_cycles) {
   ScalarEngine eng(topo, opts.skeleton);
   if (opts.worst_case_occupancy) eng.saturate_stations();
   const auto r = eng.analyze(max_cycles);
-  skeleton::ScreeningVerdict v;
-  v.ran_to_steady_state = r.found;
-  v.deadlock_found = r.deadlocked || r.has_starved_shell;
-  v.transient = r.transient;
-  v.period = r.period;
-  v.cycles_simulated = eng.cycle();
-  v.min_throughput = r.system_throughput();
-  v.starved = r.starved_shells();
-  return v;
+  return skeleton::screening_verdict(r, eng.cycle());
 }
 
-AnalyzeOutcome analyze_with_engine(const graph::Topology& topo,
-                                   skeleton::SkeletonOptions opts,
-                                   std::uint64_t max_cycles, EngineMode engine,
-                                   bool worst_case_occupancy) {
-  AnalyzeOutcome out;
-  switch (engine) {
-    case EngineMode::kInterp: {
-      skeleton::Skeleton sk(topo, opts);
-      if (worst_case_occupancy) sk.saturate_stations();
-      out.result = sk.analyze(max_cycles);
-      out.cycles = sk.cycle();
-      break;
+skeleton::CureResult cure_deadlocks(const graph::Topology& topo,
+                                    skeleton::ScreeningOptions opts,
+                                    std::uint64_t max_cycles) {
+  skeleton::CureResult result;
+  result.cured = topo;
+  for (;;) {
+    const auto verdict = screen_for_deadlock(result.cured, opts, max_cycles);
+    if (verdict.ran_to_steady_state && !verdict.deadlock_found) {
+      result.success = true;
+      return result;
     }
-    case EngineMode::kCompiled: {
-      ScalarEngine eng(topo, opts);
-      if (worst_case_occupancy) eng.saturate_stations();
-      out.result = eng.analyze(max_cycles);
-      out.cycles = eng.cycle();
-      break;
+    // Substitute one half relay station on a cycle with a full one; the
+    // combinational stop loop it participated in is then broken there.
+    const auto on_cycle = result.cured.channels_on_cycles();
+    bool substituted = false;
+    for (graph::ChannelId c = 0;
+         c < result.cured.channels().size() && !substituted; ++c) {
+      if (!on_cycle[c]) continue;
+      auto& ch = result.cured.channel_mut(c);
+      for (auto& kind : ch.stations) {
+        if (kind == graph::RsKind::kHalf) {
+          kind = graph::RsKind::kFull;
+          result.touched_channels.push_back(c);
+          ++result.substitutions;
+          substituted = true;
+          break;
+        }
+      }
     }
-    case EngineMode::kSliced: {
-      SlicedEngine eng(topo, opts, /*num_lanes=*/1);
-      if (worst_case_occupancy) eng.saturate_stations(1ull);
-      auto lanes = eng.analyze(max_cycles);
-      out.result = std::move(lanes[0].result);
-      out.cycles = lanes[0].cycles;
-      break;
-    }
+    if (!substituted) return result;  // nothing left to cure; failed
   }
-  return out;
 }
 
 }  // namespace liplib::xir

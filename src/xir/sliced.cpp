@@ -506,17 +506,11 @@ std::vector<skeleton::ScreeningVerdict> screen_variants(
   }
   if (saturate != 0) eng.saturate_stations(saturate);
   const auto lanes = eng.analyze(max_cycles);
-  std::vector<skeleton::ScreeningVerdict> verdicts(variants.size());
+  std::vector<skeleton::ScreeningVerdict> verdicts;
+  verdicts.reserve(variants.size());
   for (std::size_t lane = 0; lane < variants.size(); ++lane) {
-    const auto& r = lanes[lane].result;
-    auto& v = verdicts[lane];
-    v.ran_to_steady_state = r.found;
-    v.deadlock_found = r.deadlocked || r.has_starved_shell;
-    v.transient = r.transient;
-    v.period = r.period;
-    v.cycles_simulated = lanes[lane].cycles;
-    v.min_throughput = r.system_throughput();
-    v.starved = r.starved_shells();
+    verdicts.push_back(
+        skeleton::screening_verdict(lanes[lane].result, lanes[lane].cycles));
   }
   return verdicts;
 }

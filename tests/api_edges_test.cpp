@@ -223,6 +223,9 @@ channel Q.0 -> P.0 : H
   // answer 2, never 0/1.
   EXPECT_EQ(run_lidtool("prove " + live + " --bogus"), 2);
   EXPECT_EQ(run_lidtool("prove " + live + " --engine warp"), 2);
+  EXPECT_EQ(run_lidtool("prove " + live + " --engine sliced"), 2);
+  EXPECT_EQ(run_lidtool("screen " + live + " --engine compiled"), 2);
+  EXPECT_EQ(run_lidtool("prove " + live + " --budget -5"), 2);
   EXPECT_EQ(run_lidtool("prove " + live + " --method bogus"), 2);
   EXPECT_EQ(run_lidtool("prove " + live + " --depth"), 2);
   EXPECT_EQ(run_lidtool("prove /nonexistent.lid"), 2);
@@ -269,11 +272,26 @@ TEST(ApiEdges, LidtoolCampaignSeedAndShardContract) {
   EXPECT_EQ(run_lidtool("campaign fuzz 4 --seed 0x"), 2);
   EXPECT_EQ(run_lidtool("campaign fuzz 4 --seed 0xzz"), 2);
   EXPECT_EQ(run_lidtool("campaign fuzz 4 --seed"), 2);
+  // Numbers are digits (or 0x-hex digits) only: a sign would wrap to a
+  // huge value and a blank would be skipped, so both are usage errors.
+  EXPECT_EQ(run_lidtool("campaign fuzz 4 --seed -1"), 2);
+  EXPECT_EQ(run_lidtool("campaign fuzz 4 --seed +1"), 2);
+  EXPECT_EQ(run_lidtool("campaign fuzz 4 --seed ' 1'"), 2);
+  EXPECT_EQ(run_lidtool("campaign fuzz 4 --seed 0x-1"), 2);
+  EXPECT_EQ(run_lidtool("campaign fuzz 4 --seed 99999999999999999999"), 2);
+  EXPECT_EQ(run_lidtool("campaign fuzz 4 --budget -5"), 2);
+  EXPECT_EQ(run_lidtool("campaign fuzz -4"), 2);
+  // The evaluator is no longer a knob.
+  EXPECT_EQ(run_lidtool("campaign fuzz 4 --engine sliced"), 2);
 
   // Shard rejections: --shard needs --out, tokens must be i/N with i < N.
   EXPECT_EQ(run_lidtool("campaign fuzz 4 --shard 0/2"), 2);
   EXPECT_EQ(run_lidtool("campaign fuzz 4 --shard 2/2 --out " + hex_out), 2);
   EXPECT_EQ(run_lidtool("campaign fuzz 4 --shard nope --out " + hex_out), 2);
+  EXPECT_EQ(run_lidtool("campaign fuzz 4 --shard -0/2 --out " + hex_out), 2);
+  EXPECT_EQ(run_lidtool("campaign fuzz 4 --shard ' 1/2' --out " + hex_out),
+            2);
+  EXPECT_EQ(run_lidtool("campaign fuzz 4 --shard +1/2 --out " + hex_out), 2);
 
   // merge / dist usage errors.
   EXPECT_EQ(run_lidtool("merge"), 2);

@@ -10,6 +10,7 @@
 #include "liplib/lip/design.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -101,16 +102,16 @@ TEST(Composite, HalfLoopsScreenCleanFromResetAndCureWhenLatched) {
     auto gen = graph::make_random_composite(rng, 3, true,
                                             /*allow_half_in_loops=*/true);
     skeleton::ScreeningOptions reset_opts;
-    const auto reset = skeleton::screen_for_deadlock(gen.topo, reset_opts);
+    const auto reset = xir::screen_for_deadlock(gen.topo, reset_opts);
     ASSERT_TRUE(reset.ran_to_steady_state);
     EXPECT_FALSE(reset.deadlock_found) << "iteration " << i;
 
     skeleton::ScreeningOptions wc;
     wc.worst_case_occupancy = true;
-    const auto worst = skeleton::screen_for_deadlock(gen.topo, wc);
+    const auto worst = xir::screen_for_deadlock(gen.topo, wc);
     if (worst.deadlock_found) {
       ++latched;
-      const auto cure = skeleton::cure_deadlocks(gen.topo, wc);
+      const auto cure = xir::cure_deadlocks(gen.topo, wc);
       EXPECT_TRUE(cure.success) << "iteration " << i;
     }
   }

@@ -18,6 +18,7 @@
 #include "liplib/graph/generators.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -48,7 +49,7 @@ TEST(Deadlock, FeedforwardWithHalfStationsIsFree) {
                      StopPolicy::kCasuDiscardOnVoid}) {
       for (bool wc : {false, true}) {
         auto opts = wc ? worst_case(pol) : from_reset(pol);
-        const auto verdict = skeleton::screen_for_deadlock(gen.topo, opts);
+        const auto verdict = xir::screen_for_deadlock(gen.topo, opts);
         ASSERT_TRUE(verdict.ran_to_steady_state);
         EXPECT_FALSE(verdict.deadlock_found)
             << "iteration " << i << " policy " << to_string(pol)
@@ -67,7 +68,7 @@ TEST(Deadlock, FullOnlyLoopsAreFreeEvenUnderWorstCase) {
           std::vector<std::size_t>(s, per), RsKind::kFull);
       for (bool wc : {false, true}) {
         auto opts = wc ? worst_case() : from_reset();
-        const auto verdict = skeleton::screen_for_deadlock(gen.topo, opts);
+        const auto verdict = xir::screen_for_deadlock(gen.topo, opts);
         ASSERT_TRUE(verdict.ran_to_steady_state);
         EXPECT_FALSE(verdict.deadlock_found)
             << "S=" << s << " per=" << per << " worst_case=" << wc;
@@ -82,7 +83,7 @@ TEST(Deadlock, HalfRingIsFreeFromReset) {
   // "simulate up to the transient's extinction ... or [the deadlock] will
   // be forever avoided".
   auto gen = graph::make_closed_ring({1, 1}, RsKind::kHalf);
-  const auto verdict = skeleton::screen_for_deadlock(gen.topo, from_reset());
+  const auto verdict = xir::screen_for_deadlock(gen.topo, from_reset());
   ASSERT_TRUE(verdict.ran_to_steady_state);
   EXPECT_FALSE(verdict.deadlock_found);
   EXPECT_EQ(verdict.min_throughput, Rational(1, 2));  // S/(S+R) = 2/4
@@ -92,7 +93,7 @@ TEST(Deadlock, HalfRingLatchesUnderWorstCaseOccupancy) {
   // Saturated, the all-half ring's stop cycle is self-sustaining: the
   // pessimistic settling freezes the ring forever.
   auto gen = graph::make_closed_ring({1, 1}, RsKind::kHalf);
-  const auto verdict = skeleton::screen_for_deadlock(gen.topo, worst_case());
+  const auto verdict = xir::screen_for_deadlock(gen.topo, worst_case());
   ASSERT_TRUE(verdict.ran_to_steady_state);
   EXPECT_TRUE(verdict.deadlock_found);
   EXPECT_EQ(verdict.min_throughput, Rational(0));
@@ -104,7 +105,7 @@ TEST(Deadlock, HalfRingLatchIsBistable) {
   // forever" and "everything moves" — real hardware may land on either,
   // which is exactly why the paper calls it a potential deadlock.
   auto gen = graph::make_closed_ring({1, 1}, RsKind::kHalf);
-  const auto verdict = skeleton::screen_for_deadlock(
+  const auto verdict = xir::screen_for_deadlock(
       gen.topo,
       worst_case(StopPolicy::kCasuDiscardOnVoid, StopResolution::kOptimistic));
   ASSERT_TRUE(verdict.ran_to_steady_state);
@@ -120,7 +121,7 @@ TEST(Deadlock, OneFullStationBreaksTheLatch) {
   const auto b = t.add_process("B", 1, 1);
   t.connect({a, 0}, {b, 0}, {RsKind::kHalf});
   t.connect({b, 0}, {a, 0}, {RsKind::kFull});
-  const auto verdict = skeleton::screen_for_deadlock(t, worst_case());
+  const auto verdict = xir::screen_for_deadlock(t, worst_case());
   ASSERT_TRUE(verdict.ran_to_steady_state);
   EXPECT_FALSE(verdict.deadlock_found);
 }
@@ -160,14 +161,14 @@ TEST(Deadlock, FullSystemAgreesWithSkeleton) {
 
 TEST(Deadlock, CureUpgradesFewStations) {
   auto gen = graph::make_closed_ring({1, 1, 1}, RsKind::kHalf);
-  const auto before = skeleton::screen_for_deadlock(gen.topo, worst_case());
+  const auto before = xir::screen_for_deadlock(gen.topo, worst_case());
   ASSERT_TRUE(before.deadlock_found);
 
-  const auto cure = skeleton::cure_deadlocks(gen.topo, worst_case());
+  const auto cure = xir::cure_deadlocks(gen.topo, worst_case());
   EXPECT_TRUE(cure.success);
   EXPECT_GE(cure.substitutions, 1u);
   EXPECT_LE(cure.substitutions, 3u);  // "low intrusive changes"
-  const auto after = skeleton::screen_for_deadlock(cure.cured, worst_case());
+  const auto after = xir::screen_for_deadlock(cure.cured, worst_case());
   EXPECT_FALSE(after.deadlock_found);
   // The cure preserves the station count (substitution, not insertion).
   EXPECT_EQ(cure.cured.total_stations(), gen.topo.total_stations());
@@ -175,7 +176,7 @@ TEST(Deadlock, CureUpgradesFewStations) {
 
 TEST(Deadlock, CureLeavesHealthyDesignAlone) {
   auto gen = graph::make_loop_chain({{1, 2}, {2, 3}});
-  const auto cure = skeleton::cure_deadlocks(gen.topo, worst_case());
+  const auto cure = xir::cure_deadlocks(gen.topo, worst_case());
   EXPECT_TRUE(cure.success);
   EXPECT_EQ(cure.substitutions, 0u);
 }
@@ -187,17 +188,17 @@ TEST(Deadlock, LoopChainWithHalfLoopDetectedAndCured) {
       {1, 2, RsKind::kFull}, {1, 2, RsKind::kHalf}, {1, 2, RsKind::kFull}};
   auto gen = graph::make_loop_chain(specs);
   const auto reset_verdict =
-      skeleton::screen_for_deadlock(gen.topo, from_reset());
+      xir::screen_for_deadlock(gen.topo, from_reset());
   ASSERT_TRUE(reset_verdict.ran_to_steady_state);
   EXPECT_FALSE(reset_verdict.deadlock_found);
 
-  const auto wc_verdict = skeleton::screen_for_deadlock(gen.topo, worst_case());
+  const auto wc_verdict = xir::screen_for_deadlock(gen.topo, worst_case());
   ASSERT_TRUE(wc_verdict.ran_to_steady_state);
   ASSERT_TRUE(wc_verdict.deadlock_found);
   // Only the half-station loop starves.
   EXPECT_FALSE(wc_verdict.starved.empty());
 
-  const auto cure = skeleton::cure_deadlocks(gen.topo, worst_case());
+  const auto cure = xir::cure_deadlocks(gen.topo, worst_case());
   EXPECT_TRUE(cure.success);
   EXPECT_LE(cure.substitutions, 2u);
 }

@@ -2,7 +2,7 @@
 // tiles the job-index space, manifests reject tampering and foreign
 // shards, and the deterministic merge is byte-identical to the
 // single-process aggregate across the full shard-count × thread-count
-// × engine matrix.  The coordinator/worker transport is exercised over
+// matrix.  The coordinator/worker transport is exercised over
 // real loopback sockets, including the straggler path: a worker that
 // takes a lease and dies must not lose the campaign — the shard is
 // re-dispatched and the merged report still matches the golden bytes.
@@ -33,12 +33,10 @@ using namespace liplib;
 using dist::Partial;
 using dist::ShardManifest;
 
-campaign::NamedCampaignSpec fuzz_spec(std::size_t jobs,
-                                      xir::EngineMode engine) {
+campaign::NamedCampaignSpec fuzz_spec(std::size_t jobs) {
   campaign::NamedCampaignSpec spec;
   spec.mode = "fuzz";
   spec.jobs = jobs;
-  spec.engine = engine;
   return spec;
 }
 
@@ -72,9 +70,8 @@ Partial run_shard(const campaign::NamedCampaignSpec& spec, unsigned threads,
   opts.index_base = range.lo;
   const auto results = campaign::Engine(opts).run(slice);
   Partial p;
-  p.manifest = dist::make_manifest(
-      dist::named_campaign_to_string(spec), jobs.size(), kSeed, kBudget,
-      xir::engine_mode_name(spec.engine), range);
+  p.manifest = dist::make_manifest(dist::named_campaign_to_string(spec),
+                                   jobs.size(), kSeed, kBudget, range);
   p.aggregate = campaign::aggregate(results);
   return p;
 }
@@ -101,8 +98,11 @@ TEST(Dist, ShardTokenParsesAndRejects) {
             (std::pair<std::size_t, std::size_t>{2, 4}));
   EXPECT_EQ(dist::parse_shard_token("0/1"),
             (std::pair<std::size_t, std::size_t>{0, 1}));
+  // Plain decimal digits only: signs and whitespace are malformed, not
+  // wrapped (stoull reads "-0" as 0 and skips leading blanks).
   for (const char* bad : {"", "3", "/4", "2/", "4/4", "5/4", "a/4", "2/4x",
-                          "2/0", "-1/4"}) {
+                          "2/0", "-1/4", "-0/4", " 1/4", "+1/4", "1/ 4",
+                          "1/+4", "1/4 "}) {
     EXPECT_THROW(dist::parse_shard_token(bad), ApiError) << bad;
   }
 }
@@ -113,35 +113,88 @@ TEST(Dist, NamedCampaignSpecStringRoundTrips) {
   spec.jobs = 123;
   spec.policy = lip::StopPolicy::kCarloniStrict;
   spec.shape = campaign::FuzzSpec::Shape::kReconvergent;
-  spec.engine = xir::EngineMode::kSliced;
   const std::string text = dist::named_campaign_to_string(spec);
-  EXPECT_EQ(text,
-            "mode=fuzz;jobs=123;policy=strict;shape=reconvergent;"
-            "engine=sliced");
-  const auto back = dist::named_campaign_from_string(text);
-  EXPECT_EQ(dist::named_campaign_to_string(back), text);
-  EXPECT_THROW(dist::named_campaign_from_string("mode=fuzz"), ApiError);
-  EXPECT_THROW(dist::named_campaign_from_string("jobs=3"), ApiError);
-  EXPECT_THROW(dist::named_campaign_from_string("mode=fuzz;jobs=x"),
-               ApiError);
-  EXPECT_THROW(
-      dist::named_campaign_from_string("mode=fuzz;jobs=3;color=red"),
-      ApiError);
+  EXPECT_EQ(text, "mode=fuzz;jobs=123;policy=strict;shape=reconvergent");
+
+  // Every accepted string re-renders byte for byte.
+  for (const char* mode : {"fuzz", "lint", "probe", "prove"}) {
+    for (const char* policy : {"variant", "strict"}) {
+      for (const char* shape : {"composite", "reconvergent", "feedforward"}) {
+        for (const char* jobs : {"0", "7", "300", "18446744073709551615"}) {
+          const std::string accepted = std::string("mode=") + mode +
+                                       ";jobs=" + jobs + ";policy=" +
+                                       policy + ";shape=" + shape;
+          EXPECT_EQ(dist::named_campaign_to_string(
+                        dist::named_campaign_from_string(accepted)),
+                    accepted);
+        }
+      }
+    }
+  }
+
+  // Everything else is rejected: missing, repeated, reordered or unknown
+  // fields, and job counts that are not plain decimal digits (a sign
+  // or blank would otherwise wrap or hash apart from "jobs=7").
+  for (const char* bad :
+       {"mode=fuzz", "jobs=3", "mode=fuzz;jobs=x",
+        "mode=fuzz;jobs=3;color=red",
+        "mode=fuzz;jobs=-1;policy=variant;shape=composite",
+        "mode=fuzz;jobs= 7;policy=variant;shape=composite",
+        "mode=fuzz;jobs=+7;policy=variant;shape=composite",
+        "mode=fuzz;jobs=07;policy=variant;shape=composite",
+        "mode=fuzz;jobs=18446744073709551616;policy=variant;shape=composite",
+        "mode=fuzz;jobs=7;shape=composite;policy=variant",
+        "mode=fuzz;jobs=7;policy=variant;policy=variant;shape=composite",
+        "mode=fuzz;jobs=7;policy=variant;shape=composite;"}) {
+    EXPECT_THROW(dist::named_campaign_from_string(bad), ApiError) << bad;
+  }
+
+  // The retired evaluator field is an unknown field, named as such.
+  try {
+    dist::named_campaign_from_string(
+        "mode=fuzz;jobs=3;policy=variant;shape=composite;engine=interp");
+    ADD_FAILURE() << "a spec string with ';engine=' was accepted";
+  } catch (const ApiError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown field 'engine'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Dist, ManifestRoundTripsAndRejectsTampering) {
-  const auto spec = fuzz_spec(30, xir::EngineMode::kInterp);
+  const auto spec = fuzz_spec(30);
   const auto m = dist::make_manifest(dist::named_campaign_to_string(spec),
-                                     30, kSeed, kBudget, "interp",
+                                     30, kSeed, kBudget,
                                      dist::shard_range(30, 1, 3));
   const Json doc = dist::manifest_to_json(m);
+  EXPECT_EQ(doc.find("schema")->as_string(), "liplib.shard/2");
+  EXPECT_EQ(doc.find("engine"), nullptr);
   const auto back = dist::manifest_from_json(doc);
   EXPECT_EQ(dist::manifest_to_json(back).dump(), doc.dump());
 
+  // A manifest of the previous schema (which carried an evaluator
+  // name) is rejected with a message naming the expected schema.
+  const Json old_schema = Json::object()
+                              .set("schema", "liplib.shard/1")
+                              .set("campaign", m.campaign)
+                              .set("campaign_hash", m.campaign_hash)
+                              .set("total_jobs", std::uint64_t{30})
+                              .set("base_seed", kSeed)
+                              .set("cycle_budget", kBudget)
+                              .set("engine", "interp")
+                              .set("shard", *doc.find("shard"));
+  try {
+    dist::manifest_from_json(old_schema);
+    ADD_FAILURE() << "a liplib.shard/1 manifest was accepted";
+  } catch (const ApiError& e) {
+    EXPECT_NE(std::string(e.what()).find("expected schema \"liplib.shard/2\""),
+              std::string::npos)
+        << e.what();
+  }
+
   // A tampered spec string no longer matches the travelling hash.
   ShardManifest forged = m;
-  forged.campaign =
-      "mode=fuzz;jobs=31;policy=variant;shape=composite;engine=interp";
+  forged.campaign = "mode=fuzz;jobs=31;policy=variant;shape=composite";
   EXPECT_THROW(dist::manifest_from_json(dist::manifest_to_json(forged)),
                ApiError);
   // A range that is not the planned slice of shard 1/3 is rejected.
@@ -152,7 +205,7 @@ TEST(Dist, ManifestRoundTripsAndRejectsTampering) {
 }
 
 TEST(Dist, PartialDocumentRoundTrips) {
-  const auto spec = fuzz_spec(24, xir::EngineMode::kInterp);
+  const auto spec = fuzz_spec(24);
   const Partial p = run_shard(spec, 2, 1, 4);
   const Json doc = dist::partial_to_json(p.manifest, p.aggregate);
   const Partial back = dist::partial_from_json(doc);
@@ -161,30 +214,26 @@ TEST(Dist, PartialDocumentRoundTrips) {
 }
 
 // Satellite: the shard-determinism matrix.  1/2/4/8 shards × 1/2/8
-// engine threads × scalar/sliced evaluators, all merging to the exact
-// bytes of the unsharded aggregate over the 300-topology fuzz suite.
+// engine threads, all merging to the exact bytes of the unsharded
+// aggregate over the 300-topology fuzz suite.
 TEST(Dist, MergeMatrixIsByteIdenticalToUnsharded) {
-  for (const auto engine :
-       {xir::EngineMode::kInterp, xir::EngineMode::kSliced}) {
-    const auto spec = fuzz_spec(300, engine);
-    const std::string golden = unsharded_bytes(spec, /*threads=*/2);
-    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-      for (const unsigned threads : {1u, 2u, 8u}) {
-        std::vector<Partial> parts;
-        for (std::size_t i = 0; i < shards; ++i) {
-          parts.push_back(run_shard(spec, threads, i, shards));
-        }
-        const auto merged = dist::merge_partials(std::move(parts));
-        EXPECT_EQ(campaign::to_json(merged).dump(2), golden)
-            << "shards=" << shards << " threads=" << threads
-            << " engine=" << xir::engine_mode_name(engine);
+  const auto spec = fuzz_spec(300);
+  const std::string golden = unsharded_bytes(spec, /*threads=*/2);
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      std::vector<Partial> parts;
+      for (std::size_t i = 0; i < shards; ++i) {
+        parts.push_back(run_shard(spec, threads, i, shards));
       }
+      const auto merged = dist::merge_partials(std::move(parts));
+      EXPECT_EQ(campaign::to_json(merged).dump(2), golden)
+          << "shards=" << shards << " threads=" << threads;
     }
   }
 }
 
 TEST(Dist, MergeRejectsForeignAndIncompleteShards) {
-  const auto spec = fuzz_spec(20, xir::EngineMode::kInterp);
+  const auto spec = fuzz_spec(20);
   const Partial p0 = run_shard(spec, 1, 0, 2);
   const Partial p1 = run_shard(spec, 1, 1, 2);
 
@@ -198,8 +247,7 @@ TEST(Dist, MergeRejectsForeignAndIncompleteShards) {
   foreign.manifest.base_seed = kSeed + 1;
   EXPECT_THROW(dist::merge_partials({p0, foreign}), ApiError);
   // Different job count entirely.
-  const Partial other = run_shard(fuzz_spec(22, xir::EngineMode::kInterp),
-                                  1, 1, 2);
+  const Partial other = run_shard(fuzz_spec(22), 1, 1, 2);
   EXPECT_THROW(dist::merge_partials({p0, other}), ApiError);
   // The two real halves do merge.
   const auto merged = dist::merge_partials({p0, p1});
@@ -224,7 +272,7 @@ Json dist_round_trip(std::uint16_t port, const Json& request) {
 }
 
 TEST(Dist, CoordinatorSurvivesAStragglerAndMergesGoldenBytes) {
-  const auto spec = fuzz_spec(60, xir::EngineMode::kInterp);
+  const auto spec = fuzz_spec(60);
   const std::string golden = unsharded_bytes(spec, /*threads=*/2);
 
   dist::CoordinatorOptions copts;
@@ -276,7 +324,7 @@ TEST(Dist, CoordinatorSurvivesAStragglerAndMergesGoldenBytes) {
 }
 
 TEST(Dist, CoordinatorDedupsDuplicateResults) {
-  const auto spec = fuzz_spec(8, xir::EngineMode::kInterp);
+  const auto spec = fuzz_spec(8);
   dist::CoordinatorOptions copts;
   copts.spec = spec;
   copts.base_seed = kSeed;
@@ -306,7 +354,7 @@ TEST(Dist, CoordinatorDedupsDuplicateResults) {
   const Json second = dist_round_trip(coord.port(), submit);
   EXPECT_FALSE(second.find("accepted")->as_bool());
   // A partial from a different campaign is an error, not a merge.
-  Partial foreign = run_shard(fuzz_spec(9, xir::EngineMode::kInterp), 1, 0, 1);
+  Partial foreign = run_shard(fuzz_spec(9), 1, 0, 1);
   const Json rejected = dist_round_trip(
       coord.port(), Json::object()
                         .set("rpc", dist::kDistRpcSchema)
@@ -329,7 +377,7 @@ TEST(Dist, CoordinatorDedupsDuplicateResults) {
 
 TEST(Dist, ServeRelaysDistStatus) {
   dist::CoordinatorOptions copts;
-  copts.spec = fuzz_spec(12, xir::EngineMode::kInterp);
+  copts.spec = fuzz_spec(12);
   copts.shards = 3;
   dist::Coordinator coord(copts);
   coord.start();

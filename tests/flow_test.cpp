@@ -7,6 +7,7 @@
 #include "liplib/graph/generators.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -65,7 +66,7 @@ TEST(Flow, CuresHalfLatchedLoop) {
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
   EXPECT_FALSE(
-      skeleton::screen_for_deadlock(result.topology, wc).deadlock_found);
+      xir::screen_for_deadlock(result.topology, wc).deadlock_found);
 }
 
 TEST(Flow, ReportsValidationFailure) {

@@ -15,6 +15,7 @@
 #include "liplib/lint/lint.hpp"
 #include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/rng.hpp"
+#include "liplib/xir/xir.hpp"
 
 namespace {
 
@@ -291,7 +292,7 @@ TEST(Lint, FixCuresTheHazardRingAndIsIdempotent) {
   // The cure survives dynamic screening under worst-case occupancy.
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
-  const auto verdict = skeleton::screen_for_deadlock(fix.fixed, wc, 1u << 16);
+  const auto verdict = xir::screen_for_deadlock(fix.fixed, wc, 1u << 16);
   EXPECT_TRUE(verdict.ran_to_steady_state);
   EXPECT_FALSE(verdict.deadlock_found);
 }
@@ -345,7 +346,7 @@ TEST(Lint, StaticVerdictAgreesWithScreeningOn300Topologies) {
     const bool hazard =
         lint::run_lint(gen.topo, structural).has_rule("LIP006");
     const auto verdict =
-        skeleton::screen_for_deadlock(gen.topo, wc, 1u << 16);
+        xir::screen_for_deadlock(gen.topo, wc, 1u << 16);
     ASSERT_TRUE(verdict.ran_to_steady_state) << "topology " << i;
     ASSERT_EQ(hazard, verdict.deadlock_found)
         << "static/dynamic disagreement on topology " << i << ":\n"

@@ -371,7 +371,7 @@ TEST(Handlers, ProveRequestsAreProvedCachedAndKeyedByKnobs) {
   EXPECT_TRUE(c2);
   EXPECT_EQ(r1, r2);
   const Json proved = Json::parse(r1);
-  EXPECT_EQ(proved.find("schema")->as_string(), "liplib.serve.prove/1");
+  EXPECT_EQ(proved.find("schema")->as_string(), "liplib.serve.prove/2");
   EXPECT_EQ(proved.find("verdict")->as_string(), "proved");
   EXPECT_EQ(proved.find("exit_code")->as_uint(), 0u);
 
@@ -393,12 +393,13 @@ TEST(Handlers, ProveRequestsAreProvedCachedAndKeyedByKnobs) {
                 .find("requests")->find("deadlock_verdicts")->as_uint(),
             1u);
 
-  // Every knob keys the cache separately.
+  // Every knob keys the cache separately; a legacy "engine" member is
+  // not a knob and is answered from the existing entry.
   handle_payload(request_json("prove", kFig1, "\"method\":\"induction\""),
                  ctx);
   handle_payload(request_json("prove", kFig1, "\"worst_case\":true"), ctx);
-  handle_payload(request_json("prove", kFig1, "\"engine\":\"sliced\""), ctx);
-  EXPECT_EQ(ctx.cache.stats().entries, 5u);
+  handle_payload(request_json("prove", kFig1, "\"engine\":\"interp\""), ctx);
+  EXPECT_EQ(ctx.cache.stats().entries, 4u);
 
   // Validation: bogus method is a request error, missing netlist too.
   EXPECT_THROW(parse_request(Json::parse(request_json(
@@ -436,6 +437,43 @@ TEST(Handlers, ProveCampaignModeRunsTheCrossCheck) {
       EXPECT_EQ(mm->as_uint(), 0u);
     }
   }
+}
+
+// Requests written for the retired evaluator knob still work: "engine"
+// is ignored like any unknown member, so the request keys and answers
+// exactly as if it were absent.
+TEST(Handlers, LegacyEngineMemberIsIgnored) {
+  ServeContext ctx;
+  std::string fresh, legacy;
+  bool c1 = true, c2 = false, ok1 = false, ok2 = false;
+  split_response(handle_payload(request_json("screen", kHalfRing), ctx),
+                 &fresh, &c1, &ok1);
+  split_response(handle_payload(request_json("screen", kHalfRing,
+                                              "\"engine\":\"interp\""),
+                                ctx),
+                 &legacy, &c2, &ok2);
+  ASSERT_TRUE(ok1 && ok2) << legacy;
+  EXPECT_FALSE(c1);
+  EXPECT_TRUE(c2);
+  EXPECT_EQ(fresh, legacy);
+  const Json result = Json::parse(fresh);
+  EXPECT_EQ(result.find("schema")->as_string(), "liplib.serve.screen/2");
+  EXPECT_EQ(result.find("engine"), nullptr);
+  EXPECT_NE(result.find("worst_case")->find("post_mortem"), nullptr);
+  // Even a value the old validator refused is now just ignored.
+  bool c3 = false, ok3 = false;
+  std::string turbo;
+  split_response(handle_payload(request_json("screen", kHalfRing,
+                                             "\"engine\":\"turbo\""),
+                                ctx),
+                 &turbo, &c3, &ok3);
+  EXPECT_TRUE(ok3 && c3);
+  EXPECT_EQ(fresh, turbo);
+
+  const Json status = ctx.status_json();
+  EXPECT_EQ(status.find("schema")->as_string(), "liplib.serve.status/3");
+  EXPECT_EQ(status.find("engines"), nullptr);
+  EXPECT_EQ(status.find("cache")->find("hits")->as_uint(), 2u);
 }
 
 TEST(Handlers, DistinctPoliciesAndBudgetsAreDistinctCacheEntries) {

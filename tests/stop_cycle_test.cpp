@@ -6,6 +6,7 @@
 #include "liplib/graph/analysis.hpp"
 #include "liplib/graph/generators.hpp"
 #include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 
 namespace {
 
@@ -51,7 +52,7 @@ TEST(StopCycles, StaticAnalysisMatchesWorstCaseScreening) {
     const bool has_latch = !graph::find_stop_cycles(gen.topo).empty();
     skeleton::ScreeningOptions wc;
     wc.worst_case_occupancy = true;
-    const auto verdict = skeleton::screen_for_deadlock(gen.topo, wc);
+    const auto verdict = xir::screen_for_deadlock(gen.topo, wc);
     ASSERT_TRUE(verdict.ran_to_steady_state);
     EXPECT_EQ(verdict.deadlock_found, has_latch) << "iteration " << i;
     (has_latch ? latched : clean) += 1;

@@ -319,7 +319,6 @@ campaign::NamedCampaignSpec fuzz_spec(std::size_t jobs) {
   campaign::NamedCampaignSpec spec;
   spec.mode = "fuzz";
   spec.jobs = jobs;
-  spec.engine = xir::EngineMode::kInterp;
   return spec;
 }
 

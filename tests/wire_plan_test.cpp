@@ -6,6 +6,7 @@
 #include "liplib/graph/wire_plan.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -100,7 +101,7 @@ TEST(WirePlan, HalfOffCycleFullOnCycle) {
   // Deadlock free by construction, even under worst-case occupancy.
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
-  EXPECT_FALSE(skeleton::screen_for_deadlock(t, wc).deadlock_found);
+  EXPECT_FALSE(xir::screen_for_deadlock(t, wc).deadlock_found);
 }
 
 TEST(WirePlan, EqualizationKeepsFullThroughputOnDags) {

@@ -1,14 +1,16 @@
 // Differential suite for liplib::xir: the compiled scalar engine and
-// the 64-way bit-sliced engine against the interpreted skeleton.
+// the 64-way bit-sliced engine against the interpreted skeleton, the
+// reference model no product path runs.
 //
 // The xir engines advertise *bit-exactness*, not approximation: same
 // verdict, same settle cycle (transient + period), same exact Rational
 // throughputs, same probe observations, same watchdog trip cycle.  The
-// tests here hold all three evaluators together over hundreds of
+// tests here hold both engines to the interpreter over hundreds of
 // random "most general topology" instances (the same generator family
-// the lint cross-check campaign uses), plus targeted checks for lane
-// independence, probe/watchdog parity and the serve daemon's
-// engine-keyed cache.
+// the lint cross-check campaign uses) under both stop policies, both
+// stop resolutions and both starting states, plus targeted checks for
+// lane independence, probe/watchdog parity and the campaign jobs that
+// run on the engines.
 
 #include <gtest/gtest.h>
 
@@ -20,9 +22,7 @@
 #include "liplib/campaign/jobs.hpp"
 #include "liplib/graph/generators.hpp"
 #include "liplib/probe/probe.hpp"
-#include "liplib/serve/server.hpp"
 #include "liplib/skeleton/skeleton.hpp"
-#include "liplib/support/json.hpp"
 #include "liplib/support/rng.hpp"
 #include "liplib/telemetry/watchdog.hpp"
 #include "liplib/xir/sliced.hpp"
@@ -43,6 +43,33 @@ graph::Topology random_composite(std::uint64_t seed,
   return graph::make_random_composite(rng, segments, /*allow_half=*/true,
                                       /*allow_half_in_loops=*/risky)
       .topo;
+}
+
+// The oracle: the interpreter's steady-state analysis, and the cycles it
+// simulated to reach it.
+struct InterpOutcome {
+  skeleton::SkeletonResult result;
+  std::uint64_t cycles = 0;
+};
+
+InterpOutcome interp_analyze(const graph::Topology& topo,
+                             skeleton::SkeletonOptions opts,
+                             std::uint64_t budget, bool worst_case) {
+  skeleton::Skeleton sk(topo, opts);
+  if (worst_case) sk.saturate_stations();
+  InterpOutcome out;
+  out.result = sk.analyze(budget);
+  out.cycles = sk.cycle();
+  return out;
+}
+
+// The paper's screening recipe on the interpreter.
+skeleton::ScreeningVerdict interp_screen(const graph::Topology& topo,
+                                         skeleton::ScreeningOptions opts,
+                                         std::uint64_t budget) {
+  const auto out = interp_analyze(topo, opts.skeleton, budget,
+                                  opts.worst_case_occupancy);
+  return skeleton::screening_verdict(out.result, out.cycles);
 }
 
 void expect_same_result(const skeleton::SkeletonResult& want,
@@ -89,6 +116,17 @@ graph::Topology with_station_kinds(const graph::Topology& topo,
   return out;
 }
 
+// Both stop resolutions: pessimistic settling is the product default;
+// optimistic settling is what telemetry::replay and the latch's
+// bistability checks exercise.
+constexpr lip::StopResolution kResolutions[] = {
+    lip::StopResolution::kPessimistic, lip::StopResolution::kOptimistic};
+
+const char* resolution_name(lip::StopResolution r) {
+  return r == lip::StopResolution::kOptimistic ? "optimistic"
+                                               : "pessimistic";
+}
+
 // ---- the 300-topology differential -------------------------------------
 
 TEST(XirDifferential, ThreeHundredRandomComposites) {
@@ -96,45 +134,56 @@ TEST(XirDifferential, ThreeHundredRandomComposites) {
   for (std::uint64_t i = 0; i < 300; ++i) {
     const std::uint64_t seed = campaign::job_seed(7, i);
     const graph::Topology topo = random_composite(seed);
-    skeleton::SkeletonOptions opts;
-    opts.policy = (i % 2) ? lip::StopPolicy::kCarloniStrict
-                          : lip::StopPolicy::kCasuDiscardOnVoid;
     const bool worst_case = (i % 3) == 0;
-    const std::string what = "topology " + std::to_string(i);
+    for (const lip::StopResolution resolution : kResolutions) {
+      skeleton::SkeletonOptions opts;
+      opts.policy = (i % 2) ? lip::StopPolicy::kCarloniStrict
+                            : lip::StopPolicy::kCasuDiscardOnVoid;
+      opts.resolution = resolution;
+      const std::string what = "topology " + std::to_string(i) + " " +
+                               resolution_name(resolution);
 
-    const auto interp = xir::analyze_with_engine(
-        topo, opts, kBudget, xir::EngineMode::kInterp, worst_case);
-    const auto compiled = xir::analyze_with_engine(
-        topo, opts, kBudget, xir::EngineMode::kCompiled, worst_case);
-    const auto sliced = xir::analyze_with_engine(
-        topo, opts, kBudget, xir::EngineMode::kSliced, worst_case);
+      const auto interp = interp_analyze(topo, opts, kBudget, worst_case);
 
-    expect_same_result(interp.result, compiled.result, what + " compiled");
-    expect_same_result(interp.result, sliced.result, what + " sliced");
-    EXPECT_EQ(interp.cycles, compiled.cycles) << what;
-    EXPECT_EQ(interp.cycles, sliced.cycles) << what;
+      xir::ScalarEngine compiled(topo, opts);
+      if (worst_case) compiled.saturate_stations();
+      expect_same_result(interp.result, compiled.analyze(kBudget),
+                         what + " compiled");
+      EXPECT_EQ(interp.cycles, compiled.cycle()) << what;
+
+      xir::SlicedEngine sliced(topo, opts, /*num_lanes=*/1);
+      if (worst_case) sliced.saturate_stations(1ull);
+      const auto lanes = sliced.analyze(kBudget);
+      expect_same_result(interp.result, lanes[0].result, what + " sliced");
+      EXPECT_EQ(interp.cycles, lanes[0].cycles) << what;
+    }
   }
 }
 
 TEST(XirDifferential, ScreeningVerdictsAgree) {
   for (std::uint64_t i = 0; i < 60; ++i) {
     const graph::Topology topo = random_composite(campaign::job_seed(11, i));
-    skeleton::ScreeningOptions opts;
-    opts.worst_case_occupancy = (i % 2) == 0;
-    const std::string what = "topology " + std::to_string(i);
+    for (const lip::StopResolution resolution : kResolutions) {
+      skeleton::ScreeningOptions opts;
+      opts.skeleton.resolution = resolution;
+      opts.worst_case_occupancy = (i % 2) == 0;
+      const std::string what = "topology " + std::to_string(i) + " " +
+                               resolution_name(resolution);
 
-    const auto interp = skeleton::screen_for_deadlock(topo, opts, 1u << 16);
-    const auto compiled = xir::screen_for_deadlock(
-        topo, opts, 1u << 16, xir::EngineMode::kCompiled);
-    const auto sliced = xir::screen_for_deadlock(
-        topo, opts, 1u << 16, xir::EngineMode::kSliced);
-    expect_same_verdict(interp, compiled, what + " compiled");
-    expect_same_verdict(interp, sliced, what + " sliced");
+      const auto interp = interp_screen(topo, opts, 1u << 16);
+      const auto compiled = xir::screen_for_deadlock(topo, opts, 1u << 16);
+      xir::VariantSpec lane;
+      lane.worst_case_occupancy = opts.worst_case_occupancy;
+      const auto sliced =
+          xir::screen_variants(topo, {lane}, opts.skeleton, 1u << 16);
+      expect_same_verdict(interp, compiled, what + " compiled");
+      expect_same_verdict(interp, sliced.at(0), what + " sliced");
+    }
   }
 }
 
-// The engine's own API surface (not just the analyze_with_engine
-// wrapper): step/cycle/fires track the interpreter cycle by cycle.
+// The engine's own API surface (not just analyze()): step/cycle/fires
+// track the interpreter cycle by cycle.
 TEST(XirDifferential, StepLevelFireCounts) {
   const graph::Topology topo = random_composite(42);
   skeleton::SkeletonOptions opts;
@@ -191,8 +240,7 @@ TEST(XirSliced, SixtyFourVariantLanesMatchInterpreter) {
         with_station_kinds(base, variants[v].kinds);
     skeleton::ScreeningOptions opts;
     opts.worst_case_occupancy = true;
-    const auto interp = skeleton::screen_for_deadlock(variant, opts,
-                                                      1u << 14);
+    const auto interp = interp_screen(variant, opts, 1u << 14);
     expect_same_verdict(interp, batched[v], "variant " + std::to_string(v));
     (interp.deadlock_found ? saw_deadlock : saw_live) = true;
   }
@@ -249,57 +297,60 @@ TEST(XirWatchdog, TripCycleMatchesInterpreter) {
 
 // ---- campaign integration -----------------------------------------------
 
+// Outcome severity of a screening verdict, as campaign jobs fold it
+// (worst lane wins).
+int severity(const skeleton::ScreeningVerdict& v) {
+  if (!v.ran_to_steady_state) return 3;  // budget exhausted
+  if (!v.deadlock_found) return 0;       // live
+  return (!v.starved.empty() && v.min_throughput > Rational(0)) ? 1  // starved
+                                                                : 2;  // dead
+}
+
+int severity(campaign::Outcome o) {
+  switch (o) {
+    case campaign::Outcome::kBudgetExhausted: return 3;
+    case campaign::Outcome::kDeadlock: return 2;
+    case campaign::Outcome::kStarvation: return 1;
+    default: return 0;
+  }
+}
+
 TEST(XirCampaign, MixScreenBatchesFoldInterpreterVerdicts) {
   Rng rng(5);
   const graph::Topology base =
       graph::make_random_composite(rng, 3, true, true).topo;
 
-  auto run = [&](xir::EngineMode engine) {
-    campaign::MixScreenSpec spec;
-    spec.topo = base;
-    spec.variants = 100;
-    spec.engine = engine;
-    campaign::EngineOptions eopts;
-    eopts.threads = 2;
-    eopts.cycle_budget = 1u << 14;
-    return campaign::Engine(eopts).run(
-        campaign::make_mix_screen_campaign(spec));
-  };
+  campaign::MixScreenSpec spec;
+  spec.topo = base;
+  spec.variants = 100;
+  campaign::EngineOptions eopts;
+  eopts.threads = 2;
+  eopts.cycle_budget = 1u << 14;
+  const auto sliced =
+      campaign::Engine(eopts).run(campaign::make_mix_screen_campaign(spec));
 
-  const auto interp = run(xir::EngineMode::kInterp);
-  const auto compiled = run(xir::EngineMode::kCompiled);
-  const auto sliced = run(xir::EngineMode::kSliced);
-
-  // interp and compiled run one job per variant and must agree
-  // elementwise — verdict, cycle count and exact throughput.
-  ASSERT_EQ(interp.size(), 100u);
-  ASSERT_EQ(compiled.size(), 100u);
-  for (std::size_t v = 0; v < interp.size(); ++v) {
-    EXPECT_EQ(interp[v].outcome, compiled[v].outcome) << v;
-    EXPECT_EQ(interp[v].cycles, compiled[v].cycles) << v;
-    EXPECT_EQ(interp[v].has_throughput, compiled[v].has_throughput) << v;
-    EXPECT_EQ(interp[v].throughput, compiled[v].throughput) << v;
+  // Each variant on its own through the interpreter.
+  std::vector<skeleton::ScreeningVerdict> interp;
+  skeleton::ScreeningOptions wc;
+  wc.worst_case_occupancy = true;
+  for (std::size_t v = 0; v < spec.variants; ++v) {
+    const auto kinds =
+        campaign::mix_screen_variant_kinds(base, eopts.base_seed, v);
+    interp.push_back(interp_screen(with_station_kinds(base, kinds), wc,
+                                   eopts.cycle_budget));
   }
 
-  // sliced auto-batches 64 variants per job; each job folds its batch
-  // to the worst per-variant outcome and the summed cycles.
+  // 64 variants per job; each job folds its batch to the worst
+  // per-variant outcome and the summed cycles.
   ASSERT_EQ(sliced.size(), 2u);  // ceil(100 / 64)
-  auto severity = [](campaign::Outcome o) {
-    switch (o) {
-      case campaign::Outcome::kBudgetExhausted: return 3;
-      case campaign::Outcome::kDeadlock: return 2;
-      case campaign::Outcome::kStarvation: return 1;
-      default: return 0;
-    }
-  };
   std::size_t lo = 0;
   for (const auto& job : sliced) {
     const std::size_t hi = std::min<std::size_t>(lo + 64, 100);
     int worst = 0;
     std::uint64_t cycles = 0;
     for (std::size_t v = lo; v < hi; ++v) {
-      worst = std::max(worst, severity(interp[v].outcome));
-      cycles += interp[v].cycles;
+      worst = std::max(worst, severity(interp[v]));
+      cycles += interp[v].cycles_simulated;
     }
     EXPECT_EQ(severity(job.outcome), worst) << job.name;
     EXPECT_EQ(job.cycles, cycles) << job.name;
@@ -307,108 +358,40 @@ TEST(XirCampaign, MixScreenBatchesFoldInterpreterVerdicts) {
   }
 }
 
+// Fuzz jobs analyze on the scalar engine; replaying each job's topology
+// (the composite recipe, from the job's own seed) through the
+// interpreter reproduces its verdict, cycle count and exact throughput.
 TEST(XirCampaign, FuzzJobsEngineInvariant) {
-  auto run = [](xir::EngineMode engine) {
-    std::vector<campaign::Job> jobs;
-    for (std::size_t i = 0; i < 20; ++i) {
-      campaign::FuzzSpec spec;
-      spec.shape = campaign::FuzzSpec::Shape::kComposite;
-      spec.engine = engine;
-      spec.check_equivalence = false;  // full-data path is engine-blind
-      jobs.push_back(
-          campaign::make_fuzz_job("fuzz/" + std::to_string(i), spec));
-    }
-    campaign::EngineOptions eopts;
-    eopts.threads = 2;
-    eopts.cycle_budget = 1u << 14;
-    return campaign::Engine(eopts).run(jobs);
-  };
-  const auto interp = run(xir::EngineMode::kInterp);
-  const auto compiled = run(xir::EngineMode::kCompiled);
-  const auto sliced = run(xir::EngineMode::kSliced);
-  for (std::size_t i = 0; i < interp.size(); ++i) {
-    EXPECT_EQ(interp[i].outcome, compiled[i].outcome) << i;
-    EXPECT_EQ(interp[i].outcome, sliced[i].outcome) << i;
-    EXPECT_EQ(interp[i].cycles, compiled[i].cycles) << i;
-    EXPECT_EQ(interp[i].cycles, sliced[i].cycles) << i;
-    EXPECT_EQ(interp[i].throughput, compiled[i].throughput) << i;
-    EXPECT_EQ(interp[i].throughput, sliced[i].throughput) << i;
+  campaign::FuzzSpec spec;
+  spec.shape = campaign::FuzzSpec::Shape::kComposite;
+  spec.check_equivalence = false;  // full-data path: not a skeleton
+  std::vector<campaign::Job> jobs;
+  for (std::size_t i = 0; i < 20; ++i) {
+    jobs.push_back(campaign::make_fuzz_job("fuzz/" + std::to_string(i), spec));
   }
-}
+  campaign::EngineOptions eopts;
+  eopts.threads = 2;
+  eopts.cycle_budget = 1u << 14;
+  const auto results = campaign::Engine(eopts).run(jobs);
 
-// ---- serve integration --------------------------------------------------
-
-constexpr const char* kRingNetlist = R"(process A 1 1
-process B 1 1
-channel A.0 -> B.0 : F
-channel B.0 -> A.0 : F
-)";
-
-std::string screen_request(const char* engine) {
-  return Json::object()
-      .set("rpc", serve::kRpcSchema)
-      .set("kind", "screen")
-      .set("netlist", kRingNetlist)
-      .set("engine", engine)
-      .dump();
-}
-
-TEST(XirServe, EngineKeysTheCacheAndCounters) {
-  serve::ServeContext ctx;
-  const std::string a1 = serve::handle_payload(screen_request("compiled"),
-                                               ctx);
-  const std::string a2 = serve::handle_payload(screen_request("compiled"),
-                                               ctx);
-  const std::string b1 = serve::handle_payload(screen_request("interp"),
-                                               ctx);
-
-  // Identical request → byte-identical cached answer; different engine
-  // → a distinct cache entry (a fresh miss), not a hit on the other key.
-  EXPECT_NE(a1.find("\"cached\":false"), std::string::npos);
-  EXPECT_EQ(a2, a1.substr(0, a1.find("\"cached\":false")) +
-                    "\"cached\":true" +
-                    a1.substr(a1.find("\"cached\":false") + 14));
-  EXPECT_NE(b1.find("\"cached\":false"), std::string::npos);
-
-  const int interp_idx = static_cast<int>(xir::EngineMode::kInterp);
-  const int compiled_idx = static_cast<int>(xir::EngineMode::kCompiled);
-  EXPECT_EQ(ctx.engine_misses[compiled_idx].value(), 1u);
-  EXPECT_EQ(ctx.engine_hits[compiled_idx].value(), 1u);
-  EXPECT_EQ(ctx.engine_misses[interp_idx].value(), 1u);
-  EXPECT_EQ(ctx.engine_hits[interp_idx].value(), 0u);
-
-  // Engines agree on the verdict payload (only the echoed engine name
-  // differs between the result documents).
-  const Json ra = *Json::parse(a1).find("result");
-  const Json rb = *Json::parse(b1).find("result");
-  EXPECT_EQ(ra.find("verdict")->as_string(), rb.find("verdict")->as_string());
-  EXPECT_EQ(ra.find("from_reset")->dump(), rb.find("from_reset")->dump());
-  EXPECT_EQ(ra.find("worst_case")->dump(), rb.find("worst_case")->dump());
-  EXPECT_EQ(ra.find("engine")->as_string(), "compiled");
-  EXPECT_EQ(rb.find("engine")->as_string(), "interp");
-
-  // The status document surfaces the per-engine traffic split.
-  const Json status = ctx.status_json();
-  const Json* engines = status.find("engines");
-  ASSERT_NE(engines, nullptr);
-  EXPECT_EQ(engines->find("compiled")->find("hits")->as_uint(), 1u);
-  EXPECT_EQ(engines->find("compiled")->find("misses")->as_uint(), 1u);
-  EXPECT_EQ(engines->find("interp")->find("misses")->as_uint(), 1u);
-  EXPECT_EQ(engines->find("sliced")->find("misses")->as_uint(), 0u);
-}
-
-TEST(XirServe, UnknownEngineRejected) {
-  serve::ServeContext ctx;
-  const std::string resp = serve::handle_payload(
-      Json::object()
-          .set("rpc", serve::kRpcSchema)
-          .set("kind", "screen")
-          .set("netlist", kRingNetlist)
-          .set("engine", "turbo")
-          .dump(),
-      ctx);
-  EXPECT_NE(resp.find("\"ok\":false"), std::string::npos);
-  EXPECT_NE(resp.find("unknown engine"), std::string::npos);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    Rng rng(campaign::job_seed(eopts.base_seed, i));
+    const std::size_t segments = 1 + rng.below(spec.size);
+    const auto gen = graph::make_random_composite(
+        rng, segments, /*allow_half=*/true, /*allow_half_in_loops=*/false);
+    const auto interp = interp_analyze(gen.topo, {spec.policy},
+                                       eopts.cycle_budget, false);
+    const auto& r = interp.result;
+    const campaign::Outcome want =
+        !r.found              ? campaign::Outcome::kBudgetExhausted
+        : r.deadlocked        ? campaign::Outcome::kDeadlock
+        : r.has_starved_shell ? campaign::Outcome::kStarvation
+                              : campaign::Outcome::kLive;
+    EXPECT_EQ(results[i].outcome, want) << i;
+    EXPECT_EQ(results[i].cycles, interp.cycles) << i;
+    EXPECT_EQ(results[i].has_throughput, r.found) << i;
+    EXPECT_EQ(results[i].throughput, r.system_throughput()) << i;
+  }
 }
 
 }  // namespace
