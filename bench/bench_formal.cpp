@@ -30,8 +30,7 @@ struct Obligation {
 std::vector<Obligation> obligations() {
   std::vector<Obligation> obs;
   for (auto pol : {StopPolicy::kCarloniStrict, StopPolicy::kCasuDiscardOnVoid}) {
-    const std::string p =
-        pol == StopPolicy::kCarloniStrict ? "strict" : "variant";
+    const std::string p = lip::policy_name(pol);
     obs.push_back({"full RS, " + p,
                    formal::make_relay_station_model(RsKind::kFull, pol)});
     obs.push_back({"half RS, " + p,

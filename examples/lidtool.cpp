@@ -29,20 +29,15 @@
 //
 // Run without arguments for a demo on the paper's Fig. 1 design.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
-#include <cerrno>
-#include <charconv>
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "liplib/campaign/campaign.hpp"
@@ -51,10 +46,10 @@
 #include "liplib/dist/coordinator.hpp"
 #include "liplib/dist/shard.hpp"
 #include "liplib/dist/worker.hpp"
+#include "liplib/flow/design_flow.hpp"
 #include "liplib/graph/analysis.hpp"
 #include "liplib/graph/equalize.hpp"
 #include "liplib/graph/mcr.hpp"
-#include "liplib/flow/design_flow.hpp"
 #include "liplib/graph/netlist_io.hpp"
 #include "liplib/lint/lint.hpp"
 #include "liplib/lip/steady_state.hpp"
@@ -64,6 +59,7 @@
 #include "liplib/prove/prove.hpp"
 #include "liplib/serve/server.hpp"
 #include "liplib/skeleton/skeleton.hpp"
+#include "liplib/support/flags.hpp"
 #include "liplib/support/table.hpp"
 #include "liplib/telemetry/bench_diff.hpp"
 #include "liplib/telemetry/watchdog.hpp"
@@ -103,7 +99,7 @@ structural commands (take a .lid netlist file):
                                 exit 0 proved / 1 counterexample / 2 unknown
     --worst-case       prove from worst-case occupancy instead of reset
     --method M         auto | reach | bmc | induction (default auto)
-    --depth K          bounded model checking to depth K (implies bmc)
+    --depth K          BMC depth bound; without --method it means bmc
     --induction        k-induction certificates only (same as
                        --method induction)
     --budget N         distinct-state budget (default 2^20)
@@ -145,13 +141,16 @@ campaign commands (parallel mass simulation; see docs/campaign.md):
                                 occupancy, 64 variants per bit-sliced job
   campaign t1                   the EXPERIMENTS.md T1 fuzz pass
                                 (750 randomized runs) on the engine
+  fuzz, lint, probe and prove are named campaigns: the same jobs, names
+  and spec string as `dist coordinate` and the daemon's campaign request
+  (N in 1..1000000).
   campaign options:
     --threads N   worker threads (default: hardware)
     --seed S      campaign base seed (default 1; decimal or 0x-hex)
     --budget B    per-job cycle budget (default 2^18)
     --stations LO:HI   sweep station-count range (default 1:4)
-    --policy variant|strict|both   stop policy (default both for sweep,
-                                   variant for fuzz)
+    --policy variant|strict   stop policy (default variant); sweep also
+                              takes both, its default
     --shape composite|reconvergent|feedforward   fuzz topology shape
     --variants N  mix: number of kind-variants to screen (default 64)
     --json PATH   write the aggregated report as JSON
@@ -171,10 +170,8 @@ distributed campaign commands (see docs/dist.md):
                                 print the merged aggregate when done
     --port N       TCP port (default 0 = ephemeral, printed on start)
     --shards N     shards to split the campaign into (default 4)
-    --seed S       campaign base seed (default 1; decimal or 0x-hex)
-    --budget B     per-job cycle budget (default 2^18)
+    --seed S / --budget B / --policy P / --shape S   as for campaign
     --lease-ms N   lease deadline before re-dispatch (default 30000)
-    --policy P / --shape S   fuzz-job knobs as for campaign
     --json PATH    write the merged aggregate as JSON
     --trace PATH   record the lease -> execute -> merge span timeline
                    (workers trace automatically when leases carry the
@@ -204,23 +201,23 @@ serve commands (the liplib.rpc/1 daemon; see docs/serve.md):
     --threads N    campaign worker threads (default: hardware)
     --cache-mb N   result cache budget in MiB (default 64)
     --ttl N        cache entry lifetime in seconds (default 600; 0 = never)
-    --budget N     default + maximum screening cycle budget (default 2^18)
+    --budget N     default screen/campaign cycle budget (default 2^18;
+                   an N above 2^20 also raises the cap on every budget)
   client <kind> [args]          send one request, print the JSON response;
-                                exit 0 live/clean, 1 diagnosed, 2 error
-    kinds: lint <file.lid> | screen <file.lid> | profile <file.lid> |
-           prove <file.lid> | campaign <fuzz|lint|probe|prove> <jobs> |
-           status | shutdown | dist-status | metrics | trace
+                                exit 0 live/clean, 1 diagnosed, 2 error.
+                                Each kind takes only its own knobs:
+    lint <file.lid>
+    screen <file.lid>    --policy variant|strict  --budget N (cycles)
+    profile <file.lid>   --cycles N
+    prove <file.lid>     --policy P  --budget N (states)  --method M
+                         --depth K (without --method: bmc)  --worst-case
+    campaign <fuzz|lint|probe|prove> <jobs>   --policy P  --budget N
+                         --seed S
+    dist-status          --coordinator N (dist coordinator port to relay)
+    status | shutdown | metrics | trace
            (metrics prints the raw Prometheus exposition text; trace
            prints the daemon's liplib.trace/1 span document)
     --port N       daemon port (default 7177)
-    --policy P     variant | strict (screen / prove / campaign)
-    --budget N     cycle budget (screen / campaign); state budget (prove)
-    --cycles N     cycles to simulate (profile)
-    --method M     auto | reach | bmc | induction (prove)
-    --depth K      BMC depth bound (prove)
-    --worst-case   prove from worst-case occupancy
-    --seed S       campaign base seed (default 1)
-    --coordinator N   dist coordinator port to relay (dist-status)
     --id X         request id echoed in the response
     --trace FILE   attach a trace context to the request (the daemon's
                    spans join the client's trace) and write the client
@@ -253,6 +250,54 @@ channel B.0 -> C.0 : F
 channel A.1 -> C.1 : F
 channel C.0 -> out.0
 )";
+
+using Args = std::vector<std::string>;
+
+/// A usage or input error: main reports "error: <msg>" and exits 2.
+void require(bool ok, const std::string& msg) {
+  if (!ok) throw ApiError(msg);
+}
+
+std::vector<FlagSpec> with(std::vector<FlagSpec> a,
+                           const std::vector<FlagSpec>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// The command's positional arguments, which must number exactly `n`.
+const Args& expect_args(const Flags& f, std::size_t n, const char* usage) {
+  require(f.positional().size() == n,
+          std::string("usage: lidtool ") + usage);
+  return f.positional();
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  require(in.good(), "cannot open " + path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream os(path);
+  require(os.good(), "cannot write " + path);
+  os << text;
+}
+
+/// The netlist of a structural command's one <file.lid> argument
+/// (annotated files are accepted too).
+graph::Topology load_topology(const std::string& path) {
+  return graph::parse_netlist_annotated_string(read_text(path)).topo;
+}
+
+/// flags -> Request: a design kind's <file.lid> argument is read into
+/// the netlist, then the knob table validates everything.
+serve::Request load_request(serve::RequestKind kind, Flags& f) {
+  Args& pos = f.positional();
+  if (serve::takes_netlist(kind) && !pos.empty()) pos[0] = read_text(pos[0]);
+  return serve::request_from_flags(kind, f);
+}
 
 int cmd_validate(const graph::Topology& topo) {
   const auto report = topo.validate();
@@ -287,12 +332,7 @@ int cmd_lint(const graph::Topology& topo, bool json, bool fix,
   if (out_path.empty()) {
     std::cout << netlist;
   } else {
-    std::ofstream os(out_path);
-    if (!os) {
-      std::cerr << "cannot write " << out_path << "\n";
-      return 2;
-    }
-    os << netlist;
+    write_text(out_path, netlist);
     std::cerr << "wrote " << out_path << "\n";
   }
   return result.report.exit_code();
@@ -333,20 +373,12 @@ int cmd_analyze(const graph::Topology& topo) {
   return 0;
 }
 
-std::uint64_t parse_u64(const std::string& text, const std::string& what);
-
 /// Writes a post-mortem bundle; reports what happened on stdout.
-bool write_postmortem(const telemetry::Watchdog& dog,
+void write_postmortem(const telemetry::Watchdog& dog,
                       const std::string& path) {
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "cannot write " << path << "\n";
-    return false;
-  }
-  os << dog.post_mortem().to_json().dump(2) << "\n";
+  write_text(path, dog.post_mortem().to_json().dump(2) + "\n");
   std::cout << "wrote post-mortem bundle " << path
             << " (replay with `lidtool replay " << path << "`)\n";
-  return true;
 }
 
 /// Prints the watchdog verdict after a trip.
@@ -364,26 +396,8 @@ void print_trip(const telemetry::Watchdog& dog) {
   }
 }
 
-int cmd_simulate(const graph::Topology& topo,
-                 const std::vector<std::string>& rest) {
-  bool worst_case = false;
-  std::uint64_t budget = 1u << 18;
-  std::string pm_path;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--worst-case") {
-      worst_case = true;
-    } else if (rest[i] == "--budget") {
-      LIPLIB_EXPECT(i + 1 < rest.size(), "--budget requires a value");
-      budget = parse_u64(rest[++i], "--budget");
-    } else if (rest[i] == "--postmortem") {
-      LIPLIB_EXPECT(i + 1 < rest.size(), "--postmortem requires a file name");
-      pm_path = rest[++i];
-    } else {
-      std::cerr << "unknown simulate option '" << rest[i] << "'\n\n" << kUsage;
-      return 2;
-    }
-  }
-
+int cmd_simulate(const graph::Topology& topo, bool worst_case,
+                 std::uint64_t budget, const std::string& pm_path) {
   // Watchdog-guarded pass first: a deadlocked/livelocked design is
   // reported (with evidence) instead of silently draining the analyze
   // budget.  Skeleton steps are cheap enough to pay twice.
@@ -397,7 +411,7 @@ int cmd_simulate(const graph::Topology& topo,
     const auto guarded = telemetry::run_guarded(guard, dog, budget);
     if (dog.tripped()) {
       print_trip(dog);
-      if (!pm_path.empty() && !write_postmortem(dog, pm_path)) return 2;
+      if (!pm_path.empty()) write_postmortem(dog, pm_path);
       std::cout << "summary: simulate cycles=" << guarded.cycles
                 << " seed=0 (skeleton runs are deterministic) "
                    "verdict=deadlock\n";
@@ -453,69 +467,30 @@ int cmd_screen(const graph::Topology& topo) {
   return bad ? 1 : 0;
 }
 
-int cmd_prove(const graph::Topology& topo,
-              const std::vector<std::string>& rest) {
-  prove::ProveOptions opts;
-  bool json = false;
-  std::string pm_path;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--worst-case") {
-      opts.worst_case_occupancy = true;
-    } else if (rest[i] == "--method") {
-      LIPLIB_EXPECT(i + 1 < rest.size(), "--method requires a value");
-      const std::string v = rest[++i];
-      LIPLIB_EXPECT(prove::parse_method(v, &opts.method),
-                    "unknown method '" + v +
-                        "' (expected auto | reach | bmc | induction)");
-    } else if (rest[i] == "--depth") {
-      LIPLIB_EXPECT(i + 1 < rest.size(), "--depth requires a value");
-      opts.method = prove::Method::kBmc;
-      opts.depth = parse_u64(rest[++i], "--depth");
-    } else if (rest[i] == "--induction") {
-      opts.method = prove::Method::kInduction;
-    } else if (rest[i] == "--budget") {
-      LIPLIB_EXPECT(i + 1 < rest.size(), "--budget requires a value");
-      opts.max_states = parse_u64(rest[++i], "--budget");
-    } else if (rest[i] == "--policy") {
-      LIPLIB_EXPECT(i + 1 < rest.size(), "--policy requires a value");
-      const std::string v = rest[++i];
-      if (v == "variant") {
-        opts.skeleton.policy = lip::StopPolicy::kCasuDiscardOnVoid;
-      } else if (v == "strict") {
-        opts.skeleton.policy = lip::StopPolicy::kCarloniStrict;
-      } else {
-        std::cerr << "unknown policy '" << v
-                  << "' (expected variant | strict)\n\n"
-                  << kUsage;
-        return 2;
-      }
-    } else if (rest[i] == "--json") {
-      json = true;
-    } else if (rest[i] == "--postmortem") {
-      LIPLIB_EXPECT(i + 1 < rest.size(), "--postmortem requires a file name");
-      pm_path = rest[++i];
-    } else {
-      std::cerr << "unknown prove option '" << rest[i] << "'\n\n" << kUsage;
-      return 2;
-    }
-  }
-  const auto r = prove::prove(topo, opts);
-  if (json) {
+/// `prove <file.lid>`: the daemon's prove request, run locally — the
+/// same knobs, validator and ProveOptions.
+int cmd_prove(const Args& args) {
+  Flags f(args, with(serve::knob_flags(serve::RequestKind::kProve),
+                     {{"--induction", false},
+                      {"--json", false},
+                      {"--postmortem"}}));
+  expect_args(f, 1, "prove <file.lid> [options]");
+  serve::Request req = load_request(serve::RequestKind::kProve, f);
+  if (f.has("--induction")) req.method = prove::Method::kInduction;
+  const auto topo = graph::parse_netlist_annotated_string(req.netlist).topo;
+  const auto r = prove::prove(topo, serve::prove_options(req));
+  if (f.has("--json")) {
     std::cout << r.to_json(topo).dump(2) << "\n";
   } else {
     std::cout << r.to_string(topo);
   }
-  if (!pm_path.empty()) {
+  if (f.has("--postmortem")) {
+    const std::string pm_path = f.value("--postmortem");
     if (!r.postmortem) {
       std::cerr << "no post-mortem bundle to write (verdict "
                 << prove::verdict_name(r.verdict) << ")\n";
     } else {
-      std::ofstream os(pm_path);
-      if (!os) {
-        std::cerr << "cannot write " << pm_path << "\n";
-        return 2;
-      }
-      os << r.postmortem->to_json().dump(2) << "\n";
+      write_text(pm_path, r.postmortem->to_json().dump(2) + "\n");
       std::cerr << "wrote post-mortem bundle " << pm_path
                 << " (replay with `lidtool replay " << pm_path << "`)\n";
     }
@@ -544,9 +519,14 @@ int cmd_flow(const graph::Topology& topo) {
   return result.ok ? 0 : 1;
 }
 
-int cmd_run(std::istream& in, std::uint64_t cycles,
-            const std::string& pm_path) {
-  auto design = pearls::parse_design(in);
+int cmd_run(const Args& args) {
+  const Flags f(args, {{"--postmortem"}});
+  const auto& pos = f.positional();
+  require(pos.size() == 1 || pos.size() == 2,
+          "usage: lidtool run <file.lid> [cycles] [--postmortem FILE]");
+  const std::uint64_t cycles =
+      pos.size() == 2 ? parse_u64(pos[1], "run cycle count") : 1000;
+  auto design = pearls::parse_design_string(read_text(pos[0]));
   auto sys = design.instantiate();
   // Guard the full-data run: a design that deadlocks (half stations on a
   // loop under unlucky occupancy) is reported instead of burning the
@@ -556,7 +536,7 @@ int cmd_run(std::istream& in, std::uint64_t cycles,
   const auto guarded = telemetry::run_guarded(*sys, dog, cycles);
   if (dog.tripped()) {
     print_trip(dog);
-    if (!pm_path.empty() && !write_postmortem(dog, pm_path)) return 2;
+    if (f.has("--postmortem")) write_postmortem(dog, f.value("--postmortem"));
     std::cout << "summary: run cycles=" << guarded.cycles
               << " verdict=deadlock\n";
     return 1;
@@ -588,37 +568,19 @@ int cmd_run(std::istream& in, std::uint64_t cycles,
   return equiv.ok ? 0 : 1;
 }
 
-std::uint64_t parse_u64(const std::string& text, const std::string& what);
-
-int cmd_profile(std::istream& in, const std::vector<std::string>& rest) {
-  std::uint64_t cycles = 10000;
-  std::string trace_path;
-  bool json = false;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--cycles") {
-      LIPLIB_EXPECT(i + 1 < rest.size(), "--cycles requires a value");
-      cycles = parse_u64(rest[++i], "--cycles");
-    } else if (rest[i] == "--trace") {
-      LIPLIB_EXPECT(i + 1 < rest.size(), "--trace requires a file name");
-      trace_path = rest[++i];
-    } else if (rest[i] == "--json") {
-      json = true;
-    } else {
-      std::cerr << "unknown profile option '" << rest[i] << "'\n\n" << kUsage;
-      return 2;
-    }
-  }
-  auto design = pearls::parse_design(in);
+int cmd_profile(const Args& args) {
+  const Flags f(args, {{"--cycles"}, {"--trace"}, {"--json", false}});
+  const auto& pos = expect_args(f, 1, "profile <file.lid> [options]");
+  const std::uint64_t cycles = f.number("--cycles", 10000);
+  auto design = pearls::parse_design_string(read_text(pos[0]));
   auto sys = design.instantiate();
 
   std::ofstream trace_os;
   std::unique_ptr<probe::TraceSink> sink;
+  const std::string trace_path = f.value("--trace");
   if (!trace_path.empty()) {
     trace_os.open(trace_path);
-    if (!trace_os) {
-      std::cerr << "cannot write " << trace_path << "\n";
-      return 2;
-    }
+    require(trace_os.good(), "cannot write " + trace_path);
     sink = std::make_unique<probe::TraceSink>(trace_os);
   }
   probe::ProbeConfig cfg;
@@ -629,7 +591,7 @@ int cmd_profile(std::istream& in, const std::vector<std::string>& rest) {
   probe.finish_trace();
 
   const auto report = probe.report();
-  if (json) {
+  if (f.has("--json")) {
     std::cout << report.to_json().dump(2) << "\n";
     return 0;
   }
@@ -666,14 +628,17 @@ int cmd_profile(std::istream& in, const std::vector<std::string>& rest) {
   return 0;
 }
 
-int cmd_replay(std::istream& in) {
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const auto pm = telemetry::PostMortem::from_json(Json::parse(ss.str()));
+int cmd_replay(const Args& args) {
+  const Flags f(args, {});
+  const auto& pos = expect_args(f, 1, "replay <bundle.json>");
+  const auto pm =
+      telemetry::PostMortem::from_json(Json::parse(read_text(pos[0])));
   std::cout << "bundle: " << telemetry::trip_reason_str(pm.reason)
             << " at cycle " << pm.trip_cycle << ", no progress since cycle "
             << pm.no_progress_since << ", seed " << pm.seed << " ("
-            << (pm.strict ? "strict" : "variant") << " policy, "
+            << lip::policy_name(pm.strict ? lip::StopPolicy::kCarloniStrict
+                                          : lip::StopPolicy::kCasuDiscardOnVoid)
+            << " policy, "
             << (pm.worst_case_occupancy ? "worst-case occupancy" : "from reset")
             << ")\n";
   const auto r = telemetry::replay(pm);
@@ -692,46 +657,27 @@ int cmd_replay(std::istream& in) {
   return r.reproduced ? 0 : 1;
 }
 
-int cmd_bench(int argc, char** argv) {
-  if (argc < 3 || std::string(argv[2]) != "diff") {
-    std::cerr << "bench requires the 'diff' mode: lidtool bench diff "
-                 "<old.json> <new.json>\n\n"
-              << kUsage;
-    return 2;
-  }
+int cmd_bench(const Args& args) {
+  const Flags f(args, {{"--threshold"}, {"--json", false}});
+  const auto& pos = f.positional();
+  require(pos.size() == 3 && pos[0] == "diff",
+          "usage: lidtool bench diff <old.json> <new.json>");
   telemetry::BenchDiffOptions opts;
-  bool json = false;
-  std::vector<std::string> files;
-  for (int i = 3; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--threshold") {
-      LIPLIB_EXPECT(i + 1 < argc, "--threshold requires a value");
-      const std::string v = argv[++i];
-      try {
-        std::size_t used = 0;
-        opts.threshold_pct = std::stod(v, &used);
-        LIPLIB_EXPECT(used == v.size() && opts.threshold_pct >= 0,
-                      "--threshold expects a non-negative percentage");
-      } catch (const ApiError&) {
-        throw;
-      } catch (const std::exception&) {
-        throw ApiError("--threshold expects a number, got '" + v + "'");
-      }
-    } else if (a == "--json") {
-      json = true;
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "unknown bench diff option '" << a << "'\n\n" << kUsage;
-      return 2;
-    } else {
-      files.push_back(a);
+  if (f.has("--threshold")) {
+    const std::string v = f.value("--threshold");
+    try {
+      std::size_t used = 0;
+      opts.threshold_pct = std::stod(v, &used);
+      require(used == v.size() && opts.threshold_pct >= 0,
+              "--threshold expects a non-negative percentage");
+    } catch (const ApiError&) {
+      throw;
+    } catch (const std::exception&) {
+      throw ApiError("--threshold expects a number, got '" + v + "'");
     }
   }
-  if (files.size() != 2) {
-    std::cerr << "bench diff requires exactly two BENCH_*.json files\n";
-    return 2;
-  }
-  const auto diff = telemetry::bench_diff_files(files[0], files[1], opts);
-  if (json) {
+  const auto diff = telemetry::bench_diff_files(pos[1], pos[2], opts);
+  if (f.has("--json")) {
     std::cout << diff.to_json().dump(2) << "\n";
   } else {
     std::cout << diff.to_text();
@@ -752,146 +698,6 @@ int cmd_equalize(graph::Topology topo) {
 }
 
 // ---- campaign subcommand --------------------------------------------------
-
-struct CampaignArgs {
-  campaign::EngineOptions engine;
-  std::size_t station_lo = 1, station_hi = 4;
-  std::vector<lip::StopPolicy> policies;  // empty = command default
-  campaign::FuzzSpec::Shape shape = campaign::FuzzSpec::Shape::kComposite;
-  std::size_t variants = 64;  ///< campaign mix: kind variants to screen
-  std::string json_path;
-  std::string csv_path;
-  /// --shard i/N: run only the planned slice of the job vector (with
-  /// global job identity) and export a liplib.dist.partial/1 document
-  /// to `out_path` instead of the normal report.
-  bool has_shard = false;
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  std::string out_path;
-  /// Canonical campaign identity for the shard manifest; filled by the
-  /// per-mode command once defaults are resolved, so every process
-  /// running the same command line renders the same string.
-  std::string spec_id;
-  std::vector<std::string> positional;
-};
-
-const char* policy_label(lip::StopPolicy p) {
-  return p == lip::StopPolicy::kCarloniStrict ? "strict" : "variant";
-}
-
-const char* shape_label(campaign::FuzzSpec::Shape s) {
-  switch (s) {
-    case campaign::FuzzSpec::Shape::kReconvergent: return "reconvergent";
-    case campaign::FuzzSpec::Shape::kComposite: return "composite";
-    case campaign::FuzzSpec::Shape::kFeedforward: return "feedforward";
-  }
-  return "composite";
-}
-
-std::string policies_label(const std::vector<lip::StopPolicy>& ps) {
-  std::string out;
-  for (const auto p : ps) {
-    if (!out.empty()) out += ',';
-    out += policy_label(p);
-  }
-  return out;
-}
-
-/// An unsigned number with a readable diagnostic ("--seed expects a
-/// number, got 'xyz'").  Decimal digits, or 0x-prefixed hex (seeds are
-/// naturally quoted in hex: failure reports print them that way).
-/// Signs, whitespace, trailing garbage and overflow are rejected, so
-/// "-1", " 7", "1x" or "0x12g3" fail instead of wrapping or truncating.
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  const bool hex = text.size() > 2 && text[0] == '0' &&
-                   (text[1] == 'x' || text[1] == 'X');
-  const char* first = text.data() + (hex ? 2 : 0);
-  const char* last = text.data() + text.size();
-  std::uint64_t v = 0;
-  const auto [p, ec] = std::from_chars(first, last, v, hex ? 16 : 10);
-  if (ec != std::errc() || p != last) {
-    throw ApiError(what + " expects a number, got '" + text + "'");
-  }
-  return v;
-}
-
-/// Parses the flags shared by the campaign subcommands; throws ApiError
-/// on malformed values so main() reports them uniformly.
-CampaignArgs parse_campaign_args(int argc, char** argv, int first) {
-  CampaignArgs args;
-  args.engine.cycle_budget = 1u << 18;
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&](const char* flag) -> std::string {
-      LIPLIB_EXPECT(i + 1 < argc,
-                    std::string(flag) + " requires a value");
-      return argv[++i];
-    };
-    if (a == "--threads") {
-      args.engine.threads =
-          static_cast<unsigned>(parse_u64(value("--threads"), "--threads"));
-    } else if (a == "--seed") {
-      args.engine.base_seed = parse_u64(value("--seed"), "--seed");
-    } else if (a == "--budget") {
-      args.engine.cycle_budget = parse_u64(value("--budget"), "--budget");
-    } else if (a == "--stations") {
-      const std::string v = value("--stations");
-      const auto colon = v.find(':');
-      LIPLIB_EXPECT(colon != std::string::npos,
-                    "--stations expects LO:HI");
-      args.station_lo =
-          static_cast<std::size_t>(parse_u64(v.substr(0, colon), "--stations"));
-      args.station_hi = static_cast<std::size_t>(
-          parse_u64(v.substr(colon + 1), "--stations"));
-      LIPLIB_EXPECT(args.station_lo >= 1 &&
-                        args.station_lo <= args.station_hi,
-                    "--stations range must satisfy 1 <= LO <= HI");
-    } else if (a == "--policy") {
-      const std::string v = value("--policy");
-      if (v == "variant") {
-        args.policies = {lip::StopPolicy::kCasuDiscardOnVoid};
-      } else if (v == "strict") {
-        args.policies = {lip::StopPolicy::kCarloniStrict};
-      } else if (v == "both") {
-        args.policies = {lip::StopPolicy::kCasuDiscardOnVoid,
-                         lip::StopPolicy::kCarloniStrict};
-      } else {
-        throw ApiError("unknown policy '" + v + "'");
-      }
-    } else if (a == "--shape") {
-      const std::string v = value("--shape");
-      if (v == "composite") {
-        args.shape = campaign::FuzzSpec::Shape::kComposite;
-      } else if (v == "reconvergent") {
-        args.shape = campaign::FuzzSpec::Shape::kReconvergent;
-      } else if (v == "feedforward") {
-        args.shape = campaign::FuzzSpec::Shape::kFeedforward;
-      } else {
-        throw ApiError("unknown fuzz shape '" + v + "'");
-      }
-    } else if (a == "--variants") {
-      args.variants = static_cast<std::size_t>(
-          parse_u64(value("--variants"), "--variants"));
-      LIPLIB_EXPECT(args.variants >= 1, "--variants must be at least 1");
-    } else if (a == "--json") {
-      args.json_path = value("--json");
-    } else if (a == "--csv") {
-      args.csv_path = value("--csv");
-    } else if (a == "--shard") {
-      const auto [index, count] = dist::parse_shard_token(value("--shard"));
-      args.has_shard = true;
-      args.shard_index = index;
-      args.shard_count = count;
-    } else if (a == "--out") {
-      args.out_path = value("--out");
-    } else if (!a.empty() && a[0] == '-') {
-      throw ApiError("unknown campaign option '" + a + "'");
-    } else {
-      args.positional.push_back(a);
-    }
-  }
-  return args;
-}
 
 /// Prints the outcome histogram, throughput distribution and failures
 /// of an aggregate — shared by the run, merge and dist reports.
@@ -928,86 +734,116 @@ void print_aggregate_tables(const campaign::Aggregate& agg) {
   }
 }
 
-/// `--shard i/N --out partial.json`: run only the planned slice of the
-/// full job vector — with index_base = lo, so every job keeps its
-/// global (index, seed) identity — and export the slice's aggregate as
-/// a liplib.dist.partial/1 document for `lidtool merge`.
-int run_shard_and_export(const std::vector<campaign::Job>& jobs,
-                         const CampaignArgs& args) {
-  LIPLIB_EXPECT(!args.out_path.empty(),
-                "--shard requires --out FILE for the partial aggregate");
-  const auto range =
-      dist::shard_range(jobs.size(), args.shard_index, args.shard_count);
-  const std::vector<campaign::Job> slice(
-      jobs.begin() + static_cast<std::ptrdiff_t>(range.lo),
-      jobs.begin() + static_cast<std::ptrdiff_t>(range.hi));
-  campaign::EngineOptions eopts = args.engine;
-  eopts.index_base = range.lo;
-  campaign::RunStats stats;
-  const auto results = campaign::Engine(eopts).run(slice, &stats);
-  const auto agg = campaign::aggregate(results);
-  const auto manifest = dist::make_manifest(
-      args.spec_id, jobs.size(), eopts.base_seed, eopts.cycle_budget, range);
-  std::ofstream os(args.out_path);
-  if (!os) {
-    std::cerr << "cannot write " << args.out_path << "\n";
-    return 2;
-  }
-  os << dist::partial_to_json(manifest, agg).dump(2) << "\n";
-  std::cout << "shard " << range.index << "/" << range.count << ": jobs ["
-            << range.lo << ", " << range.hi << ") of " << jobs.size()
-            << ", base seed " << eopts.base_seed << ", " << stats.threads
-            << " thread(s), " << agg.total_cycles
-            << " simulated cycles\nwrote " << args.out_path << "\n";
-  return agg.all_live() ? 0 : 1;
+/// Writes the aggregate's canonical JSON document to `--json PATH`, if
+/// given, and says so.
+void write_aggregate_json(const Flags& f, const campaign::Aggregate& agg) {
+  if (!f.has("--json")) return;
+  write_text(f.value("--json"), campaign::to_json(agg).dump(2) + "\n");
+  std::cout << "\nwrote " << f.value("--json") << "\n";
 }
 
-/// Runs a job batch, prints the aggregate and failures, writes exports.
-/// Returns 0 when every job is live.
-int run_campaign_and_report(const std::vector<campaign::Job>& jobs,
-                            const CampaignArgs& args) {
-  if (args.has_shard || !args.out_path.empty()) {
-    return run_shard_and_export(jobs, args);
-  }
+/// Runs a job batch, prints the aggregate and failures, writes exports;
+/// with `--shard i/N --out FILE` (or `--out` alone: shard 0/1) runs only
+/// that shard and exports its liplib.dist.partial/1 document, stamped
+/// with `spec_id`, for `lidtool merge`.  Returns 0 when every job is
+/// live.
+int run_campaign(const std::vector<campaign::Job>& jobs,
+                 const std::string& spec_id,
+                 const campaign::EngineOptions& eopts, const Flags& f) {
   campaign::RunStats stats;
-  const auto results = campaign::Engine(args.engine).run(jobs, &stats);
+  if (f.has("--shard") || f.has("--out")) {
+    require(f.has("--out"),
+            "--shard requires --out FILE for the partial aggregate");
+    const auto [index, count] =
+        dist::parse_shard_token(f.value("--shard", "0/1"));
+    const auto range = dist::shard_range(jobs.size(), index, count);
+    const auto part = dist::run_shard(
+        jobs,
+        dist::make_manifest(spec_id, jobs.size(), eopts.base_seed,
+                            eopts.cycle_budget, range),
+        eopts, &stats);
+    write_text(f.value("--out"),
+               dist::partial_to_json(part.manifest, part.aggregate).dump(2) +
+                   "\n");
+    std::cout << "shard " << range.index << "/" << range.count << ": jobs ["
+              << range.lo << ", " << range.hi << ") of " << jobs.size()
+              << ", base seed " << eopts.base_seed << ", " << stats.threads
+              << " thread(s), " << part.aggregate.total_cycles
+              << " simulated cycles\nwrote " << f.value("--out") << "\n";
+    return part.aggregate.all_live() ? 0 : 1;
+  }
+  const auto results = campaign::Engine(eopts).run(jobs, &stats);
   const auto agg = campaign::aggregate(results);
 
   std::cout << jobs.size() << " jobs on " << stats.threads
-            << " worker thread(s), base seed " << args.engine.base_seed
-            << ", " << stats.steals << " steals, " << agg.total_cycles
+            << " worker thread(s), base seed " << eopts.base_seed << ", "
+            << stats.steals << " steals, " << agg.total_cycles
             << " simulated cycles, " << stats.wall_seconds << " s wall\n\n";
-
   print_aggregate_tables(agg);
-
-  if (!args.json_path.empty()) {
-    std::ofstream os(args.json_path);
-    os << campaign::to_json(agg).dump(2) << "\n";
-    std::cout << "\nwrote " << args.json_path << "\n";
-  }
-  if (!args.csv_path.empty()) {
-    std::ofstream os(args.csv_path);
-    os << campaign::to_csv(results);
-    std::cout << "wrote " << args.csv_path << "\n";
+  write_aggregate_json(f, agg);
+  if (f.has("--csv")) {
+    write_text(f.value("--csv"), campaign::to_csv(results));
+    std::cout << "wrote " << f.value("--csv") << "\n";
   }
   return agg.all_live() ? 0 : 1;
+}
+
+/// The campaign a named-campaign request (`campaign <mode> <jobs>`,
+/// `dist coordinate <mode> <jobs>`: the daemon's request, same knobs and
+/// validator) runs, with the command line's `--shape`.
+campaign::NamedCampaignSpec named_spec(const serve::Request& req,
+                                       const Flags& f) {
+  campaign::NamedCampaignSpec spec = serve::campaign_spec(req);
+  if (f.has("--shape")) {
+    const std::string shape = f.value("--shape");
+    require(campaign::parse_shape(shape, &spec.shape),
+            "unknown fuzz shape '" + shape + "'");
+  }
+  return spec;
+}
+
+/// A sweep or mix `--policy`: variant | strict, plus `both` where
+/// `allow_both` (sweep only, where it is also the default).
+std::vector<lip::StopPolicy> policy_flag(const Flags& f, bool allow_both) {
+  const std::vector<lip::StopPolicy> both = {
+      lip::StopPolicy::kCasuDiscardOnVoid, lip::StopPolicy::kCarloniStrict};
+  if (!f.has("--policy")) return allow_both ? both : std::vector{both[0]};
+  const std::string v = f.value("--policy");
+  if (allow_both && v == "both") return both;
+  lip::StopPolicy p = lip::StopPolicy::kCasuDiscardOnVoid;
+  require(lip::parse_policy(v, &p),
+          "unknown policy '" + v + "' (expected variant | strict" +
+              (allow_both ? " | both)" : ")"));
+  return {p};
 }
 
 /// `campaign sweep <file.lid>`: replicate the design's process-to-process
 /// channels at every station count in the range, under each stop policy,
 /// and measure the exact steady state of each variant.
-int cmd_campaign_sweep(const graph::Topology& base, CampaignArgs args) {
-  if (args.policies.empty()) {
-    args.policies = {lip::StopPolicy::kCasuDiscardOnVoid,
-                     lip::StopPolicy::kCarloniStrict};
+std::pair<std::vector<campaign::Job>, std::string> sweep_jobs(
+    const Flags& f) {
+  const auto& pos = expect_args(f, 2, "campaign sweep <file.lid> [options]");
+  const graph::Topology base = load_topology(pos[1]);
+  std::size_t lo = 1, hi = 4;
+  if (f.has("--stations")) {
+    const std::string v = f.value("--stations");
+    const auto colon = v.find(':');
+    require(colon != std::string::npos, "--stations expects LO:HI");
+    lo = static_cast<std::size_t>(parse_u64(v.substr(0, colon), "--stations"));
+    hi = static_cast<std::size_t>(parse_u64(v.substr(colon + 1), "--stations"));
+    require(lo >= 1 && lo <= hi,
+            "--stations range must satisfy 1 <= LO <= HI");
   }
-  args.spec_id = "lidtool/sweep;netlist=" +
-                 std::to_string(serve::topology_hash(base)) +
-                 ";stations=" + std::to_string(args.station_lo) + ":" +
-                 std::to_string(args.station_hi) +
-                 ";policies=" + policies_label(args.policies);
+  const auto policies = policy_flag(f, /*allow_both=*/true);
+  std::string spec_id = "lidtool/sweep;netlist=" +
+                        std::to_string(serve::topology_hash(base)) +
+                        ";stations=" + std::to_string(lo) + ":" +
+                        std::to_string(hi) + ";policies=";
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    spec_id += (i ? "," : "") + std::string(lip::policy_name(policies[i]));
+  }
   std::vector<campaign::Job> jobs;
-  for (std::size_t k = args.station_lo; k <= args.station_hi; ++k) {
+  for (std::size_t k = lo; k <= hi; ++k) {
     graph::Topology variant = base;
     for (graph::ChannelId c = 0; c < variant.channels().size(); ++c) {
       auto& ch = variant.channel_mut(c);
@@ -1020,142 +856,69 @@ int cmd_campaign_sweep(const graph::Topology& base, CampaignArgs args) {
         ch.stations.assign(k, kind);
       }
     }
-    for (auto policy : args.policies) {
+    for (auto policy : policies) {
       skeleton::SkeletonOptions opts;
       opts.policy = policy;
       jobs.push_back(campaign::make_steady_state_job(
-          "sweep/st=" + std::to_string(k) + "/" + policy_label(policy),
+          "sweep/st=" + std::to_string(k) + "/" + lip::policy_name(policy),
           variant, opts));
     }
   }
-  return run_campaign_and_report(jobs, args);
-}
-
-/// `campaign fuzz <N>`: screen N randomized topologies, cross-checking
-/// measured throughput against the analytic bounds.
-int cmd_campaign_fuzz(std::size_t n, CampaignArgs args) {
-  if (args.policies.empty()) {
-    args.policies = {lip::StopPolicy::kCasuDiscardOnVoid};
-  }
-  args.spec_id = "lidtool/fuzz;n=" + std::to_string(n) +
-                 ";shape=" + shape_label(args.shape) +
-                 ";policies=" + policies_label(args.policies);
-  std::vector<campaign::Job> jobs;
-  for (std::size_t i = 0; i < n; ++i) {
-    campaign::FuzzSpec spec;
-    spec.shape = args.shape;
-    spec.policy = args.policies[i % args.policies.size()];
-    spec.size = 4;
-    jobs.push_back(campaign::make_fuzz_job(
-        "fuzz/" + std::to_string(i) + "/" + policy_label(spec.policy),
-        spec));
-  }
-  return run_campaign_and_report(jobs, args);
+  return {std::move(jobs), spec_id};
 }
 
 /// `campaign mix <file.lid>`: screen N random half/full station-kind
 /// variants of one design from worst-case occupancy, batched 64 variants
 /// per job into one bit-sliced evaluation.
-int cmd_campaign_mix(graph::Topology topo, CampaignArgs args) {
+std::pair<std::vector<campaign::Job>, std::string> mix_jobs(const Flags& f) {
+  const auto& pos = expect_args(f, 2, "campaign mix <file.lid> [options]");
   campaign::MixScreenSpec spec;
-  spec.topo = std::move(topo);
-  if (!args.policies.empty()) spec.skeleton.policy = args.policies.front();
-  spec.variants = args.variants;
-  args.spec_id = "lidtool/mix;netlist=" +
-                 std::to_string(serve::topology_hash(spec.topo)) +
-                 ";variants=" + std::to_string(spec.variants) +
-                 ";policy=" + policy_label(spec.skeleton.policy);
+  spec.topo = load_topology(pos[1]);
+  spec.skeleton.policy = policy_flag(f, /*allow_both=*/false).front();
+  spec.variants = static_cast<std::size_t>(f.number("--variants", 64));
+  require(spec.variants >= 1, "--variants must be at least 1");
+  std::string spec_id = "lidtool/mix;netlist=" +
+                        std::to_string(serve::topology_hash(spec.topo)) +
+                        ";variants=" + std::to_string(spec.variants) +
+                        ";policy=" + lip::policy_name(spec.skeleton.policy);
   std::cout << "screening " << spec.variants
             << " station-kind variants, 64 per bit-sliced job\n\n";
-  return run_campaign_and_report(campaign::make_mix_screen_campaign(spec),
-                                 args);
+  return {campaign::make_mix_screen_campaign(std::move(spec)), spec_id};
 }
 
-int cmd_campaign(int argc, char** argv) {
-  if (argc < 3) {
-    std::cerr << "campaign requires a mode: "
-                 "sweep | fuzz | lint | probe | prove | mix | t1\n"
-              << kUsage;
-    return 2;
+int cmd_campaign(const Args& args) {
+  const Flags f(args,
+                with(serve::knob_flags(serve::RequestKind::kCampaign),
+                     {{"--threads"}, {"--stations"}, {"--shape"},
+                      {"--variants"}, {"--json"}, {"--csv"}, {"--shard"},
+                      {"--out"}}));
+  require(!f.positional().empty(),
+          "campaign requires a mode: sweep | fuzz | lint | probe | "
+          "prove | mix | t1");
+  const std::string mode = f.positional()[0];
+  campaign::EngineOptions eopts;
+  eopts.threads = static_cast<unsigned>(f.number("--threads", 0));
+  eopts.base_seed = f.number("--seed", 1);
+  eopts.cycle_budget = f.number("--budget", 0);
+  if (eopts.cycle_budget == 0) eopts.cycle_budget = serve::kDefaultCycleBudget;
+
+  campaign::CampaignMode named = campaign::CampaignMode::kFuzz;
+  if (campaign::parse_campaign_mode(mode, &named)) {
+    const auto spec = named_spec(
+        serve::request_from_flags(serve::RequestKind::kCampaign, f), f);
+    return run_campaign(campaign::make_named_campaign(spec),
+                        dist::named_campaign_to_string(spec), eopts, f);
   }
-  const std::string mode = argv[2];
-  auto args = parse_campaign_args(argc, argv, 3);
-  if (mode == "sweep") {
-    if (args.positional.size() != 1) {
-      std::cerr << "campaign sweep requires exactly one <file.lid>\n";
-      return 2;
-    }
-    std::ifstream in(args.positional[0]);
-    if (!in) {
-      std::cerr << "cannot open " << args.positional[0] << "\n";
-      return 2;
-    }
-    return cmd_campaign_sweep(graph::parse_netlist_annotated(in).topo,
-                              std::move(args));
+  if (mode == "sweep" || mode == "mix") {
+    const auto [jobs, spec_id] = mode == "sweep" ? sweep_jobs(f) : mix_jobs(f);
+    return run_campaign(jobs, spec_id, eopts, f);
   }
-  if (mode == "fuzz") {
-    if (args.positional.size() != 1) {
-      std::cerr << "campaign fuzz requires a job count\n";
-      return 2;
-    }
-    // Evaluated before the move below (argument order is unspecified).
-    const std::size_t n =
-        static_cast<std::size_t>(parse_u64(args.positional[0], "fuzz count"));
-    return cmd_campaign_fuzz(n, std::move(args));
-  }
-  if (mode == "lint") {
-    if (args.positional.size() != 1) {
-      std::cerr << "campaign lint requires a job count\n";
-      return 2;
-    }
-    const std::size_t n =
-        static_cast<std::size_t>(parse_u64(args.positional[0], "lint count"));
-    args.spec_id = "lidtool/lint;n=" + std::to_string(n);
-    return run_campaign_and_report(campaign::make_lint_crosscheck_campaign(n),
-                                   args);
-  }
-  if (mode == "probe") {
-    if (args.positional.size() != 1) {
-      std::cerr << "campaign probe requires a job count\n";
-      return 2;
-    }
-    const std::size_t n =
-        static_cast<std::size_t>(parse_u64(args.positional[0], "probe count"));
-    args.spec_id = "lidtool/probe;n=" + std::to_string(n);
-    return run_campaign_and_report(campaign::make_probe_campaign(n), args);
-  }
-  if (mode == "prove") {
-    if (args.positional.size() != 1) {
-      std::cerr << "campaign prove requires a job count\n";
-      return 2;
-    }
-    const std::size_t n =
-        static_cast<std::size_t>(parse_u64(args.positional[0], "prove count"));
-    args.spec_id = "lidtool/prove;n=" + std::to_string(n);
-    return run_campaign_and_report(campaign::make_prove_crosscheck_campaign(n),
-                                   args);
-  }
-  if (mode == "mix") {
-    if (args.positional.size() != 1) {
-      std::cerr << "campaign mix requires exactly one <file.lid>\n";
-      return 2;
-    }
-    std::ifstream in(args.positional[0]);
-    if (!in) {
-      std::cerr << "cannot open " << args.positional[0] << "\n";
-      return 2;
-    }
-    return cmd_campaign_mix(graph::parse_netlist_annotated(in).topo,
-                            std::move(args));
-  }
-  if (mode == "t1") {
-    std::cout << "EXPERIMENTS.md T1 fuzz pass: 300 random reconvergences "
-                 "x 2 policies + 150 random composites = 750 runs\n\n";
-    args.spec_id = "lidtool/t1";
-    return run_campaign_and_report(campaign::make_t1_fuzz_campaign(), args);
-  }
-  std::cerr << "unknown campaign mode '" << mode << "'\n" << kUsage;
-  return 2;
+  require(mode == "t1", "unknown campaign mode '" + mode + "'");
+  expect_args(f, 1, "campaign t1 [options]");
+  std::cout << "EXPERIMENTS.md T1 fuzz pass: 300 random reconvergences "
+               "x 2 policies + 150 random composites = 750 runs\n\n";
+  return run_campaign(campaign::make_t1_fuzz_campaign(), "lidtool/t1", eopts,
+                      f);
 }
 
 // ---- merge / dist subcommands ---------------------------------------------
@@ -1165,123 +928,43 @@ int cmd_campaign(int argc, char** argv) {
 /// whole job vector), folds the aggregates with campaign::merge and
 /// writes/prints the result — byte-identical to the single-process
 /// `campaign ... --json` document.
-int cmd_merge(int argc, char** argv) {
-  std::vector<std::string> files;
-  std::string json_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json") {
-      LIPLIB_EXPECT(i + 1 < argc, "--json requires a file name");
-      json_path = argv[++i];
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "unknown merge option '" << a << "'\n\n" << kUsage;
-      return 2;
-    } else {
-      files.push_back(a);
-    }
-  }
-  if (files.empty()) {
-    std::cerr << "merge requires at least one partial.json\n\n" << kUsage;
-    return 2;
-  }
+int cmd_merge(const Args& args) {
+  const Flags f(args, {{"--json"}});
+  require(!f.positional().empty(),
+          "merge requires at least one partial.json");
   std::vector<dist::Partial> parts;
-  for (const auto& file : files) {
-    std::ifstream in(file);
-    if (!in) {
-      std::cerr << "cannot open " << file << "\n";
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    parts.push_back(dist::partial_from_json(Json::parse(ss.str())));
+  for (const auto& file : f.positional()) {
+    parts.push_back(dist::partial_from_json(Json::parse(read_text(file))));
   }
   const std::string campaign_spec = parts.front().manifest.campaign;
   const auto agg = dist::merge_partials(std::move(parts));
-  std::cout << "merged " << files.size() << " partial(s) of campaign '"
-            << campaign_spec << "': " << agg.total << " jobs, "
-            << agg.total_cycles << " simulated cycles\n\n";
+  std::cout << "merged " << f.positional().size()
+            << " partial(s) of campaign '" << campaign_spec
+            << "': " << agg.total << " jobs, " << agg.total_cycles
+            << " simulated cycles\n\n";
   print_aggregate_tables(agg);
-  if (!json_path.empty()) {
-    std::ofstream os(json_path);
-    if (!os) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
-    os << campaign::to_json(agg).dump(2) << "\n";
-    std::cout << "\nwrote " << json_path << "\n";
-  }
+  write_aggregate_json(f, agg);
   return agg.all_live() ? 0 : 1;
 }
 
 /// `lidtool dist coordinate <mode> <jobs>`: run the straggler-aware
 /// coordinator for a named campaign and print the merged aggregate.
-int cmd_dist_coordinate(int argc, char** argv) {
+int cmd_dist_coordinate(const Args& args) {
+  const Flags f(args,
+                with(serve::knob_flags(serve::RequestKind::kCampaign),
+                     {{"--shape"}, {"--port"}, {"--shards"}, {"--lease-ms"},
+                      {"--json"}, {"--trace"}}));
+  const serve::Request req =
+      serve::request_from_flags(serve::RequestKind::kCampaign, f);
   dist::CoordinatorOptions opts;
-  std::string json_path;
-  std::string trace_path;
-  std::vector<std::string> positional;
-  for (int i = 3; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&](const char* flag) -> std::string {
-      LIPLIB_EXPECT(i + 1 < argc, std::string(flag) + " requires a value");
-      return argv[++i];
-    };
-    if (a == "--port") {
-      opts.port =
-          static_cast<std::uint16_t>(parse_u64(value("--port"), "--port"));
-    } else if (a == "--shards") {
-      opts.shards =
-          static_cast<std::size_t>(parse_u64(value("--shards"), "--shards"));
-      LIPLIB_EXPECT(opts.shards >= 1, "--shards must be at least 1");
-    } else if (a == "--seed") {
-      opts.base_seed = parse_u64(value("--seed"), "--seed");
-    } else if (a == "--budget") {
-      opts.cycle_budget = parse_u64(value("--budget"), "--budget");
-    } else if (a == "--lease-ms") {
-      opts.lease_ms = parse_u64(value("--lease-ms"), "--lease-ms");
-    } else if (a == "--policy") {
-      const std::string v = value("--policy");
-      if (v == "strict") {
-        opts.spec.policy = lip::StopPolicy::kCarloniStrict;
-      } else if (v == "variant") {
-        opts.spec.policy = lip::StopPolicy::kCasuDiscardOnVoid;
-      } else {
-        throw ApiError("unknown policy '" + v + "'");
-      }
-    } else if (a == "--shape") {
-      const std::string v = value("--shape");
-      if (v == "composite") {
-        opts.spec.shape = campaign::FuzzSpec::Shape::kComposite;
-      } else if (v == "reconvergent") {
-        opts.spec.shape = campaign::FuzzSpec::Shape::kReconvergent;
-      } else if (v == "feedforward") {
-        opts.spec.shape = campaign::FuzzSpec::Shape::kFeedforward;
-      } else {
-        throw ApiError("unknown fuzz shape '" + v + "'");
-      }
-    } else if (a == "--json") {
-      json_path = value("--json");
-    } else if (a == "--trace") {
-      trace_path = value("--trace");
-      opts.trace = true;
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "unknown dist coordinate option '" << a << "'\n\n"
-                << kUsage;
-      return 2;
-    } else {
-      positional.push_back(a);
-    }
-  }
-  if (positional.size() != 2) {
-    std::cerr << "dist coordinate requires <fuzz|lint|probe|prove> "
-                 "<jobs>\n\n"
-              << kUsage;
-    return 2;
-  }
-  opts.spec.mode = positional[0];
-  opts.spec.jobs =
-      static_cast<std::size_t>(parse_u64(positional[1], "dist jobs"));
-  LIPLIB_EXPECT(opts.spec.jobs >= 1, "dist jobs must be at least 1");
+  opts.spec = named_spec(req, f);
+  opts.base_seed = req.seed;
+  opts.cycle_budget = serve::effective_budget(req);
+  opts.port = static_cast<std::uint16_t>(f.number("--port", 0));
+  opts.shards = static_cast<std::size_t>(f.number("--shards", opts.shards));
+  require(opts.shards >= 1, "--shards must be at least 1");
+  opts.lease_ms = f.number("--lease-ms", opts.lease_ms);
+  opts.trace = f.has("--trace");
 
   dist::Coordinator coord(opts);
   coord.start();
@@ -1300,22 +983,10 @@ int cmd_dist_coordinate(int argc, char** argv) {
             << stats.duplicates << " duplicate(s), " << stats.bytes_merged
             << " bytes merged\n\n";
   print_aggregate_tables(agg);
-  if (!json_path.empty()) {
-    std::ofstream os(json_path);
-    if (!os) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
-    os << campaign::to_json(agg).dump(2) << "\n";
-    std::cout << "\nwrote " << json_path << "\n";
-  }
-  if (!trace_path.empty()) {
-    std::ofstream os(trace_path);
-    if (!os) {
-      std::cerr << "cannot write " << trace_path << "\n";
-      return 2;
-    }
-    os << coord.trace_json().dump(2) << "\n";
+  write_aggregate_json(f, agg);
+  if (opts.trace) {
+    const std::string trace_path = f.value("--trace");
+    write_text(trace_path, coord.trace_json().dump(2) + "\n");
     std::cout << "wrote " << trace_path
               << " (merge/export with `lidtool trace " << trace_path
               << " -o out.json`)\n";
@@ -1325,32 +996,15 @@ int cmd_dist_coordinate(int argc, char** argv) {
 
 /// `lidtool dist work`: pull shard leases from a coordinator until the
 /// campaign is done.
-int cmd_dist_work(int argc, char** argv) {
+int cmd_dist_work(const Args& args) {
+  const Flags f(args, {{"--port"}, {"--threads"}, {"--die-after-lease"}});
+  expect_args(f, 0, "dist work --port N [--threads N]");
   dist::WorkerOptions opts;
-  for (int i = 3; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&](const char* flag) -> std::string {
-      LIPLIB_EXPECT(i + 1 < argc, std::string(flag) + " requires a value");
-      return argv[++i];
-    };
-    if (a == "--port") {
-      opts.port =
-          static_cast<std::uint16_t>(parse_u64(value("--port"), "--port"));
-    } else if (a == "--threads") {
-      opts.threads =
-          static_cast<unsigned>(parse_u64(value("--threads"), "--threads"));
-    } else if (a == "--die-after-lease") {
-      opts.die_after_lease = static_cast<std::size_t>(
-          parse_u64(value("--die-after-lease"), "--die-after-lease"));
-    } else {
-      std::cerr << "unknown dist work option '" << a << "'\n\n" << kUsage;
-      return 2;
-    }
-  }
-  if (opts.port == 0) {
-    std::cerr << "dist work requires --port <coordinator port>\n\n" << kUsage;
-    return 2;
-  }
+  opts.port = static_cast<std::uint16_t>(f.number("--port", 0));
+  opts.threads = static_cast<unsigned>(f.number("--threads", 0));
+  opts.die_after_lease =
+      static_cast<std::size_t>(f.number("--die-after-lease", 0));
+  require(opts.port != 0, "dist work requires --port <coordinator port>");
   const auto stats = dist::run_worker(opts);
   std::cout << "worker done: " << stats.leases << " lease(s), "
             << stats.submitted << " partial(s) submitted, " << stats.rejected
@@ -1359,80 +1013,22 @@ int cmd_dist_work(int argc, char** argv) {
   return 0;
 }
 
-int cmd_dist(int argc, char** argv) {
-  const std::string sub = argc >= 3 ? argv[2] : "";
-  if (sub == "coordinate") return cmd_dist_coordinate(argc, argv);
-  if (sub == "work") return cmd_dist_work(argc, argv);
-  std::cerr << "dist requires a role: coordinate | work\n\n" << kUsage;
-  return 2;
+int cmd_dist(const Args& args) {
+  const std::string role = args.empty() ? "" : args[0];
+  const Args rest(args.begin() + (args.empty() ? 0 : 1), args.end());
+  if (role == "coordinate") return cmd_dist_coordinate(rest);
+  if (role == "work") return cmd_dist_work(rest);
+  throw ApiError("dist requires a role: coordinate | work");
 }
 
 // ---- trace subcommand -----------------------------------------------------
 
-/// One length-prefixed JSON round trip against a loopback daemon (serve
-/// or dist coordinator — both use liplib.rpc/1 framing).  Throws
-/// ApiError when the peer is unreachable or answers garbage.
-Json loopback_rpc(std::uint16_t port, const Json& request,
-                  const char* who) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  LIPLIB_EXPECT(fd >= 0, std::string("socket failed: ") +
-                             std::strerror(errno));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw ApiError(std::string("cannot connect to ") + who +
-                   " on 127.0.0.1:" + std::to_string(port) + ": " +
-                   std::strerror(err));
-  }
-  try {
-    serve::write_frame(fd, request.dump());
-    std::string payload;
-    LIPLIB_EXPECT(serve::read_frame(fd, payload),
-                  std::string(who) +
-                      " closed the connection without answering");
-    ::close(fd);
-    return Json::parse(payload);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-}
-
 /// `lidtool trace`: fold span documents (files and/or live scrapes) and
 /// Chrome/Perfetto trace files into one timeline; check integrity;
 /// optionally export merged Perfetto JSON.
-int cmd_trace(int argc, char** argv) {
-  std::vector<std::string> files;
-  std::string out_path;
-  bool check = false;
-  std::uint64_t scrape_port = 0;
-  std::uint64_t scrape_dist = 0;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&](const char* flag) -> std::string {
-      LIPLIB_EXPECT(i + 1 < argc, std::string(flag) + " requires a value");
-      return argv[++i];
-    };
-    if (a == "-o") {
-      out_path = value("-o");
-    } else if (a == "--scrape") {
-      scrape_port = parse_u64(value("--scrape"), "--scrape");
-    } else if (a == "--scrape-dist") {
-      scrape_dist = parse_u64(value("--scrape-dist"), "--scrape-dist");
-    } else if (a == "--check") {
-      check = true;
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "unknown trace option '" << a << "'\n\n" << kUsage;
-      return 2;
-    } else {
-      files.push_back(a);
-    }
-  }
-
+int cmd_trace(const Args& args) {
+  const Flags f(args, {{"-o"}, {"--scrape"}, {"--scrape-dist"},
+                       {"--check", false}});
   std::vector<trace::Span> spans;
   std::vector<std::string> raw_events;  // spliced Chrome events, verbatim
   auto fold_doc = [&](const Json& doc, const std::string& origin) {
@@ -1447,8 +1043,8 @@ int cmd_trace(int argc, char** argv) {
         }
       }
       if (const Json* ev = doc.find("traceEvents")) {
-        LIPLIB_EXPECT(ev->is_array(),
-                      origin + ": 'traceEvents' must be an array");
+        require(ev->is_array(),
+                origin + ": 'traceEvents' must be an array");
         for (const Json& e : ev->elements()) raw_events.push_back(e.dump());
         return;
       }
@@ -1461,35 +1057,31 @@ int cmd_trace(int argc, char** argv) {
                    " document nor Chrome trace JSON");
   };
 
-  for (const auto& file : files) {
-    std::ifstream in(file);
-    if (!in) {
-      std::cerr << "cannot open " << file << "\n";
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    fold_doc(Json::parse(ss.str()), file);
+  for (const auto& file : f.positional()) {
+    fold_doc(Json::parse(read_text(file)), file);
   }
-  if (scrape_port) {
-    const Json response = loopback_rpc(
-        static_cast<std::uint16_t>(scrape_port),
-        Json::object().set("rpc", serve::kRpcSchema).set("kind", "trace"),
-        "serve daemon");
+  if (f.has("--scrape")) {
+    serve::Request scrape;
+    scrape.kind = serve::RequestKind::kTrace;
+    const Json response = Json::parse(serve::call(
+        static_cast<std::uint16_t>(f.number("--scrape", 0)),
+        serve::to_json(scrape).dump()));
     const Json* ok = response.find("ok");
-    LIPLIB_EXPECT(ok && ok->is_bool() && ok->as_bool(),
-                  "serve daemon rejected the trace scrape");
+    require(ok && ok->is_bool() && ok->as_bool(),
+            "serve daemon rejected the trace scrape");
     const Json* result = response.find("result");
-    LIPLIB_EXPECT(result, "trace response carries no result");
+    require(result, "trace response carries no result");
     fold_doc(*result, "serve scrape");
   }
-  if (scrape_dist) {
-    const Json response = loopback_rpc(
-        static_cast<std::uint16_t>(scrape_dist),
-        Json::object().set("rpc", dist::kDistRpcSchema).set("msg", "trace"),
-        "dist coordinator");
+  if (f.has("--scrape-dist")) {
+    const Json response = Json::parse(serve::call(
+        static_cast<std::uint16_t>(f.number("--scrape-dist", 0)),
+        Json::object()
+            .set("rpc", dist::kDistRpcSchema)
+            .set("msg", "trace")
+            .dump()));
     const Json* doc = response.find("doc");
-    LIPLIB_EXPECT(doc, "coordinator trace response carries no 'doc'");
+    require(doc, "coordinator trace response carries no 'doc'");
     fold_doc(*doc, "dist scrape");
   }
 
@@ -1504,12 +1096,10 @@ int cmd_trace(int argc, char** argv) {
             << " spliced probe event(s); integrity "
             << (sound ? "ok" : "BROKEN: " + err) << "\n";
 
-  if (!out_path.empty()) {
+  if (f.has("-o")) {
+    const std::string out_path = f.value("-o");
     std::ofstream os(out_path);
-    if (!os) {
-      std::cerr << "cannot write " << out_path << "\n";
-      return 2;
-    }
+    require(os.good(), "cannot write " + out_path);
     probe::TraceSink sink(os);
     trace::export_perfetto(spans, sink);
     for (const auto& e : raw_events) sink.raw_event(e);
@@ -1517,40 +1107,22 @@ int cmd_trace(int argc, char** argv) {
     std::cout << "wrote " << out_path << " (" << sink.bytes_written()
               << " bytes; open at ui.perfetto.dev)\n";
   }
-  return sound ? 0 : (check ? 1 : 0);
+  return sound || !f.has("--check") ? 0 : 1;
 }
 
 // ---- serve / client subcommands -------------------------------------------
 
-int cmd_serve(int argc, char** argv) {
+int cmd_serve(const Args& args) {
+  const Flags f(args, {{"--port"}, {"--threads"}, {"--cache-mb"}, {"--ttl"},
+                       {"--budget"}});
+  expect_args(f, 0, "serve [options]");
   serve::ServerOptions opts;
-  opts.port = 7177;
-  std::uint64_t ttl_s = 600;
-  std::uint64_t cache_mb = 64;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&](const char* flag) -> std::string {
-      LIPLIB_EXPECT(i + 1 < argc, std::string(flag) + " requires a value");
-      return argv[++i];
-    };
-    if (a == "--port") {
-      opts.port = static_cast<std::uint16_t>(
-          parse_u64(value("--port"), "--port"));
-    } else if (a == "--threads") {
-      opts.threads =
-          static_cast<unsigned>(parse_u64(value("--threads"), "--threads"));
-    } else if (a == "--cache-mb") {
-      cache_mb = parse_u64(value("--cache-mb"), "--cache-mb");
-    } else if (a == "--ttl") {
-      ttl_s = parse_u64(value("--ttl"), "--ttl");
-    } else if (a == "--budget") {
-      opts.default_budget = parse_u64(value("--budget"), "--budget");
-      opts.max_budget = std::max(opts.max_budget, opts.default_budget);
-    } else {
-      std::cerr << "unknown serve option '" << a << "'\n\n" << kUsage;
-      return 2;
-    }
-  }
+  opts.port = static_cast<std::uint16_t>(f.number("--port", 7177));
+  opts.threads = static_cast<unsigned>(f.number("--threads", 0));
+  const std::uint64_t cache_mb = f.number("--cache-mb", 64);
+  const std::uint64_t ttl_s = f.number("--ttl", 600);
+  opts.default_budget = f.number("--budget", opts.default_budget);
+  opts.max_budget = std::max(opts.max_budget, opts.default_budget);
   opts.cache.capacity_bytes = static_cast<std::size_t>(cache_mb) << 20;
   opts.cache.ttl_ms = ttl_s * 1000;
 
@@ -1572,333 +1144,185 @@ int cmd_serve(int argc, char** argv) {
   return 0;
 }
 
-int cmd_client(int argc, char** argv) {
-  std::uint16_t port = 7177;
-  Json request = Json::object().set("rpc", serve::kRpcSchema);
-  std::string kind;
-  std::string trace_out;
-  std::vector<std::string> positional;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&](const char* flag) -> std::string {
-      LIPLIB_EXPECT(i + 1 < argc, std::string(flag) + " requires a value");
-      return argv[++i];
-    };
-    if (a == "--port") {
-      port = static_cast<std::uint16_t>(parse_u64(value("--port"), "--port"));
-    } else if (a == "--policy") {
-      request.set("policy", value("--policy"));
-    } else if (a == "--budget") {
-      request.set("budget", parse_u64(value("--budget"), "--budget"));
-    } else if (a == "--cycles") {
-      request.set("cycles", parse_u64(value("--cycles"), "--cycles"));
-    } else if (a == "--seed") {
-      request.set("seed", parse_u64(value("--seed"), "--seed"));
-    } else if (a == "--method") {
-      request.set("method", value("--method"));
-    } else if (a == "--depth") {
-      request.set("depth", parse_u64(value("--depth"), "--depth"));
-    } else if (a == "--worst-case") {
-      request.set("worst_case", true);
-    } else if (a == "--coordinator") {
-      request.set("port",
-                  parse_u64(value("--coordinator"), "--coordinator"));
-    } else if (a == "--id") {
-      request.set("id", value("--id"));
-    } else if (a == "--trace") {
-      trace_out = value("--trace");
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "unknown client option '" << a << "'\n\n" << kUsage;
-      return 2;
-    } else if (kind.empty()) {
-      kind = a;
-    } else {
-      positional.push_back(a);
-    }
+/// `lidtool client <kind> ...`: flags -> Request through the knob table
+/// (a kind accepts only its own knob flags), then the request's
+/// canonical document goes to the daemon.
+int cmd_client(const Args& args) {
+  const std::vector<FlagSpec> own = {{"--port"}, {"--id"}, {"--trace"}};
+  // Flags may precede the kind, so the kind is found with every knob
+  // flag allowed, then the arguments are re-read with the kind's own.
+  std::vector<FlagSpec> every = own;
+  for (int k = 0; k < serve::kRequestKindCount; ++k) {
+    every = with(every, serve::knob_flags(static_cast<serve::RequestKind>(k)));
   }
-  if (kind.empty()) {
-    std::cerr << "client requires a request kind: lint | screen | profile | "
-                 "prove | campaign | status | shutdown | dist-status | "
-                 "metrics | trace\n\n"
-              << kUsage;
-    return 2;
-  }
-  request.set("kind", kind);
-  if (kind == "lint" || kind == "screen" || kind == "profile" ||
-      kind == "prove") {
-    if (positional.size() != 1) {
-      std::cerr << "client " << kind << " requires exactly one <file.lid>\n";
-      return 2;
-    }
-    std::ifstream in(positional[0]);
-    if (!in) {
-      std::cerr << "cannot open " << positional[0] << "\n";
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    request.set("netlist", ss.str());
-  } else if (kind == "campaign") {
-    if (positional.size() != 2) {
-      std::cerr << "client campaign requires <fuzz|lint|probe|prove> "
-                   "<jobs>\n";
-      return 2;
-    }
-    request.set("mode", positional[0]);
-    request.set("jobs", parse_u64(positional[1], "campaign jobs"));
-  } else if (kind == "status" || kind == "shutdown" ||
-             kind == "dist-status" || kind == "metrics" || kind == "trace") {
-    if (!positional.empty()) {
-      std::cerr << "client " << kind << " takes no arguments\n";
-      return 2;
-    }
-  } else {
-    std::cerr << "unknown client request kind '" << kind << "'\n\n" << kUsage;
-    return 2;
-  }
+  const Flags any(args, every);
+  require(!any.positional().empty(),
+          "client requires a request kind: lint | screen | profile | "
+          "prove | campaign | status | shutdown | dist-status | "
+          "metrics | trace");
+  serve::RequestKind kind = serve::RequestKind::kStatus;
+  require(serve::parse_request_kind(any.positional()[0], &kind),
+          "unknown client request kind '" + any.positional()[0] + "'");
+  Flags f(args, with(serve::knob_flags(kind), own));
+  f.positional().erase(f.positional().begin());
+  serve::Request req = load_request(kind, f);
+  if (f.has("--id")) req.id = f.value("--id");
 
   // --trace: derive a client-side trace context from the request bytes
   // (before the trace member joins them, so the id is reproducible from
   // the request alone) and hand it to the daemon, which parents its
   // serve-side spans under ours.
   trace::Recorder client_rec;
-  std::uint64_t client_trace_id = 0;
-  std::uint64_t client_span = 0;
-  std::uint64_t client_t0 = 0;
+  const std::string trace_out = f.value("--trace");
+  const std::uint64_t client_t0 = client_rec.now_us();
   if (!trace_out.empty()) {
-    client_trace_id = trace::derive_trace_id(serve::fnv1a64(request.dump()));
-    client_span = trace::derive_span_id(client_trace_id, 0, 0);
-    request.set("trace",
-                trace::TraceContext{client_trace_id, client_span}.to_json());
-    client_t0 = client_rec.now_us();
+    const std::uint64_t trace_id =
+        trace::derive_trace_id(serve::fnv1a64(serve::to_json(req).dump()));
+    req.trace = {trace_id, trace::derive_span_id(trace_id, 0, 0)};
   }
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::cerr << "socket failed: " << std::strerror(errno) << "\n";
-    return 2;
+  const Json response = Json::parse(
+      serve::call(static_cast<std::uint16_t>(f.number("--port", 7177)),
+                  serve::to_json(req).dump()));
+  const Json* ok = response.find("ok");
+  const bool succeeded = ok && ok->is_bool() && ok->as_bool();
+  const Json* result = response.find("result");
+  if (kind == serve::RequestKind::kMetrics && succeeded && result) {
+    // Prometheus exposition is a text format: print it raw so the
+    // output pipes straight into promtool / a scrape file.
+    const Json* text = result->find("text");
+    require(text && text->is_string(),
+            "metrics response carries no text");
+    std::cout << text->as_string();
+  } else {
+    std::cout << response.dump(2) << "\n";
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    std::cerr << "cannot connect to 127.0.0.1:" << port << ": "
-              << std::strerror(errno) << " (is `lidtool serve` running?)\n";
-    ::close(fd);
-    return 2;
+  int rc = succeeded ? 0 : 2;
+  if (const Json* verdict = succeeded && result ? result->find("verdict")
+                                                : nullptr) {
+    const std::string& v = verdict->as_string();
+    if (v != "live" && v != "clean" && v != "all_live" && v != "proved") {
+      rc = 1;
+    }
   }
-  int rc = 2;
-  try {
-    serve::write_frame(fd, request.dump());
-    std::string payload;
-    if (!serve::read_frame(fd, payload)) {
-      throw ApiError("server closed the connection without answering");
-    }
-    const Json response = Json::parse(payload);
-    const Json* ok = response.find("ok");
-    const bool succeeded = ok && ok->is_bool() && ok->as_bool();
-    const Json* result = response.find("result");
-    if (kind == "metrics" && succeeded && result) {
-      // Prometheus exposition is a text format: print it raw so the
-      // output pipes straight into promtool / a scrape file.
-      const Json* text = result->find("text");
-      LIPLIB_EXPECT(text && text->is_string(),
-                    "metrics response carries no text");
-      std::cout << text->as_string();
-    } else {
-      std::cout << response.dump(2) << "\n";
-    }
-    if (succeeded) {
-      rc = 0;
-      if (result) {
-        if (const Json* verdict = result->find("verdict")) {
-          const std::string& v = verdict->as_string();
-          if (v != "live" && v != "clean" && v != "all_live" &&
-              v != "proved") {
-            rc = 1;
-          }
-        }
-      }
-    }
-    if (!trace_out.empty()) {
-      trace::Span s;
-      s.trace_id = client_trace_id;
-      s.span_id = client_span;
-      s.name = "client." + kind;
-      s.category = "client";
-      s.track = "client";
-      s.ts_us = client_t0;
-      s.dur_us = client_rec.now_us() - client_t0;
-      s.attrs.emplace_back("ok", succeeded ? "true" : "false");
-      client_rec.record(std::move(s));
-      std::ofstream os(trace_out);
-      if (!os) {
-        std::cerr << "cannot write " << trace_out << "\n";
-        rc = 2;
-      } else {
-        os << client_rec.to_json().dump(2) << "\n";
-      }
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    rc = 2;
+  if (!trace_out.empty()) {
+    trace::Span s;
+    s.trace_id = req.trace.trace_id;
+    s.span_id = req.trace.parent_span;
+    s.name = std::string("client.") + serve::request_kind_name(kind);
+    s.category = "client";
+    s.track = "client";
+    s.ts_us = client_t0;
+    s.dur_us = client_rec.now_us() - client_t0;
+    s.attrs.emplace_back("ok", succeeded ? "true" : "false");
+    client_rec.record(std::move(s));
+    write_text(trace_out, client_rec.to_json().dump(2) + "\n");
   }
-  ::close(fd);
   return rc;
+}
+
+/// A structural command: one <file.lid> argument and the given flags.
+template <class Run>
+int structural(const Args& args, const std::vector<FlagSpec>& flags,
+               const char* usage, Run run) {
+  const Flags f(args, flags);
+  return run(load_topology(expect_args(f, 1, usage)[0]), f);
+}
+
+int demo() {
+  std::cout << kUsage
+            << "\nrunning the full demo on the built-in Fig. 1 design:\n\n";
+  auto topo = graph::parse_netlist_string(kFig1Netlist);
+  std::cout << "--- validate ---\n";
+  cmd_validate(topo);
+  std::cout << "--- lint ---\n";
+  cmd_lint(topo, /*json=*/false, /*fix=*/false, "");
+  std::cout << "--- analyze ---\n";
+  cmd_analyze(topo);
+  std::cout << "--- simulate ---\n";
+  cmd_simulate(topo, /*worst_case=*/false, 1u << 18, "");
+  std::cout << "--- screen ---\n";
+  cmd_screen(topo);
+  std::cout << "--- equalize ---\n";
+  return cmd_equalize(std::move(topo));
+}
+
+int dispatch(const std::string& cmd, const Args& args) {
+  using T = const graph::Topology&;
+  if (cmd == "validate") {
+    return structural(args, {}, "validate <file.lid>",
+                      [](T t, const Flags&) { return cmd_validate(t); });
+  }
+  if (cmd == "lint") {
+    return structural(args, {{"--json", false}, {"--fix", false}, {"-o"}},
+                      "lint <file.lid> [--json] [--fix] [-o FILE]",
+                      [](T t, const Flags& f) {
+                        return cmd_lint(t, f.has("--json"), f.has("--fix"),
+                                        f.value("-o"));
+                      });
+  }
+  if (cmd == "analyze") {
+    return structural(args, {}, "analyze <file.lid>",
+                      [](T t, const Flags&) { return cmd_analyze(t); });
+  }
+  if (cmd == "simulate") {
+    return structural(
+        args, {{"--worst-case", false}, {"--budget"}, {"--postmortem"}},
+        "simulate <file.lid> [options]", [](T t, const Flags& f) {
+          return cmd_simulate(t, f.has("--worst-case"),
+                              f.number("--budget", 1u << 18),
+                              f.value("--postmortem"));
+        });
+  }
+  if (cmd == "screen") {
+    return structural(args, {}, "screen <file.lid>",
+                      [](T t, const Flags&) { return cmd_screen(t); });
+  }
+  if (cmd == "cure") {
+    return structural(args, {}, "cure <file.lid>",
+                      [](T t, const Flags&) { return cmd_cure(t); });
+  }
+  if (cmd == "equalize") {
+    return structural(args, {}, "equalize <file.lid>",
+                      [](T t, const Flags&) { return cmd_equalize(t); });
+  }
+  if (cmd == "flow") {
+    return structural(args, {}, "flow <file.lid>",
+                      [](T t, const Flags&) { return cmd_flow(t); });
+  }
+  if (cmd == "dot") {
+    return structural(args, {}, "dot <file.lid>", [](T t, const Flags&) {
+      std::cout << t.to_dot();
+      return 0;
+    });
+  }
+  const std::pair<const char*, int (*)(const Args&)> commands[] = {
+      {"prove", cmd_prove},       {"run", cmd_run},
+      {"profile", cmd_profile},   {"replay", cmd_replay},
+      {"bench", cmd_bench},       {"campaign", cmd_campaign},
+      {"merge", cmd_merge},       {"dist", cmd_dist},
+      {"trace", cmd_trace},       {"serve", cmd_serve},
+      {"client", cmd_client}};
+  for (const auto& [name, run] : commands) {
+    if (cmd == name) return run(args);
+  }
+  std::cerr << "unknown command '" << cmd << "'\n\n" << kUsage;
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const std::string cmd = argc >= 2 ? argv[1] : "";
-    if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+    if (argc < 2) return demo();
+    const std::string cmd = argv[1];
+    const Args args(argv + 2, argv + argc);
+    if (cmd == "--help" || cmd == "-h" || cmd == "help" ||
+        (!args.empty() && (args[0] == "--help" || args[0] == "-h"))) {
       std::cout << kUsage;
       return 0;
     }
-    if (cmd == "campaign") return cmd_campaign(argc, argv);
-    if (cmd == "merge") return cmd_merge(argc, argv);
-    if (cmd == "dist") return cmd_dist(argc, argv);
-    if (cmd == "bench") return cmd_bench(argc, argv);
-    if (cmd == "serve") return cmd_serve(argc, argv);
-    if (cmd == "client") return cmd_client(argc, argv);
-    if (cmd == "trace") return cmd_trace(argc, argv);
-
-    graph::Topology topo;
-    // Arguments after the netlist file; every command must consume all
-    // of them — unknown trailing flags are rejected, not ignored.
-    std::vector<std::string> rest;
-    for (int i = 3; i < argc; ++i) rest.emplace_back(argv[i]);
-    auto reject_extras = [&](const char* command) {
-      if (rest.empty()) return false;
-      std::cerr << "unknown argument '" << rest.front() << "' for '"
-                << command << "'\n\n"
-                << kUsage;
-      return true;
-    };
-    if (argc >= 3) {
-      if (std::string(argv[2]) == "--help" || std::string(argv[2]) == "-h") {
-        std::cout << kUsage;
-        return 0;
-      }
-      std::ifstream in(argv[2]);
-      if (!in) {
-        std::cerr << "cannot open " << argv[2] << "\n";
-        return 2;
-      }
-      if (cmd == "run") {
-        std::uint64_t cycles = 1000;
-        std::string pm_path;
-        bool have_cycles = false;
-        for (std::size_t i = 0; i < rest.size(); ++i) {
-          if (rest[i] == "--postmortem") {
-            LIPLIB_EXPECT(i + 1 < rest.size(),
-                          "--postmortem requires a file name");
-            pm_path = rest[++i];
-          } else if (!have_cycles && !rest[i].empty() && rest[i][0] != '-') {
-            cycles = parse_u64(rest[i], "run cycle count");
-            have_cycles = true;
-          } else {
-            std::cerr << "unknown argument '" << rest[i] << "' for 'run'\n\n"
-                      << kUsage;
-            return 2;
-          }
-        }
-        return cmd_run(in, cycles, pm_path);
-      }
-      if (cmd == "profile") return cmd_profile(in, rest);
-      if (cmd == "replay") {
-        if (!rest.empty()) {
-          std::cerr << "unknown argument '" << rest.front()
-                    << "' for 'replay'\n\n"
-                    << kUsage;
-          return 2;
-        }
-        return cmd_replay(in);
-      }
-      // Structural commands accept annotated files too.
-      topo = graph::parse_netlist_annotated(in).topo;
-    } else if (argc >= 2) {
-      // A command without its file argument (or a typo'd command).
-      std::cerr << "missing or unknown arguments for '" << cmd << "'\n\n"
-                << kUsage;
-      return 2;
-    } else {
-      std::cout << kUsage
-                << "\nrunning the full demo on the built-in Fig. 1 "
-                   "design:\n\n";
-      topo = graph::parse_netlist_string(kFig1Netlist);
-      std::cout << "--- validate ---\n";
-      cmd_validate(topo);
-      std::cout << "--- lint ---\n";
-      cmd_lint(topo, /*json=*/false, /*fix=*/false, "");
-      std::cout << "--- analyze ---\n";
-      cmd_analyze(topo);
-      std::cout << "--- simulate ---\n";
-      cmd_simulate(topo, {});
-      std::cout << "--- screen ---\n";
-      cmd_screen(topo);
-      std::cout << "--- equalize ---\n";
-      return cmd_equalize(std::move(topo));
-    }
-    if (cmd == "lint") {
-      bool json = false;
-      bool fix = false;
-      std::string out_path;
-      for (std::size_t i = 0; i < rest.size(); ++i) {
-        if (rest[i] == "--json") {
-          json = true;
-        } else if (rest[i] == "--fix") {
-          fix = true;
-        } else if (rest[i] == "-o") {
-          LIPLIB_EXPECT(i + 1 < rest.size(), "-o requires a file name");
-          out_path = rest[++i];
-        } else {
-          std::cerr << "unknown lint option '" << rest[i] << "'\n\n"
-                    << kUsage;
-          return 2;
-        }
-      }
-      return cmd_lint(topo, json, fix, out_path);
-    }
-    if (cmd == "validate") {
-      if (reject_extras("validate")) return 2;
-      return cmd_validate(topo);
-    }
-    if (cmd == "analyze") {
-      if (reject_extras("analyze")) return 2;
-      return cmd_analyze(topo);
-    }
-    if (cmd == "simulate") {
-      return cmd_simulate(topo, rest);
-    }
-    if (cmd == "screen") {
-      if (reject_extras("screen")) return 2;
-      return cmd_screen(topo);
-    }
-    if (cmd == "prove") {
-      return cmd_prove(topo, rest);
-    }
-    if (cmd == "cure") {
-      if (reject_extras("cure")) return 2;
-      return cmd_cure(topo);
-    }
-    if (cmd == "equalize") {
-      if (reject_extras("equalize")) return 2;
-      return cmd_equalize(std::move(topo));
-    }
-    if (cmd == "flow") {
-      if (reject_extras("flow")) return 2;
-      return cmd_flow(topo);
-    }
-    if (cmd == "dot") {
-      if (reject_extras("dot")) return 2;
-      std::cout << topo.to_dot();
-      return 0;
-    }
-    std::cerr << "unknown command '" << cmd << "'\n\n" << kUsage;
-    return 2;
+    return dispatch(cmd, args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

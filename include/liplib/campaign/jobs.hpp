@@ -18,7 +18,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "liplib/campaign/campaign.hpp"
@@ -77,6 +79,13 @@ struct FuzzSpec {
   /// skeleton checks alone are nearly free).
   bool check_equivalence = true;
 };
+
+/// Stable wire name of a fuzz shape ("composite", "reconvergent",
+/// "feedforward"), the spelling of every `shape` knob.
+const char* shape_name(FuzzSpec::Shape s);
+
+/// Inverse of shape_name; returns false on an unknown name.
+bool parse_shape(std::string_view name, FuzzSpec::Shape* out);
 
 /// Randomized-topology fuzz job.  The topology is generated from the
 /// job's deterministic rng, so a recorded failure replays from
@@ -192,17 +201,29 @@ struct MixScreenSpec {
 /// per-variant outcome tally.
 std::vector<Job> make_mix_screen_campaign(MixScreenSpec spec);
 
+/// The self-contained campaign families a NamedCampaignSpec names.
+enum class CampaignMode : std::uint8_t { kFuzz, kLint, kProbe, kProve };
+
+/// Stable wire name of a campaign mode ("fuzz", "lint", "probe",
+/// "prove").
+const char* campaign_mode_name(CampaignMode m);
+
+/// Inverse of campaign_mode_name; returns false on an unknown name.
+bool parse_campaign_mode(std::string_view name, CampaignMode* out);
+
 /// A generated campaign identified by a stable wire name — the
-/// self-contained campaign families (no input netlist) that the serve
-/// daemon and the distributed layer (liplib/dist) rebuild anywhere from
-/// the spec alone.
+/// self-contained campaign families (no input netlist) that lidtool,
+/// the serve daemon and the distributed layer (liplib/dist) rebuild
+/// anywhere from the spec alone.
 struct NamedCampaignSpec {
-  std::string mode = "fuzz";  ///< fuzz | lint | probe | prove
+  std::string mode = "fuzz";  ///< a campaign_mode_name
   std::size_t jobs = 0;       ///< batch size
   /// fuzz only: stop policy and topology shape.  The other modes draw
   /// everything from each job's deterministic seed.
   lip::StopPolicy policy = lip::StopPolicy::kCasuDiscardOnVoid;
   FuzzSpec::Shape shape = FuzzSpec::Shape::kComposite;
+
+  bool operator==(const NamedCampaignSpec&) const = default;
 };
 
 /// Builds the job vector of a named campaign.  A pure function of the

@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "liplib/campaign/campaign.hpp"
 #include "liplib/campaign/jobs.hpp"
 #include "liplib/campaign/report.hpp"
 #include "liplib/support/json.hpp"
@@ -114,6 +115,18 @@ Partial partial_from_json(const Json& doc);
 /// the result is byte-identical (via campaign::to_json) to
 /// aggregate() of the unsharded run.
 campaign::Aggregate merge_partials(std::vector<Partial> parts);
+
+/// Runs one shard: the manifest's [lo, hi) slice of `jobs` — the whole
+/// campaign's job vector, which must hold manifest.total_jobs jobs — on
+/// the campaign engine with the manifest's seed and budget and
+/// index_base = lo, so every job keeps its global (index, seed)
+/// identity.  `eopts` supplies threads and tracing; its seed, budget
+/// and index_base are overwritten.  `stats` (optional) receives the
+/// engine's run statistics.
+Partial run_shard(const std::vector<campaign::Job>& jobs,
+                  const ShardManifest& manifest,
+                  campaign::EngineOptions eopts,
+                  campaign::RunStats* stats = nullptr);
 
 /// Canonical spec string of a named campaign
 /// ("mode=fuzz;jobs=300;policy=variant;shape=composite") and its strict

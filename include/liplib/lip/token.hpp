@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace liplib::lip {
 
@@ -44,6 +45,24 @@ enum class StopPolicy {
 inline const char* to_string(StopPolicy p) {
   return p == StopPolicy::kCarloniStrict ? "CarloniStrict"
                                          : "CasuDiscardOnVoid";
+}
+
+/// Stable wire name of a stop policy, the spelling of every `policy`
+/// knob: "strict" (kCarloniStrict) or "variant" (kCasuDiscardOnVoid).
+inline const char* policy_name(StopPolicy p) {
+  return p == StopPolicy::kCarloniStrict ? "strict" : "variant";
+}
+
+/// Inverse of policy_name; returns false on an unknown name.
+inline bool parse_policy(std::string_view name, StopPolicy* out) {
+  for (StopPolicy p :
+       {StopPolicy::kCasuDiscardOnVoid, StopPolicy::kCarloniStrict}) {
+    if (name == policy_name(p)) {
+      *out = p;
+      return true;
+    }
+  }
+  return false;
 }
 
 /// How the simulator resolves the backward stop network when it contains

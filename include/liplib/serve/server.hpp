@@ -64,7 +64,7 @@ struct ServerOptions {
   /// Watchdog-guarded cycle budget for screen requests (and the cap for
   /// profile cycle counts); requests may ask for less, never for more.
   std::uint64_t max_budget = 1u << 20;
-  std::uint64_t default_budget = 1u << 18;
+  std::uint64_t default_budget = kDefaultCycleBudget;
   std::uint64_t default_profile_cycles = 10000;
   /// Watchdog no-progress threshold (telemetry::WatchdogOptions).
   std::uint64_t watchdog_threshold = 64;

@@ -75,6 +75,9 @@ class Json {
 
   bool empty() const { return members_.empty() && elements_.empty(); }
 
+  /// Structural equality (same kind, same members in the same order).
+  bool operator==(const Json&) const = default;
+
   // ---- inspection (for parsed documents) --------------------------------
 
   bool is_null() const { return kind_ == Kind::kNull; }
@@ -150,9 +153,10 @@ class Json {
   /// Serializes the value.  indent = 0: compact one-line form; indent > 0:
   /// pretty-printed with that many spaces per level.
   std::string dump(int indent = 0) const {
-    std::ostringstream os;
-    write(os, indent, 0);
-    return os.str();
+    std::string out;
+    write(out, indent, 0);
+    out.shrink_to_fit();  // dumps are kept (cache entries): no growth slack
+    return out;
   }
 
   /// Input guards for parse().  The defaults are generous for trusted
@@ -393,78 +397,91 @@ class Json {
     }
   };
 
-  static void write_escaped(std::ostringstream& os, const std::string& s) {
-    os << '"';
+  static void write_escaped(std::string& out, const std::string& s) {
+    out += '"';
     for (char c : s) {
       switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        case '\r': os << "\\r"; break;
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\t': out += "\\t"; break;
+        case '\r': out += "\\r"; break;
         default:
           if (static_cast<unsigned char>(c) < 0x20) {
             const char* hex = "0123456789abcdef";
-            os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
+            out += "\\u00";
+            out += hex[(c >> 4) & 0xf];
+            out += hex[c & 0xf];
           } else {
-            os << c;
+            out += c;
           }
       }
     }
-    os << '"';
+    out += '"';
   }
 
-  void write(std::ostringstream& os, int indent, int depth) const {
+  template <class Int>
+  static void write_integer(std::string& out, Int v) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  }
+
+  // Appends to one string rather than streaming: a dump is on every
+  // request's path (responses, cache keys), and the stream costs most of
+  // it for small documents.
+  void write(std::string& out, int indent, int depth) const {
     const std::string pad(static_cast<std::size_t>(indent) * (depth + 1), ' ');
     const std::string close_pad(static_cast<std::size_t>(indent) * depth, ' ');
     const char* nl = indent > 0 ? "\n" : "";
     switch (kind_) {
-      case Kind::kNull: os << "null"; break;
-      case Kind::kBool: os << (bool_ ? "true" : "false"); break;
-      case Kind::kInt: os << int_; break;
-      case Kind::kUInt: os << uint_; break;
+      case Kind::kNull: out += "null"; break;
+      case Kind::kBool: out += bool_ ? "true" : "false"; break;
+      case Kind::kInt: write_integer(out, int_); break;
+      case Kind::kUInt: write_integer(out, uint_); break;
       case Kind::kDouble: {
         // Shortest round-trippable form, locale-independent.
         std::ostringstream tmp;
         tmp.imbue(std::locale::classic());
         tmp.precision(17);
         tmp << double_;
-        os << tmp.str();
+        out += tmp.str();
         break;
       }
-      case Kind::kString: write_escaped(os, str_); break;
+      case Kind::kString: write_escaped(out, str_); break;
       case Kind::kArray: {
         if (elements_.empty()) {
-          os << "[]";
+          out += "[]";
           break;
         }
-        os << '[' << nl;
+        out += '[';
+        out += nl;
         for (std::size_t i = 0; i < elements_.size(); ++i) {
-          if (indent > 0) os << pad;
-          elements_[i].write(os, indent, depth + 1);
-          if (i + 1 < elements_.size()) os << ',';
-          os << nl;
+          out += pad;
+          elements_[i].write(out, indent, depth + 1);
+          if (i + 1 < elements_.size()) out += ',';
+          out += nl;
         }
-        if (indent > 0) os << close_pad;
-        os << ']';
+        out += close_pad;
+        out += ']';
         break;
       }
       case Kind::kObject: {
         if (members_.empty()) {
-          os << "{}";
+          out += "{}";
           break;
         }
-        os << '{' << nl;
+        out += '{';
+        out += nl;
         for (std::size_t i = 0; i < members_.size(); ++i) {
-          if (indent > 0) os << pad;
-          write_escaped(os, members_[i].first);
-          os << (indent > 0 ? ": " : ":");
-          members_[i].second.write(os, indent, depth + 1);
-          if (i + 1 < members_.size()) os << ',';
-          os << nl;
+          out += pad;
+          write_escaped(out, members_[i].first);
+          out += indent > 0 ? ": " : ":";
+          members_[i].second.write(out, indent, depth + 1);
+          if (i + 1 < members_.size()) out += ',';
+          out += nl;
         }
-        if (indent > 0) os << close_pad;
-        os << '}';
+        out += close_pad;
+        out += '}';
         break;
       }
     }

@@ -73,11 +73,13 @@ struct TraceContext {
   std::uint64_t parent_span = 0;
 
   bool enabled() const { return trace_id != 0; }
+  bool operator==(const TraceContext&) const = default;
 
   /// {"trace_id": "<hex16>", "parent_span": "<hex16>"}.
   Json to_json() const;
 
-  /// Strict inverse of to_json (throws ApiError on malformed hex).
+  /// Strict inverse of to_json (throws ApiError on malformed hex or a
+  /// zero trace_id).
   static TraceContext from_json(const Json& doc);
 
   /// Reads the optional "trace" member of a message envelope; a missing

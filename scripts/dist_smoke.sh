@@ -10,7 +10,12 @@
 #      worker killed mid-flight while holding a lease (the
 #      --die-after-lease crash hook) plus two honest workers — the
 #      coordinator must re-dispatch the orphaned shard and the merged
-#      aggregate must again be byte-identical to golden.
+#      aggregate must again be byte-identical to golden;
+#   4. a campaign with failures (strict-policy fuzz, 60 jobs, seed 3):
+#      `lidtool campaign` and `dist coordinate` are one named campaign,
+#      so both exit 1 with byte-identical aggregates (failing jobs named
+#      alike), and a CLI shard partial carries the coordinator's spec
+#      string.
 #
 # Usage: scripts/dist_smoke.sh [path/to/lidtool]
 # (default: build/examples/lidtool relative to the repo root)
@@ -38,8 +43,10 @@ trap cleanup EXIT
 
 fail() {
   echo "dist_smoke: FAIL: $*" >&2
-  echo "--- coordinator log ---" >&2
-  cat "$work/coord.log" >&2 || true
+  for log in "$work"/coord*.log; do
+    echo "--- $(basename "$log") ---" >&2
+    cat "$log" >&2 || true
+  done
   exit 1
 }
 
@@ -76,16 +83,21 @@ echo "dist_smoke: 4 CLI shards merged byte-identical to golden"
   > "$work/coord.log" 2>&1 &
 coord_pid=$!
 
-port=""
-for _ in $(seq 1 100); do
-  port="$(sed -n 's/.*on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-            "$work/coord.log" | head -n1)"
-  [ -n "$port" ] && break
-  kill -0 "$coord_pid" 2>/dev/null || fail "coordinator exited before binding"
-  sleep 0.1
-done
-[ -n "$port" ] && [ "$port" != "0" ] || fail "could not learn the bound port"
-echo "dist_smoke: coordinator up on port $port (pid $coord_pid)"
+# Sets $port from the start-up line the running coordinator writes to
+# its log, the file $1.
+await_port() {
+  port=""
+  for _ in $(seq 1 100); do
+    port="$(sed -n 's/.*on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+              "$1" | head -n1)"
+    [ -n "$port" ] && break
+    kill -0 "$coord_pid" 2>/dev/null || fail "coordinator exited before binding"
+    sleep 0.1
+  done
+  [ -n "$port" ] && [ "$port" != "0" ] || fail "could not learn the bound port"
+  echo "dist_smoke: coordinator up on port $port (pid $coord_pid)"
+}
+await_port "$work/coord.log"
 
 # The casualty: takes one shard lease and dies holding it.  Its shard
 # can only complete through a re-dispatch after the lease expires.
@@ -120,4 +132,38 @@ cmp -s "$work/golden.json" "$work/dist.json" \
   || fail "coordinator-merged aggregate differs from the single-process golden"
 echo "dist_smoke: coordinator aggregate byte-identical to golden"
 
-echo "dist_smoke: PASS ($(grep 'campaign done:' "$work/coord.log"))"
+done_line="$(grep 'campaign done:' "$work/coord.log")"
+
+# ---- 4. failures: one named campaign on CLI and coordinator -------------
+
+"$lidtool" campaign fuzz 60 --policy strict --seed 3 --threads 2 \
+  --json "$work/strict_cli.json" > /dev/null
+rc=$?
+[ "$rc" -eq 1 ] || fail "strict CLI campaign exited $rc, want 1 (failures)"
+grep -q '"name": "fuzz/' "$work/strict_cli.json" \
+  || fail "strict CLI campaign lists no failing fuzz job"
+
+"$lidtool" dist coordinate fuzz 60 --policy strict --seed 3 --shards 3 \
+  --json "$work/strict_dist.json" > "$work/coord2.log" 2>&1 &
+coord_pid=$!
+await_port "$work/coord2.log"
+"$lidtool" dist work --port "$port" --threads 2 > "$work/worker3.log" 2>&1 \
+  || fail "worker of the strict campaign failed"
+wait "$coord_pid"
+coord_rc=$?
+coord_pid=""
+[ "$coord_rc" -eq 1 ] || fail "strict coordinator exited $coord_rc, want 1"
+cmp -s "$work/strict_cli.json" "$work/strict_dist.json" \
+  || fail "strict campaign: CLI and coordinator aggregates differ:
+$(diff "$work/strict_cli.json" "$work/strict_dist.json" | head -n 12)"
+echo "dist_smoke: strict campaign with failures: CLI == coordinator"
+
+"$lidtool" campaign fuzz 60 --policy strict --seed 3 --shard 0/3 \
+  --out "$work/strict_part.json" > /dev/null
+spec="$(sed -n "s/.*coordinating '\([^']*\)'.*/\1/p" "$work/coord2.log")"
+[ -n "$spec" ] || fail "coordinator did not print its spec string"
+grep -q "\"campaign\": \"$spec\"" "$work/strict_part.json" \
+  || fail "CLI shard partial does not carry the coordinator's spec '$spec'"
+echo "dist_smoke: CLI shard partial carries '$spec'"
+
+echo "dist_smoke: PASS ($done_line)"

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Smoke test for the lidtool serve daemon, exercised end-to-end through
-# the shipped binary: start a daemon on an ephemeral port, fire 100
+# the shipped binary: start a daemon on an ephemeral port, fire 102
 # mixed requests at it from `lidtool client` (lint / screen / profile /
-# campaign, including a design with a deliberate worst-case deadlock),
-# then assert via `status` that the cache actually served hits, that
-# the deadlock was answered as a verdict (not a hang), and that a
-# `shutdown` request drains cleanly.
+# campaign / prove, including a design with a deliberate worst-case
+# deadlock), check that a prove and a campaign request answer with the
+# same documents as the local `lidtool prove` / `lidtool campaign`,
+# then assert via `status` that the cache actually served hits, that the
+# deadlock was answered as a verdict (not a hang), and that a `shutdown`
+# request drains cleanly.
 #
 # Usage: scripts/serve_smoke.sh [path/to/lidtool]
 # (default: build/examples/lidtool relative to the repo root)
@@ -82,10 +84,19 @@ echo "serve_smoke: daemon up on port $port (pid $server_pid)"
 
 client() { "$lidtool" client "$@" --port "$port"; }
 
-# ---- 100 mixed requests -------------------------------------------------
+# The member NAME of a pretty-printed client response's result,
+# re-indented as a top-level document (it sits two levels deep).
+result_member() {
+  awk -v name="$1" '$0 == "    \"" name "\": {" { p = 1; print "{"; next }
+       p && /^    \},?$/ { print "}"; exit }
+       p { sub(/^    /, ""); print }' "$2"
+}
 
-# 24 rounds x 4 request kinds = 96, plus 2 campaigns, plus the final
-# status + shutdown below = 100 frames total.  After round one, every
+# ---- 98 mixed requests --------------------------------------------------
+
+# 24 rounds x 4 request kinds = 96, plus 2 campaigns, plus the prove
+# and campaign of the next section, plus the final status + shutdown =
+# 102 frames total.  After round one, every
 # lint/screen/profile answer must be a cache hit.
 requests=0
 deadlock_answers=0
@@ -107,6 +118,41 @@ done
 client campaign fuzz 10 --seed 7 > /dev/null || fail "campaign fuzz failed"
 client campaign fuzz 10 --seed 7 > /dev/null || fail "repeat campaign failed"
 requests=$((requests + 2))
+
+# ---- one request on two surfaces: the daemon's answer == lidtool's ------
+
+# Both build the request through one knob table, so `--depth 3` (bounded
+# model checking, no method given) and the default state budget mean the
+# same on both, and the daemon's "prove" member is the local document
+# byte for byte.  Depth 3 leaves Fig. 1 undecided: lidtool exits 2, the
+# client 1 (a diagnosed verdict).
+"$lidtool" prove "$work/fig1.lid" --depth 3 --json > "$work/prove_local.json"
+rc=$?
+[ "$rc" -eq 2 ] || fail "lidtool prove --depth 3 exited $rc, want 2 (unknown)"
+client prove "$work/fig1.lid" --depth 3 > "$work/prove_daemon.json"
+rc=$?
+requests=$((requests + 1))
+result_member prove "$work/prove_daemon.json" > "$work/prove_member.json"
+cmp -s "$work/prove_local.json" "$work/prove_member.json" \
+  || fail "client prove --depth 3 differs from lidtool prove --depth 3 --json:
+$(diff "$work/prove_local.json" "$work/prove_member.json" | head -n 12)"
+[ "$rc" -eq 1 ] || fail "client prove --depth 3 exited $rc, want 1 (unknown)"
+echo "serve_smoke: daemon prove document == lidtool prove --json"
+
+# A named campaign with failing jobs is one campaign on both surfaces:
+# the daemon's aggregate is `lidtool campaign --json` byte for byte.
+"$lidtool" campaign fuzz 60 --policy strict --seed 3 --threads 2 \
+  --json "$work/campaign_local.json" > /dev/null
+[ $? -eq 1 ] || fail "lidtool campaign fuzz 60 --policy strict did not exit 1"
+client campaign fuzz 60 --policy strict --seed 3 > "$work/campaign_daemon.json"
+[ $? -eq 1 ] || fail "client campaign fuzz 60 --policy strict did not exit 1"
+requests=$((requests + 1))
+result_member aggregate "$work/campaign_daemon.json" \
+  > "$work/campaign_member.json"
+cmp -s "$work/campaign_local.json" "$work/campaign_member.json" \
+  || fail "client campaign differs from lidtool campaign --json:
+$(diff "$work/campaign_local.json" "$work/campaign_member.json" | head -n 12)"
+echo "serve_smoke: daemon campaign aggregate == lidtool campaign --json"
 echo "serve_smoke: $requests requests served, $deadlock_answers deadlock verdicts"
 
 # ---- status: the cache must have served hits ----------------------------
@@ -127,8 +173,8 @@ verdicts="$(get deadlock_verdicts)"
 [ "$total" -eq $((requests + 1)) ] \
   || fail "status reports $total requests, want $((requests + 1))"
 # 4 distinct cache keys (lint/screen/profile of fig1, screen of the
-# deadlock ring) computed once each + 1 campaign key: everything else
-# must have come from the cache.
+# deadlock ring) computed once each + 2 campaign keys + 1 prove key:
+# everything else must have come from the cache.
 [ "$hits" -ge $((requests - 10)) ] \
   || fail "only $hits cache hits across $requests requests"
 # deadlock_verdicts counts watchdog-tripped computations; the 23 repeat

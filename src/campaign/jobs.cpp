@@ -20,10 +20,6 @@ namespace liplib::campaign {
 
 namespace {
 
-const char* policy_name(lip::StopPolicy p) {
-  return p == lip::StopPolicy::kCarloniStrict ? "strict" : "variant";
-}
-
 std::unique_ptr<lip::Pearl> default_pearl(std::size_t num_in,
                                           std::size_t num_out) {
   if (num_in == 1 && num_out == 1) return pearls::make_identity();
@@ -201,7 +197,8 @@ JobResult fuzz_reconvergent(const FuzzSpec& spec, Rng& rng,
   JobResult r = analyze_steady_state(gen.topo, {spec.policy}, budget);
   std::ostringstream shape;
   shape << "reconvergent short=" << short_st << " shells=" << long_shells
-        << " per_hop=" << per_hop << " policy=" << policy_name(spec.policy);
+        << " per_hop=" << per_hop
+        << " policy=" << lip::policy_name(spec.policy);
   if (r.outcome != Outcome::kLive) {
     r.detail += " (" + shape.str() + ")";
     return r;
@@ -326,7 +323,7 @@ JobResult run_probe_measurement(const graph::Topology& topo,
       os << "probe measured " << measured.str() << " for shell "
          << res.shell_ids[i] << " vs analytic "
          << res.shell_throughput[i].str() << " (policy="
-         << policy_name(policy) << ")";
+         << lip::policy_name(policy) << ")";
       r.detail = os.str();
       return r;
     }
@@ -715,7 +712,7 @@ std::vector<Job> make_t1_fuzz_campaign() {
       spec.policy = policy;
       spec.size = 3;
       jobs.push_back(make_fuzz_job("t1/reconv/" + std::to_string(i) + "/" +
-                                       policy_name(policy),
+                                       lip::policy_name(policy),
                                    spec));
     }
   }
@@ -732,25 +729,67 @@ std::vector<Job> make_t1_fuzz_campaign() {
   return jobs;
 }
 
-std::vector<Job> make_named_campaign(const NamedCampaignSpec& spec) {
-  std::vector<Job> jobs;
-  if (spec.mode == "fuzz") {
-    jobs.reserve(spec.jobs);
-    for (std::size_t i = 0; i < spec.jobs; ++i) {
-      FuzzSpec fuzz;
-      fuzz.shape = spec.shape;
-      fuzz.policy = spec.policy;
-      fuzz.size = 4;
-      jobs.push_back(make_fuzz_job("fuzz/" + std::to_string(i), fuzz));
+const char* shape_name(FuzzSpec::Shape s) {
+  switch (s) {
+    case FuzzSpec::Shape::kReconvergent: return "reconvergent";
+    case FuzzSpec::Shape::kComposite: return "composite";
+    case FuzzSpec::Shape::kFeedforward: return "feedforward";
+  }
+  return "?";
+}
+
+bool parse_shape(std::string_view name, FuzzSpec::Shape* out) {
+  for (FuzzSpec::Shape s :
+       {FuzzSpec::Shape::kComposite, FuzzSpec::Shape::kReconvergent,
+        FuzzSpec::Shape::kFeedforward}) {
+    if (name == shape_name(s)) {
+      *out = s;
+      return true;
     }
-  } else if (spec.mode == "lint") {
-    jobs = make_lint_crosscheck_campaign(spec.jobs);
-  } else if (spec.mode == "prove") {
-    jobs = make_prove_crosscheck_campaign(spec.jobs);
-  } else if (spec.mode == "probe") {
-    jobs = make_probe_campaign(spec.jobs);
-  } else {
-    throw ApiError("unknown campaign mode '" + spec.mode + "'");
+  }
+  return false;
+}
+
+const char* campaign_mode_name(CampaignMode m) {
+  switch (m) {
+    case CampaignMode::kFuzz: return "fuzz";
+    case CampaignMode::kLint: return "lint";
+    case CampaignMode::kProbe: return "probe";
+    case CampaignMode::kProve: return "prove";
+  }
+  return "?";
+}
+
+bool parse_campaign_mode(std::string_view name, CampaignMode* out) {
+  for (CampaignMode m : {CampaignMode::kFuzz, CampaignMode::kLint,
+                         CampaignMode::kProbe, CampaignMode::kProve}) {
+    if (name == campaign_mode_name(m)) {
+      *out = m;
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<Job> make_named_campaign(const NamedCampaignSpec& spec) {
+  CampaignMode mode = CampaignMode::kFuzz;
+  LIPLIB_EXPECT(parse_campaign_mode(spec.mode, &mode),
+                "unknown campaign mode '" + spec.mode + "'");
+  switch (mode) {
+    case CampaignMode::kLint: return make_lint_crosscheck_campaign(spec.jobs);
+    case CampaignMode::kProve:
+      return make_prove_crosscheck_campaign(spec.jobs);
+    case CampaignMode::kProbe: return make_probe_campaign(spec.jobs);
+    case CampaignMode::kFuzz: break;
+  }
+  std::vector<Job> jobs;
+  jobs.reserve(spec.jobs);
+  for (std::size_t i = 0; i < spec.jobs; ++i) {
+    FuzzSpec fuzz;
+    fuzz.shape = spec.shape;
+    fuzz.policy = spec.policy;
+    fuzz.size = 4;
+    jobs.push_back(make_fuzz_job("fuzz/" + std::to_string(i), fuzz));
   }
   return jobs;
 }

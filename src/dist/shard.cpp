@@ -34,19 +34,6 @@ bool parse_digits(const std::string& text, std::uint64_t* out) {
   return ec == std::errc() && p == end;
 }
 
-const char* policy_name(lip::StopPolicy p) {
-  return p == lip::StopPolicy::kCarloniStrict ? "strict" : "variant";
-}
-
-const char* shape_name(campaign::FuzzSpec::Shape s) {
-  switch (s) {
-    case campaign::FuzzSpec::Shape::kReconvergent: return "reconvergent";
-    case campaign::FuzzSpec::Shape::kComposite: return "composite";
-    case campaign::FuzzSpec::Shape::kFeedforward: return "feedforward";
-  }
-  return "composite";
-}
-
 }  // namespace
 
 ShardRange shard_range(std::size_t total_jobs, std::size_t index,
@@ -217,12 +204,30 @@ campaign::Aggregate merge_partials(std::vector<Partial> parts) {
   return merged;
 }
 
+Partial run_shard(const std::vector<campaign::Job>& jobs,
+                  const ShardManifest& manifest,
+                  campaign::EngineOptions eopts, campaign::RunStats* stats) {
+  LIPLIB_EXPECT(jobs.size() == manifest.total_jobs,
+                "shard manifest: campaign '" + manifest.campaign +
+                    "' builds " + std::to_string(jobs.size()) +
+                    " job(s), manifest says " +
+                    std::to_string(manifest.total_jobs));
+  const std::vector<campaign::Job> slice(
+      jobs.begin() + static_cast<std::ptrdiff_t>(manifest.shard.lo),
+      jobs.begin() + static_cast<std::ptrdiff_t>(manifest.shard.hi));
+  eopts.base_seed = manifest.base_seed;
+  eopts.cycle_budget = manifest.cycle_budget;
+  eopts.index_base = manifest.shard.lo;
+  return {manifest,
+          campaign::aggregate(campaign::Engine(eopts).run(slice, stats))};
+}
+
 std::string named_campaign_to_string(
     const campaign::NamedCampaignSpec& spec) {
   std::string s = "mode=" + spec.mode;
   s += ";jobs=" + std::to_string(spec.jobs);
-  s += ";policy=" + std::string(policy_name(spec.policy));
-  s += ";shape=" + std::string(shape_name(spec.shape));
+  s += ";policy=" + std::string(lip::policy_name(spec.policy));
+  s += ";shape=" + std::string(campaign::shape_name(spec.shape));
   return s;
 }
 
@@ -247,23 +252,11 @@ campaign::NamedCampaignSpec named_campaign_from_string(
                     "campaign spec: bad job count '" + value + "'");
       spec.jobs = static_cast<std::size_t>(v);
     } else if (key == "policy") {
-      if (value == "strict") {
-        spec.policy = lip::StopPolicy::kCarloniStrict;
-      } else {
-        LIPLIB_EXPECT(value == "variant",
-                      "campaign spec: unknown policy '" + value + "'");
-        spec.policy = lip::StopPolicy::kCasuDiscardOnVoid;
-      }
+      LIPLIB_EXPECT(lip::parse_policy(value, &spec.policy),
+                    "campaign spec: unknown policy '" + value + "'");
     } else if (key == "shape") {
-      if (value == "reconvergent") {
-        spec.shape = campaign::FuzzSpec::Shape::kReconvergent;
-      } else if (value == "feedforward") {
-        spec.shape = campaign::FuzzSpec::Shape::kFeedforward;
-      } else {
-        LIPLIB_EXPECT(value == "composite",
-                      "campaign spec: unknown shape '" + value + "'");
-        spec.shape = campaign::FuzzSpec::Shape::kComposite;
-      }
+      LIPLIB_EXPECT(campaign::parse_shape(value, &spec.shape),
+                    "campaign spec: unknown shape '" + value + "'");
     } else {
       throw ApiError("campaign spec: unknown field '" + key + "'");
     }

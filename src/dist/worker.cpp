@@ -1,19 +1,11 @@
 #include "liplib/dist/worker.hpp"
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
-#include <vector>
 
 #include "liplib/campaign/campaign.hpp"
 #include "liplib/campaign/jobs.hpp"
-#include "liplib/campaign/report.hpp"
 #include "liplib/dist/coordinator.hpp"
 #include "liplib/dist/shard.hpp"
 #include "liplib/serve/protocol.hpp"
@@ -25,37 +17,15 @@ namespace liplib::dist {
 namespace {
 
 /// One request/response round trip on a fresh connection.  Returns
-/// false when the coordinator is unreachable or hung up (the normal end
-/// of a campaign once the coordinator exited); throws ApiError only on
-/// a protocol violation from a live coordinator.
+/// false when the coordinator is unreachable, hung up or cut the answer
+/// short (the normal end of a campaign once the coordinator exited);
+/// throws ApiError only on a protocol violation from a live coordinator.
 bool round_trip(std::uint16_t port, const Json& request, Json* response) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw ApiError(std::string("socket failed: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return false;
-  }
   try {
-    serve::write_frame(fd, request.dump());
-    std::string payload;
-    if (!serve::read_frame(fd, payload)) {
-      ::close(fd);
-      return false;  // hung up without answering: coordinator dying
-    }
-    *response = Json::parse(payload);
-  } catch (...) {
-    // Send/recv failure mid-frame: treat like an unreachable
-    // coordinator rather than a protocol violation.
-    ::close(fd);
+    *response = Json::parse(serve::call(port, request.dump()));
+  } catch (const std::exception&) {
     return false;
   }
-  ::close(fd);
   const Json* msg = response->find("msg");
   LIPLIB_EXPECT(response->is_object() && msg && msg->is_string(),
                 "coordinator sent a malformed dist message");
@@ -74,25 +44,14 @@ bool round_trip(std::uint16_t port, const Json& request, Json* response) {
 Json compute_partial(const ShardManifest& m, unsigned threads,
                      trace::Recorder* recorder,
                      trace::TraceContext chunk_parent) {
-  const campaign::NamedCampaignSpec spec =
-      named_campaign_from_string(m.campaign);
-  const auto jobs = campaign::make_named_campaign(spec);
-  LIPLIB_EXPECT(jobs.size() == m.total_jobs,
-                "lease manifest: campaign '" + m.campaign + "' builds " +
-                    std::to_string(jobs.size()) + " job(s), manifest says " +
-                    std::to_string(m.total_jobs));
-  const std::vector<campaign::Job> slice(
-      jobs.begin() + static_cast<std::ptrdiff_t>(m.shard.lo),
-      jobs.begin() + static_cast<std::ptrdiff_t>(m.shard.hi));
   campaign::EngineOptions eopts;
   eopts.threads = threads;
-  eopts.base_seed = m.base_seed;
-  eopts.cycle_budget = m.cycle_budget;
-  eopts.index_base = m.shard.lo;  // global identity: same seeds as unsharded
   eopts.recorder = recorder;
   eopts.trace_parent = chunk_parent;
-  const auto results = campaign::Engine(eopts).run(slice);
-  return partial_to_json(m, campaign::aggregate(results));
+  const Partial p = run_shard(
+      campaign::make_named_campaign(named_campaign_from_string(m.campaign)),
+      m, eopts);
+  return partial_to_json(p.manifest, p.aggregate);
 }
 
 }  // namespace

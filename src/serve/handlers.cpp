@@ -4,11 +4,6 @@
 // byte-identity of cached vs fresh responses is a property of this file
 // alone.
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -89,16 +84,10 @@ std::string hex64(std::uint64_t v) {
   return out;
 }
 
-lip::StopPolicy policy_of(const Request& req) {
-  return req.policy == "strict" ? lip::StopPolicy::kCarloniStrict
-                                : lip::StopPolicy::kCasuDiscardOnVoid;
-}
-
 /// Request budget clamped to the server's ceiling (tenants may ask for
 /// less, never for more).
 std::uint64_t effective_budget(const Request& req, const ServerOptions& o) {
-  const std::uint64_t asked = req.budget == 0 ? o.default_budget : req.budget;
-  return std::min(asked, o.max_budget);
+  return serve::effective_budget(req, o.default_budget, o.max_budget);
 }
 
 std::uint64_t effective_cycles(const Request& req, const ServerOptions& o) {
@@ -195,7 +184,7 @@ Computed compute_screen(const ParsedDesign& d, const Request& req,
                         const ServerOptions& opts) {
   const std::uint64_t budget = effective_budget(req, opts);
   // Both passes and both engines of each pass run one lowered program.
-  const xir::ProgramRef prog = xir::lower(d.net.topo, {policy_of(req)});
+  const xir::ProgramRef prog = xir::lower(d.net.topo, {req.policy});
   bool deadlocked = false;
   Json from_reset = screen_one(prog, /*worst_case=*/false, budget,
                                opts.watchdog_threshold, &deadlocked);
@@ -204,7 +193,7 @@ Computed compute_screen(const ParsedDesign& d, const Request& req,
   Json result = Json::object()
                     .set("schema", "liplib.serve.screen/2")
                     .set("topology_hash", hex64(topology_hash(d.net.topo)))
-                    .set("policy", req.policy)
+                    .set("policy", lip::policy_name(req.policy))
                     .set("budget", budget)
                     .set("verdict", deadlocked ? "deadlock" : "live")
                     .set("from_reset", std::move(from_reset))
@@ -250,17 +239,11 @@ Computed compute_profile(const Request& req, const ServerOptions& opts) {
 /// text is answered from memory.
 Computed compute_prove(const ParsedDesign& d, const Request& req,
                        const ServerOptions& opts) {
-  prove::ProveOptions popts;
-  popts.skeleton.policy = policy_of(req);
-  popts.worst_case_occupancy = req.worst_case;
-  prove::parse_method(req.method, &popts.method);
-  popts.depth = req.depth;
-  popts.max_states = effective_budget(req, opts);
-  const auto pr = prove::prove(d.net.topo, popts);
+  const auto pr = prove::prove(d.net.topo, prove_options(req, opts.max_budget));
   Json result = Json::object()
                     .set("schema", "liplib.serve.prove/2")
                     .set("topology_hash", hex64(topology_hash(d.net.topo)))
-                    .set("policy", req.policy)
+                    .set("policy", lip::policy_name(req.policy))
                     .set("worst_case", req.worst_case)
                     .set("verdict", prove::verdict_name(pr.verdict))
                     .set("exit_code", pr.exit_code())
@@ -273,12 +256,7 @@ Computed compute_prove(const ParsedDesign& d, const Request& req,
 Computed compute_campaign(const Request& req, const ServerOptions& opts,
                           trace::Recorder* recorder,
                           trace::TraceContext chunk_parent) {
-  campaign::NamedCampaignSpec spec;
-  spec.mode = req.mode;
-  spec.jobs = static_cast<std::size_t>(req.jobs);
-  spec.policy = policy_of(req);
-  spec.shape = campaign::FuzzSpec::Shape::kComposite;
-  const auto jobs = campaign::make_named_campaign(spec);
+  const auto jobs = campaign::make_named_campaign(campaign_spec(req));
   campaign::EngineOptions eopts;
   eopts.threads = opts.threads;
   eopts.base_seed = req.seed;
@@ -290,7 +268,7 @@ Computed compute_campaign(const Request& req, const ServerOptions& opts,
   Json result =
       Json::object()
           .set("schema", "liplib.serve.campaign/2")
-          .set("mode", req.mode)
+          .set("mode", campaign::campaign_mode_name(req.mode))
           .set("jobs", req.jobs)
           .set("seed", req.seed)
           .set("budget", eopts.cycle_budget)
@@ -304,39 +282,16 @@ Computed compute_campaign(const Request& req, const ServerOptions& opts,
 
 /// Relays a "liplib.dist/1" status query to the coordinator on
 /// 127.0.0.1:<port> and wraps the answer.  Live state, never cached —
-/// the whole point is watching shard progress move.  The framing is
-/// this daemon's own (the dist protocol reuses liplib.rpc/1 frames), so
-/// serve does not depend on the dist library.
+/// the whole point is watching shard progress move.  The dist protocol
+/// reuses liplib.rpc/1 frames, so serve does not depend on the dist
+/// library.
 Computed compute_dist_status(const Request& req) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw ApiError(std::string("socket failed: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(req.port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw ApiError("no dist coordinator on 127.0.0.1:" +
-                   std::to_string(req.port) + ": " + std::strerror(err));
-  }
-  std::string payload;
-  try {
-    write_frame(fd, Json::object()
-                        .set("rpc", "liplib.dist/1")
-                        .set("msg", "status")
-                        .dump());
-    if (!read_frame(fd, payload)) {
-      throw ApiError("coordinator closed the connection without answering");
-    }
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-  const Json status = Json::parse(payload);
+  const Json status = Json::parse(
+      call(static_cast<std::uint16_t>(req.port),
+           Json::object()
+               .set("rpc", "liplib.dist/1")
+               .set("msg", "status")
+               .dump()));
   Json result = Json::object()
                     .set("schema", "liplib.serve.dist_status/1")
                     .set("port", req.port)
@@ -346,40 +301,19 @@ Computed compute_dist_status(const Request& req) {
 
 // ---- cache keys ---------------------------------------------------------
 
-/// Content-addressed key of a cacheable request: (content hash, policy,
-/// seed, kind) plus the knobs that change the answer (budget / cycles).
+/// Content-addressed key of a cacheable request: its canonical document
+/// without the envelope (id, trace), the netlist replaced by the
+/// design's content hash and the budgets by their effective values, so
+/// every knob the kind takes keys the entry and nothing else does.
 std::string cache_key(const Request& req, const ParsedDesign* design,
                       const ServerOptions& opts) {
-  std::string key = request_kind_name(req.kind);
-  switch (req.kind) {
-    case RequestKind::kLint:
-      key += "/" + hex64(design->content_hash);
-      break;
-    case RequestKind::kScreen:
-      key += "/" + hex64(design->content_hash) + "/" + req.policy +
-             "/budget=" + std::to_string(effective_budget(req, opts));
-      break;
-    case RequestKind::kProfile:
-      key += "/" + hex64(design->content_hash) +
-             "/cycles=" + std::to_string(effective_cycles(req, opts));
-      break;
-    case RequestKind::kProve:
-      key += "/" + hex64(design->content_hash) + "/" + req.policy;
-      key += "/method=" + req.method;
-      key += "/depth=" + std::to_string(req.depth);
-      key += req.worst_case ? "/wc=1" : "/wc=0";
-      key += "/budget=" + std::to_string(effective_budget(req, opts));
-      break;
-    case RequestKind::kCampaign:
-      key += "/" + req.mode + "/" + req.policy +
-             "/jobs=" + std::to_string(req.jobs) +
-             "/seed=" + std::to_string(req.seed) +
-             "/budget=" + std::to_string(effective_budget(req, opts));
-      break;
-    default:
-      break;
-  }
-  return key;
+  Request keyed = req;  // a whole copy, so a new knob cannot miss the key
+  keyed.id = Json();
+  keyed.trace = {};
+  if (design) keyed.netlist = hex64(design->content_hash);
+  keyed.budget = effective_budget(req, opts);
+  keyed.cycles = effective_cycles(req, opts);
+  return to_json(keyed).dump();
 }
 
 }  // namespace
@@ -516,7 +450,7 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
     }
 
     ParsedDesign design;
-    const bool needs_design = req.kind != RequestKind::kCampaign;
+    const bool needs_design = takes_netlist(req.kind);
     if (needs_design) design = parse_design_text(req.netlist);
 
     const std::string key =

@@ -108,6 +108,9 @@ TraceContext TraceContext::from_json(const Json& doc) {
   LIPLIB_EXPECT(doc.is_object(), "trace context must be a JSON object");
   TraceContext ctx;
   ctx.trace_id = parse_hex16(string_member(doc, "trace_id"), "trace_id");
+  // A zero id is the disabled context, which is sent by omission, so
+  // every accepted context re-renders as itself.
+  LIPLIB_EXPECT(ctx.enabled(), "trace context: 'trace_id' must be non-zero");
   if (const Json* p = doc.find("parent_span")) {
     LIPLIB_EXPECT(p->is_string(), "trace context: 'parent_span' must be a "
                                   "hex string");

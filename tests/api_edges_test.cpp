@@ -230,6 +230,9 @@ channel Q.0 -> P.0 : H
   EXPECT_EQ(run_lidtool("prove " + live + " --depth"), 2);
   EXPECT_EQ(run_lidtool("prove /nonexistent.lid"), 2);
   EXPECT_EQ(run_lidtool("prove"), 2);
+  // The client validates with the daemon's knob table before it
+  // connects: profile takes no policy.
+  EXPECT_EQ(run_lidtool("client profile " + live + " --policy strict"), 2);
 
   // --help is not an error.
   EXPECT_EQ(run_lidtool("prove --help"), 0);
@@ -283,6 +286,8 @@ TEST(ApiEdges, LidtoolCampaignSeedAndShardContract) {
   EXPECT_EQ(run_lidtool("campaign fuzz -4"), 2);
   // The evaluator is no longer a knob.
   EXPECT_EQ(run_lidtool("campaign fuzz 4 --engine sliced"), 2);
+  // A named campaign has one stop policy: `both` is sweep-only.
+  EXPECT_EQ(run_lidtool("campaign fuzz 4 --policy both"), 2);
 
   // Shard rejections: --shard needs --out, tokens must be i/N with i < N.
   EXPECT_EQ(run_lidtool("campaign fuzz 4 --shard 0/2"), 2);

@@ -18,7 +18,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,7 +31,9 @@
 #include "liplib/serve/protocol.hpp"
 #include "liplib/serve/server.hpp"
 #include "liplib/support/check.hpp"
+#include "liplib/support/flags.hpp"
 #include "liplib/support/json.hpp"
+#include "liplib/support/rng.hpp"
 
 namespace {
 
@@ -286,8 +291,281 @@ TEST(Protocol, RequestValidation) {
   const auto req = parse_request(Json::parse(request_json(
       "screen", kHalfRing, "\"policy\":\"strict\",\"budget\":4096")));
   EXPECT_EQ(req.kind, RequestKind::kScreen);
-  EXPECT_EQ(req.policy, "strict");
+  EXPECT_EQ(req.policy, lip::StopPolicy::kCarloniStrict);
   EXPECT_EQ(req.budget, 4096u);
+}
+
+// ---- one validator: the daemon's JSON and lidtool's flags ----------------
+
+constexpr RequestKind kAllKinds[] = {
+    RequestKind::kLint,     RequestKind::kScreen,     RequestKind::kProfile,
+    RequestKind::kCampaign, RequestKind::kProve,      RequestKind::kStatus,
+    RequestKind::kShutdown, RequestKind::kDistStatus, RequestKind::kMetrics,
+    RequestKind::kTrace};
+
+/// The smallest request of a kind: its required knobs (netlist, the
+/// campaign's mode and jobs, the coordinator port) as JSON members and
+/// as lidtool arguments.
+struct Base {
+  std::vector<std::pair<std::string, std::string>> members;  // name, JSON
+  std::vector<std::string> args;
+};
+
+Base base_of(RequestKind kind) {
+  switch (kind) {
+    case RequestKind::kLint:
+    case RequestKind::kScreen:
+    case RequestKind::kProfile:
+    case RequestKind::kProve:
+      return {{{"netlist", Json(kFig1).dump()}}, {kFig1}};
+    case RequestKind::kCampaign:
+      return {{{"mode", "\"fuzz\""}, {"jobs", "8"}}, {"fuzz", "8"}};
+    case RequestKind::kDistStatus:
+      return {{{"port", "7177"}}, {"--coordinator", "7177"}};
+    default:
+      return {};
+  }
+}
+
+/// The lidtool spelling of a knob: a flag, or (empty flag) the index of
+/// the positional argument it fills.
+struct Spelling {
+  std::string flag;
+  std::size_t position = 0;
+};
+
+Spelling spelling_of(const std::string& knob) {
+  if (knob == "netlist" || knob == "mode") return {"", 0};
+  if (knob == "jobs") return {"", 1};
+  if (knob == "worst_case") return {"--worst-case"};
+  if (knob == "port") return {"--coordinator"};
+  return {"--" + knob};
+}
+
+/// Decodes `kind` with `knob` set to the JSON literal `value`; nullopt
+/// when the validator rejects it.
+std::optional<Request> from_json(RequestKind kind, const std::string& knob,
+                                 const std::string& value) {
+  std::string doc = std::string("{\"rpc\":\"") + kRpcSchema +
+                    "\",\"kind\":\"" + request_kind_name(kind) + "\"";
+  for (const auto& [name, json] : base_of(kind).members) {
+    if (name != knob) doc += ",\"" + name + "\":" + json;
+  }
+  if (!knob.empty()) doc += ",\"" + knob + "\":" + value;
+  doc += "}";
+  try {
+    return parse_request(Json::parse(doc));
+  } catch (const ApiError&) {
+    return std::nullopt;
+  }
+}
+
+/// The same through lidtool's flag parser: a string literal is the
+/// flag's text, a number its digits, `true` a bare switch, `false` no
+/// flag at all.
+std::optional<Request> from_flags(RequestKind kind, const std::string& knob,
+                                  const std::string& value) {
+  std::vector<std::string> args = base_of(kind).args;
+  if (!knob.empty()) {
+    const Spelling sp = spelling_of(knob);
+    const std::string text = value.front() == '"'
+                                 ? Json::parse(value).as_string()
+                                 : value;
+    if (sp.flag.empty()) {
+      args[sp.position] = text;
+    } else if (value == "true") {
+      args.push_back(sp.flag);
+    } else if (value != "false") {
+      args.push_back(sp.flag);
+      args.push_back(text);
+    }
+  }
+  try {
+    return request_from_flags(kind, Flags(args, knob_flags(kind)));
+  } catch (const ApiError&) {
+    return std::nullopt;
+  }
+}
+
+/// parse_request(to_json(r)) == r, and the canonical bytes are stable.
+/// The id is compared as the text the daemon echoes: the writer prints
+/// an integral double as an integer, which parses back as one.
+void expect_round_trip(const Request& r, const std::string& what) {
+  const std::string bytes = to_json(r).dump();
+  Request again = parse_request(Json::parse(bytes));
+  EXPECT_EQ(again.id.dump(), r.id.dump()) << what;
+  again.id = r.id;
+  EXPECT_TRUE(again == r) << what << ": " << bytes;
+  EXPECT_EQ(to_json(again).dump(), bytes) << what;
+}
+
+TEST(Protocol, JsonAndFlagsShareOneValidator) {
+  struct Case {
+    RequestKind kind;
+    const char* knob;
+    const char* value;  // JSON literal
+    bool accepted;
+  };
+  const Case cases[] = {
+      {RequestKind::kLint, "", "", true},
+      {RequestKind::kLint, "netlist", "\"\"", false},
+      {RequestKind::kScreen, "policy", "\"strict\"", true},
+      {RequestKind::kScreen, "policy", "\"variant\"", true},
+      {RequestKind::kScreen, "policy", "\"both\"", false},
+      {RequestKind::kScreen, "policy", "\"Strict\"", false},
+      {RequestKind::kScreen, "budget", "4096", true},
+      {RequestKind::kScreen, "budget", "0", true},
+      {RequestKind::kScreen, "budget", "-5", false},
+      {RequestKind::kScreen, "budget", "1.5", false},
+      {RequestKind::kScreen, "budget", "99999999999999999999", false},
+      {RequestKind::kProfile, "cycles", "2000", true},
+      {RequestKind::kProfile, "cycles", "-3", false},
+      {RequestKind::kProve, "policy", "\"strict\"", true},
+      {RequestKind::kProve, "budget", "1024", true},
+      {RequestKind::kProve, "method", "\"auto\"", true},
+      {RequestKind::kProve, "method", "\"reach\"", true},
+      {RequestKind::kProve, "method", "\"bmc\"", true},
+      {RequestKind::kProve, "method", "\"induction\"", true},
+      {RequestKind::kProve, "method", "\"bogus\"", false},
+      {RequestKind::kProve, "depth", "7", true},
+      {RequestKind::kProve, "depth", "-1", false},
+      {RequestKind::kProve, "worst_case", "true", true},
+      {RequestKind::kProve, "worst_case", "false", true},
+      {RequestKind::kCampaign, "mode", "\"lint\"", true},
+      {RequestKind::kCampaign, "mode", "\"probe\"", true},
+      {RequestKind::kCampaign, "mode", "\"prove\"", true},
+      {RequestKind::kCampaign, "mode", "\"sweep\"", false},
+      {RequestKind::kCampaign, "jobs", "1", true},
+      {RequestKind::kCampaign, "jobs", "1000000", true},
+      {RequestKind::kCampaign, "jobs", "0", false},
+      {RequestKind::kCampaign, "jobs", "1000001", false},
+      {RequestKind::kCampaign, "seed", "7", true},
+      {RequestKind::kCampaign, "seed", "-1", false},
+      {RequestKind::kCampaign, "policy", "\"strict\"", true},
+      {RequestKind::kCampaign, "policy", "\"both\"", false},
+      {RequestKind::kCampaign, "budget", "65536", true},
+      {RequestKind::kDistStatus, "port", "1", true},
+      {RequestKind::kDistStatus, "port", "65535", true},
+      {RequestKind::kDistStatus, "port", "0", false},
+      {RequestKind::kDistStatus, "port", "65536", false},
+      {RequestKind::kStatus, "", "", true},
+      {RequestKind::kMetrics, "", "", true},
+  };
+  for (const Case& c : cases) {
+    const std::string what = std::string(request_kind_name(c.kind)) + " " +
+                             c.knob + "=" + c.value;
+    const auto j = from_json(c.kind, c.knob, c.value);
+    const auto f = from_flags(c.kind, c.knob, c.value);
+    EXPECT_EQ(j.has_value(), c.accepted) << "JSON " << what;
+    EXPECT_EQ(f.has_value(), c.accepted) << "flags " << what;
+    if (!j || !f) continue;
+    EXPECT_TRUE(*j == *f) << what << ": " << to_json(*j).dump() << " vs "
+                          << to_json(*f).dump();
+    expect_round_trip(*j, what);
+  }
+
+  // One depth rule on both surfaces: depth without method means bmc.
+  EXPECT_EQ(from_json(RequestKind::kProve, "depth", "7")->method,
+            prove::Method::kBmc);
+  EXPECT_EQ(from_flags(RequestKind::kProve, "depth", "7")->method,
+            prove::Method::kBmc);
+  const auto explicit_auto = parse_request(Json::parse(request_json(
+      "prove", kFig1, "\"method\":\"auto\",\"depth\":7")));
+  EXPECT_EQ(explicit_auto.method, prove::Method::kAuto);
+  expect_round_trip(explicit_auto, "prove auto depth 7");
+
+  // One prove default budget: ProveOptions{}.max_states, for lidtool
+  // (no cap) and under a default daemon's cap alike; a larger explicit
+  // budget is clamped by the daemon only.
+  const Request prove_req = *from_json(RequestKind::kProve, "", "");
+  const std::uint64_t cap = ServerOptions{}.max_budget;
+  EXPECT_EQ(prove_options(prove_req).max_states,
+            prove::ProveOptions{}.max_states);
+  EXPECT_EQ(prove_options(prove_req, cap).max_states,
+            prove::ProveOptions{}.max_states);
+  const Request big = *from_json(RequestKind::kProve, "budget", "99999999");
+  EXPECT_EQ(prove_options(big).max_states, 99999999u);
+  EXPECT_EQ(prove_options(big, cap).max_states, cap);
+
+  // A knob its kind does not take: ignored in JSON (the request equals
+  // the one without it), an unknown flag on the command line.
+  const std::pair<const char*, const char*> flagged[] = {
+      {"policy", "\"strict\""}, {"budget", "64"},    {"cycles", "64"},
+      {"method", "\"bmc\""},    {"depth", "3"},      {"worst_case", "true"},
+      {"seed", "9"},            {"port", "7177"}};
+  for (RequestKind kind : kAllKinds) {
+    const auto flags = knob_flags(kind);
+    for (const auto& [knob, value] : flagged) {
+      const std::string flag = spelling_of(knob).flag;
+      const bool takes =
+          std::any_of(flags.begin(), flags.end(),
+                      [&](const FlagSpec& s) { return s.name == flag; });
+      if (takes) continue;
+      const std::string what =
+          std::string(request_kind_name(kind)) + " " + knob;
+      const auto j = from_json(kind, knob, value);
+      ASSERT_TRUE(j.has_value()) << what;
+      EXPECT_TRUE(*j == *from_json(kind, "", "")) << what;
+      EXPECT_FALSE(from_flags(kind, knob, value).has_value()) << what;
+    }
+  }
+  // profile takes cycles only.
+  EXPECT_FALSE(from_flags(RequestKind::kProfile, "policy", "\"strict\""));
+
+  // The envelope round-trips too.
+  Request r = *from_json(RequestKind::kProve, "worst_case", "true");
+  r.id = Json::object().set("n", 1.0).set("tag", "x");
+  r.trace = trace::TraceContext{0x1234, 0x5678};
+  expect_round_trip(r, "envelope");
+}
+
+// ROADMAP's fuzz invariant on the request parser: seeded mutations of
+// every kind's canonical document never crash the decoder (only
+// ApiError), and every mutant it accepts round-trips through to_json.
+TEST(Protocol, MutatedRequestsNeverCrashAndAcceptedOnesRoundTrip) {
+  Rng rng(0x5eed);
+  const char* tokens[] = {"-1", "0", "1.5", "\"", "{", "}", "[", "]", ",",
+                          ":", "true", "null", "\"strict\"", "\"bmc\"",
+                          "99999999999999999999", "\\u0000"};
+  std::size_t accepted = 0;
+  for (RequestKind kind : kAllKinds) {
+    Request seed = *from_json(kind, "", "");
+    seed.id = "req-1";
+    seed.trace = trace::TraceContext{0xabc, 0xdef};
+    const std::string canonical = to_json(seed).dump();
+    for (int i = 0; i < 400; ++i) {
+      std::string text = canonical;
+      for (std::uint64_t m = 0, n = 1 + rng.below(3); m < n; ++m) {
+        const std::size_t at = rng.below(text.size() + 1);
+        switch (rng.below(4)) {
+          case 0:
+            if (at < text.size()) {
+              text[at] = static_cast<char>(0x20 + rng.below(0x5f));
+            }
+            break;
+          case 1:
+            if (at < text.size()) text.erase(at, 1 + rng.below(4));
+            break;
+          case 2:
+            text.insert(at, tokens[rng.below(std::size(tokens))]);
+            break;
+          default:
+            text.insert(at, text.substr(rng.below(text.size()),
+                                        rng.below(12)));
+            break;
+        }
+      }
+      Request r;
+      try {
+        r = parse_request(Json::parse(text));
+      } catch (const ApiError&) {
+        continue;
+      }
+      ++accepted;
+      expect_round_trip(r, text);
+    }
+  }
+  EXPECT_GT(accepted, 400u);  // the accept path is exercised, not just rejects
 }
 
 // ---- dispatch: cached vs fresh byte identity ----------------------------
@@ -411,7 +689,7 @@ TEST(Handlers, ProveRequestsAreProvedCachedAndKeyedByKnobs) {
       "prove", kHalfRing,
       "\"method\":\"bmc\",\"depth\":7,\"worst_case\":true")));
   EXPECT_EQ(parsed.kind, RequestKind::kProve);
-  EXPECT_EQ(parsed.method, "bmc");
+  EXPECT_EQ(parsed.method, prove::Method::kBmc);
   EXPECT_EQ(parsed.depth, 7u);
   EXPECT_TRUE(parsed.worst_case);
 }
@@ -474,6 +752,29 @@ TEST(Handlers, LegacyEngineMemberIsIgnored) {
   EXPECT_EQ(status.find("schema")->as_string(), "liplib.serve.status/3");
   EXPECT_EQ(status.find("engines"), nullptr);
   EXPECT_EQ(status.find("cache")->find("hits")->as_uint(), 2u);
+}
+
+// `profile` takes no policy: the knob table gives it `cycles` only, so a
+// daemon request carrying one is answered from the same cache entry, as
+// with any member its kind does not take.
+TEST(Handlers, ProfilePolicyMemberIsIgnored) {
+  ServeContext ctx;
+  std::string fresh, strict;
+  bool c1 = true, c2 = false, ok1 = false, ok2 = false;
+  split_response(handle_payload(request_json("profile", kFig1,
+                                             "\"cycles\":500"),
+                                ctx),
+                 &fresh, &c1, &ok1);
+  split_response(handle_payload(request_json("profile", kFig1,
+                                             "\"cycles\":500,"
+                                             "\"policy\":\"strict\""),
+                                ctx),
+                 &strict, &c2, &ok2);
+  ASSERT_TRUE(ok1 && ok2) << strict;
+  EXPECT_FALSE(c1);
+  EXPECT_TRUE(c2);
+  EXPECT_EQ(fresh, strict);
+  EXPECT_EQ(ctx.cache.stats().entries, 1u);
 }
 
 TEST(Handlers, DistinctPoliciesAndBudgetsAreDistinctCacheEntries) {
