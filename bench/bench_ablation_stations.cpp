@@ -111,9 +111,8 @@ int main() {
       skeleton::Skeleton sk(topo);
       const auto res = sk.analyze();
       // Worst-case liveness.
-      skeleton::ScreeningOptions wc;
-      wc.worst_case_occupancy = true;
-      const auto verdict = xir::screen_for_deadlock(topo, wc);
+      const auto verdict = xir::screen_for_deadlock(
+          xir::lower(topo), /*worst_case_occupancy=*/true);
 
       t.add_row({c.name, pol.name, std::to_string(registers),
                  res.found ? res.system_throughput().str() : "?",

@@ -32,10 +32,8 @@ std::string verdict_str(const skeleton::ScreeningVerdict& v) {
 
 skeleton::ScreeningVerdict screen(const graph::Topology& topo, bool wc,
                                   StopResolution res) {
-  skeleton::ScreeningOptions opts;
-  opts.skeleton.resolution = res;
-  opts.worst_case_occupancy = wc;
-  return xir::screen_for_deadlock(topo, opts);
+  return xir::screen_for_deadlock(
+      xir::lower(topo, {StopPolicy::kCasuDiscardOnVoid, res}), wc);
 }
 
 }  // namespace

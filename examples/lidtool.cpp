@@ -83,15 +83,18 @@ structural commands (take a .lid netlist file):
                 to -o FILE (or stdout) and the report to stderr
     -o FILE     output file for the cured netlist
   analyze   <file.lid>          analytic throughput (formulas + MCR)
-  simulate  <file.lid>          skeleton simulation to steady state, guarded
-                                by the telemetry watchdog: a deadlocked or
-                                livelocked design is reported as DEADLOCK
-                                (exit 1) instead of draining the budget
+  simulate  <file.lid>          skeleton simulation to steady state: a
+                                deadlocked design is reported as DEADLOCK
+                                (exit 1), with the watchdog's trip and blame
+                                when the whole design froze; no steady
+                                state within the budget also exits 1
     --worst-case       start from worst-case occupancy (saturated stations)
-    --budget N         watchdog-guarded cycle budget (default 2^18)
+    --budget N         cycle budget of the steady-state search (default
+                       2^18; 0 = default)
     --postmortem FILE  on trip, write the post-mortem bundle (replayable
                        with `lidtool replay`) to FILE
-  screen    <file.lid>          deadlock screening (reset + worst case)
+  screen    <file.lid>          deadlock screening (reset + worst case);
+                                exit 0 live / 1 deadlock or no steady state
   prove     <file.lid>          static deadlock-freedom proof: exhaustive
                                 reachability, bounded model checking and
                                 k-induction over every sink-stop environment
@@ -374,56 +377,56 @@ int cmd_analyze(const graph::Topology& topo) {
 }
 
 /// Writes a post-mortem bundle; reports what happened on stdout.
-void write_postmortem(const telemetry::Watchdog& dog,
+void write_postmortem(const telemetry::PostMortem& pm,
                       const std::string& path) {
-  write_text(path, dog.post_mortem().to_json().dump(2) + "\n");
+  write_text(path, pm.to_json().dump(2) + "\n");
   std::cout << "wrote post-mortem bundle " << path
             << " (replay with `lidtool replay " << path << "`)\n";
 }
 
 /// Prints the watchdog verdict after a trip.
-void print_trip(const telemetry::Watchdog& dog) {
+void print_trip(const telemetry::PostMortem& pm) {
   std::cout << "DEADLOCK: watchdog tripped ("
-            << telemetry::trip_reason_str(dog.reason())
-            << "), no progress since cycle " << dog.no_progress_since()
-            << ", tripped at cycle " << dog.trip_cycle() << "\n";
-  const auto report = dog.probe().report();
-  if (const auto* top = report.top_blame()) {
-    std::cout << "top blame: " << top->victim_name
-              << (top->why == probe::Activity::kWaitingInput ? " waiting <- "
-                                                             : " stopped <- ")
-              << top->culprit_name << " x" << top->cycles << "\n";
+            << telemetry::trip_reason_str(pm.reason)
+            << "), no progress since cycle " << pm.no_progress_since
+            << ", tripped at cycle " << pm.trip_cycle << "\n";
+  if (!pm.blame.empty()) {
+    const auto& top = pm.blame.front();
+    std::cout << "top blame: " << top.victim << " " << top.why << " <- "
+              << top.culprit << " x" << top.cycles << "\n";
   }
+}
+
+/// One screening pass's verdict for lidtool's text output.
+std::string screen_line(const skeleton::ScreeningVerdict& v,
+                        std::uint64_t budget) {
+  if (v.deadlock_found) return "DEADLOCK";
+  if (!v.ran_to_steady_state) {
+    return "no steady state within " + std::to_string(budget) + " cycles";
+  }
+  return "live, T = " + v.min_throughput.str();
 }
 
 int cmd_simulate(const graph::Topology& topo, bool worst_case,
                  std::uint64_t budget, const std::string& pm_path) {
-  // Watchdog-guarded pass first: a deadlocked/livelocked design is
-  // reported (with evidence) instead of silently draining the analyze
-  // budget.  Skeleton steps are cheap enough to pay twice.
-  {
-    xir::ScalarEngine guard(topo);
-    if (worst_case) guard.saturate_stations();
-    telemetry::WatchdogOptions wopts;
-    wopts.worst_case_occupancy = worst_case;
-    telemetry::Watchdog dog(wopts);
-    dog.attach(guard);
-    const auto guarded = telemetry::run_guarded(guard, dog, budget);
-    if (dog.tripped()) {
-      print_trip(dog);
-      if (!pm_path.empty()) write_postmortem(dog, pm_path);
-      std::cout << "summary: simulate cycles=" << guarded.cycles
-                << " seed=0 (skeleton runs are deterministic) "
-                   "verdict=deadlock\n";
-      return 1;
-    }
+  // The one screen: run to the first repeated state within the budget.
+  // Only a deadlock verdict re-runs the design under the watchdog, for
+  // the trip and its post-mortem bundle.
+  const xir::ProgramRef prog = xir::lower(topo);
+  skeleton::SkeletonResult r;
+  const auto v = xir::screen_for_deadlock(prog, worst_case, budget, &r);
+  telemetry::WatchdogOptions wopts;
+  wopts.worst_case_occupancy = worst_case;
+  if (const auto pm = telemetry::deadlock_evidence(prog, v, wopts)) {
+    print_trip(*pm);
+    if (!pm_path.empty()) write_postmortem(*pm, pm_path);
+    std::cout << "summary: simulate cycles=" << pm->trip_cycle + 1
+              << " seed=0 (skeleton runs are deterministic) "
+                 "verdict=deadlock\n";
+    return 1;
   }
-
-  xir::ScalarEngine eng(topo);
-  if (worst_case) eng.saturate_stations();
-  const auto r = eng.analyze();
   if (!r.found) {
-    std::cout << "no steady state within budget\n";
+    std::cout << screen_line(v, budget) << "\n";
     return 1;
   }
   std::cout << "transient: " << r.transient << " cycles, period: " << r.period
@@ -434,37 +437,40 @@ int cmd_simulate(const graph::Topology& topo, bool worst_case,
   }
   t.print(std::cout);
   std::cout << "system throughput: " << r.system_throughput().str() << "\n";
+  if (v.deadlock_found) {
+    // Part of the design still moves, so the watchdog never trips and
+    // there is no bundle: the starved shells are the evidence.
+    std::cout << "DEADLOCK: starved shells:";
+    for (auto n : v.starved) std::cout << " " << topo.node(n).name;
+    std::cout << "\n";
+  }
   std::cout << "summary: simulate cycles=" << r.transient + r.period
             << " (transient " << r.transient << " + period " << r.period
             << ") seed=0 (skeleton runs are deterministic) T="
-            << r.system_throughput().str() << "\n";
-  return 0;
+            << r.system_throughput().str()
+            << (v.deadlock_found ? " verdict=deadlock" : "") << "\n";
+  return v.deadlock_found ? 1 : 0;
 }
 
 int cmd_screen(const graph::Topology& topo) {
-  const auto a = xir::screen_for_deadlock(topo);
-  std::cout << "from reset: "
-            << (a.deadlock_found ? "DEADLOCK" : "live, T = " +
-                                                    a.min_throughput.str())
-            << " (" << a.cycles_simulated << " skeleton cycles)\n";
-  skeleton::ScreeningOptions wc;
-  wc.worst_case_occupancy = true;
-  const auto b = xir::screen_for_deadlock(topo, wc);
-  std::cout << "worst-case occupancy: "
-            << (b.deadlock_found ? "DEADLOCK" : "live, T = " +
-                                                    b.min_throughput.str())
-            << "\n";
-  for (auto v : b.starved) {
-    std::cout << "  starved shell: " << topo.node(v).name << "\n";
+  const std::uint64_t budget = 1u << 20;
+  const xir::ProgramRef prog = xir::lower(topo);
+  const auto a = xir::screen_for_deadlock(prog, /*worst_case=*/false, budget);
+  std::cout << "from reset: " << screen_line(a, budget) << " ("
+            << a.cycles_simulated << " skeleton cycles)\n";
+  const auto b = xir::screen_for_deadlock(prog, /*worst_case=*/true, budget);
+  std::cout << "worst-case occupancy: " << screen_line(b, budget) << "\n";
+  for (auto n : b.starved) {
+    std::cout << "  starved shell: " << topo.node(n).name << "\n";
   }
-  const bool bad = a.deadlock_found || b.deadlock_found;
+  const std::string verdict = skeleton::screening_verdict_name(a, b);
   std::cout << "summary: screen cycles=" << a.cycles_simulated +
                    b.cycles_simulated
             << " (reset " << a.cycles_simulated << " + worst-case "
             << b.cycles_simulated
             << ") seed=0 (skeleton runs are deterministic) verdict="
-            << (bad ? "deadlock" : "live") << "\n";
-  return bad ? 1 : 0;
+            << verdict << "\n";
+  return verdict == "live" ? 0 : 1;
 }
 
 /// `prove <file.lid>`: the daemon's prove request, run locally — the
@@ -535,8 +541,9 @@ int cmd_run(const Args& args) {
   dog.attach(*sys);
   const auto guarded = telemetry::run_guarded(*sys, dog, cycles);
   if (dog.tripped()) {
-    print_trip(dog);
-    if (f.has("--postmortem")) write_postmortem(dog, f.value("--postmortem"));
+    const auto pm = dog.post_mortem();
+    print_trip(pm);
+    if (f.has("--postmortem")) write_postmortem(pm, f.value("--postmortem"));
     std::cout << "summary: run cycles=" << guarded.cycles
               << " verdict=deadlock\n";
     return 1;
@@ -1240,7 +1247,7 @@ int demo() {
   std::cout << "--- analyze ---\n";
   cmd_analyze(topo);
   std::cout << "--- simulate ---\n";
-  cmd_simulate(topo, /*worst_case=*/false, 1u << 18, "");
+  cmd_simulate(topo, /*worst_case=*/false, serve::kDefaultCycleBudget, "");
   std::cout << "--- screen ---\n";
   cmd_screen(topo);
   std::cout << "--- equalize ---\n";
@@ -1269,8 +1276,9 @@ int dispatch(const std::string& cmd, const Args& args) {
     return structural(
         args, {{"--worst-case", false}, {"--budget"}, {"--postmortem"}},
         "simulate <file.lid> [options]", [](T t, const Flags& f) {
+          const std::uint64_t budget = f.number("--budget", 0);
           return cmd_simulate(t, f.has("--worst-case"),
-                              f.number("--budget", 1u << 18),
+                              budget ? budget : serve::kDefaultCycleBudget,
                               f.value("--postmortem"));
         });
   }

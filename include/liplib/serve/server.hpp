@@ -3,7 +3,7 @@
 // liplib::serve — the multi-tenant lint/screen/profile daemon.
 //
 // A Server binds a loopback TCP socket and serves liplib.rpc/1 requests
-// (protocol.hpp) from concurrent clients: static lint, watchdog-guarded
+// (protocol.hpp) from concurrent clients: static lint, steady-state
 // deadlock screening, probe-instrumented profiling, and whole campaign
 // batches executed on the campaign engine's chunked work-stealing pool.
 // Every cacheable result flows through the content-addressed
@@ -16,9 +16,10 @@
 // backlog).  Single-design requests run on their connection's thread —
 // tenant concurrency is connection concurrency — while `campaign`
 // requests fan out on a campaign::Engine sized by `threads`.  A
-// deadlocked or livelocked design cannot wedge a worker: screening and
-// profiling run under the telemetry watchdog and degrade to a DEADLOCK
-// verdict carrying the post-mortem bundle.
+// deadlocked or livelocked design cannot wedge a worker: screening stops
+// at the first repeated state within its budget and profiling runs
+// under the telemetry watchdog, and both answer a DEADLOCK verdict with
+// the post-mortem bundle when the design froze.
 //
 // Shutdown is graceful: a `shutdown` request (or Server::shutdown())
 // stops the accept loop, lets every in-flight request finish and
@@ -61,8 +62,9 @@ struct ServerOptions {
   unsigned max_connections = 64;
   CacheOptions cache;
   FrameLimits limits;
-  /// Watchdog-guarded cycle budget for screen requests (and the cap for
-  /// profile cycle counts); requests may ask for less, never for more.
+  /// Cycle budget ceiling of screen's steady-state search and of
+  /// campaigns (and the cap for profile cycle counts); requests may ask
+  /// for less, never for more.
   std::uint64_t max_budget = 1u << 20;
   std::uint64_t default_budget = kDefaultCycleBudget;
   std::uint64_t default_profile_cycles = 10000;
@@ -91,7 +93,7 @@ struct ServeContext {
   metrics::Counter requests_by_kind[kRequestKindCount];
   metrics::Counter protocol_errors;      ///< malformed frames / requests
   metrics::Counter request_errors;       ///< well-formed requests that failed
-  metrics::Counter deadlock_verdicts;    ///< watchdog-tripped answers
+  metrics::Counter deadlock_verdicts;    ///< computed deadlock answers
   metrics::Gauge inflight;               ///< requests being computed now
 
   /// Request-lifecycle spans (serve.<kind> roots with cache-lookup /

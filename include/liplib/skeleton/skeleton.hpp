@@ -189,6 +189,15 @@ struct ScreeningVerdict {
 ScreeningVerdict screening_verdict(const SkeletonResult& r,
                                    std::uint64_t cycles_simulated);
 
+/// The verdict word of a design's two screening passes, as serve's
+/// screen and `lidtool screen` answer: "deadlock" when either found one,
+/// else "unknown" when either ran out of budget first, else "live".
+inline const char* screening_verdict_name(const ScreeningVerdict& a,
+                                          const ScreeningVerdict& b) {
+  if (a.deadlock_found || b.deadlock_found) return "deadlock";
+  return a.ran_to_steady_state && b.ran_to_steady_state ? "live" : "unknown";
+}
+
 /// How xir::screen_for_deadlock initializes the design.
 struct ScreeningOptions {
   SkeletonOptions skeleton;

@@ -34,17 +34,9 @@
 
 #include "liplib/probe/probe.hpp"
 #include "liplib/sim/kernel.hpp"
+#include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/json.hpp"
-
-namespace liplib::lip {
-class System;
-}  // namespace liplib::lip
-namespace liplib::skeleton {
-class Skeleton;
-}  // namespace liplib::skeleton
-namespace liplib::xir {
-class ScalarEngine;
-}  // namespace liplib::xir
+#include "liplib/xir/xir.hpp"
 
 namespace liplib::telemetry {
 
@@ -132,17 +124,16 @@ class Watchdog final : public probe::CycleObserver {
  public:
   explicit Watchdog(WatchdogOptions opts = {});
 
-  /// Attaches to a host via an internally-owned probe (counters +
+  /// Attaches to a host — lip::System, skeleton::Skeleton or
+  /// xir::ScalarEngine — via an internally-owned probe (counters +
   /// attribution on, so the bundle carries a blame histogram).  Same
   /// constraints as the host's attach_probe: before the first step,
   /// simplified shells only.
-  void attach(lip::System& sys);
-  void attach(skeleton::Skeleton& sk);
-  void attach(xir::ScalarEngine& eng);
+  template <class Host>
+  void attach(Host& host) { host.attach_probe(probe_); }
 
   /// The internally-owned probe (valid after attach); exposes report()
   /// for callers that want the measurement alongside the verdict.
-  probe::Probe& probe() { return probe_; }
   const probe::Probe& probe() const { return probe_; }
 
   const WatchdogOptions& options() const { return opts_; }
@@ -195,24 +186,36 @@ class Watchdog final : public probe::CycleObserver {
   bool trip_saturated_ = false;
 };
 
-/// Steps `sys` until the watchdog trips or `max_cycles` elapse.  The
-/// satellite surface: lidtool simulate/run report a deadlock verdict
-/// instead of silently exhausting the budget.
+/// Steps `host` (any host Watchdog::attach takes) until the watchdog
+/// trips or `max_cycles` elapse, so a full-data run reports a deadlock
+/// verdict instead of silently exhausting the budget.  A trip on cycle c
+/// of a fresh host stops the run after c + 1 steps.
 struct GuardedRun {
   std::uint64_t cycles = 0;  ///< cycles actually stepped
   bool deadlocked = false;   ///< watchdog tripped
 };
-GuardedRun run_guarded(lip::System& sys, Watchdog& dog,
-                       std::uint64_t max_cycles);
-GuardedRun run_guarded(skeleton::Skeleton& sk, Watchdog& dog,
-                       std::uint64_t max_cycles);
-GuardedRun run_guarded(xir::ScalarEngine& eng, Watchdog& dog,
-                       std::uint64_t max_cycles);
+template <class Host>
+GuardedRun run_guarded(Host& host, Watchdog& dog, std::uint64_t max_cycles) {
+  GuardedRun r;
+  for (; r.cycles < max_cycles && !dog.tripped(); ++r.cycles) host.step();
+  r.deadlocked = dog.tripped();
+  return r;
+}
+
+/// The evidence of a deadlock xir::screen_for_deadlock found on `prog`:
+/// replay()'s deterministic re-run, from the occupancy
+/// `opts.worst_case_occupancy` names, for at most transient + period +
+/// threshold cycles.  Returns the post-mortem only on a deadlock verdict
+/// whose whole design froze (the watchdog tripped); `opts.optimistic`
+/// comes from the program.
+std::optional<PostMortem> deadlock_evidence(
+    const xir::ProgramRef& prog, const skeleton::ScreeningVerdict& verdict,
+    WatchdogOptions opts = {});
 
 /// Reconstructs the design from a bundle (netlist + protocol config +
 /// saturation state), re-runs it on xir::ScalarEngine under a fresh
-/// watchdog with the bundle's thresholds, and checks the failure reproduces at the
-/// identical cycle indices.
+/// watchdog with the bundle's thresholds, and checks the failure
+/// reproduces at the identical cycle indices.
 ReplayResult replay(const PostMortem& pm);
 
 // ---- event-kernel watchdog ---------------------------------------------

@@ -26,9 +26,10 @@
 //    pass, lane divergence handled by masked updates.
 //
 // Each job has one evaluator: a single design's screen, steady state,
-// cure, replay and watchdog guard run on ScalarEngine; batched variant
-// screens run 64 variants per SlicedEngine pass.  The interpreter stays
-// as the reference model the differential suite holds both against.
+// cure, replay and deadlock evidence run on ScalarEngine; batched
+// variant screens run 64 variants per SlicedEngine pass.  The
+// interpreter stays as the reference model the differential suite holds
+// both against.
 //
 // See docs/xir.md for the IR layout and lowering rules.
 
@@ -195,10 +196,19 @@ class ScalarEngine {
   std::vector<std::vector<std::uint8_t>> sink_pattern_;  ///< per sink
 };
 
-/// The paper's deadlock screen on the ScalarEngine: from reset or from
-/// worst-case occupancy, run to the transient's extinction (rho
-/// detection) within `max_cycles`.  Batched screens of station-kind
-/// variants are xir::screen_variants (xir/sliced.hpp).
+/// The paper's deadlock screen, the one answer to "does this design
+/// deadlock from this occupancy?": from reset or worst-case occupancy,
+/// run to the transient's extinction (the first repeated state) within
+/// `max_cycles`.  `steady`, when given, receives the analysis the
+/// verdict came from.  A deadlock's evidence is
+/// telemetry::deadlock_evidence; batched variant screens are
+/// xir::screen_variants (xir/sliced.hpp).
+skeleton::ScreeningVerdict screen_for_deadlock(
+    const ProgramRef& prog, bool worst_case_occupancy,
+    std::uint64_t max_cycles = 1u << 20,
+    skeleton::SkeletonResult* steady = nullptr);
+
+/// Convenience: lower + screen.
 skeleton::ScreeningVerdict screen_for_deadlock(
     const graph::Topology& topo, skeleton::ScreeningOptions opts = {},
     std::uint64_t max_cycles = 1u << 20);

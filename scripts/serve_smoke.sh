@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Smoke test for the lidtool serve daemon, exercised end-to-end through
-# the shipped binary: start a daemon on an ephemeral port, fire 102
+# the shipped binary: start a daemon on an ephemeral port, fire 105
 # mixed requests at it from `lidtool client` (lint / screen / profile /
 # campaign / prove, including a design with a deliberate worst-case
 # deadlock), check that a prove and a campaign request answer with the
-# same documents as the local `lidtool prove` / `lidtool campaign`,
+# same documents as the local `lidtool prove` / `lidtool campaign`, and
+# that `lidtool screen` and `lidtool client screen` exit alike,
 # then assert via `status` that the cache actually served hits, that the
 # deadlock was answered as a verdict (not a hang), and that a `shutdown`
 # request drains cleanly.
@@ -66,6 +67,23 @@ channel P.0 -> Q.0 : H
 channel Q.0 -> P.0 : H
 EOF
 
+# The same kind of latch beside an independent live pipeline: under
+# worst-case occupancy the ring's shells starve forever while the
+# pipeline keeps moving, so the watchdog never trips — still a deadlock.
+cat > "$work/ring_pipe.lid" <<'EOF'
+process ctl 1 1
+process plant 1 1
+process est 1 1
+channel ctl.0 -> plant.0 : H
+channel plant.0 -> est.0 : H
+channel est.0 -> ctl.0 : H
+source src
+process p 1 1
+sink snk
+channel src.0 -> p.0 : F
+channel p.0 -> snk.0 : F
+EOF
+
 # ---- start the daemon ---------------------------------------------------
 
 "$lidtool" serve --port 0 --cache-mb 8 --ttl 600 > "$work/serve.log" 2>&1 &
@@ -94,9 +112,9 @@ result_member() {
 
 # ---- 98 mixed requests --------------------------------------------------
 
-# 24 rounds x 4 request kinds = 96, plus 2 campaigns, plus the prove
-# and campaign of the next section, plus the final status + shutdown =
-# 102 frames total.  After round one, every
+# 24 rounds x 4 request kinds = 96, plus 2 campaigns = 98; plus the
+# prove, campaign and 3 screens of the next sections, plus the final
+# status + shutdown = 105 frames total.  After round one, every
 # lint/screen/profile answer must be a cache hit.
 requests=0
 deadlock_answers=0
@@ -153,6 +171,25 @@ cmp -s "$work/campaign_local.json" "$work/campaign_member.json" \
   || fail "client campaign differs from lidtool campaign --json:
 $(diff "$work/campaign_local.json" "$work/campaign_member.json" | head -n 12)"
 echo "serve_smoke: daemon campaign aggregate == lidtool campaign --json"
+
+# ---- one verdict on two surfaces: lidtool screen vs client screen ------
+
+# Both ask the one steady-state search, so they exit alike: 0 live, 1
+# deadlock — including the latch beside a live pipeline.
+for pair in fig1:0 deadlock:1 ring_pipe:1; do
+  design="${pair%%:*}"
+  want="${pair##*:}"
+  "$lidtool" screen "$work/$design.lid" > /dev/null
+  local_rc=$?
+  client screen "$work/$design.lid" > /dev/null
+  daemon_rc=$?
+  requests=$((requests + 1))
+  [ "$local_rc" -eq "$want" ] \
+    || fail "lidtool screen $design.lid exited $local_rc, want $want"
+  [ "$daemon_rc" -eq "$local_rc" ] \
+    || fail "client screen $design.lid exited $daemon_rc, lidtool screen $local_rc"
+done
+echo "serve_smoke: lidtool screen and client screen exit alike"
 echo "serve_smoke: $requests requests served, $deadlock_answers deadlock verdicts"
 
 # ---- status: the cache must have served hits ----------------------------
@@ -172,13 +209,14 @@ verdicts="$(get deadlock_verdicts)"
 [ -n "$hits" ] || fail "status did not report cache hits"
 [ "$total" -eq $((requests + 1)) ] \
   || fail "status reports $total requests, want $((requests + 1))"
-# 4 distinct cache keys (lint/screen/profile of fig1, screen of the
-# deadlock ring) computed once each + 2 campaign keys + 1 prove key:
-# everything else must have come from the cache.
+# 5 distinct cache keys (lint/screen/profile of fig1, screen of the
+# deadlock ring and of the ring beside a pipeline) computed once each
+# + 2 campaign keys + 1 prove key: everything else must have come from
+# the cache.
 [ "$hits" -ge $((requests - 10)) ] \
   || fail "only $hits cache hits across $requests requests"
-# deadlock_verdicts counts watchdog-tripped computations; the 23 repeat
-# answers came from the cache without re-running the watchdog.
+# deadlock_verdicts counts computed deadlock answers; the repeat
+# answers came from the cache without re-running the screen.
 [ -n "$verdicts" ] && [ "$verdicts" -ge 1 ] \
   || fail "status reports no deadlock verdicts despite $deadlock_answers deadlock answers"
 echo "serve_smoke: cache hits $hits / $total requests"

@@ -54,14 +54,11 @@ JobResult from_screening(const skeleton::ScreeningVerdict& v) {
   r.throughput = v.min_throughput;
   r.transient = v.transient;
   r.period = v.period;
+  // A starved shell pins min_throughput at 0, so a screen reports full
+  // and partial starvation alike as a deadlock.
   if (v.deadlock_found) {
-    if (!v.starved.empty() && v.min_throughput > Rational(0)) {
-      r.outcome = Outcome::kStarvation;
-      r.detail = std::to_string(v.starved.size()) + " starved shell(s)";
-    } else {
-      r.outcome = Outcome::kDeadlock;
-      r.detail = "deadlock in steady state";
-    }
+    r.outcome = Outcome::kDeadlock;
+    r.detail = "deadlock in steady state";
   } else {
     r.outcome = Outcome::kLive;
   }
@@ -445,10 +442,8 @@ Job make_lint_crosscheck_job(std::string name, LintCrossCheckSpec spec) {
     const auto report = lint::run_lint(gen.topo, structural);
     const bool hazard = report.has_rule("LIP006");
 
-    skeleton::ScreeningOptions wc;
-    wc.worst_case_occupancy = true;
-    const auto verdict =
-        xir::screen_for_deadlock(gen.topo, wc, ctx.cycle_budget);
+    const auto verdict = xir::screen_for_deadlock(
+        xir::lower(gen.topo), /*worst_case_occupancy=*/true, ctx.cycle_budget);
     JobResult r;
     r.cycles = verdict.cycles_simulated;
     if (!verdict.ran_to_steady_state) {
@@ -471,8 +466,9 @@ Job make_lint_crosscheck_job(std::string name, LintCrossCheckSpec spec) {
         r.detail = "lint --fix did not converge to a clean report";
         return r;
       }
-      const auto cured =
-          xir::screen_for_deadlock(fixed.fixed, wc, ctx.cycle_budget);
+      const auto cured = xir::screen_for_deadlock(
+          xir::lower(fixed.fixed), /*worst_case_occupancy=*/true,
+          ctx.cycle_budget);
       r.cycles += cured.cycles_simulated;
       if (cured.deadlock_found) {
         r.outcome = Outcome::kMismatch;
@@ -557,10 +553,8 @@ Job make_prove_crosscheck_job(std::string name, ProveCrossCheckSpec spec) {
     const bool hazard =
         lint::run_lint(gen.topo, structural).has_rule("LIP006");
 
-    skeleton::ScreeningOptions wc;
-    wc.worst_case_occupancy = true;
-    const auto verdict =
-        xir::screen_for_deadlock(gen.topo, wc, ctx.cycle_budget);
+    const auto verdict = xir::screen_for_deadlock(
+        xir::lower(gen.topo), /*worst_case_occupancy=*/true, ctx.cycle_budget);
     JobResult r;
     r.cycles = verdict.cycles_simulated;
     if (!verdict.ran_to_steady_state) {

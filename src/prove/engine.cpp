@@ -549,22 +549,14 @@ void finish_counterexample(const graph::Topology& topo,
     }
   }
 
-  // Concrete reproduction: the watchdog-guarded greedy run of the same
-  // design.  Its bundle is what `lidtool replay` consumes.
-  xir::ScalarEngine eng(prog);
-  if (opts.worst_case_occupancy) eng.saturate_stations();
+  // Concrete reproduction: the greedy environment's screen of the same
+  // design, and the watchdog's evidence when the whole design freezes.
+  // Its bundle is what `lidtool replay` consumes.
   telemetry::WatchdogOptions wopts;
   wopts.worst_case_occupancy = opts.worst_case_occupancy;
-  wopts.optimistic = !p.pessimistic;
-  telemetry::Watchdog dog(wopts);
-  dog.attach(eng);
-  const std::uint64_t budget =
-      graph::transient_bound(topo) + 3 * wopts.no_progress_threshold;
-  telemetry::run_guarded(eng, dog, budget);
-  if (dog.tripped()) {
-    cex.greedy_reproduces = true;
-    r->postmortem = dog.post_mortem();
-  }
+  r->postmortem = telemetry::deadlock_evidence(
+      prog, xir::screen_for_deadlock(prog, opts.worst_case_occupancy), wopts);
+  cex.greedy_reproduces = r->postmortem.has_value();
   r->counterexample = std::move(cex);
   r->verdict = Verdict::kCounterexample;
 }

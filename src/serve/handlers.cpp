@@ -119,7 +119,7 @@ ParsedDesign parse_design_text(const std::string& netlist) {
 /// Outcome of one computed (uncached) request.
 struct Computed {
   std::string result;     ///< serialized result document
-  bool deadlock = false;  ///< a watchdog verdict was answered
+  bool deadlock = false;  ///< a deadlock verdict was answered
 };
 
 // ---- lint ---------------------------------------------------------------
@@ -139,43 +139,39 @@ Computed compute_lint(const ParsedDesign& d) {
 
 // ---- screen -------------------------------------------------------------
 
-/// One watchdog-guarded screening pass (reset or worst-case occupancy)
-/// on the compiled scalar engine.  A deadlocked design yields a verdict
-/// object carrying the post-mortem bundle instead of wedging the worker
-/// on a drained budget.
+/// One screening pass (reset or worst-case occupancy): the one
+/// steady-state search within the budget, then — on a deadlock verdict
+/// only — the watchdog re-run for evidence.  A pass whose whole design
+/// froze carries the trip and its post-mortem bundle; a deadlock that
+/// leaves some token moving names its starved shells instead.
 Json screen_one(const xir::ProgramRef& prog, bool worst_case,
                 std::uint64_t budget, std::uint64_t threshold,
-                bool* deadlocked) {
-  {
-    telemetry::WatchdogOptions wopts;
-    wopts.no_progress_threshold = threshold;
-    wopts.worst_case_occupancy = worst_case;
-    telemetry::Watchdog dog(wopts);
-    xir::ScalarEngine guard(prog);
-    if (worst_case) guard.saturate_stations();
-    dog.attach(guard);
-    const std::uint64_t guard_cycles =
-        telemetry::run_guarded(guard, dog, budget).cycles;
-    if (dog.tripped()) {
-      *deadlocked = true;
-      return Json::object()
-          .set("deadlock", true)
-          .set("reason", telemetry::trip_reason_str(dog.reason()))
-          .set("no_progress_since", dog.no_progress_since())
-          .set("trip_cycle", dog.trip_cycle())
-          .set("cycles", guard_cycles)
-          .set("post_mortem", dog.post_mortem().to_json());
-    }
+                skeleton::ScreeningVerdict* v) {
+  *v = xir::screen_for_deadlock(prog, worst_case, budget);
+  telemetry::WatchdogOptions wopts;
+  wopts.no_progress_threshold = threshold;
+  wopts.worst_case_occupancy = worst_case;
+  if (const auto pm = telemetry::deadlock_evidence(prog, *v, wopts)) {
+    return Json::object()
+        .set("deadlock", true)
+        .set("reason", telemetry::trip_reason_str(pm->reason))
+        .set("no_progress_since", pm->no_progress_since)
+        .set("trip_cycle", pm->trip_cycle)
+        .set("cycles", pm->trip_cycle + 1)
+        .set("post_mortem", pm->to_json());
   }
-  // Guard passed: a fresh engine delivers the exact steady state.
-  xir::ScalarEngine eng(prog);
-  if (worst_case) eng.saturate_stations();
-  const skeleton::SkeletonResult r = eng.analyze(budget);
-  Json j = Json::object().set("deadlock", false).set("found", r.found);
-  if (r.found) {
-    j.set("transient", r.transient)
-        .set("period", r.period)
-        .set("throughput", r.system_throughput());
+  Json j = Json::object()
+               .set("deadlock", v->deadlock_found)
+               .set("found", v->ran_to_steady_state);
+  if (v->ran_to_steady_state) {
+    j.set("transient", v->transient)
+        .set("period", v->period)
+        .set("throughput", v->min_throughput);
+  }
+  if (v->deadlock_found) {
+    Json starved = Json::array();
+    for (graph::NodeId n : v->starved) starved.push(prog->topo.node(n).name);
+    j.set("starved", std::move(starved));
   }
   return j;
 }
@@ -183,22 +179,24 @@ Json screen_one(const xir::ProgramRef& prog, bool worst_case,
 Computed compute_screen(const ParsedDesign& d, const Request& req,
                         const ServerOptions& opts) {
   const std::uint64_t budget = effective_budget(req, opts);
-  // Both passes and both engines of each pass run one lowered program.
+  // Both passes, and the evidence re-run of either, run one lowered
+  // program.
   const xir::ProgramRef prog = xir::lower(d.net.topo, {req.policy});
-  bool deadlocked = false;
+  skeleton::ScreeningVerdict reset, worst;
   Json from_reset = screen_one(prog, /*worst_case=*/false, budget,
-                               opts.watchdog_threshold, &deadlocked);
-  Json worst = screen_one(prog, /*worst_case=*/true, budget,
-                          opts.watchdog_threshold, &deadlocked);
+                               opts.watchdog_threshold, &reset);
+  Json worst_case = screen_one(prog, /*worst_case=*/true, budget,
+                               opts.watchdog_threshold, &worst);
+  const std::string verdict = skeleton::screening_verdict_name(reset, worst);
   Json result = Json::object()
                     .set("schema", "liplib.serve.screen/2")
                     .set("topology_hash", hex64(topology_hash(d.net.topo)))
                     .set("policy", lip::policy_name(req.policy))
                     .set("budget", budget)
-                    .set("verdict", deadlocked ? "deadlock" : "live")
+                    .set("verdict", verdict)
                     .set("from_reset", std::move(from_reset))
-                    .set("worst_case", std::move(worst));
-  return {result.dump(), deadlocked};
+                    .set("worst_case", std::move(worst_case));
+  return {result.dump(), verdict == "deadlock"};
 }
 
 // ---- profile ------------------------------------------------------------

@@ -4,11 +4,8 @@
 #include <sstream>
 
 #include "liplib/graph/netlist_io.hpp"
-#include "liplib/lip/system.hpp"
 #include "liplib/probe/trace.hpp"
-#include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/check.hpp"
-#include "liplib/xir/xir.hpp"
 
 namespace liplib::telemetry {
 
@@ -46,6 +43,17 @@ TripReason parse_reason(const std::string& s) {
   if (s == "stop_saturation") return TripReason::kStopSaturation;
   if (s == "none") return TripReason::kNone;
   throw ApiError("post-mortem bundle has unknown trip reason \"" + s + "\"");
+}
+
+/// Runs `prog` from the occupancy `dog`'s options name under `dog` for
+/// at most `max_cycles` — the one deterministic re-run behind replay()
+/// and deadlock_evidence().
+void rerun(const xir::ProgramRef& prog, Watchdog& dog,
+           std::uint64_t max_cycles) {
+  xir::ScalarEngine eng(prog);
+  if (dog.options().worst_case_occupancy) eng.saturate_stations();
+  dog.attach(eng);
+  run_guarded(eng, dog, max_cycles);
 }
 
 probe::ProbeConfig watchdog_probe_config(probe::CycleObserver* observer) {
@@ -146,12 +154,6 @@ Watchdog::Watchdog(WatchdogOptions opts)
                 "watchdog no_progress_threshold must be positive");
   LIPLIB_EXPECT(opts_.ring_cycles > 0, "watchdog ring_cycles must be positive");
 }
-
-void Watchdog::attach(lip::System& sys) { sys.attach_probe(probe_); }
-
-void Watchdog::attach(skeleton::Skeleton& sk) { sk.attach_probe(probe_); }
-
-void Watchdog::attach(xir::ScalarEngine& eng) { eng.attach_probe(probe_); }
 
 void Watchdog::on_bind(const probe::Probe& p) {
   bound_ = &p;
@@ -346,51 +348,26 @@ PostMortem Watchdog::post_mortem() const {
   return pm;
 }
 
-// ---- guarded runs and replay --------------------------------------------
+// ---- re-runs: replay and deadlock evidence ------------------------------
 
-GuardedRun run_guarded(lip::System& sys, Watchdog& dog,
-                       std::uint64_t max_cycles) {
-  GuardedRun r;
-  for (std::uint64_t i = 0; i < max_cycles && !dog.tripped(); ++i) {
-    sys.step();
-    ++r.cycles;
-  }
-  r.deadlocked = dog.tripped();
-  return r;
-}
-
-GuardedRun run_guarded(skeleton::Skeleton& sk, Watchdog& dog,
-                       std::uint64_t max_cycles) {
-  GuardedRun r;
-  for (std::uint64_t i = 0; i < max_cycles && !dog.tripped(); ++i) {
-    sk.step();
-    ++r.cycles;
-  }
-  r.deadlocked = dog.tripped();
-  return r;
-}
-
-GuardedRun run_guarded(xir::ScalarEngine& eng, Watchdog& dog,
-                       std::uint64_t max_cycles) {
-  GuardedRun r;
-  for (std::uint64_t i = 0; i < max_cycles && !dog.tripped(); ++i) {
-    eng.step();
-    ++r.cycles;
-  }
-  r.deadlocked = dog.tripped();
-  return r;
+std::optional<PostMortem> deadlock_evidence(
+    const xir::ProgramRef& prog, const skeleton::ScreeningVerdict& verdict,
+    WatchdogOptions opts) {
+  if (!verdict.deadlock_found) return std::nullopt;
+  opts.optimistic = !prog->pessimistic;
+  Watchdog dog(opts);
+  rerun(prog, dog,
+        verdict.transient + verdict.period + opts.no_progress_threshold);
+  if (!dog.tripped()) return std::nullopt;
+  return dog.post_mortem();
 }
 
 ReplayResult replay(const PostMortem& pm) {
-  const graph::Topology topo = graph::parse_netlist_string(pm.netlist);
   skeleton::SkeletonOptions sopts;
   sopts.policy = pm.strict ? lip::StopPolicy::kCarloniStrict
                            : lip::StopPolicy::kCasuDiscardOnVoid;
   sopts.resolution = pm.optimistic ? lip::StopResolution::kOptimistic
                                    : lip::StopResolution::kPessimistic;
-  xir::ScalarEngine eng(topo, sopts);
-  if (pm.worst_case_occupancy) eng.saturate_stations();
-
   WatchdogOptions wopts;
   wopts.no_progress_threshold = pm.no_progress_threshold;
   wopts.ring_cycles = pm.ring_cycles;
@@ -398,11 +375,10 @@ ReplayResult replay(const PostMortem& pm) {
   wopts.worst_case_occupancy = pm.worst_case_occupancy;
   wopts.optimistic = pm.optimistic;
   Watchdog dog(wopts);
-  dog.attach(eng);
-
   // The failure, if it reproduces, reproduces by the bundle's own trip
   // cycle; the margin absorbs nothing more than off-by-one drift.
-  run_guarded(eng, dog, pm.trip_cycle + pm.no_progress_threshold + 16);
+  rerun(xir::lower(graph::parse_netlist_string(pm.netlist), sopts), dog,
+        pm.trip_cycle + pm.no_progress_threshold + 16);
 
   ReplayResult r;
   r.tripped = dog.tripped();

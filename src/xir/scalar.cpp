@@ -355,13 +355,22 @@ skeleton::SkeletonResult ScalarEngine::analyze(std::uint64_t max_cycles,
   return result;
 }
 
+skeleton::ScreeningVerdict screen_for_deadlock(
+    const ProgramRef& prog, bool worst_case_occupancy,
+    std::uint64_t max_cycles, skeleton::SkeletonResult* steady) {
+  ScalarEngine eng(prog);
+  if (worst_case_occupancy) eng.saturate_stations();
+  skeleton::SkeletonResult local;
+  skeleton::SkeletonResult& r = steady ? *steady : local;
+  r = eng.analyze(max_cycles);
+  return skeleton::screening_verdict(r, eng.cycle());
+}
+
 skeleton::ScreeningVerdict screen_for_deadlock(const graph::Topology& topo,
                                                skeleton::ScreeningOptions opts,
                                                std::uint64_t max_cycles) {
-  ScalarEngine eng(topo, opts.skeleton);
-  if (opts.worst_case_occupancy) eng.saturate_stations();
-  const auto r = eng.analyze(max_cycles);
-  return skeleton::screening_verdict(r, eng.cycle());
+  return screen_for_deadlock(lower(topo, opts.skeleton),
+                             opts.worst_case_occupancy, max_cycles);
 }
 
 skeleton::CureResult cure_deadlocks(const graph::Topology& topo,

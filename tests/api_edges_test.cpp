@@ -242,6 +242,62 @@ channel Q.0 -> P.0 : H
   std::remove(latch.c_str());
 }
 
+// ---- lidtool simulate / screen: one screen, one verdict -----------------
+//
+// Both answer from the one steady-state search: a deadlock exits 1 even
+// when part of the design keeps moving (so the watchdog never trips), no
+// steady state within `--budget` exits 1, and `--budget 0` means the
+// default budget, as on every other surface.
+
+TEST(ApiEdges, LidtoolSimulateAndScreenShareOneVerdict) {
+  const std::string fig1 = write_lid("fig1", R"(source src
+process A 1 2
+process B 1 1
+process C 2 1
+sink out
+channel src.0 -> A.0
+channel A.0 -> B.0 : F
+channel B.0 -> C.0 : F
+channel A.1 -> C.1 : F
+channel C.0 -> out.0
+)");
+  const std::string ring = R"(process ctl 1 1
+process plant 1 1
+process est 1 1
+channel ctl.0 -> plant.0 : H
+channel plant.0 -> est.0 : H
+channel est.0 -> ctl.0 : H
+)";
+  const std::string half_ring = write_lid("half_ring", ring);
+  const std::string ring_pipe = write_lid("ring_pipe", ring + R"(source src
+process p 1 1
+sink snk
+channel src.0 -> p.0 : F
+channel p.0 -> snk.0 : F
+)");
+
+  EXPECT_EQ(run_lidtool("simulate " + fig1), 0);
+  EXPECT_EQ(run_lidtool("simulate " + fig1 + " --budget 0"), 0);
+  EXPECT_EQ(run_lidtool("simulate " + fig1 + " --budget 3"), 1);
+  EXPECT_EQ(run_lidtool("simulate " + half_ring), 0);
+  EXPECT_EQ(run_lidtool("simulate " + half_ring + " --worst-case"), 1);
+  EXPECT_EQ(run_lidtool("simulate " + half_ring + " --worst-case --budget 0"),
+            1);
+  EXPECT_EQ(run_lidtool("simulate " + half_ring + " --worst-case --budget 10"),
+            1);
+  EXPECT_EQ(run_lidtool("simulate " + ring_pipe), 0);
+  EXPECT_EQ(run_lidtool("simulate " + ring_pipe + " --worst-case"), 1);
+  EXPECT_EQ(run_lidtool("simulate " + fig1 + " --budget -1"), 2);
+
+  EXPECT_EQ(run_lidtool("screen " + fig1), 0);
+  EXPECT_EQ(run_lidtool("screen " + half_ring), 1);
+  EXPECT_EQ(run_lidtool("screen " + ring_pipe), 1);
+
+  std::remove(fig1.c_str());
+  std::remove(half_ring.c_str());
+  std::remove(ring_pipe.c_str());
+}
+
 /// Whole file as a string (empty when unreadable).
 std::string read_file(const std::string& path) {
   std::ifstream is(path);

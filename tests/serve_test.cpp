@@ -60,6 +60,23 @@ channel P.0 -> Q.0 : H
 channel Q.0 -> P.0 : H
 )";
 
+// examples/designs/half_ring.lid beside an independent pipeline on full
+// stations.  From worst-case occupancy the ring latches and its shells
+// starve forever, while the pipeline keeps moving tokens — so the
+// watchdog never trips, yet the design deadlocks.
+const char* kRingBesidePipeline = R"(process ctl 1 1
+process plant 1 1
+process est 1 1
+channel ctl.0 -> plant.0 : H
+channel plant.0 -> est.0 : H
+channel est.0 -> ctl.0 : H
+source src
+process p 1 1
+sink snk
+channel src.0 -> p.0 : F
+channel p.0 -> snk.0 : F
+)";
+
 std::string request_json(const char* kind, const char* netlist,
                          const char* extra = "") {
   Json r = Json::object().set("rpc", kRpcSchema).set("kind", kind);
@@ -632,6 +649,89 @@ TEST(Handlers, ScreenCachedResponseIsByteIdenticalToFresh) {
   EXPECT_EQ(ctx.status_json()
                 .find("requests")->find("deadlock_verdicts")->as_uint(),
             1u);
+}
+
+// One screen, one verdict: the steady-state search answers, and the
+// watchdog only supplies evidence.  A deadlock the watchdog cannot see —
+// part of the design still moves — carries its starved shells and no
+// post-mortem.
+TEST(Handlers, ScreenCallsAStarvedRingBesideALivePipelineADeadlock) {
+  ServeContext ctx;
+  std::string r;
+  bool cached = true, ok = false;
+  split_response(
+      handle_payload(request_json("screen", kRingBesidePipeline), ctx), &r,
+      &cached, &ok);
+  ASSERT_TRUE(ok) << r;
+  const Json result = Json::parse(r);
+  EXPECT_EQ(result.find("verdict")->as_string(), "deadlock");
+  const Json* worst = result.find("worst_case");
+  ASSERT_NE(worst, nullptr);
+  EXPECT_TRUE(worst->find("deadlock")->as_bool());
+  EXPECT_TRUE(worst->find("found")->as_bool());
+  EXPECT_EQ(worst->find("transient")->as_uint(), 0u);
+  EXPECT_EQ(worst->find("period")->as_uint(), 1u);
+  EXPECT_EQ(worst->find("throughput")->as_string(), "0");
+  EXPECT_EQ(worst->find("post_mortem"), nullptr);
+  EXPECT_EQ(worst->find("trip_cycle"), nullptr);
+  const Json* starved = worst->find("starved");
+  ASSERT_NE(starved, nullptr);
+  ASSERT_EQ(starved->size(), 3u);
+  EXPECT_EQ(starved->at(0).as_string(), "ctl");
+  EXPECT_EQ(starved->at(1).as_string(), "plant");
+  EXPECT_EQ(starved->at(2).as_string(), "est");
+  // From reset every shell fires: a live pass carries no starved list.
+  const Json* reset = result.find("from_reset");
+  EXPECT_FALSE(reset->find("deadlock")->as_bool());
+  EXPECT_EQ(reset->find("starved"), nullptr);
+  EXPECT_EQ(ctx.status_json()
+                .find("requests")->find("deadlock_verdicts")->as_uint(),
+            1u);
+}
+
+// The search settles within any budget that reaches the first repeated
+// state, so a budget below the watchdog's 64-cycle threshold still finds
+// the worst-case latch; the evidence re-run then shows the trip.
+TEST(Handlers, ScreenBelowTheWatchdogThresholdStillFindsTheLatch) {
+  ServeContext ctx;
+  std::string r;
+  bool cached = true, ok = false;
+  split_response(
+      handle_payload(request_json("screen", kHalfRing, "\"budget\":10"), ctx),
+      &r, &cached, &ok);
+  ASSERT_TRUE(ok) << r;
+  const Json result = Json::parse(r);
+  EXPECT_EQ(result.find("budget")->as_uint(), 10u);
+  EXPECT_EQ(result.find("verdict")->as_string(), "deadlock");
+  const Json* worst = result.find("worst_case");
+  EXPECT_TRUE(worst->find("deadlock")->as_bool());
+  ASSERT_NE(worst->find("post_mortem"), nullptr);
+  EXPECT_EQ(worst->find("reason")->as_string(), "stop_saturation");
+  EXPECT_EQ(worst->find("no_progress_since")->as_uint(), 0u);
+  EXPECT_EQ(worst->find("trip_cycle")->as_uint(), 63u);
+  EXPECT_EQ(worst->find("cycles")->as_uint(), 64u);
+  EXPECT_FALSE(result.find("from_reset")->find("deadlock")->as_bool());
+}
+
+// No steady state within the budget is not live: the verdict is
+// "unknown", which `lidtool client` exits 1 on.
+TEST(Handlers, ScreenWithoutASteadyStateIsUnknown) {
+  ServeContext ctx;
+  std::string r;
+  bool cached = true, ok = false;
+  split_response(
+      handle_payload(request_json("screen", kFig1, "\"budget\":3"), ctx), &r,
+      &cached, &ok);
+  ASSERT_TRUE(ok) << r;
+  const Json result = Json::parse(r);
+  EXPECT_EQ(result.find("verdict")->as_string(), "unknown");
+  const Json* reset = result.find("from_reset");
+  EXPECT_FALSE(reset->find("deadlock")->as_bool());
+  EXPECT_FALSE(reset->find("found")->as_bool());
+  EXPECT_EQ(reset->find("transient"), nullptr);
+  EXPECT_EQ(ctx.status_json()
+                .find("requests")->find("deadlock_verdicts")->as_uint(),
+            0u);
 }
 
 TEST(Handlers, ProveRequestsAreProvedCachedAndKeyedByKnobs) {

@@ -12,16 +12,21 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "liplib/campaign/campaign.hpp"
 #include "liplib/campaign/jobs.hpp"
 #include "liplib/campaign/report.hpp"
 #include "liplib/graph/generators.hpp"
+#include "liplib/graph/netlist_io.hpp"
 #include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/metrics.hpp"
 #include "liplib/telemetry/bench_diff.hpp"
 #include "liplib/telemetry/watchdog.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -195,6 +200,124 @@ TEST(KernelWatchdog, TripsOnDeltaStormAtOneTimePoint) {
   fresh.on_time_serviced(7, 15);
   for (int i = 0; i < 15; ++i) fresh.on_delta(8, 1, 1);
   EXPECT_FALSE(fresh.tripped());
+}
+
+// ---- the one screen against the full-budget guard ----------------------
+//
+// Serve's screen, `lidtool simulate` and prove's counterexample replay
+// answer from xir::screen_for_deadlock and take a deadlock's evidence
+// from telemetry::deadlock_evidence.  The reference kept here is the
+// rule they replaced: a watchdog guard over the whole budget.  The guard
+// must trip exactly when the search finds a deadlock, and the evidence
+// re-run must reproduce the guard's trip: reason, cycle indices, cycles
+// stepped and the post-mortem bundle byte for byte.
+
+// The lint cross-check generator's recipe (tests/xir_test.cpp).
+graph::Topology random_composite(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t segments = 1 + rng.below(4);
+  const bool risky = rng.chance(1, 2);
+  return graph::make_random_composite(rng, segments, /*allow_half=*/true,
+                                      /*allow_half_in_loops=*/risky)
+      .topo;
+}
+
+void expect_one_screen_matches_guard(const graph::Topology& topo,
+                                     skeleton::SkeletonOptions sopts,
+                                     bool worst_case,
+                                     const std::string& what) {
+  constexpr std::uint64_t kBudget = 4096;
+  const xir::ProgramRef prog = xir::lower(topo, sopts);
+  telemetry::WatchdogOptions wopts;
+  wopts.worst_case_occupancy = worst_case;
+  wopts.optimistic = sopts.resolution == lip::StopResolution::kOptimistic;
+
+  xir::ScalarEngine guard(prog);
+  if (worst_case) guard.saturate_stations();
+  telemetry::Watchdog dog(wopts);
+  dog.attach(guard);
+  const auto run = telemetry::run_guarded(guard, dog, kBudget);
+
+  skeleton::SkeletonResult steady;
+  const auto v = xir::screen_for_deadlock(prog, worst_case, kBudget, &steady);
+  xir::ScalarEngine eng(prog);
+  if (worst_case) eng.saturate_stations();
+  const auto want = eng.analyze(kBudget);
+  ASSERT_TRUE(want.found) << what;
+  EXPECT_TRUE(steady.found) << what;
+  EXPECT_EQ(v.transient, want.transient) << what;
+  EXPECT_EQ(v.period, want.period) << what;
+  EXPECT_EQ(steady.transient, want.transient) << what;
+  EXPECT_EQ(steady.period, want.period) << what;
+  EXPECT_EQ(steady.shell_throughput, want.shell_throughput) << what;
+
+  EXPECT_EQ(dog.tripped(), v.deadlock_found) << what;
+  const auto pm = telemetry::deadlock_evidence(prog, v, wopts);
+  ASSERT_EQ(pm.has_value(), dog.tripped()) << what;
+  if (!pm) return;
+  EXPECT_EQ(pm->reason, dog.reason()) << what;
+  EXPECT_EQ(pm->trip_cycle, dog.trip_cycle()) << what;
+  EXPECT_EQ(pm->no_progress_since, dog.no_progress_since()) << what;
+  EXPECT_EQ(pm->trip_cycle + 1, run.cycles) << what;
+  EXPECT_EQ(pm->to_json().dump(), dog.post_mortem().to_json().dump()) << what;
+}
+
+void expect_one_screen_matches_guard_everywhere(const graph::Topology& topo,
+                                                const std::string& what) {
+  for (const bool worst_case : {false, true}) {
+    for (const auto policy : {lip::StopPolicy::kCasuDiscardOnVoid,
+                              lip::StopPolicy::kCarloniStrict}) {
+      for (const auto resolution : {lip::StopResolution::kPessimistic,
+                                    lip::StopResolution::kOptimistic}) {
+        expect_one_screen_matches_guard(
+            topo, {policy, resolution}, worst_case,
+            what + (worst_case ? " worst-case " : " reset ") +
+                lip::policy_name(policy) +
+                (resolution == lip::StopResolution::kOptimistic
+                     ? " optimistic"
+                     : " pessimistic"));
+      }
+    }
+  }
+}
+
+// The recipe's 300 topologies in four quarters, so ctest -j runs the
+// full-budget guards (the expensive half of the check) in parallel.
+void expect_one_screen_matches_guard_on_recipe(std::uint64_t quarter) {
+  for (std::uint64_t i = quarter * 75; i < (quarter + 1) * 75; ++i) {
+    expect_one_screen_matches_guard_everywhere(
+        random_composite(campaign::job_seed(7, i)),
+        "topology " + std::to_string(i));
+  }
+}
+
+TEST(OneScreen, EvidenceReproducesTheFullBudgetGuardOnRecipeQuarter0) {
+  expect_one_screen_matches_guard_on_recipe(0);
+}
+TEST(OneScreen, EvidenceReproducesTheFullBudgetGuardOnRecipeQuarter1) {
+  expect_one_screen_matches_guard_on_recipe(1);
+}
+TEST(OneScreen, EvidenceReproducesTheFullBudgetGuardOnRecipeQuarter2) {
+  expect_one_screen_matches_guard_on_recipe(2);
+}
+TEST(OneScreen, EvidenceReproducesTheFullBudgetGuardOnRecipeQuarter3) {
+  expect_one_screen_matches_guard_on_recipe(3);
+}
+
+TEST(OneScreen, EvidenceReproducesTheFullBudgetGuardOnExampleDesigns) {
+  std::size_t designs = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(LIPLIB_DESIGNS_DIR)) {
+    if (entry.path().extension() != ".lid") continue;
+    std::ifstream is(entry.path());
+    std::stringstream text;
+    text << is.rdbuf();
+    expect_one_screen_matches_guard_everywhere(
+        graph::parse_netlist_annotated_string(text.str()).topo,
+        entry.path().filename().string());
+    ++designs;
+  }
+  EXPECT_GE(designs, 3u);
 }
 
 // ---- fleet metrics ------------------------------------------------------
