@@ -1,8 +1,10 @@
 // Telemetry overhead — the watchdog must ride a run for near-free: a
 // guarded composite loop chain vs the bare system, at two flight-recorder
-// depths.  Also measures the bench-diff gate itself (parse + compare of a
-// synthetic two-hundred-record artifact pair).  Writes
-// BENCH_telemetry.json.
+// depths, and the same guard counted in whole periods
+// (telemetry::run_profiled), which must report the stepped guard's probe
+// counts byte for byte at ≥ 10× its speed.  Also measures the bench-diff
+// gate itself (parse + compare of a synthetic two-hundred-record artifact
+// pair).  Writes BENCH_telemetry.json.
 
 #include <chrono>
 #include <iostream>
@@ -52,16 +54,22 @@ int main(int argc, char** argv) {
     const char* name;
     bool guard = false;
     std::uint64_t ring = 0;
+    bool whole_periods = false;  ///< telemetry::run_profiled
   };
   const Config configs[] = {
       {"no watchdog"},
       {"watchdog ring=256", true, 256},
+      {"profile (whole periods)", true, 256, true},
       {"watchdog ring=4096", true, 4096},
   };
 
   Json records = Json::array();
   Table t({"config", "cycles", "seconds", "Mcycles/s", "vs baseline"});
   double baseline = 0;
+  double stepped_s = 0;
+  std::string stepped_report;
+  double profile_speedup = 0;
+  bool profile_report_equal = false;
   for (const auto& c : configs) {
     auto sys = design.instantiate();
     telemetry::WatchdogOptions wopts;
@@ -70,7 +78,9 @@ int main(int argc, char** argv) {
     if (c.guard) dog.attach(*sys);
 
     const auto t0 = Clock::now();
-    if (c.guard) {
+    if (c.whole_periods) {
+      telemetry::run_profiled(*sys, dog, cycles);
+    } else if (c.guard) {
       telemetry::run_guarded(*sys, dog, cycles);
     } else {
       sys->run(cycles);
@@ -84,14 +94,38 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof buf, "%.2fx", ratio);
     t.add_row({c.name, std::to_string(cycles), std::to_string(s),
                std::to_string(mcps), buf});
-    records.push(Json::object()
-                     .set("config", c.name)
-                     .set("cycles", cycles)
-                     .set("seconds", s)
-                     .set("mcycles_per_s", mcps)
-                     .set("overhead_vs_baseline", ratio));
+    Json rec = Json::object()
+                   .set("config", c.name)
+                   .set("cycles", cycles)
+                   .set("seconds", s)
+                   .set("mcycles_per_s", mcps)
+                   .set("overhead_vs_baseline", ratio);
+    // The whole-period profile must count what the stepped guard counts,
+    // from a fraction of the steps.
+    if (c.guard && c.ring == 256 && !c.whole_periods) {
+      stepped_s = s;
+      stepped_report = dog.probe().report().to_json().dump();
+    }
+    if (c.whole_periods) {
+      profile_speedup = stepped_s / s;
+      profile_report_equal =
+          dog.probe().report().to_json().dump() == stepped_report;
+      rec.set("stepped_cycles", sys->cycle())
+          .set("speedup_vs_stepped", profile_speedup)
+          .set("report_equals_stepped", profile_report_equal);
+    }
+    records.push(std::move(rec));
   }
   t.print(std::cout);
+  std::cout << "profile (whole periods): " << profile_speedup
+            << "x the stepped guard, probe report "
+            << (profile_report_equal ? "identical" : "DIFFERENT") << "\n";
+  if (!profile_report_equal || profile_speedup < 10.0) {
+    std::cerr << "whole-period profile below target: report "
+              << (profile_report_equal ? "equal" : "differs") << ", "
+              << profile_speedup << "x (need equal and 10x)\n";
+    return 1;
+  }
 
   benchutil::heading("bench-diff gate throughput");
   {
@@ -121,6 +155,10 @@ int main(int argc, char** argv) {
                      .set("diffs_per_s", per_s));
   }
 
-  benchutil::write_bench_json("telemetry", std::move(records));
+  benchutil::write_bench_json(
+      "telemetry", std::move(records),
+      Json::object().set(
+          "targets",
+          Json::object().set("profile_whole_periods_speedup_min", 10.0)));
   return 0;
 }

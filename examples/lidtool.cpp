@@ -562,8 +562,12 @@ int cmd_run(const Args& args) {
     std::cout << "\n";
   }
   auto fresh = design.instantiate();
-  const auto ss = lip::measure_steady_state(*fresh);
-  if (ss.found) {
+  const std::uint64_t env_period = fresh->environment_period();
+  if (env_period == 0) {
+    std::cout << "steady state: not determined (aperiodic environment)\n";
+  } else if (const auto ss =
+                 lip::measure_steady_state(*fresh, 200000, env_period);
+             ss.found) {
     std::cout << "steady state (sound for periodic environments): T = "
               << ss.system_throughput().str()
               << ", transient " << ss.transient << ", period " << ss.period

@@ -24,19 +24,24 @@ namespace liplib::lip {
 struct SourceBehavior {
   std::function<std::uint64_t(std::uint64_t k)> value;
   std::function<bool(std::uint64_t cycle)> ready;
+  /// A period of `ready` in cycles (the data stream does not count: the
+  /// protocol never looks at values), or 0 when `ready` is aperiodic.
+  /// The named factories set it; a hand-built behaviour is aperiodic
+  /// unless its author sets it.
+  std::uint64_t period = 0;
 
   /// Emits 0,1,2,... with no gaps — the standard test stream, which also
   /// makes in-order delivery checkable at sinks.
   static SourceBehavior counter() {
     return {[](std::uint64_t k) { return k; },
-            [](std::uint64_t) { return true; }};
+            [](std::uint64_t) { return true; }, 1};
   }
 
   /// Emits `values` cyclically, no gaps.
   static SourceBehavior cyclic(std::vector<std::uint64_t> values) {
     auto vals = std::make_shared<std::vector<std::uint64_t>>(std::move(values));
     return {[vals](std::uint64_t k) { return (*vals)[k % vals->size()]; },
-            [](std::uint64_t) { return true; }};
+            [](std::uint64_t) { return true; }, 1};
   }
 
   /// Counter stream but only ready with probability num/den each idle
@@ -45,7 +50,8 @@ struct SourceBehavior {
                                        std::uint64_t den) {
     auto rng = std::make_shared<Rng>(seed);
     return {[](std::uint64_t k) { return k; },
-            [rng, num, den](std::uint64_t) { return rng->chance(num, den); }};
+            [rng, num, den](std::uint64_t) { return rng->chance(num, den); },
+            0};
   }
 };
 
@@ -53,31 +59,38 @@ struct SourceBehavior {
 /// environment applies in that cycle.
 struct SinkBehavior {
   std::function<bool(std::uint64_t cycle)> stop;
+  /// A period of `stop` in cycles, or 0 when it is aperiodic; set by the
+  /// named factories, as for SourceBehavior::period.
+  std::uint64_t period = 0;
 
   /// Ideal consumer: never stops.
   static SinkBehavior greedy() {
-    return {[](std::uint64_t) { return false; }};
+    return {[](std::uint64_t) { return false; }, 1};
   }
 
   /// Stops with probability num/den each cycle (jittery consumer).
   static SinkBehavior random_stop(std::uint64_t seed, std::uint64_t num,
                                   std::uint64_t den) {
     auto rng = std::make_shared<Rng>(seed);
-    return {[rng, num, den](std::uint64_t) { return rng->chance(num, den); }};
+    return {[rng, num, den](std::uint64_t) { return rng->chance(num, den); },
+            0};
   }
 
   /// Follows a scripted pattern cyclically (true = stop).
   static SinkBehavior script(std::vector<bool> pattern) {
     auto p = std::make_shared<std::vector<bool>>(std::move(pattern));
-    return {[p](std::uint64_t cycle) { return (*p)[cycle % p->size()]; }};
+    const std::uint64_t length = p->size();
+    return {[p](std::uint64_t cycle) { return (*p)[cycle % p->size()]; },
+            length};
   }
 
   /// Consumes one datum every `period` cycles (rate-limited consumer):
   /// stop is asserted except when cycle % period == phase.
   static SinkBehavior periodic(std::uint64_t period, std::uint64_t phase = 0) {
     return {[period, phase](std::uint64_t cycle) {
-      return cycle % period != phase % period;
-    }};
+              return cycle % period != phase % period;
+            },
+            period};
   }
 };
 

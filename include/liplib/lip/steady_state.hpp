@@ -63,7 +63,8 @@ struct SteadyState {
 /// phase, `env_period`) repeats, or `max_cycles` elapse.  The environments
 /// bound to the system must be periodic with period dividing `env_period`
 /// for the detection to be sound (greedy/counter environments have period
-/// 1).  The system is left at the cycle where the repeat was detected.
+/// 1); System::environment_period() is such a period, when one exists.
+/// The system is left at the cycle where the repeat was detected.
 SteadyState measure_steady_state(System& sys,
                                  std::uint64_t max_cycles = 200000,
                                  std::uint64_t env_period = 1);

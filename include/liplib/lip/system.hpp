@@ -215,6 +215,14 @@ class System {
   /// what the steady-state detector exploits.
   std::string protocol_state() const;
 
+  /// A period of the whole environment: the least common multiple of the
+  /// bound sources' and sinks' periods (saturating at the largest
+  /// uint64), 1 when there are none, and 0 when any of them is aperiodic
+  /// (SourceBehavior::period, SinkBehavior::period).  Two cycles with
+  /// equal protocol_state() whose indices agree modulo this period
+  /// evolve identically from then on.
+  std::uint64_t environment_period() const;
+
   /// Total firings across all shells (progress measure).
   std::uint64_t total_fires() const;
 

@@ -51,6 +51,10 @@ lip::SourceBehavior source_from_spec(const std::string& spec);
 /// random(seed,num,den), script(b1,b2,...) with bits.
 lip::SinkBehavior sink_from_spec(const std::string& spec);
 
+/// Builds a ready-to-run Design from an already parsed annotated
+/// netlist: each node's annotation becomes its pearl or environment.
+lip::Design build_design(graph::AnnotatedNetlist net);
+
 /// Parses an annotated netlist into a ready-to-run Design.
 lip::Design parse_design(std::istream& in);
 lip::Design parse_design_string(const std::string& text);

@@ -227,6 +227,22 @@ class Probe {
   /// Cycles committed since bind()/reset_window().
   std::uint64_t window_cycles() const { return window_cycles_; }
 
+  /// Every window counter at one instant: the cycle count, the shell and
+  /// segment tallies and the blame cells, in a fixed order.
+  struct WindowCounters {
+    std::vector<std::uint64_t> counts;
+  };
+  WindowCounters window_counters() const;
+
+  /// Counts `n` more repetitions of the cycles committed between the
+  /// snapshots `from` and `to` (taken in that order, in this window):
+  /// adds n × (to − from) to every window counter, exactly as if those
+  /// cycles had been committed n more times.  The caller vouches that
+  /// they would be (a periodic regime).  Refused while a trace sink is
+  /// attached, since a trace cannot skip cycles.
+  void advance(const WindowCounters& from, const WindowCounters& to,
+               std::uint64_t n);
+
   ProbeReport report() const;
 
   /// Human-readable name of a unit ("B", "A_to_B.rs0", ...).
@@ -257,6 +273,20 @@ class Probe {
 
   bool blocking(std::size_t seg) const {
     return stop_[seg] != 0 && (wiring_.strict || valid_[seg] != 0);
+  }
+  /// Calls f on every window counter, in WindowCounters order.
+  template <class Self, class F>
+  static void each_counter(Self& self, F&& f) {
+    f(self.window_cycles_);
+    for (auto& t : self.shell_tally_) {
+      for (auto& c : t.counts) f(c);
+    }
+    for (auto& t : self.seg_tally_) {
+      f(t.valid);
+      f(t.stopped);
+      f(t.stop_on_valid);
+    }
+    for (auto& c : self.blame_) f(c);
   }
   std::size_t unit_ordinal(const Unit& u) const;
   Unit ordinal_unit(std::size_t ordinal) const;

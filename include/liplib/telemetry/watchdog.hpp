@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "liplib/lip/system.hpp"
 #include "liplib/probe/probe.hpp"
 #include "liplib/sim/kernel.hpp"
 #include "liplib/skeleton/skeleton.hpp"
@@ -118,6 +119,8 @@ struct ReplayResult {
   bool reproduced = false;
 };
 
+struct GuardedRun;
+
 /// The watchdog.  Construct, attach() to a host simulator, step the
 /// host (or use run_guarded), then inspect tripped()/post_mortem().
 class Watchdog final : public probe::CycleObserver {
@@ -164,6 +167,10 @@ class Watchdog final : public probe::CycleObserver {
                     const probe::Activity* activity, bool* saturated) const;
   std::string render_ring_trace() const;
 
+  // Counts whole periods into the owned probe.
+  friend GuardedRun run_profiled(lip::System& sys, Watchdog& dog,
+                                 std::uint64_t max_cycles);
+
   WatchdogOptions opts_;
   probe::Probe probe_;
   const probe::Probe* bound_ = nullptr;  ///< set by on_bind (== &probe_
@@ -201,6 +208,25 @@ GuardedRun run_guarded(Host& host, Watchdog& dog, std::uint64_t max_cycles) {
   r.deadlocked = dog.tripped();
   return r;
 }
+
+/// run_guarded for a full-data lip::System, counted in whole periods.
+/// After a transient every signal of a latency-insensitive design is
+/// periodic, so the loop stops stepping once three things hold:
+///  (a) the protocol state plus the environment phase has repeated, at
+///      cycles t0 and t0 + P (Brent's cycle finding, full bytes);
+///  (b) the watchdog has seen cycle t0 + P + K − 1 (K its no-progress
+///      threshold) without a trip, so it can never trip;
+///  (c) one more period has been stepped and its counter growth taken.
+/// The probe then counts that growth once per remaining whole period
+/// (probe::Probe::advance) and the loop steps only the remainder.  An
+/// aperiodic environment (System::environment_period() == 0), a budget
+/// that ends first or a trip simply keep stepping.  The GuardedRun, the
+/// verdict, trip fields, post-mortem and probe report equal
+/// run_guarded's on the same fresh System; the System's own record
+/// (cycle(), sink streams, segment stats, a VCD) covers only the cycles
+/// stepped.  `dog` must be attached to `sys` by Watchdog::attach.
+GuardedRun run_profiled(lip::System& sys, Watchdog& dog,
+                        std::uint64_t max_cycles);
 
 /// The evidence of a deadlock xir::screen_for_deadlock found on `prog`:
 /// replay()'s deterministic re-run, from the occupancy

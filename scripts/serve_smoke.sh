@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Smoke test for the lidtool serve daemon, exercised end-to-end through
-# the shipped binary: start a daemon on an ephemeral port, fire 105
+# the shipped binary: start a daemon on an ephemeral port, fire 110
 # mixed requests at it from `lidtool client` (lint / screen / profile /
 # campaign / prove, including a design with a deliberate worst-case
 # deadlock), check that a prove and a campaign request answer with the
-# same documents as the local `lidtool prove` / `lidtool campaign`, and
+# same documents as the local `lidtool prove` / `lidtool campaign`, that
+# the daemon's profile reports (counted in whole periods) equal
+# `lidtool profile --json` (which steps every cycle), and
 # that `lidtool screen` and `lidtool client screen` exit alike,
 # then assert via `status` that the cache actually served hits, that the
 # deadlock was answered as a verdict (not a hang), and that a `shutdown`
@@ -84,6 +86,18 @@ channel src.0 -> p.0 : F
 channel p.0 -> snk.0 : F
 EOF
 
+# Rate-limited sinks: the daemon's profile counts their periods in
+# whole, so their reports must still match a run that steps every cycle.
+for sink in "every3:periodic(3)" "script5:script(0,1,1,1,1)"; do
+  cat > "$work/${sink%%:*}.lid" <<EOF
+source src
+process p 1 1
+sink out ${sink#*:}
+channel src.0 -> p.0 : F
+channel p.0 -> out.0 : F
+EOF
+done
+
 # ---- start the daemon ---------------------------------------------------
 
 "$lidtool" serve --port 0 --cache-mb 8 --ttl 600 > "$work/serve.log" 2>&1 &
@@ -113,8 +127,8 @@ result_member() {
 # ---- 98 mixed requests --------------------------------------------------
 
 # 24 rounds x 4 request kinds = 96, plus 2 campaigns = 98; plus the
-# prove, campaign and 3 screens of the next sections, plus the final
-# status + shutdown = 105 frames total.  After round one, every
+# prove, campaign, 5 profiles and 3 screens of the next sections, plus
+# the final status + shutdown = 110 frames total.  After round one, every
 # lint/screen/profile answer must be a cache hit.
 requests=0
 deadlock_answers=0
@@ -172,6 +186,31 @@ cmp -s "$work/campaign_local.json" "$work/campaign_member.json" \
 $(diff "$work/campaign_local.json" "$work/campaign_member.json" | head -n 12)"
 echo "serve_smoke: daemon campaign aggregate == lidtool campaign --json"
 
+# ---- one profile on two surfaces: whole periods vs every cycle ---------
+
+# The daemon stops stepping once a design settles and counts the
+# remaining whole periods; `lidtool profile` steps all 10000 cycles.
+# Their probe reports must be the same document.
+for design in "$repo_root/examples/designs/fig1.lid" \
+              "$repo_root/examples/designs/half_ring.lid" \
+              "$repo_root/examples/designs/coder.lid" \
+              "$work/every3.lid" "$work/script5.lid"; do
+  name="$(basename "$design")"
+  "$lidtool" profile "$design" --cycles 10000 --json > "$work/profile_local.json" \
+    || fail "lidtool profile $name failed"
+  client profile "$design" --cycles 10000 > "$work/profile_daemon.json" \
+    || fail "client profile $name did not exit 0"
+  requests=$((requests + 1))
+  python3 - "$work/profile_local.json" "$work/profile_daemon.json" <<'EOF' \
+    || fail "client profile $name report differs from lidtool profile --json"
+import json, sys
+local = json.load(open(sys.argv[1]))
+daemon = json.load(open(sys.argv[2]))["result"]["report"]
+sys.exit(0 if local == daemon else 1)
+EOF
+done
+echo "serve_smoke: daemon profile reports == lidtool profile --json"
+
 # ---- one verdict on two surfaces: lidtool screen vs client screen ------
 
 # Both ask the one steady-state search, so they exit alike: 0 live, 1
@@ -209,11 +248,11 @@ verdicts="$(get deadlock_verdicts)"
 [ -n "$hits" ] || fail "status did not report cache hits"
 [ "$total" -eq $((requests + 1)) ] \
   || fail "status reports $total requests, want $((requests + 1))"
-# 5 distinct cache keys (lint/screen/profile of fig1, screen of the
-# deadlock ring and of the ring beside a pipeline) computed once each
-# + 2 campaign keys + 1 prove key: everything else must have come from
-# the cache.
-[ "$hits" -ge $((requests - 10)) ] \
+# 10 distinct cache keys (lint/screen/profile of fig1, screen of the
+# deadlock ring and of the ring beside a pipeline, the 5 cross-checked
+# profiles) computed once each + 2 campaign keys + 1 prove key:
+# everything else must have come from the cache.
+[ "$hits" -ge $((requests - 15)) ] \
   || fail "only $hits cache hits across $requests requests"
 # deadlock_verdicts counts computed deadlock answers; the repeat
 # answers came from the cache without re-running the screen.

@@ -40,7 +40,8 @@ SteadyState measure_steady_state(System& sys, std::uint64_t max_cycles,
 
   for (std::uint64_t i = 0; i <= max_cycles; ++i) {
     std::string key = sys.protocol_state();
-    key.push_back(static_cast<char>(sys.cycle() % env_period));
+    const std::uint64_t phase = sys.cycle() % env_period;
+    key.append(reinterpret_cast<const char*>(&phase), sizeof phase);
     auto [it, inserted] = seen.emplace(std::move(key), snap());
     if (!inserted) {
       const Snapshot& first = it->second;

@@ -204,13 +204,12 @@ lip::SinkBehavior sink_from_spec(const std::string& text) {
   throw ApiError("unknown sink spec '" + s.name + "'");
 }
 
-lip::Design parse_design(std::istream& in) {
-  auto parsed = graph::parse_netlist_annotated(in);
-  lip::Design design(std::move(parsed.topo));
+lip::Design build_design(graph::AnnotatedNetlist net) {
+  lip::Design design(std::move(net.topo));
   const auto& topo = design.topology();
   for (graph::NodeId v = 0; v < topo.nodes().size(); ++v) {
     const auto& node = topo.node(v);
-    const std::string& ann = parsed.node_annotation[v];
+    const std::string& ann = net.node_annotation[v];
     try {
       switch (node.kind) {
         case graph::NodeKind::kProcess:
@@ -229,6 +228,10 @@ lip::Design parse_design(std::istream& in) {
     }
   }
   return design;
+}
+
+lip::Design parse_design(std::istream& in) {
+  return build_design(graph::parse_netlist_annotated(in));
 }
 
 lip::Design parse_design_string(const std::string& text) {

@@ -82,7 +82,7 @@ void Probe::bind(const graph::Topology& topo, Wiring wiring) {
   std::map<std::string, std::size_t> track_uses;
   for (graph::ChannelId c = 0; c < topo_.channels().size(); ++c) {
     std::string name = "occ " + base(c);
-    if (track_uses[name]++ > 0) name += "#" + std::to_string(c);
+    if (track_uses[name]++ > 0) (name += '#') += std::to_string(c);
     channel_track_.push_back(std::move(name));
   }
 
@@ -362,6 +362,31 @@ void Probe::reset_window() {
   std::fill(shell_tally_.begin(), shell_tally_.end(), ShellTally{});
   std::fill(seg_tally_.begin(), seg_tally_.end(), SegTally{});
   std::fill(blame_.begin(), blame_.end(), 0);
+}
+
+Probe::WindowCounters Probe::window_counters() const {
+  WindowCounters w;
+  each_counter(*this, [&](std::uint64_t c) { w.counts.push_back(c); });
+  return w;
+}
+
+void Probe::advance(const WindowCounters& from, const WindowCounters& to,
+                    std::uint64_t n) {
+  LIPLIB_EXPECT(cfg_.trace == nullptr,
+                "probe advance with a trace sink attached");
+  LIPLIB_EXPECT(from.counts.size() == to.counts.size() &&
+                    to.counts.size() == window_counters().counts.size(),
+                "probe advance with snapshots of another probe");
+  for (std::size_t i = 0; i < to.counts.size(); ++i) {
+    LIPLIB_EXPECT(from.counts[i] <= to.counts[i],
+                  "probe advance with snapshots out of order or across "
+                  "a window reset");
+  }
+  std::size_t i = 0;
+  each_counter(*this, [&](std::uint64_t& c) {
+    c += n * (to.counts[i] - from.counts[i]);
+    ++i;
+  });
 }
 
 void Probe::finish_trace() {

@@ -201,22 +201,23 @@ Computed compute_screen(const ParsedDesign& d, const Request& req,
 
 // ---- profile ------------------------------------------------------------
 
-Computed compute_profile(const Request& req, const ServerOptions& opts) {
-  // Full-data probe-instrumented run; annotations select pearls and
-  // environments, unannotated nodes get the documented defaults.
-  auto design = pearls::parse_design_string(req.netlist);
+Computed compute_profile(const ParsedDesign& d, const Request& req,
+                         const ServerOptions& opts) {
+  // Full-data probe-instrumented run, counted in whole periods once the
+  // design settles; annotations select pearls and environments,
+  // unannotated nodes get the documented defaults.
+  const lip::Design design = pearls::build_design(d.net);
   auto sys = design.instantiate();
   telemetry::WatchdogOptions wopts;
   wopts.no_progress_threshold = opts.watchdog_threshold;
   telemetry::Watchdog dog(wopts);
   dog.attach(*sys);
   const std::uint64_t cycles = effective_cycles(req, opts);
-  const auto run = telemetry::run_guarded(*sys, dog, cycles);
+  const auto run = telemetry::run_profiled(*sys, dog, cycles);
 
   Json result = Json::object()
                     .set("schema", "liplib.serve.profile/1")
-                    .set("topology_hash",
-                         hex64(topology_hash(design.topology())))
+                    .set("topology_hash", hex64(topology_hash(d.net.topo)))
                     .set("verdict", dog.tripped() ? "deadlock" : "live")
                     .set("cycles", run.cycles);
   if (dog.tripped()) {
@@ -484,7 +485,7 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
         computed = compute_screen(design, req, ctx.opts);
         break;
       case RequestKind::kProfile:
-        computed = compute_profile(req, ctx.opts);
+        computed = compute_profile(design, req, ctx.opts);
         break;
       case RequestKind::kProve:
         computed = compute_prove(design, req, ctx.opts);

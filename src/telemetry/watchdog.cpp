@@ -348,6 +348,66 @@ PostMortem Watchdog::post_mortem() const {
   return pm;
 }
 
+// ---- whole-period profile -----------------------------------------------
+
+GuardedRun run_profiled(lip::System& sys, Watchdog& dog,
+                        std::uint64_t max_cycles) {
+  LIPLIB_EXPECT(dog.bound_ == &dog.probe_,
+                "run_profiled needs the watchdog attached to the system");
+  sys.finalize();
+  const std::uint64_t env = sys.environment_period();
+  // Two cycles with equal protocol state and environment phase see the
+  // same valid/stop/activity frames from then on.
+  auto state = [&] {
+    std::string s = sys.protocol_state();
+    const std::uint64_t phase = sys.cycle() % env;
+    s.append(reinterpret_cast<const char*>(&phase), sizeof phase);
+    return s;
+  };
+  // Brent: `saved` (the state at cycle saved_at) meets every later state
+  // until `window` cycles have passed, then the current state replaces
+  // it and the window doubles.
+  bool search = env != 0;
+  std::string saved = search ? state() : std::string();
+  std::uint64_t saved_at = sys.cycle();
+  std::uint64_t window = 1;
+  std::uint64_t period = 0;      // found, and its growth not yet counted
+  std::uint64_t count_from = 0;  // first cycle of the counted period
+  probe::Probe::WindowCounters from;
+
+  GuardedRun r;
+  while (r.cycles < max_cycles && !dog.tripped()) {
+    const std::uint64_t now = sys.cycle();
+    if (search && now > saved_at) {
+      std::string s = state();
+      if (s == saved) {
+        search = false;
+        period = now - saved_at;
+        // (b): every frozen run of the periodic regime has ended or
+        // tripped by now + K - 1.
+        count_from = now + dog.options().no_progress_threshold;
+      } else if (now - saved_at == window) {
+        saved = std::move(s);
+        saved_at = now;
+        window *= 2;
+      }
+    }
+    if (period != 0 && now == count_from) {
+      from = dog.probe_.window_counters();
+    } else if (period != 0 && now == count_from + period) {
+      const std::uint64_t whole = (max_cycles - r.cycles) / period;
+      dog.probe_.advance(from, dog.probe_.window_counters(), whole);
+      r.cycles += whole * period;
+      period = 0;
+      continue;
+    }
+    sys.step();
+    ++r.cycles;
+  }
+  r.deadlocked = dog.tripped();
+  return r;
+}
+
 // ---- re-runs: replay and deadlock evidence ------------------------------
 
 std::optional<PostMortem> deadlock_evidence(

@@ -298,6 +298,64 @@ channel p.0 -> snk.0 : F
   std::remove(ring_pipe.c_str());
 }
 
+// ---- lidtool run: the steady state of the bound environment -------------
+//
+// `run` measures the steady state with the environment's own period
+// (System::environment_period), so a rate-limited sink reports its true
+// throughput, and an aperiodic environment reports none.
+
+/// lidtool's standard output for `args`.
+std::string lidtool_stdout(const std::string& args) {
+  const std::string cmd = std::string(LIDTOOL_PATH) + " " + args +
+                          " 2>/dev/null";
+  std::string out;
+  if (FILE* pipe = ::popen(cmd.c_str(), "r")) {
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+    ::pclose(pipe);
+  }
+  return out;
+}
+
+TEST(ApiEdges, LidtoolRunSteadyStateFollowsTheEnvironmentPeriod) {
+  auto chain = [](const char* name, const std::string& sink) {
+    return write_lid(name, "source src\nprocess p 1 1\nsink out " + sink +
+                               "\nchannel src.0 -> p.0 : F\n"
+                               "channel p.0 -> out.0 : F\n");
+  };
+  const std::string every3 = chain("every3", "periodic(3)");
+  const std::string script5 = chain("script5", "script(0,1,1,1,1)");
+  const std::string bursty = write_lid("bursty", R"(source src sparse(7,2,3)
+process p 1 1
+sink out
+channel src.0 -> p.0 : F
+channel p.0 -> out.0 : F
+)");
+
+  EXPECT_NE(lidtool_stdout("run " + every3 + " 3000")
+                .find("steady state (sound for periodic environments): "
+                      "T = 1/3, transient 4, period 3\n"),
+            std::string::npos);
+  EXPECT_NE(lidtool_stdout("run " + script5 + " 3000")
+                .find("steady state (sound for periodic environments): "
+                      "T = 1/5, transient 4, period 5\n"),
+            std::string::npos);
+  const std::string aperiodic = lidtool_stdout("run " + bursty + " 3000");
+  EXPECT_NE(aperiodic.find("steady state: not determined (aperiodic "
+                           "environment)\n"),
+            std::string::npos);
+  EXPECT_EQ(aperiodic.find("T = "), std::string::npos);
+  // The rates the steady state claims are the rates a profile counts.
+  EXPECT_NE(lidtool_stdout("profile " + every3 + " --cycles 3000")
+                .find("measured system throughput: 1001/3000"),
+            std::string::npos);
+
+  std::remove(every3.c_str());
+  std::remove(script5.c_str());
+  std::remove(bursty.c_str());
+}
+
 /// Whole file as a string (empty when unreadable).
 std::string read_file(const std::string& path) {
   std::ifstream is(path);

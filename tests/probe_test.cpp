@@ -315,4 +315,41 @@ TEST(Probe, RejectsDoubleAttachAndLateAttach) {
   EXPECT_THROW(late->attach_probe(third), ApiError);
 }
 
+TEST(Probe, AdvanceCountsWholePeriodsLikeStepping) {
+  // Fig. 1 from reset: after the transient, one period's counter growth
+  // added n times equals n more stepped periods, blame cells included.
+  const auto gen = graph::make_fig1();
+  skeleton::Skeleton sk(gen.topo);
+  const auto steady = sk.analyze();
+  ASSERT_TRUE(steady.found);
+  auto design = testutil::make_design(gen);
+  auto stepped = design.instantiate();
+  auto counted = design.instantiate();
+  probe::Probe full;
+  probe::Probe fast;
+  stepped->attach_probe(full);
+  counted->attach_probe(fast);
+  stepped->run(steady.transient + 6 * steady.period);
+  counted->run(steady.transient);
+  const auto from = fast.window_counters();
+  counted->run(steady.period);
+  fast.advance(from, fast.window_counters(), 5);
+  EXPECT_EQ(fast.report().to_json().dump(), full.report().to_json().dump());
+
+  // Snapshots out of order, or across a window reset, are refused.
+  EXPECT_THROW(fast.advance(fast.window_counters(), from, 1), ApiError);
+  // A trace cannot skip cycles.
+  std::ostringstream os;
+  probe::TraceSink sink(os);
+  probe::ProbeConfig cfg;
+  cfg.trace = &sink;
+  probe::Probe traced(cfg);
+  auto sys = design.instantiate();
+  sys->attach_probe(traced);
+  sys->run(4);
+  const auto a = traced.window_counters();
+  sys->run(4);
+  EXPECT_THROW(traced.advance(a, traced.window_counters(), 1), ApiError);
+}
+
 }  // namespace

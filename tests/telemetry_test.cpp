@@ -22,6 +22,8 @@
 #include "liplib/campaign/report.hpp"
 #include "liplib/graph/generators.hpp"
 #include "liplib/graph/netlist_io.hpp"
+#include "liplib/pearls/design_io.hpp"
+#include "liplib/pearls/pearls.hpp"
 #include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/metrics.hpp"
 #include "liplib/telemetry/bench_diff.hpp"
@@ -318,6 +320,229 @@ TEST(OneScreen, EvidenceReproducesTheFullBudgetGuardOnExampleDesigns) {
     ++designs;
   }
   EXPECT_GE(designs, 3u);
+}
+
+// ---- whole-period profiles against the stepped guard --------------------
+//
+// telemetry::run_profiled stops stepping once the design's protocol
+// state and environment phase repeat and the watchdog can no longer
+// trip, then counts the remaining whole periods.  The reference is
+// run_guarded on a fresh System of the same design: the cycle count,
+// verdict, trip fields, post-mortem and probe report must agree byte
+// for byte, at budgets that end before, at and after the watchdog's
+// threshold and long after the design settled.
+
+const std::uint64_t kProfileBudgets[] = {1, 63, 64, 65, 1000, 10000};
+
+/// The fields of the daemon's profile document for one run, plus the
+/// cycles the System actually stepped.
+struct ProfileRun {
+  std::string doc;
+  std::uint64_t stepped = 0;
+};
+
+ProfileRun profile_run(const graph::AnnotatedNetlist& net,
+                       std::uint64_t cycles, bool whole_periods) {
+  // A fresh Design per run: random environments share their generator
+  // between instantiations of one Design.
+  const lip::Design design = pearls::build_design(net);
+  auto sys = design.instantiate();
+  telemetry::Watchdog dog;
+  dog.attach(*sys);
+  const auto run = whole_periods ? telemetry::run_profiled(*sys, dog, cycles)
+                                 : telemetry::run_guarded(*sys, dog, cycles);
+  Json j = Json::object()
+               .set("cycles", run.cycles)
+               .set("deadlocked", run.deadlocked)
+               .set("tripped", dog.tripped());
+  if (dog.tripped()) {
+    j.set("reason", telemetry::trip_reason_str(dog.reason()))
+        .set("no_progress_since", dog.no_progress_since())
+        .set("trip_cycle", dog.trip_cycle())
+        .set("post_mortem", dog.post_mortem().to_json());
+  }
+  j.set("report", dog.probe().report().to_json());
+  return {j.dump(), sys->cycle()};
+}
+
+/// Compares both loops at every budget; returns the cycles run_profiled
+/// stepped at the largest one.
+std::uint64_t expect_whole_periods_match_stepping(
+    const graph::AnnotatedNetlist& net, const std::string& what) {
+  std::uint64_t stepped = 0;
+  for (const std::uint64_t cycles : kProfileBudgets) {
+    const ProfileRun fast = profile_run(net, cycles, /*whole_periods=*/true);
+    const ProfileRun full = profile_run(net, cycles, /*whole_periods=*/false);
+    EXPECT_EQ(fast.doc, full.doc) << what << " at " << cycles << " cycles";
+    stepped = fast.stepped;
+  }
+  return stepped;
+}
+
+/// The sink and source annotations of one differential environment.
+enum class ProfileEnv { kDefault, kPeriodic2, kMixed, kLongStall, kAperiodic };
+
+graph::AnnotatedNetlist with_environment(graph::Topology topo,
+                                         ProfileEnv env) {
+  graph::AnnotatedNetlist net;
+  net.node_annotation.assign(topo.nodes().size(), "");
+  std::size_t sinks = 0;
+  std::size_t sources = 0;
+  for (graph::NodeId v = 0; v < topo.nodes().size(); ++v) {
+    std::string& ann = net.node_annotation[v];
+    const graph::NodeKind kind = topo.node(v).kind;
+    if (kind == graph::NodeKind::kSink) {
+      const bool even = sinks++ % 2 == 0;
+      switch (env) {
+        case ProfileEnv::kDefault: break;
+        case ProfileEnv::kPeriodic2: ann = "periodic(2)"; break;
+        case ProfileEnv::kMixed:
+          ann = even ? "periodic(3,1)" : "script(1,0,0,1,0)";
+          break;
+        case ProfileEnv::kLongStall:
+          ann = even ? "periodic(100)" : "script(0,0,0,0,0,0,0,0,1)";
+          break;
+        case ProfileEnv::kAperiodic:
+          ann = "random(" + std::to_string(sinks) + ",1,3)";
+          break;
+      }
+    } else if (kind == graph::NodeKind::kSource &&
+               env == ProfileEnv::kAperiodic) {
+      ann = "sparse(" + std::to_string(++sources) + ",2,3)";
+    }
+  }
+  net.topo = std::move(topo);
+  return net;
+}
+
+void expect_whole_periods_match_stepping_on_recipe(ProfileEnv env) {
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const std::uint64_t stepped = expect_whole_periods_match_stepping(
+        with_environment(random_composite(campaign::job_seed(7, i)), env),
+        "topology " + std::to_string(i));
+    // The fast path must stay fast: the default environment settles
+    // within a few hundred cycles on every recipe design.
+    if (env == ProfileEnv::kDefault) {
+      EXPECT_LT(stepped, 1000u) << "topology " << i;
+    }
+  }
+}
+
+TEST(WholePeriods, MatchStepping300RecipeDesignsDefaultEnvironment) {
+  expect_whole_periods_match_stepping_on_recipe(ProfileEnv::kDefault);
+}
+TEST(WholePeriods, MatchStepping300RecipeDesignsPeriodicSinks) {
+  expect_whole_periods_match_stepping_on_recipe(ProfileEnv::kPeriodic2);
+}
+TEST(WholePeriods, MatchStepping300RecipeDesignsMixedPeriodsAndScripts) {
+  expect_whole_periods_match_stepping_on_recipe(ProfileEnv::kMixed);
+}
+TEST(WholePeriods, MatchStepping300RecipeDesignsLongStalls) {
+  expect_whole_periods_match_stepping_on_recipe(ProfileEnv::kLongStall);
+}
+TEST(WholePeriods, MatchStepping300RecipeDesignsAperiodicEnvironments) {
+  expect_whole_periods_match_stepping_on_recipe(ProfileEnv::kAperiodic);
+}
+
+TEST(WholePeriods, MatchSteppingOnExampleDesignsAndFixtures) {
+  std::vector<std::pair<std::string, std::string>> texts;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(LIPLIB_DESIGNS_DIR)) {
+    if (entry.path().extension() != ".lid") continue;
+    std::ifstream is(entry.path());
+    std::stringstream text;
+    text << is.rdbuf();
+    texts.emplace_back(entry.path().filename().string(), text.str());
+  }
+  EXPECT_GE(texts.size(), 3u);
+  auto chain = [](const std::string& sink) {
+    return "source src\nprocess p 1 1\nsink out " + sink +
+           "\nchannel src.0 -> p.0 : F\nchannel p.0 -> out.0 : F\n";
+  };
+  // Periodic sinks whose throughput a one-cycle environment period
+  // gets wrong, and a sink that never consumes: the pipeline freezes
+  // into a one-cycle period long before the watchdog's threshold, so
+  // only the K-cycle margin keeps the trip.
+  for (const char* sink : {"periodic(3)", "script(0,1,1,1,1)", "script(1)"}) {
+    texts.emplace_back(std::string(sink) + " sink", chain(sink));
+  }
+  for (const auto& [name, text] : texts) {
+    expect_whole_periods_match_stepping(
+        graph::parse_netlist_annotated_string(text), name);
+  }
+  const auto frozen = profile_run(
+      graph::parse_netlist_annotated_string(chain("script(1)")),
+      10000, /*whole_periods=*/true);
+  EXPECT_NE(frozen.doc.find("\"deadlocked\":true"), std::string::npos);
+}
+
+TEST(WholePeriods, SettlesOnAnUnfinalizedHandBuiltSystem) {
+  // run_profiled finalizes the System before it takes the first state.
+  graph::Topology topo;
+  const auto src = topo.add_source("src");
+  const auto p = topo.add_process("p", 1, 1);
+  const auto out = topo.add_sink("out");
+  topo.connect({src, 0}, {p, 0}, {graph::RsKind::kFull});
+  topo.connect({p, 0}, {out, 0}, {graph::RsKind::kFull});
+  auto run = [&](bool whole_periods, std::uint64_t* stepped) {
+    lip::System sys(topo);
+    sys.bind_pearl(p, pearls::make_identity());
+    sys.bind_sink(out, lip::SinkBehavior::periodic(4, 1));
+    telemetry::Watchdog dog;
+    dog.attach(sys);
+    const auto r = whole_periods ? telemetry::run_profiled(sys, dog, 5000)
+                                 : telemetry::run_guarded(sys, dog, 5000);
+    *stepped = sys.cycle();
+    return std::to_string(r.cycles) + dog.probe().report().to_json().dump();
+  };
+  std::uint64_t fast_steps = 0;
+  std::uint64_t full_steps = 0;
+  EXPECT_EQ(run(true, &fast_steps), run(false, &full_steps));
+  EXPECT_EQ(full_steps, 5000u);
+  EXPECT_LT(fast_steps, 200u);
+}
+
+TEST(WholePeriods, EnvironmentPeriodIsTheLcmOrZero) {
+  graph::Topology topo;
+  const auto a = topo.add_sink("a");
+  const auto b = topo.add_sink("b");
+  const auto s = topo.add_source("s");
+  topo.connect({s, 0}, {a, 0}, {graph::RsKind::kFull});
+  const auto s2 = topo.add_source("s2");
+  topo.connect({s2, 0}, {b, 0}, {graph::RsKind::kFull});
+  auto period = [&](lip::SinkBehavior sa, lip::SinkBehavior sb,
+                    lip::SourceBehavior src) {
+    lip::Design d(topo);
+    d.set_sink(a, std::move(sa));
+    d.set_sink(b, std::move(sb));
+    d.set_source(s, std::move(src));
+    return d.instantiate()->environment_period();
+  };
+  using lip::SinkBehavior;
+  using lip::SourceBehavior;
+  EXPECT_EQ(period(SinkBehavior::greedy(), SinkBehavior::greedy(),
+                   SourceBehavior::counter()),
+            1u);
+  EXPECT_EQ(period(SinkBehavior::periodic(4), SinkBehavior::periodic(6, 1),
+                   SourceBehavior::cyclic({1, 2, 3})),
+            12u);
+  EXPECT_EQ(period(SinkBehavior::script({true, false, false}),
+                   SinkBehavior::periodic(2), SourceBehavior::counter()),
+            6u);
+  EXPECT_EQ(period(SinkBehavior::random_stop(1, 1, 2), SinkBehavior::greedy(),
+                   SourceBehavior::counter()),
+            0u);
+  EXPECT_EQ(period(SinkBehavior::greedy(), SinkBehavior::greedy(),
+                   SourceBehavior::sparse_counter(1, 1, 2)),
+            0u);
+  EXPECT_EQ(period({[](std::uint64_t c) { return c % 2 == 0; }},
+                   SinkBehavior::greedy(), SourceBehavior::counter()),
+            0u);
+  // Saturates instead of wrapping.
+  const std::uint64_t big = std::uint64_t{1} << 40;
+  EXPECT_EQ(period(SinkBehavior::periodic(big), SinkBehavior::periodic(big - 1),
+                   SourceBehavior::counter()),
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 // ---- fleet metrics ------------------------------------------------------
