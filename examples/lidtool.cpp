@@ -1083,6 +1083,10 @@ int cmd_trace(const Args& args) {
     const Json* result = response.find("result");
     require(result, "trace response carries no result");
     fold_doc(*result, "serve scrape");
+    if (const Json* omitted = result->find("omitted")) {
+      std::cout << "serve scrape: " << omitted->dump()
+                << " older span(s) omitted to fit one frame\n";
+    }
   }
   if (f.has("--scrape-dist")) {
     const Json response = Json::parse(serve::call(

@@ -86,6 +86,12 @@ struct ServeContext {
 
   ServerOptions opts;
   ResultCache cache;
+  /// The design memo: netlist text -> the 16-hex-digit content hash its
+  /// cache key embeds, so a repeat request keys the cache without
+  /// parsing.  A text is admitted only once the cache has answered it;
+  /// entries never expire (the hash is a pure function of the text) and
+  /// share a byte budget of `cache.capacity_bytes / 16`.
+  ResultCache designs;
 
   std::mutex mu;  ///< guards the counters below
   metrics::Counter requests_total;
@@ -107,8 +113,9 @@ struct ServeContext {
   std::atomic<bool> draining{false};  ///< set by a shutdown request
 
   /// Counter snapshot for the status document (schema
-  /// "liplib.serve.status/3"); includes the cache counters plus the
-  /// top-level `evictions` counter and `cache_bytes` gauge.
+  /// "liplib.serve.status/3"); includes the cache counters, the design
+  /// memo's (`design_memo`), plus the top-level `evictions` counter and
+  /// `cache_bytes` gauge.
   Json status_json();
 };
 

@@ -35,6 +35,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <mutex>
@@ -143,8 +144,14 @@ class Recorder {
   std::function<std::uint64_t()> now_us_;
   std::atomic<std::uint64_t> seq_{0};
   mutable std::mutex mu_;
-  std::vector<Span> spans_;
+  /// A deque, not a vector: growing never holds an old and a new copy
+  /// of every span at once.
+  std::deque<Span> spans_;
 };
+
+/// One span as an element of a "liplib.trace/1" document's `spans`
+/// array.
+Json span_to_json(const Span& span);
 
 /// Renders spans as a "liplib.trace/1" document.  Spans are sorted by
 /// (trace_id, ts_us, span_id) — a canonical order independent of which

@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Smoke test for the lidtool serve daemon, exercised end-to-end through
-# the shipped binary: start a daemon on an ephemeral port, fire 110
+# the shipped binary: start a daemon on an ephemeral port, fire 112
 # mixed requests at it from `lidtool client` (lint / screen / profile /
 # campaign / prove, including a design with a deliberate worst-case
-# deadlock), check that a prove and a campaign request answer with the
-# same documents as the local `lidtool prove` / `lidtool campaign`, that
-# the daemon's profile reports (counted in whole periods) equal
-# `lidtool profile --json` (which steps every cycle), and
-# that `lidtool screen` and `lidtool client screen` exit alike,
-# then assert via `status` that the cache actually served hits, that the
-# deadlock was answered as a verdict (not a hang), and that a `shutdown`
-# request drains cleanly.
+# deadlock), check that a reformatted copy of a design is answered from
+# the original's cache entries, that a prove and a campaign request
+# answer with the same documents as the local `lidtool prove` /
+# `lidtool campaign`, that the daemon's profile reports (counted in
+# whole periods) equal `lidtool profile --json` (which steps every
+# cycle), and that `lidtool screen` and `lidtool client screen` exit
+# alike, then assert via `status` that the cache actually served hits, that the
+# design memo answered repeat texts without a parse, that the deadlock
+# was answered as a verdict (not a hang), and that a `shutdown` request
+# drains cleanly.
 #
 # Usage: scripts/serve_smoke.sh [path/to/lidtool]
 # (default: build/examples/lidtool relative to the repo root)
@@ -126,16 +128,19 @@ result_member() {
 
 # ---- 98 mixed requests --------------------------------------------------
 
-# 24 rounds x 4 request kinds = 96, plus 2 campaigns = 98; plus the
-# prove, campaign, 5 profiles and 3 screens of the next sections, plus
-# the final status + shutdown = 110 frames total.  After round one, every
-# lint/screen/profile answer must be a cache hit.
+# 24 rounds x 4 request kinds = 96, plus 2 campaigns = 98; plus the 2
+# reformatted-twin requests, the prove, campaign, 5 profiles and 3
+# screens of the next sections, plus the final status + shutdown = 112
+# frames total.  After round one, every lint/screen/profile answer must
+# be a cache hit; from round two on, every one of them also finds its
+# text in the design memo (round two admits the 2 texts: 2 + 22 x 4 = 90
+# memo hits).
 requests=0
 deadlock_answers=0
 for _ in $(seq 1 24); do
-  client lint "$work/fig1.lid" > /dev/null \
+  client lint "$work/fig1.lid" > "$work/lint_fig1.json" \
     || fail "lint of a clean design did not exit 0"
-  client screen "$work/fig1.lid" > /dev/null \
+  client screen "$work/fig1.lid" > "$work/screen_fig1.json" \
     || fail "screen of a live design did not exit 0"
   client profile "$work/fig1.lid" --cycles 2000 > /dev/null \
     || fail "profile of a live design did not exit 0"
@@ -150,6 +155,28 @@ done
 client campaign fuzz 10 --seed 7 > /dev/null || fail "campaign fuzz failed"
 client campaign fuzz 10 --seed 7 > /dev/null || fail "repeat campaign failed"
 requests=$((requests + 2))
+
+# ---- one design, two texts: a reformatted twin shares the entries ------
+
+# Comments, blank lines and extra spaces leave the content hash alone,
+# so the twin's lint and screen are fig1's cache entries, byte for byte.
+{ echo "# fig1, reformatted"; echo
+  awk '{ gsub(/ /, "   "); print; print "" }' "$work/fig1.lid"
+} > "$work/fig1_twin.lid"
+for kind in lint screen; do
+  client "$kind" "$work/fig1_twin.lid" > "$work/${kind}_twin.json" \
+    || fail "client $kind of the reformatted fig1 did not exit 0"
+  requests=$((requests + 1))
+  python3 - "$work/${kind}_fig1.json" "$work/${kind}_twin.json" <<'EOF' \
+    || fail "client $kind of the reformatted fig1 is not fig1's cached answer"
+import json, sys
+fig1 = json.load(open(sys.argv[1]))
+twin = json.load(open(sys.argv[2]))
+sys.exit(0 if twin["cached"] is True and twin["result"] == fig1["result"]
+         else 1)
+EOF
+done
+echo "serve_smoke: a reformatted fig1 is answered from fig1's cache entries"
 
 # ---- one request on two surfaces: the daemon's answer == lidtool's ------
 
@@ -242,7 +269,13 @@ cache_get() {
     sed -n "s/.*\"$1\": \([0-9][0-9]*\).*/\1/p" | head -n1
 }
 
+memo_get() {
+  sed -n '/"design_memo"/,/}/p' "$work/status.json" |
+    sed -n "s/.*\"$1\": \([0-9][0-9]*\).*/\1/p" | head -n1
+}
+
 hits="$(cache_get hits)"
+memo_hits="$(memo_get hits)"
 total="$(get total)"
 verdicts="$(get deadlock_verdicts)"
 [ -n "$hits" ] || fail "status did not report cache hits"
@@ -251,14 +284,18 @@ verdicts="$(get deadlock_verdicts)"
 # 10 distinct cache keys (lint/screen/profile of fig1, screen of the
 # deadlock ring and of the ring beside a pipeline, the 5 cross-checked
 # profiles) computed once each + 2 campaign keys + 1 prove key:
-# everything else must have come from the cache.
-[ "$hits" -ge $((requests - 15)) ] \
+# everything else, the reformatted twin included, must have come from
+# the cache.
+[ "$hits" -ge $((requests - 13)) ] \
   || fail "only $hits cache hits across $requests requests"
 # deadlock_verdicts counts computed deadlock answers; the repeat
 # answers came from the cache without re-running the screen.
 [ -n "$verdicts" ] && [ "$verdicts" -ge 1 ] \
   || fail "status reports no deadlock verdicts despite $deadlock_answers deadlock answers"
-echo "serve_smoke: cache hits $hits / $total requests"
+# Rounds 2-24 of the mixed loop alone give 90 design-memo hits.
+[ -n "$memo_hits" ] && [ "$memo_hits" -ge 90 ] \
+  || fail "status reports ${memo_hits:-no} design-memo hits, want >= 90"
+echo "serve_smoke: cache hits $hits / $total requests, design-memo hits $memo_hits"
 
 # ---- graceful shutdown --------------------------------------------------
 

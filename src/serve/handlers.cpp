@@ -4,7 +4,9 @@
 // byte-identity of cached vs fresh responses is a property of this file
 // alone.
 
+#include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "liplib/campaign/campaign.hpp"
@@ -25,6 +27,8 @@ ServeContext::ServeContext(ServerOptions options,
                            std::function<std::uint64_t()> now_us)
     : opts(options),
       cache(options.cache, std::move(now_ms)),
+      designs({.capacity_bytes = options.cache.capacity_bytes / 16,
+               .ttl_ms = 0}),
       recorder(std::move(now_us)) {
   registry.describe(
       "liplib_serve_request_latency_us", metrics::MetricType::kHistogram,
@@ -61,6 +65,7 @@ Json ServeContext::status_json() {
       .set("cache_bytes", static_cast<std::uint64_t>(cs.bytes))
       .set("requests", std::move(requests))
       .set("cache", cache.stats_json())
+      .set("design_memo", designs.stats_json())
       .set("config",
            Json::object()
                .set("threads", opts.threads)
@@ -302,17 +307,58 @@ Computed compute_dist_status(const Request& req) {
 
 /// Content-addressed key of a cacheable request: its canonical document
 /// without the envelope (id, trace), the netlist replaced by the
-/// design's content hash and the budgets by their effective values, so
-/// every knob the kind takes keys the entry and nothing else does.
-std::string cache_key(const Request& req, const ParsedDesign* design,
+/// design's content hash (16 hex digits) and the budgets by their
+/// effective values, so every knob the kind takes keys the entry and
+/// nothing else does.
+std::string cache_key(const Request& req, const std::string* content_hash,
                       const ServerOptions& opts) {
   Request keyed = req;  // a whole copy, so a new knob cannot miss the key
   keyed.id = Json();
   keyed.trace = {};
-  if (design) keyed.netlist = hex64(design->content_hash);
+  if (content_hash) keyed.netlist = *content_hash;
   keyed.budget = effective_budget(req, opts);
   keyed.cycles = effective_cycles(req, opts);
   return to_json(keyed).dump();
+}
+
+/// The trace scrape's response: the newest recorded spans, in record
+/// order, whose whole response frame fits `max_frame_bytes`, rendered in
+/// spans_to_json's canonical order.  Serve records a parent after its
+/// children (lookup and execute before the root, campaign chunks before
+/// execute), so a record-order suffix never orphans a child.  A document
+/// that leaves spans out counts them in "omitted"; one that keeps every
+/// span is the plain spans_to_json document.
+std::string trace_response(const Json& id, const ServeContext& ctx) {
+  std::vector<trace::Span> spans = ctx.recorder.snapshot();
+  const auto frame = [&id](std::vector<trace::Span> kept,
+                           std::size_t omitted) {
+    Json doc = trace::spans_to_json(std::move(kept));
+    if (omitted > 0) doc.set("omitted", static_cast<std::uint64_t>(omitted));
+    return success_envelope(id, RequestKind::kTrace, /*cached=*/false,
+                            doc.dump());
+  };
+  // The frame without spans, and the `,"omitted":` member without its
+  // digits; each kept span adds its document and, after the first, a
+  // comma.
+  const std::size_t empty = frame({}, 0).size();
+  const std::size_t member = frame({}, 1).size() - empty - 1;
+  std::size_t kept = 0;
+  std::size_t span_bytes = 0;
+  for (; kept < spans.size(); ++kept) {
+    const std::size_t add =
+        trace::span_to_json(spans[spans.size() - 1 - kept]).dump().size() +
+        (kept > 0 ? 1 : 0);
+    const std::size_t omitted = spans.size() - kept - 1;
+    const std::size_t need =
+        empty + span_bytes + add +
+        (omitted > 0 ? member + std::to_string(omitted).size() : 0);
+    if (need > ctx.opts.limits.max_frame_bytes) break;
+    span_bytes += add;
+  }
+  const std::size_t omitted = spans.size() - kept;
+  spans.erase(spans.begin(),
+              spans.begin() + static_cast<std::ptrdiff_t>(omitted));
+  return frame(std::move(spans), omitted);
 }
 
 }  // namespace
@@ -428,9 +474,9 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
       return success_envelope(req.id, req.kind, /*cached=*/false, result);
     }
     if (req.kind == RequestKind::kTrace) {
-      const std::string result = ctx.recorder.to_json().dump();
+      std::string response = trace_response(req.id, ctx);
       finish(false, false, "none");
-      return success_envelope(req.id, req.kind, /*cached=*/false, result);
+      return response;
     }
     if (req.kind == RequestKind::kDistStatus) {
       Computed relayed = compute_dist_status(req);
@@ -448,12 +494,21 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
       return success_envelope(req.id, req.kind, /*cached=*/false, result);
     }
 
+    // The content hash of a text the cache has answered before comes
+    // from the design memo; any other text is parsed to find it.  The
+    // memo compares whole texts, so it never trusts a hash alone.
     ParsedDesign design;
     const bool needs_design = takes_netlist(req.kind);
-    if (needs_design) design = parse_design_text(req.netlist);
+    std::optional<std::string> memo;
+    std::string content_hash;
+    if (needs_design) {
+      memo = ctx.designs.lookup(req.netlist);
+      if (!memo) design = parse_design_text(req.netlist);
+      content_hash = memo ? *memo : hex64(design.content_hash);
+    }
 
     const std::string key =
-        cache_key(req, needs_design ? &design : nullptr, ctx.opts);
+        cache_key(req, needs_design ? &content_hash : nullptr, ctx.opts);
 
     const std::uint64_t lookup_ts = ctx.recorder.now_us();
     auto hit = ctx.cache.lookup(key);
@@ -472,9 +527,14 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
       root.events.push_back({hit ? "cache.hit" : "cache.miss", lookup_end});
     }
     if (hit) {
+      // Admission on the first cache hit: fresh-design traffic, which
+      // never hits, stores nothing.
+      if (needs_design && !memo) ctx.designs.insert(req.netlist, content_hash);
       finish(false, false, "hit");
       return success_envelope(req.id, req.kind, /*cached=*/true, *hit);
     }
+    // An evicted or expired result is computed again, from the text.
+    if (needs_design && memo) design = parse_design_text(req.netlist);
 
     const std::uint64_t exec_ts = ctx.recorder.now_us();
     const std::uint64_t exec_id = trace::derive_span_id(trace_id, root_id, 2);

@@ -141,7 +141,7 @@ std::size_t Recorder::size() const {
 
 std::vector<Span> Recorder::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
+  return {spans_.begin(), spans_.end()};
 }
 
 Json Recorder::to_json() const { return spans_to_json(snapshot()); }
@@ -149,6 +149,31 @@ Json Recorder::to_json() const { return spans_to_json(snapshot()); }
 void Recorder::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
+}
+
+Json span_to_json(const Span& s) {
+  Json j = Json::object()
+               .set("trace_id", hex16(s.trace_id))
+               .set("span_id", hex16(s.span_id))
+               .set("parent_span", hex16(s.parent_span))
+               .set("name", s.name)
+               .set("cat", s.category)
+               .set("track", s.track)
+               .set("ts_us", s.ts_us)
+               .set("dur_us", s.dur_us);
+  if (!s.events.empty()) {
+    Json events = Json::array();
+    for (const SpanEvent& e : s.events) {
+      events.push(Json::object().set("name", e.name).set("ts_us", e.ts_us));
+    }
+    j.set("events", std::move(events));
+  }
+  if (!s.attrs.empty()) {
+    Json attrs = Json::object();
+    for (const auto& [k, v] : s.attrs) attrs.set(k, v);
+    j.set("attrs", std::move(attrs));
+  }
+  return j;
 }
 
 Json spans_to_json(std::vector<Span> spans) {
@@ -162,31 +187,7 @@ Json spans_to_json(std::vector<Span> spans) {
                      return a.span_id < b.span_id;
                    });
   Json arr = Json::array();
-  for (const Span& s : spans) {
-    Json j = Json::object()
-                 .set("trace_id", hex16(s.trace_id))
-                 .set("span_id", hex16(s.span_id))
-                 .set("parent_span", hex16(s.parent_span))
-                 .set("name", s.name)
-                 .set("cat", s.category)
-                 .set("track", s.track)
-                 .set("ts_us", s.ts_us)
-                 .set("dur_us", s.dur_us);
-    if (!s.events.empty()) {
-      Json events = Json::array();
-      for (const SpanEvent& e : s.events) {
-        events.push(
-            Json::object().set("name", e.name).set("ts_us", e.ts_us));
-      }
-      j.set("events", std::move(events));
-    }
-    if (!s.attrs.empty()) {
-      Json attrs = Json::object();
-      for (const auto& [k, v] : s.attrs) attrs.set(k, v);
-      j.set("attrs", std::move(attrs));
-    }
-    arr.push(std::move(j));
-  }
+  for (const Span& s : spans) arr.push(span_to_json(s));
   return Json::object()
       .set("schema", kTraceSchema)
       .set("spans", std::move(arr));

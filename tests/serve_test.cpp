@@ -5,7 +5,9 @@
 // byte-identically to a fresh computation (lint and screen), survives
 // 8 client threads hammering the same hot key (TSan-clean hit/miss
 // races), expires on TTL and evicts in LRU order; the protocol layer
-// rejects truncated and oversized frames with explicit errors; and the
+// rejects truncated and oversized frames with explicit errors; the
+// design memo answers repeats without a parse yet exactly like a fresh
+// daemon, admitting a text only once the cache has answered it; and the
 // daemon proper serves 8 concurrent loopback clients, answers a
 // deadlocked design with a DEADLOCK verdict + post-mortem instead of
 // wedging a worker, surfaces a non-zero hit rate via `status`, and
@@ -20,10 +22,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "liplib/graph/netlist_io.hpp"
@@ -904,6 +910,260 @@ TEST(Handlers, MalformedPayloadsBecomeErrorEnvelopes) {
   EXPECT_EQ(status.find("requests")->find("request_errors")->as_uint(), 1u);
   // Nothing leaks into the inflight gauge.
   EXPECT_EQ(status.find("inflight")->as_int(), 0);
+}
+
+// ---- the design memo ----------------------------------------------------
+
+// A pipeline whose last annotation carries a number, for the
+// equal-length edit below.
+const char* kPeriodicSink = R"(source src
+process p 1 1
+sink out periodic(3)
+channel src.0 -> p.0 : F
+channel p.0 -> out.0 : F
+)";
+
+/// examples/designs/*.lid and this file's fixtures, by name.
+std::vector<std::pair<std::string, std::string>> memo_designs() {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(LIPLIB_DESIGNS_DIR)) {
+    if (entry.path().extension() != ".lid") continue;
+    std::ifstream is(entry.path());
+    std::stringstream text;
+    text << is.rdbuf();
+    out.emplace_back(entry.path().filename().string(), text.str());
+  }
+  std::sort(out.begin(), out.end());  // directory order is unspecified
+  EXPECT_GE(out.size(), 3u);
+  out.emplace_back("kFig1", kFig1);
+  out.emplace_back("kHalfRing", kHalfRing);
+  out.emplace_back("kRingBesidePipeline", kRingBesidePipeline);
+  out.emplace_back("kPeriodicSink", kPeriodicSink);
+  return out;
+}
+
+/// The same design formatted differently: a comment, blank lines and
+/// doubled spaces.
+std::string reformatted(const std::string& text) {
+  std::string out = "# a reformatted twin\n\n";
+  for (const char c : text) {
+    if (c == ' ') {
+      out += "  ";
+    } else if (c == '\n') {
+      out += "\n\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// The text with the first digit of its last `periodic(N)` annotation
+/// changed: the same length and all but one byte the same, another
+/// design.  Empty when the text has no such annotation.
+std::string edit_last_period(const std::string& text) {
+  const std::size_t at = text.rfind("periodic(");
+  if (at == std::string::npos) return "";
+  std::string out = text;
+  char& digit = out[at + std::string("periodic(").size()];
+  digit = digit == '5' ? '7' : '5';
+  return out;
+}
+
+/// Answers `request` on `ctx` and expects the response of a fresh
+/// daemon to it, byte for byte but for the envelope's cached flag.
+/// Returns that flag.
+bool expect_fresh_answer(const std::string& request, ServeContext& ctx,
+                         const std::string& what) {
+  std::string got = handle_payload(request, ctx);
+  ServeContext fresh;
+  const std::string want = handle_payload(request, fresh);
+  const std::string hit = "\"cached\":true";
+  const std::size_t at = got.find(hit);
+  const bool cached = at != std::string::npos && at < got.find("\"result\":");
+  if (cached) got.replace(at, hit.size(), "\"cached\":false");
+  EXPECT_EQ(got, want) << what;
+  return cached;
+}
+
+// The memo skips only the work of finding the content hash: every answer
+// is a fresh daemon's, the result cache counts exactly what it would
+// count without a memo, and a text enters the memo only once the cache
+// has answered it.  An equal-length edit at the very end of the text is
+// another design, so the memo must compare whole texts.
+TEST(DesignMemo, RepeatsTwinsAndEditsAnswerLikeAFreshDaemon) {
+  std::size_t edits = 0;
+  for (const auto& [name, text] : memo_designs()) {
+    ServeContext ctx;
+    const auto screen = [](const std::string& netlist) {
+      return request_json("screen", netlist.c_str());
+    };
+    EXPECT_FALSE(expect_fresh_answer(screen(text), ctx, name + " fresh"));
+    // The first hit admits the text; the next one finds it.
+    EXPECT_TRUE(expect_fresh_answer(screen(text), ctx, name + " repeat"));
+    EXPECT_TRUE(expect_fresh_answer(screen(text), ctx, name + " memo hit"));
+    // A reformatted twin is the same key, and a memo entry of its own.
+    const std::string twin = reformatted(text);
+    EXPECT_TRUE(expect_fresh_answer(screen(twin), ctx, name + " twin"));
+    EXPECT_TRUE(expect_fresh_answer(screen(twin), ctx, name + " twin again"));
+    std::uint64_t misses = 1;
+    std::uint64_t memo_misses = 3;
+    const std::string edit = edit_last_period(text);
+    if (!edit.empty()) {
+      ++edits;
+      ASSERT_EQ(edit.size(), text.size());
+      EXPECT_FALSE(expect_fresh_answer(screen(edit), ctx, name + " edit"));
+      ++misses;
+      ++memo_misses;
+    }
+    // A malformed text fails to parse before any cache lookup.
+    expect_fresh_answer(screen(text + "process\n"), ctx, name + " malformed");
+    ++memo_misses;
+
+    const CacheStats cs = ctx.cache.stats();
+    EXPECT_EQ(cs.hits, 4u) << name;
+    EXPECT_EQ(cs.misses, misses) << name;
+    EXPECT_EQ(cs.insertions, misses) << name;
+    const CacheStats ms = ctx.designs.stats();
+    EXPECT_EQ(ms.hits, 2u) << name;
+    EXPECT_EQ(ms.misses, memo_misses) << name;
+    EXPECT_EQ(ms.insertions, 2u) << name;
+    EXPECT_EQ(ms.entries, 2u) << name;  // the text and its twin
+    EXPECT_EQ(ms.bytes, text.size() + twin.size() + 32) << name;
+
+    const Json status = ctx.status_json();
+    EXPECT_EQ(status.find("schema")->as_string(), "liplib.serve.status/3");
+    EXPECT_EQ(status.find("design_memo")->dump(),
+              ctx.designs.stats_json().dump());
+  }
+  EXPECT_GE(edits, 2u);
+}
+
+// Fresh-design traffic stores nothing: a text that was only ever
+// computed never enters the memo.
+TEST(DesignMemo, MissesOnlyTrafficLeavesTheMemoEmpty) {
+  ServeContext ctx;
+  std::uint64_t requests = 0;
+  for (const auto& [name, text] : memo_designs()) {
+    for (const char* kind : {"lint", "screen"}) {
+      EXPECT_FALSE(
+          expect_fresh_answer(request_json(kind, text.c_str()), ctx, name));
+      ++requests;
+    }
+  }
+  EXPECT_EQ(ctx.cache.stats().misses, requests);
+  const CacheStats ms = ctx.designs.stats();
+  EXPECT_EQ(ms.misses, requests);
+  EXPECT_EQ(ms.entries, 0u);
+  EXPECT_EQ(ms.bytes, 0u);
+  // The memo's budget is a sixteenth of the result cache's.
+  EXPECT_EQ(ctx.designs.options().capacity_bytes,
+            ctx.cache.options().capacity_bytes / 16);
+  EXPECT_EQ(ctx.designs.options().ttl_ms, 0u);
+}
+
+// A result that left the cache is computed again from the text, though
+// the memo still knows the text's hash.
+TEST(DesignMemo, EvictedAndExpiredResultsAreComputedFromTheText) {
+  const auto designs = memo_designs();
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    const auto& [name, text] = designs[i];
+    const std::string& other = designs[(i + 1) % designs.size()].second;
+    {
+      // A one-byte budget keeps only the newest result, and the memo's
+      // (a sixteenth of it) only the newest admitted text.
+      ServerOptions opts;
+      opts.cache.capacity_bytes = 1;
+      ServeContext ctx(opts);
+      const std::string req = request_json("lint", text.c_str());
+      EXPECT_FALSE(expect_fresh_answer(req, ctx, name + " fresh"));
+      EXPECT_TRUE(expect_fresh_answer(req, ctx, name + " repeat"));
+      EXPECT_FALSE(expect_fresh_answer(request_json("lint", other.c_str()),
+                                       ctx, name + " evicting"));
+      EXPECT_FALSE(expect_fresh_answer(req, ctx, name + " evicted"));
+      const CacheStats cs = ctx.cache.stats();
+      EXPECT_EQ(cs.hits, 1u) << name;
+      EXPECT_EQ(cs.misses, 3u) << name;
+      EXPECT_EQ(cs.insertions, 3u) << name;
+      EXPECT_EQ(cs.evictions, 2u) << name;
+      const CacheStats ms = ctx.designs.stats();
+      EXPECT_EQ(ms.hits, 1u) << name;
+      EXPECT_EQ(ms.misses, 3u) << name;
+      EXPECT_EQ(ms.entries, 1u) << name;
+    }
+    {
+      std::uint64_t now = 1000;
+      ServerOptions opts;
+      opts.cache.ttl_ms = 50;
+      ServeContext ctx(opts, [&now] { return now; });
+      const std::string req =
+          request_json("profile", text.c_str(), "\"cycles\":500");
+      EXPECT_FALSE(expect_fresh_answer(req, ctx, name + " fresh"));
+      EXPECT_TRUE(expect_fresh_answer(req, ctx, name + " repeat"));
+      now += 50;  // the result expires; the memo entry never does
+      EXPECT_FALSE(expect_fresh_answer(req, ctx, name + " expired"));
+      EXPECT_TRUE(expect_fresh_answer(req, ctx, name + " recomputed"));
+      const CacheStats cs = ctx.cache.stats();
+      EXPECT_EQ(cs.hits, 2u) << name;
+      EXPECT_EQ(cs.misses, 2u) << name;
+      EXPECT_EQ(cs.insertions, 2u) << name;
+      EXPECT_EQ(cs.expirations, 1u) << name;
+      const CacheStats ms = ctx.designs.stats();
+      EXPECT_EQ(ms.hits, 2u) << name;
+      EXPECT_EQ(ms.misses, 2u) << name;
+      EXPECT_EQ(ms.entries, 1u) << name;
+    }
+  }
+}
+
+// 8 threads race memo lookups and admissions over 4 texts and their
+// reformatted twins (run under TSan in CI); every answer is still the
+// fresh one.
+TEST(DesignMemo, ConcurrentLookupsAndAdmissionsUnderEightThreads) {
+  const auto designs = memo_designs();
+  std::vector<std::string> requests;
+  std::vector<std::string> want;
+  for (std::size_t d = 0; d < 4; ++d) {
+    const std::string& text = designs[d].second;
+    for (const std::string& t : {text, reformatted(text)}) {
+      requests.push_back(request_json("lint", t.c_str()));
+      ServeContext fresh;
+      std::string result;
+      bool cached = false, ok = false;
+      split_response(handle_payload(requests.back(), fresh), &result, &cached,
+                     &ok);
+      want.push_back(result);
+    }
+  }
+  ServeContext ctx;
+  constexpr int kThreads = 8;
+  constexpr int kEach = 200;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kEach; ++i) {
+        const std::size_t r = static_cast<std::size_t>(t + i) % requests.size();
+        std::string result;
+        bool cached = false, ok = false;
+        split_response(handle_payload(requests[r], ctx), &result, &cached,
+                       &ok);
+        EXPECT_TRUE(ok);
+        EXPECT_EQ(result, want[r]);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const CacheStats cs = ctx.cache.stats();
+  EXPECT_EQ(cs.hits + cs.misses, std::uint64_t{kThreads * kEach});
+  EXPECT_EQ(cs.entries, 4u);
+  // Each thread asks for every text at least twice, the second time
+  // after its own first answer landed: every text is admitted.
+  const CacheStats ms = ctx.designs.stats();
+  EXPECT_EQ(ms.hits + ms.misses, std::uint64_t{kThreads * kEach});
+  EXPECT_EQ(ms.entries, 8u);
+  EXPECT_GT(ms.hits, 0u);
 }
 
 // ---- the daemon over loopback -------------------------------------------

@@ -8,8 +8,9 @@
 // through the liplib.rpc/1 envelope so serve-side spans join the
 // caller's trace; a killed worker's re-dispatch appears as an explicit
 // root-span event; every merged timeline passes referential integrity;
-// and the metrics scrape's request-latency histogram counts equal the
-// status document's request counters.
+// a trace scrape beyond the frame limit keeps the newest spans that fit
+// and still passes it; and the metrics scrape's request-latency
+// histogram counts equal the status document's request counters.
 
 #include <gtest/gtest.h>
 
@@ -250,6 +251,59 @@ TEST(ServeTrace, ByteIdenticalAcrossEngineThreadCounts) {
   EXPECT_EQ(chunks, 40u);
   EXPECT_TRUE(saw_hit_event);
   EXPECT_TRUE(saw_miss_event);
+}
+
+// The trace scrape answers within the frame limit every client
+// enforces: the newest spans, in record order, whose whole response fits,
+// rendered in canonical order, with the older ones counted under
+// "omitted".  Serve records a parent after its children, so wherever
+// the cut falls the kept spans are a sound forest.
+TEST(ServeTrace, ScrapeKeepsTheNewestSpansThatFitOneFrame) {
+  serve::ServeContext ctx = frozen_ctx(2);
+  serve::handle_payload(request_json("screen", kFig1), ctx);
+  serve::handle_payload(request_json("screen", kFig1), ctx);  // cache hit
+  serve::handle_payload(
+      request_json("campaign", nullptr, "\"mode\":\"fuzz\",\"jobs\":40"), ctx);
+  serve::handle_payload(request_json("lint", kFig1), ctx);
+  serve::handle_payload(request_json("lint", kFig1), ctx);  // cache hit
+  const std::vector<trace::Span> all = ctx.recorder.snapshot();
+  const std::string scrape = request_json("trace", nullptr);
+  const auto envelope = [](const Json& doc) {
+    return serve::success_envelope(Json(), serve::RequestKind::kTrace,
+                                   /*cached=*/false, doc.dump());
+  };
+
+  // Within the limit: the plain span document, no "omitted" member.
+  const std::string whole = serve::handle_payload(scrape, ctx);
+  EXPECT_EQ(whole, envelope(ctx.recorder.to_json()));
+
+  std::size_t cuts = 0;
+  for (std::size_t limit = 512; limit < whole.size(); limit += 256) {
+    ctx.opts.limits.max_frame_bytes = limit;
+    const std::string response = serve::handle_payload(scrape, ctx);
+    ASSERT_LE(response.size(), limit);
+    const Json doc = Json::parse(response);
+    const Json* result = doc.find("result");
+    ASSERT_NE(result, nullptr) << response;
+    const auto kept = trace::spans_from_json(*result);
+    const Json* omitted = result->find("omitted");
+    ASSERT_NE(omitted, nullptr) << limit;
+    const std::size_t n = kept.size();
+    EXPECT_EQ(omitted->as_uint() + n, ctx.recorder.size()) << limit;
+    std::string err;
+    EXPECT_TRUE(trace::check_integrity(kept, &err)) << limit << ": " << err;
+
+    // The newest n spans, and one more would not have fit.
+    const auto first_kept = all.end() - static_cast<std::ptrdiff_t>(n);
+    Json newest = trace::spans_to_json({first_kept, all.end()});
+    newest.set("omitted", omitted->as_uint());
+    EXPECT_EQ(response, envelope(newest)) << limit;
+    Json bigger = trace::spans_to_json({first_kept - 1, all.end()});
+    if (omitted->as_uint() > 1) bigger.set("omitted", omitted->as_uint() - 1);
+    EXPECT_GT(envelope(bigger).size(), limit);
+    ++cuts;
+  }
+  EXPECT_GT(cuts, 20u);
 }
 
 TEST(ServeTrace, CallerContextPropagatesThroughTheEnvelope) {
