@@ -12,7 +12,6 @@
 #include "bench_util.hpp"
 #include "liplib/graph/wire_plan.hpp"
 #include "liplib/lip/steady_state.hpp"
-#include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/table.hpp"
 #include "liplib/xir/xir.hpp"
 
@@ -108,7 +107,7 @@ int main() {
           2 * topo.total_full_stations() + topo.total_half_stations();
 
       // Throughput via the skeleton (identical to full simulation).
-      skeleton::Skeleton sk(topo);
+      xir::ScalarEngine sk(topo);
       const auto res = sk.analyze();
       // Worst-case liveness.
       const auto verdict = xir::screen_for_deadlock(

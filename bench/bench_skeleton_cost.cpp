@@ -4,8 +4,9 @@
 //
 // Benchmarks cycles/second of the three execution engines on the same
 // designs: full-data cycle simulation (lip::System), control-plane-only
-// skeleton simulation, and the event-driven RTL netlist — the cost
-// ordering the paper's screening recipe relies on.
+// skeleton simulation (the compiled xir::ScalarEngine the screens run
+// on), and the event-driven RTL netlist — the cost ordering the paper's
+// screening recipe relies on.
 
 #include <benchmark/benchmark.h>
 
@@ -13,8 +14,8 @@
 
 #include "bench_util.hpp"
 #include "liplib/rtl/rtl_system.hpp"
-#include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/table.hpp"
+#include "liplib/xir/xir.hpp"
 
 using namespace liplib;
 
@@ -59,7 +60,7 @@ void BM_FullSystem(benchmark::State& state) {
 
 void BM_Skeleton(benchmark::State& state) {
   auto gen = make_case(static_cast<int>(state.range(0)));
-  skeleton::Skeleton sk(gen.topo);
+  xir::ScalarEngine sk(gen.topo);
   for (auto _ : state) {
     sk.step();
     benchmark::DoNotOptimize(sk.cycle());
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
   Table t({"design", "skeleton state bytes", "protocol state bytes (full)"});
   for (int i = 0; i < 4; ++i) {
     auto gen = make_case(i);
-    skeleton::Skeleton sk(gen.topo);
+    xir::ScalarEngine sk(gen.topo);
     auto d = benchutil::make_design(std::move(gen));
     auto sys = d.instantiate();
     t.add_row({case_name(i), std::to_string(sk.state_signature().size()),

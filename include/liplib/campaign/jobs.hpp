@@ -187,7 +187,7 @@ struct MixScreenSpec {
   graph::Topology topo;
   skeleton::SkeletonOptions skeleton;
   /// Screen from worst-case occupancy (the regime where half-station
-  /// mixes actually diverge; see Skeleton::saturate_stations).
+  /// mixes actually diverge; see xir::ScalarEngine::saturate_stations).
   bool worst_case_occupancy = true;
   /// Number of kind-variants to screen.
   std::size_t variants = 64;

@@ -8,7 +8,7 @@
 // A Topology is purely structural — it knows nothing about data or about
 // the protocol.  It is the single artifact shared by:
 //   - lip::System        (full-data cycle-accurate simulation)
-//   - skeleton::Skeleton (valid/stop-only simulation)
+//   - xir engines        (valid/stop-only skeleton simulation)
 //   - graph analyses     (throughput, transient bound, equalization)
 //   - rtl elaboration    (event-driven RTL netlist)
 

@@ -135,7 +135,7 @@ class System {
 
   /// Worst-case-occupancy fault injection: fills every relay station with
   /// (at least) one valid token carrying `datum`.  See
-  /// skeleton::Skeleton::saturate_stations() — this is the full-data twin,
+  /// xir::ScalarEngine::saturate_stations() — this is the full-data twin,
   /// used to excite the half-station stop latch that is unreachable from
   /// reset.  Injected tokens are faults: latency equivalence with the
   /// reference no longer holds afterwards.

@@ -3,7 +3,7 @@
 // Cycle-accurate observability for latency-insensitive simulations.
 //
 // A Probe attaches to a simulator (lip::System::attach_probe or
-// skeleton::Skeleton::attach_probe) and, every cycle, receives the
+// xir::ScalarEngine::attach_probe) and, every cycle, receives the
 // settled valid/stop bits of every wire segment plus the activity of
 // every shell.  From those it derives:
 //

@@ -96,12 +96,11 @@ enum class Verdict : std::uint8_t {
 const char* verdict_name(Verdict v);
 
 struct ProveOptions {
-  /// Protocol variant; input_queue_depth must be 0 (the xir lowering
-  /// restriction — queued shells stay on the interpreter).
+  /// Protocol variant (stop policy and resolution).
   skeleton::SkeletonOptions skeleton;
   /// Initial state: reset (shell outputs valid, stations empty) or
   /// worst-case occupancy (every station holds one valid token — the
-  /// soft-error / saturated-traffic regime of Skeleton::
+  /// soft-error / saturated-traffic regime of xir::ScalarEngine::
   /// saturate_stations).
   bool worst_case_occupancy = false;
   Method method = Method::kAuto;
@@ -208,8 +207,7 @@ struct ProveResult {
 };
 
 /// Proves (or refutes) deadlock freedom of a topology.  Throws
-/// ApiError on structural errors or input_queue_depth != 0 (the same
-/// validation as xir::lower).
+/// ApiError on structural errors (the same validation as xir::lower).
 ProveResult prove(const graph::Topology& topo, ProveOptions opts = {});
 
 /// The formal::Model adapter: the whole-skeleton transition system

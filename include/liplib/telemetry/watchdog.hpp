@@ -6,8 +6,8 @@
 // loop "creates the possibility of deadlock", and once the combinational
 // stop latch closes the simulation just stops making progress — no
 // crash, no error, the cycle budget drains.  A Watchdog rides the probe
-// plumbing (probe::CycleObserver) over a live lip::System,
-// xir::ScalarEngine or skeleton::Skeleton run and
+// plumbing (probe::CycleObserver) over a live lip::System or
+// xir::ScalarEngine run and
 //
 //  - keeps a bounded ring buffer of the last N cycles of settled
 //    channel/shell state (the flight recorder),
@@ -127,11 +127,10 @@ class Watchdog final : public probe::CycleObserver {
  public:
   explicit Watchdog(WatchdogOptions opts = {});
 
-  /// Attaches to a host — lip::System, skeleton::Skeleton or
-  /// xir::ScalarEngine — via an internally-owned probe (counters +
-  /// attribution on, so the bundle carries a blame histogram).  Same
-  /// constraints as the host's attach_probe: before the first step,
-  /// simplified shells only.
+  /// Attaches to a host — lip::System or xir::ScalarEngine — via an
+  /// internally-owned probe (counters + attribution on, so the bundle
+  /// carries a blame histogram).  Same constraints as the host's
+  /// attach_probe: before the first step, simplified shells only.
   template <class Host>
   void attach(Host& host) { host.attach_probe(probe_); }
 

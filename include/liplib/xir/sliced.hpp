@@ -9,7 +9,8 @@
 // single settle pass then advances 64 scenarios at once with plain word
 // ops.  Lanes are fully independent: all updates are lane-wise boolean
 // functions, so lane i of a 64-lane run is bit-identical to a 1-lane
-// run (and to the interpreter) — the differential suite asserts it.
+// run (and to lip::System's protocol trajectory) — the differential
+// suite asserts it.
 //
 // What may differ per lane: relay-station kinds (full/half per lane via
 // a per-station lane mask — 64 netlist variants of one topology per
@@ -60,7 +61,7 @@ class SlicedEngine {
   void set_sink_pattern(graph::NodeId node, std::vector<bool> pattern);
 
   /// Worst-case-occupancy injection on the lanes set in `lane_mask`
-  /// (bit i = lane i); see Skeleton::saturate_stations.
+  /// (bit i = lane i); see ScalarEngine::saturate_stations.
   void saturate_stations(std::uint64_t lane_mask);
 
   void step();
@@ -75,22 +76,22 @@ class SlicedEngine {
 
   /// One lane's protocol state, byte-identical to ScalarEngine::
   /// state_signature() for the equivalent scalar run (same layout, so
-  /// repeat cycles — and thus verdicts — match the interpreter's too).
+  /// repeat cycles — and thus verdicts — match the scalar engine's).
   std::string lane_signature(std::size_t lane) const;
 
   struct LaneOutcome {
     skeleton::SkeletonResult result;
     /// Cycles simulated for this lane's verdict: transient + period on
     /// detection, max_cycles + 1 when no period was found — exactly
-    /// Skeleton::cycle() after a scalar analyze().
+    /// ScalarEngine::cycle() after a scalar analyze().
     std::uint64_t cycles = 0;
   };
 
-  /// Per-lane rho detection over all live lanes; one batched pass of the
-  /// protocol dynamics serves every lane.  Verdicts are bit-identical to
-  /// running each lane's scenario through the interpreter alone.
-  std::vector<LaneOutcome> analyze(std::uint64_t max_cycles = 1u << 20,
-                                   std::uint64_t env_period = 1);
+  /// Per-lane rho detection over all live lanes (the environment's
+  /// period is the lcm of the sink pattern lengths); one batched pass of
+  /// the protocol dynamics serves every lane.  Verdicts are bit-identical
+  /// to running each lane's scenario through ScalarEngine alone.
+  std::vector<LaneOutcome> analyze(std::uint64_t max_cycles = 1u << 20);
 
  private:
   void refresh_schedule();

@@ -2,23 +2,22 @@
 //
 // liplib::xir — the compiled skeleton substrate.
 //
-// The interpreted skeleton (skeleton::Skeleton) walks graph::Topology
-// node objects every cycle: nested vectors of ports, branch lists and
-// station structs, re-discovered sweep after sweep.  xir lowers a
-// topology ONCE into a flattened CSR/arena IR — plain index arrays, no
-// per-node heap objects — and runs two evaluators over it:
+// The skeleton is the control plane of a latency-insensitive design —
+// validity bits, occupancies and stop wires, with no data and no pearls.
+// xir lowers a topology ONCE into a flattened CSR/arena IR — plain index
+// arrays, no per-node heap objects — and runs two evaluators over it:
 //
 //  - ScalarEngine: a compiled scalar evaluator, bit-exact against the
-//    interpreter.  The stop network is settled by straight-line sweeps
-//    over the CSR arrays in a precomputed dependency order: every stop
-//    producer outside a combinational cycle is evaluated exactly once
-//    per cycle (Kahn topological order over the stop-dependency graph);
-//    only the cyclic remainder — half stations and shells on
-//    combinational stop loops, the paper's hazard case — iterates to
-//    the fixpoint.  Because the stop system is monotone from its
-//    pessimistic (all-1) or optimistic (all-0) start, the ordered
-//    single pass and the interpreter's repeated sweeps converge to the
-//    identical extreme fixpoint.
+//    protocol trajectory of the full-data lip::System.  The stop network
+//    is settled by straight-line sweeps over the CSR arrays in a
+//    precomputed dependency order: every stop producer outside a
+//    combinational cycle is evaluated exactly once per cycle (Kahn
+//    topological order over the stop-dependency graph); only the cyclic
+//    remainder — half stations and shells on combinational stop loops,
+//    the paper's hazard case — iterates to the fixpoint.  Because the
+//    stop system is monotone from its pessimistic (all-1) or optimistic
+//    (all-0) start, the ordered single pass lands on the same extreme
+//    fixpoint as System's repeated sweeps.
 //
 //  - SlicedEngine (xir/sliced.hpp): a bit-sliced evaluator packing 64
 //    independent scenarios of one lowered program into each machine
@@ -27,9 +26,8 @@
 //
 // Each job has one evaluator: a single design's screen, steady state,
 // cure, replay and deadlock evidence run on ScalarEngine; batched
-// variant screens run 64 variants per SlicedEngine pass.  The
-// interpreter stays as the reference model the differential suite holds
-// both against.
+// variant screens run 64 variants per SlicedEngine pass.  lip::System is
+// the reference model the differential suite holds both against.
 //
 // See docs/xir.md for the IR layout and lowering rules.
 
@@ -60,15 +58,11 @@ struct SettleSchedule {
 };
 
 /// The flattened IR: one topology lowered into CSR index arrays.  All
-/// layout conventions match the interpreter exactly (segments laid out
-/// channel by channel, hop by hop; stations in channel-major order;
-/// shell branch lists port-major with branches appended in channel-id
-/// order), so unit indices are interchangeable between the engines, the
-/// interpreter and probe::Wiring.
-///
-/// Lowering requires the paper's simplified shell
-/// (SkeletonOptions::input_queue_depth == 0); queued shells stay on the
-/// interpreter.
+/// layout conventions match lip::System's (segments laid out channel by
+/// channel, hop by hop; stations in channel-major order; shell branch
+/// lists port-major with branches appended in channel-id order), so
+/// unit indices are interchangeable between the engines, System and
+/// probe::Wiring.
 struct Program {
   graph::Topology topo;
   skeleton::SkeletonOptions opts;
@@ -116,8 +110,8 @@ struct Program {
 using ProgramRef = std::shared_ptr<const Program>;
 
 /// Lowers a topology into the flattened IR.  Validates the topology the
-/// same way the interpreter's constructor does and throws ApiError on
-/// structural errors or input_queue_depth != 0.
+/// way lip::System's constructor does for the paper's simplified shell
+/// and throws ApiError on structural errors or fanout beyond 32 branches.
 ProgramRef lower(const graph::Topology& topo,
                  skeleton::SkeletonOptions opts = {});
 
@@ -127,10 +121,10 @@ ProgramRef lower(const graph::Topology& topo,
 SettleSchedule build_settle_schedule(
     const Program& p, const std::vector<std::uint8_t>& station_dynamic);
 
-/// The compiled scalar engine.  Public surface mirrors
-/// skeleton::Skeleton; dynamics, verdicts and probe observations are
-/// bit-exact against it (the differential suite in tests/xir_test.cpp
-/// holds the two together over 300 random topologies).
+/// The compiled scalar engine: the skeleton simulator.  Its protocol
+/// dynamics, steady states and probe observations are bit-exact against
+/// lip::System's (the differential suite in tests/xir_test.cpp holds the
+/// two together over 300 random topologies).
 class ScalarEngine {
  public:
   explicit ScalarEngine(ProgramRef program);
@@ -140,10 +134,21 @@ class ScalarEngine {
 
   const Program& program() const { return *prog_; }
 
-  /// See Skeleton::set_sink_pattern.
+  /// Gives sink `node` a cyclic stop pattern (true = stop); default is a
+  /// greedy never-stopping consumer.  The environment's period is the
+  /// lcm of the pattern lengths, which analyze() derives itself.
   void set_sink_pattern(graph::NodeId node, std::vector<bool> pattern);
 
-  /// See Skeleton::saturate_stations.
+  /// Worst-case-occupancy fault injection: marks every relay station as
+  /// holding (at least) one valid token, as if the system were observed
+  /// under maximal traffic or perturbed by soft errors.  From *reset* a
+  /// loop can never saturate (every directed cycle holds exactly its
+  /// shells' tokens forever), which is why the paper observes that the
+  /// deadlock's "injection will never occur" in well-formed runs; under
+  /// this worst case, a loop whose stop path is fully combinational (all
+  /// half stations) becomes a self-sustaining stop latch — the paper's
+  /// "potential deadlock iff half relay stations are present in loops".
+  /// lip::System::saturate_stations is the full-data twin.
   void saturate_stations();
 
   void step();
@@ -156,20 +161,22 @@ class ScalarEngine {
   /// Firings of a process node so far.
   std::uint64_t fires(graph::NodeId process) const;
 
-  /// Serialized protocol state for rho detection.  Injective over the
-  /// same state the interpreter serializes (different byte layout, so
-  /// signatures are not interchangeable between engines — repeat cycles
-  /// are).
+  /// Serialized protocol state (no counters, no environment phase) for
+  /// rho detection: the control state of lip::System::protocol_state()
+  /// in a different byte layout, so signatures are not interchangeable
+  /// with System's — repeat cycles are.
   std::string state_signature() const;
 
-  /// See Skeleton::analyze; verdicts are bit-identical.
-  skeleton::SkeletonResult analyze(std::uint64_t max_cycles = 1u << 20,
-                                   std::uint64_t env_period = 1);
+  /// Runs until the protocol state and the environment's phase repeat
+  /// (rho detection; the period is the lcm of the sink pattern lengths)
+  /// and derives exact throughputs, transient, period and a deadlock
+  /// verdict — lip::measure_steady_state's answer for the same design.
+  skeleton::SkeletonResult analyze(std::uint64_t max_cycles = 1u << 20);
 
-  /// Attaches a probe through the same Wiring contract as the
-  /// interpreter (and thereby the telemetry watchdog, which rides the
-  /// probe's CycleObserver hook).  Must be called before the first
-  /// step() on an unbound probe.
+  /// Attaches a probe through the same Wiring contract as lip::System
+  /// (and thereby the telemetry watchdog, which rides the probe's
+  /// CycleObserver hook).  Must be called before the first step() on an
+  /// unbound probe; `probe` must outlive the engine.
   void attach_probe(probe::Probe& probe);
 
  private:
@@ -220,8 +227,13 @@ skeleton::CureResult cure_deadlocks(const graph::Topology& topo,
                                     skeleton::ScreeningOptions opts = {},
                                     std::uint64_t max_cycles = 1u << 20);
 
-/// Builds the probe::Wiring of a lowered program (the same wiring the
-/// interpreter builds in Skeleton::attach_probe).
+/// Builds the probe::Wiring of a lowered program (the wiring
+/// lip::System::attach_probe builds for the same topology).
 void build_probe_wiring(const Program& p, probe::Wiring* out);
 
 }  // namespace liplib::xir
+
+namespace liplib::skeleton {
+/// perfbench's compatibility name for the skeleton simulator.
+using Skeleton = xir::ScalarEngine;
+}  // namespace liplib::skeleton

@@ -96,10 +96,6 @@ SettleSchedule build_settle_schedule(
 }
 
 ProgramRef lower(const graph::Topology& topo, skeleton::SkeletonOptions opts) {
-  LIPLIB_EXPECT(opts.input_queue_depth == 0,
-                "xir lowers the paper's simplified shell only "
-                "(input_queue_depth == 0); queued shells run on the "
-                "interpreted skeleton");
   const auto report = topo.validate(/*require_station_between_shells=*/true);
   LIPLIB_EXPECT(report.ok(),
                 "topology has structural errors:\n" + report.to_string());
@@ -142,7 +138,7 @@ ProgramRef lower(const graph::Topology& topo, skeleton::SkeletonOptions opts) {
 
   // Branch lists accumulate per port while walking channels (channels
   // interleave ports), then flatten port-major — the exact order the
-  // interpreter's per-port push_back produces.
+  // per-port push_back of lip::System produces.
   std::vector<std::vector<std::vector<std::uint32_t>>> shell_br(
       p.num_shells());
   for (std::size_t k = 0; k < p.num_shells(); ++k) {
@@ -151,7 +147,7 @@ ProgramRef lower(const graph::Topology& topo, skeleton::SkeletonOptions opts) {
   std::vector<std::vector<std::uint32_t>> src_br(p.num_sources());
 
   // Segments and stations, channel by channel — the same sequential
-  // layout as the interpreter's constructor, so segment and station ids
+  // layout as lip::System's constructor, so segment and station ids
   // are interchangeable across engines and probe wiring.
   std::size_t next_seg = 0;
   for (graph::ChannelId c = 0; c < topo.channels().size(); ++c) {

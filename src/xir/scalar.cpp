@@ -1,11 +1,11 @@
-// The compiled scalar engine: the interpreter's protocol dynamics
-// replayed as straight-line sweeps over the lowered CSR arrays.  Every
-// update below mirrors one statement of skeleton::Skeleton (see
-// src/skeleton/skeleton.cpp); the differential suite keeps them locked
-// together bit for bit.
+// The compiled scalar engine: lip::System's protocol dynamics, minus
+// data and pearls, replayed as straight-line sweeps over the lowered CSR
+// arrays.  The differential suite keeps the two locked together bit for
+// bit.
 
 #include <unordered_map>
 
+#include "internal.hpp"
 #include "liplib/probe/probe.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/xir/xir.hpp"
@@ -129,12 +129,12 @@ void ScalarEngine::settle_stops() {
   }
   // The acyclic part of the stop network: every unit's inputs are final
   // when it is visited, so a single ordered pass lands directly on the
-  // fixpoint the interpreter's repeated sweeps converge to (the stop
-  // system is monotone from its extreme init, so the extreme fixpoint
-  // is order-independent).
+  // fixpoint System's repeated sweeps converge to (the stop system is
+  // monotone from its extreme init, so the extreme fixpoint is
+  // order-independent).
   for (std::uint32_t unit : p.schedule.order) eval_settle_unit(unit);
-  // The combinational-cycle remainder iterates, exactly like the
-  // interpreter but over only the cyclic units.
+  // The combinational-cycle remainder iterates, exactly like System but
+  // over only the cyclic units.
   if (!p.schedule.iterate.empty()) {
     const std::size_t guard = 2 * stop_.size() + 4;
     std::size_t sweeps = 0;
@@ -276,11 +276,10 @@ std::uint64_t ScalarEngine::fires(graph::NodeId process) const {
 }
 
 std::string ScalarEngine::state_signature() const {
-  // Serializes the same protocol state as Skeleton::state_signature()
-  // (including its 16-bit port-mask truncation), minus the interpreter's
-  // input-queue bytes — identically zero in the simplified-shell mode
-  // xir supports — so rho detection fires on exactly the same cycle in
-  // both engines even though the byte strings differ in layout.
+  // Two bytes of pending mask per port (branches beyond 16 fold away),
+  // one per source, and one per station: occupancy, occupancy-masked
+  // slot validity and the stop register.  SlicedEngine::lane_signature
+  // writes the same bytes.
   const Program& p = *prog_;
   std::string s;
   s.reserve(p.port_br_begin.size() * 2 + p.num_sources() + p.num_stations());
@@ -315,10 +314,9 @@ std::string ScalarEngine::state_signature() const {
   return s;
 }
 
-skeleton::SkeletonResult ScalarEngine::analyze(std::uint64_t max_cycles,
-                                               std::uint64_t env_period) {
-  LIPLIB_EXPECT(env_period >= 1, "environment period must be >= 1");
+skeleton::SkeletonResult ScalarEngine::analyze(std::uint64_t max_cycles) {
   const Program& p = *prog_;
+  const std::uint64_t env_period = detail::environment_period(sink_pattern_);
   struct Snap {
     std::uint64_t cycle;
     std::vector<std::uint64_t> fires;
@@ -330,7 +328,10 @@ skeleton::SkeletonResult ScalarEngine::analyze(std::uint64_t max_cycles,
   std::unordered_map<std::string, Snap> seen;
   for (std::uint64_t i = 0; i <= max_cycles; ++i) {
     std::string key = state_signature();
-    key.push_back(static_cast<char>(cycle_ % env_period));
+    if (env_period > 1) {
+      const std::uint64_t phase = cycle_ % env_period;
+      key.append(reinterpret_cast<const char*>(&phase), sizeof phase);
+    }
     auto [it, inserted] = seen.emplace(std::move(key), snap());
     if (!inserted) {
       const Snap& first = it->second;

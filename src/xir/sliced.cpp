@@ -1,12 +1,13 @@
 // The bit-sliced engine: 64 scenarios per machine word.  Each update
-// below is the lane-wise boolean form of one interpreter statement
-// (src/skeleton/skeleton.cpp); where full and half stations diverge,
-// both paths are computed and merged under the per-station lane mask.
+// below is the lane-wise boolean form of one ScalarEngine statement
+// (src/xir/scalar.cpp); where full and half stations diverge, both paths
+// are computed and merged under the per-station lane mask.
 
 #include <algorithm>
 #include <bit>
 #include <unordered_map>
 
+#include "internal.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/xir/sliced.hpp"
 
@@ -336,9 +337,9 @@ std::string SlicedEngine::lane_signature(std::size_t lane) const {
 }
 
 std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
-    std::uint64_t max_cycles, std::uint64_t env_period) {
-  LIPLIB_EXPECT(env_period >= 1, "environment period must be >= 1");
+    std::uint64_t max_cycles) {
   const Program& p = *prog_;
+  const std::uint64_t env_period = detail::environment_period(sink_pattern_);
   const std::size_t shells = p.num_shells();
 
   std::vector<LaneOutcome> out(num_lanes_);

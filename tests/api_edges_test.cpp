@@ -15,7 +15,7 @@
 #include "liplib/lip/design.hpp"
 #include "liplib/lip/reference.hpp"
 #include "liplib/lip/steady_state.hpp"
-#include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -40,8 +40,8 @@ TEST(ApiEdges, FanoutBeyond32RejectedBySystem) {
   EXPECT_THROW(lip::System(make_fanout_topology(33)), ApiError);
 }
 
-TEST(ApiEdges, FanoutBeyond32RejectedBySkeleton) {
-  EXPECT_THROW(skeleton::Skeleton(make_fanout_topology(33)), ApiError);
+TEST(ApiEdges, FanoutBeyond32RejectedByLowering) {
+  EXPECT_THROW(xir::lower(make_fanout_topology(33)), ApiError);
 }
 
 TEST(ApiEdges, FanoutOf32StillDeliversToEveryBranch) {
@@ -53,7 +53,7 @@ TEST(ApiEdges, FanoutOf32StillDeliversToEveryBranch) {
     if (topo.node(v).kind != graph::NodeKind::kSink) continue;
     EXPECT_GT(sys.sink_count(v), 0u) << topo.node(v).name;
   }
-  skeleton::Skeleton sk(topo);
+  xir::ScalarEngine sk(topo);
   EXPECT_TRUE(sk.analyze().found);
 }
 

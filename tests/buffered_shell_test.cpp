@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "liplib/graph/generators.hpp"
-#include "liplib/skeleton/skeleton.hpp"
 #include "liplib/lip/design.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "test_util.hpp"
@@ -130,45 +129,6 @@ TEST(BufferedShell, QueueDepthSmoothsJitterBetterThanDepthOne) {
   const auto d1 = run(1);
   const auto d3 = run(3);
   EXPECT_GE(d3 + 20, d1);  // allow small stochastic slack either way
-}
-
-TEST(BufferedShell, SkeletonAgreesWithSystem) {
-  // The control-plane skeleton mirrors the queued-shell semantics too.
-  for (std::size_t depth : {1u, 2u}) {
-    const auto t = bare_chain(3);
-    skeleton::Skeleton sk(t, {lip::StopPolicy::kCasuDiscardOnVoid,
-                              lip::StopResolution::kPessimistic, depth});
-    const auto sk_result = sk.analyze();
-    ASSERT_TRUE(sk_result.found);
-
-    lip::Design d(t);
-    for (graph::NodeId v = 1; v <= 3; ++v) {
-      d.set_pearl(v, pearls::make_identity());
-    }
-    lip::SystemOptions opts;
-    opts.input_queue_depth = depth;
-    auto sys = d.instantiate(opts);
-    const auto ss = lip::measure_steady_state(*sys);
-    ASSERT_TRUE(ss.found);
-    EXPECT_EQ(sk_result.transient, ss.transient) << "depth " << depth;
-    EXPECT_EQ(sk_result.period, ss.period) << "depth " << depth;
-    EXPECT_EQ(sk_result.system_throughput(), ss.system_throughput())
-        << "depth " << depth;
-  }
-}
-
-TEST(BufferedShell, SkeletonQueuedRingMatchesSystem) {
-  graph::Topology t;
-  const auto a = t.add_process("A", 1, 1);
-  const auto b = t.add_process("B", 1, 1);
-  t.connect({a, 0}, {b, 0});
-  t.connect({b, 0}, {a, 0});
-  skeleton::Skeleton sk(t, {lip::StopPolicy::kCasuDiscardOnVoid,
-                            lip::StopResolution::kPessimistic, 1});
-  const auto r = sk.analyze();
-  ASSERT_TRUE(r.found);
-  EXPECT_EQ(r.system_throughput(), Rational(1, 2));
-  EXPECT_FALSE(r.deadlocked);
 }
 
 }  // namespace

@@ -80,7 +80,7 @@ TEST(Composite, SkeletonAgreesOnRandomComposites) {
   Rng rng(4242);
   for (int i = 0; i < 8; ++i) {
     auto gen = graph::make_random_composite(rng, 1 + i % 3, true, false);
-    skeleton::Skeleton sk(gen.topo);
+    xir::ScalarEngine sk(gen.topo);
     const auto sk_result = sk.analyze(1 << 18);
     ASSERT_TRUE(sk_result.found) << "iteration " << i;
 

@@ -1,6 +1,7 @@
 // The full differential matrix: for shared random topologies, the three
-// execution engines (cycle-accurate System, control-plane Skeleton,
-// event-driven RTL netlist) must agree under every stop policy — the
+// execution engines (cycle-accurate System, the control-plane skeleton
+// on xir::ScalarEngine, event-driven RTL netlist) must agree under every
+// stop policy — the
 // library's equivalent of the paper's cross-validation between its RTL
 // implementation, its protocol analysis and its SMV models.
 
@@ -10,7 +11,7 @@
 #include "liplib/lip/design.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/rtl/rtl_system.hpp"
-#include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -64,7 +65,7 @@ TEST_P(DifferentialMatrix, AllEnginesAgree) {
   }
 
   // Engine 3: skeleton — same per-shell fire counts after kCycles.
-  skeleton::Skeleton sk(gen.topo, {p.policy});
+  xir::ScalarEngine sk(gen.topo, {p.policy});
   sk.run(kCycles);
   for (auto proc : gen.processes) {
     EXPECT_EQ(sk.fires(proc), sys->shell_fire_count(proc))

@@ -14,8 +14,8 @@
 #include "liplib/probe/probe.hpp"
 #include "liplib/probe/trace.hpp"
 #include "liplib/sim/kernel.hpp"
-#include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/rng.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -23,8 +23,8 @@ namespace {
 using namespace liplib;
 
 // Analyzes the skeleton for the exact steady state, then re-runs the
-// full-data system with a probe windowed to one period.  System and
-// Skeleton share the protocol trajectory from reset, so the measured
+// full-data system with a probe windowed to one period.  System and the
+// skeleton share the protocol trajectory from reset, so the measured
 // rates must equal the analytic ones exactly.
 struct Measured {
   skeleton::SkeletonResult analytic;
@@ -34,7 +34,7 @@ struct Measured {
 Measured measure(const graph::Generated& gen, lip::StopPolicy policy) {
   skeleton::SkeletonOptions sk_opts;
   sk_opts.policy = policy;
-  skeleton::Skeleton sk(gen.topo, sk_opts);
+  xir::ScalarEngine sk(gen.topo, sk_opts);
   Measured m;
   m.analytic = sk.analyze();
   EXPECT_TRUE(m.analytic.found);
@@ -173,7 +173,7 @@ TEST(Probe, SkeletonAndSystemProbesAgree) {
   sys->attach_probe(sys_probe);
   sys->run(cycles);
 
-  skeleton::Skeleton sk(gen.topo);
+  xir::ScalarEngine sk(gen.topo);
   probe::Probe sk_probe;
   sk.attach_probe(sk_probe);
   sk.run(cycles);
@@ -319,7 +319,7 @@ TEST(Probe, AdvanceCountsWholePeriodsLikeStepping) {
   // Fig. 1 from reset: after the transient, one period's counter growth
   // added n times equals n more stepped periods, blame cells included.
   const auto gen = graph::make_fig1();
-  skeleton::Skeleton sk(gen.topo);
+  xir::ScalarEngine sk(gen.topo);
   const auto steady = sk.analyze();
   ASSERT_TRUE(steady.found);
   auto design = testutil::make_design(gen);

@@ -381,9 +381,3 @@ TEST(Prove, MethodNamesRoundTrip) {
                "counterexample");
   EXPECT_STREQ(prove::verdict_name(prove::Verdict::kUnknown), "unknown");
 }
-
-TEST(Prove, RejectsQueuedShells) {
-  prove::ProveOptions opts;
-  opts.skeleton.input_queue_depth = 2;
-  EXPECT_THROW(prove::prove(half_ring(), opts), ApiError);
-}

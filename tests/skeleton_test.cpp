@@ -1,12 +1,12 @@
-// The skeleton simulator must reproduce the protocol dynamics of the
-// full-data simulator exactly (same throughputs, transient and period),
-// while carrying no data at all.
+// The skeleton simulator (xir::ScalarEngine) must reproduce the protocol
+// dynamics of the full-data simulator exactly (same throughputs,
+// transient and period), while carrying no data at all.
 
 #include <gtest/gtest.h>
 
 #include "liplib/graph/generators.hpp"
 #include "liplib/lip/steady_state.hpp"
-#include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -19,7 +19,7 @@ using lip::StopResolution;
 /// results.
 void expect_agreement(graph::Generated gen, StopPolicy policy,
                       StopResolution res = StopResolution::kPessimistic) {
-  skeleton::Skeleton sk(gen.topo, {policy, res});
+  xir::ScalarEngine sk(gen.topo, {policy, res});
   const auto sk_result = sk.analyze();
   ASSERT_TRUE(sk_result.found);
 
@@ -83,17 +83,17 @@ TEST(Skeleton, AgreesOnRandomFeedforward) {
 
 TEST(Skeleton, SinkPatternsThrottleThroughput) {
   auto gen = graph::make_pipeline(2, 1);
-  skeleton::Skeleton sk(gen.topo);
+  xir::ScalarEngine sk(gen.topo);
   // Consume only one token every 4 cycles.
   sk.set_sink_pattern(gen.sinks[0], {false, true, true, true});
-  const auto result = sk.analyze(1 << 16, /*env_period=*/4);
+  const auto result = sk.analyze(1 << 16);
   ASSERT_TRUE(result.found);
   EXPECT_EQ(result.system_throughput(), Rational(1, 4));
 }
 
 TEST(Skeleton, FiresAccessorCounts) {
   auto gen = graph::make_pipeline(1, 1);
-  skeleton::Skeleton sk(gen.topo);
+  xir::ScalarEngine sk(gen.topo);
   sk.run(20);
   // After the 2-cycle fill the single shell fires every cycle.
   EXPECT_GE(sk.fires(gen.processes[0]), 17u);
@@ -102,7 +102,7 @@ TEST(Skeleton, FiresAccessorCounts) {
 
 TEST(Skeleton, StateSignatureIsCompact) {
   auto gen = graph::make_loop_chain({{2, 3}, {1, 2}});
-  skeleton::Skeleton sk(gen.topo);
+  xir::ScalarEngine sk(gen.topo);
   // A few bytes per block, not per datum.
   EXPECT_LT(sk.state_signature().size(), 64u);
 }

@@ -43,7 +43,7 @@ TEST(Watchdog, SaturatedHalfRingTripsAtEarliestNoProgressCycle) {
   // per channel deadlocks under worst-case occupancy (deadlock_test locks
   // the screening verdict; here the *runtime* watchdog catches it live).
   auto gen = graph::make_closed_ring({1, 1}, RsKind::kHalf);
-  skeleton::Skeleton sk(gen.topo);
+  xir::ScalarEngine sk(gen.topo);
   sk.saturate_stations();
 
   telemetry::WatchdogOptions opts;
@@ -68,7 +68,7 @@ TEST(Watchdog, SaturatedHalfRingTripsAtEarliestNoProgressCycle) {
 
 TEST(Watchdog, BundleRoundTripsAndReplayReproducesIdenticalCycle) {
   auto gen = graph::make_closed_ring({1, 1}, RsKind::kHalf);
-  skeleton::Skeleton sk(gen.topo);
+  xir::ScalarEngine sk(gen.topo);
   sk.saturate_stations();
 
   telemetry::WatchdogOptions opts;
@@ -109,12 +109,12 @@ TEST(Watchdog, BundleRoundTripsAndReplayReproducesIdenticalCycle) {
 }
 
 TEST(Watchdog, FullDataSystemTripsLikeTheSkeleton) {
-  // lip::System and skeleton::Skeleton share one protocol trajectory;
-  // the watchdog verdict (the satellite surfaced through lidtool run)
-  // must agree cycle-for-cycle.
+  // lip::System and the skeleton (xir::ScalarEngine) share one protocol
+  // trajectory; the watchdog verdict (the satellite surfaced through
+  // lidtool run) must agree cycle-for-cycle.
   auto gen = graph::make_closed_ring({1, 1}, RsKind::kHalf);
 
-  skeleton::Skeleton sk(gen.topo);
+  xir::ScalarEngine sk(gen.topo);
   sk.saturate_stations();
   telemetry::WatchdogOptions opts;
   opts.no_progress_threshold = 8;
@@ -141,7 +141,7 @@ TEST(Watchdog, ReconvergentDegradedThroughputNeverTrips) {
   auto gen = graph::make_reconvergent(/*short_stations=*/1,
                                       /*long_shells=*/3,
                                       /*long_stations_per_hop=*/1);
-  skeleton::Skeleton sk(gen.topo);
+  xir::ScalarEngine sk(gen.topo);
   telemetry::Watchdog dog;
   dog.attach(sk);
   const auto run = telemetry::run_guarded(sk, dog, 5000);
@@ -159,7 +159,7 @@ TEST(Watchdog, HundredCompositeCorpusHasNoFalsePositives) {
     auto gen = graph::make_random_composite(rng, segments,
                                             /*allow_half=*/true,
                                             /*allow_half_in_loops=*/false);
-    skeleton::Skeleton sk(gen.topo);
+    xir::ScalarEngine sk(gen.topo);
     telemetry::Watchdog dog;
     dog.attach(sk);
     telemetry::run_guarded(sk, dog, 1500);
@@ -169,7 +169,7 @@ TEST(Watchdog, HundredCompositeCorpusHasNoFalsePositives) {
 
 TEST(Watchdog, FlightRecorderRingIsBounded) {
   auto gen = graph::make_fig2();
-  skeleton::Skeleton sk(gen.topo);
+  xir::ScalarEngine sk(gen.topo);
   telemetry::WatchdogOptions opts;
   opts.ring_cycles = 16;
   telemetry::Watchdog dog(opts);

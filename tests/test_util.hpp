@@ -23,15 +23,21 @@ inline std::unique_ptr<lip::Pearl> default_pearl(std::size_t num_in,
                  "->" + std::to_string(num_out));
 }
 
-/// Wraps a generated topology into a Design with default pearls bound to
-/// every process node.
-inline lip::Design make_design(graph::Generated g) {
-  lip::Design d(std::move(g.topo));
-  for (graph::NodeId p : g.processes) {
-    const auto& node = d.topology().node(p);
-    d.set_pearl(p, default_pearl(node.num_inputs, node.num_outputs));
+/// Wraps a topology into a Design with default pearls bound to every
+/// process node (counter sources and greedy sinks, the defaults).
+inline lip::Design make_design(graph::Topology topo) {
+  lip::Design d(std::move(topo));
+  const auto& t = d.topology();
+  for (graph::NodeId v = 0; v < t.nodes().size(); ++v) {
+    const auto& node = t.node(v);
+    if (node.kind != graph::NodeKind::kProcess) continue;
+    d.set_pearl(v, default_pearl(node.num_inputs, node.num_outputs));
   }
   return d;
+}
+
+inline lip::Design make_design(graph::Generated g) {
+  return make_design(std::move(g.topo));
 }
 
 }  // namespace liplib::testutil

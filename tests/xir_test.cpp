@@ -1,16 +1,17 @@
 // Differential suite for liplib::xir: the compiled scalar engine and
-// the 64-way bit-sliced engine against the interpreted skeleton, the
-// reference model no product path runs.
+// the 64-way bit-sliced engine against lip::System, the full-data
+// reference model the RTL differential holds to the netlist.
 //
 // The xir engines advertise *bit-exactness*, not approximation: same
 // verdict, same settle cycle (transient + period), same exact Rational
-// throughputs, same probe observations, same watchdog trip cycle.  The
-// tests here hold both engines to the interpreter over hundreds of
-// random "most general topology" instances (the same generator family
-// the lint cross-check campaign uses) under both stop policies, both
-// stop resolutions and both starting states, plus targeted checks for
-// lane independence, probe/watchdog parity and the campaign jobs that
-// run on the engines.
+// throughputs, same probe observations, same watchdog trip cycle as
+// System's protocol trajectory.  The tests here hold both engines to
+// System (default pearls, counter sources, greedy sinks) over hundreds
+// of random "most general topology" instances (the same generator
+// family the lint cross-check campaign uses) under both stop policies,
+// both stop resolutions and both starting states, plus targeted checks
+// for periodic environments, lane independence, probe/watchdog parity
+// and the campaign jobs that run on the engines.
 
 #include <gtest/gtest.h>
 
@@ -21,12 +22,14 @@
 #include "liplib/campaign/campaign.hpp"
 #include "liplib/campaign/jobs.hpp"
 #include "liplib/graph/generators.hpp"
+#include "liplib/lip/steady_state.hpp"
 #include "liplib/probe/probe.hpp"
 #include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/rng.hpp"
 #include "liplib/telemetry/watchdog.hpp"
 #include "liplib/xir/sliced.hpp"
 #include "liplib/xir/xir.hpp"
+#include "test_util.hpp"
 
 using namespace liplib;
 
@@ -45,29 +48,44 @@ graph::Topology random_composite(std::uint64_t seed,
       .topo;
 }
 
-// The oracle: the interpreter's steady-state analysis, and the cycles it
-// simulated to reach it.
-struct InterpOutcome {
+// System's steady state in the skeleton's result form.
+skeleton::SkeletonResult as_skeleton_result(const lip::SteadyState& ss,
+                                            const graph::Topology& topo) {
+  skeleton::SkeletonResult r;
+  r.found = ss.found;
+  r.transient = ss.transient;
+  r.period = ss.period;
+  r.shell_throughput = ss.shell_throughput;
+  for (graph::NodeId v = 0; v < topo.nodes().size(); ++v) {
+    if (topo.node(v).kind == graph::NodeKind::kProcess) r.shell_ids.push_back(v);
+  }
+  r.deadlocked = ss.deadlocked;
+  r.has_starved_shell = ss.has_starved_shell;
+  return r;
+}
+
+// The oracle: System's exact steady state and the cycles it simulated
+// to reach it.
+struct SystemOutcome {
   skeleton::SkeletonResult result;
   std::uint64_t cycles = 0;
 };
 
-InterpOutcome interp_analyze(const graph::Topology& topo,
+SystemOutcome system_analyze(const graph::Topology& topo,
                              skeleton::SkeletonOptions opts,
                              std::uint64_t budget, bool worst_case) {
-  skeleton::Skeleton sk(topo, opts);
-  if (worst_case) sk.saturate_stations();
-  InterpOutcome out;
-  out.result = sk.analyze(budget);
-  out.cycles = sk.cycle();
-  return out;
+  const auto sys =
+      testutil::make_design(topo).instantiate({opts.policy, opts.resolution});
+  if (worst_case) sys->saturate_stations();
+  const auto ss = lip::measure_steady_state(*sys, budget);
+  return {as_skeleton_result(ss, topo), sys->cycle()};
 }
 
-// The paper's screening recipe on the interpreter.
-skeleton::ScreeningVerdict interp_screen(const graph::Topology& topo,
+// The paper's screening recipe on System.
+skeleton::ScreeningVerdict system_screen(const graph::Topology& topo,
                                          skeleton::ScreeningOptions opts,
                                          std::uint64_t budget) {
-  const auto out = interp_analyze(topo, opts.skeleton, budget,
+  const auto out = system_analyze(topo, opts.skeleton, budget,
                                   opts.worst_case_occupancy);
   return skeleton::screening_verdict(out.result, out.cycles);
 }
@@ -116,15 +134,23 @@ graph::Topology with_station_kinds(const graph::Topology& topo,
   return out;
 }
 
-// Both stop resolutions: pessimistic settling is the product default;
-// optimistic settling is what telemetry::replay and the latch's
-// bistability checks exercise.
+// Both stop policies, and both stop resolutions: pessimistic settling
+// is the product default; optimistic settling is what telemetry::replay
+// and the latch's bistability checks exercise.
+constexpr lip::StopPolicy kPolicies[] = {lip::StopPolicy::kCasuDiscardOnVoid,
+                                         lip::StopPolicy::kCarloniStrict};
 constexpr lip::StopResolution kResolutions[] = {
     lip::StopResolution::kPessimistic, lip::StopResolution::kOptimistic};
 
-const char* resolution_name(lip::StopResolution r) {
-  return r == lip::StopResolution::kOptimistic ? "optimistic"
-                                               : "pessimistic";
+std::string scenario_name(std::uint64_t i, skeleton::SkeletonOptions opts,
+                          bool worst_case) {
+  return "topology " + std::to_string(i) +
+         (opts.policy == lip::StopPolicy::kCarloniStrict ? " strict"
+                                                         : " variant") +
+         (opts.resolution == lip::StopResolution::kOptimistic
+              ? " optimistic"
+              : " pessimistic") +
+         (worst_case ? " worst-case" : " reset");
 }
 
 // ---- the 300-topology differential -------------------------------------
@@ -134,28 +160,27 @@ TEST(XirDifferential, ThreeHundredRandomComposites) {
   for (std::uint64_t i = 0; i < 300; ++i) {
     const std::uint64_t seed = campaign::job_seed(7, i);
     const graph::Topology topo = random_composite(seed);
-    const bool worst_case = (i % 3) == 0;
-    for (const lip::StopResolution resolution : kResolutions) {
-      skeleton::SkeletonOptions opts;
-      opts.policy = (i % 2) ? lip::StopPolicy::kCarloniStrict
-                            : lip::StopPolicy::kCasuDiscardOnVoid;
-      opts.resolution = resolution;
-      const std::string what = "topology " + std::to_string(i) + " " +
-                               resolution_name(resolution);
+    for (const lip::StopPolicy policy : kPolicies) {
+      for (const lip::StopResolution resolution : kResolutions) {
+        for (const bool worst_case : {false, true}) {
+          const skeleton::SkeletonOptions opts{policy, resolution};
+          const std::string what = scenario_name(i, opts, worst_case);
 
-      const auto interp = interp_analyze(topo, opts, kBudget, worst_case);
+          const auto want = system_analyze(topo, opts, kBudget, worst_case);
 
-      xir::ScalarEngine compiled(topo, opts);
-      if (worst_case) compiled.saturate_stations();
-      expect_same_result(interp.result, compiled.analyze(kBudget),
-                         what + " compiled");
-      EXPECT_EQ(interp.cycles, compiled.cycle()) << what;
+          xir::ScalarEngine compiled(topo, opts);
+          if (worst_case) compiled.saturate_stations();
+          expect_same_result(want.result, compiled.analyze(kBudget),
+                             what + " compiled");
+          EXPECT_EQ(want.cycles, compiled.cycle()) << what;
 
-      xir::SlicedEngine sliced(topo, opts, /*num_lanes=*/1);
-      if (worst_case) sliced.saturate_stations(1ull);
-      const auto lanes = sliced.analyze(kBudget);
-      expect_same_result(interp.result, lanes[0].result, what + " sliced");
-      EXPECT_EQ(interp.cycles, lanes[0].cycles) << what;
+          xir::SlicedEngine sliced(topo, opts, /*num_lanes=*/1);
+          if (worst_case) sliced.saturate_stations(1ull);
+          const auto lanes = sliced.analyze(kBudget);
+          expect_same_result(want.result, lanes[0].result, what + " sliced");
+          EXPECT_EQ(want.cycles, lanes[0].cycles) << what;
+        }
+      }
     }
   }
 }
@@ -163,40 +188,82 @@ TEST(XirDifferential, ThreeHundredRandomComposites) {
 TEST(XirDifferential, ScreeningVerdictsAgree) {
   for (std::uint64_t i = 0; i < 60; ++i) {
     const graph::Topology topo = random_composite(campaign::job_seed(11, i));
-    for (const lip::StopResolution resolution : kResolutions) {
-      skeleton::ScreeningOptions opts;
-      opts.skeleton.resolution = resolution;
-      opts.worst_case_occupancy = (i % 2) == 0;
-      const std::string what = "topology " + std::to_string(i) + " " +
-                               resolution_name(resolution);
+    for (const lip::StopPolicy policy : kPolicies) {
+      for (const lip::StopResolution resolution : kResolutions) {
+        for (const bool worst_case : {false, true}) {
+          skeleton::ScreeningOptions opts;
+          opts.skeleton = {policy, resolution};
+          opts.worst_case_occupancy = worst_case;
+          const std::string what = scenario_name(i, opts.skeleton, worst_case);
 
-      const auto interp = interp_screen(topo, opts, 1u << 16);
-      const auto compiled = xir::screen_for_deadlock(topo, opts, 1u << 16);
-      xir::VariantSpec lane;
-      lane.worst_case_occupancy = opts.worst_case_occupancy;
-      const auto sliced =
-          xir::screen_variants(topo, {lane}, opts.skeleton, 1u << 16);
-      expect_same_verdict(interp, compiled, what + " compiled");
-      expect_same_verdict(interp, sliced.at(0), what + " sliced");
+          const auto want = system_screen(topo, opts, 1u << 16);
+          const auto compiled = xir::screen_for_deadlock(topo, opts, 1u << 16);
+          xir::VariantSpec lane;
+          lane.worst_case_occupancy = worst_case;
+          const auto sliced =
+              xir::screen_variants(topo, {lane}, opts.skeleton, 1u << 16);
+          expect_same_verdict(want, compiled, what + " compiled");
+          expect_same_verdict(want, sliced.at(0), what + " sliced");
+        }
+      }
     }
   }
 }
 
+// A periodic environment: a sink that stops once every L cycles.  The
+// engines key their repeat search with the phase of the lcm of the sink
+// pattern lengths, as System keys it with environment_period(); a phase
+// that wrapped at 256 once aliased periods longer than that.
+TEST(XirDifferential, LongSinkPatternPeriodsMatchSystem) {
+  const auto gen = graph::make_pipeline(3, 1);
+  const graph::NodeId sink = gen.sinks.at(0);
+  constexpr std::uint64_t kBudget = 1u << 16;
+  for (const std::uint64_t period : {4u, 255u, 256u, 257u, 300u}) {
+    std::vector<bool> pattern(period, false);
+    pattern[0] = true;
+    const std::string what = "L = " + std::to_string(period);
+
+    auto design = testutil::make_design(gen);
+    design.set_sink(sink, lip::SinkBehavior::script(pattern));
+    const auto sys = design.instantiate();
+    const auto ss =
+        lip::measure_steady_state(*sys, kBudget, sys->environment_period());
+    ASSERT_TRUE(ss.found) << what;
+    EXPECT_EQ(ss.period, period) << what;
+    EXPECT_EQ(ss.system_throughput(),
+              Rational(static_cast<std::int64_t>(period - 1),
+                       static_cast<std::int64_t>(period)))
+        << what;
+    const auto want = as_skeleton_result(ss, gen.topo);
+
+    xir::ScalarEngine compiled(gen.topo);
+    compiled.set_sink_pattern(sink, pattern);
+    expect_same_result(want, compiled.analyze(kBudget), what + " compiled");
+    EXPECT_EQ(sys->cycle(), compiled.cycle()) << what;
+
+    xir::SlicedEngine sliced(gen.topo, {}, /*num_lanes=*/1);
+    sliced.set_sink_pattern(sink, pattern);
+    const auto lanes = sliced.analyze(kBudget);
+    expect_same_result(want, lanes[0].result, what + " sliced");
+    EXPECT_EQ(sys->cycle(), lanes[0].cycles) << what;
+  }
+}
+
 // The engine's own API surface (not just analyze()): step/cycle/fires
-// track the interpreter cycle by cycle.
+// track System cycle by cycle.
 TEST(XirDifferential, StepLevelFireCounts) {
   const graph::Topology topo = random_composite(42);
   skeleton::SkeletonOptions opts;
-  skeleton::Skeleton sk(topo, opts);
+  const auto sys = testutil::make_design(topo).instantiate();
   xir::ScalarEngine eng(topo, opts);
   for (int c = 0; c < 200; ++c) {
-    sk.step();
+    sys->step();
     eng.step();
   }
-  EXPECT_EQ(sk.cycle(), eng.cycle());
+  EXPECT_EQ(sys->cycle(), eng.cycle());
   for (graph::NodeId n = 0; n < topo.nodes().size(); ++n) {
     if (topo.node(n).kind != graph::NodeKind::kProcess) continue;
-    EXPECT_EQ(sk.fires(n), eng.fires(n)) << topo.node(n).name;
+    EXPECT_EQ(sys->shell_fire_count(n), eng.fires(n)) << topo.node(n).name;
   }
 }
 
@@ -240,9 +307,9 @@ TEST(XirSliced, SixtyFourVariantLanesMatchInterpreter) {
         with_station_kinds(base, variants[v].kinds);
     skeleton::ScreeningOptions opts;
     opts.worst_case_occupancy = true;
-    const auto interp = interp_screen(variant, opts, 1u << 14);
-    expect_same_verdict(interp, batched[v], "variant " + std::to_string(v));
-    (interp.deadlock_found ? saw_deadlock : saw_live) = true;
+    const auto want = system_screen(variant, opts, 1u << 14);
+    expect_same_verdict(want, batched[v], "variant " + std::to_string(v));
+    (want.deadlock_found ? saw_deadlock : saw_live) = true;
   }
   // The corpus must exercise both verdicts or the test proves nothing.
   EXPECT_TRUE(saw_deadlock);
@@ -255,17 +322,17 @@ TEST(XirProbe, ReportMatchesInterpreter) {
   const graph::Topology topo = random_composite(123);
   skeleton::SkeletonOptions opts;
 
-  skeleton::Skeleton sk(topo, opts);
-  probe::Probe sk_probe;
-  sk.attach_probe(sk_probe);
-  sk.run(300);
+  const auto sys = testutil::make_design(topo).instantiate();
+  probe::Probe sys_probe;
+  sys->attach_probe(sys_probe);
+  sys->run(300);
 
   xir::ScalarEngine eng(topo, opts);
   probe::Probe eng_probe;
   eng.attach_probe(eng_probe);
   eng.run(300);
 
-  EXPECT_EQ(sk_probe.report().to_json().dump(),
+  EXPECT_EQ(sys_probe.report().to_json().dump(),
             eng_probe.report().to_json().dump());
 }
 
@@ -275,11 +342,11 @@ TEST(XirWatchdog, TripCycleMatchesInterpreter) {
   const graph::Topology topo =
       graph::make_ring_with_tap(1, 1, graph::RsKind::kHalf).topo;
 
-  telemetry::Watchdog dog_sk{};
-  skeleton::Skeleton sk(topo, {});
-  sk.saturate_stations();
-  dog_sk.attach(sk);
-  const auto run_sk = telemetry::run_guarded(sk, dog_sk, 4096);
+  telemetry::Watchdog dog_sys{};
+  const auto sys = testutil::make_design(topo).instantiate();
+  sys->saturate_stations();
+  dog_sys.attach(*sys);
+  const auto run_sys = telemetry::run_guarded(*sys, dog_sys, 4096);
 
   telemetry::Watchdog dog_eng{};
   xir::ScalarEngine eng(topo, {});
@@ -287,12 +354,12 @@ TEST(XirWatchdog, TripCycleMatchesInterpreter) {
   dog_eng.attach(eng);
   const auto run_eng = telemetry::run_guarded(eng, dog_eng, 4096);
 
-  ASSERT_TRUE(dog_sk.tripped());
+  ASSERT_TRUE(dog_sys.tripped());
   ASSERT_TRUE(dog_eng.tripped());
-  EXPECT_EQ(run_sk.cycles, run_eng.cycles);
-  EXPECT_EQ(dog_sk.reason(), dog_eng.reason());
-  EXPECT_EQ(dog_sk.trip_cycle(), dog_eng.trip_cycle());
-  EXPECT_EQ(dog_sk.no_progress_since(), dog_eng.no_progress_since());
+  EXPECT_EQ(run_sys.cycles, run_eng.cycles);
+  EXPECT_EQ(dog_sys.reason(), dog_eng.reason());
+  EXPECT_EQ(dog_sys.trip_cycle(), dog_eng.trip_cycle());
+  EXPECT_EQ(dog_sys.no_progress_since(), dog_eng.no_progress_since());
 }
 
 // ---- campaign integration -----------------------------------------------
@@ -329,15 +396,15 @@ TEST(XirCampaign, MixScreenBatchesFoldInterpreterVerdicts) {
   const auto sliced =
       campaign::Engine(eopts).run(campaign::make_mix_screen_campaign(spec));
 
-  // Each variant on its own through the interpreter.
-  std::vector<skeleton::ScreeningVerdict> interp;
+  // Each variant on its own through System.
+  std::vector<skeleton::ScreeningVerdict> want;
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
   for (std::size_t v = 0; v < spec.variants; ++v) {
     const auto kinds =
         campaign::mix_screen_variant_kinds(base, eopts.base_seed, v);
-    interp.push_back(interp_screen(with_station_kinds(base, kinds), wc,
-                                   eopts.cycle_budget));
+    want.push_back(system_screen(with_station_kinds(base, kinds), wc,
+                                 eopts.cycle_budget));
   }
 
   // 64 variants per job; each job folds its batch to the worst
@@ -349,8 +416,8 @@ TEST(XirCampaign, MixScreenBatchesFoldInterpreterVerdicts) {
     int worst = 0;
     std::uint64_t cycles = 0;
     for (std::size_t v = lo; v < hi; ++v) {
-      worst = std::max(worst, severity(interp[v]));
-      cycles += interp[v].cycles_simulated;
+      worst = std::max(worst, severity(want[v]));
+      cycles += want[v].cycles_simulated;
     }
     EXPECT_EQ(severity(job.outcome), worst) << job.name;
     EXPECT_EQ(job.cycles, cycles) << job.name;
@@ -359,8 +426,8 @@ TEST(XirCampaign, MixScreenBatchesFoldInterpreterVerdicts) {
 }
 
 // Fuzz jobs analyze on the scalar engine; replaying each job's topology
-// (the composite recipe, from the job's own seed) through the
-// interpreter reproduces its verdict, cycle count and exact throughput.
+// (the composite recipe, from the job's own seed) through System
+// reproduces its verdict, cycle count and exact throughput.
 TEST(XirCampaign, FuzzJobsEngineInvariant) {
   campaign::FuzzSpec spec;
   spec.shape = campaign::FuzzSpec::Shape::kComposite;
@@ -379,16 +446,16 @@ TEST(XirCampaign, FuzzJobsEngineInvariant) {
     const std::size_t segments = 1 + rng.below(spec.size);
     const auto gen = graph::make_random_composite(
         rng, segments, /*allow_half=*/true, /*allow_half_in_loops=*/false);
-    const auto interp = interp_analyze(gen.topo, {spec.policy},
-                                       eopts.cycle_budget, false);
-    const auto& r = interp.result;
+    const auto ref = system_analyze(gen.topo, {spec.policy},
+                                    eopts.cycle_budget, false);
+    const auto& r = ref.result;
     const campaign::Outcome want =
         !r.found              ? campaign::Outcome::kBudgetExhausted
         : r.deadlocked        ? campaign::Outcome::kDeadlock
         : r.has_starved_shell ? campaign::Outcome::kStarvation
                               : campaign::Outcome::kLive;
     EXPECT_EQ(results[i].outcome, want) << i;
-    EXPECT_EQ(results[i].cycles, interp.cycles) << i;
+    EXPECT_EQ(results[i].cycles, ref.cycles) << i;
     EXPECT_EQ(results[i].has_throughput, r.found) << i;
     EXPECT_EQ(results[i].throughput, r.system_throughput()) << i;
   }
