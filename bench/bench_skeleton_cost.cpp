@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     xir::ScalarEngine sk(gen.topo);
     auto d = benchutil::make_design(std::move(gen));
     auto sys = d.instantiate();
-    t.add_row({case_name(i), std::to_string(sk.state_signature().size()),
+    t.add_row({case_name(i), std::to_string(sk.state_key().size()),
                std::to_string(sys->protocol_state().size())});
   }
   t.print(std::cout);

@@ -33,6 +33,8 @@ Rational reconvergent_throughput(std::size_t m, std::size_t i);
 /// One directed cycle through process nodes, with its register statistics.
 struct CycleInfo {
   std::vector<NodeId> nodes;   ///< process nodes on the cycle, in order
+  /// Hop channels, in order: channels[i] leaves nodes[i].
+  std::vector<ChannelId> channels;
   std::size_t shells = 0;      ///< == nodes.size()
   std::size_t stations = 0;    ///< relay stations on the cycle's channels
   Rational throughput{1};      ///< shells / (shells + stations)
@@ -40,7 +42,9 @@ struct CycleInfo {
 
 /// Enumerates simple directed cycles over process nodes (Johnson-style
 /// DFS), up to `max_cycles`; throws ApiError when the budget is exceeded.
-/// Self-loops count.  Sources and sinks never lie on cycles.
+/// Each cycle is rooted at its smallest node id and channels are walked
+/// in id order, so the order is deterministic.  Self-loops count.
+/// Sources and sinks never lie on cycles.
 std::vector<CycleInfo> enumerate_cycles(const Topology& topo,
                                         std::size_t max_cycles = 4096);
 

@@ -25,12 +25,17 @@
 // conservation (checked on every counterexample path) and the analytic
 // throughput bound for consistency cross-checks.
 //
+// Every transition is a step of the xir engines under explicit sink
+// stops, and every state is xir's plane key (xir::KeyLayout): prove has
+// no transition function or state encoding of its own.
+//
 // Three engines, one verdict:
 //  (a) exhaustive BFS reachability, reusing formal::check_safety over
-//      a Model adapter (minimal counterexamples, small designs);
+//      a Model adapter that steps a xir::ScalarEngine (minimal
+//      counterexamples, small designs);
 //  (b) bounded model checking to depth k with a bit-sliced frontier —
-//      64 (state, environment-choice) pairs packed per machine word,
-//      expanded in one settle pass (>= 10x the scalar frontier;
+//      a xir::SlicedEngine carrying 64 (state, environment-choice)
+//      pairs, expanded in one settle pass (>= 10x the scalar frontier;
 //      bench_prove locks it);
 //  (c) k-induction: the bounded base case plus a per-cycle inductive
 //      certificate.  A directed cycle of S shells, H half and F full
@@ -109,9 +114,9 @@ struct ProveOptions {
   std::uint64_t depth = 0;
   /// Distinct-state budget for reachability/BMC.
   std::uint64_t max_states = 1u << 20;
-  /// Use the bit-sliced frontier (64 expansions per settle pass); the
-  /// scalar path is formal::check_safety over the Model adapter.
-  /// Verdicts are identical either way.
+  /// Use the bit-sliced frontier (64 expansions per xir::SlicedEngine
+  /// step); the scalar oracle is formal::check_safety over the Model
+  /// adapter.  Verdicts are identical either way.
   bool sliced_frontier = true;
   /// Exhaustive environment enumeration up to 2^max_env_sinks choices
   /// per state (<= 64 keeps one choice set inside a sliced word).
@@ -120,24 +125,24 @@ struct ProveOptions {
   /// prove — the result is then at best kUnknown.
   std::size_t max_env_sinks = 6;
   /// Simple-cycle enumeration budget for the induction certificates
-  /// (graph::enumerate_cycles-style); beyond it induction answers
-  /// unknown rather than silently under-approximating.
+  /// (graph::enumerate_cycles); beyond it induction answers unknown
+  /// rather than silently under-approximating.
   std::size_t max_cycles = 4096;
 };
 
 /// One step of a counterexample trace: the environment choice taken
-/// and the state it leads to (canonical encoding; hex in JSON).
+/// and the state it leads to (xir's plane key; hex in JSON).
 struct CexStep {
   std::uint64_t cycle = 0;
   /// Sinks holding stop asserted during this transition (node ids).
   std::vector<graph::NodeId> stopped_sinks;
-  std::string state;  ///< canonical encoded state *after* the step
+  std::string state;  ///< plane key of the state *after* the step
 };
 
 /// A minimal-depth reachable deadlock.
 struct Counterexample {
   std::uint64_t depth = 0;  ///< transitions from init to the dead state
-  std::string dead_state;   ///< canonical encoding of the fixed point
+  std::string dead_state;   ///< plane key of the fixed point
   std::vector<CexStep> steps;  ///< init excluded; steps.size() == depth
   /// The saturated stop cycle blamed for the latch: shells on it and
   /// the channels closing it (lint-diagnostic locus conventions).
@@ -212,7 +217,8 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts = {});
 
 /// The formal::Model adapter: the whole-skeleton transition system
 /// with per-sink stop nondeterminism and the dead-state monitor wired
-/// in as a safety violation.  This is the scalar frontier —
+/// in as a safety violation; each successor is one xir::ScalarEngine
+/// step under one sink-stop mask.  This is the scalar frontier —
 /// formal::check_safety(*make_skeleton_model(...)) is exhaustive BFS
 /// reachability over the protocol state space — and the oracle the
 /// bit-sliced frontier is differentially tested against.
@@ -227,11 +233,11 @@ class SkeletonModel : public formal::Model {
 std::unique_ptr<SkeletonModel> make_skeleton_model(
     const graph::Topology& topo, const ProveOptions& opts = {});
 
-/// The directed cycles the induction certificates cover, with their
-/// initial token counts under `opts`.  Exposed for tests and for the
-/// lint cross-check (an all-half cycle's certificate fails exactly
-/// when LIP006 fires).  Throws ApiError when `opts.max_cycles` is
-/// exceeded.
+/// The directed cycles the induction certificates cover (those of
+/// graph::enumerate_cycles, in its order), with their initial token
+/// counts under `opts`.  Exposed for tests and for the lint cross-check
+/// (an all-half cycle's certificate fails exactly when LIP006 fires).
+/// Throws ApiError when `opts.max_cycles` is exceeded.
 std::vector<CycleCertificate> cycle_certificates(const graph::Topology& topo,
                                                  const ProveOptions& opts = {});
 

@@ -14,9 +14,11 @@
 //
 // What may differ per lane: relay-station kinds (full/half per lane via
 // a per-station lane mask — 64 netlist variants of one topology per
-// pass) and initial occupancy (saturate_stations takes a lane mask).
-// What is shared: the topology shape, the stop policy/resolution and
-// sink patterns.  Lane divergence in *time* (one lane reaches its
+// pass), initial occupancy (saturate_stations takes a lane mask), the
+// whole protocol state (load_state_keys) and, one cycle at a time, the
+// sink stops (step(sink_stops)).  What is shared: the topology shape,
+// the stop policy/resolution and the sink patterns that step() and
+// analyze() follow.  Lane divergence in *time* (one lane reaches its
 // steady state early) is handled in analyze() by per-lane rho
 // detection: finished lanes simply keep stepping — their state is
 // periodic, so the extra work is wasted but harmless — until every
@@ -27,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,15 +72,31 @@ class SlicedEngine {
     for (std::uint64_t i = 0; i < n; ++i) step();
   }
 
+  struct StepReport {
+    std::uint64_t fired = 0;    ///< live lanes in which some shell fired
+    std::uint64_t pending = 0;  ///< live lanes with some valid segment
+  };
+
+  /// One cycle whose sink stops are explicit instead of the sink
+  /// patterns: `sink_stops[s]` holds the lanes in which sink s stops
+  /// (one word per sink, in the program's sink order).  Prove's sliced
+  /// frontier steps 64 (state, environment) pairs this way.
+  StepReport step(std::span<const std::uint64_t> sink_stops);
+
   std::uint64_t cycle() const { return cycle_; }
 
   /// Firings of a process node in one lane so far.
   std::uint64_t fires(std::size_t lane, graph::NodeId process) const;
 
-  /// One lane's protocol state, byte-identical to ScalarEngine::
-  /// state_signature() for the equivalent scalar run (same layout, so
-  /// repeat cycles — and thus verdicts — match the scalar engine's).
-  std::string lane_signature(std::size_t lane) const;
+  /// Every live lane's protocol state as a plane key (KeyLayout),
+  /// byte-identical to ScalarEngine::state_key() for the equivalent
+  /// scalar run; `out` is resized to num_lanes().
+  void state_keys(std::vector<std::string>* out) const;
+
+  /// Loads lane i's protocol state from the plane key `*keys[i]`, one
+  /// key per live lane; the tail lanes copy lane 0.  Cycle, fire counts,
+  /// station kinds and sink patterns are kept.
+  void load_state_keys(std::span<const std::string* const> keys);
 
   struct LaneOutcome {
     skeleton::SkeletonResult result;
@@ -96,10 +115,14 @@ class SlicedEngine {
  private:
   void refresh_schedule();
   std::uint64_t shell_ready_word(std::size_t k) const;
-  void settle_stops();
+  std::uint64_t advance(const std::uint64_t* sink_stops);
+  void settle_stops(const std::uint64_t* sink_stops);
   void settle_station(std::size_t s);
   void settle_shell(std::size_t k);
   void step_stations();
+  /// Every lane's plane key, transposed out of the state planes:
+  /// afterwards (*planes)[64 * w + lane] is word w of the lane's key.
+  void lane_key_words(std::vector<std::uint64_t>* planes) const;
 
   ProgramRef prog_;
   std::size_t num_lanes_ = kLanes;

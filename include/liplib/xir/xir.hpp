@@ -26,8 +26,11 @@
 //
 // Each job has one evaluator: a single design's screen, steady state,
 // cure, replay and deadlock evidence run on ScalarEngine; batched
-// variant screens run 64 variants per SlicedEngine pass.  lip::System is
-// the reference model the differential suite holds both against.
+// variant screens run 64 variants per SlicedEngine pass; prove's
+// frontiers step both engines under explicit sink stops.  Both engines
+// encode the protocol state one way, the plane key (KeyLayout).
+// lip::System is the reference model the differential suite holds both
+// against.
 //
 // See docs/xir.md for the IR layout and lowering rules.
 
@@ -109,6 +112,48 @@ struct Program {
 
 using ProgramRef = std::shared_ptr<const Program>;
 
+/// The plane key: the one encoding of a lowered program's protocol
+/// state.  Both engines key their repeat searches with it and load and
+/// emit it, and prove keys its state sets and documents with it.  The
+/// state is a list of bit planes: one per shell out-branch pending flag
+/// and one per source branch pending flag (every fanout branch has its
+/// own plane, so no branch is ever folded away), then five per station
+/// — occupancy >= 1, occupancy == 2, front slot valid, back slot valid,
+/// registered stop — with slot validity masked by occupancy, since an
+/// empty slot is not state.  Plane i is bit i % 8 of key byte i / 8,
+/// zero-padded to whole 64-bit words, so 64 keys transpose into 64
+/// lanes one word at a time.
+struct KeyLayout {
+  explicit KeyLayout(const Program& p);
+
+  std::size_t n_pend = 0;     ///< shell out-branch planes
+  std::size_t n_src = 0;      ///< source branch planes
+  std::size_t n_st = 0;       ///< stations, five planes each
+  std::size_t num_planes = 0;
+  std::size_t num_words = 0;  ///< ceil(num_planes / 64)
+
+  std::size_t key_bytes() const { return num_words * 8; }
+  std::size_t pend_plane(std::size_t b) const { return b; }
+  std::size_t src_plane(std::size_t b) const { return n_pend + b; }
+  std::size_t occ1_plane(std::size_t s) const { return n_pend + n_src + s; }
+  std::size_t occ2_plane(std::size_t s) const { return occ1_plane(s) + n_st; }
+  std::size_t v0_plane(std::size_t s) const { return occ2_plane(s) + n_st; }
+  std::size_t v1_plane(std::size_t s) const { return v0_plane(s) + n_st; }
+  std::size_t sreg_plane(std::size_t s) const { return v1_plane(s) + n_st; }
+
+  /// Plane `plane` of a key.
+  static bool bit(const std::string& key, std::size_t plane) {
+    return (static_cast<unsigned char>(key[plane >> 3]) >> (plane & 7)) & 1;
+  }
+};
+
+/// Whether sink `sink` stops under an explicit stop mask: bit s stops
+/// sink s, and bit 63 stops sink 63 and every sink past it, so ~0 stops
+/// every sink of any design.
+inline bool sink_stopped(std::uint64_t sink_stops, std::size_t sink) {
+  return ((sink_stops >> (sink < 63 ? sink : 63)) & 1) != 0;
+}
+
 /// Lowers a topology into the flattened IR.  Validates the topology the
 /// way lip::System's constructor does for the paper's simplified shell
 /// and throws ApiError on structural errors or fanout beyond 32 branches.
@@ -156,16 +201,40 @@ class ScalarEngine {
     for (std::uint64_t i = 0; i < n; ++i) step();
   }
 
+  struct StepReport {
+    bool fired = false;    ///< some shell fired
+    bool pending = false;  ///< some segment carried a valid token
+  };
+
+  /// One cycle whose sink stops are `sink_stops` (see sink_stopped)
+  /// instead of the sink patterns: prove's transition function.
+  StepReport step(std::uint64_t sink_stops);
+
+  /// The settled valid and stop wires of a segment in the last step.
+  bool valid_wire(std::uint32_t segment) const { return fwd_[segment] != 0; }
+  bool stop_wire(std::uint32_t segment) const { return stop_[segment] != 0; }
+
+  /// Valid tokens held by a shell out branch's pending register (0 or
+  /// 1) and by a station's occupied slots (0 to 2): prove's token count.
+  unsigned branch_tokens(std::uint32_t branch) const { return pend_[branch]; }
+  unsigned station_tokens(std::uint32_t station) const {
+    return (st_occ_[station] >= 1 && st_v0_[station]) +
+           (st_occ_[station] == 2 && st_v1_[station]);
+  }
+
   std::uint64_t cycle() const { return cycle_; }
 
   /// Firings of a process node so far.
   std::uint64_t fires(graph::NodeId process) const;
 
-  /// Serialized protocol state (no counters, no environment phase) for
-  /// rho detection: the control state of lip::System::protocol_state()
-  /// in a different byte layout, so signatures are not interchangeable
-  /// with System's — repeat cycles are.
-  std::string state_signature() const;
+  /// The protocol state (no counters, no environment phase) as a plane
+  /// key (KeyLayout).  Repeat cycles, not key bytes, are comparable with
+  /// lip::System::protocol_state().
+  std::string state_key() const;
+
+  /// Replaces the protocol state with a plane key of the same program;
+  /// the cycle, fire counts and sink patterns are kept.
+  void load_state_key(const std::string& key);
 
   /// Runs until the protocol state and the environment's phase repeat
   /// (rho detection; the period is the lcm of the sink pattern lengths)
@@ -181,7 +250,8 @@ class ScalarEngine {
 
  private:
   bool shell_ready(std::size_t k) const;
-  void settle_stops();
+  bool advance(const std::uint64_t* sink_stops);
+  void settle_stops(const std::uint64_t* sink_stops);
   void eval_settle_unit(std::uint32_t unit);
   bool eval_settle_unit_changed(std::uint32_t unit);
   void observe_probe();

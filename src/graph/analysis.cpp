@@ -44,12 +44,13 @@ std::vector<CycleInfo> enumerate_cycles(const Topology& topo,
                       "cycle enumeration budget exceeded");
         CycleInfo info;
         info.nodes = path_nodes;
+        info.channels = path_channels;
+        info.channels.push_back(c);
         info.shells = path_nodes.size();
         info.stations = 0;
-        for (ChannelId pc : path_channels) {
-          info.stations += topo.channel(pc).num_stations();
+        for (ChannelId hop : info.channels) {
+          info.stations += topo.channel(hop).num_stations();
         }
-        info.stations += topo.channel(c).num_stations();
         info.throughput = loop_throughput(info.shells, info.stations);
         cycles.push_back(std::move(info));
         continue;

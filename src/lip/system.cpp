@@ -667,21 +667,21 @@ ShellActivity System::shell_activity(graph::NodeId shell) const {
 
 std::string System::protocol_state() const {
   std::string s;
-  s.reserve(shells_.size() * 4 + sources_.size() + stations_.size() * 3);
-  for (const auto& sh : shells_) {
-    for (const auto& port : sh.out) {
-      s.push_back(static_cast<char>(port.pend & 0xff));
-      s.push_back(static_cast<char>((port.pend >> 8) & 0xff));
-      s.push_back(static_cast<char>((port.pend >> 16) & 0xff));
-      s.push_back(static_cast<char>((port.pend >> 24) & 0xff));
+  s.reserve(shells_.size() * 4 + sources_.size() * 4 + stations_.size() * 3);
+  // Pend masks keep all 32 bits: a port or source fans out to up to 32
+  // branches.
+  auto put_mask = [&s](std::uint32_t mask) {
+    for (unsigned shift = 0; shift < 32; shift += 8) {
+      s.push_back(static_cast<char>((mask >> shift) & 0xff));
     }
+  };
+  for (const auto& sh : shells_) {
+    for (const auto& port : sh.out) put_mask(port.pend);
     for (const auto& q : sh.in_q) {
       s.push_back(static_cast<char>(q.size() & 0xff));
     }
   }
-  for (const auto& src : sources_) {
-    s.push_back(static_cast<char>(src.port.pend & 0xff));
-  }
+  for (const auto& src : sources_) put_mask(src.port.pend);
   for (const auto& st : stations_) {
     s.push_back(static_cast<char>(st.occ));
     char flags = 0;

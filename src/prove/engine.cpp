@@ -1,17 +1,17 @@
-// The search half of liplib::prove: the bit-sliced frontier (64
-// (state, environment) expansions per settle pass), the BFS/BMC driver
-// over it, the k-induction decision procedure, counterexample
-// finishing (trace, token audit, culprit, replayable post-mortem) and
-// the result renderings.
+// The search half of liplib::prove: the BFS/BMC driver over the
+// bit-sliced frontier (a xir::SlicedEngine stepping 64 (state,
+// environment) expansions per settle pass), the k-induction decision
+// procedure, counterexample finishing (trace, token audit, culprit,
+// replayable post-mortem) and the result renderings.
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <unordered_map>
 
 #include "internal.hpp"
 #include "liplib/graph/analysis.hpp"
 #include "liplib/support/check.hpp"
+#include "liplib/xir/sliced.hpp"
 
 namespace liplib::prove {
 
@@ -48,287 +48,7 @@ const char* verdict_name(Verdict v) {
 namespace detail {
 namespace {
 
-constexpr std::size_t kLanes = 64;
-
-// In-place 64x64 bit-matrix transpose (Hacker's Delight 7-3), the same
-// routine the sliced engine uses for its repeat keys: afterwards m[i]
-// bit j == the input's m[j] bit i.
-void transpose64(std::uint64_t m[64]) {
-  std::uint64_t mask = 0x00000000FFFFFFFFull;
-  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = (m[k] ^ (m[k + j] << j)) & ~mask;
-      m[k] ^= t;
-      m[k + j] ^= t >> j;
-    }
-  }
-}
-
-struct BatchOut {
-  std::uint64_t fired = 0;    ///< lanes where some shell fired
-  std::uint64_t pending = 0;  ///< lanes where some segment carried valid
-};
-
-/// 64 independent (state, environment-choice) expansions of one lowered
-/// program per step: the canonical keys are transposed into per-plane
-/// lane words, stepped with the sliced engine's word formulas (station
-/// kinds are fixed per program, so the half/full merge collapses to a
-/// static branch), and transposed back out.
-class SlicedFrontier {
- public:
-  SlicedFrontier(const xir::Program& p, const Layout& L) : p_(p), L_(L) {
-    fwd_.assign(p.num_segments, 0);
-    stop_.assign(p.num_segments, 0);
-    pend_.assign(L.n_pend, 0);
-    src_.assign(L.n_src, 0);
-    occ1_.assign(L.n_st, 0);
-    occ2_.assign(L.n_st, 0);
-    v0_.assign(L.n_st, 0);
-    v1_.assign(L.n_st, 0);
-    sreg_.assign(L.n_st, 0);
-    env_.assign(p.num_sinks(), 0);
-    out_keys_.assign(kLanes, std::string(L.key_bytes, '\0'));
-  }
-
-  /// Loads 64 canonical keys (every slot must point at a key; pad spare
-  /// lanes with a duplicate of a live one) and the per-lane sink masks.
-  void load(const std::array<const std::string*, kLanes>& keys,
-            const std::array<std::uint64_t, kLanes>& masks) {
-    std::array<std::uint64_t, kLanes> block;
-    for (std::size_t b = 0; b < L_.num_blocks; ++b) {
-      for (std::size_t lane = 0; lane < kLanes; ++lane) {
-        std::memcpy(&block[lane], keys[lane]->data() + b * 8, 8);
-      }
-      transpose64(block.data());
-      const std::size_t base = b * 64;
-      for (std::size_t r = 0; r < 64 && base + r < L_.num_planes; ++r) {
-        *plane_word(base + r) = block[r];
-      }
-    }
-    for (std::size_t s = 0; s < p_.num_sinks(); ++s) {
-      std::uint64_t w = 0;
-      for (std::size_t lane = 0; lane < kLanes; ++lane) {
-        const std::uint64_t m = masks[lane];
-        const bool stopped = m == kAllLanes || (s < 64 && ((m >> s) & 1));
-        if (stopped) w |= 1ull << lane;
-      }
-      env_[s] = w;
-    }
-  }
-
-  BatchOut step() {
-    const xir::Program& p = p_;
-
-    // Phase 1: forward validity.
-    for (std::size_t b = 0; b < L_.n_pend; ++b) {
-      fwd_[p.shell_br_seg[b]] = pend_[b];
-    }
-    for (std::size_t b = 0; b < L_.n_src; ++b) {
-      fwd_[p.src_br_seg[b]] = src_[b];
-    }
-    for (std::size_t s = 0; s < L_.n_st; ++s) {
-      fwd_[p.st_out[s]] = occ1_[s] & v0_[s];
-    }
-    BatchOut out;
-    for (const std::uint64_t w : fwd_) out.pending |= w;
-
-    // Phase 2: stops.
-    settle_stops();
-
-    // Phase 3: clock edge.
-    for (std::size_t k = 0; k < p.num_shells(); ++k) {
-      const std::uint64_t fire = shell_ready_word(k);
-      for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
-           ++b) {
-        pend_[b] &= stop_[p.shell_br_seg[b]];
-        LIPLIB_ENSURE((fire & pend_[b]) == 0, "prove shell fired while pending");
-        pend_[b] |= fire;
-      }
-      out.fired |= fire;
-    }
-    for (std::size_t s = 0; s < L_.n_st; ++s) {
-      const std::uint64_t in_valid = fwd_[p.st_in[s]];
-      const std::uint64_t front_valid = occ1_[s] & v0_[s];
-      const std::uint64_t s_eff =
-          p.strict ? stop_[p.st_out[s]] : (stop_[p.st_out[s]] & front_valid);
-      const std::uint64_t consumed = occ1_[s] & ~s_eff;
-      if (!p.st_half[s]) {
-        const std::uint64_t accept =
-            ~sreg_[s] & (p.strict ? kAllLanes : in_valid);
-        const std::uint64_t occ_a1 = (occ1_[s] & ~consumed) | occ2_[s];
-        const std::uint64_t occ_a2 = occ2_[s] & ~consumed;
-        const std::uint64_t v0_a = (consumed & v1_[s]) | (~consumed & v0_[s]);
-        LIPLIB_ENSURE((accept & occ_a2) == 0, "prove full station overflow");
-        v0_[s] = (accept & ~occ_a1 & in_valid) | ((~accept | occ_a1) & v0_a);
-        v1_[s] =
-            (accept & occ_a1 & in_valid) | ((~accept | ~occ_a1) & v1_[s]);
-        occ1_[s] = occ_a1 | accept;
-        occ2_[s] = occ_a2 | (accept & occ_a1);
-        sreg_[s] = occ2_[s];
-      } else {
-        const std::uint64_t stop_up = occ1_[s] & s_eff;
-        const std::uint64_t accept =
-            ~stop_up & (p.strict ? kAllLanes : in_valid);
-        const std::uint64_t occ_d1 = occ1_[s] & ~consumed;
-        LIPLIB_ENSURE((accept & occ_d1) == 0, "prove half station overflow");
-        occ1_[s] = occ_d1 | accept;
-        v0_[s] = (accept & in_valid) | (~accept & v0_[s]);
-      }
-    }
-    for (std::size_t s = 0; s < p.num_sources(); ++s) {
-      std::uint64_t all_clear = kAllLanes;
-      for (std::uint32_t b = p.src_br_begin[s]; b < p.src_br_begin[s + 1];
-           ++b) {
-        src_[b] &= stop_[p.src_br_seg[b]];
-        all_clear &= ~src_[b];
-      }
-      for (std::uint32_t b = p.src_br_begin[s]; b < p.src_br_begin[s + 1];
-           ++b) {
-        src_[b] |= all_clear;
-      }
-    }
-    return out;
-  }
-
-  /// Canonical key of lane `l` after step() (valid until the next step).
-  const std::string& extract(std::size_t lane) {
-    if (!extracted_) {
-      std::array<std::uint64_t, kLanes> block;
-      for (std::size_t b = 0; b < L_.num_blocks; ++b) {
-        const std::size_t base = b * 64;
-        for (std::size_t r = 0; r < 64; ++r) {
-          block[r] = base + r < L_.num_planes ? canonical_plane(base + r) : 0;
-        }
-        transpose64(block.data());
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          std::memcpy(out_keys_[l].data() + b * 8, &block[l], 8);
-        }
-      }
-      extracted_ = true;
-    }
-    return out_keys_[lane];
-  }
-
-  void begin_batch() { extracted_ = false; }
-
- private:
-  std::uint64_t* plane_word(std::size_t plane) {
-    if (plane < L_.n_pend) return &pend_[plane];
-    plane -= L_.n_pend;
-    if (plane < L_.n_src) return &src_[plane];
-    plane -= L_.n_src;
-    const std::size_t s = plane % L_.n_st;
-    switch (plane / L_.n_st) {
-      case 0: return &occ1_[s];
-      case 1: return &occ2_[s];
-      case 2: return &v0_[s];
-      case 3: return &v1_[s];
-      default: return &sreg_[s];
-    }
-  }
-
-  std::uint64_t canonical_plane(std::size_t plane) {
-    if (plane < L_.n_pend + L_.n_src) return *plane_word(plane);
-    const std::size_t rel = plane - L_.n_pend - L_.n_src;
-    const std::size_t s = rel % L_.n_st;
-    switch (rel / L_.n_st) {
-      case 0: return occ1_[s];
-      case 1: return occ2_[s];
-      case 2: return v0_[s] & occ1_[s];  // validity masked by occupancy
-      case 3: return v1_[s] & occ2_[s];
-      default: return sreg_[s];
-    }
-  }
-
-  std::uint64_t shell_ready_word(std::size_t k) const {
-    const xir::Program& p = p_;
-    std::uint64_t ready = kAllLanes;
-    for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-         ++i) {
-      ready &= fwd_[p.shell_in_seg[i]];
-    }
-    for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
-         ++b) {
-      const std::uint64_t stopped = stop_[p.shell_br_seg[b]];
-      ready &= ~(p.strict ? stopped : (stopped & pend_[b]));
-    }
-    return ready;
-  }
-
-  void settle_station(std::size_t s) {
-    const xir::Program& p = p_;
-    const std::uint64_t front_valid = occ1_[s] & v0_[s];
-    const std::uint64_t s_eff =
-        p.strict ? stop_[p.st_out[s]] : (stop_[p.st_out[s]] & front_valid);
-    stop_[p.st_in[s]] = occ1_[s] & s_eff;
-  }
-
-  void settle_stops() {
-    const xir::Program& p = p_;
-    const std::uint64_t init = p.pessimistic ? kAllLanes : 0;
-    for (auto& s : stop_) s = init;
-    for (std::size_t s = 0; s < p.num_sinks(); ++s) {
-      stop_[p.sink_seg[s]] = env_[s];
-    }
-    for (std::size_t s = 0; s < L_.n_st; ++s) {
-      if (!p.st_half[s]) stop_[p.st_in[s]] = sreg_[s];
-    }
-    for (std::uint32_t unit : p.schedule.order) {
-      if (unit < L_.n_st) {
-        settle_station(unit);
-      } else {
-        settle_shell(unit - L_.n_st);
-      }
-    }
-    if (!p.schedule.iterate.empty()) {
-      const std::size_t guard = 2 * stop_.size() + 4;
-      std::size_t sweeps = 0;
-      bool changed = true;
-      while (changed) {
-        LIPLIB_ENSURE(++sweeps <= guard, "stop fixpoint failed to converge");
-        changed = false;
-        for (std::uint32_t unit : p.schedule.iterate) {
-          if (unit < L_.n_st) {
-            const std::uint64_t before = stop_[p.st_in[unit]];
-            settle_station(unit);
-            changed = changed || stop_[p.st_in[unit]] != before;
-          } else {
-            const std::size_t k = unit - L_.n_st;
-            const std::uint64_t stalled = ~shell_ready_word(k);
-            for (std::uint32_t i = p.shell_in_begin[k];
-                 i < p.shell_in_begin[k + 1]; ++i) {
-              const std::uint32_t in = p.shell_in_seg[i];
-              const std::uint64_t up = stalled & fwd_[in];
-              if (stop_[in] != up) {
-                stop_[in] = up;
-                changed = true;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-
-  void settle_shell(std::size_t k) {
-    const xir::Program& p = p_;
-    const std::uint64_t stalled = ~shell_ready_word(k);
-    for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-         ++i) {
-      const std::uint32_t in = p.shell_in_seg[i];
-      stop_[in] = stalled & fwd_[in];
-    }
-  }
-
-  const xir::Program& p_;
-  const Layout& L_;
-  std::vector<std::uint64_t> fwd_, stop_;
-  std::vector<std::uint64_t> pend_, src_;
-  std::vector<std::uint64_t> occ1_, occ2_, v0_, v1_, sreg_;
-  std::vector<std::uint64_t> env_;  ///< per sink: lanes where it stops
-  std::vector<std::string> out_keys_;
-  bool extracted_ = false;
-};
+constexpr std::size_t kLanes = xir::SlicedEngine::kLanes;
 
 /// Parent link of a visited state in the sliced search.
 struct Par {
@@ -352,12 +72,13 @@ struct SearchStats {
 /// depth <= `bound`; successors past the bound are recorded (so the
 /// caller knows the space did not close) but not expanded.  Returns on
 /// the first dead state (minimal depth: the queue is FIFO over layers).
-SearchStats sliced_search(const xir::Program& p, const Layout& L,
-                          const EnvChoices& env, bool worst_case,
-                          std::uint64_t max_states, std::uint64_t bound,
+SearchStats sliced_search(const xir::ProgramRef& prog, const EnvChoices& env,
+                          bool worst_case, std::uint64_t max_states,
+                          std::uint64_t bound,
                           std::unordered_map<std::string, Par>* visited) {
+  const xir::Program& p = *prog;
   SearchStats stats;
-  SlicedFrontier frontier(p, L);
+  xir::SlicedEngine frontier(prog);
   const std::size_t env_count = env.masks.size();
   // Power-of-two choice counts (2^sinks, or the {greedy, all-stop}
   // pair) tile the 64 lanes exactly; one task spans several batches
@@ -374,7 +95,7 @@ SearchStats sliced_search(const xir::Program& p, const Layout& L,
   std::vector<Task> queue;
   std::size_t head = 0;
 
-  const std::string init = encode(L, initial_state(p, worst_case));
+  const std::string init = initial_key(prog, worst_case);
   const auto& slot = *visited->emplace(init, Par{nullptr, 0, 0}).first;
   queue.push_back(Task{&slot.first, 0});
 
@@ -382,6 +103,8 @@ SearchStats sliced_search(const xir::Program& p, const Layout& L,
   std::array<std::uint64_t, kLanes> masks;
   std::array<Task, kLanes> lane_task;
   std::array<std::uint32_t, kLanes> lane_env;
+  std::vector<std::uint64_t> sink_stops(p.num_sinks());
+  std::vector<std::string> succs;
 
   while (head < queue.size()) {
     // Snapshot the batch size before processing: successors inserted
@@ -408,16 +131,23 @@ SearchStats sliced_search(const xir::Program& p, const Layout& L,
         masks[lanes] = env.masks[0];
       }
 
-      frontier.begin_batch();
-      frontier.load(keys, masks);
-      const BatchOut bo = frontier.step();
+      frontier.load_state_keys(keys);
+      for (std::size_t s = 0; s < p.num_sinks(); ++s) {
+        std::uint64_t w = 0;
+        for (std::size_t lane = 0; lane < kLanes; ++lane) {
+          if (xir::sink_stopped(masks[lane], s)) w |= 1ull << lane;
+        }
+        sink_stops[s] = w;
+      }
+      const auto step = frontier.step(sink_stops);
+      frontier.state_keys(&succs);
 
       for (std::size_t l = 0; l < live; ++l) {
         ++stats.transitions;
         const Task task = lane_task[l];
-        const std::string& succ = frontier.extract(l);
-        if (lane_env[l] == 0 && !((bo.fired >> l) & 1) &&
-            ((bo.pending >> l) & 1) && p.num_shells() > 0 &&
+        const std::string& succ = succs[l];
+        if (lane_env[l] == 0 && !((step.fired >> l) & 1) &&
+            ((step.pending >> l) & 1) && p.num_shells() > 0 &&
             succ == *task.state) {
           // Greedy fixed point with tokens pending: frozen forever.
           stats.dead = task.state;
@@ -474,9 +204,7 @@ std::vector<graph::NodeId> stopped_sink_nodes(const xir::Program& p,
                                               std::uint64_t mask) {
   std::vector<graph::NodeId> out;
   for (std::size_t s = 0; s < p.num_sinks(); ++s) {
-    if (mask == kAllLanes || (s < 64 && ((mask >> s) & 1))) {
-      out.push_back(p.sink_node[s]);
-    }
+    if (xir::sink_stopped(mask, s)) out.push_back(p.sink_node[s]);
   }
   return out;
 }
@@ -486,42 +214,41 @@ std::vector<graph::NodeId> stopped_sink_nodes(const xir::Program& p,
 /// per-cycle token conservation, blames the saturated certificate
 /// cycle, and attaches the replayable greedy post-mortem bundle.
 void finish_counterexample(const graph::Topology& topo,
-                           const xir::ProgramRef& prog, const Layout& L,
-                           const ChannelMap& cm,
+                           const xir::ProgramRef& prog, const ChannelMap& cm,
                            const std::vector<std::uint64_t>& path_masks,
                            const ProveOptions& opts, ProveResult* r) {
   const xir::Program& p = *prog;
   Counterexample cex;
   cex.depth = path_masks.size();
 
-  ScalarState st = initial_state(p, opts.worst_case_occupancy);
-  Scratch scr;
+  xir::ScalarEngine eng(prog);
+  if (opts.worst_case_occupancy) eng.saturate_stations();
   const bool audit_tokens = !p.strict && p.pessimistic;
   std::vector<std::size_t> tokens0(r->certificates.size(), 0);
   for (std::size_t c = 0; c < r->certificates.size(); ++c) {
-    tokens0[c] = cycle_tokens(p, cm, r->certificates[c], st);
+    tokens0[c] = cycle_tokens(eng, cm, r->certificates[c]);
   }
   for (std::size_t i = 0; i < path_masks.size(); ++i) {
-    scalar_step(p, &st, path_masks[i], &scr);
+    eng.step(path_masks[i]);
     CexStep step;
     step.cycle = i;
     step.stopped_sinks = stopped_sink_nodes(p, path_masks[i]);
-    step.state = encode(L, st);
+    step.state = eng.state_key();
     cex.steps.push_back(std::move(step));
     if (audit_tokens) {
       for (std::size_t c = 0; c < r->certificates.size(); ++c) {
-        if (cycle_tokens(p, cm, r->certificates[c], st) != tokens0[c]) {
+        if (cycle_tokens(eng, cm, r->certificates[c]) != tokens0[c]) {
           r->token_conservation_ok = false;  // a prover bug, not a design bug
         }
       }
     }
   }
-  cex.dead_state = encode(L, st);
+  cex.dead_state = eng.state_key();
 
   // Blame: the first cycle that is stop-saturated in the dead state
   // under the most permissive environment — every hop channel's every
   // segment carries a back-pressured valid token.
-  settle_state(p, st, 0, &scr);
+  eng.step(0);
   for (const CycleCertificate& cert : r->certificates) {
     bool saturated = true;
     for (graph::ChannelId c : cert.channels) {
@@ -529,7 +256,7 @@ void finish_counterexample(const graph::Topology& topo,
           static_cast<std::uint32_t>(topo.channel(c).num_stations()) + 1;
       for (std::uint32_t i = 0; i < segs && saturated; ++i) {
         const std::uint32_t seg = cm.seg_begin[c] + i;
-        saturated = scr.fwd[seg] && scr.stop[seg];
+        saturated = eng.valid_wire(seg) && eng.stop_wire(seg);
       }
       if (!saturated) break;
     }
@@ -731,7 +458,6 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
   using detail::SearchStats;
 
   const xir::ProgramRef prog = xir::lower(topo, opts.skeleton);
-  const detail::Layout L(*prog);
   const detail::ChannelMap cm(*prog);
   const detail::EnvChoices env = detail::env_choices(*prog, opts.max_env_sinks);
 
@@ -751,7 +477,7 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
   bool have_certs = true;
   try {
     r.certificates = detail::enumerate_certificates(
-        *prog, opts.worst_case_occupancy, opts.max_cycles);
+        topo, opts.worst_case_occupancy, opts.max_cycles);
   } catch (const ApiError&) {
     have_certs = false;
   }
@@ -777,7 +503,7 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
       r.transitions = cr.transitions;
       r.depth_reached = cr.depth_reached;
       if (!cr.ok && !cr.exhausted_budget) {
-        detail::finish_counterexample(topo, prog, L, cm,
+        detail::finish_counterexample(topo, prog, cm,
                                       detail::path_from_trace(cr), opts, &r);
         return;
       }
@@ -797,7 +523,7 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
     visited.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(opts.max_states, 1u << 16)));
     const SearchStats ss = detail::sliced_search(
-        *prog, L, env, opts.worst_case_occupancy, opts.max_states, bound,
+        prog, env, opts.worst_case_occupancy, opts.max_states, bound,
         &visited);
     r.states_explored = ss.states;
     r.transitions = ss.transitions;
@@ -805,7 +531,7 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
     if (ss.dead != nullptr) {
       r.depth_reached = ss.dead_depth;
       detail::finish_counterexample(
-          topo, prog, L, cm, detail::path_from_parents(visited, env, ss.dead),
+          topo, prog, cm, detail::path_from_parents(visited, env, ss.dead),
           opts, &r);
       return;
     }
@@ -881,19 +607,17 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
   // over the transient and require every certificate count to hold
   // still.
   if (r.verdict == Verdict::kProved && induction_sound) {
-    detail::ScalarState st =
-        detail::initial_state(*prog, opts.worst_case_occupancy);
-    detail::Scratch scr;
+    xir::ScalarEngine eng(prog);
+    if (opts.worst_case_occupancy) eng.saturate_stations();
     std::vector<std::size_t> tokens0(r.certificates.size());
     for (std::size_t c = 0; c < r.certificates.size(); ++c) {
-      tokens0[c] = detail::cycle_tokens(*prog, cm, r.certificates[c], st);
+      tokens0[c] = detail::cycle_tokens(eng, cm, r.certificates[c]);
     }
     const std::uint64_t probe_cycles = graph::transient_bound(topo);
     for (std::uint64_t i = 0; i < probe_cycles; ++i) {
-      detail::scalar_step(*prog, &st, 0, &scr);
+      eng.step();
       for (std::size_t c = 0; c < r.certificates.size(); ++c) {
-        if (detail::cycle_tokens(*prog, cm, r.certificates[c], st) !=
-            tokens0[c]) {
+        if (detail::cycle_tokens(eng, cm, r.certificates[c]) != tokens0[c]) {
           r.token_conservation_ok = false;
         }
       }

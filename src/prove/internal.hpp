@@ -1,19 +1,16 @@
 // src/prove/internal.hpp
 //
-// Shared internals of liplib::prove: the canonical protocol-state codec,
-// the scalar transition function, the environment-choice enumeration and
-// the per-cycle token bookkeeping.  model.cpp implements them; engine.cpp
-// drives the searches over them.
+// Shared internals of liplib::prove: the environment-choice
+// enumeration, state rendering and the per-cycle token bookkeeping.
+// model.cpp implements them; engine.cpp drives the searches over them.
 //
-// Canonical state encoding: the protocol state of a lowered program is a
-// fixed set of bit "planes" — one per shell out-branch pend, source
-// branch pend, and five per station (occ>=1, occ>=2, v0 masked by
-// occupancy, v1 masked by occupancy, registered stop) — in the exact
-// plane order SlicedEngine::analyze uses for its repeat keys.  A state
-// string is those planes bit-packed little-endian, padded to whole
-// 64-bit blocks, so the bit-sliced frontier can load/extract 64 states
-// with one 64x64 transpose per block and the scalar stepper produces
-// byte-identical keys.
+// A state is xir's plane key (xir::KeyLayout), and every transition is
+// an xir engine step under explicit sink stops: the scalar frontier,
+// counterexample replay, blame and the token audit step a
+// xir::ScalarEngine, and the bit-sliced frontier loads 64 keys into a
+// xir::SlicedEngine, steps them under 64 environment choices at once
+// and emits the 64 successor keys.  Prove has no transition function
+// or state codec of its own.
 
 #pragma once
 
@@ -26,82 +23,16 @@
 
 namespace liplib::prove::detail {
 
-inline constexpr std::uint64_t kAllLanes = ~0ull;
-
-/// Plane layout of a lowered program's canonical state.
-struct Layout {
-  std::size_t n_pend = 0;      ///< shell out-branch pend planes
-  std::size_t n_src = 0;       ///< source branch pend planes
-  std::size_t n_st = 0;        ///< stations (5 planes each)
-  std::size_t num_planes = 0;  ///< n_pend + n_src + 5*n_st
-  std::size_t num_blocks = 0;  ///< ceil(num_planes / 64)
-  std::size_t key_bytes = 0;   ///< num_blocks * 8
-
-  explicit Layout(const xir::Program& p);
-
-  std::size_t pend_plane(std::size_t b) const { return b; }
-  std::size_t src_plane(std::size_t b) const { return n_pend + b; }
-  std::size_t occ1_plane(std::size_t s) const { return n_pend + n_src + s; }
-  std::size_t occ2_plane(std::size_t s) const {
-    return n_pend + n_src + n_st + s;
-  }
-  std::size_t v0_plane(std::size_t s) const {
-    return n_pend + n_src + 2 * n_st + s;
-  }
-  std::size_t v1_plane(std::size_t s) const {
-    return n_pend + n_src + 3 * n_st + s;
-  }
-  std::size_t sreg_plane(std::size_t s) const {
-    return n_pend + n_src + 4 * n_st + s;
-  }
-};
-
-/// Decoded protocol state (the arena arrays of xir::ScalarEngine).
-struct ScalarState {
-  std::vector<std::uint8_t> pend;      ///< per shell out branch
-  std::vector<std::uint8_t> src_pend;  ///< per source branch
-  std::vector<std::uint8_t> occ;       ///< per station: 0, 1, 2
-  std::vector<std::uint8_t> v0;
-  std::vector<std::uint8_t> v1;
-  std::vector<std::uint8_t> sreg;
-};
-
-/// Combinational scratch of one settle (not part of the state).
-struct Scratch {
-  std::vector<std::uint8_t> fwd;   ///< per segment
-  std::vector<std::uint8_t> stop;  ///< per segment
-};
-
-/// Reset state (shell outputs valid, stations per policy), optionally
-/// saturated to worst-case occupancy — exactly ScalarEngine's
-/// constructor + saturate_stations().
-ScalarState initial_state(const xir::Program& p, bool worst_case);
-
-/// Canonical encoding (occupancy-masked validity, zero tail padding).
-std::string encode(const Layout& L, const ScalarState& st);
-void decode(const Layout& L, const std::string& key, ScalarState* st);
+/// The initial state's key: reset (shell outputs valid, stations per
+/// policy) or worst-case occupancy.
+std::string initial_key(const xir::ProgramRef& prog, bool worst_case);
 
 /// Human rendering of a state for traces: "pend:.. src:.. st:[..]".
-std::string describe_state(const xir::Program& p, const ScalarState& st);
+std::string describe_state(const xir::Program& p, const std::string& key);
 
-/// Phase 1 (forward validity) + phase 2 (stop settle) of one cycle under
-/// the given per-sink stop mask (bit s = sink s asserts stop; the mask
-/// ~0 means "all sinks stop" regardless of sink count).  Leaves the
-/// settled fwd/stop network in `scr`.
-void settle_state(const xir::Program& p, const ScalarState& st,
-                  std::uint64_t env_mask, Scratch* scr);
-
-struct StepOut {
-  bool fired = false;    ///< some shell fired this cycle
-  bool pending = false;  ///< some segment carried forward validity
-};
-
-/// One full transition (settle + clock edge) in place.
-StepOut scalar_step(const xir::Program& p, ScalarState* st,
-                    std::uint64_t env_mask, Scratch* scr);
-
-/// The environment alphabet: per-sink stop masks, exhaustive up to
-/// 2^max_env_sinks choices, otherwise just {greedy, all-stop}.
+/// The environment alphabet: per-sink stop masks (xir::sink_stopped),
+/// exhaustive up to 2^max_env_sinks choices, otherwise just {greedy,
+/// all-stop}.
 struct EnvChoices {
   std::vector<std::uint64_t> masks;  ///< masks[0] == 0 (greedy) always
   bool exhaustive = true;
@@ -121,17 +52,15 @@ struct ChannelMap {
   explicit ChannelMap(const xir::Program& p);
 };
 
-/// Enumerates the simple directed channel-cycles through process nodes
-/// (tracking the specific channel of every hop) and builds their token
-/// certificates.  Deterministic order; throws ApiError beyond
-/// `max_cycles`.
-std::vector<CycleCertificate> enumerate_certificates(const xir::Program& p,
-                                                     bool worst_case,
-                                                     std::size_t max_cycles);
+/// The certificates of the simple directed cycles graph::enumerate_cycles
+/// finds (throws ApiError beyond `max_cycles`).
+std::vector<CycleCertificate> enumerate_certificates(
+    const graph::Topology& topo, bool worst_case, std::size_t max_cycles);
 
-/// Valid tokens currently resident on a certificate's cycle registers.
-std::size_t cycle_tokens(const xir::Program& p, const ChannelMap& cm,
-                         const CycleCertificate& cert, const ScalarState& st);
+/// Valid tokens resident on a certificate's cycle registers in an
+/// engine's current state.
+std::size_t cycle_tokens(const xir::ScalarEngine& eng, const ChannelMap& cm,
+                         const CycleCertificate& cert);
 
 /// Violation string the SkeletonModel monitor emits on a dead state.
 inline constexpr const char* kDeadlockViolation =

@@ -1,290 +1,48 @@
-// The scalar half of liplib::prove: the canonical state codec, the
-// explicit transition function (a faithful replay of ScalarEngine::step
-// over a detached state record, with the per-sink stop mask replacing
-// time-indexed sink patterns), the formal::Model adapter, and the
-// channel-cycle token certificates.
+// The scalar half of liplib::prove: the formal::Model adapter over
+// xir::ScalarEngine (each successor is one engine step under an explicit
+// sink-stop mask), state rendering from plane keys, and the channel-cycle
+// token certificates and their token counts.
 
-#include <algorithm>
 #include <memory>
 
 #include "internal.hpp"
+#include "liplib/graph/analysis.hpp"
 #include "liplib/support/check.hpp"
 
 namespace liplib::prove::detail {
 
-Layout::Layout(const xir::Program& p) {
-  n_pend = p.shell_br_seg.size();
-  n_src = p.src_br_seg.size();
-  n_st = p.num_stations();
-  num_planes = n_pend + n_src + 5 * n_st;
-  num_blocks = (num_planes + 63) / 64;
-  key_bytes = num_blocks * 8;
+std::string initial_key(const xir::ProgramRef& prog, bool worst_case) {
+  xir::ScalarEngine eng(prog);
+  if (worst_case) eng.saturate_stations();
+  return eng.state_key();
 }
 
-ScalarState initial_state(const xir::Program& p, bool worst_case) {
-  ScalarState st;
-  st.pend.assign(p.shell_br_seg.size(), 1);
-  st.src_pend.assign(p.src_br_seg.size(), 1);
-  st.occ.assign(p.num_stations(), p.strict ? 1 : 0);
-  st.v0.assign(p.num_stations(), 0);
-  st.v1.assign(p.num_stations(), 0);
-  st.sreg.assign(p.num_stations(), 0);
-  if (worst_case) {
-    for (std::size_t s = 0; s < p.num_stations(); ++s) {
-      if (st.occ[s] == 0) st.occ[s] = 1;
-      st.v0[s] = 1;
-    }
-  }
-  return st;
-}
-
-namespace {
-
-void set_bit(std::string* key, std::size_t plane, bool value) {
-  if (value) {
-    (*key)[plane >> 3] |= static_cast<char>(1u << (plane & 7));
-  }
-}
-
-bool get_bit(const std::string& key, std::size_t plane) {
-  return (static_cast<unsigned char>(key[plane >> 3]) >> (plane & 7)) & 1;
-}
-
-}  // namespace
-
-std::string encode(const Layout& L, const ScalarState& st) {
-  std::string key(L.key_bytes, '\0');
-  for (std::size_t b = 0; b < L.n_pend; ++b) {
-    set_bit(&key, L.pend_plane(b), st.pend[b] != 0);
-  }
-  for (std::size_t b = 0; b < L.n_src; ++b) {
-    set_bit(&key, L.src_plane(b), st.src_pend[b] != 0);
-  }
-  for (std::size_t s = 0; s < L.n_st; ++s) {
-    set_bit(&key, L.occ1_plane(s), st.occ[s] >= 1);
-    set_bit(&key, L.occ2_plane(s), st.occ[s] >= 2);
-    // Mask slot validity by occupancy: unoccupied slots are not state.
-    set_bit(&key, L.v0_plane(s), st.occ[s] >= 1 && st.v0[s] != 0);
-    set_bit(&key, L.v1_plane(s), st.occ[s] >= 2 && st.v1[s] != 0);
-    set_bit(&key, L.sreg_plane(s), st.sreg[s] != 0);
-  }
-  return key;
-}
-
-void decode(const Layout& L, const std::string& key, ScalarState* st) {
-  LIPLIB_EXPECT(key.size() == L.key_bytes, "prove state key of wrong size");
-  st->pend.assign(L.n_pend, 0);
-  st->src_pend.assign(L.n_src, 0);
-  st->occ.assign(L.n_st, 0);
-  st->v0.assign(L.n_st, 0);
-  st->v1.assign(L.n_st, 0);
-  st->sreg.assign(L.n_st, 0);
-  for (std::size_t b = 0; b < L.n_pend; ++b) {
-    st->pend[b] = get_bit(key, L.pend_plane(b)) ? 1 : 0;
-  }
-  for (std::size_t b = 0; b < L.n_src; ++b) {
-    st->src_pend[b] = get_bit(key, L.src_plane(b)) ? 1 : 0;
-  }
-  for (std::size_t s = 0; s < L.n_st; ++s) {
-    st->occ[s] = static_cast<std::uint8_t>(
-        (get_bit(key, L.occ1_plane(s)) ? 1 : 0) +
-        (get_bit(key, L.occ2_plane(s)) ? 1 : 0));
-    st->v0[s] = get_bit(key, L.v0_plane(s)) ? 1 : 0;
-    st->v1[s] = get_bit(key, L.v1_plane(s)) ? 1 : 0;
-    st->sreg[s] = get_bit(key, L.sreg_plane(s)) ? 1 : 0;
-  }
-}
-
-std::string describe_state(const xir::Program& p, const ScalarState& st) {
+std::string describe_state(const xir::Program& p, const std::string& key) {
+  const xir::KeyLayout L(p);
+  auto bit = [&key](std::size_t plane) {
+    return xir::KeyLayout::bit(key, plane);
+  };
   std::string out = "pend:";
-  for (std::uint8_t b : st.pend) out += b ? '1' : '0';
+  for (std::size_t b = 0; b < L.n_pend; ++b) {
+    out += bit(L.pend_plane(b)) ? '1' : '0';
+  }
   out += " src:";
-  for (std::uint8_t b : st.src_pend) out += b ? '1' : '0';
+  for (std::size_t b = 0; b < L.n_src; ++b) {
+    out += bit(L.src_plane(b)) ? '1' : '0';
+  }
   out += " st:[";
-  for (std::size_t s = 0; s < p.num_stations(); ++s) {
+  for (std::size_t s = 0; s < L.n_st; ++s) {
     if (s > 0) out += ',';
-    if (st.occ[s] == 0) {
+    if (!bit(L.occ1_plane(s))) {
       out += '-';
       continue;
     }
-    out += static_cast<char>('0' + st.occ[s]);
-    if (st.v0[s]) out += 'v';
-    if (st.occ[s] > 1 && st.v1[s]) out += 'v';
-    if (st.sreg[s]) out += '!';
+    out += bit(L.occ2_plane(s)) ? '2' : '1';
+    if (bit(L.v0_plane(s))) out += 'v';
+    if (bit(L.v1_plane(s))) out += 'v';
+    if (bit(L.sreg_plane(s))) out += '!';
   }
   out += ']';
-  return out;
-}
-
-namespace {
-
-bool sink_stopped(std::uint64_t env_mask, std::size_t sink) {
-  if (env_mask == ~0ull) return true;  // "all sinks stop", any sink count
-  return sink < 64 && ((env_mask >> sink) & 1) != 0;
-}
-
-bool shell_ready(const xir::Program& p, const ScalarState& st,
-                 const Scratch& scr, std::size_t k) {
-  for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-       ++i) {
-    if (!scr.fwd[p.shell_in_seg[i]]) return false;
-  }
-  for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
-       ++b) {
-    const bool stopped = scr.stop[p.shell_br_seg[b]] != 0;
-    if (p.strict) {
-      if (stopped) return false;
-    } else if (stopped && st.pend[b]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// One settle-unit evaluation; returns whether a stop wire changed.
-bool eval_settle_unit(const xir::Program& p, const ScalarState& st,
-                      Scratch* scr, std::uint32_t unit) {
-  bool changed = false;
-  if (unit < p.num_stations()) {
-    const std::size_t s = unit;
-    const bool front_valid = st.occ[s] > 0 && st.v0[s];
-    const bool s_eff = p.strict ? (scr->stop[p.st_out[s]] != 0)
-                                : (scr->stop[p.st_out[s]] && front_valid);
-    const std::uint8_t up = (st.occ[s] > 0 && s_eff) ? 1 : 0;
-    if (scr->stop[p.st_in[s]] != up) {
-      scr->stop[p.st_in[s]] = up;
-      changed = true;
-    }
-  } else {
-    const std::size_t k = unit - p.num_stations();
-    const bool stalled = !shell_ready(p, st, *scr, k);
-    for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-         ++i) {
-      const std::uint32_t in = p.shell_in_seg[i];
-      const std::uint8_t up = (stalled && scr->fwd[in]) ? 1 : 0;
-      if (scr->stop[in] != up) {
-        scr->stop[in] = up;
-        changed = true;
-      }
-    }
-  }
-  return changed;
-}
-
-}  // namespace
-
-void settle_state(const xir::Program& p, const ScalarState& st,
-                  std::uint64_t env_mask, Scratch* scr) {
-  // Phase 1: forward validity.
-  scr->fwd.assign(p.num_segments, 0);
-  for (std::size_t b = 0; b < p.shell_br_seg.size(); ++b) {
-    scr->fwd[p.shell_br_seg[b]] = st.pend[b];
-  }
-  for (std::size_t b = 0; b < p.src_br_seg.size(); ++b) {
-    scr->fwd[p.src_br_seg[b]] = st.src_pend[b];
-  }
-  for (std::size_t s = 0; s < p.num_stations(); ++s) {
-    scr->fwd[p.st_out[s]] = (st.occ[s] > 0 && st.v0[s]) ? 1 : 0;
-  }
-
-  // Phase 2: stops (the environment's sink choice replaces the engines'
-  // time-indexed sink patterns; everything else mirrors
-  // ScalarEngine::settle_stops).
-  const std::uint8_t init = p.pessimistic ? 1 : 0;
-  scr->stop.assign(p.num_segments, init);
-  for (std::size_t s = 0; s < p.num_sinks(); ++s) {
-    scr->stop[p.sink_seg[s]] = sink_stopped(env_mask, s) ? 1 : 0;
-  }
-  for (std::size_t s = 0; s < p.num_stations(); ++s) {
-    if (!p.st_half[s]) scr->stop[p.st_in[s]] = st.sreg[s];
-  }
-  for (std::uint32_t unit : p.schedule.order) {
-    eval_settle_unit(p, st, scr, unit);
-  }
-  if (!p.schedule.iterate.empty()) {
-    const std::size_t guard = 2 * scr->stop.size() + 4;
-    std::size_t sweeps = 0;
-    bool changed = true;
-    while (changed) {
-      LIPLIB_ENSURE(++sweeps <= guard, "stop fixpoint failed to converge");
-      changed = false;
-      for (std::uint32_t unit : p.schedule.iterate) {
-        changed = eval_settle_unit(p, st, scr, unit) || changed;
-      }
-    }
-  }
-}
-
-StepOut scalar_step(const xir::Program& p, ScalarState* st,
-                    std::uint64_t env_mask, Scratch* scr) {
-  settle_state(p, *st, env_mask, scr);
-
-  StepOut out;
-  for (std::uint8_t f : scr->fwd) {
-    if (f) {
-      out.pending = true;
-      break;
-    }
-  }
-
-  // Phase 3: clock edge (mirrors ScalarEngine::step).
-  for (std::size_t k = 0; k < p.num_shells(); ++k) {
-    const bool fire = shell_ready(p, *st, *scr, k);
-    for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
-         ++b) {
-      if (st->pend[b] && !scr->stop[p.shell_br_seg[b]]) st->pend[b] = 0;
-    }
-    if (fire) {
-      for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
-           ++b) {
-        LIPLIB_ENSURE(st->pend[b] == 0, "prove shell fired while pending");
-        st->pend[b] = 1;
-      }
-      out.fired = true;
-    }
-  }
-  for (std::size_t s = 0; s < p.num_stations(); ++s) {
-    const bool in_valid = scr->fwd[p.st_in[s]] != 0;
-    const bool front_valid = st->occ[s] > 0 && st->v0[s];
-    const bool s_eff = p.strict ? (scr->stop[p.st_out[s]] != 0)
-                                : (scr->stop[p.st_out[s]] && front_valid);
-    const bool consumed = st->occ[s] > 0 && !s_eff;
-    if (!p.st_half[s]) {
-      const bool accept = !st->sreg[s] && (p.strict || in_valid);
-      if (consumed) {
-        st->v0[s] = st->v1[s];
-        --st->occ[s];
-      }
-      if (accept) {
-        LIPLIB_ENSURE(st->occ[s] < 2, "prove full station overflow");
-        (st->occ[s] == 0 ? st->v0[s] : st->v1[s]) = in_valid ? 1 : 0;
-        ++st->occ[s];
-      }
-      st->sreg[s] = (st->occ[s] == 2) ? 1 : 0;
-    } else {
-      const bool stop_up = st->occ[s] > 0 && s_eff;
-      const bool accept = !stop_up && (p.strict || in_valid);
-      if (consumed) st->occ[s] = 0;
-      if (accept) {
-        LIPLIB_ENSURE(st->occ[s] == 0, "prove half station overflow");
-        st->v0[s] = in_valid ? 1 : 0;
-        st->occ[s] = 1;
-      }
-    }
-  }
-  for (std::size_t s = 0; s < p.num_sources(); ++s) {
-    bool all_clear = true;
-    for (std::uint32_t b = p.src_br_begin[s]; b < p.src_br_begin[s + 1]; ++b) {
-      if (st->src_pend[b] && !scr->stop[p.src_br_seg[b]]) st->src_pend[b] = 0;
-      if (st->src_pend[b]) all_clear = false;
-    }
-    if (all_clear) {  // always-ready source reloads immediately
-      for (std::uint32_t b = p.src_br_begin[s]; b < p.src_br_begin[s + 1];
-           ++b) {
-        st->src_pend[b] = 1;
-      }
-    }
-  }
   return out;
 }
 
@@ -329,36 +87,13 @@ ChannelMap::ChannelMap(const xir::Program& p) {
   }
 }
 
-std::vector<CycleCertificate> enumerate_certificates(const xir::Program& p,
-                                                     bool worst_case,
-                                                     std::size_t max_cycles) {
-  const graph::Topology& topo = p.topo;
-  // Process->process channel adjacency (channel-id order => deterministic
-  // enumeration order).
-  std::vector<std::vector<std::pair<graph::NodeId, graph::ChannelId>>> adj(
-      topo.nodes().size());
-  for (std::size_t c = 0; c < topo.channels().size(); ++c) {
-    const auto& ch = topo.channel(c);
-    if (topo.node(ch.from.node).kind == graph::NodeKind::kProcess &&
-        topo.node(ch.to.node).kind == graph::NodeKind::kProcess) {
-      adj[ch.from.node].emplace_back(ch.to.node, c);
-    }
-  }
-
+std::vector<CycleCertificate> enumerate_certificates(
+    const graph::Topology& topo, bool worst_case, std::size_t max_cycles) {
   std::vector<CycleCertificate> certs;
-  std::vector<graph::NodeId> path_nodes;
-  std::vector<graph::ChannelId> path_channels;
-  std::vector<std::uint8_t> on_path(topo.nodes().size(), 0);
-
-  auto record = [&](graph::ChannelId closing) {
-    if (certs.size() >= max_cycles) {
-      throw ApiError("prove: cycle enumeration budget of " +
-                     std::to_string(max_cycles) + " cycles exceeded");
-    }
+  for (graph::CycleInfo& cycle : graph::enumerate_cycles(topo, max_cycles)) {
     CycleCertificate cert;
-    cert.nodes = path_nodes;
-    cert.channels = path_channels;
-    cert.channels.push_back(closing);
+    cert.nodes = std::move(cycle.nodes);
+    cert.channels = std::move(cycle.channels);
     cert.shells = cert.nodes.size();
     for (graph::ChannelId c : cert.channels) {
       cert.half_stations += topo.channel(c).num_half();
@@ -370,50 +105,22 @@ std::vector<CycleCertificate> enumerate_certificates(const xir::Program& p,
                   (worst_case ? cert.half_stations + cert.full_stations : 0);
     cert.holds = cert.tokens < cert.dead_threshold;
     certs.push_back(std::move(cert));
-  };
-
-  // Johnson-style: enumerate each simple cycle once, rooted at its
-  // smallest node id (DFS only visits nodes >= the root).
-  auto dfs = [&](auto&& self, graph::NodeId u, graph::NodeId root) -> void {
-    for (const auto& [v, c] : adj[u]) {
-      if (v == root) {
-        record(c);
-      } else if (v > root && !on_path[v]) {
-        on_path[v] = 1;
-        path_nodes.push_back(v);
-        path_channels.push_back(c);
-        self(self, v, root);
-        path_channels.pop_back();
-        path_nodes.pop_back();
-        on_path[v] = 0;
-      }
-    }
-  };
-  for (graph::NodeId s = 0; s < topo.nodes().size(); ++s) {
-    if (topo.node(s).kind != graph::NodeKind::kProcess) continue;
-    on_path[s] = 1;
-    path_nodes.assign(1, s);
-    path_channels.clear();
-    dfs(dfs, s, s);
-    on_path[s] = 0;
   }
   return certs;
 }
 
-std::size_t cycle_tokens(const xir::Program& p, const ChannelMap& cm,
-                         const CycleCertificate& cert, const ScalarState& st) {
+std::size_t cycle_tokens(const xir::ScalarEngine& eng, const ChannelMap& cm,
+                         const CycleCertificate& cert) {
+  const graph::Topology& topo = eng.program().topo;
   std::size_t tokens = 0;
   for (graph::ChannelId c : cert.channels) {
     const std::uint32_t b = cm.branch_of_channel[c];
     LIPLIB_ENSURE(b != ChannelMap::npos32,
                   "prove cycle channel has no shell branch");
-    tokens += st.pend[b] ? 1 : 0;
-    const auto n =
-        static_cast<std::uint32_t>(p.topo.channel(c).num_stations());
+    tokens += eng.branch_tokens(b);
+    const auto n = static_cast<std::uint32_t>(topo.channel(c).num_stations());
     for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t s = cm.st_begin[c] + i;
-      if (st.occ[s] >= 1 && st.v0[s]) ++tokens;
-      if (st.occ[s] >= 2 && st.v1[s]) ++tokens;
+      tokens += eng.station_tokens(cm.st_begin[c] + i);
     }
   }
   return tokens;
@@ -426,30 +133,27 @@ namespace {
 /// differentially tested against.
 class SkeletonModelImpl final : public SkeletonModel {
  public:
-  SkeletonModelImpl(xir::ProgramRef prog, const ProveOptions& opts)
-      : prog_(std::move(prog)),
-        layout_(*prog_),
-        env_(env_choices(*prog_, opts.max_env_sinks)),
-        worst_case_(opts.worst_case_occupancy) {}
+  SkeletonModelImpl(const xir::ProgramRef& prog, const ProveOptions& opts)
+      : engine_(prog),
+        env_(env_choices(*prog, opts.max_env_sinks)),
+        initial_(initial_key(prog, opts.worst_case_occupancy)) {}
 
-  std::string initial() const override {
-    return encode(layout_, initial_state(*prog_, worst_case_));
-  }
+  std::string initial() const override { return initial_; }
 
   std::vector<formal::Succ> successors(const std::string& state) const override {
     std::vector<formal::Succ> out;
     out.reserve(env_.masks.size());
     for (const std::uint64_t mask : env_.masks) {
-      decode(layout_, state, &scratch_state_);
-      const StepOut so = scalar_step(*prog_, &scratch_state_, mask, &scratch_);
+      engine_.load_state_key(state);
+      const auto step = engine_.step(mask);
       formal::Succ succ;
-      succ.state = encode(layout_, scratch_state_);
+      succ.state = engine_.state_key();
       succ.choice = kChoicePrefix + std::to_string(mask);
       // Dead-state monitor on the greedy choice: a state that maps to
       // itself with no sink stopping, no shell firing and valid tokens
       // pending is frozen forever (stops only restrict motion).
-      if (mask == 0 && !so.fired && so.pending && prog_->num_shells() > 0 &&
-          succ.state == state) {
+      if (mask == 0 && !step.fired && step.pending &&
+          engine_.program().num_shells() > 0 && succ.state == state) {
         succ.violation = kDeadlockViolation;
       }
       out.push_back(std::move(succ));
@@ -458,20 +162,16 @@ class SkeletonModelImpl final : public SkeletonModel {
   }
 
   std::string describe(const std::string& state) const override {
-    decode(layout_, state, &scratch_state_);
-    return describe_state(*prog_, scratch_state_);
+    return describe_state(engine_.program(), state);
   }
 
   std::uint64_t num_env_choices() const override { return env_.masks.size(); }
   bool env_exhaustive() const override { return env_.exhaustive; }
 
  private:
-  xir::ProgramRef prog_;
-  Layout layout_;
+  mutable xir::ScalarEngine engine_;
   EnvChoices env_;
-  bool worst_case_ = false;
-  mutable ScalarState scratch_state_;
-  mutable Scratch scratch_;
+  std::string initial_;
 };
 
 }  // namespace
@@ -488,8 +188,7 @@ std::unique_ptr<SkeletonModel> make_skeleton_model(const graph::Topology& topo,
 
 std::vector<CycleCertificate> cycle_certificates(const graph::Topology& topo,
                                                  const ProveOptions& opts) {
-  const xir::ProgramRef prog = xir::lower(topo, opts.skeleton);
-  return detail::enumerate_certificates(*prog, opts.worst_case_occupancy,
+  return detail::enumerate_certificates(topo, opts.worst_case_occupancy,
                                         opts.max_cycles);
 }
 

@@ -1,6 +1,6 @@
 // Lowering graph::Topology into the flattened xir IR, plus the settle
-// schedule (Kahn order over the stop-dependency graph) and the probe
-// wiring replay shared by both engines.
+// schedule (Kahn order over the stop-dependency graph), the plane-key
+// layout and the probe wiring replay shared by both engines.
 
 #include <queue>
 
@@ -14,6 +14,13 @@ namespace {
 constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 constexpr std::uint32_t kNoUnit = static_cast<std::uint32_t>(-1);
 }  // namespace
+
+KeyLayout::KeyLayout(const Program& p)
+    : n_pend(p.shell_br_seg.size()),
+      n_src(p.src_br_seg.size()),
+      n_st(p.num_stations()),
+      num_planes(n_pend + n_src + 5 * n_st),
+      num_words((num_planes + 63) / 64) {}
 
 SettleSchedule build_settle_schedule(
     const Program& p, const std::vector<std::uint8_t>& station_dynamic) {

@@ -3,6 +3,8 @@
 // arrays.  The differential suite keeps the two locked together bit for
 // bit.
 
+#include <algorithm>
+#include <cstring>
 #include <unordered_map>
 
 #include "internal.hpp"
@@ -116,13 +118,16 @@ bool ScalarEngine::eval_settle_unit_changed(std::uint32_t unit) {
   return changed;
 }
 
-void ScalarEngine::settle_stops() {
+void ScalarEngine::settle_stops(const std::uint64_t* sink_stops) {
   const Program& p = *prog_;
   const std::uint8_t init = p.pessimistic ? 1 : 0;
   for (auto& s : stop_) s = init;
   for (std::size_t s = 0; s < p.num_sinks(); ++s) {
     const auto& pat = sink_pattern_[s];
-    stop_[p.sink_seg[s]] = (!pat.empty() && pat[cycle_ % pat.size()]) ? 1 : 0;
+    const bool stopped = sink_stops != nullptr
+                             ? sink_stopped(*sink_stops, s)
+                             : !pat.empty() && pat[cycle_ % pat.size()];
+    stop_[p.sink_seg[s]] = stopped ? 1 : 0;
   }
   for (std::size_t s = 0; s < p.num_stations(); ++s) {
     if (!p.st_half[s]) stop_[p.st_in[s]] = st_stop_reg_[s];
@@ -187,7 +192,17 @@ void ScalarEngine::observe_probe() {
   probe_->commit_cycle(cycle_);
 }
 
-void ScalarEngine::step() {
+void ScalarEngine::step() { advance(nullptr); }
+
+ScalarEngine::StepReport ScalarEngine::step(std::uint64_t sink_stops) {
+  StepReport r;
+  r.fired = advance(&sink_stops);
+  r.pending = std::any_of(fwd_.begin(), fwd_.end(),
+                          [](std::uint8_t v) { return v != 0; });
+  return r;
+}
+
+bool ScalarEngine::advance(const std::uint64_t* sink_stops) {
   const Program& p = *prog_;
 
   // Phase 1: forward validity.
@@ -202,11 +217,12 @@ void ScalarEngine::step() {
   }
 
   // Phase 2: stops.
-  settle_stops();
+  settle_stops(sink_stops);
 
   if (probe_) observe_probe();
 
   // Phase 3: clock edge.
+  bool any_fired = false;
   for (std::size_t k = 0; k < p.num_shells(); ++k) {
     const bool fire = shell_ready(k);
     for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
@@ -220,6 +236,7 @@ void ScalarEngine::step() {
         pend_[b] = 1;
       }
       ++fire_count_[k];
+      any_fired = true;
     }
   }
   for (std::size_t s = 0; s < p.num_stations(); ++s) {
@@ -265,6 +282,7 @@ void ScalarEngine::step() {
     }
   }
   ++cycle_;
+  return any_fired;
 }
 
 std::uint64_t ScalarEngine::fires(graph::NodeId process) const {
@@ -275,43 +293,98 @@ std::uint64_t ScalarEngine::fires(graph::NodeId process) const {
   return fire_count_[p.node_index[process]];
 }
 
-std::string ScalarEngine::state_signature() const {
-  // Two bytes of pending mask per port (branches beyond 16 fold away),
-  // one per source, and one per station: occupancy, occupancy-masked
-  // slot validity and the stop register.  SlicedEngine::lane_signature
-  // writes the same bytes.
-  const Program& p = *prog_;
-  std::string s;
-  s.reserve(p.port_br_begin.size() * 2 + p.num_sources() + p.num_stations());
-  for (std::size_t k = 0; k < p.num_shells(); ++k) {
-    for (std::uint32_t port = p.shell_port_begin[k];
-         port < p.shell_port_begin[k + 1]; ++port) {
-      std::uint32_t mask = 0;
-      for (std::uint32_t b = p.port_br_begin[port];
-           b < p.port_br_begin[port + 1]; ++b) {
-        if (pend_[b]) mask |= 1u << (b - p.port_br_begin[port]);
+namespace {
+
+// analyze() builds a plane key every cycle, so the key is packed eight
+// planes at a time from the engine's byte arrays, whose flags are all 0
+// or 1 (occupancy 0 to 2); bit by bit it cost station-heavy screens
+// about a quarter of their time.
+std::uint64_t load_bytes(const std::uint8_t* p, std::size_t n) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, n);
+  return w;
+}
+
+// Gathers the low bit of each byte of `w` into bits 0..7.
+std::uint64_t low_bits(std::uint64_t w) {
+  return ((w & 0x0101010101010101ull) * 0x0102040810204080ull) >> 56;
+}
+
+}  // namespace
+
+std::string ScalarEngine::state_key() const {
+  const KeyLayout L(*prog_);
+  std::string key(L.key_bytes(), '\0');
+  char* out = key.data();
+  std::uint64_t word = 0;
+  unsigned bits = 0;
+  // Appends the planes of `count` elements, eight at a time; flags(i, n)
+  // holds element i + k's plane in the low bit of byte k.
+  auto put = [&](std::size_t count, auto flags) {
+    for (std::size_t i = 0; i < count; i += 8) {
+      const auto n = static_cast<unsigned>(std::min<std::size_t>(8, count - i));
+      const std::uint64_t b = low_bits(flags(i, n));
+      word |= b << bits;
+      bits += n;
+      if (bits >= 64) {
+        std::memcpy(out, &word, 8);
+        out += 8;
+        bits -= 64;
+        word = bits != 0 ? b >> (n - bits) : 0;
       }
-      s.push_back(static_cast<char>(mask & 0xff));
-      s.push_back(static_cast<char>((mask >> 8) & 0xff));
     }
-  }
-  for (std::size_t src = 0; src < p.num_sources(); ++src) {
-    std::uint32_t mask = 0;
-    for (std::uint32_t b = p.src_br_begin[src]; b < p.src_br_begin[src + 1];
-         ++b) {
-      if (src_pend_[b]) mask |= 1u << (b - p.src_br_begin[src]);
+  };
+  const std::uint8_t* occ = st_occ_.data();
+  auto occupied = [occ](std::size_t i, std::size_t n) {
+    const std::uint64_t o = load_bytes(occ + i, n);
+    return o | (o >> 1);
+  };
+  auto full = [occ](std::size_t i, std::size_t n) {
+    return load_bytes(occ + i, n) >> 1;
+  };
+  put(L.n_pend, [&](std::size_t i, std::size_t n) {
+    return load_bytes(pend_.data() + i, n);
+  });
+  put(L.n_src, [&](std::size_t i, std::size_t n) {
+    return load_bytes(src_pend_.data() + i, n);
+  });
+  put(L.n_st, occupied);
+  put(L.n_st, full);
+  put(L.n_st, [&](std::size_t i, std::size_t n) {
+    return load_bytes(st_v0_.data() + i, n) & occupied(i, n);
+  });
+  put(L.n_st, [&](std::size_t i, std::size_t n) {
+    return load_bytes(st_v1_.data() + i, n) & full(i, n);
+  });
+  put(L.n_st, [&](std::size_t i, std::size_t n) {
+    return load_bytes(st_stop_reg_.data() + i, n);
+  });
+  if (bits != 0) std::memcpy(out, &word, 8);
+  return key;
+}
+
+void ScalarEngine::load_state_key(const std::string& key) {
+  // Planes are unpacked in KeyLayout order, one word at a time.
+  LIPLIB_EXPECT(key.size() == KeyLayout(*prog_).key_bytes(),
+                "state key of wrong size");
+  const char* in = key.data();
+  std::uint64_t word = 0;
+  unsigned bits = 64;
+  auto get = [&]() -> std::uint8_t {
+    if (bits == 64) {
+      std::memcpy(&word, in, 8);
+      in += 8;
+      bits = 0;
     }
-    s.push_back(static_cast<char>(mask & 0xff));
-  }
-  for (std::size_t st = 0; st < p.num_stations(); ++st) {
-    char b = static_cast<char>(st_occ_[st]);
-    // Mask slot validity by occupancy: unoccupied slots are not state.
-    if (st_occ_[st] > 0 && st_v0_[st]) b |= 4;
-    if (st_occ_[st] > 1 && st_v1_[st]) b |= 8;
-    if (st_stop_reg_[st]) b |= 16;
-    s.push_back(b);
-  }
-  return s;
+    return (word >> bits++) & 1;
+  };
+  for (std::uint8_t& b : pend_) b = get();
+  for (std::uint8_t& b : src_pend_) b = get();
+  for (std::uint8_t& occ : st_occ_) occ = get();
+  for (std::uint8_t& occ : st_occ_) occ += get();
+  for (std::uint8_t& v : st_v0_) v = get();
+  for (std::uint8_t& v : st_v1_) v = get();
+  for (std::uint8_t& r : st_stop_reg_) r = get();
 }
 
 skeleton::SkeletonResult ScalarEngine::analyze(std::uint64_t max_cycles) {
@@ -327,7 +400,7 @@ skeleton::SkeletonResult ScalarEngine::analyze(std::uint64_t max_cycles) {
 
   std::unordered_map<std::string, Snap> seen;
   for (std::uint64_t i = 0; i <= max_cycles; ++i) {
-    std::string key = state_signature();
+    std::string key = state_key();
     if (env_period > 1) {
       const std::uint64_t phase = cycle_ % env_period;
       key.append(reinterpret_cast<const char*>(&phase), sizeof phase);

@@ -5,7 +5,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
+#include <cstring>
 
 #include "internal.hpp"
 #include "liplib/support/check.hpp"
@@ -148,7 +148,7 @@ void SlicedEngine::settle_shell(std::size_t k) {
   }
 }
 
-void SlicedEngine::settle_stops() {
+void SlicedEngine::settle_stops(const std::uint64_t* sink_stops) {
   const Program& p = *prog_;
   refresh_schedule();
   const std::uint64_t init = p.pessimistic ? kAll : 0;
@@ -156,7 +156,9 @@ void SlicedEngine::settle_stops() {
   for (std::size_t s = 0; s < p.num_sinks(); ++s) {
     const auto& pat = sink_pattern_[s];
     stop_w_[p.sink_seg[s]] =
-        (!pat.empty() && pat[cycle_ % pat.size()]) ? kAll : 0;
+        sink_stops != nullptr                          ? sink_stops[s]
+        : (!pat.empty() && pat[cycle_ % pat.size()]) ? kAll
+                                                       : 0;
   }
   for (std::size_t s = 0; s < p.num_stations(); ++s) {
     // Full lanes present the registered stop; half lanes keep the init
@@ -241,7 +243,20 @@ void SlicedEngine::step_stations() {
   }
 }
 
-void SlicedEngine::step() {
+void SlicedEngine::step() { advance(nullptr); }
+
+SlicedEngine::StepReport SlicedEngine::step(
+    std::span<const std::uint64_t> sink_stops) {
+  LIPLIB_EXPECT(sink_stops.size() == prog_->num_sinks(),
+                "one stop word per sink");
+  StepReport r;
+  r.fired = advance(sink_stops.data());
+  for (const std::uint64_t w : fwd_w_) r.pending |= w;
+  r.pending &= live_mask_;
+  return r;
+}
+
+std::uint64_t SlicedEngine::advance(const std::uint64_t* sink_stops) {
   const Program& p = *prog_;
 
   // Phase 1: forward validity.
@@ -256,11 +271,13 @@ void SlicedEngine::step() {
   }
 
   // Phase 2: stops.
-  settle_stops();
+  settle_stops(sink_stops);
 
   // Phase 3: clock edge.
+  std::uint64_t any_fired = 0;
   for (std::size_t k = 0; k < p.num_shells(); ++k) {
     const std::uint64_t fire = shell_ready_word(k);
+    any_fired |= fire;
     for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
          ++b) {
       pend_w_[b] &= stop_w_[p.shell_br_seg[b]];  // consumers take the rest
@@ -286,6 +303,7 @@ void SlicedEngine::step() {
     }
   }
   ++cycle_;
+  return any_fired & live_mask_;
 }
 
 std::uint64_t SlicedEngine::fires(std::size_t lane,
@@ -298,42 +316,58 @@ std::uint64_t SlicedEngine::fires(std::size_t lane,
   return fires_[p.node_index[process] * kLanes + lane];
 }
 
-std::string SlicedEngine::lane_signature(std::size_t lane) const {
-  LIPLIB_EXPECT(lane < num_lanes_, "lane out of range");
-  const Program& p = *prog_;
-  const std::uint64_t bit = 1ull << lane;
-  std::string s;
-  s.reserve(p.port_br_begin.size() * 2 + p.num_sources() + p.num_stations());
-  for (std::size_t k = 0; k < p.num_shells(); ++k) {
-    for (std::uint32_t port = p.shell_port_begin[k];
-         port < p.shell_port_begin[k + 1]; ++port) {
-      std::uint32_t mask = 0;
-      for (std::uint32_t b = p.port_br_begin[port];
-           b < p.port_br_begin[port + 1]; ++b) {
-        if (pend_w_[b] & bit) mask |= 1u << (b - p.port_br_begin[port]);
-      }
-      s.push_back(static_cast<char>(mask & 0xff));
-      s.push_back(static_cast<char>((mask >> 8) & 0xff));
+void SlicedEngine::lane_key_words(std::vector<std::uint64_t>* planes) const {
+  const KeyLayout L(*prog_);
+  planes->assign(L.num_words * 64, 0);
+  std::uint64_t* w = planes->data();
+  for (std::size_t b = 0; b < L.n_pend; ++b) w[L.pend_plane(b)] = pend_w_[b];
+  for (std::size_t b = 0; b < L.n_src; ++b) w[L.src_plane(b)] = src_pend_w_[b];
+  for (std::size_t s = 0; s < L.n_st; ++s) {
+    w[L.occ1_plane(s)] = occ1_[s];
+    w[L.occ2_plane(s)] = occ2_[s];
+    w[L.v0_plane(s)] = v0_[s] & occ1_[s];  // validity masked by occupancy
+    w[L.v1_plane(s)] = v1_[s] & occ2_[s];
+    w[L.sreg_plane(s)] = stop_reg_[s];
+  }
+  for (std::size_t i = 0; i < L.num_words; ++i) transpose64(w + 64 * i);
+}
+
+void SlicedEngine::state_keys(std::vector<std::string>* out) const {
+  const KeyLayout L(*prog_);
+  std::vector<std::uint64_t> planes;
+  lane_key_words(&planes);
+  out->resize(num_lanes_);
+  for (std::size_t lane = 0; lane < num_lanes_; ++lane) {
+    std::string& key = (*out)[lane];
+    key.resize(L.key_bytes());
+    for (std::size_t i = 0; i < L.num_words; ++i) {
+      std::memcpy(key.data() + 8 * i, &planes[64 * i + lane], 8);
     }
   }
-  for (std::size_t src = 0; src < p.num_sources(); ++src) {
-    std::uint32_t mask = 0;
-    for (std::uint32_t b = p.src_br_begin[src]; b < p.src_br_begin[src + 1];
-         ++b) {
-      if (src_pend_w_[b] & bit) mask |= 1u << (b - p.src_br_begin[src]);
+}
+
+void SlicedEngine::load_state_keys(std::span<const std::string* const> keys) {
+  const KeyLayout L(*prog_);
+  LIPLIB_EXPECT(keys.size() == num_lanes_, "one state key per live lane");
+  std::vector<std::uint64_t> planes(L.num_words * 64);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    const std::string& key = *keys[lane < num_lanes_ ? lane : 0];
+    LIPLIB_EXPECT(key.size() == L.key_bytes(), "state key of wrong size");
+    for (std::size_t i = 0; i < L.num_words; ++i) {
+      std::memcpy(&planes[64 * i + lane], key.data() + 8 * i, 8);
     }
-    s.push_back(static_cast<char>(mask & 0xff));
   }
-  for (std::size_t st = 0; st < p.num_stations(); ++st) {
-    const unsigned occ = ((occ1_[st] & bit) ? 1u : 0u) +
-                         ((occ2_[st] & bit) ? 1u : 0u);
-    char b = static_cast<char>(occ);
-    if (occ > 0 && (v0_[st] & bit)) b |= 4;
-    if (occ > 1 && (v1_[st] & bit)) b |= 8;
-    if (stop_reg_[st] & bit) b |= 16;
-    s.push_back(b);
+  std::uint64_t* w = planes.data();
+  for (std::size_t i = 0; i < L.num_words; ++i) transpose64(w + 64 * i);
+  for (std::size_t b = 0; b < L.n_pend; ++b) pend_w_[b] = w[L.pend_plane(b)];
+  for (std::size_t b = 0; b < L.n_src; ++b) src_pend_w_[b] = w[L.src_plane(b)];
+  for (std::size_t s = 0; s < L.n_st; ++s) {
+    occ1_[s] = w[L.occ1_plane(s)];
+    occ2_[s] = w[L.occ2_plane(s)];
+    v0_[s] = w[L.v0_plane(s)];
+    v1_[s] = w[L.v1_plane(s)];
+    stop_reg_[s] = w[L.sreg_plane(s)];
   }
-  return s;
 }
 
 std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
@@ -348,10 +382,8 @@ std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
   // Repeat detection runs every cycle for every undecided lane, so both
   // halves of it are kept off the per-lane slow path:
   //
-  //  - The per-lane state key is extracted for all lanes at once: the
-  //    state planes — with stale valid bits masked by occupancy, so two
-  //    plane slices are equal exactly when the lane_signature() strings
-  //    are — are transposed 64 planes at a time, one word per lane per
+  //  - Every lane's plane key is extracted at once by transposing the
+  //    state planes 64 at a time (lane_key_words), one word per lane per
   //    block, instead of a per-lane per-bit gather.  The environment
   //    phase rides as one extra key word.
   //
@@ -359,13 +391,10 @@ std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
   //    fire counts), indexed by a flat open-addressed hash table with
   //    exact word comparison on probe hits, so a cycle costs two
   //    bump-appends instead of per-lane heap allocations.
-  const std::size_t num_planes =
-      pend_w_.size() + src_pend_w_.size() + 5 * p.num_stations();
-  const std::size_t num_blocks = (num_planes + 63) / 64;
-  const std::size_t key_words = num_blocks + 1;  ///< + environment phase
-  std::vector<std::uint64_t> block(64);
+  const std::size_t num_words = KeyLayout(p).num_words;
+  const std::size_t key_words = num_words + 1;  ///< + environment phase
   std::vector<std::uint64_t> lane_words(num_lanes_ * key_words);
-  std::vector<std::uint64_t> planes(num_blocks * 64, 0);
+  std::vector<std::uint64_t> planes;
 
   struct LaneSeen {
     std::vector<std::uint64_t> slot_hash;  ///< valid where slot_rec set
@@ -404,32 +433,13 @@ std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
 
   std::uint64_t active = live_mask_;
   for (std::uint64_t i = 0; i <= max_cycles && active != 0; ++i) {
-    std::size_t n = 0;
-    for (const std::uint64_t w : pend_w_) planes[n++] = w;
-    for (const std::uint64_t w : src_pend_w_) planes[n++] = w;
-    for (std::size_t s = 0; s < p.num_stations(); ++s) planes[n++] = occ1_[s];
-    for (std::size_t s = 0; s < p.num_stations(); ++s) planes[n++] = occ2_[s];
-    for (std::size_t s = 0; s < p.num_stations(); ++s) {
-      planes[n++] = v0_[s] & occ1_[s];
-    }
-    for (std::size_t s = 0; s < p.num_stations(); ++s) {
-      planes[n++] = v1_[s] & occ2_[s];
-    }
-    for (std::size_t s = 0; s < p.num_stations(); ++s) {
-      planes[n++] = stop_reg_[s];
-    }
+    lane_key_words(&planes);
     const std::uint64_t phase = cycle_ % env_period;
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      std::copy(planes.begin() + static_cast<std::ptrdiff_t>(b * 64),
-                planes.begin() + static_cast<std::ptrdiff_t>((b + 1) * 64),
-                block.begin());
-      transpose64(block.data());
-      for (std::size_t lane = 0; lane < num_lanes_; ++lane) {
-        lane_words[lane * key_words + b] = block[lane];
-      }
-    }
     for (std::size_t lane = 0; lane < num_lanes_; ++lane) {
-      lane_words[lane * key_words + num_blocks] = phase;
+      for (std::size_t w = 0; w < num_words; ++w) {
+        lane_words[lane * key_words + w] = planes[64 * w + lane];
+      }
+      lane_words[lane * key_words + num_words] = phase;
     }
     for (std::size_t lane = 0; lane < num_lanes_; ++lane) {
       const std::uint64_t bit = 1ull << lane;

@@ -104,7 +104,7 @@ TEST(Skeleton, StateSignatureIsCompact) {
   auto gen = graph::make_loop_chain({{2, 3}, {1, 2}});
   xir::ScalarEngine sk(gen.topo);
   // A few bytes per block, not per datum.
-  EXPECT_LT(sk.state_signature().size(), 64u);
+  EXPECT_LT(sk.state_key().size(), 64u);
 }
 
 }  // namespace

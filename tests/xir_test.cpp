@@ -16,13 +16,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "liplib/campaign/campaign.hpp"
 #include "liplib/campaign/jobs.hpp"
 #include "liplib/graph/generators.hpp"
+#include "liplib/graph/netlist_io.hpp"
 #include "liplib/lip/steady_state.hpp"
+#include "liplib/pearls/design_io.hpp"
 #include "liplib/probe/probe.hpp"
 #include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/rng.hpp"
@@ -267,6 +271,282 @@ TEST(XirDifferential, StepLevelFireCounts) {
   }
 }
 
+// ---- every fanout branch is keyed ---------------------------------------
+
+// A design whose sinks follow cyclic stop scripts, run through all three
+// models.
+struct ScriptedDesign {
+  graph::Topology topo;
+  std::vector<std::pair<graph::NodeId, std::vector<bool>>> scripts;
+};
+
+void expect_models_agree(const ScriptedDesign& d,
+                         skeleton::SkeletonOptions opts, bool worst_case,
+                         const std::string& what,
+                         skeleton::SkeletonResult* system_result = nullptr) {
+  constexpr std::uint64_t kBudget = 1u << 14;
+  auto design = testutil::make_design(d.topo);
+  xir::ScalarEngine compiled(d.topo, opts);
+  xir::SlicedEngine sliced(d.topo, opts, /*num_lanes=*/1);
+  for (const auto& [sink, script] : d.scripts) {
+    design.set_sink(sink, lip::SinkBehavior::script(script));
+    compiled.set_sink_pattern(sink, script);
+    sliced.set_sink_pattern(sink, script);
+  }
+  const auto sys = design.instantiate({opts.policy, opts.resolution});
+  if (worst_case) {
+    sys->saturate_stations();
+    compiled.saturate_stations();
+    sliced.saturate_stations(1ull);
+  }
+  const auto want = as_skeleton_result(
+      lip::measure_steady_state(*sys, kBudget, sys->environment_period()),
+      d.topo);
+  expect_same_result(want, compiled.analyze(kBudget), what + " compiled");
+  EXPECT_EQ(sys->cycle(), compiled.cycle()) << what;
+  const auto lanes = sliced.analyze(kBudget);
+  expect_same_result(want, lanes[0].result, what + " sliced");
+  EXPECT_EQ(sys->cycle(), lanes[0].cycles) << what;
+  if (system_result != nullptr) *system_result = want;
+}
+
+ScriptedDesign load_fixture(const std::string& name) {
+  std::ifstream in(std::string(LIPLIB_FIXTURES_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << name;
+  std::stringstream text;
+  text << in.rdbuf();
+  auto net = graph::parse_netlist_annotated_string(text.str());
+  ScriptedDesign d;
+  for (graph::NodeId v = 0; v < net.topo.nodes().size(); ++v) {
+    if (net.topo.node(v).kind != graph::NodeKind::kSink) continue;
+    const auto behavior = pearls::sink_from_spec(net.node_annotation[v]);
+    std::vector<bool> script(behavior.period);
+    for (std::uint64_t c = 0; c < behavior.period; ++c) {
+      script[c] = behavior.stop(c);
+    }
+    d.scripts.emplace_back(v, std::move(script));
+  }
+  d.topo = std::move(net.topo);
+  return d;
+}
+
+// A 2->1 join fed by two branches of one fanout, the branch at `lo`
+// inside the first `folded_from` bits and the one at `hi` past them;
+// every other branch ends in a sink with a script of length 1-4 behind
+// 0-2 stations.  `port` fans out a shell port (fed by the source)
+// instead of the source itself.
+ScriptedDesign wide_fanout(Rng& rng, bool port) {
+  const std::size_t folded_from = port ? 16 : 8;
+  const std::size_t branches = rng.in_range(folded_from + 1, 32);
+  const std::size_t lo = rng.below(folded_from);
+  const std::size_t hi = rng.in_range(folded_from, branches - 1);
+  auto stations = [&rng](std::size_t min) {
+    std::vector<graph::RsKind> kinds(rng.in_range(min, 2));
+    for (auto& k : kinds) {
+      k = rng.chance(1, 2) ? graph::RsKind::kHalf : graph::RsKind::kFull;
+    }
+    return kinds;
+  };
+  ScriptedDesign d;
+  graph::Topology& t = d.topo;
+  const graph::NodeId src = t.add_source("src");
+  graph::OutRef fan{src, 0};
+  if (port) {
+    const graph::NodeId f = t.add_process("F", 1, 1);
+    t.connect({src, 0}, {f, 0}, stations(1));
+    fan = {f, 0};
+  }
+  const graph::NodeId join = t.add_process("J", 2, 1);
+  for (std::size_t b = 0; b < branches; ++b) {
+    if (b == lo || b == hi) {
+      t.connect(fan, {join, b == lo ? 0u : 1u}, stations(1));
+      continue;
+    }
+    std::string name = "k";
+    name += std::to_string(b);
+    const graph::NodeId sink = t.add_sink(name);
+    t.connect(fan, {sink, 0}, stations(0));
+    std::vector<bool> script(rng.in_range(1, 4));
+    for (std::size_t c = 0; c < script.size(); ++c) {
+      script[c] = rng.chance(1, 2);
+    }
+    d.scripts.emplace_back(sink, std::move(script));
+  }
+  const graph::NodeId out = t.add_sink("out");
+  t.connect({join, 0}, {out, 0}, {graph::RsKind::kFull});
+  return d;
+}
+
+// A source fanning out past 8 branches and a shell port past 16: the
+// engines' state keys once kept 8 bits per source and 16 per port (and
+// System's 8 per source), so states that differ only in a later
+// branch's pending bit repeated falsely.
+TEST(XirDifferential, WideFanoutMatchesSystem) {
+  skeleton::SkeletonResult r;
+  expect_models_agree(load_fixture("wide_port.lid"), {}, false, "wide_port",
+                      &r);
+  EXPECT_TRUE(r.found);
+  EXPECT_TRUE(r.deadlocked);
+  EXPECT_EQ(r.transient, 14u);
+  EXPECT_EQ(r.period, 3u);
+  EXPECT_EQ(r.system_throughput(), Rational(0));
+
+  expect_models_agree(load_fixture("wide_source.lid"), {}, false,
+                      "wide_source", &r);
+  EXPECT_TRUE(r.found);
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_EQ(r.transient, 6u);
+  EXPECT_EQ(r.period, 4u);
+  EXPECT_EQ(r.system_throughput(), Rational(1, 4));
+
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    for (const bool port : {false, true}) {
+      Rng rng(campaign::job_seed(port ? 41 : 43, i));
+      const ScriptedDesign d = wide_fanout(rng, port);
+      for (const lip::StopPolicy policy : kPolicies) {
+        for (const bool worst_case : {false, true}) {
+          const skeleton::SkeletonOptions opts{policy};
+          expect_models_agree(d, opts, worst_case,
+                              std::string(port ? "port " : "source ") +
+                                  scenario_name(i, opts, worst_case));
+        }
+      }
+    }
+  }
+}
+
+// ---- explicit sink stops ------------------------------------------------
+
+// Prove's transition function is an engine step under explicit sink
+// stops.  Random per-cycle stop paths drive System (each path a sink
+// script), a ScalarEngine per path and one SlicedEngine carrying a path
+// per lane; fire counts must agree every cycle.
+TEST(XirDifferential, ExplicitSinkStopsMatchSystemScripts) {
+  constexpr std::size_t kLanes = xir::SlicedEngine::kLanes;
+  constexpr std::size_t kCycles = 20;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const graph::Topology topo = random_composite(campaign::job_seed(7, i));
+    const skeleton::SkeletonOptions opts{kPolicies[i % 2],
+                                         kResolutions[(i / 2) % 2]};
+    const bool worst_case = (i / 4) % 2 == 1;
+    const std::string what = scenario_name(i, opts, worst_case);
+    std::vector<graph::NodeId> sinks, shells;
+    for (graph::NodeId v = 0; v < topo.nodes().size(); ++v) {
+      if (topo.node(v).kind == graph::NodeKind::kSink) sinks.push_back(v);
+      if (topo.node(v).kind == graph::NodeKind::kProcess) shells.push_back(v);
+    }
+    ASSERT_LT(sinks.size(), 63u) << what;
+
+    Rng rng(campaign::job_seed(31, i));
+    std::vector<std::vector<std::uint64_t>> masks(kLanes);
+    std::vector<std::unique_ptr<lip::System>> systems;
+    std::vector<std::unique_ptr<xir::ScalarEngine>> scalars;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      for (std::size_t c = 0; c < kCycles; ++c) {
+        masks[lane].push_back(rng.next_u64() & ((1ull << sinks.size()) - 1));
+      }
+      auto design = testutil::make_design(topo);
+      for (std::size_t s = 0; s < sinks.size(); ++s) {
+        std::vector<bool> script;
+        for (const std::uint64_t m : masks[lane]) {
+          script.push_back((m >> s) & 1);
+        }
+        design.set_sink(sinks[s], lip::SinkBehavior::script(script));
+      }
+      systems.push_back(design.instantiate({opts.policy, opts.resolution}));
+      scalars.push_back(std::make_unique<xir::ScalarEngine>(topo, opts));
+      if (worst_case) {
+        systems.back()->saturate_stations();
+        scalars.back()->saturate_stations();
+      }
+    }
+    xir::SlicedEngine sliced(topo, opts);
+    if (worst_case) sliced.saturate_stations(~0ull);
+
+    for (std::size_t c = 0; c < kCycles; ++c) {
+      std::vector<std::uint64_t> words(sinks.size(), 0);
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        for (std::size_t s = 0; s < sinks.size(); ++s) {
+          if ((masks[lane][c] >> s) & 1) words[s] |= 1ull << lane;
+        }
+      }
+      const auto lanes = sliced.step(words);
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        lip::System& sys = *systems[lane];
+        const std::uint64_t before = sys.total_fires();
+        sys.step();
+        const auto one = scalars[lane]->step(masks[lane][c]);
+        EXPECT_EQ(one.fired, sys.total_fires() > before) << what;
+        EXPECT_EQ(one.fired, ((lanes.fired >> lane) & 1) != 0) << what;
+        EXPECT_EQ(one.pending, ((lanes.pending >> lane) & 1) != 0) << what;
+        for (const graph::NodeId k : shells) {
+          const std::uint64_t want = sys.shell_fire_count(k);
+          ASSERT_EQ(want, scalars[lane]->fires(k))
+              << what << " lane " << lane << " cycle " << c;
+          ASSERT_EQ(want, sliced.fires(lane, k))
+              << what << " lane " << lane << " cycle " << c;
+        }
+      }
+    }
+  }
+}
+
+// Plane keys load and emit losslessly on both engines: a loaded engine
+// re-emits the key and then steps exactly like the engine it came from,
+// from reachable states and from worst-case states.
+TEST(XirKey, LoadEmitRoundTrips) {
+  constexpr std::size_t kLanes = xir::SlicedEngine::kLanes;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    const graph::Topology topo = random_composite(campaign::job_seed(13, i));
+    const skeleton::SkeletonOptions opts{kPolicies[i % 2]};
+    const xir::ProgramRef prog = xir::lower(topo, opts);
+    const std::size_t sinks = prog->num_sinks();
+    const std::uint64_t all = (1ull << sinks) - 1;
+    const std::string what = "topology " + std::to_string(i);
+
+    // 64 states reachable from reset or worst case under random stops,
+    // and each one's successor under one more stop mask.
+    Rng rng(campaign::job_seed(17, i));
+    const std::uint64_t stops = rng.next_u64() & all;
+    std::vector<std::string> keys, stepped;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      xir::ScalarEngine walk(prog);
+      if (lane % 2 == 1) walk.saturate_stations();
+      const std::uint64_t steps = rng.below(12);
+      for (std::uint64_t c = 0; c < steps; ++c) walk.step(rng.next_u64() & all);
+      keys.push_back(walk.state_key());
+      EXPECT_EQ(keys.back().size(), xir::KeyLayout(*prog).key_bytes());
+      walk.step(stops);
+      stepped.push_back(walk.state_key());
+    }
+
+    // Scalar: load, re-emit, and step.
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      xir::ScalarEngine eng(prog);
+      eng.load_state_key(keys[lane]);
+      ASSERT_EQ(eng.state_key(), keys[lane]) << what;
+      eng.step(stops);
+      EXPECT_EQ(eng.state_key(), stepped[lane]) << what << " lane " << lane;
+    }
+
+    // Sliced: all 64 keys in one load, re-emitted, then one step.
+    xir::SlicedEngine sliced(prog);
+    std::vector<const std::string*> ptrs;
+    for (const std::string& key : keys) ptrs.push_back(&key);
+    sliced.load_state_keys(ptrs);
+    std::vector<std::string> out;
+    sliced.state_keys(&out);
+    ASSERT_EQ(out, keys) << what;
+    std::vector<std::uint64_t> stop_words(sinks, 0);
+    for (std::size_t s = 0; s < sinks; ++s) {
+      if ((stops >> s) & 1) stop_words[s] = ~0ull;
+    }
+    sliced.step(stop_words);
+    sliced.state_keys(&out);
+    EXPECT_EQ(out, stepped) << what;
+  }
+}
+
 // ---- sliced lane independence -------------------------------------------
 
 TEST(XirSliced, LaneSignatureMatchesScalarEveryCycle) {
@@ -274,10 +554,12 @@ TEST(XirSliced, LaneSignatureMatchesScalarEveryCycle) {
   skeleton::SkeletonOptions opts;
   xir::ScalarEngine scalar(topo, opts);
   xir::SlicedEngine sliced(topo, opts);
+  std::vector<std::string> keys;
   for (int c = 0; c < 100; ++c) {
+    sliced.state_keys(&keys);
     for (std::size_t lane : {std::size_t{0}, std::size_t{17},
                              std::size_t{63}}) {
-      EXPECT_EQ(scalar.state_signature(), sliced.lane_signature(lane))
+      EXPECT_EQ(scalar.state_key(), keys[lane])
           << "cycle " << c << " lane " << lane;
     }
     scalar.step();
