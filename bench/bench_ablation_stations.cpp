@@ -115,8 +115,8 @@ int main() {
 
       t.add_row({c.name, pol.name, std::to_string(registers),
                  res.found ? res.system_throughput().str() : "?",
-                 verdict.deadlock_found ? "LATCH (potential deadlock)"
-                                        : "safe"});
+                 verdict.deadlock_found() ? "LATCH (potential deadlock)"
+                                          : "safe"});
     }
   }
   t.print(std::cout);

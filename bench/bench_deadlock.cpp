@@ -23,15 +23,16 @@ using lip::StopResolution;
 
 namespace {
 
-std::string verdict_str(const skeleton::ScreeningVerdict& v) {
-  if (!v.ran_to_steady_state) return "budget exceeded";
-  if (!v.deadlock_found) return "live (T=" + v.min_throughput.str() + ")";
-  if (v.min_throughput == Rational(0)) return "DEADLOCK";
+std::string verdict_str(const lip::SteadyState& v) {
+  if (!v.found) return "budget exceeded";
+  const Rational t = v.system_throughput();
+  if (!v.deadlock_found()) return "live (T=" + t.str() + ")";
+  if (t == Rational(0)) return "DEADLOCK";
   return "PARTIAL starvation";
 }
 
-skeleton::ScreeningVerdict screen(const graph::Topology& topo, bool wc,
-                                  StopResolution res) {
+lip::SteadyState screen(const graph::Topology& topo, bool wc,
+                        StopResolution res) {
   return xir::screen_for_deadlock(
       xir::lower(topo, {StopPolicy::kCasuDiscardOnVoid, res}), wc);
 }
@@ -122,7 +123,7 @@ int main() {
   Table st({"design", "cycles simulated", "transient", "period"});
   for (const auto& c : cases) {
     const auto v = screen(c.topo, false, StopResolution::kPessimistic);
-    st.add_row({c.name, std::to_string(v.cycles_simulated),
+    st.add_row({c.name, std::to_string(v.cycles),
                 std::to_string(v.transient), std::to_string(v.period)});
   }
   st.print(std::cout);

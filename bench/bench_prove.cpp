@@ -8,14 +8,15 @@
 //  * a wide-fanout settle-heavy corpus (5-sink forks over half-station
 //    chains), where every state expands against 32 environment masks and
 //    the batch fills all 64 lanes — here the bit-sliced settle is the
-//    subsystem's reason to exist and the speedup is hard-gated at >= 10x
-//    (the CI bench-smoke job also gates the BENCH_prove.json trajectory).
+//    subsystem's reason to exist and the speedup is hard-gated at >= 10x,
+//    each frontier timed as the best of benchutil::kGateReps alternating
+//    passes (the CI bench-smoke job also gates the BENCH_prove.json
+//    trajectory).
 //
 // The composite corpus cannot reach 10x: its designs average a handful of
 // sinks' worth of environment masks and a shallow frontier, so the
 // per-state visited-set bookkeeping (which is not sliced) dominates.
 
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -31,12 +32,6 @@
 using namespace liplib;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /// The 300-suite recipe (prove_test / campaign cross-checks): random
 /// composites, half stations allowed on loops for half the seeds.
@@ -89,10 +84,10 @@ struct RunStats {
   std::vector<prove::Verdict> verdicts;
 };
 
+/// Proves the corpus once; the caller times it.
 RunStats run_corpus(const std::vector<graph::Topology>& corpus,
                     bool sliced, bool worst_case) {
   RunStats stats;
-  const auto t0 = Clock::now();
   for (const auto& topo : corpus) {
     prove::ProveOptions opts;
     opts.method = prove::Method::kReachability;
@@ -103,7 +98,6 @@ RunStats run_corpus(const std::vector<graph::Topology>& corpus,
     stats.transitions += r.transitions;
     stats.verdicts.push_back(r.verdict);
   }
-  stats.seconds = seconds_since(t0);
   return stats;
 }
 
@@ -152,10 +146,13 @@ int main(int argc, char** argv) {
     title += cfg.blurb;
     title += cfg.gated ? "; gated)" : ")";
     benchutil::heading(title);
-    const RunStats scalar =
-        run_corpus(cfg.corpus, /*sliced=*/false, cfg.worst_case);
-    const RunStats sliced =
-        run_corpus(cfg.corpus, /*sliced=*/true, cfg.worst_case);
+    RunStats scalar, sliced;
+    const auto seconds = benchutil::best_seconds(
+        cfg.gated ? benchutil::kGateReps : 1,
+        {[&] { scalar = run_corpus(cfg.corpus, false, cfg.worst_case); },
+         [&] { sliced = run_corpus(cfg.corpus, true, cfg.worst_case); }});
+    scalar.seconds = seconds[0];
+    sliced.seconds = seconds[1];
     if (scalar.verdicts != sliced.verdicts ||
         scalar.states != sliced.states) {
       std::cerr << "frontier disagreement on " << cfg.name << ": scalar "

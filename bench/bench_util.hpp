@@ -2,28 +2,54 @@
 
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "liplib/graph/generators.hpp"
 #include "liplib/lip/design.hpp"
+#include "liplib/pearls/design_io.hpp"
 #include "liplib/pearls/pearls.hpp"
 #include "liplib/support/json.hpp"
 
 namespace liplib::benchutil {
 
-/// Default pearl for a node arity (same convention as the test suite).
+/// Default pearl for a node arity: the netlist default, what an
+/// unannotated process gets (pearls::pearl_from_spec with no spec).
 inline std::unique_ptr<lip::Pearl> default_pearl(std::size_t num_in,
                                                  std::size_t num_out) {
-  if (num_in == 1 && num_out == 1) return pearls::make_identity();
-  if (num_in == 2 && num_out == 1) return pearls::make_adder();
-  if (num_in == 1 && num_out == 2) return pearls::make_fork2();
-  if (num_in == 2 && num_out == 2) return pearls::make_butterfly();
-  if (num_in == 0 && num_out == 1) return pearls::make_generator(0, 1);
-  throw ApiError("no default pearl for arity");
+  return pearls::pearl_from_spec("", num_in, num_out);
+}
+
+/// Repetitions behind each side of a gated speedup.
+constexpr int kGateReps = 5;
+
+/// The fastest of `reps` timed calls of each of `runs`, in seconds.  The
+/// runs take turns, one call each per round, so a burst of load on a
+/// shared host lands on every side of a ratio alike instead of on all
+/// the repetitions of one side; both sides of a gated speedup are timed
+/// this way.
+inline std::vector<double> best_seconds(
+    int reps, const std::vector<std::function<void()>>& runs) {
+  std::vector<double> best(runs.size(),
+                           std::numeric_limits<double>::infinity());
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      runs[i]();
+      best[i] = std::min(best[i], std::chrono::duration<double>(
+                                      std::chrono::steady_clock::now() - t0)
+                                      .count());
+    }
+  }
+  return best;
 }
 
 inline lip::Design make_design(graph::Generated g) {

@@ -5,10 +5,10 @@
 // pass does it in one) and a 64-variant station-kind screen (one
 // bit-sliced evaluation vs a per-variant measure_steady_state loop).
 // Targets locked by the CI hard gate: >= 12x compiled scalar stepping,
-// >= 131x sliced aggregate screening.  Writes BENCH_xir.json with the
-// engine in record + metadata.
+// >= 131x sliced aggregate screening, each side of a ratio timed as the
+// best of benchutil::kGateReps alternating runs.  Writes BENCH_xir.json
+// with the engine in record + metadata.
 
-#include <chrono>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -17,7 +17,6 @@
 #include "liplib/campaign/jobs.hpp"
 #include "liplib/lip/design.hpp"
 #include "liplib/lip/steady_state.hpp"
-#include "liplib/pearls/pearls.hpp"
 #include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/table.hpp"
 #include "liplib/xir/sliced.hpp"
@@ -26,12 +25,6 @@
 using namespace liplib;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 // Feed-forward pipeline of `stages` shells whose inter-shell channels
 // each carry `stations` half relay stations: the stop network is one
@@ -107,23 +100,17 @@ int main(int argc, char** argv) {
   const auto pipe_sink =
       static_cast<graph::NodeId>(pipe.nodes().size() - 1);
 
-  double system_step_s = 0;
-  {
-    lip::Design d = identity_design(pipe);
-    d.set_sink(pipe_sink, lip::SinkBehavior::script({true, false}));
-    const auto sys = d.instantiate();
-    const auto t0 = Clock::now();
-    sys->run(cycles);
-    system_step_s = seconds_since(t0);
-  }
-  double compiled_step_s = 0;
-  {
-    xir::ScalarEngine eng(pipe);
-    eng.set_sink_pattern(pipe_sink, {true, false});
-    const auto t0 = Clock::now();
-    eng.run(cycles);
-    compiled_step_s = seconds_since(t0);
-  }
+  // Each repetition steps the same run `cycles` further.
+  lip::Design d = identity_design(pipe);
+  d.set_sink(pipe_sink, lip::SinkBehavior::script({true, false}));
+  const auto sys = d.instantiate();
+  xir::ScalarEngine eng(pipe);
+  eng.set_sink_pattern(pipe_sink, {true, false});
+  const auto step_s = benchutil::best_seconds(
+      benchutil::kGateReps,
+      {[&] { sys->run(cycles); }, [&] { eng.run(cycles); }});
+  const double system_step_s = step_s[0];
+  const double compiled_step_s = step_s[1];
   const double scalar_speedup = system_step_s / compiled_step_s;
 
   Table ta({"engine", "cycles", "seconds", "Mcycles/s", "speedup"});
@@ -170,56 +157,58 @@ int main(int argc, char** argv) {
   }
   skeleton::ScreeningOptions sopts;
 
+  // One steady state per variant from each engine.
+  std::vector<lip::SteadyState> by_system, by_compiled, by_sliced;
+  const auto screen_s = benchutil::best_seconds(
+      benchutil::kGateReps,
+      {[&] {
+         by_system.clear();
+         for (const auto& variant : variants) {
+           const auto one =
+               identity_design(with_station_kinds(base, variant.kinds))
+                   .instantiate();
+           by_system.push_back(lip::measure_steady_state(*one, kBudget));
+         }
+       },
+       [&] {
+         by_compiled.clear();
+         for (const auto& variant : variants) {
+           by_compiled.push_back(xir::screen_for_deadlock(
+               with_station_kinds(base, variant.kinds), sopts, kBudget));
+         }
+       },
+       [&] {
+         by_sliced =
+             xir::screen_variants(base, variants, sopts.skeleton, kBudget);
+       }});
   // Scenario-cycles: what the batch actually simulated, summed over
-  // variants, so the aggregate rates compare like for like.  A screen
-  // returns (cycles simulated, deadlock found).
-  auto screen_loop = [&](auto screen_one) {
-    std::uint64_t scenario_cycles = 0;
+  // variants, so the aggregate rates compare like for like.
+  struct Screen {
+    double seconds = 0;
+    std::uint64_t cycles = 0;
     std::size_t deadlocks = 0;
-    const auto t0 = Clock::now();
-    for (const auto& variant : variants) {
-      const auto [c, dead] = screen_one(with_station_kinds(base, variant.kinds));
-      scenario_cycles += c;
-      deadlocks += dead ? 1 : 0;
-    }
-    return std::tuple(seconds_since(t0), scenario_cycles, deadlocks);
   };
-
-  const auto [system_s, system_cycles, system_deadlocks] =
-      screen_loop([&](const graph::Topology& t) {
-        const auto sys = identity_design(t).instantiate();
-        const auto ss = lip::measure_steady_state(*sys, kBudget);
-        return std::pair(sys->cycle(), ss.deadlocked || ss.has_starved_shell);
-      });
-  const auto [compiled_s, compiled_cycles, compiled_deadlocks] =
-      screen_loop([&](const graph::Topology& t) {
-        const auto v = xir::screen_for_deadlock(t, sopts, kBudget);
-        return std::pair(v.cycles_simulated, v.deadlock_found);
-      });
-
-  std::uint64_t sliced_cycles = 0;
-  std::size_t sliced_deadlocks = 0;
-  double sliced_s = 0;
-  {
-    const auto t0 = Clock::now();
-    const auto verdicts =
-        xir::screen_variants(base, variants, sopts.skeleton, kBudget);
-    sliced_s = seconds_since(t0);
-    for (const auto& v : verdicts) {
-      sliced_cycles += v.cycles_simulated;
-      sliced_deadlocks += v.deadlock_found ? 1 : 0;
+  auto tally = [](double seconds, const std::vector<lip::SteadyState>& all) {
+    Screen s{seconds};
+    for (const auto& a : all) {
+      s.cycles += a.cycles;
+      s.deadlocks += a.deadlock_found() ? 1 : 0;
     }
-  }
-  if (compiled_deadlocks != system_deadlocks ||
-      sliced_deadlocks != system_deadlocks) {
-    std::cerr << "engine verdict mismatch: system=" << system_deadlocks
-              << " compiled=" << compiled_deadlocks
-              << " sliced=" << sliced_deadlocks << "\n";
+    return s;
+  };
+  const Screen system = tally(screen_s[0], by_system);
+  const Screen compiled = tally(screen_s[1], by_compiled);
+  const Screen sliced = tally(screen_s[2], by_sliced);
+  if (compiled.deadlocks != system.deadlocks ||
+      sliced.deadlocks != system.deadlocks) {
+    std::cerr << "engine verdict mismatch: system=" << system.deadlocks
+              << " compiled=" << compiled.deadlocks
+              << " sliced=" << sliced.deadlocks << "\n";
     return 1;
   }
 
-  const double compiled_screen_speedup = system_s / compiled_s;
-  const double sliced_speedup = system_s / sliced_s;
+  const double compiled_screen_speedup = system.seconds / compiled.seconds;
+  const double sliced_speedup = system.seconds / sliced.seconds;
   Table tb({"engine", "scenario cycles", "seconds", "Mcycles/s", "speedup"});
   auto row = [&](const char* name, std::uint64_t c, double s, double sp) {
     char b[32];
@@ -227,17 +216,17 @@ int main(int argc, char** argv) {
     tb.add_row({name, std::to_string(c), std::to_string(s),
                 std::to_string(static_cast<double>(c) / s / 1e6), b});
   };
-  row("system", system_cycles, system_s, 1.0);
-  row("compiled", compiled_cycles, compiled_s, compiled_screen_speedup);
-  row("sliced", sliced_cycles, sliced_s, sliced_speedup);
+  row("system", system.cycles, system.seconds, 1.0);
+  row("compiled", compiled.cycles, compiled.seconds, compiled_screen_speedup);
+  row("sliced", sliced.cycles, sliced.seconds, sliced_speedup);
   tb.print(std::cout);
-  std::cout << "(" << system_deadlocks << "/64 variants deadlock)\n";
-  records.push(record("mix_screen_64", "system", system_cycles, system_s,
-                      1.0));
-  records.push(record("mix_screen_64", "compiled", compiled_cycles,
-                      compiled_s, compiled_screen_speedup));
-  records.push(record("mix_screen_64", "sliced", sliced_cycles, sliced_s,
-                      sliced_speedup));
+  std::cout << "(" << system.deadlocks << "/64 variants deadlock)\n";
+  records.push(record("mix_screen_64", "system", system.cycles,
+                      system.seconds, 1.0));
+  records.push(record("mix_screen_64", "compiled", compiled.cycles,
+                      compiled.seconds, compiled_screen_speedup));
+  records.push(record("mix_screen_64", "sliced", sliced.cycles,
+                      sliced.seconds, sliced_speedup));
 
   // The subsystem's reason to exist; CI hard-gates the trajectory file,
   // this guards the absolute floor.

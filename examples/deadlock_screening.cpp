@@ -40,9 +40,9 @@ int main() {
   skeleton::ScreeningOptions reset_opts;
   const auto from_reset = xir::screen_for_deadlock(gen.topo, reset_opts);
   std::cout << "screening from reset: "
-            << (from_reset.deadlock_found ? "deadlock" : "live") << ", T = "
-            << from_reset.min_throughput.str() << " (simulated "
-            << from_reset.cycles_simulated << " cycles: transient "
+            << (from_reset.deadlock_found() ? "deadlock" : "live") << ", T = "
+            << from_reset.system_throughput().str() << " (simulated "
+            << from_reset.cycles << " cycles: transient "
             << from_reset.transient << " + period " << from_reset.period
             << ")\n";
 
@@ -51,14 +51,14 @@ int main() {
   wc_opts.worst_case_occupancy = true;
   const auto worst = xir::screen_for_deadlock(gen.topo, wc_opts);
   std::cout << "screening under worst-case occupancy: "
-            << (worst.deadlock_found ? "DEADLOCK (stop latch asserted)"
-                                     : "live")
+            << (worst.deadlock_found() ? "DEADLOCK (stop latch asserted)"
+                                       : "live")
             << "\n";
   wc_opts.skeleton.resolution = lip::StopResolution::kOptimistic;
   const auto worst_opt = xir::screen_for_deadlock(gen.topo, wc_opts);
   std::cout << "same state, optimistic settling: "
-            << (worst_opt.deadlock_found ? "deadlock" : "live") << ", T = "
-            << worst_opt.min_throughput.str()
+            << (worst_opt.deadlock_found() ? "deadlock" : "live") << ", T = "
+            << worst_opt.system_throughput().str()
             << "  (the latch is bistable — that is the hazard)\n\n";
 
   // 4. Cure: substitute as few relay stations as possible.
@@ -70,8 +70,8 @@ int main() {
             << cure.cured.total_stations() << ")\n";
   const auto after = xir::screen_for_deadlock(cure.cured, wc_opts);
   std::cout << "re-screen cured design under worst case: "
-            << (after.deadlock_found ? "deadlock" : "live") << ", T = "
-            << after.min_throughput.str() << "\n";
+            << (after.deadlock_found() ? "deadlock" : "live") << ", T = "
+            << after.system_throughput().str() << "\n";
 
   std::cout << "\ncured topology (graphviz):\n" << cure.cured.to_dot();
   return 0;

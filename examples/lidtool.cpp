@@ -398,13 +398,12 @@ void print_trip(const telemetry::PostMortem& pm) {
 }
 
 /// One screening pass's verdict for lidtool's text output.
-std::string screen_line(const skeleton::ScreeningVerdict& v,
-                        std::uint64_t budget) {
-  if (v.deadlock_found) return "DEADLOCK";
-  if (!v.ran_to_steady_state) {
+std::string screen_line(const lip::SteadyState& v, std::uint64_t budget) {
+  if (v.deadlock_found()) return "DEADLOCK";
+  if (!v.found) {
     return "no steady state within " + std::to_string(budget) + " cycles";
   }
-  return "live, T = " + v.min_throughput.str();
+  return "live, T = " + v.system_throughput().str();
 }
 
 int cmd_simulate(const graph::Topology& topo, bool worst_case,
@@ -413,11 +412,10 @@ int cmd_simulate(const graph::Topology& topo, bool worst_case,
   // Only a deadlock verdict re-runs the design under the watchdog, for
   // the trip and its post-mortem bundle.
   const xir::ProgramRef prog = xir::lower(topo);
-  skeleton::SkeletonResult r;
-  const auto v = xir::screen_for_deadlock(prog, worst_case, budget, &r);
+  const auto r = xir::screen_for_deadlock(prog, worst_case, budget);
   telemetry::WatchdogOptions wopts;
   wopts.worst_case_occupancy = worst_case;
-  if (const auto pm = telemetry::deadlock_evidence(prog, v, wopts)) {
+  if (const auto pm = telemetry::deadlock_evidence(prog, r, wopts)) {
     print_trip(*pm);
     if (!pm_path.empty()) write_postmortem(*pm, pm_path);
     std::cout << "summary: simulate cycles=" << pm->trip_cycle + 1
@@ -426,7 +424,7 @@ int cmd_simulate(const graph::Topology& topo, bool worst_case,
     return 1;
   }
   if (!r.found) {
-    std::cout << screen_line(v, budget) << "\n";
+    std::cout << screen_line(r, budget) << "\n";
     return 1;
   }
   std::cout << "transient: " << r.transient << " cycles, period: " << r.period
@@ -437,37 +435,35 @@ int cmd_simulate(const graph::Topology& topo, bool worst_case,
   }
   t.print(std::cout);
   std::cout << "system throughput: " << r.system_throughput().str() << "\n";
-  if (v.deadlock_found) {
+  if (r.deadlock_found()) {
     // Part of the design still moves, so the watchdog never trips and
     // there is no bundle: the starved shells are the evidence.
     std::cout << "DEADLOCK: starved shells:";
-    for (auto n : v.starved) std::cout << " " << topo.node(n).name;
+    for (auto n : r.starved_shells()) std::cout << " " << topo.node(n).name;
     std::cout << "\n";
   }
-  std::cout << "summary: simulate cycles=" << r.transient + r.period
-            << " (transient " << r.transient << " + period " << r.period
+  std::cout << "summary: simulate cycles=" << r.cycles << " (transient "
+            << r.transient << " + period " << r.period
             << ") seed=0 (skeleton runs are deterministic) T="
             << r.system_throughput().str()
-            << (v.deadlock_found ? " verdict=deadlock" : "") << "\n";
-  return v.deadlock_found ? 1 : 0;
+            << (r.deadlock_found() ? " verdict=deadlock" : "") << "\n";
+  return r.deadlock_found() ? 1 : 0;
 }
 
 int cmd_screen(const graph::Topology& topo) {
   const std::uint64_t budget = 1u << 20;
   const xir::ProgramRef prog = xir::lower(topo);
   const auto a = xir::screen_for_deadlock(prog, /*worst_case=*/false, budget);
-  std::cout << "from reset: " << screen_line(a, budget) << " ("
-            << a.cycles_simulated << " skeleton cycles)\n";
+  std::cout << "from reset: " << screen_line(a, budget) << " (" << a.cycles
+            << " skeleton cycles)\n";
   const auto b = xir::screen_for_deadlock(prog, /*worst_case=*/true, budget);
   std::cout << "worst-case occupancy: " << screen_line(b, budget) << "\n";
-  for (auto n : b.starved) {
+  for (auto n : b.starved_shells()) {
     std::cout << "  starved shell: " << topo.node(n).name << "\n";
   }
   const std::string verdict = skeleton::screening_verdict_name(a, b);
-  std::cout << "summary: screen cycles=" << a.cycles_simulated +
-                   b.cycles_simulated
-            << " (reset " << a.cycles_simulated << " + worst-case "
-            << b.cycles_simulated
+  std::cout << "summary: screen cycles=" << a.cycles + b.cycles << " (reset "
+            << a.cycles << " + worst-case " << b.cycles
             << ") seed=0 (skeleton runs are deterministic) verdict="
             << verdict << "\n";
   return verdict == "live" ? 0 : 1;
@@ -562,12 +558,9 @@ int cmd_run(const Args& args) {
     std::cout << "\n";
   }
   auto fresh = design.instantiate();
-  const std::uint64_t env_period = fresh->environment_period();
-  if (env_period == 0) {
+  if (fresh->environment_period() == 0) {
     std::cout << "steady state: not determined (aperiodic environment)\n";
-  } else if (const auto ss =
-                 lip::measure_steady_state(*fresh, 200000, env_period);
-             ss.found) {
+  } else if (const auto ss = lip::measure_steady_state(*fresh); ss.found) {
     std::cout << "steady state (sound for periodic environments): T = "
               << ss.system_throughput().str()
               << ", transient " << ss.transient << ", period " << ss.period

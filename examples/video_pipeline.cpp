@@ -62,11 +62,13 @@ lip::Design bind(const Pipeline& p) {
   d.set_pearl(p.rle, pearls::make_rle_marker());
   d.set_pearl(p.blend, pearls::make_blender(192));
   // A synthetic frame: a slow ramp with texture, so the quantizer
-  // produces zero runs for the RLE stage.
+  // produces zero runs for the RLE stage.  The camera is always ready,
+  // so its period is 1 (a hand-built behaviour is aperiodic unless it
+  // says so, and an aperiodic environment has no exact steady state).
   d.set_source(p.camera, {[](std::uint64_t k) {
                             return (k / 7) % 32 + ((k % 5 == 0) ? 9u : 0u);
                           },
-                          [](std::uint64_t) { return true; }});
+                          [](std::uint64_t) { return true; }, 1});
   return d;
 }
 

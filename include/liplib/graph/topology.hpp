@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -172,10 +173,13 @@ class Topology {
   /// some directed cycle (computed via strongly connected components).
   std::vector<bool> channels_on_cycles() const;
 
-  /// Strongly connected components over process nodes; each inner vector
-  /// is one SCC with >= 1 node.  Components are listed in reverse
-  /// topological order.
-  std::vector<std::vector<NodeId>> process_sccs() const;
+  /// Strongly connected components of the node graph (sources and sinks
+  /// land in singletons), restricted to the channels `keep` accepts when
+  /// it is given; each inner vector is one SCC with >= 1 node.
+  /// Components are listed in reverse topological order.  The one SCC
+  /// routine: channels_on_cycles and lint's stop-cycle rule run on it.
+  std::vector<std::vector<NodeId>> process_sccs(
+      const std::function<bool(ChannelId)>& keep = {}) const;
 
   /// Graphviz dot rendering (relay stations drawn as boxes on edges).
   std::string to_dot() const;

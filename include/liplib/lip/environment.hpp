@@ -9,13 +9,26 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "liplib/support/rng.hpp"
 
 namespace liplib::lip {
+
+/// The period of two periodic parts of an environment run side by side:
+/// the lcm of `a` and `b`, saturating at the largest uint64, or 0
+/// (aperiodic) when either is 0.  System::environment_period() and both
+/// xir engines fold their environments with it.
+inline std::uint64_t lcm_period(std::uint64_t a, std::uint64_t b) {
+  if (a == 0 || b == 0) return 0;
+  const std::uint64_t step = b / std::gcd(a, b);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  return a > kMax / step ? kMax : a * step;
+}
 
 /// Behaviour of a primary input.  `value(k)` is the k-th datum of the
 /// (conceptually infinite) input stream; `ready(cycle)` decides whether

@@ -233,9 +233,9 @@ GuardedRun run_profiled(lip::System& sys, Watchdog& dog,
 /// threshold cycles.  Returns the post-mortem only on a deadlock verdict
 /// whose whole design froze (the watchdog tripped); `opts.optimistic`
 /// comes from the program.
-std::optional<PostMortem> deadlock_evidence(
-    const xir::ProgramRef& prog, const skeleton::ScreeningVerdict& verdict,
-    WatchdogOptions opts = {});
+std::optional<PostMortem> deadlock_evidence(const xir::ProgramRef& prog,
+                                            const lip::SteadyState& verdict,
+                                            WatchdogOptions opts = {});
 
 /// Reconstructs the design from a bundle (netlist + protocol config +
 /// saturation state), re-runs it on xir::ScalarEngine under a fresh

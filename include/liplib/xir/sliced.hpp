@@ -22,7 +22,9 @@
 // steady state early) is handled in analyze() by per-lane rho
 // detection: finished lanes simply keep stepping — their state is
 // periodic, so the extra work is wasted but harmless — until every
-// lane has an answer or the budget runs out.
+// lane has an answer or the budget runs out.  Each lane answers with
+// lip::SteadyState, derived by lip::derive_steady_state like System's
+// and ScalarEngine's.
 //
 // See docs/xir.md for the exact masked-settle semantics.
 
@@ -98,19 +100,13 @@ class SlicedEngine {
   /// station kinds and sink patterns are kept.
   void load_state_keys(std::span<const std::string* const> keys);
 
-  struct LaneOutcome {
-    skeleton::SkeletonResult result;
-    /// Cycles simulated for this lane's verdict: transient + period on
-    /// detection, max_cycles + 1 when no period was found — exactly
-    /// ScalarEngine::cycle() after a scalar analyze().
-    std::uint64_t cycles = 0;
-  };
-
   /// Per-lane rho detection over all live lanes (the environment's
   /// period is the lcm of the sink pattern lengths); one batched pass of
-  /// the protocol dynamics serves every lane.  Verdicts are bit-identical
-  /// to running each lane's scenario through ScalarEngine alone.
-  std::vector<LaneOutcome> analyze(std::uint64_t max_cycles = 1u << 20);
+  /// the protocol dynamics serves every lane, and each lane's repeat
+  /// goes through lip::derive_steady_state.  Returns one steady state per
+  /// live lane, equal to ScalarEngine::analyze() on the lane's scenario
+  /// alone (`cycles` included: a lane's cycle when its repeat showed).
+  std::vector<lip::SteadyState> analyze(std::uint64_t max_cycles = 1u << 20);
 
  private:
   void refresh_schedule();
@@ -143,6 +139,8 @@ class SlicedEngine {
   std::vector<std::uint64_t> pend_w_;     ///< per shell out branch
   std::vector<std::uint64_t> src_pend_w_; ///< per source branch
   std::vector<std::uint64_t> fires_;      ///< [shell * 64 + lane]
+  /// Per lane: tokens taken by Program::src_fed_sinks.
+  std::vector<std::uint64_t> sink_tokens_;
   std::vector<std::vector<std::uint8_t>> sink_pattern_;  ///< per sink
 };
 
@@ -157,9 +155,9 @@ struct VariantSpec {
 /// Screens up to 64 kind-variants of one topology in a single sliced
 /// evaluation: the topology is lowered once, each variant occupies one
 /// lane, and one batched analyze() yields every verdict.  Verdicts are
-/// bit-identical to xir::screen_for_deadlock on the equivalent
-/// per-variant topologies.
-std::vector<skeleton::ScreeningVerdict> screen_variants(
+/// equal to xir::screen_for_deadlock's on the equivalent per-variant
+/// topologies.
+std::vector<lip::SteadyState> screen_variants(
     const graph::Topology& topo, const std::vector<VariantSpec>& variants,
     skeleton::SkeletonOptions opts = {}, std::uint64_t max_cycles = 1u << 20);
 

@@ -28,9 +28,11 @@
 // cure, replay and deadlock evidence run on ScalarEngine; batched
 // variant screens run 64 variants per SlicedEngine pass; prove's
 // frontiers step both engines under explicit sink stops.  Both engines
-// encode the protocol state one way, the plane key (KeyLayout).
-// lip::System is the reference model the differential suite holds both
-// against.
+// encode the protocol state one way, the plane key (KeyLayout), and
+// answer with System's own result type, lip::SteadyState, derived by
+// lip::derive_steady_state under System's deadlock rule.  lip::System is
+// the reference model the differential suite holds both against, whole
+// result to whole result.
 //
 // See docs/xir.md for the IR layout and lowering rules.
 
@@ -42,6 +44,7 @@
 #include <vector>
 
 #include "liplib/graph/topology.hpp"
+#include "liplib/lip/steady_state.hpp"
 #include "liplib/skeleton/skeleton.hpp"
 
 namespace liplib::probe {
@@ -96,6 +99,10 @@ struct Program {
   std::vector<std::uint32_t> src_br_seg;
   std::vector<graph::NodeId> sink_node;
   std::vector<std::uint32_t> sink_seg;
+  /// The sinks whose channel starts at a source: the only sinks whose
+  /// tokens the engines count for the deadlock rule (a sink behind a
+  /// shell takes, over a repeating period, what the shell put in).
+  std::vector<std::uint32_t> src_fed_sinks;
 
   /// NodeId -> dense per-kind index (shell/source/sink), or npos.
   std::vector<std::size_t> node_index;
@@ -236,11 +243,11 @@ class ScalarEngine {
   /// the cycle, fire counts and sink patterns are kept.
   void load_state_key(const std::string& key);
 
-  /// Runs until the protocol state and the environment's phase repeat
-  /// (rho detection; the period is the lcm of the sink pattern lengths)
-  /// and derives exact throughputs, transient, period and a deadlock
-  /// verdict — lip::measure_steady_state's answer for the same design.
-  skeleton::SkeletonResult analyze(std::uint64_t max_cycles = 1u << 20);
+  /// Runs lip::first_repeat until the protocol state and the
+  /// environment's phase repeat (the period is the lcm of the sink
+  /// pattern lengths), or max_cycles elapse: lip::measure_steady_state's
+  /// answer for the same design, field for field.
+  lip::SteadyState analyze(std::uint64_t max_cycles = 1u << 20);
 
   /// Attaches a probe through the same Wiring contract as lip::System
   /// (and thereby the telemetry watchdog, which rides the probe's
@@ -270,23 +277,23 @@ class ScalarEngine {
   std::vector<std::uint8_t> pend_;       ///< per shell out branch
   std::vector<std::uint8_t> src_pend_;   ///< per source branch
   std::vector<std::uint64_t> fire_count_;  ///< per shell
+  std::uint64_t sink_tokens_ = 0;  ///< taken by Program::src_fed_sinks
   std::vector<std::vector<std::uint8_t>> sink_pattern_;  ///< per sink
 };
 
 /// The paper's deadlock screen, the one answer to "does this design
 /// deadlock from this occupancy?": from reset or worst-case occupancy,
 /// run to the transient's extinction (the first repeated state) within
-/// `max_cycles`.  `steady`, when given, receives the analysis the
-/// verdict came from.  A deadlock's evidence is
+/// `max_cycles`.  The answer is the steady state itself; its
+/// deadlock_found() is the verdict.  A deadlock's evidence is
 /// telemetry::deadlock_evidence; batched variant screens are
 /// xir::screen_variants (xir/sliced.hpp).
-skeleton::ScreeningVerdict screen_for_deadlock(
-    const ProgramRef& prog, bool worst_case_occupancy,
-    std::uint64_t max_cycles = 1u << 20,
-    skeleton::SkeletonResult* steady = nullptr);
+lip::SteadyState screen_for_deadlock(const ProgramRef& prog,
+                                     bool worst_case_occupancy,
+                                     std::uint64_t max_cycles = 1u << 20);
 
 /// Convenience: lower + screen.
-skeleton::ScreeningVerdict screen_for_deadlock(
+lip::SteadyState screen_for_deadlock(
     const graph::Topology& topo, skeleton::ScreeningOptions opts = {},
     std::uint64_t max_cycles = 1u << 20);
 
@@ -304,6 +311,8 @@ void build_probe_wiring(const Program& p, probe::Wiring* out);
 }  // namespace liplib::xir
 
 namespace liplib::skeleton {
-/// perfbench's compatibility name for the skeleton simulator.
+/// perfbench's compatibility names for the skeleton simulator and its
+/// answer.
 using Skeleton = xir::ScalarEngine;
+using SkeletonResult = lip::SteadyState;
 }  // namespace liplib::skeleton

@@ -10,7 +10,7 @@
 #include "liplib/graph/generators.hpp"
 #include "liplib/lip/design.hpp"
 #include "liplib/lip/steady_state.hpp"
-#include "liplib/pearls/pearls.hpp"
+#include "liplib/pearls/design_io.hpp"
 #include "liplib/probe/probe.hpp"
 #include "liplib/support/rng.hpp"
 #include "liplib/xir/sliced.hpp"
@@ -20,73 +20,51 @@ namespace liplib::campaign {
 
 namespace {
 
-std::unique_ptr<lip::Pearl> default_pearl(std::size_t num_in,
-                                          std::size_t num_out) {
-  if (num_in == 1 && num_out == 1) return pearls::make_identity();
-  if (num_in == 2 && num_out == 1) return pearls::make_adder();
-  if (num_in == 1 && num_out == 2) return pearls::make_fork2();
-  if (num_in == 2 && num_out == 2) return pearls::make_butterfly();
-  if (num_in == 0 && num_out == 1) return pearls::make_generator(0, 1);
-  throw ApiError("no default pearl for arity " + std::to_string(num_in) +
-                 "->" + std::to_string(num_out));
-}
-
 lip::Design make_default_design(graph::Topology topo) {
   lip::Design d(std::move(topo));
   const auto& t = d.topology();
   for (graph::NodeId v = 0; v < t.nodes().size(); ++v) {
     if (t.node(v).kind != graph::NodeKind::kProcess) continue;
-    d.set_pearl(v, default_pearl(t.node(v).num_inputs,
-                                 t.node(v).num_outputs));
+    d.set_pearl(v, pearls::pearl_from_spec("", t.node(v).num_inputs,
+                                           t.node(v).num_outputs));
   }
   return d;
 }
 
-JobResult from_screening(const skeleton::ScreeningVerdict& v) {
+/// A steady state as a job result, by the steady state's own outcome
+/// rule: full deadlock and partial starvation apart.
+JobResult from_steady_state(const lip::SteadyState& ss) {
   JobResult r;
-  r.cycles = v.cycles_simulated;
-  if (!v.ran_to_steady_state) {
+  r.cycles = ss.cycles;
+  if (!ss.found) {
     r.outcome = Outcome::kBudgetExhausted;
     r.detail = "no steady state within the cycle budget";
     return r;
   }
   r.has_throughput = true;
-  r.throughput = v.min_throughput;
-  r.transient = v.transient;
-  r.period = v.period;
-  // A starved shell pins min_throughput at 0, so a screen reports full
-  // and partial starvation alike as a deadlock.
-  if (v.deadlock_found) {
+  r.throughput = ss.system_throughput();
+  r.transient = ss.transient;
+  r.period = ss.period;
+  if (ss.deadlocked) {
     r.outcome = Outcome::kDeadlock;
     r.detail = "deadlock in steady state";
+  } else if (ss.has_starved_shell) {
+    r.outcome = Outcome::kStarvation;
+    r.detail = std::to_string(ss.starved_shells().size()) +
+               " starved shell(s)";
   } else {
     r.outcome = Outcome::kLive;
   }
   return r;
 }
 
-JobResult from_skeleton_result(const skeleton::SkeletonResult& res,
-                               std::uint64_t cycles) {
-  JobResult r;
-  r.cycles = cycles;
-  if (!res.found) {
-    r.outcome = Outcome::kBudgetExhausted;
-    r.detail = "no steady state within the cycle budget";
-    return r;
-  }
-  r.has_throughput = true;
-  r.throughput = res.system_throughput();
-  r.transient = res.transient;
-  r.period = res.period;
-  if (res.deadlocked) {
+/// A screen's steady state as a job result, by the screen's rule
+/// (deadlock_found()): a starved shell is a deadlock too.
+JobResult from_screening(const lip::SteadyState& ss) {
+  JobResult r = from_steady_state(ss);
+  if (ss.deadlock_found()) {
     r.outcome = Outcome::kDeadlock;
     r.detail = "deadlock in steady state";
-  } else if (res.has_starved_shell) {
-    r.outcome = Outcome::kStarvation;
-    r.detail = std::to_string(res.starved_shells().size()) +
-               " starved shell(s)";
-  } else {
-    r.outcome = Outcome::kLive;
   }
   return r;
 }
@@ -95,9 +73,7 @@ JobResult from_skeleton_result(const skeleton::SkeletonResult& res,
 JobResult analyze_steady_state(const graph::Topology& topo,
                                const skeleton::SkeletonOptions& opts,
                                std::uint64_t budget) {
-  xir::ScalarEngine eng(topo, opts);
-  const auto res = eng.analyze(budget);
-  return from_skeleton_result(res, eng.cycle());
+  return from_steady_state(xir::ScalarEngine(topo, opts).analyze(budget));
 }
 
 /// Randomizes the station kinds of a feedforward topology in place
@@ -145,21 +121,10 @@ Job make_spot_check_job(std::string name, graph::Topology topo,
         lip::SystemOptions opts;
         opts.policy = policy;
         auto sys = design.instantiate(opts);
-        const auto ss = lip::measure_steady_state(*sys, ctx.cycle_budget);
-        JobResult r;
-        r.cycles = sys->cycle();
-        if (!ss.found) {
-          r.outcome = Outcome::kBudgetExhausted;
-          r.detail = "no steady state within the cycle budget";
-          return r;
-        }
-        r.has_throughput = true;
-        r.throughput = ss.system_throughput();
-        r.transient = ss.transient;
-        r.period = ss.period;
-        if (ss.deadlocked) {
-          r.outcome = Outcome::kDeadlock;
-          r.detail = "deadlock in steady state";
+        JobResult r = from_steady_state(
+            lip::measure_steady_state(*sys, ctx.cycle_budget));
+        if (r.outcome != Outcome::kLive &&
+            r.outcome != Outcome::kStarvation) {
           return r;
         }
         // Full-data safety net: the LID's sink streams must prefix the
@@ -172,10 +137,7 @@ Job make_spot_check_job(std::string name, graph::Topology topo,
         if (!equiv.ok) {
           r.outcome = Outcome::kMismatch;
           r.detail = "latency equivalence broken: " + equiv.detail;
-          return r;
         }
-        r.outcome =
-            ss.has_starved_shell ? Outcome::kStarvation : Outcome::kLive;
         return r;
       }};
 }
@@ -293,9 +255,8 @@ JobResult run_probe_measurement(const graph::Topology& topo,
   // Exact steady state from the (cheap) skeleton; System and the
   // skeleton share one protocol trajectory from reset, so the
   // skeleton's transient/period window the full-data probe run.
-  xir::ScalarEngine eng(topo, {policy});
-  const auto res = eng.analyze(budget);
-  JobResult r = from_skeleton_result(res, eng.cycle());
+  const auto res = xir::ScalarEngine(topo, {policy}).analyze(budget);
+  JobResult r = from_steady_state(res);
   if (r.outcome != Outcome::kLive && r.outcome != Outcome::kStarvation) {
     return r;
   }
@@ -445,17 +406,17 @@ Job make_lint_crosscheck_job(std::string name, LintCrossCheckSpec spec) {
     const auto verdict = xir::screen_for_deadlock(
         xir::lower(gen.topo), /*worst_case_occupancy=*/true, ctx.cycle_budget);
     JobResult r;
-    r.cycles = verdict.cycles_simulated;
-    if (!verdict.ran_to_steady_state) {
+    r.cycles = verdict.cycles;
+    if (!verdict.found) {
       r.outcome = Outcome::kBudgetExhausted;
       r.detail = "no steady state within the cycle budget";
       return r;
     }
-    if (hazard != verdict.deadlock_found) {
+    if (hazard != verdict.deadlock_found()) {
       r.outcome = Outcome::kMismatch;
       r.detail = std::string("lint says ") +
                  (hazard ? "stop latch" : "clean") + ", screening says " +
-                 (verdict.deadlock_found ? "deadlock" : "live") +
+                 (verdict.deadlock_found() ? "deadlock" : "live") +
                  " (segments=" + std::to_string(segments) + ")";
       return r;
     }
@@ -469,8 +430,8 @@ Job make_lint_crosscheck_job(std::string name, LintCrossCheckSpec spec) {
       const auto cured = xir::screen_for_deadlock(
           xir::lower(fixed.fixed), /*worst_case_occupancy=*/true,
           ctx.cycle_budget);
-      r.cycles += cured.cycles_simulated;
-      if (cured.deadlock_found) {
+      r.cycles += cured.cycles;
+      if (cured.deadlock_found()) {
         r.outcome = Outcome::kMismatch;
         r.detail = "lint --fix output still deadlocks under worst case";
         return r;
@@ -556,8 +517,8 @@ Job make_prove_crosscheck_job(std::string name, ProveCrossCheckSpec spec) {
     const auto verdict = xir::screen_for_deadlock(
         xir::lower(gen.topo), /*worst_case_occupancy=*/true, ctx.cycle_budget);
     JobResult r;
-    r.cycles = verdict.cycles_simulated;
-    if (!verdict.ran_to_steady_state) {
+    r.cycles = verdict.cycles;
+    if (!verdict.found) {
       r.outcome = Outcome::kBudgetExhausted;
       r.detail = "no steady state within the cycle budget";
       return r;
@@ -568,12 +529,12 @@ Job make_prove_crosscheck_job(std::string name, ProveCrossCheckSpec spec) {
       return r;
     }
     const bool proved_dead = pr.verdict == prove::Verdict::kCounterexample;
-    if (proved_dead != hazard || proved_dead != verdict.deadlock_found) {
+    if (proved_dead != hazard || proved_dead != verdict.deadlock_found()) {
       r.outcome = Outcome::kMismatch;
       r.detail = std::string("prove says ") +
                  (proved_dead ? "deadlock" : "proved") + ", lint says " +
                  (hazard ? "stop latch" : "clean") + ", screening says " +
-                 (verdict.deadlock_found ? "deadlock" : "live") +
+                 (verdict.deadlock_found() ? "deadlock" : "live") +
                  " (segments=" + std::to_string(segments) + ")";
       return r;
     }

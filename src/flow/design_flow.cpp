@@ -77,23 +77,23 @@ FlowResult run_design_flow(const graph::Topology& topo,
     skeleton::ScreeningOptions reset_opts;
     const auto reset = xir::screen_for_deadlock(r.topology, reset_opts,
                                                 options.screen_budget);
-    r.deadlock_from_reset = reset.deadlock_found;
+    r.deadlock_from_reset = reset.deadlock_found();
     r.measured_transient = reset.transient;
-    r.measured_throughput = reset.min_throughput;
+    r.measured_throughput = reset.system_throughput();
     say("screening from reset: " +
-        std::string(reset.deadlock_found ? "DEADLOCK" : "live") + ", T = " +
-        reset.min_throughput.str() + " (transient " +
+        std::string(reset.deadlock_found() ? "DEADLOCK" : "live") + ", T = " +
+        reset.system_throughput().str() + " (transient " +
         std::to_string(reset.transient) + ", period " +
         std::to_string(reset.period) + ")");
-    if (reset.deadlock_found) return r;
+    if (reset.deadlock_found()) return r;
 
     if (options.worst_case_screening) {
       skeleton::ScreeningOptions wc;
       wc.worst_case_occupancy = true;
       const auto worst =
           xir::screen_for_deadlock(r.topology, wc, options.screen_budget);
-      r.latch_found = worst.deadlock_found;
-      if (worst.deadlock_found) {
+      r.latch_found = worst.deadlock_found();
+      if (worst.deadlock_found()) {
         say("worst-case screening: stop latch found");
         if (options.cure) {
           const auto cure =

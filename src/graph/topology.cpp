@@ -147,12 +147,17 @@ std::size_t Topology::num_sinks() const {
   return n;
 }
 
-std::vector<std::vector<NodeId>> Topology::process_sccs() const {
+std::vector<std::vector<NodeId>> Topology::process_sccs(
+    const std::function<bool(ChannelId)>& keep) const {
   // Iterative Tarjan over all nodes; sources/sinks end up in singleton
   // components which callers can ignore.
   const std::size_t n = nodes_.size();
   std::vector<std::vector<NodeId>> adj(n);
-  for (const auto& c : channels_) adj[c.from.node].push_back(c.to.node);
+  for (ChannelId c = 0; c < channels_.size(); ++c) {
+    if (!keep || keep(c)) {
+      adj[channels_[c].from.node].push_back(channels_[c].to.node);
+    }
+  }
 
   std::vector<int> index(n, -1), low(n, 0);
   std::vector<bool> on_stack(n, false);

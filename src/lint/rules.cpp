@@ -42,71 +42,22 @@ std::string node_list(const Topology& topo, const std::vector<NodeId>& ids) {
   return out;
 }
 
-/// Strongly connected components of the node graph restricted to the
-/// channels accepted by `keep`.  Returns the node sets of the components
-/// that contain a directed cycle (size > 1, or a kept self-loop), each
-/// sorted by node id, ordered by their smallest node id.
+/// The strongly connected components of the node graph restricted to the
+/// channels accepted by `keep` that contain a directed cycle (size > 1,
+/// or a kept self-loop), each sorted by node id, ordered by their
+/// smallest node id.
 std::vector<std::vector<NodeId>> cyclic_components(
     const Topology& topo, const std::function<bool(ChannelId)>& keep) {
-  const std::size_t n = topo.nodes().size();
-  std::vector<std::vector<NodeId>> adj(n);
-  std::vector<bool> self_loop(n, false);
+  std::vector<bool> self_loop(topo.nodes().size(), false);
   for (ChannelId c = 0; c < topo.channels().size(); ++c) {
-    if (!keep(c)) continue;
     const auto& ch = topo.channel(c);
-    if (ch.from.node == ch.to.node) self_loop[ch.from.node] = true;
-    adj[ch.from.node].push_back(ch.to.node);
+    if (ch.from.node == ch.to.node && keep(c)) self_loop[ch.from.node] = true;
   }
-
-  // Iterative Tarjan (same shape as Topology::process_sccs).
-  std::vector<int> index(n, -1), low(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<NodeId> stack;
   std::vector<std::vector<NodeId>> cyclic;
-  int next_index = 0;
-  struct Frame {
-    NodeId v;
-    std::size_t child = 0;
-  };
-  for (NodeId root = 0; root < n; ++root) {
-    if (index[root] != -1) continue;
-    std::vector<Frame> frames{{root, 0}};
-    index[root] = low[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.child < adj[f.v].size()) {
-        const NodeId w = adj[f.v][f.child++];
-        if (index[w] == -1) {
-          index[w] = low[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          frames.push_back({w, 0});
-        } else if (on_stack[w]) {
-          low[f.v] = std::min(low[f.v], index[w]);
-        }
-      } else {
-        if (low[f.v] == index[f.v]) {
-          std::vector<NodeId> comp;
-          for (;;) {
-            const NodeId w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            comp.push_back(w);
-            if (w == f.v) break;
-          }
-          if (comp.size() > 1 || self_loop[comp.front()]) {
-            std::sort(comp.begin(), comp.end());
-            cyclic.push_back(std::move(comp));
-          }
-        }
-        const NodeId v = f.v;
-        frames.pop_back();
-        if (!frames.empty()) {
-          low[frames.back().v] = std::min(low[frames.back().v], low[v]);
-        }
-      }
+  for (auto& comp : topo.process_sccs(keep)) {
+    if (comp.size() > 1 || self_loop[comp.front()]) {
+      std::sort(comp.begin(), comp.end());
+      cyclic.push_back(std::move(comp));
     }
   }
   std::sort(cyclic.begin(), cyclic.end(),

@@ -1,8 +1,6 @@
 #include "liplib/lip/system.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <numeric>
 #include <ostream>
 
 #include "liplib/probe/probe.hpp"
@@ -695,17 +693,8 @@ std::string System::protocol_state() const {
 
 std::uint64_t System::environment_period() const {
   std::uint64_t l = 1;
-  auto fold = [&l](std::uint64_t p) {
-    if (p == 0 || l == 0) {
-      l = 0;
-      return;
-    }
-    const std::uint64_t step = p / std::gcd(l, p);
-    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-    l = l > kMax / step ? kMax : l * step;
-  };
-  for (const auto& s : sources_) fold(s.behavior.period);
-  for (const auto& s : sinks_) fold(s.behavior.period);
+  for (const auto& s : sources_) l = lcm_period(l, s.behavior.period);
+  for (const auto& s : sinks_) l = lcm_period(l, s.behavior.period);
   return l;
 }
 

@@ -151,7 +151,7 @@ Computed compute_lint(const ParsedDesign& d) {
 /// leaves some token moving names its starved shells instead.
 Json screen_one(const xir::ProgramRef& prog, bool worst_case,
                 std::uint64_t budget, std::uint64_t threshold,
-                skeleton::ScreeningVerdict* v) {
+                lip::SteadyState* v) {
   *v = xir::screen_for_deadlock(prog, worst_case, budget);
   telemetry::WatchdogOptions wopts;
   wopts.no_progress_threshold = threshold;
@@ -166,16 +166,18 @@ Json screen_one(const xir::ProgramRef& prog, bool worst_case,
         .set("post_mortem", pm->to_json());
   }
   Json j = Json::object()
-               .set("deadlock", v->deadlock_found)
-               .set("found", v->ran_to_steady_state);
-  if (v->ran_to_steady_state) {
+               .set("deadlock", v->deadlock_found())
+               .set("found", v->found);
+  if (v->found) {
     j.set("transient", v->transient)
         .set("period", v->period)
-        .set("throughput", v->min_throughput);
+        .set("throughput", v->system_throughput());
   }
-  if (v->deadlock_found) {
+  if (v->deadlock_found()) {
     Json starved = Json::array();
-    for (graph::NodeId n : v->starved) starved.push(prog->topo.node(n).name);
+    for (graph::NodeId n : v->starved_shells()) {
+      starved.push(prog->topo.node(n).name);
+    }
     j.set("starved", std::move(starved));
   }
   return j;
@@ -187,7 +189,7 @@ Computed compute_screen(const ParsedDesign& d, const Request& req,
   // Both passes, and the evidence re-run of either, run one lowered
   // program.
   const xir::ProgramRef prog = xir::lower(d.net.topo, {req.policy});
-  skeleton::ScreeningVerdict reset, worst;
+  lip::SteadyState reset, worst;
   Json from_reset = screen_one(prog, /*worst_case=*/false, budget,
                                opts.watchdog_threshold, &reset);
   Json worst_case = screen_one(prog, /*worst_case=*/true, budget,

@@ -410,10 +410,10 @@ GuardedRun run_profiled(lip::System& sys, Watchdog& dog,
 
 // ---- re-runs: replay and deadlock evidence ------------------------------
 
-std::optional<PostMortem> deadlock_evidence(
-    const xir::ProgramRef& prog, const skeleton::ScreeningVerdict& verdict,
-    WatchdogOptions opts) {
-  if (!verdict.deadlock_found) return std::nullopt;
+std::optional<PostMortem> deadlock_evidence(const xir::ProgramRef& prog,
+                                            const lip::SteadyState& verdict,
+                                            WatchdogOptions opts) {
+  if (!verdict.deadlock_found()) return std::nullopt;
   opts.optimistic = !prog->pessimistic;
   Watchdog dog(opts);
   rerun(prog, dog,

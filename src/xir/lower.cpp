@@ -188,6 +188,10 @@ ProgramRef lower(const graph::Topology& topo, skeleton::SkeletonOptions opts) {
       p.shell_in_seg[p.shell_in_begin[k] + ch.to.port] = last;
     } else {
       p.sink_seg[p.node_index[ch.to.node]] = last;
+      if (from_node.kind == graph::NodeKind::kSource) {
+        p.src_fed_sinks.push_back(
+            static_cast<std::uint32_t>(p.node_index[ch.to.node]));
+      }
     }
   }
   p.num_segments = next_seg;

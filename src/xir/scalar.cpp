@@ -5,9 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
-#include "internal.hpp"
 #include "liplib/probe/probe.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/xir/xir.hpp"
@@ -239,6 +237,9 @@ bool ScalarEngine::advance(const std::uint64_t* sink_stops) {
       any_fired = true;
     }
   }
+  for (const std::uint32_t s : p.src_fed_sinks) {
+    if (fwd_[p.sink_seg[s]] && !stop_[p.sink_seg[s]]) ++sink_tokens_;
+  }
   for (std::size_t s = 0; s < p.num_stations(); ++s) {
     const bool in_valid = fwd_[p.st_in[s]] != 0;
     const bool front_valid = st_occ_[s] > 0 && st_v0_[s];
@@ -387,62 +388,29 @@ void ScalarEngine::load_state_key(const std::string& key) {
   for (std::uint8_t& r : st_stop_reg_) r = get();
 }
 
-skeleton::SkeletonResult ScalarEngine::analyze(std::uint64_t max_cycles) {
-  const Program& p = *prog_;
-  const std::uint64_t env_period = detail::environment_period(sink_pattern_);
-  struct Snap {
-    std::uint64_t cycle;
-    std::vector<std::uint64_t> fires;
-  };
-  auto snap = [&] { return Snap{cycle_, fire_count_}; };
-  skeleton::SkeletonResult result;
-  result.shell_ids = p.shell_node;
-
-  std::unordered_map<std::string, Snap> seen;
-  for (std::uint64_t i = 0; i <= max_cycles; ++i) {
-    std::string key = state_key();
-    if (env_period > 1) {
-      const std::uint64_t phase = cycle_ % env_period;
-      key.append(reinterpret_cast<const char*>(&phase), sizeof phase);
-    }
-    auto [it, inserted] = seen.emplace(std::move(key), snap());
-    if (!inserted) {
-      const Snap& first = it->second;
-      const Snap now = snap();
-      result.found = true;
-      result.transient = first.cycle;
-      result.period = now.cycle - first.cycle;
-      bool progress = false;
-      for (std::size_t k = 0; k < now.fires.size(); ++k) {
-        const auto delta = now.fires[k] - first.fires[k];
-        if (delta > 0) progress = true;
-        if (delta == 0) result.has_starved_shell = true;
-        result.shell_throughput.emplace_back(
-            static_cast<std::int64_t>(delta),
-            static_cast<std::int64_t>(result.period));
-      }
-      result.deadlocked = !progress && p.num_shells() > 0;
-      return result;
-    }
-    step();
+lip::SteadyState ScalarEngine::analyze(std::uint64_t max_cycles) {
+  std::uint64_t env_period = 1;
+  for (const auto& pat : sink_pattern_) {
+    env_period =
+        lip::lcm_period(env_period, std::max<std::size_t>(pat.size(), 1));
   }
-  return result;
+  return lip::first_repeat(
+      env_period, max_cycles, prog_->shell_node, [this] { return state_key(); },
+      [this] { return lip::RunCounts{cycle_, fire_count_, sink_tokens_}; },
+      [this] { step(); });
 }
 
-skeleton::ScreeningVerdict screen_for_deadlock(
-    const ProgramRef& prog, bool worst_case_occupancy,
-    std::uint64_t max_cycles, skeleton::SkeletonResult* steady) {
+lip::SteadyState screen_for_deadlock(const ProgramRef& prog,
+                                     bool worst_case_occupancy,
+                                     std::uint64_t max_cycles) {
   ScalarEngine eng(prog);
   if (worst_case_occupancy) eng.saturate_stations();
-  skeleton::SkeletonResult local;
-  skeleton::SkeletonResult& r = steady ? *steady : local;
-  r = eng.analyze(max_cycles);
-  return skeleton::screening_verdict(r, eng.cycle());
+  return eng.analyze(max_cycles);
 }
 
-skeleton::ScreeningVerdict screen_for_deadlock(const graph::Topology& topo,
-                                               skeleton::ScreeningOptions opts,
-                                               std::uint64_t max_cycles) {
+lip::SteadyState screen_for_deadlock(const graph::Topology& topo,
+                                     skeleton::ScreeningOptions opts,
+                                     std::uint64_t max_cycles) {
   return screen_for_deadlock(lower(topo, opts.skeleton),
                              opts.worst_case_occupancy, max_cycles);
 }
@@ -454,7 +422,7 @@ skeleton::CureResult cure_deadlocks(const graph::Topology& topo,
   result.cured = topo;
   for (;;) {
     const auto verdict = screen_for_deadlock(result.cured, opts, max_cycles);
-    if (verdict.ran_to_steady_state && !verdict.deadlock_found) {
+    if (verdict.found && !verdict.deadlock_found()) {
       result.success = true;
       return result;
     }

@@ -7,7 +7,6 @@
 #include <bit>
 #include <cstring>
 
-#include "internal.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/xir/sliced.hpp"
 
@@ -57,6 +56,7 @@ SlicedEngine::SlicedEngine(ProgramRef program, std::size_t num_lanes)
   pend_w_.assign(p.shell_br_seg.size(), kAll);
   src_pend_w_.assign(p.src_br_seg.size(), kAll);
   fires_.assign(p.num_shells() * kLanes, 0);
+  sink_tokens_.assign(kLanes, 0);
   sink_pattern_.resize(p.num_sinks());
   schedule_ = p.schedule;
 }
@@ -291,6 +291,14 @@ std::uint64_t SlicedEngine::advance(const std::uint64_t* sink_stops) {
       fired &= fired - 1;
     }
   }
+  for (const std::uint32_t s : p.src_fed_sinks) {
+    std::uint64_t took =
+        fwd_w_[p.sink_seg[s]] & ~stop_w_[p.sink_seg[s]] & live_mask_;
+    while (took != 0) {
+      ++sink_tokens_[static_cast<std::size_t>(std::countr_zero(took))];
+      took &= took - 1;
+    }
+  }
   step_stations();
   for (std::size_t s = 0; s < p.num_sources(); ++s) {
     std::uint64_t all_clear = kAll;
@@ -370,14 +378,19 @@ void SlicedEngine::load_state_keys(std::span<const std::string* const> keys) {
   }
 }
 
-std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
-    std::uint64_t max_cycles) {
+std::vector<lip::SteadyState> SlicedEngine::analyze(std::uint64_t max_cycles) {
   const Program& p = *prog_;
-  const std::uint64_t env_period = detail::environment_period(sink_pattern_);
+  std::uint64_t env_period = 1;
+  for (const auto& pat : sink_pattern_) {
+    env_period =
+        lip::lcm_period(env_period, std::max<std::size_t>(pat.size(), 1));
+  }
   const std::size_t shells = p.num_shells();
+  // Sink tokens matter only when a source feeds a sink directly; without
+  // one, the records keep no count.
+  const bool count_sinks = !p.src_fed_sinks.empty();
 
-  std::vector<LaneOutcome> out(num_lanes_);
-  for (auto& o : out) o.result.shell_ids = p.shell_node;
+  std::vector<lip::SteadyState> out(num_lanes_);
 
   // Repeat detection runs every cycle for every undecided lane, so both
   // halves of it are kept off the per-lane slow path:
@@ -387,10 +400,11 @@ std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
   //    block, instead of a per-lane per-bit gather.  The environment
   //    phase rides as one extra key word.
   //
-  //  - Visited states live in per-lane append-only pools (key words and
-  //    fire counts), indexed by a flat open-addressed hash table with
-  //    exact word comparison on probe hits, so a cycle costs two
-  //    bump-appends instead of per-lane heap allocations.
+  //  - Visited states live in per-lane append-only pools (key words,
+  //    fire counts and, with source-fed sinks, sink tokens), indexed by
+  //    a flat open-addressed hash table with exact word comparison on
+  //    probe hits, so a cycle costs a few bump-appends instead of
+  //    per-lane heap allocations.
   const std::size_t num_words = KeyLayout(p).num_words;
   const std::size_t key_words = num_words + 1;  ///< + environment phase
   std::vector<std::uint64_t> lane_words(num_lanes_ * key_words);
@@ -402,6 +416,7 @@ std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
     std::vector<std::uint64_t> rec_cycle;  ///< per record
     std::vector<std::uint64_t> keys;       ///< key_words per record
     std::vector<std::uint64_t> fires;      ///< shells per record
+    std::vector<std::uint64_t> tokens;     ///< per record, if count_sinks
   };
   std::vector<LaneSeen> seen(num_lanes_);
   for (auto& ls : seen) {
@@ -473,23 +488,19 @@ std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
         for (std::size_t k = 0; k < shells; ++k) {
           ls.fires.push_back(fires_[k * kLanes + lane]);
         }
+        if (count_sinks) ls.tokens.push_back(sink_tokens_[lane]);
         continue;
       }
-      auto& r = out[lane].result;
-      r.found = true;
-      r.transient = ls.rec_cycle[first];
-      r.period = cycle_ - ls.rec_cycle[first];
-      bool progress = false;
+      const auto from = ls.fires.begin() +
+                        static_cast<std::ptrdiff_t>(first * shells);
+      lip::RunCounts then{ls.rec_cycle[first],
+                          {from, from + static_cast<std::ptrdiff_t>(shells)},
+                          count_sinks ? ls.tokens[first] : 0};
+      lip::RunCounts now{cycle_, {}, count_sinks ? sink_tokens_[lane] : 0};
       for (std::size_t k = 0; k < shells; ++k) {
-        const auto delta =
-            fires_[k * kLanes + lane] - ls.fires[first * shells + k];
-        if (delta > 0) progress = true;
-        if (delta == 0) r.has_starved_shell = true;
-        r.shell_throughput.emplace_back(static_cast<std::int64_t>(delta),
-                                        static_cast<std::int64_t>(r.period));
+        now.fires.push_back(fires_[k * kLanes + lane]);
       }
-      r.deadlocked = !progress && shells > 0;
-      out[lane].cycles = cycle_;
+      out[lane] = lip::derive_steady_state(then, now, p.shell_node);
       active &= ~bit;
     }
     // Finished lanes keep stepping (their state is periodic; the extra
@@ -502,7 +513,7 @@ std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
   return out;
 }
 
-std::vector<skeleton::ScreeningVerdict> screen_variants(
+std::vector<lip::SteadyState> screen_variants(
     const graph::Topology& topo, const std::vector<VariantSpec>& variants,
     skeleton::SkeletonOptions opts, std::uint64_t max_cycles) {
   LIPLIB_EXPECT(!variants.empty() && variants.size() <= SlicedEngine::kLanes,
@@ -516,14 +527,7 @@ std::vector<skeleton::ScreeningVerdict> screen_variants(
     if (variants[lane].worst_case_occupancy) saturate |= 1ull << lane;
   }
   if (saturate != 0) eng.saturate_stations(saturate);
-  const auto lanes = eng.analyze(max_cycles);
-  std::vector<skeleton::ScreeningVerdict> verdicts;
-  verdicts.reserve(variants.size());
-  for (std::size_t lane = 0; lane < variants.size(); ++lane) {
-    verdicts.push_back(
-        skeleton::screening_verdict(lanes[lane].result, lanes[lane].cycles));
-  }
-  return verdicts;
+  return eng.analyze(max_cycles);
 }
 
 }  // namespace liplib::xir

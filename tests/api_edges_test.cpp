@@ -126,11 +126,29 @@ TEST(ApiEdges, ReferenceExecutorContracts) {
   EXPECT_THROW(ref.sink_stream(gen.processes[0]), ApiError);
 }
 
-TEST(ApiEdges, SteadyStateRequiresPositiveEnvPeriod) {
-  auto gen = graph::make_pipeline(1, 1);
-  auto d = testutil::make_design(std::move(gen));
+// The steady state follows the environment the System is bound to: a
+// rate-limited sink of period L settles at T = 1/L with period L (keyed
+// with the old default period of 1, L = 7 read as a deadlock), and an
+// aperiodic environment has no exact steady state, so the search does
+// not step.
+TEST(ApiEdges, SteadyStateDerivesTheEnvironmentPeriod) {
+  const auto gen = graph::make_pipeline(2, 1);
+  for (const std::uint64_t period : {3u, 4u, 7u}) {
+    auto d = testutil::make_design(gen);
+    d.set_sink(gen.sinks[0], lip::SinkBehavior::periodic(period));
+    auto sys = d.instantiate();
+    const auto ss = lip::measure_steady_state(*sys);
+    ASSERT_TRUE(ss.found) << "L = " << period;
+    EXPECT_FALSE(ss.deadlocked) << "L = " << period;
+    EXPECT_EQ(ss.period, period);
+    EXPECT_EQ(ss.system_throughput(),
+              Rational(1, static_cast<std::int64_t>(period)));
+  }
+  auto d = testutil::make_design(gen);
+  d.set_source(gen.sources[0], lip::SourceBehavior::sparse_counter(1, 1, 2));
   auto sys = d.instantiate();
-  EXPECT_THROW(lip::measure_steady_state(*sys, 100, 0), ApiError);
+  EXPECT_FALSE(lip::measure_steady_state(*sys).found);
+  EXPECT_EQ(sys->cycle(), 0u);
 }
 
 TEST(ApiEdges, SteadyStateBudgetExhaustionReportsNotFound) {

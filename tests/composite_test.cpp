@@ -103,13 +103,13 @@ TEST(Composite, HalfLoopsScreenCleanFromResetAndCureWhenLatched) {
                                             /*allow_half_in_loops=*/true);
     skeleton::ScreeningOptions reset_opts;
     const auto reset = xir::screen_for_deadlock(gen.topo, reset_opts);
-    ASSERT_TRUE(reset.ran_to_steady_state);
-    EXPECT_FALSE(reset.deadlock_found) << "iteration " << i;
+    ASSERT_TRUE(reset.found);
+    EXPECT_FALSE(reset.deadlock_found()) << "iteration " << i;
 
     skeleton::ScreeningOptions wc;
     wc.worst_case_occupancy = true;
     const auto worst = xir::screen_for_deadlock(gen.topo, wc);
-    if (worst.deadlock_found) {
+    if (worst.deadlock_found()) {
       ++latched;
       const auto cure = xir::cure_deadlocks(gen.topo, wc);
       EXPECT_TRUE(cure.success) << "iteration " << i;

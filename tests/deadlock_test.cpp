@@ -50,8 +50,8 @@ TEST(Deadlock, FeedforwardWithHalfStationsIsFree) {
       for (bool wc : {false, true}) {
         auto opts = wc ? worst_case(pol) : from_reset(pol);
         const auto verdict = xir::screen_for_deadlock(gen.topo, opts);
-        ASSERT_TRUE(verdict.ran_to_steady_state);
-        EXPECT_FALSE(verdict.deadlock_found)
+        ASSERT_TRUE(verdict.found);
+        EXPECT_FALSE(verdict.deadlock_found())
             << "iteration " << i << " policy " << to_string(pol)
             << " worst_case=" << wc;
       }
@@ -69,8 +69,8 @@ TEST(Deadlock, FullOnlyLoopsAreFreeEvenUnderWorstCase) {
       for (bool wc : {false, true}) {
         auto opts = wc ? worst_case() : from_reset();
         const auto verdict = xir::screen_for_deadlock(gen.topo, opts);
-        ASSERT_TRUE(verdict.ran_to_steady_state);
-        EXPECT_FALSE(verdict.deadlock_found)
+        ASSERT_TRUE(verdict.found);
+        EXPECT_FALSE(verdict.deadlock_found())
             << "S=" << s << " per=" << per << " worst_case=" << wc;
       }
     }
@@ -84,9 +84,9 @@ TEST(Deadlock, HalfRingIsFreeFromReset) {
   // be forever avoided".
   auto gen = graph::make_closed_ring({1, 1}, RsKind::kHalf);
   const auto verdict = xir::screen_for_deadlock(gen.topo, from_reset());
-  ASSERT_TRUE(verdict.ran_to_steady_state);
-  EXPECT_FALSE(verdict.deadlock_found);
-  EXPECT_EQ(verdict.min_throughput, Rational(1, 2));  // S/(S+R) = 2/4
+  ASSERT_TRUE(verdict.found);
+  EXPECT_FALSE(verdict.deadlock_found());
+  EXPECT_EQ(verdict.system_throughput(), Rational(1, 2));  // S/(S+R) = 2/4
 }
 
 TEST(Deadlock, HalfRingLatchesUnderWorstCaseOccupancy) {
@@ -94,9 +94,9 @@ TEST(Deadlock, HalfRingLatchesUnderWorstCaseOccupancy) {
   // pessimistic settling freezes the ring forever.
   auto gen = graph::make_closed_ring({1, 1}, RsKind::kHalf);
   const auto verdict = xir::screen_for_deadlock(gen.topo, worst_case());
-  ASSERT_TRUE(verdict.ran_to_steady_state);
-  EXPECT_TRUE(verdict.deadlock_found);
-  EXPECT_EQ(verdict.min_throughput, Rational(0));
+  ASSERT_TRUE(verdict.found);
+  EXPECT_TRUE(verdict.deadlock_found());
+  EXPECT_EQ(verdict.system_throughput(), Rational(0));
 }
 
 TEST(Deadlock, HalfRingLatchIsBistable) {
@@ -108,9 +108,9 @@ TEST(Deadlock, HalfRingLatchIsBistable) {
   const auto verdict = xir::screen_for_deadlock(
       gen.topo,
       worst_case(StopPolicy::kCasuDiscardOnVoid, StopResolution::kOptimistic));
-  ASSERT_TRUE(verdict.ran_to_steady_state);
-  EXPECT_FALSE(verdict.deadlock_found);
-  EXPECT_EQ(verdict.min_throughput, Rational(1));
+  ASSERT_TRUE(verdict.found);
+  EXPECT_FALSE(verdict.deadlock_found());
+  EXPECT_EQ(verdict.system_throughput(), Rational(1));
 }
 
 TEST(Deadlock, OneFullStationBreaksTheLatch) {
@@ -122,8 +122,8 @@ TEST(Deadlock, OneFullStationBreaksTheLatch) {
   t.connect({a, 0}, {b, 0}, {RsKind::kHalf});
   t.connect({b, 0}, {a, 0}, {RsKind::kFull});
   const auto verdict = xir::screen_for_deadlock(t, worst_case());
-  ASSERT_TRUE(verdict.ran_to_steady_state);
-  EXPECT_FALSE(verdict.deadlock_found);
+  ASSERT_TRUE(verdict.found);
+  EXPECT_FALSE(verdict.deadlock_found());
 }
 
 TEST(Deadlock, ValidatorWarnsOnHalfStationsInLoops) {
@@ -162,14 +162,14 @@ TEST(Deadlock, FullSystemAgreesWithSkeleton) {
 TEST(Deadlock, CureUpgradesFewStations) {
   auto gen = graph::make_closed_ring({1, 1, 1}, RsKind::kHalf);
   const auto before = xir::screen_for_deadlock(gen.topo, worst_case());
-  ASSERT_TRUE(before.deadlock_found);
+  ASSERT_TRUE(before.deadlock_found());
 
   const auto cure = xir::cure_deadlocks(gen.topo, worst_case());
   EXPECT_TRUE(cure.success);
   EXPECT_GE(cure.substitutions, 1u);
   EXPECT_LE(cure.substitutions, 3u);  // "low intrusive changes"
   const auto after = xir::screen_for_deadlock(cure.cured, worst_case());
-  EXPECT_FALSE(after.deadlock_found);
+  EXPECT_FALSE(after.deadlock_found());
   // The cure preserves the station count (substitution, not insertion).
   EXPECT_EQ(cure.cured.total_stations(), gen.topo.total_stations());
 }
@@ -189,14 +189,14 @@ TEST(Deadlock, LoopChainWithHalfLoopDetectedAndCured) {
   auto gen = graph::make_loop_chain(specs);
   const auto reset_verdict =
       xir::screen_for_deadlock(gen.topo, from_reset());
-  ASSERT_TRUE(reset_verdict.ran_to_steady_state);
-  EXPECT_FALSE(reset_verdict.deadlock_found);
+  ASSERT_TRUE(reset_verdict.found);
+  EXPECT_FALSE(reset_verdict.deadlock_found());
 
   const auto wc_verdict = xir::screen_for_deadlock(gen.topo, worst_case());
-  ASSERT_TRUE(wc_verdict.ran_to_steady_state);
-  ASSERT_TRUE(wc_verdict.deadlock_found);
+  ASSERT_TRUE(wc_verdict.found);
+  ASSERT_TRUE(wc_verdict.deadlock_found());
   // Only the half-station loop starves.
-  EXPECT_FALSE(wc_verdict.starved.empty());
+  EXPECT_FALSE(wc_verdict.starved_shells().empty());
 
   const auto cure = xir::cure_deadlocks(gen.topo, worst_case());
   EXPECT_TRUE(cure.success);

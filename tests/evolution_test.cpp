@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "liplib/lip/evolution.hpp"
@@ -121,12 +122,19 @@ TEST(Evolution, Fig1SteadyPeriodActivityPattern) {
 }
 
 TEST(Evolution, SteadyStatePeriodMatchesTrace) {
-  auto d = testutil::make_design(graph::make_fig1());
+  const auto gen = graph::make_fig1();
+  auto d = testutil::make_design(gen);
   auto sys = d.instantiate();
   const auto ss = lip::measure_steady_state(*sys);
   ASSERT_TRUE(ss.found);
   EXPECT_EQ(ss.period, 5u);
-  EXPECT_EQ(ss.sink_throughput.at(0), Rational(4, 5));
+  // The sink takes what the join feeding it fires.
+  const auto join =
+      std::find(ss.shell_ids.begin(), ss.shell_ids.end(), gen.join);
+  ASSERT_NE(join, ss.shell_ids.end());
+  EXPECT_EQ(ss.shell_throughput.at(
+                static_cast<std::size_t>(join - ss.shell_ids.begin())),
+            Rational(4, 5));
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST(Flow, CuresHalfLatchedLoop) {
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
   EXPECT_FALSE(
-      xir::screen_for_deadlock(result.topology, wc).deadlock_found);
+      xir::screen_for_deadlock(result.topology, wc).deadlock_found());
 }
 
 TEST(Flow, ReportsValidationFailure) {

@@ -293,8 +293,8 @@ TEST(Lint, FixCuresTheHazardRingAndIsIdempotent) {
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
   const auto verdict = xir::screen_for_deadlock(fix.fixed, wc, 1u << 16);
-  EXPECT_TRUE(verdict.ran_to_steady_state);
-  EXPECT_FALSE(verdict.deadlock_found);
+  EXPECT_TRUE(verdict.found);
+  EXPECT_FALSE(verdict.deadlock_found());
 }
 
 TEST(Lint, FixEqualizesFig1) {
@@ -347,8 +347,8 @@ TEST(Lint, StaticVerdictAgreesWithScreeningOn300Topologies) {
         lint::run_lint(gen.topo, structural).has_rule("LIP006");
     const auto verdict =
         xir::screen_for_deadlock(gen.topo, wc, 1u << 16);
-    ASSERT_TRUE(verdict.ran_to_steady_state) << "topology " << i;
-    ASSERT_EQ(hazard, verdict.deadlock_found)
+    ASSERT_TRUE(verdict.found) << "topology " << i;
+    ASSERT_EQ(hazard, verdict.deadlock_found())
         << "static/dynamic disagreement on topology " << i << ":\n"
         << graph::write_netlist(gen.topo);
     ++(hazard ? hazards : clean);

@@ -27,7 +27,7 @@ using namespace liplib;
 // skeleton share the protocol trajectory from reset, so the measured
 // rates must equal the analytic ones exactly.
 struct Measured {
-  skeleton::SkeletonResult analytic;
+  lip::SteadyState analytic;
   probe::ProbeReport report;
 };
 

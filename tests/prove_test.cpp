@@ -212,7 +212,7 @@ TEST(Prove, ThreeWayCrossCheck300) {
     skeleton::ScreeningOptions wc;
     wc.worst_case_occupancy = true;
     const auto screened = xir::screen_for_deadlock(topo, wc, 1u << 16);
-    ASSERT_TRUE(screened.ran_to_steady_state) << "seed " << i;
+    ASSERT_TRUE(screened.found) << "seed " << i;
 
     prove::ProveOptions opts;
     opts.worst_case_occupancy = true;
@@ -222,7 +222,7 @@ TEST(Prove, ThreeWayCrossCheck300) {
 
     const bool cex = proved.verdict == prove::Verdict::kCounterexample;
     EXPECT_EQ(cex, hazard) << "prove vs lint disagree on seed " << i;
-    EXPECT_EQ(cex, screened.deadlock_found)
+    EXPECT_EQ(cex, screened.deadlock_found())
         << "prove vs screening disagree on seed " << i;
     EXPECT_TRUE(proved.token_conservation_ok) << "seed " << i;
     if (cex) ++deadlocks;
@@ -294,8 +294,8 @@ TEST(Prove, ThroughputBoundConsistent) {
     const auto r = prove::prove(topo, opts);
     if (r.verdict != prove::Verdict::kProved) continue;
     const auto screened = xir::screen_for_deadlock(topo, {}, 1u << 16);
-    if (!screened.ran_to_steady_state || screened.deadlock_found) continue;
-    EXPECT_LE(screened.min_throughput, r.cycle_bound) << "seed " << i;
+    if (!screened.found || screened.deadlock_found()) continue;
+    EXPECT_LE(screened.system_throughput(), r.cycle_bound) << "seed " << i;
     EXPECT_EQ(r.cycle_bound, graph::predict_throughput(topo).cycle_bound);
   }
 }

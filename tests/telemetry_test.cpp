@@ -240,20 +240,14 @@ void expect_one_screen_matches_guard(const graph::Topology& topo,
   dog.attach(guard);
   const auto run = telemetry::run_guarded(guard, dog, kBudget);
 
-  skeleton::SkeletonResult steady;
-  const auto v = xir::screen_for_deadlock(prog, worst_case, kBudget, &steady);
+  const auto v = xir::screen_for_deadlock(prog, worst_case, kBudget);
   xir::ScalarEngine eng(prog);
   if (worst_case) eng.saturate_stations();
   const auto want = eng.analyze(kBudget);
   ASSERT_TRUE(want.found) << what;
-  EXPECT_TRUE(steady.found) << what;
-  EXPECT_EQ(v.transient, want.transient) << what;
-  EXPECT_EQ(v.period, want.period) << what;
-  EXPECT_EQ(steady.transient, want.transient) << what;
-  EXPECT_EQ(steady.period, want.period) << what;
-  EXPECT_EQ(steady.shell_throughput, want.shell_throughput) << what;
+  EXPECT_EQ(v, want) << what;
 
-  EXPECT_EQ(dog.tripped(), v.deadlock_found) << what;
+  EXPECT_EQ(dog.tripped(), v.deadlock_found()) << what;
   const auto pm = telemetry::deadlock_evidence(prog, v, wopts);
   ASSERT_EQ(pm.has_value(), dog.tripped()) << what;
   if (!pm) return;

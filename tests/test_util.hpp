@@ -3,24 +3,22 @@
 #pragma once
 
 #include <memory>
+#include <ostream>
 
 #include "liplib/graph/generators.hpp"
 #include "liplib/lip/design.hpp"
+#include "liplib/lip/steady_state.hpp"
+#include "liplib/pearls/design_io.hpp"
 #include "liplib/pearls/pearls.hpp"
 
 namespace liplib::testutil {
 
 /// Default pearl for a node arity: identity (1→1), adder (2→1),
-/// fork (1→2), butterfly (2→2), generator (0→1).
+/// fork (1→2), butterfly (2→2), generator (0→1) — the netlist default,
+/// pearls::pearl_from_spec with no spec.
 inline std::unique_ptr<lip::Pearl> default_pearl(std::size_t num_in,
                                                  std::size_t num_out) {
-  if (num_in == 1 && num_out == 1) return pearls::make_identity();
-  if (num_in == 2 && num_out == 1) return pearls::make_adder();
-  if (num_in == 1 && num_out == 2) return pearls::make_fork2();
-  if (num_in == 2 && num_out == 2) return pearls::make_butterfly();
-  if (num_in == 0 && num_out == 1) return pearls::make_generator(0, 1);
-  throw ApiError("no default pearl for arity " + std::to_string(num_in) +
-                 "->" + std::to_string(num_out));
+  return pearls::pearl_from_spec("", num_in, num_out);
 }
 
 /// Wraps a topology into a Design with default pearls bound to every
@@ -41,3 +39,19 @@ inline lip::Design make_design(graph::Generated g) {
 }
 
 }  // namespace liplib::testutil
+
+namespace liplib::lip {
+
+/// gtest's printer for whole-result comparisons of steady states.
+inline void PrintTo(const SteadyState& s, std::ostream* os) {
+  *os << "{found " << s.found << ", transient " << s.transient
+      << ", period " << s.period << ", cycles " << s.cycles << ", T";
+  for (std::size_t i = 0; i < s.shell_throughput.size(); ++i) {
+    *os << (i ? " " : " [") << s.shell_ids[i] << ":"
+        << s.shell_throughput[i].str();
+  }
+  *os << (s.shell_throughput.empty() ? "" : "]") << ", deadlocked "
+      << s.deadlocked << ", starved " << s.has_starved_shell << "}";
+}
+
+}  // namespace liplib::lip

@@ -101,7 +101,7 @@ TEST(WirePlan, HalfOffCycleFullOnCycle) {
   // Deadlock free by construction, even under worst-case occupancy.
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
-  EXPECT_FALSE(xir::screen_for_deadlock(t, wc).deadlock_found);
+  EXPECT_FALSE(xir::screen_for_deadlock(t, wc).deadlock_found());
 }
 
 TEST(WirePlan, EqualizationKeepsFullThroughputOnDags) {

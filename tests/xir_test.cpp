@@ -52,76 +52,23 @@ graph::Topology random_composite(std::uint64_t seed,
       .topo;
 }
 
-// System's steady state in the skeleton's result form.
-skeleton::SkeletonResult as_skeleton_result(const lip::SteadyState& ss,
-                                            const graph::Topology& topo) {
-  skeleton::SkeletonResult r;
-  r.found = ss.found;
-  r.transient = ss.transient;
-  r.period = ss.period;
-  r.shell_throughput = ss.shell_throughput;
-  for (graph::NodeId v = 0; v < topo.nodes().size(); ++v) {
-    if (topo.node(v).kind == graph::NodeKind::kProcess) r.shell_ids.push_back(v);
-  }
-  r.deadlocked = ss.deadlocked;
-  r.has_starved_shell = ss.has_starved_shell;
-  return r;
-}
-
-// The oracle: System's exact steady state and the cycles it simulated
-// to reach it.
-struct SystemOutcome {
-  skeleton::SkeletonResult result;
-  std::uint64_t cycles = 0;
-};
-
-SystemOutcome system_analyze(const graph::Topology& topo,
-                             skeleton::SkeletonOptions opts,
-                             std::uint64_t budget, bool worst_case) {
+// The oracle: System's exact steady state (its `cycles` is the cycle the
+// search stopped at).
+lip::SteadyState system_analyze(const graph::Topology& topo,
+                                skeleton::SkeletonOptions opts,
+                                std::uint64_t budget, bool worst_case) {
   const auto sys =
       testutil::make_design(topo).instantiate({opts.policy, opts.resolution});
   if (worst_case) sys->saturate_stations();
-  const auto ss = lip::measure_steady_state(*sys, budget);
-  return {as_skeleton_result(ss, topo), sys->cycle()};
+  return lip::measure_steady_state(*sys, budget);
 }
 
 // The paper's screening recipe on System.
-skeleton::ScreeningVerdict system_screen(const graph::Topology& topo,
-                                         skeleton::ScreeningOptions opts,
-                                         std::uint64_t budget) {
-  const auto out = system_analyze(topo, opts.skeleton, budget,
-                                  opts.worst_case_occupancy);
-  return skeleton::screening_verdict(out.result, out.cycles);
-}
-
-void expect_same_result(const skeleton::SkeletonResult& want,
-                        const skeleton::SkeletonResult& got,
-                        const std::string& what) {
-  EXPECT_EQ(want.found, got.found) << what;
-  EXPECT_EQ(want.transient, got.transient) << what;
-  EXPECT_EQ(want.period, got.period) << what;
-  EXPECT_EQ(want.deadlocked, got.deadlocked) << what;
-  EXPECT_EQ(want.has_starved_shell, got.has_starved_shell) << what;
-  EXPECT_EQ(want.shell_ids, got.shell_ids) << what;
-  ASSERT_EQ(want.shell_throughput.size(), got.shell_throughput.size())
-      << what;
-  for (std::size_t i = 0; i < want.shell_throughput.size(); ++i) {
-    EXPECT_EQ(want.shell_throughput[i], got.shell_throughput[i])
-        << what << " shell " << i;
-  }
-  EXPECT_EQ(want.system_throughput(), got.system_throughput()) << what;
-}
-
-void expect_same_verdict(const skeleton::ScreeningVerdict& want,
-                         const skeleton::ScreeningVerdict& got,
-                         const std::string& what) {
-  EXPECT_EQ(want.ran_to_steady_state, got.ran_to_steady_state) << what;
-  EXPECT_EQ(want.deadlock_found, got.deadlock_found) << what;
-  EXPECT_EQ(want.transient, got.transient) << what;
-  EXPECT_EQ(want.period, got.period) << what;
-  EXPECT_EQ(want.cycles_simulated, got.cycles_simulated) << what;
-  EXPECT_EQ(want.min_throughput, got.min_throughput) << what;
-  EXPECT_EQ(want.starved, got.starved) << what;
+lip::SteadyState system_screen(const graph::Topology& topo,
+                               skeleton::ScreeningOptions opts,
+                               std::uint64_t budget) {
+  return system_analyze(topo, opts.skeleton, budget,
+                        opts.worst_case_occupancy);
 }
 
 // Variant kinds are drawn in program station order (channel-major);
@@ -174,15 +121,11 @@ TEST(XirDifferential, ThreeHundredRandomComposites) {
 
           xir::ScalarEngine compiled(topo, opts);
           if (worst_case) compiled.saturate_stations();
-          expect_same_result(want.result, compiled.analyze(kBudget),
-                             what + " compiled");
-          EXPECT_EQ(want.cycles, compiled.cycle()) << what;
+          EXPECT_EQ(want, compiled.analyze(kBudget)) << what << " compiled";
 
           xir::SlicedEngine sliced(topo, opts, /*num_lanes=*/1);
           if (worst_case) sliced.saturate_stations(1ull);
-          const auto lanes = sliced.analyze(kBudget);
-          expect_same_result(want.result, lanes[0].result, what + " sliced");
-          EXPECT_EQ(want.cycles, lanes[0].cycles) << what;
+          EXPECT_EQ(want, sliced.analyze(kBudget).at(0)) << what << " sliced";
         }
       }
     }
@@ -206,8 +149,8 @@ TEST(XirDifferential, ScreeningVerdictsAgree) {
           lane.worst_case_occupancy = worst_case;
           const auto sliced =
               xir::screen_variants(topo, {lane}, opts.skeleton, 1u << 16);
-          expect_same_verdict(want, compiled, what + " compiled");
-          expect_same_verdict(want, sliced.at(0), what + " sliced");
+          EXPECT_EQ(want, compiled) << what << " compiled";
+          EXPECT_EQ(want, sliced.at(0)) << what << " sliced";
         }
       }
     }
@@ -230,26 +173,21 @@ TEST(XirDifferential, LongSinkPatternPeriodsMatchSystem) {
     auto design = testutil::make_design(gen);
     design.set_sink(sink, lip::SinkBehavior::script(pattern));
     const auto sys = design.instantiate();
-    const auto ss =
-        lip::measure_steady_state(*sys, kBudget, sys->environment_period());
-    ASSERT_TRUE(ss.found) << what;
-    EXPECT_EQ(ss.period, period) << what;
-    EXPECT_EQ(ss.system_throughput(),
+    const auto want = lip::measure_steady_state(*sys, kBudget);
+    ASSERT_TRUE(want.found) << what;
+    EXPECT_EQ(want.period, period) << what;
+    EXPECT_EQ(want.system_throughput(),
               Rational(static_cast<std::int64_t>(period - 1),
                        static_cast<std::int64_t>(period)))
         << what;
-    const auto want = as_skeleton_result(ss, gen.topo);
 
     xir::ScalarEngine compiled(gen.topo);
     compiled.set_sink_pattern(sink, pattern);
-    expect_same_result(want, compiled.analyze(kBudget), what + " compiled");
-    EXPECT_EQ(sys->cycle(), compiled.cycle()) << what;
+    EXPECT_EQ(want, compiled.analyze(kBudget)) << what << " compiled";
 
     xir::SlicedEngine sliced(gen.topo, {}, /*num_lanes=*/1);
     sliced.set_sink_pattern(sink, pattern);
-    const auto lanes = sliced.analyze(kBudget);
-    expect_same_result(want, lanes[0].result, what + " sliced");
-    EXPECT_EQ(sys->cycle(), lanes[0].cycles) << what;
+    EXPECT_EQ(want, sliced.analyze(kBudget).at(0)) << what << " sliced";
   }
 }
 
@@ -283,7 +221,7 @@ struct ScriptedDesign {
 void expect_models_agree(const ScriptedDesign& d,
                          skeleton::SkeletonOptions opts, bool worst_case,
                          const std::string& what,
-                         skeleton::SkeletonResult* system_result = nullptr) {
+                         lip::SteadyState* system_result = nullptr) {
   constexpr std::uint64_t kBudget = 1u << 14;
   auto design = testutil::make_design(d.topo);
   xir::ScalarEngine compiled(d.topo, opts);
@@ -299,20 +237,15 @@ void expect_models_agree(const ScriptedDesign& d,
     compiled.saturate_stations();
     sliced.saturate_stations(1ull);
   }
-  const auto want = as_skeleton_result(
-      lip::measure_steady_state(*sys, kBudget, sys->environment_period()),
-      d.topo);
-  expect_same_result(want, compiled.analyze(kBudget), what + " compiled");
-  EXPECT_EQ(sys->cycle(), compiled.cycle()) << what;
-  const auto lanes = sliced.analyze(kBudget);
-  expect_same_result(want, lanes[0].result, what + " sliced");
-  EXPECT_EQ(sys->cycle(), lanes[0].cycles) << what;
+  const auto want = lip::measure_steady_state(*sys, kBudget);
+  EXPECT_EQ(want, compiled.analyze(kBudget)) << what << " compiled";
+  EXPECT_EQ(want, sliced.analyze(kBudget).at(0)) << what << " sliced";
   if (system_result != nullptr) *system_result = want;
 }
 
-ScriptedDesign load_fixture(const std::string& name) {
-  std::ifstream in(std::string(LIPLIB_FIXTURES_DIR) + "/" + name);
-  EXPECT_TRUE(in.good()) << name;
+ScriptedDesign load_design(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
   std::stringstream text;
   text << in.rdbuf();
   auto net = graph::parse_netlist_annotated_string(text.str());
@@ -382,16 +315,17 @@ ScriptedDesign wide_fanout(Rng& rng, bool port) {
 // System's 8 per source), so states that differ only in a later
 // branch's pending bit repeated falsely.
 TEST(XirDifferential, WideFanoutMatchesSystem) {
-  skeleton::SkeletonResult r;
-  expect_models_agree(load_fixture("wide_port.lid"), {}, false, "wide_port",
-                      &r);
+  lip::SteadyState r;
+  const std::string fixtures = LIPLIB_FIXTURES_DIR;
+  expect_models_agree(load_design(fixtures + "/wide_port.lid"), {}, false,
+                      "wide_port", &r);
   EXPECT_TRUE(r.found);
   EXPECT_TRUE(r.deadlocked);
   EXPECT_EQ(r.transient, 14u);
   EXPECT_EQ(r.period, 3u);
   EXPECT_EQ(r.system_throughput(), Rational(0));
 
-  expect_models_agree(load_fixture("wide_source.lid"), {}, false,
+  expect_models_agree(load_design(fixtures + "/wide_source.lid"), {}, false,
                       "wide_source", &r);
   EXPECT_TRUE(r.found);
   EXPECT_FALSE(r.deadlocked);
@@ -410,6 +344,56 @@ TEST(XirDifferential, WideFanoutMatchesSystem) {
                               std::string(port ? "port " : "source ") +
                                   scenario_name(i, opts, worst_case));
         }
+      }
+    }
+  }
+}
+
+// ---- one deadlock rule on every host ------------------------------------
+
+// Adds a source `tap` wired straight to a sink `drain` through one full
+// station; returns the drain.  No corpus generator wires a source to a
+// sink, and a drain that keeps taking tokens is progress under System's
+// deadlock rule even when no shell fires.
+graph::NodeId add_tap(graph::Topology& t) {
+  const graph::NodeId tap = t.add_source("tap");
+  const graph::NodeId drain = t.add_sink("drain");
+  t.connect({tap, 0}, {drain, 0}, {graph::RsKind::kFull});
+  return drain;
+}
+
+// Deadlocked means no shell fired and no sink took a token during the
+// period, on System and on both engines alike.
+TEST(XirDifferential, OneDeadlockRuleOnEveryHost) {
+  lip::SteadyState r;
+
+  // The ring latches from worst-case occupancy while the tap keeps the
+  // drain busy: starved, not deadlocked.
+  ScriptedDesign ring =
+      load_design(std::string(LIPLIB_DESIGNS_DIR) + "/half_ring.lid");
+  add_tap(ring.topo);
+  expect_models_agree(ring, {}, /*worst_case=*/true, "half_ring + tap", &r);
+  EXPECT_TRUE(r.found);
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_TRUE(r.has_starved_shell);
+
+  // No shell, and a drain that always stops: nothing moves.
+  ScriptedDesign bare;
+  bare.scripts.emplace_back(add_tap(bare.topo), std::vector<bool>{true});
+  expect_models_agree(bare, {}, /*worst_case=*/false, "tap -> drain", &r);
+  EXPECT_TRUE(r.found);
+  EXPECT_TRUE(r.deadlocked);
+  EXPECT_FALSE(r.has_starved_shell);
+
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    ScriptedDesign d;
+    d.topo = random_composite(campaign::job_seed(7, i));
+    add_tap(d.topo);
+    for (const lip::StopPolicy policy : kPolicies) {
+      for (const bool worst_case : {false, true}) {
+        const skeleton::SkeletonOptions opts{policy};
+        expect_models_agree(d, opts, worst_case,
+                            scenario_name(i, opts, worst_case) + " + tap");
       }
     }
   }
@@ -590,8 +574,8 @@ TEST(XirSliced, SixtyFourVariantLanesMatchInterpreter) {
     skeleton::ScreeningOptions opts;
     opts.worst_case_occupancy = true;
     const auto want = system_screen(variant, opts, 1u << 14);
-    expect_same_verdict(want, batched[v], "variant " + std::to_string(v));
-    (want.deadlock_found ? saw_deadlock : saw_live) = true;
+    EXPECT_EQ(want, batched[v]) << "variant " << v;
+    (want.deadlock_found() ? saw_deadlock : saw_live) = true;
   }
   // The corpus must exercise both verdicts or the test proves nothing.
   EXPECT_TRUE(saw_deadlock);
@@ -648,11 +632,12 @@ TEST(XirWatchdog, TripCycleMatchesInterpreter) {
 
 // Outcome severity of a screening verdict, as campaign jobs fold it
 // (worst lane wins).
-int severity(const skeleton::ScreeningVerdict& v) {
-  if (!v.ran_to_steady_state) return 3;  // budget exhausted
-  if (!v.deadlock_found) return 0;       // live
-  return (!v.starved.empty() && v.min_throughput > Rational(0)) ? 1  // starved
-                                                                : 2;  // dead
+int severity(const lip::SteadyState& v) {
+  if (!v.found) return 3;             // budget exhausted
+  if (!v.deadlock_found()) return 0;  // live
+  return (!v.starved_shells().empty() && v.system_throughput() > Rational(0))
+             ? 1   // starved
+             : 2;  // dead
 }
 
 int severity(campaign::Outcome o) {
@@ -679,7 +664,7 @@ TEST(XirCampaign, MixScreenBatchesFoldInterpreterVerdicts) {
       campaign::Engine(eopts).run(campaign::make_mix_screen_campaign(spec));
 
   // Each variant on its own through System.
-  std::vector<skeleton::ScreeningVerdict> want;
+  std::vector<lip::SteadyState> want;
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
   for (std::size_t v = 0; v < spec.variants; ++v) {
@@ -699,7 +684,7 @@ TEST(XirCampaign, MixScreenBatchesFoldInterpreterVerdicts) {
     std::uint64_t cycles = 0;
     for (std::size_t v = lo; v < hi; ++v) {
       worst = std::max(worst, severity(want[v]));
-      cycles += want[v].cycles_simulated;
+      cycles += want[v].cycles;
     }
     EXPECT_EQ(severity(job.outcome), worst) << job.name;
     EXPECT_EQ(job.cycles, cycles) << job.name;
@@ -728,16 +713,15 @@ TEST(XirCampaign, FuzzJobsEngineInvariant) {
     const std::size_t segments = 1 + rng.below(spec.size);
     const auto gen = graph::make_random_composite(
         rng, segments, /*allow_half=*/true, /*allow_half_in_loops=*/false);
-    const auto ref = system_analyze(gen.topo, {spec.policy},
-                                    eopts.cycle_budget, false);
-    const auto& r = ref.result;
+    const auto r = system_analyze(gen.topo, {spec.policy},
+                                  eopts.cycle_budget, false);
     const campaign::Outcome want =
         !r.found              ? campaign::Outcome::kBudgetExhausted
         : r.deadlocked        ? campaign::Outcome::kDeadlock
         : r.has_starved_shell ? campaign::Outcome::kStarvation
                               : campaign::Outcome::kLive;
     EXPECT_EQ(results[i].outcome, want) << i;
-    EXPECT_EQ(results[i].cycles, ref.cycles) << i;
+    EXPECT_EQ(results[i].cycles, r.cycles) << i;
     EXPECT_EQ(results[i].has_throughput, r.found) << i;
     EXPECT_EQ(results[i].throughput, r.system_throughput()) << i;
   }
