@@ -41,9 +41,9 @@
 // wait(), so the final aggregate is byte-identical to a single-process
 // run of the whole campaign.
 //
-// Connections are served one at a time on the accept thread — a
-// coordinator round-trip is a few small frames between loopback peers,
-// and serializing them keeps every state transition trivially ordered.
+// Connections are served concurrently by the serve daemon's Listener, so
+// a silent peer holds one connection thread, never the coordinator; every
+// state transition takes the coordinator's one mutex.
 
 #pragma once
 
@@ -52,12 +52,12 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "liplib/campaign/jobs.hpp"
 #include "liplib/campaign/report.hpp"
 #include "liplib/dist/shard.hpp"
+#include "liplib/serve/server.hpp"
 #include "liplib/support/json.hpp"
 #include "liplib/support/metrics.hpp"
 #include "liplib/trace/trace.hpp"
@@ -110,21 +110,24 @@ struct CoordinatorStats {
 /// The coordinator daemon.  start() binds and serves; wait() blocks
 /// until every shard's partial has arrived and returns the merged
 /// aggregate.  The listening socket stays open until destruction so
-/// late workers still hear "done" instead of a connection error.
+/// late workers still hear "done" instead of a connection error;
+/// destruction drains the listener, so an idle peer cannot hold it.
 class Coordinator {
  public:
   explicit Coordinator(CoordinatorOptions opts);
-  ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
   /// Binds 127.0.0.1:<port> and starts the accept loop.  Throws
   /// ApiError when the port cannot be bound.
-  void start();
+  void start() {
+    if (opts_.trace) start_us_ = recorder_.now_us();
+    listener_.start(opts_.port);
+  }
 
   /// The bound port (valid after start(); resolves port 0 requests).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// Blocks until all shards are merged; returns the campaign's full
   /// aggregate (byte-identical to a single-process run).
@@ -158,8 +161,6 @@ class Coordinator {
     std::uint64_t attempts = 0;     ///< leases granted for this shard
   };
 
-  void accept_loop();
-  void serve_connection(int fd);
   std::string handle_message(const std::string& payload);
   Json handle_lease();
   Json handle_result(const Json& doc, std::size_t payload_bytes);
@@ -174,10 +175,6 @@ class Coordinator {
   std::uint64_t root_span_ = 0;
   std::uint64_t start_us_ = 0;  ///< root-span start (set in start())
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
-
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
   std::vector<Slot> slots_;
@@ -190,6 +187,10 @@ class Coordinator {
   /// Mutable: the metrics scrape (const) mirrors live slot state into
   /// the registry; the registry is self-synchronized.
   mutable metrics::MetricsRegistry registry_;
+
+  /// Last: destroyed first, so its connection threads are drained and
+  /// joined while the state handle_message touches is still alive.
+  serve::Listener listener_;
 };
 
 }  // namespace liplib::dist

@@ -186,10 +186,11 @@ prove::ProveOptions prove_options(const Request& r,
                                   std::uint64_t max_states = UINT64_MAX);
 
 /// One round trip on a fresh loopback connection: connects to
-/// 127.0.0.1:<port>, writes `request` as one frame and returns the one
-/// frame that answers it.  Serve daemons and dist coordinators both
-/// speak this framing.  Throws ApiError when the peer is unreachable,
-/// hangs up without answering, or the connection fails mid-frame.
+/// 127.0.0.1:<port>, writes `request` as one frame, half-closes, and
+/// returns the one frame that answers it.  Serve daemons and dist
+/// coordinators both speak this framing.  Throws ApiError when the peer
+/// is unreachable, hangs up without answering, or the connection fails
+/// mid-frame.
 std::string call(std::uint16_t port, std::string_view request);
 
 /// Builds the non-result response envelope for an error:

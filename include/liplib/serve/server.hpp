@@ -1,6 +1,7 @@
 // liplib/serve/server.hpp
 //
-// liplib::serve — the multi-tenant lint/screen/profile daemon.
+// liplib::serve — the multi-tenant lint/screen/profile daemon, and the
+// loopback Listener it shares with the dist coordinator.
 //
 // A Server binds a loopback TCP socket and serves liplib.rpc/1 requests
 // (protocol.hpp) from concurrent clients: static lint, steady-state
@@ -11,15 +12,17 @@
 // designs is served from memory, byte-for-byte identical to a fresh
 // run.
 //
-// Concurrency model: one accept loop plus one thread per connection
-// (bounded by `max_connections`; excess connects queue in the kernel
-// backlog).  Single-design requests run on their connection's thread —
-// tenant concurrency is connection concurrency — while `campaign`
-// requests fan out on a campaign::Engine sized by `threads`.  A
-// deadlocked or livelocked design cannot wedge a worker: screening stops
-// at the first repeated state within its budget and profiling runs
-// under the telemetry watchdog, and both answer a DEADLOCK verdict with
-// the post-mortem bundle when the design froze.
+// Concurrency model: the Listener's one thread per connection (bounded
+// by `max_connections`; excess connects queue in the kernel backlog).
+// Finished connection threads are joined before the next one starts,
+// so however many clients a daemon has served it holds at most
+// `max_connections` threads.  Single-design requests run on their
+// connection's thread — tenant concurrency is connection concurrency —
+// while `campaign` requests fan out on a campaign::Engine sized by
+// `threads`.  A deadlocked or livelocked design cannot wedge a worker:
+// screening stops at the first repeated state within its budget and
+// profiling runs under the telemetry watchdog, and both answer a
+// DEADLOCK verdict with the post-mortem bundle when the design froze.
 //
 // Shutdown is graceful: a `shutdown` request (or Server::shutdown())
 // stops the accept loop, lets every in-flight request finish and
@@ -36,11 +39,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "liplib/serve/cache.hpp"
 #include "liplib/serve/protocol.hpp"
@@ -125,50 +128,110 @@ struct ServeContext {
 /// This is the whole daemon except the sockets.
 std::string handle_payload(std::string_view payload, ServeContext& ctx);
 
-/// The TCP daemon.  start() binds and spawns the accept loop; wait()
+/// The loopback TCP listener of both daemons (Server, dist::Coordinator):
+/// one thread per connection, at most `max_connections` at once, each
+/// running one frame loop — read a frame under `limits`, hand its
+/// payload to the handler, write the reply.  A framing violation or I/O
+/// error gets an rpc/1 error frame and a hang-up.  Finished connection
+/// threads are joined before the next connection starts.  The
+/// destructor drains and joins, so declare a Listener after the state
+/// its handler touches.
+class Listener {
+ public:
+  /// The answer to one request frame; `drain` drains the listener once
+  /// the payload is on the wire.
+  struct Reply {
+    std::string payload;
+    bool drain = false;
+  };
+  using Handler = std::function<Reply(const std::string& payload)>;
+
+  /// `on_violation` runs once for every connection dropped for a framing
+  /// violation or I/O error, after its error frame.
+  explicit Listener(Handler handler,
+                    unsigned max_connections = ServerOptions{}.max_connections,
+                    FrameLimits limits = {},
+                    std::function<void()> on_violation = {});
+  ~Listener();
+
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+
+  /// Binds 127.0.0.1:<port> (0 = ephemeral) and starts accepting.
+  /// Throws ApiError when the port cannot be bound.
+  void start(std::uint16_t port);
+
+  /// The bound port (valid after start()).
+  std::uint16_t port() const { return port_; }
+
+  /// Stops accepting and shuts the read side of every open connection
+  /// (idempotent): idle readers see EOF and hang up, while a request
+  /// being computed still answers on the open write side.
+  void drain();
+
+  /// Blocks until the listener has drained: the accept loop has stopped
+  /// and every connection is closed.
+  void join();
+
+ private:
+  struct Connection {
+    int fd = -1;  ///< -1 once the connection is closed
+    std::thread thread;
+  };
+
+  void accept_loop();
+  void serve(Connection& conn);
+
+  Handler handler_;
+  unsigned max_connections_;
+  FrameLimits limits_;
+  std::function<void()> on_violation_;
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread accept_thread_;
+
+  std::mutex mu_;  ///< guards the members below
+  std::condition_variable slot_freed_;
+  /// Open connections, plus closed ones whose threads are not joined yet.
+  std::list<Connection> connections_;
+  unsigned open_ = 0;
+  /// Set under mu_ by drain(); read without it by the frame loops.
+  std::atomic<bool> stopping_{false};
+};
+
+/// The TCP daemon: a ServeContext plus a Listener whose handler is
+/// handle_payload.  start() binds and spawns the accept loop; wait()
 /// blocks until a shutdown request (or shutdown()) has drained the
 /// in-flight work and every connection is closed.
 class Server {
  public:
   explicit Server(ServerOptions opts = {});
-  ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   /// Binds 127.0.0.1:<port> and starts accepting.  Throws ApiError when
   /// the port cannot be bound.
-  void start();
+  void start() { listener_.start(ctx_.opts.port); }
 
   /// The bound port (valid after start(); resolves port 0 requests).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// Blocks until the daemon has fully drained after a shutdown.
-  void wait();
+  void wait() { listener_.join(); }
 
   /// Programmatic graceful shutdown (idempotent): equivalent to
   /// receiving a `shutdown` request.
-  void shutdown();
+  void shutdown() {
+    ctx_.draining.store(true);
+    listener_.drain();
+  }
 
   ServeContext& context() { return ctx_; }
 
  private:
-  void accept_loop();
-  void serve_connection(int fd);
-  void begin_drain();
-
   ServeContext ctx_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
-
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;  ///< open connection fds (for drain wakeup)
-  unsigned active_ = 0;
-  std::condition_variable conn_cv_;
-  std::atomic<bool> stopping_{false};
-  std::once_flag drain_once_;
+  Listener listener_;  ///< after ctx_: drained and joined before it goes
 };
 
 }  // namespace liplib::serve

@@ -8,9 +8,12 @@
 #      exports reunited with `lidtool merge` — byte-identical to golden;
 #   3. coordinator path: `lidtool dist coordinate` with 4 shards, one
 #      worker killed mid-flight while holding a lease (the
-#      --die-after-lease crash hook) plus two honest workers — the
-#      coordinator must re-dispatch the orphaned shard and the merged
-#      aggregate must again be byte-identical to golden;
+#      --die-after-lease crash hook) plus two honest workers, and one
+#      silent peer connected until the coordinator exits — the
+#      coordinator must re-dispatch the orphaned shard, the merged
+#      aggregate must again be byte-identical to golden, and the silent
+#      peer must hold neither the campaign nor the exit (a step that
+#      hangs fails at a 60 s timeout);
 #   4. a campaign with failures (strict-policy fuzz, 60 jobs, seed 3):
 #      `lidtool campaign` and `dist coordinate` are one named campaign,
 #      so both exit 1 with byte-identical aggregates (failing jobs named
@@ -99,26 +102,41 @@ await_port() {
 }
 await_port "$work/coord.log"
 
+# The silent peer: connected before any worker, never sends a byte, and
+# stays until the coordinator has exited.  It may hold one connection
+# thread of the coordinator, never the coordinator.
+exec 9<>"/dev/tcp/127.0.0.1/$port" || fail "could not open the silent peer"
+
 # The casualty: takes one shard lease and dies holding it.  Its shard
 # can only complete through a re-dispatch after the lease expires.
-"$lidtool" dist work --port "$port" --threads 1 --die-after-lease 1 \
-  > "$work/dead_worker.log" 2>&1 \
-  || fail "the doomed worker errored instead of dying cleanly"
+timeout 60 "$lidtool" dist work --port "$port" --threads 1 \
+  --die-after-lease 1 > "$work/dead_worker.log" 2>&1 \
+  || fail "the doomed worker errored or timed out instead of dying cleanly"
 grep -q "0 partial(s) submitted" "$work/dead_worker.log" \
   || fail "the doomed worker submitted work before dying"
 
 # Two honest workers finish the campaign, including the orphaned shard.
-"$lidtool" dist work --port "$port" --threads 2 > "$work/worker1.log" 2>&1 &
+timeout 60 "$lidtool" dist work --port "$port" --threads 2 \
+  > "$work/worker1.log" 2>&1 &
 w1=$!
-"$lidtool" dist work --port "$port" --threads 2 > "$work/worker2.log" 2>&1 &
+timeout 60 "$lidtool" dist work --port "$port" --threads 2 \
+  > "$work/worker2.log" 2>&1 &
 w2=$!
 
+for _ in $(seq 1 600); do
+  kill -0 "$coord_pid" 2>/dev/null || break
+  sleep 0.1
+done
+kill -0 "$coord_pid" 2>/dev/null \
+  && fail "coordinator still running 60 s after its workers started"
 wait "$coord_pid"
 coord_rc=$?
 coord_pid=""
+exec 9>&-
 wait "$w1" || fail "worker 1 failed"
 wait "$w2" || fail "worker 2 failed"
 [ "$coord_rc" -eq 0 ] || fail "coordinator exited $coord_rc, want 0 (all live)"
+echo "dist_smoke: a silent peer held neither the campaign nor the exit"
 
 grep -q "4/4 shards" "$work/coord.log" \
   || fail "coordinator did not report 4/4 shards done"

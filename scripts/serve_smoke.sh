@@ -11,8 +11,9 @@
 # cycle), and that `lidtool screen` and `lidtool client screen` exit
 # alike, then assert via `status` that the cache actually served hits, that the
 # design memo answered repeat texts without a parse, that the deadlock
-# was answered as a verdict (not a hang), and that a `shutdown` request
-# drains cleanly.
+# was answered as a verdict (not a hang), that 200 more one-request
+# connections leave the daemon's VmSize where it was, and that a
+# `shutdown` request drains cleanly.
 #
 # Usage: scripts/serve_smoke.sh [path/to/lidtool]
 # (default: build/examples/lidtool relative to the repo root)
@@ -296,6 +297,26 @@ verdicts="$(get deadlock_verdicts)"
 [ -n "$memo_hits" ] && [ "$memo_hits" -ge 90 ] \
   || fail "status reports ${memo_hits:-no} design-memo hits, want >= 90"
 echo "serve_smoke: cache hits $hits / $total requests, design-memo hits $memo_hits"
+
+# ---- connection churn: memory does not grow per connection -------------
+
+# Every `lidtool client` call is one connection.  A daemon that kept each
+# finished connection's thread would keep its 8 MiB stack mapping too.
+# Status requests start no engine threads, so malloc arenas do not blur
+# the check.
+vm_size_kib() {
+  sed -n 's/^VmSize:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$server_pid/status"
+}
+vm_before="$(vm_size_kib)"
+for _ in $(seq 1 200); do
+  client status > /dev/null || fail "status request failed during the churn"
+done
+vm_after="$(vm_size_kib)"
+[ -n "$vm_before" ] && [ -n "$vm_after" ] \
+  || fail "could not read the daemon's VmSize"
+[ $((vm_after - vm_before)) -le $((64 * 1024)) ] \
+  || fail "VmSize grew from $vm_before to $vm_after kB over 200 connections"
+echo "serve_smoke: VmSize $vm_before -> $vm_after kB over 200 connections"
 
 # ---- graceful shutdown --------------------------------------------------
 

@@ -1,20 +1,18 @@
 #include "liplib/dist/coordinator.hpp"
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cstring>
 
 #include "liplib/serve/cache.hpp"
-#include "liplib/serve/protocol.hpp"
 #include "liplib/support/check.hpp"
 
 namespace liplib::dist {
 
 Coordinator::Coordinator(CoordinatorOptions opts)
-    : opts_(std::move(opts)), recorder_(opts_.clock_us) {
+    : opts_(std::move(opts)),
+      recorder_(opts_.clock_us),
+      listener_([this](const std::string& payload) {
+        return serve::Listener::Reply{handle_message(payload), false};
+      }) {
   LIPLIB_EXPECT(opts_.shards >= 1, "coordinator needs at least one shard");
   campaign_spec_ = named_campaign_to_string(opts_.spec);
   // The job vector is built once just to learn the campaign's length
@@ -45,81 +43,11 @@ Coordinator::Coordinator(CoordinatorOptions opts)
                      "Partials dropped by first-complete-wins dedup.");
 }
 
-Coordinator::~Coordinator() {
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes a blocked accept()
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
 std::uint64_t Coordinator::now_ms() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void Coordinator::start() {
-  LIPLIB_EXPECT(listen_fd_ < 0, "Coordinator::start called twice");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw ApiError(std::string("socket failed: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  // Loopback only, like the serve daemon: the coordinator trusts its
-  // workers; remote fleets front it with their own transport.
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(opts_.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw ApiError("cannot bind 127.0.0.1:" + std::to_string(opts_.port) +
-                   ": " + std::strerror(err));
-  }
-  if (::listen(fd, 128) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw ApiError(std::string("listen failed: ") + std::strerror(err));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  listen_fd_ = fd;
-  if (opts_.trace) start_us_ = recorder_.now_us();
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void Coordinator::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket shut down (destructor) or fatal error
-    }
-    serve_connection(fd);
-  }
-}
-
-void Coordinator::serve_connection(int fd) {
-  try {
-    std::string payload;
-    while (serve::read_frame(fd, payload)) {
-      serve::write_frame(fd, handle_message(payload));
-    }
-  } catch (const std::exception&) {
-    // Framing violation or peer death mid-frame: drop the connection;
-    // any lease the peer held simply expires.
-  }
-  ::close(fd);
 }
 
 std::string Coordinator::handle_message(const std::string& payload) {

@@ -401,6 +401,9 @@ std::string call(std::uint16_t port, std::string_view request) {
                      ": " + std::strerror(err));
     }
     write_frame(fd, request);
+    // One request per connection: the half-close tells the daemon so,
+    // and its connection thread ends as soon as the answer is written.
+    ::shutdown(fd, SHUT_WR);
     if (!read_frame(fd, payload)) {
       throw ApiError("127.0.0.1:" + std::to_string(port) +
                      " closed the connection without answering");

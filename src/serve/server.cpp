@@ -7,20 +7,28 @@
 
 #include <cerrno>
 #include <cstring>
+#include <system_error>
 
 #include "liplib/support/check.hpp"
 
 namespace liplib::serve {
 
-Server::Server(ServerOptions opts) : ctx_(opts) {}
+// ---- Listener -----------------------------------------------------------
 
-Server::~Server() {
-  shutdown();
-  wait();
+Listener::Listener(Handler handler, unsigned max_connections,
+                   FrameLimits limits, std::function<void()> on_violation)
+    : handler_(std::move(handler)),
+      max_connections_(max_connections),
+      limits_(limits),
+      on_violation_(std::move(on_violation)) {}
+
+Listener::~Listener() {
+  drain();
+  join();
 }
 
-void Server::start() {
-  LIPLIB_EXPECT(listen_fd_ < 0, "Server::start called twice");
+void Listener::start(std::uint16_t port) {
+  LIPLIB_EXPECT(listen_fd_ < 0, "Listener::start called twice");
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     throw ApiError(std::string("socket failed: ") + std::strerror(errno));
@@ -30,15 +38,16 @@ void Server::start() {
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  // Loopback only: the daemon is a local backend, not an internet
-  // listener; remote fleets front it with their own transport.
+  // Loopback only: both daemons are local backends that trust their
+  // peers, not internet listeners; remote fleets front them with their
+  // own transport.
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(ctx_.opts.port);
+  addr.sin_port = htons(port);
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     const int err = errno;
     ::close(fd);
-    throw ApiError("cannot bind 127.0.0.1:" + std::to_string(ctx_.opts.port) +
-                   ": " + std::strerror(err));
+    throw ApiError("cannot bind 127.0.0.1:" + std::to_string(port) + ": " +
+                   std::strerror(err));
   }
   if (::listen(fd, 128) < 0) {
     const int err = errno;
@@ -54,106 +63,117 @@ void Server::start() {
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
-void Server::accept_loop() {
+void Listener::accept_loop() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listen socket shut down (drain) or fatal error
     }
-    if (stopping_.load()) {
-      ::close(fd);
-      break;
-    }
-    std::unique_lock<std::mutex> lock(conn_mu_);
-    conn_cv_.wait(lock, [this] {
-      return active_ < ctx_.opts.max_connections || stopping_.load();
+    std::unique_lock<std::mutex> lock(mu_);
+    slot_freed_.wait(lock, [this] {
+      return open_ < max_connections_ || stopping_.load();
     });
     if (stopping_.load()) {
-      lock.unlock();
       ::close(fd);
       break;
     }
-    ++active_;
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    // Join finished connections before the next one starts, so a thread
+    // that is fully gone hands its stack and malloc arena on instead of
+    // the new thread mapping fresh ones.  Joining under the lock is safe:
+    // a closed connection's thread is past its last use of it.
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->fd >= 0) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = connections_.erase(it);
+    }
+    Connection& conn = connections_.emplace_back();
+    conn.fd = fd;
+    try {
+      conn.thread = std::thread([this, &conn] { serve(conn); });
+      ++open_;
+    } catch (const std::system_error&) {
+      // Out of threads: hang this peer up rather than end the process.
+      connections_.pop_back();
+      ::close(fd);
+    }
   }
 }
 
-void Server::serve_connection(int fd) {
+void Listener::serve(Connection& conn) {
+  const int fd = conn.fd;
   std::string payload;
   try {
-    while (!stopping_.load()) {
-      if (!read_frame(fd, payload, ctx_.opts.limits)) break;  // clean EOF
-      const std::string response = handle_payload(payload, ctx_);
-      write_frame(fd, response);
-      if (ctx_.draining.load()) break;
-    }
-  } catch (const std::exception& e) {
-    // Protocol violation or I/O error: tell the peer why when the pipe
-    // still works, then drop the connection.
-    try {
-      write_frame(fd, error_envelope(Json(), e.what()));
-    } catch (...) {
-    }
-    std::lock_guard<std::mutex> lock(ctx_.mu);
-    ctx_.protocol_errors.add();
-  }
-  {
-    // Unregister before close so begin_drain can never shut down a
-    // recycled fd number.
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    --active_;
-    for (auto& open : conn_fds_) {
-      if (open == fd) {
-        open = -1;
+    while (!stopping_.load() && read_frame(fd, payload, limits_)) {
+      const Reply reply = handler_(payload);
+      write_frame(fd, reply.payload);
+      if (reply.drain) {
+        drain();
         break;
       }
     }
+  } catch (const std::exception& e) {
+    // Protocol violation or I/O error: tell the peer why in one
+    // best-effort send (the pipe may be gone), then drop the connection.
+    const std::string frame = encode_frame(error_envelope(Json(), e.what()));
+    ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+    if (on_violation_) on_violation_();
+  }
+  {
+    // Unregister before close so drain can never shut down a recycled
+    // fd number.
+    std::lock_guard<std::mutex> lock(mu_);
+    conn.fd = -1;
+    --open_;
   }
   ::close(fd);
-  conn_cv_.notify_all();
-  // A shutdown request drains the whole daemon once its own response is
-  // on the wire.
-  if (ctx_.draining.load()) begin_drain();
+  slot_freed_.notify_all();
 }
 
-void Server::begin_drain() {
-  std::call_once(drain_once_, [this] {
-    stopping_.store(true);
-    ctx_.draining.store(true);
-    if (listen_fd_ >= 0) {
-      // shutdown() (not just close) reliably wakes a blocked accept().
-      ::shutdown(listen_fd_, SHUT_RDWR);
-    }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : conn_fds_) {
-      // Wake idle readers; in-flight computations finish and answer
-      // first because the write side stays open.
-      if (fd >= 0) ::shutdown(fd, SHUT_RD);
-    }
-    conn_cv_.notify_all();
-  });
-}
-
-void Server::shutdown() { begin_drain(); }
-
-void Server::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (;;) {
-    std::thread t;
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      if (conn_threads_.empty()) break;
-      t = std::move(conn_threads_.back());
-      conn_threads_.pop_back();
-    }
-    if (t.joinable()) t.join();
+void Listener::drain() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stopping_.exchange(true)) return;
+  if (listen_fd_ >= 0) {
+    // shutdown() (not just close) reliably wakes a blocked accept().
+    ::shutdown(listen_fd_, SHUT_RDWR);
   }
+  for (const Connection& conn : connections_) {
+    // Wake idle readers; in-flight computations finish and answer
+    // first because the write side stays open.
+    if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RD);
+  }
+  slot_freed_.notify_all();
+}
+
+void Listener::join() {
+  if (accept_thread_.joinable()) accept_thread_.join();
+  // The accept loop is gone, so nothing else adds or reaps connections.
+  for (Connection& conn : connections_) conn.thread.join();
+  connections_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
 }
+
+// ---- Server -------------------------------------------------------------
+
+Server::Server(ServerOptions opts)
+    : ctx_(opts),
+      listener_(
+          [this](const std::string& payload) {
+            // A shutdown request drains the whole daemon once its own
+            // response is on the wire.
+            std::string response = handle_payload(payload, ctx_);
+            return Listener::Reply{std::move(response),
+                                   ctx_.draining.load()};
+          },
+          opts.max_connections, opts.limits, [this] {
+            std::lock_guard<std::mutex> lock(ctx_.mu);
+            ctx_.protocol_errors.add();
+          }) {}
 
 }  // namespace liplib::serve

@@ -112,8 +112,9 @@ PostMortem PostMortem::from_json(const Json& j) {
       schema->as_string() != "liplib.postmortem/1") {
     throw ApiError("not a liplib.postmortem/1 bundle");
   }
-  auto field = [&](const char* name) -> const Json& {
-    const Json* f = j.find(name);
+  // Bundle fields and blame rows alike: a missing member is named.
+  auto member = [](const Json& obj, const char* name) -> const Json& {
+    const Json* f = obj.find(name);
     if (f == nullptr) {
       throw ApiError(std::string("post-mortem bundle missing field \"") +
                      name + "\"");
@@ -121,28 +122,28 @@ PostMortem PostMortem::from_json(const Json& j) {
     return *f;
   };
   PostMortem pm;
-  pm.reason = parse_reason(field("reason").as_string());
-  pm.trip_cycle = field("trip_cycle").as_uint();
-  pm.no_progress_since = field("no_progress_since").as_uint();
-  pm.no_progress_threshold = field("no_progress_threshold").as_uint();
-  pm.ring_cycles = field("ring_cycles").as_uint();
-  pm.seed = field("seed").as_uint();
-  pm.strict = field("strict").as_bool();
-  pm.optimistic = field("optimistic").as_bool();
-  pm.worst_case_occupancy = field("worst_case_occupancy").as_bool();
-  pm.netlist = field("netlist").as_string();
-  const Json& bl = field("blame");
-  for (std::size_t i = 0; i < bl.size(); ++i) {
-    const Json& e = bl.at(i);
+  pm.reason = parse_reason(member(j, "reason").as_string());
+  pm.trip_cycle = member(j, "trip_cycle").as_uint();
+  pm.no_progress_since = member(j, "no_progress_since").as_uint();
+  pm.no_progress_threshold = member(j, "no_progress_threshold").as_uint();
+  pm.ring_cycles = member(j, "ring_cycles").as_uint();
+  pm.seed = member(j, "seed").as_uint();
+  pm.strict = member(j, "strict").as_bool();
+  pm.optimistic = member(j, "optimistic").as_bool();
+  pm.worst_case_occupancy = member(j, "worst_case_occupancy").as_bool();
+  pm.netlist = member(j, "netlist").as_string();
+  const Json& bl = member(j, "blame");
+  LIPLIB_EXPECT(bl.is_array(), "post-mortem bundle: blame must be an array");
+  for (const Json& e : bl.elements()) {
     BlameSummary b;
-    b.victim = e.find("victim")->as_string();
-    b.why = e.find("why")->as_string();
-    b.culprit = e.find("culprit")->as_string();
-    b.culprit_kind = e.find("culprit_kind")->as_string();
-    b.cycles = e.find("cycles")->as_uint();
+    b.victim = member(e, "victim").as_string();
+    b.why = member(e, "why").as_string();
+    b.culprit = member(e, "culprit").as_string();
+    b.culprit_kind = member(e, "culprit_kind").as_string();
+    b.cycles = member(e, "cycles").as_uint();
     pm.blame.push_back(std::move(b));
   }
-  pm.trace_json = field("trace").as_string();
+  pm.trace_json = member(j, "trace").as_string();
   return pm;
 }
 

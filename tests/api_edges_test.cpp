@@ -260,6 +260,21 @@ channel Q.0 -> P.0 : H
   std::remove(latch.c_str());
 }
 
+// A bundle that parses as JSON but carries a malformed blame row is a
+// usage error (exit 2) for `lidtool replay`, not a crash.
+TEST(ApiEdges, LidtoolReplayRejectsAMalformedBundle) {
+  const std::string path = testing::TempDir() + "bad_bundle." +
+                           std::to_string(::getpid()) + ".json";
+  std::ofstream(path) << R"({"schema": "liplib.postmortem/1",
+    "reason": "stop_saturation", "trip_cycle": 7, "no_progress_since": 0,
+    "no_progress_threshold": 8, "ring_cycles": 32, "seed": 0,
+    "strict": false, "optimistic": false, "worst_case_occupancy": true,
+    "netlist": "process P 1 1\nprocess Q 1 1\n",
+    "blame": [{"why": "x"}], "trace": "{}"})";
+  EXPECT_EQ(run_lidtool("replay " + path), 2);
+  std::remove(path.c_str());
+}
+
 // ---- lidtool simulate / screen: one screen, one verdict -----------------
 //
 // Both answer from the one steady-state search: a deadlock exits 1 even

@@ -5,13 +5,19 @@
 // matrix.  The coordinator/worker transport is exercised over
 // real loopback sockets, including the straggler path: a worker that
 // takes a lease and dies must not lose the campaign — the shard is
-// re-dispatched and the merged report still matches the golden bytes.
+// re-dispatched and the merged report still matches the golden bytes —
+// and the listener path: a silent peer holds one connection thread, not
+// the coordinator, an oversized frame gets an error frame, and memory
+// does not grow with the connections served.  Last, every single-node
+// mutation of each document one process reads from another is rejected
+// with ApiError or rereads to itself.
 
 #include <gtest/gtest.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
+#include <chrono>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,10 +28,15 @@
 #include "liplib/dist/coordinator.hpp"
 #include "liplib/dist/shard.hpp"
 #include "liplib/dist/worker.hpp"
+#include "liplib/graph/netlist_io.hpp"
 #include "liplib/serve/protocol.hpp"
 #include "liplib/serve/server.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/support/json.hpp"
+#include "liplib/telemetry/watchdog.hpp"
+#include "liplib/trace/trace.hpp"
+#include "liplib/xir/xir.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -254,21 +265,24 @@ TEST(Dist, MergeRejectsForeignAndIncompleteShards) {
   EXPECT_EQ(merged.total, 20u);
 }
 
-/// One liplib.dist/1 round trip on a fresh loopback connection.
+/// One liplib.dist/1 round trip on a fresh loopback connection; null
+/// (and a test failure) when no answer arrives within 3 s.
 Json dist_round_trip(std::uint16_t port, const Json& request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  serve::write_frame(fd, request.dump());
+  const testutil::Socket conn(testutil::connect_loopback(port, 3));
+  EXPECT_GE(conn.fd, 0);
   std::string payload;
-  EXPECT_TRUE(serve::read_frame(fd, payload));
-  ::close(fd);
-  return Json::parse(payload);
+  try {
+    serve::write_frame(conn.fd, request.dump());
+    if (serve::read_frame(conn.fd, payload)) return Json::parse(payload);
+    ADD_FAILURE() << "the coordinator hung up without answering";
+  } catch (const ApiError& e) {
+    ADD_FAILURE() << "no answer: " << e.what();
+  }
+  return Json();
+}
+
+Json dist_message(const char* msg) {
+  return Json::object().set("rpc", dist::kDistRpcSchema).set("msg", msg);
 }
 
 TEST(Dist, CoordinatorSurvivesAStragglerAndMergesGoldenBytes) {
@@ -333,9 +347,7 @@ TEST(Dist, CoordinatorDedupsDuplicateResults) {
   dist::Coordinator coord(copts);
   coord.start();
 
-  const Json lease = dist_round_trip(
-      coord.port(),
-      Json::object().set("rpc", dist::kDistRpcSchema).set("msg", "lease"));
+  const Json lease = dist_round_trip(coord.port(), dist_message("lease"));
   ASSERT_EQ(lease.find("msg")->as_string(), "lease");
   const auto manifest = dist::manifest_from_json(*lease.find("manifest"));
   EXPECT_EQ(manifest.shard.lo, 0u);
@@ -368,9 +380,7 @@ TEST(Dist, CoordinatorDedupsDuplicateResults) {
   EXPECT_EQ(stats.shards_done, 1u);
   EXPECT_EQ(stats.duplicates, 1u);
   // Every shard merged: further lease requests answer "done".
-  const Json done = dist_round_trip(
-      coord.port(),
-      Json::object().set("rpc", dist::kDistRpcSchema).set("msg", "lease"));
+  const Json done = dist_round_trip(coord.port(), dist_message("lease"));
   EXPECT_EQ(done.find("msg")->as_string(), "done");
   coord.wait();
 }
@@ -425,10 +435,221 @@ TEST(Dist, ServeRelaysDistStatus) {
             2u);
 }
 
+// A peer that connects and never speaks holds one connection thread, not
+// the coordinator: status still answers, a worker still finishes the
+// campaign, and destruction does not wait for the peer to leave.
+TEST(Dist, ASilentPeerHoldsOneConnectionNotTheCoordinator) {
+  const auto spec = fuzz_spec(12);
+  const std::string golden = unsharded_bytes(spec, /*threads=*/1);
+  dist::CoordinatorOptions copts;
+  copts.spec = spec;
+  copts.base_seed = kSeed;
+  copts.cycle_budget = kBudget;
+  copts.shards = 2;
+  auto coord = std::make_unique<dist::Coordinator>(copts);
+  coord->start();
+  // Declared after the coordinator, so a failed assertion hangs the peer
+  // up first and even a coordinator that serves inline can be destroyed.
+  const testutil::Socket silent(testutil::connect_loopback(coord->port()));
+  ASSERT_GE(silent.fd, 0);
+
+  const Json status = dist_round_trip(coord->port(), dist_message("status"));
+  ASSERT_TRUE(status.is_object());
+  EXPECT_EQ(status.find("schema")->as_string(), "liplib.dist.status/1");
+
+  dist::WorkerOptions w;
+  w.port = coord->port();
+  w.threads = 1;
+  EXPECT_EQ(dist::run_worker(w).submitted, 2u);
+  EXPECT_EQ(campaign::to_json(coord->wait()).dump(2), golden);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  coord.reset();  // the silent peer is still connected
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+}
+
+// The coordinator answers a framing violation the way the serve daemon
+// does: an rpc/1 error frame, then a hang-up.
+TEST(Dist, OversizedFrameGetsAnErrorFrameAndAHangUp) {
+  dist::CoordinatorOptions copts;
+  copts.spec = fuzz_spec(4);
+  copts.shards = 1;
+  dist::Coordinator coord(copts);
+  coord.start();
+
+  const testutil::Socket peer(testutil::connect_loopback(coord.port(), 3));
+  ASSERT_GE(peer.fd, 0);
+  // Declared length one byte past the 16 MiB frame limit.
+  const char hdr[4] = {0x01, 0x00, 0x00, 0x01};
+  ASSERT_EQ(::send(peer.fd, hdr, 4, MSG_NOSIGNAL), 4);
+  std::string payload;
+  ASSERT_TRUE(serve::read_frame(peer.fd, payload));
+  const Json doc = Json::parse(payload);
+  EXPECT_EQ(doc.find("rpc")->as_string(), serve::kRpcSchema);
+  EXPECT_FALSE(doc.find("ok")->as_bool());
+  EXPECT_NE(doc.find("error")->as_string().find("exceeds the limit"),
+            std::string::npos);
+  EXPECT_FALSE(serve::read_frame(peer.fd, payload));  // hung up
+}
+
+// Workers open one connection per message, so the coordinator's memory
+// must not grow with the connections it has served.
+TEST(Dist, CoordinatorMemoryStopsGrowingWithTheConnectionCount) {
+  dist::CoordinatorOptions copts;
+  copts.spec = fuzz_spec(4);
+  copts.shards = 1;
+  dist::Coordinator coord(copts);
+  coord.start();
+  const auto grown_kib = testutil::vm_growth_over_connections_kib(
+      coord.port(), dist_message("status").dump());
+  ASSERT_TRUE(grown_kib.has_value());
+  EXPECT_LT(*grown_kib, 64 << 10)
+      << "VmSize grew " << *grown_kib << " KiB over 800 connections";
+}
+
 TEST(Dist, WorkerWithoutACoordinatorFailsLoudly) {
   dist::WorkerOptions w;
   w.port = 1;  // nothing listens here
   EXPECT_THROW(dist::run_worker(w), ApiError);
+}
+
+// ---- boundary documents: every single-node mutation ----------------------
+
+/// Every single-node mutant of `doc`: each node replaced by each of nine
+/// hostile values, and each object member removed.
+std::vector<Json> single_node_mutants(const Json& doc) {
+  std::vector<Json> out = {Json(),
+                           Json(true),
+                           Json(-1),
+                           Json(1.5),
+                           Json("x"),
+                           Json::array(),
+                           Json::object(),
+                           Json(std::numeric_limits<std::uint64_t>::max()),
+                           Json(0)};
+  const auto& members = doc.members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    // `doc` with member i's value replaced by `*with`, or dropped.
+    auto rebuilt = [&](const Json* with) {
+      Json copy = Json::object();
+      for (std::size_t k = 0; k < members.size(); ++k) {
+        if (k != i) copy.set(members[k].first, members[k].second);
+        if (k == i && with) copy.set(members[k].first, *with);
+      }
+      return copy;
+    };
+    out.push_back(rebuilt(nullptr));
+    for (const Json& m : single_node_mutants(members[i].second)) {
+      out.push_back(rebuilt(&m));
+    }
+  }
+  const auto& elements = doc.elements();
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    for (const Json& m : single_node_mutants(elements[i])) {
+      Json copy = Json::array();
+      for (std::size_t k = 0; k < elements.size(); ++k) {
+        copy.push(k == i ? m : elements[k]);
+      }
+      out.push_back(std::move(copy));
+    }
+  }
+  return out;
+}
+
+/// Feeds every single-node mutant of `seed`, as text, to `reread` (parse
+/// the document, render it again).  Only ApiError may escape, and an
+/// accepted mutant's rendering must reread to itself.  Returns the
+/// number of mutants accepted.
+template <class Reread>
+std::size_t expect_rejected_or_fixed(const char* what, const Json& seed,
+                                     Reread reread) {
+  std::size_t accepted = 0;
+  for (const Json& mutant : single_node_mutants(seed)) {
+    const std::string text = mutant.dump();
+    std::string rendered;
+    try {
+      rendered = reread(Json::parse(text)).dump();
+    } catch (const ApiError&) {
+      continue;
+    }
+    ++accepted;
+    std::string again;
+    try {
+      again = reread(Json::parse(rendered)).dump();
+    } catch (const ApiError& e) {
+      again = std::string("rejected: ") + e.what();
+    }
+    EXPECT_EQ(again, rendered) << what << " mutant " << text;
+  }
+  return accepted;
+}
+
+// ROADMAP's fuzz invariant on every document one process reads from
+// another: post-mortem bundles, shard manifests, partials, aggregates,
+// span documents and trace contexts.  Each seed is a real document.
+TEST(Boundary, EverySingleNodeMutationIsRejectedOrRereadsToItself) {
+  // half_ring's worst-case bundle (examples/designs/half_ring.lid).
+  const auto prog = xir::lower(graph::parse_netlist_string(R"(
+process ctl 1 1
+process plant 1 1
+process est 1 1
+channel ctl.0 -> plant.0 : H
+channel plant.0 -> est.0 : H
+channel est.0 -> ctl.0 : H
+)"));
+  telemetry::WatchdogOptions wopts;
+  wopts.worst_case_occupancy = true;
+  const auto bundle = telemetry::deadlock_evidence(
+      prog, xir::screen_for_deadlock(prog, true), wopts);
+  ASSERT_TRUE(bundle.has_value());
+  ASSERT_FALSE(bundle->blame.empty());
+
+  // Shard 1/2 of a 12-job fuzz campaign, and a span document recorded
+  // for it.
+  const Partial shard = run_shard(fuzz_spec(12), 1, 1, 2);
+  const trace::TraceContext lease{trace::derive_trace_id(12), 0xfeed};
+  trace::Recorder recorder([] { return std::uint64_t{5000000}; });
+  trace::Span span;
+  span.trace_id = lease.trace_id;
+  span.span_id = trace::derive_span_id(lease.trace_id, lease.parent_span, 0);
+  span.parent_span = lease.parent_span;
+  span.name = "dist.worker.execute";
+  span.category = "dist";
+  span.track = "worker";
+  span.ts_us = recorder.now_us();
+  span.dur_us = 42;
+  span.events.push_back({"dist.redispatch", span.ts_us + 1});
+  span.attrs.emplace_back("shard", "1/2");
+  recorder.record(std::move(span));
+
+  std::size_t accepted = 0;
+  accepted += expect_rejected_or_fixed(
+      "post-mortem", bundle->to_json(), [](const Json& j) {
+        return telemetry::PostMortem::from_json(j).to_json();
+      });
+  accepted += expect_rejected_or_fixed(
+      "manifest", dist::manifest_to_json(shard.manifest), [](const Json& j) {
+        return dist::manifest_to_json(dist::manifest_from_json(j));
+      });
+  accepted += expect_rejected_or_fixed(
+      "partial", dist::partial_to_json(shard.manifest, shard.aggregate),
+      [](const Json& j) {
+        const Partial p = dist::partial_from_json(j);
+        return dist::partial_to_json(p.manifest, p.aggregate);
+      });
+  accepted += expect_rejected_or_fixed(
+      "aggregate", campaign::to_json(shard.aggregate), [](const Json& j) {
+        return campaign::to_json(campaign::aggregate_from_json(j));
+      });
+  accepted += expect_rejected_or_fixed(
+      "spans", recorder.to_json(), [](const Json& j) {
+        return trace::spans_to_json(trace::spans_from_json(j));
+      });
+  accepted += expect_rejected_or_fixed(
+      "trace context", lease.to_json(), [](const Json& j) {
+        return trace::TraceContext::from_json(j).to_json();
+      });
+  EXPECT_GT(accepted, 0u);  // the accept path is exercised, not just rejects
 }
 
 }  // namespace

@@ -10,13 +10,12 @@
 // daemon, admitting a text only once the cache has answered it; and the
 // daemon proper serves 8 concurrent loopback clients, answers a
 // deadlocked design with a DEADLOCK verdict + post-mortem instead of
-// wedging a worker, surfaces a non-zero hit rate via `status`, and
-// drains cleanly on `shutdown`.
+// wedging a worker, surfaces a non-zero hit rate via `status`, drains
+// cleanly on `shutdown`, and grows its VmSize by less than 64 MiB from
+// the 200th to the 1,000th one-request connection.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -40,6 +39,7 @@
 #include "liplib/support/flags.hpp"
 #include "liplib/support/json.hpp"
 #include "liplib/support/rng.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -1171,22 +1171,15 @@ TEST(DesignMemo, ConcurrentLookupsAndAdmissionsUnderEightThreads) {
 /// Minimal scripted client: one connection, n sequential requests.
 std::vector<std::string> roundtrip(std::uint16_t port,
                                    const std::vector<std::string>& requests) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  const testutil::Socket conn(testutil::connect_loopback(port));
+  EXPECT_GE(conn.fd, 0);
   std::vector<std::string> responses;
   for (const auto& r : requests) {
-    write_frame(fd, r);
+    write_frame(conn.fd, r);
     std::string payload;
-    if (!read_frame(fd, payload)) break;
+    if (!read_frame(conn.fd, payload)) break;
     responses.push_back(std::move(payload));
   }
-  ::close(fd);
   return responses;
 }
 
@@ -1261,27 +1254,36 @@ TEST(Server, ProtocolViolationGetsAnErrorFrameAndTheConnectionDropped) {
   Server server(opts);
   server.start();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  const testutil::Socket conn(testutil::connect_loopback(server.port()));
+  ASSERT_GE(conn.fd, 0);
   // Declared length beyond the server's limit.
   const char hdr[4] = {0x01, 0x00, 0x00, 0x00};
-  ASSERT_EQ(::send(fd, hdr, 4, MSG_NOSIGNAL), 4);
+  ASSERT_EQ(::send(conn.fd, hdr, 4, MSG_NOSIGNAL), 4);
   std::string payload;
-  ASSERT_TRUE(read_frame(fd, payload));
+  ASSERT_TRUE(read_frame(conn.fd, payload));
   const Json doc = Json::parse(payload);
   EXPECT_FALSE(doc.find("ok")->as_bool());
   EXPECT_NE(doc.find("error")->as_string().find("exceeds the limit"),
             std::string::npos);
-  EXPECT_FALSE(read_frame(fd, payload));  // server hung up
-  ::close(fd);
+  EXPECT_FALSE(read_frame(conn.fd, payload));  // server hung up
 
   server.shutdown();
   server.wait();
+  // The listener hands the violation to the daemon's counter.
+  EXPECT_EQ(server.context().protocol_errors.value(), 1u);
+}
+
+// Every `lidtool client` call is one connection carrying one request, so
+// the daemon's memory must not grow with the connections it has served:
+// each finished connection's thread is joined and its stack unmapped.
+TEST(Server, MemoryStopsGrowingWithTheConnectionCount) {
+  Server server;
+  server.start();
+  const auto grown_kib = testutil::vm_growth_over_connections_kib(
+      server.port(), request_json("status", nullptr));
+  ASSERT_TRUE(grown_kib.has_value());
+  EXPECT_LT(*grown_kib, 64 << 10)
+      << "VmSize grew " << *grown_kib << " KiB over 800 connections";
 }
 
 }  // namespace

@@ -108,6 +108,36 @@ TEST(Watchdog, BundleRoundTripsAndReplayReproducesIdenticalCycle) {
   EXPECT_EQ(r.reason, pm.reason);
 }
 
+// A bundle arrives from another process (a file, a daemon answer): a
+// blame row that lacks a member is an ApiError naming it, not a crash.
+TEST(Watchdog, BundleWithAMalformedBlameRowIsRejectedByName) {
+  auto gen = graph::make_closed_ring({1, 1}, RsKind::kHalf);
+  xir::ScalarEngine sk(gen.topo);
+  sk.saturate_stations();
+  telemetry::WatchdogOptions opts;
+  opts.no_progress_threshold = 8;
+  opts.worst_case_occupancy = true;
+  telemetry::Watchdog dog(opts);
+  dog.attach(sk);
+  telemetry::run_guarded(sk, dog, 10000);
+  ASSERT_TRUE(dog.tripped());
+
+  const Json bundle = dog.post_mortem().to_json();
+  Json bad = Json::object();
+  for (const auto& [key, value] : bundle.members()) {
+    bad.set(key, key == "blame" ? Json::array().push(
+                                      Json::object().set("why", "x"))
+                                : value);
+  }
+  try {
+    telemetry::PostMortem::from_json(bad);
+    ADD_FAILURE() << "a blame row without a victim was accepted";
+  } catch (const ApiError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"victim\""), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Watchdog, FullDataSystemTripsLikeTheSkeleton) {
   // lip::System and the skeleton (xir::ScalarEngine) share one protocol
   // trajectory; the watchdog verdict (the satellite surfaced through
