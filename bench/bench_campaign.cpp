@@ -73,8 +73,7 @@ int main() {
   const auto jobs = make_screening_campaign();
   std::cout << "campaign size: " << jobs.size() << " skeleton screens\n\n";
 
-  Table t({"threads", "wall s", "jobs/s", "speedup", "steals",
-           "aggregate identical"});
+  Table t({"threads", "wall s", "jobs/s", "speedup", "aggregate identical"});
   Json records = Json::array();
   std::string reference_json;
   double t1_wall = 0;
@@ -103,7 +102,7 @@ int main() {
     rate << std::fixed << std::setprecision(0) << jps;
     spd << std::fixed << std::setprecision(2) << speedup;
     t.add_row({std::to_string(threads), wall.str(), rate.str(), spd.str(),
-               std::to_string(stats.steals), identical ? "yes" : "NO"});
+               identical ? "yes" : "NO"});
 
     records.push(Json::object()
                      .set("threads", threads)
@@ -111,7 +110,6 @@ int main() {
                      .set("wall_seconds", stats.wall_seconds)
                      .set("jobs_per_second", jps)
                      .set("speedup_vs_1_thread", speedup)
-                     .set("steals", stats.steals)
                      .set("aggregate_identical", identical)
                      .set("outcome_live", agg.count(Outcome::kLive))
                      .set("outcome_deadlock", agg.count(Outcome::kDeadlock))

@@ -781,7 +781,7 @@ int run_campaign(const std::vector<campaign::Job>& jobs,
 
   std::cout << jobs.size() << " jobs on " << stats.threads
             << " worker thread(s), base seed " << eopts.base_seed << ", "
-            << stats.steals << " steals, " << agg.total_cycles
+            << agg.total_cycles
             << " simulated cycles, " << stats.wall_seconds << " s wall\n\n";
   print_aggregate_tables(agg);
   write_aggregate_json(f, agg);

@@ -1,7 +1,7 @@
 // liplib/campaign/campaign.hpp
 //
-// The campaign engine: a work-stealing thread pool that runs large
-// batches of independent simulation jobs — deadlock screens, steady-state
+// The campaign engine: a thread pool that runs large batches of
+// independent simulation jobs — deadlock screens, steady-state
 // analyses, full-data spot checks, randomized topology fuzzing — and
 // collects structured per-job results.
 //
@@ -12,7 +12,7 @@
 //
 //  - determinism: job `i` of a campaign with base seed `s` always sees
 //    the same random stream (SplitMix64 of (s, i)), no matter how many
-//    worker threads execute the batch or in which order jobs are stolen.
+//    worker threads execute the batch or which worker runs which job.
 //    Results are reported in job-index order, so the aggregate of a
 //    campaign is byte-identical at any thread count.
 //  - bounded failure: every job runs under a cycle budget.  A deadlocked
@@ -20,10 +20,11 @@
 //    `kBudgetExhausted` verdict instead of hanging the batch; a job that
 //    throws degrades to `kError` carrying the exception text.  The pool
 //    itself never stalls on a bad job.
-//  - work stealing: each worker owns a deque seeded with a contiguous
-//    slice of the batch; an idle worker steals from the back of the
-//    busiest victim, so skewed job costs (one topology that takes its
-//    whole budget amid thousands of trivial ones) still load-balance.
+//  - one work list: workers take chunks of consecutive job indices from
+//    one shared atomic cursor until the batch is exhausted, so skewed
+//    job costs (one topology that takes its whole budget amid thousands
+//    of trivial ones) hold up one worker while the others drain the
+//    rest.
 
 #pragma once
 
@@ -118,20 +119,13 @@ struct EngineOptions {
   /// unsharded run — the whole determinism argument of the distributed
   /// merge reduces to this one line.
   std::size_t index_base = 0;
-  /// Jobs per work unit in the submit path.  Small jobs (a ~30 µs
-  /// skeleton screen) lose everything to per-job deque traffic, so the
-  /// pool hands out fixed-size chunks of consecutive indices instead of
-  /// single jobs; stealing moves whole chunks.  0 = auto: the batch is
-  /// split so every worker starts with ~8 chunks (at least 1, at most
-  /// 64 jobs per chunk).  Determinism is unaffected — results are
-  /// written by job index regardless of which worker runs a chunk.
-  std::size_t chunk_size = 0;
   /// When non-null (and `trace_parent` is enabled), the run records one
-  /// "campaign.chunk" span per executed chunk into this recorder.  Under
-  /// tracing the auto chunk size switches to a thread-independent split
-  /// (min(64, max(1, n/32)) over the *global* index range), and span ids
-  /// are keyed by the chunk's first global job index — so the recorded
-  /// span set is byte-identical at any worker-thread count.
+  /// "campaign.chunk" span per executed chunk into this recorder.
+  /// Workers take chunks of clamp(n / (8 × threads), 1, 64) consecutive
+  /// jobs; under tracing the split ignores the thread count
+  /// (clamp(n / 32, 1, 64)), and span ids are keyed by the chunk's first
+  /// global job index — so the recorded span set is byte-identical at
+  /// any worker-thread count.
   trace::Recorder* recorder = nullptr;
   /// Trace identity the chunk spans attach to: trace_parent.trace_id is
   /// the campaign's trace, trace_parent.parent_span the enclosing
@@ -147,11 +141,13 @@ struct RunStats {
   unsigned threads = 0;
   /// Jobs executed by each worker (sums to the batch size).
   std::vector<std::size_t> jobs_per_worker;
-  /// Successful steals (jobs a worker took from another's deque).
+  /// Always 0: workers share one work list, so nothing is stolen.  Kept
+  /// only for the repository benchmark, which still reports it.
   std::size_t steals = 0;
 };
 
-/// Work-stealing batch executor.  Stateless between runs; safe to reuse.
+/// Batch executor over one shared work list.  Stateless between runs;
+/// safe to reuse.
 class Engine {
  public:
   explicit Engine(EngineOptions opts = {});

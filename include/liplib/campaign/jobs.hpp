@@ -100,27 +100,17 @@ Job make_fuzz_job(std::string name, FuzzSpec spec);
 Job make_lint_job(std::string name, graph::Topology topo,
                   lint::Options options = {});
 
-/// What a lint cross-check job generates and verifies.
-struct LintCrossCheckSpec {
-  /// Upper bound on make_random_composite segments (drawn per job).
-  std::size_t max_segments = 4;
-  /// Also require that lint_and_fix's output re-lints clean and screens
-  /// live under worst-case occupancy whenever a hazard was found.
-  bool check_fix = true;
-};
-
 /// The linter-vs-simulator agreement check as a job: generates a random
-/// composite topology from the job's deterministic seed (half stations
-/// allowed on loops for half the jobs, so both verdicts are exercised),
-/// and demands that the static LIP006 verdict equal the dynamic
-/// worst-case screening verdict exactly — kMismatch on any disagreement,
-/// kLive otherwise.  With `check_fix`, hazardous topologies are also
-/// cured via lint_and_fix and the cure is re-screened.
-Job make_lint_crosscheck_job(std::string name, LintCrossCheckSpec spec = {});
+/// composite topology of 1–4 segments from the job's deterministic seed
+/// (half stations allowed on loops for half the jobs, so both verdicts
+/// are exercised), and demands that the static LIP006 verdict equal the
+/// dynamic worst-case screening verdict exactly — kMismatch on any
+/// disagreement, kLive otherwise.  Hazardous topologies are also cured
+/// via lint_and_fix; the cure must re-lint clean and screen live.
+Job make_lint_crosscheck_job(std::string name);
 
 /// `n` cross-check jobs (the keystone campaign; lidtool `campaign lint`).
-std::vector<Job> make_lint_crosscheck_campaign(std::size_t n,
-                                               LintCrossCheckSpec spec = {});
+std::vector<Job> make_lint_crosscheck_campaign(std::size_t n);
 
 /// Static proof of a fixed topology via liplib::prove — mass-proving a
 /// corpus of netlists is a campaign of these.  Outcome: kLive when the
@@ -132,29 +122,20 @@ std::vector<Job> make_lint_crosscheck_campaign(std::size_t n,
 Job make_prove_job(std::string name, graph::Topology topo,
                    prove::ProveOptions opts = {});
 
-/// What a prove cross-check job generates and verifies.
-struct ProveCrossCheckSpec {
-  /// Upper bound on make_random_composite segments (drawn per job).
-  std::size_t max_segments = 4;
-  /// ProveOptions overrides applied on top of the per-job defaults
-  /// (worst_case_occupancy is always forced on — the cross-check regime).
-  prove::ProveOptions prove;
-};
-
 /// The prover-vs-linter-vs-simulator agreement check as a job: generates
 /// a random composite topology from the job's deterministic seed
 /// (exactly the lint cross-check recipe, so the corpora coincide) and
-/// demands three-way agreement between the worst-case prove verdict,
+/// demands three-way agreement between the worst-case prove verdict
+/// (default ProveOptions under worst-case occupancy),
 /// the static LIP006 verdict, and the dynamic worst-case screening
 /// verdict — kMismatch on any disagreement; unanimity is kLive (the
 /// lint cross-check convention: the campaign tests the differential,
 /// not the design; an agreed deadlock is a passing job whose detail
 /// says "agreed: deadlock at depth ...").
-Job make_prove_crosscheck_job(std::string name, ProveCrossCheckSpec spec = {});
+Job make_prove_crosscheck_job(std::string name);
 
 /// `n` cross-check jobs (lidtool `campaign prove`).
-std::vector<Job> make_prove_crosscheck_campaign(std::size_t n,
-                                                ProveCrossCheckSpec spec = {});
+std::vector<Job> make_prove_crosscheck_campaign(std::size_t n);
 
 /// Full-data probe measurement of a fixed topology (liplib/probe): the
 /// skeleton is analyzed for the exact steady state, then a
@@ -167,11 +148,11 @@ Job make_probe_job(std::string name, graph::Topology topo,
                    lip::StopPolicy policy =
                        lip::StopPolicy::kCasuDiscardOnVoid);
 
-/// `n` probe jobs over random composite topologies (shape and stop
-/// policy drawn from each job's deterministic seed) — the mass
-/// probe-vs-analytic agreement campaign behind `lidtool campaign probe`.
-std::vector<Job> make_probe_campaign(std::size_t n,
-                                     std::size_t max_segments = 4);
+/// `n` probe jobs over random composite topologies of 1–4 segments
+/// (shape and stop policy drawn from each job's deterministic seed) —
+/// the mass probe-vs-analytic agreement campaign behind `lidtool
+/// campaign probe`.
+std::vector<Job> make_probe_campaign(std::size_t n);
 
 /// The EXPERIMENTS.md §T1 offline fuzz pass as a campaign: 300 random
 /// reconvergences with mixed half/full chains checked under both stop

@@ -29,8 +29,6 @@ struct WorkerOptions {
   std::uint16_t port = 0;
   /// Engine threads per shard; 0 = hardware concurrency.
   unsigned threads = 0;
-  /// Cap on the coordinator-suggested retry sleep.
-  std::uint64_t max_poll_ms = 1000;
   /// Test hook simulating a crash: exit the loop immediately after
   /// *taking* the Nth lease, without computing or submitting it — the
   /// deterministic straggler for the re-dispatch tests.  0 = disabled.

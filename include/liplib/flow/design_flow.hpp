@@ -35,12 +35,6 @@ struct FlowOptions {
   /// given (skip the planning step).
   std::vector<double> wire_lengths;
   graph::WirePlanOptions wire;
-  /// Screen under worst-case occupancy as well (recommended; finds the
-  /// latent half-station latches).
-  bool worst_case_screening = true;
-  /// Cure latches by substituting full stations when found.
-  bool cure = true;
-  std::uint64_t screen_budget = 1u << 20;
 };
 
 /// Everything the flow decided and proved.

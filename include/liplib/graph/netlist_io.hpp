@@ -35,8 +35,14 @@
 
 namespace liplib::graph {
 
+/// The most input or output ports a netlist process may declare.  Counts
+/// and port numbers are text any daemon tenant can send; the bound keeps
+/// `process A 4000000000 1` from allocating four billion ports.
+inline constexpr std::size_t kMaxProcessPorts = std::size_t{1} << 16;
+
 /// Parses the netlist format.  Throws ApiError with a line number on any
-/// syntax or semantic problem (unknown node, bad port, duplicate name).
+/// syntax or semantic problem (unknown node, bad port, duplicate name, a
+/// count or port number beyond kMaxProcessPorts).
 Topology parse_netlist(std::istream& in);
 
 /// A topology plus the optional per-node annotation token (empty when

@@ -53,10 +53,6 @@ struct Options {
   bool structural_only = false;
   /// Rule ids to skip entirely (e.g. {"LIP009"}).
   std::vector<std::string> disabled_rules;
-  /// Budget for cycle/path enumeration in the performance rules LIP007
-  /// and LIP008; when exceeded the rule degrades to an info note instead
-  /// of throwing.
-  std::size_t analysis_budget = 4096;
 };
 
 /// Catalog entry for one rule (docs/lint.md is generated from this).

@@ -124,10 +124,6 @@ struct ProveOptions {
   /// environments only, which can find counterexamples but cannot
   /// prove — the result is then at best kUnknown.
   std::size_t max_env_sinks = 6;
-  /// Simple-cycle enumeration budget for the induction certificates
-  /// (graph::enumerate_cycles); beyond it induction answers unknown
-  /// rather than silently under-approximating.
-  std::size_t max_cycles = 4096;
 };
 
 /// One step of a counterexample trace: the environment choice taken
@@ -237,7 +233,7 @@ std::unique_ptr<SkeletonModel> make_skeleton_model(
 /// graph::enumerate_cycles, in its order), with their initial token
 /// counts under `opts`.  Exposed for tests and for the lint cross-check
 /// (an all-half cycle's certificate fails exactly when LIP006 fires).
-/// Throws ApiError when `opts.max_cycles` is exceeded.
+/// Throws ApiError beyond graph::enumerate_cycles' budget of 4096.
 std::vector<CycleCertificate> cycle_certificates(const graph::Topology& topo,
                                                  const ProveOptions& opts = {});
 

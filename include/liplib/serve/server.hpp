@@ -6,17 +6,17 @@
 // A Server binds a loopback TCP socket and serves liplib.rpc/1 requests
 // (protocol.hpp) from concurrent clients: static lint, steady-state
 // deadlock screening, probe-instrumented profiling, and whole campaign
-// batches executed on the campaign engine's chunked work-stealing pool.
+// batches executed on the campaign engine's shared work list.
 // Every cacheable result flows through the content-addressed
 // ResultCache (cache.hpp), so a fleet that keeps re-screening the same
 // designs is served from memory, byte-for-byte identical to a fresh
 // run.
 //
-// Concurrency model: the Listener's one thread per connection (bounded
-// by `max_connections`; excess connects queue in the kernel backlog).
-// Finished connection threads are joined before the next one starts,
-// so however many clients a daemon has served it holds at most
-// `max_connections` threads.  Single-design requests run on their
+// Concurrency model: the Listener's one thread per connection (at most
+// Listener::kMaxConnections = 64; excess connects queue in the kernel
+// backlog).  Finished connection threads are joined before the next one
+// starts, so however many clients a daemon has served it holds at most
+// that many connection threads.  Single-design requests run on their
 // connection's thread — tenant concurrency is connection concurrency —
 // while `campaign` requests fan out on a campaign::Engine sized by
 // `threads`.  A deadlocked or livelocked design cannot wedge a worker:
@@ -60,9 +60,6 @@ struct ServerOptions {
   /// Worker threads for `campaign` requests (campaign::EngineOptions::
   /// threads); 0 = hardware concurrency.
   unsigned threads = 0;
-  /// Concurrent connections served; further connects wait in the
-  /// kernel's listen backlog.
-  unsigned max_connections = 64;
   CacheOptions cache;
   FrameLimits limits;
   /// Cycle budget ceiling of screen's steady-state search and of
@@ -129,7 +126,7 @@ struct ServeContext {
 std::string handle_payload(std::string_view payload, ServeContext& ctx);
 
 /// The loopback TCP listener of both daemons (Server, dist::Coordinator):
-/// one thread per connection, at most `max_connections` at once, each
+/// one thread per connection, at most kMaxConnections at once, each
 /// running one frame loop — read a frame under `limits`, hand its
 /// payload to the handler, write the reply.  A framing violation or I/O
 /// error gets an rpc/1 error frame and a hang-up.  Finished connection
@@ -146,11 +143,13 @@ class Listener {
   };
   using Handler = std::function<Reply(const std::string& payload)>;
 
+  /// Concurrent connections served; further connects wait in the
+  /// kernel's listen backlog.
+  static constexpr unsigned kMaxConnections = 64;
+
   /// `on_violation` runs once for every connection dropped for a framing
   /// violation or I/O error, after its error frame.
-  explicit Listener(Handler handler,
-                    unsigned max_connections = ServerOptions{}.max_connections,
-                    FrameLimits limits = {},
+  explicit Listener(Handler handler, FrameLimits limits = {},
                     std::function<void()> on_violation = {});
   ~Listener();
 
@@ -183,7 +182,6 @@ class Listener {
   void serve(Connection& conn);
 
   Handler handler_;
-  unsigned max_connections_;
   FrameLimits limits_;
   std::function<void()> on_violation_;
   int listen_fd_ = -1;

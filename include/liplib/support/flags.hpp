@@ -55,4 +55,9 @@ class Flags {
 /// "-1", " 7", "1x" or "0x12g3" fail instead of wrapping or truncating.
 std::uint64_t parse_u64(const std::string& text, const std::string& what);
 
+/// Plain decimal digits only: no sign, no whitespace, no trailing
+/// bytes, no overflow (std::stoull would accept " 7", "+7" and "-1").
+/// The parser of every count a document or netlist spells in digits.
+bool parse_digits(const std::string& text, std::uint64_t* out);
+
 }  // namespace liplib

@@ -1,13 +1,10 @@
 #include "liplib/campaign/campaign.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <exception>
-#include <mutex>
 #include <thread>
-
-#include "liplib/support/check.hpp"
 
 namespace liplib::campaign {
 
@@ -45,59 +42,6 @@ std::uint64_t job_seed(std::uint64_t base_seed, std::uint64_t index) {
 }
 
 namespace {
-
-/// A contiguous run of job indices [lo, hi) — the unit the pool hands
-/// out and steals.  Chunking amortizes the deque mutex over many small
-/// jobs (the 320-screen bench spends ~30 µs per job; per-job handout
-/// made 8 threads slower than 1).
-struct Chunk {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-};
-
-/// One worker's chunk deque.  The owner pops from the front, thieves
-/// pop from the back; a mutex per deque is ample since chunks are
-/// coarse (dozens of simulations) relative to the lock.  Cache-line
-/// aligned so neighbouring workers' mutexes and cursors never share a
-/// line (deques live in one contiguous vector).
-struct alignas(64) WorkDeque {
-  std::mutex m;
-  std::deque<Chunk> chunks;
-
-  bool pop_front(Chunk& out) {
-    std::lock_guard<std::mutex> lock(m);
-    if (chunks.empty()) return false;
-    out = chunks.front();
-    chunks.pop_front();
-    return true;
-  }
-  bool pop_back(Chunk& out) {
-    std::lock_guard<std::mutex> lock(m);
-    if (chunks.empty()) return false;
-    out = chunks.back();
-    chunks.pop_back();
-    return true;
-  }
-  /// Remaining work in jobs (not chunks), for victim selection.
-  std::size_t jobs_left() {
-    std::lock_guard<std::mutex> lock(m);
-    std::size_t n = 0;
-    for (const auto& c : chunks) n += c.hi - c.lo;
-    return n;
-  }
-};
-
-/// A per-worker counter on its own cache line: the workers' hot
-/// done-counts must not false-share when they sit in one vector.
-struct alignas(64) PaddedCount {
-  std::size_t value = 0;
-};
-
-/// The shared steal counter, padded on both sides so the atomic's line
-/// is not invalidated by whatever the allocator places around it.
-struct alignas(64) PaddedSteals {
-  std::atomic<std::size_t> value{0};
-};
 
 JobResult run_one(const Job& job, const JobContext& ctx) {
   JobResult r;
@@ -138,148 +82,74 @@ std::vector<JobResult> Engine::run(const std::vector<Job>& jobs,
              : static_cast<unsigned>(
                    std::min<std::size_t>(opts_.threads, n));
 
-  auto context_for = [this](std::size_t slot) {
-    JobContext ctx;
-    // Identity is global: a shard running slice [lo, hi) with
-    // index_base = lo derives the same per-job seeds as the full run.
-    ctx.index = opts_.index_base + slot;
-    ctx.seed = job_seed(opts_.base_seed, ctx.index);
-    ctx.cycle_budget = opts_.cycle_budget;
-    ctx.base_seed = opts_.base_seed;
-    return ctx;
-  };
-
-  std::vector<PaddedCount> per_worker(threads);
-  PaddedSteals steals;
-
   trace::Recorder* rec = opts_.recorder;
   const bool tracing = rec != nullptr && opts_.trace_parent.enabled();
+  // Workers take chunks of consecutive indices from one shared cursor:
+  // ~8 chunks per worker, so one slow chunk leaves the others the rest
+  // of the batch, and at most 64 jobs.  Under tracing each chunk is a
+  // span, so the split ignores the thread count and the span set is
+  // the same at any pool width.
+  const std::size_t chunk = std::clamp<std::size_t>(
+      n / (tracing ? std::size_t{32} : std::size_t{8} * threads), 1, 64);
 
-  /// Runs one chunk and (under tracing) records its span.  The span id
+  /// Runs [lo, hi) and (under tracing) records its span.  The span id
   /// is keyed by the chunk's first *global* job index, never by which
-  /// worker ran it or in what order — with a thread-independent chunk
-  /// split this makes the span set identical at any thread count.
-  auto run_chunk = [&](const Chunk& c) {
+  /// worker ran it or in what order.
+  auto run_chunk = [&](std::size_t lo, std::size_t hi) {
     const std::uint64_t ts = tracing ? rec->now_us() : 0;
-    for (std::size_t i = c.lo; i < c.hi; ++i) {
-      results[i] = run_one(jobs[i], context_for(i));
+    for (std::size_t i = lo; i < hi; ++i) {
+      JobContext ctx;
+      // Identity is global: a shard running slice [lo, hi) with
+      // index_base = lo derives the same per-job seeds as the full run.
+      ctx.index = opts_.index_base + i;
+      ctx.seed = job_seed(opts_.base_seed, ctx.index);
+      ctx.cycle_budget = opts_.cycle_budget;
+      ctx.base_seed = opts_.base_seed;
+      results[i] = run_one(jobs[i], ctx);
     }
     if (tracing) {
       trace::Span sp;
       sp.trace_id = opts_.trace_parent.trace_id;
       sp.span_id = trace::derive_span_id(
-          sp.trace_id, opts_.trace_parent.parent_span,
-          opts_.index_base + c.lo);
+          sp.trace_id, opts_.trace_parent.parent_span, opts_.index_base + lo);
       sp.parent_span = opts_.trace_parent.parent_span;
       sp.name = "campaign.chunk";
       sp.category = "campaign";
       sp.track = "campaign";
       sp.ts_us = ts;
       sp.dur_us = rec->now_us() - ts;
-      sp.attrs.emplace_back("jobs", std::to_string(c.hi - c.lo));
-      sp.attrs.emplace_back("lo",
-                            std::to_string(opts_.index_base + c.lo));
+      sp.attrs.emplace_back("jobs", std::to_string(hi - lo));
+      sp.attrs.emplace_back("lo", std::to_string(opts_.index_base + lo));
       rec->record(std::move(sp));
     }
   };
 
-  if (threads <= 1 || n <= 1) {
-    if (tracing) {
-      // The chunk split must match the multi-threaded one so the span
-      // set — not just the results — is thread-count-invariant.
-      std::size_t chunk = opts_.chunk_size;
-      if (chunk == 0) {
-        chunk = std::min<std::size_t>(
-            64, std::max<std::size_t>(1, n / std::size_t{32}));
-      }
-      for (std::size_t i = 0; i < n; i += chunk) {
-        run_chunk({i, std::min(n, i + chunk)});
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        results[i] = run_one(jobs[i], context_for(i));
-      }
+  std::atomic<std::size_t> cursor{0};
+  std::vector<std::size_t> per_worker(threads, 0);
+  auto worker = [&](unsigned self) {
+    std::size_t done = 0;  // local: the workers' slots share a cache line
+    for (;;) {
+      const std::size_t lo = cursor.fetch_add(chunk);
+      if (lo >= n) break;
+      const std::size_t hi = std::min(n, lo + chunk);
+      run_chunk(lo, hi);
+      done += hi - lo;
     }
-    per_worker.assign(1, PaddedCount{n});
-  } else {
-    // Fixed-size chunks of consecutive indices; auto sizing aims for ~8
-    // chunks per worker so stealing still load-balances skewed costs.
-    // Under tracing the size ignores the thread count (each chunk is a
-    // span, and the span set must not depend on pool width).
-    std::size_t chunk = opts_.chunk_size;
-    if (chunk == 0) {
-      chunk = tracing
-                  ? std::min<std::size_t>(
-                        64, std::max<std::size_t>(1, n / std::size_t{32}))
-                  : std::min<std::size_t>(
-                        64,
-                        std::max<std::size_t>(
-                            1, n / (threads * std::size_t{8})));
-    }
-
-    // One global chunk list over [0, n), dealt as contiguous runs:
-    // worker w starts on chunks [w*C/T, (w+1)*C/T) — the chunk
-    // boundaries themselves never depend on the worker count.
-    std::vector<Chunk> all;
-    all.reserve(n / chunk + 1);
-    for (std::size_t i = 0; i < n; i += chunk) {
-      all.push_back({i, std::min(n, i + chunk)});
-    }
-    std::vector<WorkDeque> deques(threads);
-    for (unsigned w = 0; w < threads; ++w) {
-      const std::size_t lo = all.size() * w / threads;
-      const std::size_t hi = all.size() * (w + 1) / threads;
-      for (std::size_t k = lo; k < hi; ++k) {
-        deques[w].chunks.push_back(all[k]);
-      }
-    }
-
-    auto worker = [&](unsigned self) {
-      std::size_t done = 0;  // local: no cross-worker false sharing
-      Chunk c;
-      for (;;) {
-        if (deques[self].pop_front(c)) {
-          run_chunk(c);
-          done += c.hi - c.lo;
-          continue;
-        }
-        // Own deque empty: steal from the victim with the most work.
-        unsigned victim = threads;
-        std::size_t best = 0;
-        for (unsigned v = 0; v < threads; ++v) {
-          if (v == self) continue;
-          const std::size_t sz = deques[v].jobs_left();
-          if (sz > best) {
-            best = sz;
-            victim = v;
-          }
-        }
-        if (victim == threads) break;  // nothing left anywhere
-        if (deques[victim].pop_back(c)) {
-          steals.value.fetch_add(1, std::memory_order_relaxed);
-          run_chunk(c);
-          done += c.hi - c.lo;
-        }
-        // On a failed steal (raced another thief), re-scan; the loop
-        // terminates because every scan that finds no work breaks.
-      }
-      per_worker[self].value = done;
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) pool.emplace_back(worker, w);
-    for (auto& t : pool) t.join();
-  }
+    per_worker[self] = done;
+  };
+  // The calling thread is worker 0, so one thread spawns nothing.
+  std::vector<std::thread> pool;
+  pool.reserve(threads - 1);
+  for (unsigned w = 1; w < threads; ++w) pool.emplace_back(worker, w);
+  worker(0);
+  for (auto& t : pool) t.join();
 
   if (stats) {
     const auto t1 = std::chrono::steady_clock::now();
     stats->wall_seconds =
         std::chrono::duration<double>(t1 - t0).count();
     stats->threads = threads;
-    stats->jobs_per_worker.clear();
-    for (const auto& w : per_worker) stats->jobs_per_worker.push_back(w.value);
-    stats->steals = steals.value.load();
+    stats->jobs_per_worker = per_worker;
   }
   return results;
 }

@@ -20,6 +20,10 @@ namespace liplib::campaign {
 
 namespace {
 
+/// Upper bound on the make_random_composite segments the probe and
+/// cross-check jobs draw per job.
+constexpr std::size_t kMaxSegments = 4;
+
 lip::Design make_default_design(graph::Topology topo) {
   lip::Design d(std::move(topo));
   const auto& t = d.topology();
@@ -317,16 +321,14 @@ Job make_probe_job(std::string name, graph::Topology topo,
              }};
 }
 
-std::vector<Job> make_probe_campaign(std::size_t n,
-                                     std::size_t max_segments) {
+std::vector<Job> make_probe_campaign(std::size_t n) {
   std::vector<Job> jobs;
   jobs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     jobs.push_back(Job{
-        "probe/" + std::to_string(i), [max_segments](const JobContext& ctx) {
+        "probe/" + std::to_string(i), [](const JobContext& ctx) {
           Rng rng(ctx.seed);
-          const std::size_t segments =
-              1 + rng.below(std::max<std::size_t>(max_segments, 1));
+          const std::size_t segments = 1 + rng.below(kMaxSegments);
           const auto policy = rng.chance(1, 2)
                                   ? lip::StopPolicy::kCarloniStrict
                                   : lip::StopPolicy::kCasuDiscardOnVoid;
@@ -386,11 +388,10 @@ Job make_lint_job(std::string name, graph::Topology topo,
              }};
 }
 
-Job make_lint_crosscheck_job(std::string name, LintCrossCheckSpec spec) {
-  return Job{std::move(name), [spec](const JobContext& ctx) {
+Job make_lint_crosscheck_job(std::string name) {
+  return Job{std::move(name), [](const JobContext& ctx) {
     Rng rng(ctx.seed);
-    const std::size_t segments =
-        1 + rng.below(std::max<std::size_t>(spec.max_segments, 1));
+    const std::size_t segments = 1 + rng.below(kMaxSegments);
     // Half the jobs allow half stations on loops: those topologies can
     // carry a latent stop latch, so both verdicts get exercised.
     const bool risky = rng.chance(1, 2);
@@ -420,7 +421,7 @@ Job make_lint_crosscheck_job(std::string name, LintCrossCheckSpec spec) {
                  " (segments=" + std::to_string(segments) + ")";
       return r;
     }
-    if (hazard && spec.check_fix) {
+    if (hazard) {
       const auto fixed = lint::lint_and_fix(gen.topo, structural);
       if (!fixed.report.clean()) {
         r.outcome = Outcome::kMismatch;
@@ -442,13 +443,12 @@ Job make_lint_crosscheck_job(std::string name, LintCrossCheckSpec spec) {
   }};
 }
 
-std::vector<Job> make_lint_crosscheck_campaign(std::size_t n,
-                                               LintCrossCheckSpec spec) {
+std::vector<Job> make_lint_crosscheck_campaign(std::size_t n) {
   std::vector<Job> jobs;
   jobs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     jobs.push_back(
-        make_lint_crosscheck_job("lint-xcheck/" + std::to_string(i), spec));
+        make_lint_crosscheck_job("lint-xcheck/" + std::to_string(i)));
   }
   return jobs;
 }
@@ -493,11 +493,10 @@ Job make_prove_job(std::string name, graph::Topology topo,
              }};
 }
 
-Job make_prove_crosscheck_job(std::string name, ProveCrossCheckSpec spec) {
-  return Job{std::move(name), [spec](const JobContext& ctx) {
+Job make_prove_crosscheck_job(std::string name) {
+  return Job{std::move(name), [](const JobContext& ctx) {
     Rng rng(ctx.seed);
-    const std::size_t segments =
-        1 + rng.below(std::max<std::size_t>(spec.max_segments, 1));
+    const std::size_t segments = 1 + rng.below(kMaxSegments);
     // Same recipe as the lint cross-check, so the corpora coincide and
     // both deadlocking and live topologies get exercised.
     const bool risky = rng.chance(1, 2);
@@ -505,7 +504,7 @@ Job make_prove_crosscheck_job(std::string name, ProveCrossCheckSpec spec) {
                                             /*allow_half=*/true,
                                             /*allow_half_in_loops=*/risky);
 
-    prove::ProveOptions popts = spec.prove;
+    prove::ProveOptions popts;
     popts.worst_case_occupancy = true;
     const auto pr = prove::prove(gen.topo, popts);
 
@@ -548,13 +547,12 @@ Job make_prove_crosscheck_job(std::string name, ProveCrossCheckSpec spec) {
   }};
 }
 
-std::vector<Job> make_prove_crosscheck_campaign(std::size_t n,
-                                                ProveCrossCheckSpec spec) {
+std::vector<Job> make_prove_crosscheck_campaign(std::size_t n) {
   std::vector<Job> jobs;
   jobs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     jobs.push_back(
-        make_prove_crosscheck_job("prove-xcheck/" + std::to_string(i), spec));
+        make_prove_crosscheck_job("prove-xcheck/" + std::to_string(i)));
   }
   return jobs;
 }

@@ -1,10 +1,10 @@
 #include "liplib/dist/shard.hpp"
 
 #include <algorithm>
-#include <charconv>
 
 #include "liplib/serve/cache.hpp"
 #include "liplib/support/check.hpp"
+#include "liplib/support/flags.hpp"
 
 namespace liplib::dist {
 
@@ -24,14 +24,6 @@ std::string string_of(const Json& doc, const char* key) {
                 std::string("shard manifest: field '") + key +
                     "' must be a string");
   return f->as_string();
-}
-
-/// Plain decimal digits only: no sign, no whitespace, no trailing
-/// bytes, no overflow (std::stoull would accept " 7", "+7" and "-1").
-bool parse_digits(const std::string& text, std::uint64_t* out) {
-  const char* end = text.data() + text.size();
-  const auto [p, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && p == end;
 }
 
 }  // namespace

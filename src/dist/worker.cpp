@@ -16,6 +16,9 @@ namespace liplib::dist {
 
 namespace {
 
+/// Cap on the coordinator-suggested retry sleep.
+constexpr std::uint64_t kMaxPollMs = 1000;
+
 /// One request/response round trip on a fresh connection.  Returns
 /// false when the coordinator is unreachable, hung up or cut the answer
 /// short (the normal end of a campaign once the coordinator exited);
@@ -80,7 +83,7 @@ WorkerStats run_worker(const WorkerOptions& opts) {
       if (const Json* f = response.find("retry_ms")) {
         if (f->is_number()) retry = f->as_uint();
       }
-      retry = std::min(retry, opts.max_poll_ms);
+      retry = std::min(retry, kMaxPollMs);
       std::this_thread::sleep_for(std::chrono::milliseconds(retry));
       continue;
     }

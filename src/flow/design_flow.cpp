@@ -72,11 +72,11 @@ FlowResult run_design_flow(const graph::Topology& topo,
         " combinational stop cycle(s)");
   }
 
-  // 3. Screening (reset + worst case), with cure.
+  // 3. Screening from reset and under worst-case occupancy (which finds
+  //    the latent half-station latches), curing a latch with full
+  //    stations.
   {
-    skeleton::ScreeningOptions reset_opts;
-    const auto reset = xir::screen_for_deadlock(r.topology, reset_opts,
-                                                options.screen_budget);
+    const auto reset = xir::screen_for_deadlock(r.topology);
     r.deadlock_from_reset = reset.deadlock_found();
     r.measured_transient = reset.transient;
     r.measured_throughput = reset.system_throughput();
@@ -87,33 +87,24 @@ FlowResult run_design_flow(const graph::Topology& topo,
         std::to_string(reset.period) + ")");
     if (reset.deadlock_found()) return r;
 
-    if (options.worst_case_screening) {
-      skeleton::ScreeningOptions wc;
-      wc.worst_case_occupancy = true;
-      const auto worst =
-          xir::screen_for_deadlock(r.topology, wc, options.screen_budget);
-      r.latch_found = worst.deadlock_found();
-      if (worst.deadlock_found()) {
-        say("worst-case screening: stop latch found");
-        if (options.cure) {
-          const auto cure =
-              xir::cure_deadlocks(r.topology, wc, options.screen_budget);
-          r.cure_substitutions = cure.substitutions;
-          r.latch_cured = cure.success;
-          if (!cure.success) {
-            say("cure FAILED");
-            return r;
-          }
-          r.topology = cure.cured;
-          say("cure: " + std::to_string(cure.substitutions) +
-              " half->full substitution(s)");
-        } else {
-          say("cure disabled; design left with a latent latch");
-          return r;
-        }
-      } else {
-        say("worst-case screening: live");
+    skeleton::ScreeningOptions wc;
+    wc.worst_case_occupancy = true;
+    const auto worst = xir::screen_for_deadlock(r.topology, wc);
+    r.latch_found = worst.deadlock_found();
+    if (worst.deadlock_found()) {
+      say("worst-case screening: stop latch found");
+      const auto cure = xir::cure_deadlocks(r.topology, wc);
+      r.cure_substitutions = cure.substitutions;
+      r.latch_cured = cure.success;
+      if (!cure.success) {
+        say("cure FAILED");
+        return r;
       }
+      r.topology = cure.cured;
+      say("cure: " + std::to_string(cure.substitutions) +
+          " half->full substitution(s)");
+    } else {
+      say("worst-case screening: live");
     }
   }
 

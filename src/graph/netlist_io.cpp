@@ -2,7 +2,10 @@
 
 #include <istream>
 #include <map>
+#include <optional>
 #include <sstream>
+
+#include "liplib/support/flags.hpp"
 
 namespace liplib::graph {
 
@@ -36,6 +39,15 @@ struct LineRef {
   throw ApiError(out);
 }
 
+/// A count or port number: plain decimal digits no greater than
+/// kMaxProcessPorts, or nullopt.  parse_digits rejects overflow, so no
+/// number can wrap around to a small one.
+std::optional<std::size_t> parse_decimal(const std::string& digits) {
+  std::uint64_t v = 0;
+  if (!parse_digits(digits, &v) || v > kMaxProcessPorts) return std::nullopt;
+  return static_cast<std::size_t>(v);
+}
+
 /// Splits "name.port" into its parts.
 std::pair<std::string, std::size_t> parse_port_ref(const LineRef& line,
                                                    const std::string& tok) {
@@ -43,29 +55,23 @@ std::pair<std::string, std::size_t> parse_port_ref(const LineRef& line,
   if (dot == std::string::npos || dot == 0 || dot + 1 == tok.size()) {
     fail(line, "expected <name>.<port>, got '" + tok + "'", tok);
   }
-  const std::string name = tok.substr(0, dot);
-  const std::string port_str = tok.substr(dot + 1);
-  std::size_t port = 0;
-  for (char c : port_str) {
-    if (c < '0' || c > '9') {
-      fail(line, "bad port number in '" + tok + "'", tok);
-    }
-    port = port * 10 + static_cast<std::size_t>(c - '0');
-  }
-  return {name, port};
+  // A port number past the bound fails here; one past the node's own
+  // arity fails in Topology::connect.
+  const auto port = parse_decimal(tok.substr(dot + 1));
+  if (!port) fail(line, "bad port number in '" + tok + "'", tok);
+  return {tok.substr(0, dot), *port};
 }
 
 std::size_t parse_count(const LineRef& line, const std::string& tok,
                         const char* what) {
-  if (tok.empty()) fail(line, std::string("missing ") + what);
-  std::size_t v = 0;
-  for (char c : tok) {
-    if (c < '0' || c > '9') {
-      fail(line, std::string("bad ") + what + " '" + tok + "'", tok);
-    }
-    v = v * 10 + static_cast<std::size_t>(c - '0');
+  const auto v = parse_decimal(tok);
+  if (!v) {
+    fail(line,
+         std::string("bad ") + what + " '" + tok + "' (expected 0 to " +
+             std::to_string(kMaxProcessPorts) + ")",
+         tok);
   }
-  return v;
+  return *v;
 }
 
 RsKind parse_station(const LineRef& line, const std::string& tok) {

@@ -252,8 +252,7 @@ void rule_stop_cycles(const Topology& topo, std::vector<Diagnostic>& out) {
 
 // ---- LIP007: reconvergence imbalance (predicted T = (m-i)/m) -------------
 
-void rule_reconvergence(const Topology& topo, std::size_t budget,
-                        std::vector<Diagnostic>& out) {
+void rule_reconvergence(const Topology& topo, std::vector<Diagnostic>& out) {
   if (!topo.is_feedforward()) return;
   // Gate on the exact implicit-loop bound, not on raw station imbalance:
   // the paper's closed form counts stations only, so an equalized design
@@ -262,8 +261,8 @@ void rule_reconvergence(const Topology& topo, std::size_t budget,
   Rational exact(1);
   std::vector<graph::ReconvergenceInfo> pairs;
   try {
-    exact = graph::exact_implicit_loop_bound(topo, budget);
-    pairs = graph::analyze_reconvergence(topo, budget);
+    exact = graph::exact_implicit_loop_bound(topo);
+    pairs = graph::analyze_reconvergence(topo);
   } catch (const ApiError&) {
     out.push_back({"LIP007", Severity::kInfo, std::nullopt, std::nullopt,
                    "reconvergence analysis exceeded its path budget; "
@@ -312,13 +311,12 @@ void rule_reconvergence(const Topology& topo, std::size_t budget,
 
 // ---- LIP008: slowest-cycle bottleneck via the exact MCR ------------------
 
-void rule_slowest_cycle(const Topology& topo, std::size_t budget,
-                        std::vector<Diagnostic>& out) {
+void rule_slowest_cycle(const Topology& topo, std::vector<Diagnostic>& out) {
   const auto mcr = graph::min_cycle_ratio(topo);
   if (!mcr || !(*mcr < Rational(1))) return;
   std::optional<graph::CycleInfo> witness;
   try {
-    for (const auto& c : graph::enumerate_cycles(topo, budget)) {
+    for (const auto& c : graph::enumerate_cycles(topo)) {
       if (c.throughput == *mcr) {
         witness = c;
         break;
@@ -379,12 +377,8 @@ Report run_lint(const graph::Topology& topo, const Options& options) {
     rule_stop_cycles(topo, out);
   }
   if (!options.structural_only) {
-    if (enabled("LIP007")) {
-      rule_reconvergence(topo, options.analysis_budget, out);
-    }
-    if (enabled("LIP008")) {
-      rule_slowest_cycle(topo, options.analysis_budget, out);
-    }
+    if (enabled("LIP007")) rule_reconvergence(topo, out);
+    if (enabled("LIP008")) rule_slowest_cycle(topo, out);
     if (enabled("LIP009")) rule_transient(topo, out);
   }
   return report;

@@ -476,8 +476,8 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
   // cycle's resident token count is conserved.
   bool have_certs = true;
   try {
-    r.certificates = detail::enumerate_certificates(
-        topo, opts.worst_case_occupancy, opts.max_cycles);
+    r.certificates =
+        detail::enumerate_certificates(topo, opts.worst_case_occupancy);
   } catch (const ApiError&) {
     have_certs = false;
   }

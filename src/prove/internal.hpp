@@ -53,9 +53,10 @@ struct ChannelMap {
 };
 
 /// The certificates of the simple directed cycles graph::enumerate_cycles
-/// finds (throws ApiError beyond `max_cycles`).
+/// finds (throws ApiError beyond its budget of 4096 cycles, where
+/// induction answers unknown rather than under-approximating).
 std::vector<CycleCertificate> enumerate_certificates(
-    const graph::Topology& topo, bool worst_case, std::size_t max_cycles);
+    const graph::Topology& topo, bool worst_case);
 
 /// Valid tokens resident on a certificate's cycle registers in an
 /// engine's current state.

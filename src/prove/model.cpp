@@ -88,9 +88,9 @@ ChannelMap::ChannelMap(const xir::Program& p) {
 }
 
 std::vector<CycleCertificate> enumerate_certificates(
-    const graph::Topology& topo, bool worst_case, std::size_t max_cycles) {
+    const graph::Topology& topo, bool worst_case) {
   std::vector<CycleCertificate> certs;
-  for (graph::CycleInfo& cycle : graph::enumerate_cycles(topo, max_cycles)) {
+  for (graph::CycleInfo& cycle : graph::enumerate_cycles(topo)) {
     CycleCertificate cert;
     cert.nodes = std::move(cycle.nodes);
     cert.channels = std::move(cycle.channels);
@@ -188,8 +188,7 @@ std::unique_ptr<SkeletonModel> make_skeleton_model(const graph::Topology& topo,
 
 std::vector<CycleCertificate> cycle_certificates(const graph::Topology& topo,
                                                  const ProveOptions& opts) {
-  return detail::enumerate_certificates(topo, opts.worst_case_occupancy,
-                                        opts.max_cycles);
+  return detail::enumerate_certificates(topo, opts.worst_case_occupancy);
 }
 
 }  // namespace liplib::prove

@@ -69,7 +69,7 @@ Json ServeContext::status_json() {
       .set("config",
            Json::object()
                .set("threads", opts.threads)
-               .set("max_connections", opts.max_connections)
+               .set("max_connections", Listener::kMaxConnections)
                .set("max_frame_bytes",
                     static_cast<std::uint64_t>(opts.limits.max_frame_bytes))
                .set("default_budget", opts.default_budget)

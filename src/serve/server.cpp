@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <system_error>
 
@@ -15,10 +16,9 @@ namespace liplib::serve {
 
 // ---- Listener -----------------------------------------------------------
 
-Listener::Listener(Handler handler, unsigned max_connections,
-                   FrameLimits limits, std::function<void()> on_violation)
+Listener::Listener(Handler handler, FrameLimits limits,
+                   std::function<void()> on_violation)
     : handler_(std::move(handler)),
-      max_connections_(max_connections),
       limits_(limits),
       on_violation_(std::move(on_violation)) {}
 
@@ -67,12 +67,20 @@ void Listener::accept_loop() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket shut down (drain) or fatal error
+      // Only drain ends the loop (its shutdown fails every accept).  Any
+      // other failure is about one peer or a passing shortage, so retry;
+      // out of descriptors or memory, pause first so a full table costs
+      // a poll every 10 ms, not a spinning core.
+      const int err = errno;
+      if (stopping_.load()) break;
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      continue;
     }
     std::unique_lock<std::mutex> lock(mu_);
     slot_freed_.wait(lock, [this] {
-      return open_ < max_connections_ || stopping_.load();
+      return open_ < kMaxConnections || stopping_.load();
     });
     if (stopping_.load()) {
       ::close(fd);
@@ -171,7 +179,7 @@ Server::Server(ServerOptions opts)
             return Listener::Reply{std::move(response),
                                    ctx_.draining.load()};
           },
-          opts.max_connections, opts.limits, [this] {
+          opts.limits, [this] {
             std::lock_guard<std::mutex> lock(ctx_.mu);
             ctx_.protocol_errors.add();
           }) {}

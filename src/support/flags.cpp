@@ -58,4 +58,10 @@ std::uint64_t parse_u64(const std::string& text, const std::string& what) {
   return v;
 }
 
+bool parse_digits(const std::string& text, std::uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && p == end;
+}
+
 }  // namespace liplib

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
+#include <thread>
 
 #include "liplib/campaign/campaign.hpp"
 #include "liplib/campaign/jobs.hpp"
@@ -199,6 +201,40 @@ TEST(Campaign, WorkIsSharedAcrossWorkers) {
   for (auto n : stats.jobs_per_worker) sum += n;
   EXPECT_EQ(sum, 64u);
   EXPECT_GT(stats.wall_seconds, 0.0);
+}
+
+// One slow job holds up one worker, not the batch: the others drain the
+// rest of the work list, so the worker that ran job 0 ran only its own
+// chunk (64 jobs on 4 threads take chunks of 2).  A static split would
+// leave that worker a quarter of the batch.
+TEST(Campaign, ASlowJobHoldsUpOneWorkerOnly) {
+  std::vector<std::thread::id> ran_on(64);
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < ran_on.size(); ++i) {
+    jobs.push_back(Job{"job/" + std::to_string(i),
+                       [i, &ran_on](const JobContext&) {
+                         if (i == 0) {
+                           std::this_thread::sleep_for(
+                               std::chrono::milliseconds(500));
+                         }
+                         ran_on[i] = std::this_thread::get_id();
+                         JobResult r;
+                         r.outcome = Outcome::kLive;
+                         return r;
+                       }});
+  }
+  EngineOptions opts;
+  opts.threads = 4;
+  RunStats stats;
+  const auto results = Engine(opts).run(jobs, &stats);
+  ASSERT_EQ(results.size(), 64u);
+  std::size_t with_job0 = 0;
+  for (const auto& id : ran_on) with_job0 += id == ran_on[0] ? 1 : 0;
+  EXPECT_LE(with_job0, 2u);
+  ASSERT_EQ(stats.jobs_per_worker.size(), 4u);
+  std::size_t sum = 0;
+  for (auto n : stats.jobs_per_worker) sum += n;
+  EXPECT_EQ(sum, 64u);
 }
 
 TEST(Campaign, AggregateHistogramsAreExactAndOrdered) {

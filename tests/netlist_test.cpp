@@ -106,6 +106,25 @@ TEST(Netlist, ReportsErrorsWithLineNumbers) {
                      "line 5");
 }
 
+// Counts and port numbers are plain digits under one bound: nothing
+// wraps around to a small number, and no process declares more than
+// kMaxProcessPorts ports a side.
+TEST(Netlist, CountsAndPortNumbersAreBoundedNotWrapped) {
+  // 2^64 + 1 inputs once read as 1, and port 2^64 as port 0.
+  expect_parse_error("process A 18446744073709551617 1\n",
+                     "bad input count '18446744073709551617'");
+  expect_parse_error("source s\nprocess A 1 1\nsink o\n"
+                     "channel s.0 -> A.18446744073709551616\n"
+                     "channel A.0 -> o.0\n",
+                     "bad port number in 'A.18446744073709551616'");
+  // Four billion inputs once reached std::bad_alloc.
+  expect_parse_error("process A 4000000000 1\n",
+                     "bad input count '4000000000'");
+  expect_parse_error("process A 1 65537\n", "bad output count '65537'");
+  const auto widest = graph::parse_netlist_string("process A 65536 1\n");
+  EXPECT_EQ(widest.node(0).num_inputs, graph::kMaxProcessPorts);
+}
+
 TEST(Netlist, ErrorsQuoteTheLineWithACaret) {
   // The offending line is echoed and a caret column-aligns with the bad
   // token (tildes underline the rest of it).

@@ -16,11 +16,17 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -912,6 +918,20 @@ TEST(Handlers, MalformedPayloadsBecomeErrorEnvelopes) {
   EXPECT_EQ(status.find("inflight")->as_int(), 0);
 }
 
+// A tenant's netlist cannot make the daemon allocate the arity it
+// names: four billion inputs are refused at parse time, with the
+// parser's line-numbered error, before any port exists.
+TEST(Handlers, AnOversizedArityIsRefusedAtParseTime) {
+  ServeContext ctx;
+  const Json doc = Json::parse(
+      handle_payload(request_json("lint", "process A 4000000000 1\n"), ctx));
+  EXPECT_FALSE(doc.find("ok")->as_bool());
+  EXPECT_NE(doc.find("error")->as_string().find(
+                "netlist line 1: bad input count '4000000000'"),
+            std::string::npos)
+      << doc.dump();
+}
+
 // ---- the design memo ----------------------------------------------------
 
 // A pipeline whose last annotation carries a number, for the
@@ -1271,6 +1291,80 @@ TEST(Server, ProtocolViolationGetsAnErrorFrameAndTheConnectionDropped) {
   server.wait();
   // The listener hands the violation to the daemon's counter.
   EXPECT_EQ(server.context().protocol_errors.value(), 1u);
+}
+
+// One failed accept must not end a daemon's accepting.  A client
+// connects while every descriptor below RLIMIT_NOFILE is taken: the
+// accept the listener is blocked in still delivers it (it reserved a
+// descriptor before blocking), and the next accept fails with EMFILE.
+// Once descriptors are free again, that client and a fresh one must
+// both be answered.
+TEST(Server, AcceptsAgainAfterRunningOutOfDescriptors) {
+  Server server;
+  server.start();
+  const std::string status = request_json("status", nullptr);
+  {
+    // One answered request first, so the listener is back in accept,
+    // and its descriptor closed, so none comes free during the test.
+    const testutil::Socket warm(testutil::connect_loopback(server.port()));
+    std::string answer;
+    write_frame(warm.fd, status);
+    ASSERT_TRUE(read_frame(warm.fd, answer));
+    ::shutdown(warm.fd, SHUT_WR);
+    ASSERT_FALSE(read_frame(warm.fd, answer));  // the daemon hung up
+  }
+
+  // Made now: a socket cannot be made while the descriptors are out.
+  const testutil::Socket early(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_GE(early.fd, 0);
+  const timeval timeout{5, 0};
+  ::setsockopt(early.fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+
+  // Lower the soft limit to just past the lowest free descriptor, then
+  // take every free one below it.  setrlimit acts on this process only.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = ::dup(early.fd);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> taken;
+  for (int fd; (fd = ::dup(early.fd)) >= 0;) taken.push_back(fd);
+  const int dup_errno = errno;
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  const int connected =
+      ::connect(early.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  if (connected == 0) write_frame(early.fd, status);
+  // Long enough for the accept loop to meet EMFILE.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  for (int fd : taken) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(dup_errno, EMFILE);
+  ASSERT_EQ(connected, 0);
+
+  auto answered = [](int fd) {
+    std::string payload;
+    try {
+      return read_frame(fd, payload) &&
+             Json::parse(payload).find("ok")->as_bool();
+    } catch (const std::exception&) {
+      return false;  // no answer within the read deadline
+    }
+  };
+  EXPECT_TRUE(answered(early.fd));
+  const testutil::Socket fresh(testutil::connect_loopback(server.port(), 5));
+  ASSERT_GE(fresh.fd, 0);
+  write_frame(fresh.fd, status);
+  EXPECT_TRUE(answered(fresh.fd));
+  server.shutdown();
+  server.wait();
 }
 
 // Every `lidtool client` call is one connection carrying one request, so

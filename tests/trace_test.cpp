@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -216,6 +217,9 @@ std::string serve_trace_bytes(unsigned threads) {
   serve::handle_payload(request_json("screen", kFig1), ctx);  // cache hit
   serve::handle_payload(
       request_json("campaign", nullptr, "\"mode\":\"fuzz\",\"jobs\":40"), ctx);
+  serve::handle_payload(
+      request_json("campaign", nullptr, "\"mode\":\"fuzz\",\"jobs\":200"),
+      ctx);
   return serve::handle_payload(request_json("trace", nullptr), ctx);
 }
 
@@ -230,25 +234,37 @@ TEST(ServeTrace, ByteIdenticalAcrossEngineThreadCounts) {
   std::string err;
   EXPECT_TRUE(trace::check_integrity(spans, &err)) << err;
 
-  // Three request roots (the scrape itself is not traced), a
+  // Four request roots (the scrape itself is not traced), a
   // cache-lookup child per cacheable request, one execute per miss, and
-  // 40 campaign chunk spans under the campaign execute.
+  // chunk spans under each campaign execute: 40 one-job chunks, then
+  // 33 six-job chunks and a ragged two-job one at index 198.
   std::size_t roots = 0, lookups = 0, execs = 0, chunks = 0;
+  std::map<std::string, std::size_t> chunks_by_size;
   bool saw_hit_event = false, saw_miss_event = false;
   for (const auto& s : spans) {
     if (s.name.rfind("serve.", 0) == 0 && s.parent_span == 0) roots++;
     if (s.name == "serve.cache_lookup") lookups++;
     if (s.name == "serve.execute") execs++;
-    if (s.name == "campaign.chunk") chunks++;
+    if (s.name == "campaign.chunk") {
+      chunks++;
+      ASSERT_EQ(s.attrs.size(), 2u);
+      chunks_by_size[s.attrs[0].second]++;
+      if (s.attrs[0].second == "2") {
+        EXPECT_EQ(s.attrs[1].second, "198");
+      }
+    }
     for (const auto& e : s.events) {
       if (e.name == "cache.hit") saw_hit_event = true;
       if (e.name == "cache.miss") saw_miss_event = true;
     }
   }
-  EXPECT_EQ(roots, 3u);
-  EXPECT_EQ(lookups, 3u);
-  EXPECT_EQ(execs, 2u);  // second screen was a hit
-  EXPECT_EQ(chunks, 40u);
+  EXPECT_EQ(roots, 4u);
+  EXPECT_EQ(lookups, 4u);
+  EXPECT_EQ(execs, 3u);  // second screen was a hit
+  EXPECT_EQ(chunks, 74u);
+  const std::map<std::string, std::size_t> want_sizes{
+      {"1", 40}, {"2", 1}, {"6", 33}};
+  EXPECT_EQ(chunks_by_size, want_sizes);
   EXPECT_TRUE(saw_hit_event);
   EXPECT_TRUE(saw_miss_event);
 }
