@@ -185,11 +185,19 @@ class Topology {
   std::string to_dot() const;
 
  private:
+  static constexpr ChannelId kUndriven = ~ChannelId{0};
+
+  NodeId add_node(Node node);
   void check_out(OutRef r) const;
   void check_in(InRef r) const;
 
   std::vector<Node> nodes_;
   std::vector<Channel> channels_;
+  /// Input port p of node n is driven by channel
+  /// in_channel_[in_begin_[n] + p] (kUndriven until connect): one flat
+  /// index, so connect and channel_into need no channel scan.
+  std::vector<std::size_t> in_begin_;
+  std::vector<ChannelId> in_channel_;
 };
 
 }  // namespace liplib::graph

@@ -25,22 +25,26 @@ std::string ValidationReport::to_string() const {
   return os.str();
 }
 
+NodeId Topology::add_node(Node node) {
+  in_begin_.push_back(in_channel_.size());
+  in_channel_.resize(in_channel_.size() + node.num_inputs, kUndriven);
+  nodes_.push_back(std::move(node));
+  return nodes_.size() - 1;
+}
+
 NodeId Topology::add_process(std::string name, std::size_t num_inputs,
                              std::size_t num_outputs) {
   LIPLIB_EXPECT(num_inputs + num_outputs > 0, "process with no ports");
-  nodes_.push_back(
+  return add_node(
       {std::move(name), NodeKind::kProcess, num_inputs, num_outputs});
-  return nodes_.size() - 1;
 }
 
 NodeId Topology::add_source(std::string name) {
-  nodes_.push_back({std::move(name), NodeKind::kSource, 0, 1});
-  return nodes_.size() - 1;
+  return add_node({std::move(name), NodeKind::kSource, 0, 1});
 }
 
 NodeId Topology::add_sink(std::string name) {
-  nodes_.push_back({std::move(name), NodeKind::kSink, 1, 0});
-  return nodes_.size() - 1;
+  return add_node({std::move(name), NodeKind::kSink, 1, 0});
 }
 
 void Topology::check_out(OutRef r) const {
@@ -61,12 +65,12 @@ ChannelId Topology::connect(OutRef from, InRef to,
                             std::vector<RsKind> stations) {
   check_out(from);
   check_in(to);
-  for (const auto& c : channels_) {
-    LIPLIB_EXPECT(!(c.to.node == to.node && c.to.port == to.port),
-                  "input port of " + nodes_[to.node].name + " driven twice");
-  }
+  ChannelId& slot = in_channel_[in_begin_[to.node] + to.port];
+  LIPLIB_EXPECT(slot == kUndriven,
+                "input port of " + nodes_[to.node].name + " driven twice");
   channels_.push_back({from, to, std::move(stations)});
-  return channels_.size() - 1;
+  slot = channels_.size() - 1;
+  return slot;
 }
 
 std::vector<ChannelId> Topology::channels_from(NodeId n) const {
@@ -86,12 +90,12 @@ std::vector<ChannelId> Topology::channels_into(NodeId n) const {
 }
 
 std::optional<ChannelId> Topology::channel_into(InRef in) const {
-  for (ChannelId c = 0; c < channels_.size(); ++c) {
-    if (channels_[c].to.node == in.node && channels_[c].to.port == in.port) {
-      return c;
-    }
+  if (in.node >= nodes_.size() || in.port >= nodes_[in.node].num_inputs) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  const ChannelId c = in_channel_[in_begin_[in.node] + in.port];
+  if (c == kUndriven) return std::nullopt;
+  return c;
 }
 
 std::vector<ChannelId> Topology::channels_of(OutRef out) const {

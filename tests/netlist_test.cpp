@@ -104,6 +104,14 @@ TEST(Netlist, ReportsErrorsWithLineNumbers) {
   expect_parse_error("source s\nprocess p 1 1\nsink o\n"
                      "channel s.0 -> p.0\nchannel s.0 -> p.0\n",
                      "line 5");
+  // A doubly driven input keeps its line and the topology's reason when
+  // nodes were declared after the driven one.
+  const std::string driven_twice =
+      "source s\nprocess p 2 1\nprocess q 1 1\nsink o\n"
+      "channel s.0 -> p.1\nchannel p.0 -> q.0 : F\n"
+      "channel q.0 -> p.0 : F\n# comment\nchannel q.0 -> p.1 : F\n";
+  expect_parse_error(driven_twice, "netlist line 9: ");
+  expect_parse_error(driven_twice, "input port of p driven twice");
 }
 
 // Counts and port numbers are plain digits under one bound: nothing

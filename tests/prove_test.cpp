@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -322,6 +323,32 @@ TEST(Prove, CertificatesMatchCycleEnumeration) {
     // slack.
     EXPECT_EQ(!c.holds, c.full_stations == 0);
   }
+}
+
+// The proved-run token audit replays the greedy run only until its
+// state repeats, not for the whole transient bound.  A closed two-shell
+// ring with 300 full stations per channel has no sink, so its one
+// environment is the greedy one, and its bound 2p^2 + 16 is millions of
+// cycles.  From worst-case occupancy the greedy run is a fixed point;
+// from reset it cycles through 301 states, which the audit's doubling
+// window has to span.
+TEST(Prove, TokenAuditEndsWhereTheGreedyRunRepeats) {
+  const auto topo = graph::make_closed_ring({300, 300}).topo;
+  ASSERT_GT(graph::transient_bound(topo), 1000000u);
+
+  prove::ProveOptions wc;
+  wc.worst_case_occupancy = true;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto worst = prove::prove(topo, wc);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  EXPECT_EQ(worst.verdict, prove::Verdict::kProved);
+  EXPECT_EQ(worst.method_used, prove::Method::kReachability);
+  EXPECT_TRUE(worst.token_conservation_ok);
+
+  const auto reset = prove::prove(topo, {});
+  EXPECT_EQ(reset.verdict, prove::Verdict::kProved);
+  EXPECT_TRUE(reset.token_conservation_ok);
+  EXPECT_EQ(reset.states_explored, 301u);
 }
 
 TEST(Prove, BmcFindsShallowCounterexample) {

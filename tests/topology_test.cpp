@@ -30,6 +30,49 @@ TEST(Topology, BuilderRejectsDoubleDrive) {
   EXPECT_THROW(t.connect({s2, 0}, {p, 0}), ApiError);
 }
 
+// Each input port keeps its channel through nodes added after it: the
+// second drive of a port is refused with the port's node named, however
+// many nodes and channels came between, and the refused channel is not
+// added.
+TEST(Topology, PortDrivenTwiceRejectedAfterLaterNodes) {
+  Topology t;
+  const auto s = t.add_source("s");
+  const auto j = t.add_process("J", 3, 1);
+  t.connect({s, 0}, {j, 1});
+  const auto a = t.add_process("A", 2, 2);
+  const auto o = t.add_sink("o");
+  t.connect({j, 0}, {a, 1}, {RsKind::kFull});
+  t.connect({a, 0}, {j, 0}, {RsKind::kFull});
+  t.connect({a, 1}, {o, 0});
+  const auto count = t.channels().size();
+  for (const graph::InRef in : {graph::InRef{j, 1}, graph::InRef{j, 0},
+                                graph::InRef{a, 1}, graph::InRef{o, 0}}) {
+    const auto c = t.channel_into(in);
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(t.channel(*c).to.node, in.node);
+    EXPECT_EQ(t.channel(*c).to.port, in.port);
+    try {
+      t.connect({a, 0}, in, {RsKind::kFull});
+      ADD_FAILURE() << "second channel into " << t.node(in.node).name
+                    << "." << in.port << " accepted";
+    } catch (const ApiError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("input port of " + t.node(in.node).name +
+                          " driven twice"),
+                std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_EQ(t.channels().size(), count);
+  // The ports no channel drives stay open, and connect fills them.
+  EXPECT_FALSE(t.channel_into({j, 2}).has_value());
+  EXPECT_FALSE(t.channel_into({a, 0}).has_value());
+  EXPECT_FALSE(t.channel_into({a, 2}).has_value());  // out of range
+  EXPECT_FALSE(t.channel_into({o + 1, 0}).has_value());
+  const auto c = t.connect({s, 0}, {a, 0});
+  EXPECT_EQ(t.channel_into({a, 0}), c);
+}
+
 TEST(Topology, ValidateFindsUnconnectedPorts) {
   Topology t;
   t.add_process("P", 1, 1);
