@@ -98,7 +98,7 @@ int main() {
         const auto on_cycle = topo.channels_on_cycles();
         for (graph::ChannelId ch = 0; ch < topo.channels().size(); ++ch) {
           if (!on_cycle[ch]) continue;
-          for (auto& k : topo.channel_mut(ch).stations) {
+          for (auto& k : topo.stations_mut(ch)) {
             k = graph::RsKind::kHalf;
           }
         }

@@ -51,7 +51,7 @@ graph::Topology with_station_kinds(const graph::Topology& topo,
   graph::Topology out = topo;
   std::size_t next = 0;
   for (graph::ChannelId c = 0; c < out.channels().size(); ++c) {
-    for (auto& k : out.channel_mut(c).stations) k = kinds.at(next++);
+    for (auto& k : out.stations_mut(c)) k = kinds.at(next++);
   }
   return out;
 }

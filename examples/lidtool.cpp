@@ -850,14 +850,15 @@ std::pair<std::vector<campaign::Job>, std::string> sweep_jobs(
   for (std::size_t k = lo; k <= hi; ++k) {
     graph::Topology variant = base;
     for (graph::ChannelId c = 0; c < variant.channels().size(); ++c) {
-      auto& ch = variant.channel_mut(c);
+      const auto& ch = variant.channel(c);
+      auto& stations = variant.stations_mut(c);
       const bool between_processes =
           variant.node(ch.from.node).kind == graph::NodeKind::kProcess &&
           variant.node(ch.to.node).kind == graph::NodeKind::kProcess;
       if (between_processes) {
         const graph::RsKind kind =
-            ch.stations.empty() ? graph::RsKind::kFull : ch.stations.front();
-        ch.stations.assign(k, kind);
+            stations.empty() ? graph::RsKind::kFull : stations.front();
+        stations.assign(k, kind);
       }
     }
     for (auto policy : policies) {

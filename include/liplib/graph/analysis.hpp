@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -44,9 +45,12 @@ struct CycleInfo {
 /// DFS), up to `max_cycles`; throws ApiError when the budget is exceeded.
 /// Each cycle is rooted at its smallest node id and channels are walked
 /// in id order, so the order is deterministic.  Self-loops count.
-/// Sources and sinks never lie on cycles.
-std::vector<CycleInfo> enumerate_cycles(const Topology& topo,
-                                        std::size_t max_cycles = 4096);
+/// Sources and sinks never lie on cycles.  When `keep` is given, only
+/// the channels it accepts are walked.  The walk stays inside the root's
+/// strongly connected component, so acyclic parts cost nothing.
+std::vector<CycleInfo> enumerate_cycles(
+    const Topology& topo, std::size_t max_cycles = 4096,
+    const std::function<bool(ChannelId)>& keep = {});
 
 /// One reconvergent fork/join pair in a feedforward topology, with the
 /// paper's parameters.
@@ -72,7 +76,8 @@ struct ReconvergenceInfo {
 
 /// Scans a feedforward topology for fork/join pairs and computes the
 /// paper's implicit-loop parameters for each.  Path enumeration is
-/// budgeted by `max_paths` per pair (ApiError beyond it).
+/// budgeted by `max_paths` per pair (ApiError beyond it); the walk
+/// visits only nodes that reach the join.
 ///
 /// Accuracy note: the paper's closed form T = (m−i)/m is exact when the
 /// heavier branch is uniformly pipelined (the whole Fig. 1 family and the

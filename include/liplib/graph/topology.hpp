@@ -132,15 +132,23 @@ class Topology {
   const std::vector<Channel>& channels() const { return channels_; }
   const Node& node(NodeId id) const { return nodes_.at(id); }
   const Channel& channel(ChannelId id) const { return channels_.at(id); }
-  Channel& channel_mut(ChannelId id) { return channels_.at(id); }
+  /// A channel's relay stations, the one part of a channel that may
+  /// change after connect (its endpoints key both port indexes).
+  std::vector<RsKind>& stations_mut(ChannelId id) {
+    return channels_.at(id).stations;
+  }
 
-  /// Channels leaving any output port of `n`.
-  std::vector<ChannelId> channels_from(NodeId n) const;
-  /// Channels entering any input port of `n`.
+  /// Channels leaving any output port of `n`, in channel-id order: the
+  /// adjacency every graph walk reads.
+  const std::vector<ChannelId>& channels_from(NodeId n) const {
+    return out_channels_.at(n);
+  }
+  /// Channels entering `n`, in input-port order (undriven ports skipped).
   std::vector<ChannelId> channels_into(NodeId n) const;
   /// The unique channel driving this input port, if connected.
   std::optional<ChannelId> channel_into(InRef in) const;
-  /// Channels driven by this output port (fanout set).
+  /// Channels driven by this output port (fanout set), in channel-id
+  /// order.
   std::vector<ChannelId> channels_of(OutRef out) const;
 
   /// Totals over all channels.
@@ -166,7 +174,14 @@ class Topology {
 
   /// True if the process/channel graph (ignoring sources and sinks) has
   /// no directed cycle — the "feed-forward (possibly reconvergent)" class.
-  bool is_feedforward() const;
+  bool is_feedforward() const {
+    return topological_order().size() == nodes_.size();
+  }
+
+  /// Kahn order of the nodes: the nodes with no driven input by id, then
+  /// each node's successors as their last input channel is consumed, in
+  /// channel-id order.  Shorter than nodes() iff the graph has a cycle.
+  std::vector<NodeId> topological_order() const;
 
   /// Node ids of every directed cycle's channel set is expensive to
   /// enumerate in general; this returns, per channel, whether it lies on
@@ -177,7 +192,8 @@ class Topology {
   /// land in singletons), restricted to the channels `keep` accepts when
   /// it is given; each inner vector is one SCC with >= 1 node.
   /// Components are listed in reverse topological order.  The one SCC
-  /// routine: channels_on_cycles and lint's stop-cycle rule run on it.
+  /// routine: channels_on_cycles, enumerate_cycles and lint's stop-cycle
+  /// rule run on it.
   std::vector<std::vector<NodeId>> process_sccs(
       const std::function<bool(ChannelId)>& keep = {}) const;
 
@@ -198,6 +214,8 @@ class Topology {
   /// index, so connect and channel_into need no channel scan.
   std::vector<std::size_t> in_begin_;
   std::vector<ChannelId> in_channel_;
+  /// out_channels_[n]: the channels leaving node n, appended by connect.
+  std::vector<std::vector<ChannelId>> out_channels_;
 };
 
 }  // namespace liplib::graph

@@ -84,7 +84,7 @@ JobResult analyze_steady_state(const graph::Topology& topo,
 /// (~1/3 half stations) — the "mixed half/full chains" of the T1 pass.
 void mix_station_kinds(graph::Topology& topo, Rng& rng) {
   for (graph::ChannelId c = 0; c < topo.channels().size(); ++c) {
-    for (auto& kind : topo.channel_mut(c).stations) {
+    for (auto& kind : topo.stations_mut(c)) {
       kind = rng.chance(1, 3) ? graph::RsKind::kHalf : graph::RsKind::kFull;
     }
   }

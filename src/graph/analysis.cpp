@@ -1,6 +1,5 @@
 #include "liplib/graph/analysis.hpp"
 
-#include <algorithm>
 #include <functional>
 
 namespace liplib::graph {
@@ -18,14 +17,16 @@ Rational reconvergent_throughput(std::size_t m, std::size_t i) {
                   static_cast<std::int64_t>(m));
 }
 
-std::vector<CycleInfo> enumerate_cycles(const Topology& topo,
-                                        std::size_t max_cycles) {
-  // Adjacency over all nodes via channels; only process nodes can lie on
-  // cycles (sources have no inputs, sinks no outputs).
+std::vector<CycleInfo> enumerate_cycles(
+    const Topology& topo, std::size_t max_cycles,
+    const std::function<bool(ChannelId)>& keep) {
+  // Every simple cycle through a node stays in that node's strongly
+  // connected component, so the walk never leaves the root's component.
   const std::size_t n = topo.nodes().size();
-  std::vector<std::vector<ChannelId>> out(n);
-  for (ChannelId c = 0; c < topo.channels().size(); ++c) {
-    out[topo.channel(c).from.node].push_back(c);
+  std::vector<std::size_t> comp_of(n, 0);
+  const auto sccs = topo.process_sccs(keep);
+  for (std::size_t i = 0; i < sccs.size(); ++i) {
+    for (NodeId v : sccs[i]) comp_of[v] = i;
   }
 
   std::vector<CycleInfo> cycles;
@@ -36,9 +37,11 @@ std::vector<CycleInfo> enumerate_cycles(const Topology& topo,
   // To report each cycle once, only enumerate cycles whose smallest node
   // id equals the DFS root.
   std::function<void(NodeId, NodeId)> dfs = [&](NodeId root, NodeId v) {
-    for (ChannelId c : out[v]) {
+    for (ChannelId c : topo.channels_from(v)) {
       const NodeId w = topo.channel(c).to.node;
-      if (w < root) continue;
+      if (w < root || comp_of[w] != comp_of[root] || (keep && !keep(c))) {
+        continue;
+      }
       if (w == root) {
         LIPLIB_EXPECT(cycles.size() < max_cycles,
                       "cycle enumeration budget exceeded");
@@ -79,132 +82,100 @@ std::vector<CycleInfo> enumerate_cycles(const Topology& topo,
 
 namespace {
 
-struct PathStats {
-  std::size_t stations = 0;
-  std::size_t intermediate_shells = 0;
-};
+/// A simple path fork -> join, as its channels in order.
+using Path = std::vector<ChannelId>;
 
-/// Enumerates simple paths fork->join, accumulating stations and the
-/// shells strictly between the endpoints.
-void enumerate_paths(const Topology& topo,
-                     const std::vector<std::vector<ChannelId>>& out,
-                     NodeId fork, NodeId join, std::size_t max_paths,
-                     std::vector<PathStats>& results) {
-  std::vector<bool> on_path(topo.nodes().size(), false);
-  PathStats cur;
+/// The one fork -> join walker: the simple paths from `fork` to `join`
+/// through process nodes, in depth-first order over channel ids, at most
+/// `max_paths` of them (ApiError beyond).  The walk enters only nodes
+/// that reach the join, found by one reverse search over the input index,
+/// so a pair the fork cannot complete costs no more than that search.
+std::vector<Path> fork_join_paths(const Topology& topo, NodeId fork,
+                                  NodeId join, std::size_t max_paths) {
+  const std::size_t n = topo.nodes().size();
+  std::vector<bool> reaches(n, false);
+  std::vector<NodeId> stack{join};
+  reaches[join] = true;
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    for (std::size_t p = 0; p < topo.node(v).num_inputs; ++p) {
+      const auto c = topo.channel_into({v, p});
+      if (!c || reaches[topo.channel(*c).from.node]) continue;
+      stack.push_back(topo.channel(*c).from.node);
+      reaches[stack.back()] = true;
+    }
+  }
+
+  std::vector<Path> results;
+  std::vector<bool> on_path(n, false);
+  Path cur;
   std::function<void(NodeId)> dfs = [&](NodeId v) {
-    for (ChannelId c : out[v]) {
+    for (ChannelId c : topo.channels_from(v)) {
       const NodeId w = topo.channel(c).to.node;
-      const std::size_t st = topo.channel(c).num_stations();
       if (w == join) {
         LIPLIB_EXPECT(results.size() < max_paths,
                       "path enumeration budget exceeded");
-        results.push_back({cur.stations + st, cur.intermediate_shells});
+        results.push_back(cur);
+        results.back().push_back(c);
         continue;
       }
-      if (on_path[w] || topo.node(w).kind != NodeKind::kProcess) continue;
+      if (on_path[w] || !reaches[w] ||
+          topo.node(w).kind != NodeKind::kProcess) {
+        continue;
+      }
       on_path[w] = true;
-      cur.stations += st;
-      cur.intermediate_shells += 1;
+      cur.push_back(c);
       dfs(w);
-      cur.intermediate_shells -= 1;
-      cur.stations -= st;
+      cur.pop_back();
       on_path[w] = false;
     }
   };
   on_path[fork] = true;
   dfs(fork);
+  return results;
 }
 
-}  // namespace
-
-std::vector<ReconvergenceInfo> analyze_reconvergence(const Topology& topo,
-                                                     std::size_t max_paths) {
+/// Calls `visit(fork, join, paths)` for every fork/join pair with at
+/// least two simple paths between them, in (fork, join) id order: a fork
+/// is any non-sink with two or more outgoing channels, a join any other
+/// process with two or more driven inputs.
+void for_each_reconvergence(
+    const Topology& topo, std::size_t max_paths,
+    const std::function<void(NodeId, NodeId, const std::vector<Path>&)>&
+        visit) {
   const std::size_t n = topo.nodes().size();
-  std::vector<std::vector<ChannelId>> out(n);
-  std::vector<std::size_t> in_deg(n, 0);
-  for (ChannelId c = 0; c < topo.channels().size(); ++c) {
-    out[topo.channel(c).from.node].push_back(c);
-    in_deg[topo.channel(c).to.node]++;
+  std::vector<NodeId> joins;
+  for (NodeId v = 0; v < n; ++v) {
+    if (topo.node(v).kind == NodeKind::kProcess &&
+        topo.channels_into(v).size() >= 2) {
+      joins.push_back(v);
+    }
   }
-
-  std::vector<ReconvergenceInfo> found;
   for (NodeId fork = 0; fork < n; ++fork) {
     if (topo.node(fork).kind == NodeKind::kSink) continue;
-    if (out[fork].size() < 2) continue;  // cannot start two branches
-    for (NodeId join = 0; join < n; ++join) {
-      if (topo.node(join).kind != NodeKind::kProcess) continue;
-      if (in_deg[join] < 2 || join == fork) continue;
-      std::vector<PathStats> paths;
-      enumerate_paths(topo, out, fork, join, max_paths, paths);
-      if (paths.size() < 2) continue;
-      ReconvergenceInfo info;
-      info.fork = fork;
-      info.join = join;
-      info.min_stations = paths.front().stations;
-      info.max_stations = paths.front().stations;
-      std::size_t heavy_shells = paths.front().intermediate_shells;
-      for (const auto& p : paths) {
-        if (p.stations < info.min_stations) info.min_stations = p.stations;
-        if (p.stations > info.max_stations ||
-            (p.stations == info.max_stations &&
-             p.intermediate_shells > heavy_shells)) {
-          info.max_stations = p.stations;
-          heavy_shells = p.intermediate_shells;
-        }
-      }
-      // The paper counts the shells on the heaviest branch as part of the
-      // implicit loop: the intermediate shells plus the join shell.
-      info.heavy_path_shells = heavy_shells + 1;
-      found.push_back(info);
+    if (topo.channels_from(fork).size() < 2) continue;
+    for (NodeId join : joins) {
+      if (join == fork) continue;
+      const auto paths = fork_join_paths(topo, fork, join, max_paths);
+      if (paths.size() >= 2) visit(fork, join, paths);
     }
   }
-  return found;
 }
 
-namespace {
+/// Shells strictly between a path's endpoints.
+std::size_t interior_shells(const Path& p) { return p.size() - 1; }
 
-struct PathDetail {
-  std::vector<ChannelId> channels;
-  std::vector<NodeId> interior;  // nodes strictly between fork and join
-};
-
-/// Enumerates simple paths fork->join with full channel/interior detail.
-void enumerate_paths_detailed(const Topology& topo,
-                              const std::vector<std::vector<ChannelId>>& out,
-                              NodeId fork, NodeId join,
-                              std::size_t max_paths,
-                              std::vector<PathDetail>& results) {
-  std::vector<bool> on_path(topo.nodes().size(), false);
-  PathDetail cur;
-  std::function<void(NodeId)> dfs = [&](NodeId v) {
-    for (ChannelId c : out[v]) {
-      const NodeId w = topo.channel(c).to.node;
-      if (w == join) {
-        LIPLIB_EXPECT(results.size() < max_paths,
-                      "path enumeration budget exceeded");
-        PathDetail done = cur;
-        done.channels.push_back(c);
-        results.push_back(std::move(done));
-        continue;
-      }
-      if (on_path[w] || topo.node(w).kind != NodeKind::kProcess) continue;
-      on_path[w] = true;
-      cur.channels.push_back(c);
-      cur.interior.push_back(w);
-      dfs(w);
-      cur.interior.pop_back();
-      cur.channels.pop_back();
-      on_path[w] = false;
-    }
-  };
-  on_path[fork] = true;
-  dfs(fork);
+std::size_t path_stations(const Topology& topo, const Path& p) {
+  std::size_t st = 0;
+  for (ChannelId c : p) st += topo.channel(c).num_stations();
+  return st;
 }
 
-bool interiors_disjoint(const PathDetail& a, const PathDetail& b) {
-  for (NodeId x : a.interior) {
-    for (NodeId y : b.interior) {
+bool interiors_disjoint(const std::vector<NodeId>& a,
+                        const std::vector<NodeId>& b) {
+  for (NodeId x : a) {
+    for (NodeId y : b) {
       if (x == y) return false;
     }
   }
@@ -213,47 +184,66 @@ bool interiors_disjoint(const PathDetail& a, const PathDetail& b) {
 
 }  // namespace
 
-std::vector<ImplicitLoopInfo> analyze_implicit_loops(const Topology& topo,
+std::vector<ReconvergenceInfo> analyze_reconvergence(const Topology& topo,
                                                      std::size_t max_paths) {
-  const std::size_t n = topo.nodes().size();
-  std::vector<std::vector<ChannelId>> out(n);
-  std::vector<std::size_t> in_deg(n, 0);
-  for (ChannelId c = 0; c < topo.channels().size(); ++c) {
-    out[topo.channel(c).from.node].push_back(c);
-    in_deg[topo.channel(c).to.node]++;
-  }
-
-  std::vector<ImplicitLoopInfo> loops;
-  for (NodeId fork = 0; fork < n; ++fork) {
-    if (topo.node(fork).kind == NodeKind::kSink) continue;
-    if (out[fork].size() < 2) continue;
-    for (NodeId join = 0; join < n; ++join) {
-      if (topo.node(join).kind != NodeKind::kProcess) continue;
-      if (in_deg[join] < 2 || join == fork) continue;
-      std::vector<PathDetail> paths;
-      enumerate_paths_detailed(topo, out, fork, join, max_paths, paths);
-      if (paths.size() < 2) continue;
-      for (std::size_t f = 0; f < paths.size(); ++f) {
-        for (std::size_t b = 0; b < paths.size(); ++b) {
-          if (f == b) continue;
-          if (!interiors_disjoint(paths[f], paths[b])) continue;
-          ImplicitLoopInfo info;
-          info.fork = fork;
-          info.join = join;
-          for (ChannelId c : paths[f].channels) {
-            info.registers_fwd += topo.channel(c).num_stations() + 1;
-            info.tokens_fwd += 1;
-          }
-          for (ChannelId c : paths[b].channels) {
-            info.slack_back +=
-                2 * topo.channel(c).num_full() + topo.channel(c).num_half();
-            info.stops_back += topo.channel(c).num_full();
-          }
-          loops.push_back(info);
-        }
+  std::vector<ReconvergenceInfo> found;
+  for_each_reconvergence(topo, max_paths, [&](NodeId fork, NodeId join,
+                                              const std::vector<Path>& paths) {
+    ReconvergenceInfo info;
+    info.fork = fork;
+    info.join = join;
+    info.min_stations = path_stations(topo, paths.front());
+    info.max_stations = info.min_stations;
+    std::size_t heavy_shells = interior_shells(paths.front());
+    for (const auto& p : paths) {
+      const std::size_t st = path_stations(topo, p);
+      if (st < info.min_stations) info.min_stations = st;
+      if (st > info.max_stations ||
+          (st == info.max_stations && interior_shells(p) > heavy_shells)) {
+        info.max_stations = st;
+        heavy_shells = interior_shells(p);
       }
     }
-  }
+    // The paper counts the shells on the heaviest branch as part of the
+    // implicit loop: the intermediate shells plus the join shell.
+    info.heavy_path_shells = heavy_shells + 1;
+    found.push_back(info);
+  });
+  return found;
+}
+
+std::vector<ImplicitLoopInfo> analyze_implicit_loops(const Topology& topo,
+                                                     std::size_t max_paths) {
+  std::vector<ImplicitLoopInfo> loops;
+  for_each_reconvergence(topo, max_paths, [&](NodeId fork, NodeId join,
+                                              const std::vector<Path>& paths) {
+    // Nodes strictly between fork and join, per path.
+    std::vector<std::vector<NodeId>> interior(paths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      for (std::size_t h = 0; h + 1 < paths[i].size(); ++h) {
+        interior[i].push_back(topo.channel(paths[i][h]).to.node);
+      }
+    }
+    for (std::size_t f = 0; f < paths.size(); ++f) {
+      for (std::size_t b = 0; b < paths.size(); ++b) {
+        if (f == b) continue;
+        if (!interiors_disjoint(interior[f], interior[b])) continue;
+        ImplicitLoopInfo info;
+        info.fork = fork;
+        info.join = join;
+        for (ChannelId c : paths[f]) {
+          info.registers_fwd += topo.channel(c).num_stations() + 1;
+          info.tokens_fwd += 1;
+        }
+        for (ChannelId c : paths[b]) {
+          info.slack_back +=
+              2 * topo.channel(c).num_full() + topo.channel(c).num_half();
+          info.stops_back += topo.channel(c).num_full();
+        }
+        loops.push_back(info);
+      }
+    }
+  });
   return loops;
 }
 
@@ -285,31 +275,12 @@ ThroughputPrediction predict_throughput(const Topology& topo) {
 std::vector<StopCycleInfo> find_stop_cycles(const Topology& topo,
                                             std::size_t max_cycles) {
   // A cycle's stop path is combinational iff none of its channels
-  // carries a full station; enumerate cycles over the subgraph of
-  // full-station-free channels only.
-  Topology pruned;
-  // Rebuild with the same nodes; keep only channels with zero full
-  // stations.  Node ids are preserved by construction order.
-  for (const auto& node : topo.nodes()) {
-    switch (node.kind) {
-      case NodeKind::kProcess:
-        pruned.add_process(node.name, node.num_inputs, node.num_outputs);
-        break;
-      case NodeKind::kSource:
-        pruned.add_source(node.name);
-        break;
-      case NodeKind::kSink:
-        pruned.add_sink(node.name);
-        break;
-    }
-  }
-  for (const auto& ch : topo.channels()) {
-    if (ch.num_full() == 0) {
-      pruned.connect(ch.from, ch.to, ch.stations);
-    }
-  }
+  // carries a full station: enumerate the cycles of those channels only.
+  const auto stop_transparent = [&](ChannelId c) {
+    return topo.channel(c).num_full() == 0;
+  };
   std::vector<StopCycleInfo> out;
-  for (const auto& c : enumerate_cycles(pruned, max_cycles)) {
+  for (const auto& c : enumerate_cycles(topo, max_cycles, stop_transparent)) {
     out.push_back({c.nodes, c.stations});
   }
   return out;
@@ -341,33 +312,14 @@ std::uint64_t transient_bound(const Topology& topo) {
 }
 
 std::optional<std::uint64_t> longest_register_path(const Topology& topo) {
-  if (!topo.is_feedforward()) return std::nullopt;
+  const auto order = topo.topological_order();
+  if (order.size() != topo.nodes().size()) return std::nullopt;
   // Longest path over the channel DAG with weight = stations + 1 (the
   // producing node's output register).
-  const std::size_t n = topo.nodes().size();
-  std::vector<std::size_t> in_deg(n, 0);
-  std::vector<std::vector<ChannelId>> out(n);
-  for (ChannelId c = 0; c < topo.channels().size(); ++c) {
-    out[topo.channel(c).from.node].push_back(c);
-    in_deg[topo.channel(c).to.node]++;
-  }
-  std::vector<NodeId> order;
-  std::vector<std::size_t> deg = in_deg;
-  for (NodeId v = 0; v < n; ++v) {
-    if (deg[v] == 0) order.push_back(v);
-  }
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (ChannelId c : out[order[i]]) {
-      if (--deg[topo.channel(c).to.node] == 0) {
-        order.push_back(topo.channel(c).to.node);
-      }
-    }
-  }
-  LIPLIB_ENSURE(order.size() == n, "feedforward topology failed toposort");
-  std::vector<std::uint64_t> dist(n, 0);
+  std::vector<std::uint64_t> dist(order.size(), 0);
   std::uint64_t best = 0;
   for (NodeId v : order) {
-    for (ChannelId c : out[v]) {
+    for (ChannelId c : topo.channels_from(v)) {
       const auto& ch = topo.channel(c);
       const std::uint64_t d = dist[v] + ch.num_stations() + 1;
       if (d > dist[ch.to.node]) dist[ch.to.node] = d;

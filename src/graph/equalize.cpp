@@ -5,29 +5,10 @@ namespace liplib::graph {
 EqualizationPlan plan_equalization(const Topology& topo) {
   LIPLIB_EXPECT(topo.is_feedforward(),
                 "path equalization requires a feedforward topology");
-  const std::size_t n = topo.nodes().size();
-  std::vector<std::vector<ChannelId>> out(n);
-  std::vector<std::size_t> deg(n, 0);
-  for (ChannelId c = 0; c < topo.channels().size(); ++c) {
-    out[topo.channel(c).from.node].push_back(c);
-    deg[topo.channel(c).to.node]++;
-  }
-
-  std::vector<NodeId> order;
-  for (NodeId v = 0; v < n; ++v) {
-    if (deg[v] == 0) order.push_back(v);
-  }
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (ChannelId c : out[order[i]]) {
-      if (--deg[topo.channel(c).to.node] == 0) {
-        order.push_back(topo.channel(c).to.node);
-      }
-    }
-  }
-  LIPLIB_ENSURE(order.size() == n, "feedforward topology failed toposort");
+  const auto order = topo.topological_order();
 
   EqualizationPlan plan;
-  plan.level.assign(n, 0);
+  plan.level.assign(order.size(), 0);
   // Longest-path levels over *station* counts: level(v) = max over
   // in-channels of level(u) + stations(c).  Shells do not count — a
   // shell's output register is initialized with a valid token, so it adds
@@ -36,7 +17,7 @@ EqualizationPlan plan_equalization(const Topology& topo) {
   // definition of i as "the difference of relay stations between the
   // feedforward branches".
   for (NodeId v : order) {
-    for (ChannelId c : out[v]) {
+    for (ChannelId c : topo.channels_from(v)) {
       const auto& ch = topo.channel(c);
       const std::uint64_t lv = plan.level[v] + ch.num_stations();
       if (lv > plan.level[ch.to.node]) plan.level[ch.to.node] = lv;
@@ -61,10 +42,9 @@ std::size_t apply_equalization(Topology& topo, const EqualizationPlan& plan,
                 "plan does not match topology");
   std::size_t added = 0;
   for (ChannelId c = 0; c < topo.channels().size(); ++c) {
-    for (std::size_t k = 0; k < plan.stations_to_add[c]; ++k) {
-      topo.channel_mut(c).stations.push_back(kind);
-      ++added;
-    }
+    topo.stations_mut(c).insert(topo.stations_mut(c).end(),
+                                plan.stations_to_add[c], kind);
+    added += plan.stations_to_add[c];
   }
   return added;
 }

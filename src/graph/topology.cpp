@@ -28,6 +28,7 @@ std::string ValidationReport::to_string() const {
 NodeId Topology::add_node(Node node) {
   in_begin_.push_back(in_channel_.size());
   in_channel_.resize(in_channel_.size() + node.num_inputs, kUndriven);
+  out_channels_.emplace_back();
   nodes_.push_back(std::move(node));
   return nodes_.size() - 1;
 }
@@ -70,21 +71,15 @@ ChannelId Topology::connect(OutRef from, InRef to,
                 "input port of " + nodes_[to.node].name + " driven twice");
   channels_.push_back({from, to, std::move(stations)});
   slot = channels_.size() - 1;
+  out_channels_[from.node].emplace_back(slot);
   return slot;
-}
-
-std::vector<ChannelId> Topology::channels_from(NodeId n) const {
-  std::vector<ChannelId> out;
-  for (ChannelId c = 0; c < channels_.size(); ++c) {
-    if (channels_[c].from.node == n) out.push_back(c);
-  }
-  return out;
 }
 
 std::vector<ChannelId> Topology::channels_into(NodeId n) const {
   std::vector<ChannelId> out;
-  for (ChannelId c = 0; c < channels_.size(); ++c) {
-    if (channels_[c].to.node == n) out.push_back(c);
+  for (std::size_t p = 0; p < node(n).num_inputs; ++p) {
+    const ChannelId c = in_channel_[in_begin_[n] + p];
+    if (c != kUndriven) out.push_back(c);
   }
   return out;
 }
@@ -100,11 +95,8 @@ std::optional<ChannelId> Topology::channel_into(InRef in) const {
 
 std::vector<ChannelId> Topology::channels_of(OutRef out) const {
   std::vector<ChannelId> r;
-  for (ChannelId c = 0; c < channels_.size(); ++c) {
-    if (channels_[c].from.node == out.node &&
-        channels_[c].from.port == out.port) {
-      r.push_back(c);
-    }
+  for (ChannelId c : channels_from(out.node)) {
+    if (channels_[c].from.port == out.port) r.push_back(c);
   }
   return r;
 }
@@ -156,13 +148,6 @@ std::vector<std::vector<NodeId>> Topology::process_sccs(
   // Iterative Tarjan over all nodes; sources/sinks end up in singleton
   // components which callers can ignore.
   const std::size_t n = nodes_.size();
-  std::vector<std::vector<NodeId>> adj(n);
-  for (ChannelId c = 0; c < channels_.size(); ++c) {
-    if (!keep || keep(c)) {
-      adj[channels_[c].from.node].push_back(channels_[c].to.node);
-    }
-  }
-
   std::vector<int> index(n, -1), low(n, 0);
   std::vector<bool> on_stack(n, false);
   std::vector<NodeId> stack;
@@ -182,8 +167,10 @@ std::vector<std::vector<NodeId>> Topology::process_sccs(
     on_stack[root] = true;
     while (!frames.empty()) {
       Frame& f = frames.back();
-      if (f.child < adj[f.v].size()) {
-        NodeId w = adj[f.v][f.child++];
+      if (f.child < out_channels_[f.v].size()) {
+        const ChannelId c = out_channels_[f.v][f.child++];
+        if (keep && !keep(c)) continue;
+        const NodeId w = channels_[c].to.node;
         if (index[w] == -1) {
           index[w] = low[w] = next_index++;
           stack.push_back(w);
@@ -240,10 +227,21 @@ std::vector<bool> Topology::channels_on_cycles() const {
   return on_cycle;
 }
 
-bool Topology::is_feedforward() const {
-  const auto on_cycle = channels_on_cycles();
-  return std::none_of(on_cycle.begin(), on_cycle.end(),
-                      [](bool b) { return b; });
+std::vector<NodeId> Topology::topological_order() const {
+  std::vector<std::size_t> deg(nodes_.size(), 0);
+  for (const auto& ch : channels_) ++deg[ch.to.node];
+  std::vector<NodeId> order;
+  for (NodeId v = 0; v < nodes_.size(); ++v) {
+    if (deg[v] == 0) order.push_back(v);
+  }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (ChannelId c : out_channels_[order[i]]) {
+      if (--deg[channels_[c].to.node] == 0) {
+        order.push_back(channels_[c].to.node);
+      }
+    }
+  }
+  return order;
 }
 
 // Topology::validate() is defined in src/lint/validate_compat.cpp: it is

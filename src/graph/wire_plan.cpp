@@ -23,18 +23,19 @@ WirePlanResult plan_wire_pipelining(Topology& topo,
         hops_needed <= 1.0
             ? 0
             : static_cast<std::size_t>(std::ceil(hops_needed)) - 1;
-    auto& ch = topo.channel_mut(c);
+    const auto& ch = topo.channel(c);
+    auto& stations = topo.stations_mut(c);
     // The structural rule still applies even to short wires: a channel
     // between two shells needs at least one memory element.
     const bool shell_to_shell =
         topo.node(ch.from.node).kind == NodeKind::kProcess &&
         topo.node(ch.to.node).kind == NodeKind::kProcess;
-    if (shell_to_shell && need == 0 && ch.stations.empty()) need = 1;
-    while (ch.stations.size() < need) {
+    if (shell_to_shell && need == 0 && stations.empty()) need = 1;
+    while (stations.size() < need) {
       const RsKind kind = (!on_cycle[c] && options.prefer_half_off_cycle)
                               ? RsKind::kHalf
                               : RsKind::kFull;
-      ch.stations.push_back(kind);
+      stations.push_back(kind);
       ++result.stations_inserted;
     }
   }

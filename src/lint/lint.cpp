@@ -64,7 +64,7 @@ std::size_t apply_fixits(graph::Topology& topo, const Report& report) {
       if (std::find(seen.begin(), seen.end(), f) != seen.end()) continue;
       seen.push_back(f);
       if (f.channel >= topo.channels().size()) continue;
-      auto& stations = topo.channel_mut(f.channel).stations;
+      auto& stations = topo.stations_mut(f.channel);
       switch (f.kind) {
         case FixIt::Kind::kInsertStation:
           if (f.index > stations.size()) break;  // stale edit

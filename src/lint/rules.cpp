@@ -65,6 +65,13 @@ std::vector<std::vector<NodeId>> cyclic_components(
   return cyclic;
 }
 
+/// Channels driven by each output port of `v` (its fanout widths).
+std::vector<std::size_t> port_widths(const Topology& topo, NodeId v) {
+  std::vector<std::size_t> width(topo.node(v).num_outputs, 0);
+  for (ChannelId c : topo.channels_from(v)) ++width[topo.channel(c).from.port];
+  return width;
+}
+
 // ---- LIP001: dangling ports ----------------------------------------------
 
 void rule_dangling(const Topology& topo, std::vector<Diagnostic>& out) {
@@ -78,8 +85,9 @@ void rule_dangling(const Topology& topo, std::vector<Diagnostic>& out) {
                        {}});
       }
     }
+    const auto width = port_widths(topo, v);
     for (std::size_t p = 0; p < node.num_outputs; ++p) {
-      if (topo.channels_of({v, p}).empty()) {
+      if (width[p] == 0) {
         out.push_back({"LIP001", Severity::kError, v, std::nullopt,
                        "output port " + std::to_string(p) + " of " + node.name +
                            " drives nothing",
@@ -94,12 +102,12 @@ void rule_dangling(const Topology& topo, std::vector<Diagnostic>& out) {
 void rule_fanout(const Topology& topo, std::vector<Diagnostic>& out) {
   for (NodeId v = 0; v < topo.nodes().size(); ++v) {
     const auto& node = topo.node(v);
+    const auto width = port_widths(topo, v);
     for (std::size_t p = 0; p < node.num_outputs; ++p) {
-      const auto width = topo.channels_of({v, p}).size();
-      if (width > 32) {
+      if (width[p] > 32) {
         out.push_back({"LIP002", Severity::kError, v, std::nullopt,
                        "output port " + std::to_string(p) + " of " + node.name +
-                           " fans out to " + std::to_string(width) +
+                           " fans out to " + std::to_string(width[p]) +
                            " branches; the protocol engines track pending "
                            "consumers in a 32-bit mask (at most 32)",
                        {}});
@@ -192,8 +200,8 @@ void rule_stop_cycles(const Topology& topo, std::vector<Diagnostic>& out) {
     for (NodeId v : comp) reset_reachable[v] = true;
   }
 
+  std::vector<bool> member(topo.nodes().size(), false);
   for (const auto& comp : latches) {
-    std::vector<bool> member(topo.nodes().size(), false);
     for (NodeId v : comp) member[v] = true;
 
     // Intra-component stop-transparent channels, and the cheapest cure:
@@ -202,16 +210,21 @@ void rule_stop_cycles(const Topology& topo, std::vector<Diagnostic>& out) {
     bool from_reset = false;
     std::optional<ChannelId> cure_channel;
     std::optional<ChannelId> any_channel;
-    for (ChannelId c = 0; c < topo.channels().size(); ++c) {
-      const auto& ch = topo.channel(c);
-      if (ch.num_full() > 0 || !member[ch.from.node] || !member[ch.to.node]) {
-        continue;
+    for (NodeId v : comp) {
+      for (ChannelId c : topo.channels_from(v)) {
+        const auto& ch = topo.channel(c);
+        if (ch.num_full() > 0 || !member[ch.to.node]) continue;
+        half_slots += ch.num_half();
+        any_channel = std::min(any_channel.value_or(c), c);
+        if (ch.num_half() > 0) {
+          cure_channel = std::min(cure_channel.value_or(c), c);
+        }
       }
-      half_slots += ch.num_half();
-      if (!any_channel) any_channel = c;
-      if (!cure_channel && ch.num_half() > 0) cure_channel = c;
     }
-    for (NodeId v : comp) from_reset = from_reset || reset_reachable[v];
+    for (NodeId v : comp) {
+      from_reset = from_reset || reset_reachable[v];
+      member[v] = false;
+    }
 
     FixIt fix;
     if (cure_channel) {

@@ -10,6 +10,7 @@
 
 #include "internal.hpp"
 #include "liplib/graph/analysis.hpp"
+#include "liplib/graph/mcr.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/xir/sliced.hpp"
 
@@ -466,7 +467,6 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
   r.method_used = opts.method;
   r.worst_case_occupancy = opts.worst_case_occupancy;
   r.env_exhaustive = env.exhaustive;
-  r.cycle_bound = graph::predict_throughput(topo).cycle_bound;
   r.depth_bound = opts.depth != 0 ? opts.depth
                                   : graph::transient_bound(topo) + 64;
 
@@ -480,6 +480,14 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
         detail::enumerate_certificates(topo, opts.worst_case_occupancy);
   } catch (const ApiError&) {
     have_certs = false;
+  }
+  // The loop bound min S/(S+R) over the certified cycles; past the
+  // enumeration budget, the minimum cycle ratio (the same number).
+  if (!have_certs) r.cycle_bound = graph::min_cycle_ratio(topo).value_or(1);
+  for (const CycleCertificate& c : r.certificates) {
+    r.cycle_bound = std::min(
+        r.cycle_bound,
+        graph::loop_throughput(c.shells, c.half_stations + c.full_stations));
   }
   const bool induction_sound = have_certs && !prog->strict && prog->pessimistic;
   bool certs_hold = have_certs;

@@ -433,8 +433,7 @@ skeleton::CureResult cure_deadlocks(const graph::Topology& topo,
     for (graph::ChannelId c = 0;
          c < result.cured.channels().size() && !substituted; ++c) {
       if (!on_cycle[c]) continue;
-      auto& ch = result.cured.channel_mut(c);
-      for (auto& kind : ch.stations) {
+      for (auto& kind : result.cured.stations_mut(c)) {
         if (kind == graph::RsKind::kHalf) {
           kind = graph::RsKind::kFull;
           result.touched_channels.push_back(c);

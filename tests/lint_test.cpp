@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <fstream>
 #include <string>
 
 #include "liplib/campaign/campaign.hpp"
@@ -374,6 +376,39 @@ TEST(Lint, CrossCheckCampaignFindsNoMismatchIn300Jobs) {
     EXPECT_EQ(r.outcome, campaign::Outcome::kLive)
         << r.name << " seed=" << r.seed << ": " << r.detail;
   }
+}
+
+// Lint reads each node's channels from the Topology's adjacency index
+// and counts them per port, so a 40k-process chain lints and validates
+// in linear time; a scan of every channel per output port takes seconds
+// on it.
+TEST(Lint, LongChainLintsAndValidatesInLinearTime) {
+  const auto topo = graph::make_pipeline(40000, 1).topo;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto report = lint::run_lint(topo);
+  const auto validation = topo.validate();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3));
+  EXPECT_EQ(report.exit_code(), 0) << report.to_string(topo);
+  EXPECT_TRUE(validation.ok());
+}
+
+// The 26-diamond fixture pairs its first fork with a join upstream of
+// it.  The fork->join walk enters only nodes that reach the join, so
+// that pair costs one reverse search instead of 2^25 paths, and the next
+// pair exceeds the path budget at once.
+TEST(Lint, ForkJoinWalkSkipsNodesThatCannotReachTheJoin) {
+  std::ifstream in(std::string(LIPLIB_FIXTURES_DIR) + "/diamond_chain.lid");
+  ASSERT_TRUE(in.good());
+  const auto topo = graph::parse_netlist(in);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto report = lint::run_lint(topo);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(500));
+  EXPECT_EQ(report.exit_code(), 0);
+  EXPECT_NE(report.to_string(topo).find(
+                "reconvergence analysis exceeded its path budget"),
+            std::string::npos)
+      << report.to_string(topo);
 }
 
 }  // namespace

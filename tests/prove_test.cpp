@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,8 @@
 #include "liplib/formal/checker.hpp"
 #include "liplib/graph/analysis.hpp"
 #include "liplib/graph/generators.hpp"
+#include "liplib/graph/mcr.hpp"
+#include "liplib/graph/netlist_io.hpp"
 #include "liplib/lint/lint.hpp"
 #include "liplib/prove/prove.hpp"
 #include "liplib/skeleton/skeleton.hpp"
@@ -54,6 +57,29 @@ prove::ProveOptions small_opts() {
   prove::ProveOptions opts;
   opts.max_states = 1u << 16;
   return opts;
+}
+
+// `diamonds` diamonds in a row: F forks to A and B, which meet at J, and
+// J feeds the next F; every channel carries one full station.
+graph::Topology diamond_chain(std::size_t diamonds) {
+  using graph::RsKind;
+  graph::Topology t;
+  graph::OutRef prev{t.add_source("src"), 0};
+  for (std::size_t d = 0; d < diamonds; ++d) {
+    const std::string id = std::to_string(d);
+    const auto f = t.add_process("F" + id, 1, 1);
+    const auto a = t.add_process("A" + id, 1, 1);
+    const auto b = t.add_process("B" + id, 1, 1);
+    const auto j = t.add_process("J" + id, 2, 1);
+    t.connect(prev, {f, 0}, {RsKind::kFull});
+    t.connect({f, 0}, {a, 0}, {RsKind::kFull});
+    t.connect({f, 0}, {b, 0}, {RsKind::kFull});
+    t.connect({a, 0}, {j, 0}, {RsKind::kFull});
+    t.connect({b, 0}, {j, 1}, {RsKind::kFull});
+    prev = {j, 0};
+  }
+  t.connect(prev, {t.add_sink("out"), 0}, {RsKind::kFull});
+  return t;
 }
 
 }  // namespace
@@ -407,4 +433,80 @@ TEST(Prove, MethodNamesRoundTrip) {
   EXPECT_STREQ(prove::verdict_name(prove::Verdict::kCounterexample),
                "counterexample");
   EXPECT_STREQ(prove::verdict_name(prove::Verdict::kUnknown), "unknown");
+}
+
+// Eight shells, each feeding every other one through a full station:
+// lint-clean, with 16,064 simple cycles, past the 4096-cycle budget.
+// Prove enumerates the cycles once, for its certificates, and a budget
+// miss there is a note: reachability proves the design from reset and
+// from worst case, induction has no certificates and answers unknown,
+// and cycle_bound is the minimum cycle ratio.
+TEST(Prove, CycleBudgetExceededLeavesANoteAndAnAnswer) {
+  graph::Topology topo;
+  constexpr std::size_t kShells = 8;
+  for (std::size_t i = 0; i < kShells; ++i) {
+    topo.add_process("P" + std::to_string(i), kShells - 1, 1);
+  }
+  for (graph::NodeId i = 0; i < kShells; ++i) {
+    for (graph::NodeId j = 0; j < kShells; ++j) {
+      if (i != j) {
+        topo.connect({i, 0}, {j, i < j ? i : i - 1}, {graph::RsKind::kFull});
+      }
+    }
+  }
+  ASSERT_EQ(lint::run_lint(topo).exit_code(), 0);
+  EXPECT_THROW(graph::enumerate_cycles(topo), ApiError);
+  for (const bool worst_case : {false, true}) {
+    prove::ProveOptions opts;
+    opts.worst_case_occupancy = worst_case;
+    const auto r = prove::prove(topo, opts);
+    EXPECT_EQ(r.verdict, prove::Verdict::kProved);
+    EXPECT_EQ(r.method_used, prove::Method::kReachability);
+    EXPECT_TRUE(r.certificates.empty());
+    EXPECT_EQ(r.note, "cycle enumeration budget exceeded");
+    EXPECT_EQ(r.cycle_bound, Rational(1, 2));
+    EXPECT_EQ(r.cycle_bound, graph::min_cycle_ratio(topo));
+    opts.method = prove::Method::kInduction;
+    const auto induction = prove::prove(topo, opts);
+    EXPECT_EQ(induction.verdict, prove::Verdict::kUnknown);
+    EXPECT_EQ(induction.note, "cycle enumeration budget exceeded");
+  }
+}
+
+// Thirteen diamonds in a row have 2^13 fork->join paths, past the
+// reconvergence analysis's 4096-path budget, and no cycle at all.
+// Prove reads no reconvergence analysis, so induction proves the design
+// with no certificate to check, and the loop bound is 1.
+TEST(Prove, FeedforwardDesignNeedsNoPathBudget) {
+  const auto topo = diamond_chain(13);
+  EXPECT_THROW(graph::analyze_reconvergence(topo), ApiError);
+  for (const bool worst_case : {false, true}) {
+    prove::ProveOptions opts;
+    opts.method = prove::Method::kInduction;
+    opts.worst_case_occupancy = worst_case;
+    const auto r = prove::prove(topo, opts);
+    EXPECT_EQ(r.verdict, prove::Verdict::kProved);
+    EXPECT_TRUE(r.induction_closed);
+    EXPECT_TRUE(r.certificates.empty());
+    EXPECT_EQ(r.cycle_bound, Rational(1));
+    EXPECT_TRUE(r.note.empty()) << r.note;
+  }
+}
+
+// The 26-diamond fixture is acyclic.  The cycle walk stays inside each
+// root's strongly connected component, so it finds no cycle at once
+// instead of walking every path below every root.
+TEST(Prove, CycleWalkSkipsTheAcyclicPartOfADesign) {
+  std::ifstream in(std::string(LIPLIB_FIXTURES_DIR) + "/diamond_chain.lid");
+  ASSERT_TRUE(in.good());
+  const auto topo = graph::parse_netlist(in);
+  prove::ProveOptions opts;
+  opts.method = prove::Method::kInduction;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto r = prove::prove(topo, opts);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_EQ(r.verdict, prove::Verdict::kProved);
+  EXPECT_TRUE(r.certificates.empty());
+  EXPECT_TRUE(graph::enumerate_cycles(topo).empty());
+  EXPECT_TRUE(graph::find_stop_cycles(topo).empty());
 }

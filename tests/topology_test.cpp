@@ -5,6 +5,7 @@
 
 #include "liplib/graph/analysis.hpp"
 #include "liplib/graph/generators.hpp"
+#include "liplib/graph/netlist_io.hpp"
 #include "liplib/graph/topology.hpp"
 
 namespace {
@@ -116,6 +117,43 @@ TEST(Topology, CountsAndLookups) {
   EXPECT_EQ(t.channels_into(gen.join).size(), 2u);
   EXPECT_TRUE(t.channel_into({gen.join, 0}).has_value());
   EXPECT_TRUE(t.channel_into({gen.join, 1}).has_value());
+}
+
+// The adjacency every graph walk reads: A's port 1 is listed before its
+// port 0, yet channels_from(A) lists A's channel ids in ascending order,
+// channels_of splits them by port, and channels_into follows J's input
+// ports rather than channel ids.  Station edits move neither index.
+TEST(Topology, AdjacencyIndexesFollowChannelIdsAndPorts) {
+  auto t = graph::parse_netlist_string(
+      "source src\nprocess A 1 2\nprocess J 2 1\nsink tap\nsink out\n"
+      "channel src.0 -> A.0 : F\n"
+      "channel A.1 -> J.1 : F\n"
+      "channel A.0 -> J.0 : H\n"
+      "channel A.1 -> tap.0 : F\n"
+      "channel J.0 -> out.0 : F\n");
+  const graph::NodeId a = 1;
+  const graph::NodeId j = 2;
+  const auto check = [&] {
+    using Ids = std::vector<graph::ChannelId>;
+    EXPECT_EQ(t.channels_from(a), (Ids{1, 2, 3}));
+    EXPECT_EQ(t.channels_of({a, 0}), (Ids{2}));
+    EXPECT_EQ(t.channels_of({a, 1}), (Ids{1, 3}));
+    EXPECT_EQ(t.channels_into(j), (Ids{2, 1}));
+    EXPECT_EQ(t.channels_into(a), (Ids{0}));
+    EXPECT_EQ(t.channels_from(j), (Ids{4}));
+    EXPECT_TRUE(t.channels_from(4).empty());  // the sink
+    EXPECT_EQ(t.channel_into({j, 0}), 2u);
+    EXPECT_EQ(t.channel_into({j, 1}), 1u);
+  };
+  check();
+  t.stations_mut(2).push_back(RsKind::kFull);
+  t.stations_mut(1).clear();
+  check();
+  EXPECT_EQ(t.channel(2).stations,
+            (std::vector<RsKind>{RsKind::kHalf, RsKind::kFull}));
+  EXPECT_TRUE(t.channel(1).stations.empty());
+  EXPECT_EQ(t.channel(1).from.node, a);
+  EXPECT_EQ(t.channel(1).to.port, 1u);
 }
 
 TEST(Topology, FeedforwardDetection) {
