@@ -9,6 +9,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "liplib/pearls/design_io.hpp"
 #include "liplib/pearls/pearls.hpp"
 #include "liplib/support/json.hpp"
+#include "liplib/support/rational.hpp"
 
 namespace liplib::benchutil {
 
@@ -59,6 +61,19 @@ inline lip::Design make_design(graph::Generated g) {
     d.set_pearl(p, default_pearl(node.num_inputs, node.num_outputs));
   }
   return d;
+}
+
+/// The gate of the throughput tables: a variant-protocol T must equal
+/// the system bound (graph::throughput_bound), a strict T must not exceed
+/// it.  Reports a miss on stderr; returns 1 for a miss, else 0.
+inline int bound_miss(const std::string& row, const Rational& bound,
+                      const Rational& variant,
+                      const std::optional<Rational>& strict = {}) {
+  if (variant == bound && !(strict && bound < *strict)) return 0;
+  std::cerr << row << ": variant T " << variant.str()
+            << (strict ? ", strict T " + strict->str() : "")
+            << " against the system bound " << bound.str() << "\n";
+  return 1;
 }
 
 /// Section header in the harness output.

@@ -143,7 +143,7 @@ int main() {
         }
       }
       t.add_row({std::to_string(stages), std::to_string(per),
-                 loop_t ? loop_t->str() : std::string("-"),
+                 loop_t ? loop_t->ratio.str() : std::string("-"),
                  ss.found ? ss.system_throughput().str() : "?",
                  std::to_string(results)});
     }

@@ -342,15 +342,20 @@ int cmd_lint(const graph::Topology& topo, bool json, bool fix,
 }
 
 int cmd_analyze(const graph::Topology& topo) {
-  const auto pred = graph::predict_throughput(topo);
   std::cout << "feedforward: " << (topo.is_feedforward() ? "yes" : "no")
             << "\n";
-  if (const auto mcr = graph::min_cycle_ratio(topo)) {
-    std::cout << "loop bound (min cycle ratio): " << mcr->str() << "\n";
+  if (const auto loop = graph::min_cycle_ratio(topo)) {
+    std::cout << "loop bound (min cycle ratio): " << loop->ratio.str() << "\n";
   }
-  if (!pred.cycles.empty()) {
+  std::vector<graph::CycleInfo> cycles;
+  try {
+    cycles = graph::enumerate_cycles(topo);  // at most 4096
+  } catch (const ApiError&) {
+    std::cout << "cycle table skipped: more than 4096 cycles\n";
+  }
+  if (!cycles.empty()) {
     Table t({"cycle (shells)", "S", "R", "T = S/(S+R)"});
-    for (const auto& c : pred.cycles) {
+    for (const auto& c : cycles) {
       std::string names;
       for (auto v : c.nodes) {
         if (!names.empty()) names += ",";
@@ -361,16 +366,21 @@ int cmd_analyze(const graph::Topology& topo) {
     }
     t.print(std::cout);
   }
-  if (!pred.reconvergences.empty()) {
+  if (const auto recs = graph::analyze_reconvergence(topo); !recs.empty()) {
     Table t({"fork", "join", "i", "m", "T = (m-i)/m"});
-    for (const auto& r : pred.reconvergences) {
+    for (const auto& r : recs) {
       t.add_row({topo.node(r.fork).name, topo.node(r.join).name,
                  std::to_string(r.i()), std::to_string(r.m()),
                  r.throughput().str()});
     }
     t.print(std::cout);
   }
-  std::cout << "predicted system throughput: " << pred.system().str() << "\n";
+  const auto bound = graph::throughput_bound(topo);
+  std::cout << "predicted system throughput: " << bound.ratio.str() << "\n";
+  if (!bound.hops.empty()) {
+    std::cout << "critical cycle: " << graph::hops_str(topo, bound.hops)
+              << "\n";
+  }
   std::cout << "transient bound: " << graph::transient_bound(topo)
             << " cycles\n";
   return 0;

@@ -9,8 +9,8 @@
 //   3. skeleton deadlock screening, from reset and under worst-case
 //      occupancy, with the substitution cure when a latch is found;
 //   4. path equalization (feed-forward designs);
-//   5. analytic performance sign-off: loop bound (exact MCR), implicit-
-//      loop bound (exact model), paper formulas, transient bound.
+//   5. analytic performance sign-off: loop bound and system bound (exact
+//      minimum cycle ratios), transient bound.
 //
 // The result carries the finished topology plus a human-readable report,
 // so a caller can go from a bare structural netlist to a performance-
@@ -59,8 +59,7 @@ struct FlowResult {
 
   // Performance sign-off.
   std::optional<Rational> loop_bound;       ///< exact MCR (cyclic only)
-  Rational implicit_loop_bound{1};          ///< exact reconvergence model
-  Rational predicted_throughput{1};         ///< min of the two
+  Rational predicted_throughput{1};         ///< graph::throughput_bound
   std::uint64_t transient_bound = 0;
   std::uint64_t measured_transient = 0;     ///< from skeleton screening
   Rational measured_throughput{0};          ///< from skeleton screening

@@ -6,6 +6,7 @@
 //   - feedback loops:           T = S / (S + R)
 //   - reconvergent feedforward: T = (m − i) / m
 //   - general topologies:       the slowest subtopology dictates T
+//                               (exactly: throughput_bound in mcr.hpp)
 // plus a transient-length bound ("the transient length is related to the
 // number of relay stations and shells, and can be predicted upfront").
 
@@ -16,6 +17,7 @@
 #include <optional>
 #include <vector>
 
+#include "liplib/graph/mcr.hpp"
 #include "liplib/graph/topology.hpp"
 #include "liplib/support/rational.hpp"
 
@@ -41,13 +43,16 @@ struct CycleInfo {
   Rational throughput{1};      ///< shells / (shells + stations)
 };
 
-/// Enumerates simple directed cycles over process nodes (Johnson-style
-/// DFS), up to `max_cycles`; throws ApiError when the budget is exceeded.
-/// Each cycle is rooted at its smallest node id and channels are walked
-/// in id order, so the order is deterministic.  Self-loops count.
-/// Sources and sinks never lie on cycles.  When `keep` is given, only
-/// the channels it accepts are walked.  The walk stays inside the root's
-/// strongly connected component, so acyclic parts cost nothing.
+/// Enumerates simple directed cycles over process nodes, up to
+/// `max_cycles`; throws ApiError when the budget is exceeded.  Each cycle
+/// is rooted at its smallest node id and channels are walked in id order,
+/// so the order is deterministic.  Self-loops count.  Sources and sinks
+/// never lie on cycles.  When `keep` is given, only the channels it
+/// accepts are walked.  The walk keeps an explicit stack (no recursion,
+/// whatever the cycle length), and a root's walk enters only the nodes
+/// of its strongly connected component above the root that reach it,
+/// found by one reverse search over the input index, so a node on no
+/// cycle costs a look at its channels, whatever the declaration order.
 std::vector<CycleInfo> enumerate_cycles(
     const Topology& topo, std::size_t max_cycles = 4096,
     const std::function<bool(ChannelId)>& keep = {});
@@ -58,12 +63,13 @@ struct ReconvergenceInfo {
   NodeId fork = 0;
   NodeId join = 0;
   /// Register statistics of the two extremal branches: relay stations on
-  /// the lightest and heaviest (by station count) simple path fork→join.
+  /// the lightest and heaviest (by station count) path fork→join.
   std::size_t min_stations = 0;
   std::size_t max_stations = 0;
   /// Shells strictly between fork and join on the heaviest path, plus the
   /// join shell itself (the paper counts "the shells on the path with the
-  /// highest number of relay stations" as part of the implicit loop).
+  /// highest number of relay stations" as part of the implicit loop); the
+  /// most such shells among the heaviest paths.
   std::size_t heavy_path_shells = 0;
   std::size_t i() const { return max_stations - min_stations; }
   std::size_t m() const {
@@ -74,64 +80,29 @@ struct ReconvergenceInfo {
   }
 };
 
-/// Scans a feedforward topology for fork/join pairs and computes the
-/// paper's implicit-loop parameters for each.  Path enumeration is
-/// budgeted by `max_paths` per pair (ApiError beyond it); the walk
-/// visits only nodes that reach the join.
+/// The paper's implicit-loop parameters of every fork/join pair joined by
+/// two or more paths, in (fork, join) id order (a fork: two or more
+/// outgoing channels; a join: a process with two or more driven inputs),
+/// from one shortest/longest-path pass over Topology::topological_order
+/// per fork that reaches a join; empty on a cyclic topology.
 ///
 /// Accuracy note: the paper's closed form T = (m−i)/m is exact when the
 /// heavier branch is uniformly pipelined (the whole Fig. 1 family and the
 /// sweeps in bench_throughput_reconvergent) but only approximate for
-/// irregular station distributions; exact_implicit_loop_bound() below is
-/// exact in all cases (for the paper's variant protocol).
-std::vector<ReconvergenceInfo> analyze_reconvergence(
-    const Topology& topo, std::size_t max_paths = 4096);
+/// irregular station distributions; throughput_bound() (mcr.hpp) is exact
+/// in all cases (for the paper's variant protocol).
+std::vector<ReconvergenceInfo> analyze_reconvergence(const Topology& topo);
 
-/// One implicit loop: an ordered pair of interior-disjoint directed paths
-/// between a fork and a join, one traversed forward (data) and one
-/// backward (stops), with its exact throughput bound under the variant
-/// protocol:
-///
-///   T = min(1, (tokens_fwd + slack_back) / (registers_fwd + stops_back))
-///
-/// where, over the forward path's channels, registers_fwd = Σ(stations+1)
-/// (each channel's producer register plus its stations) and tokens_fwd =
-/// #channels (every producer register is initialized valid); and over the
-/// backward path's channels, slack_back = Σ(2·full + half) (empty
-/// steady-state station capacity; interior shell registers hold live
-/// tokens and contribute no slack) and stops_back = Σ full (each
-/// registered stop adds one cycle to the loop; half stations and shells
-/// are stop-transparent).  This generalizes the paper's (m−i)/m — the two
-/// coincide on uniformly pipelined branches — and is validated cycle-
-/// exactly against simulation in the test suite.
-struct ImplicitLoopInfo {
-  NodeId fork = 0;
-  NodeId join = 0;
-  std::size_t registers_fwd = 0;
-  std::size_t tokens_fwd = 0;
-  std::size_t slack_back = 0;
-  std::size_t stops_back = 0;
-  Rational throughput() const {
-    const Rational t(
-        static_cast<std::int64_t>(tokens_fwd + slack_back),
-        static_cast<std::int64_t>(registers_fwd + stops_back));
-    return t < Rational(1) ? t : Rational(1);
-  }
-};
+/// Same as throughput_bound(topo).ratio.  Kept only for perfbench's
+/// screen check, the one caller; it goes with the next change there.
+inline Rational exact_implicit_loop_bound(const Topology& topo) {
+  return throughput_bound(topo).ratio;
+}
 
-/// Exact implicit-loop analysis (variant protocol): enumerates fork/join
-/// pairs and interior-disjoint ordered path pairs, returning every
-/// implicit loop found.  Budgeted like analyze_reconvergence.
-std::vector<ImplicitLoopInfo> analyze_implicit_loops(
-    const Topology& topo, std::size_t max_paths = 4096);
-
-/// min over analyze_implicit_loops of the exact bound (1 when none).
-Rational exact_implicit_loop_bound(const Topology& topo,
-                                   std::size_t max_paths = 4096);
-
-/// Full analytic prediction for a topology.
+/// The paper's closed-form prediction for a topology.
 struct ThroughputPrediction {
-  /// min over cycles of S/(S+R); 1 when the topology is feedforward.
+  /// min over cycles of S/(S+R) (min_cycle_ratio); 1 when the topology is
+  /// feedforward.
   Rational cycle_bound{1};
   /// min over reconvergent pairs of (m−i)/m; 1 when none reconverge.
   /// Only computed for feedforward topologies (implicit loops interact
@@ -142,7 +113,6 @@ struct ThroughputPrediction {
     return cycle_bound < reconvergence_bound ? cycle_bound
                                              : reconvergence_bound;
   }
-  std::vector<CycleInfo> cycles;
   std::vector<ReconvergenceInfo> reconvergences;
 };
 

@@ -188,13 +188,11 @@ class Topology {
   /// some directed cycle (computed via strongly connected components).
   std::vector<bool> channels_on_cycles() const;
 
-  /// Strongly connected components of the node graph (sources and sinks
-  /// land in singletons), restricted to the channels `keep` accepts when
-  /// it is given; each inner vector is one SCC with >= 1 node.
-  /// Components are listed in reverse topological order.  The one SCC
-  /// routine: channels_on_cycles, enumerate_cycles and lint's stop-cycle
-  /// rule run on it.
-  std::vector<std::vector<NodeId>> process_sccs(
+  /// Each node's strongly connected component (sources and sinks land in
+  /// singletons), numbered in reverse topological order, in the graph of
+  /// the channels `keep` accepts when it is given: the one SCC routine,
+  /// strongly_connected_components, over the channel index.
+  std::vector<std::size_t> components(
       const std::function<bool(ChannelId)>& keep = {}) const;
 
   /// Graphviz dot rendering (relay stations drawn as boxes on edges).
@@ -217,5 +215,37 @@ class Topology {
   /// out_channels_[n]: the channels leaving node n, appended by connect.
   std::vector<std::vector<ChannelId>> out_channels_;
 };
+
+/// A directed graph's edges by source node, for the passes that run on
+/// edge lists: of `num_edges` edges, edge e running ends(e) = {from, to},
+/// those `keep(e)` accepts; node v's are ids[begin[v] .. begin[v + 1]),
+/// ascending, and succ[i] is the target of edge ids[i].
+struct EdgeIndex {
+  std::vector<std::size_t> begin;
+  std::vector<std::size_t> ids;
+  std::vector<NodeId> succ;
+
+  template <class Ends, class Keep>
+  EdgeIndex(std::size_t n, std::size_t num_edges, Ends ends, Keep keep)
+      : begin(n + 1, 0) {
+    for (std::size_t e = 0; e < num_edges; ++e) {
+      if (keep(e)) ++begin[ends(e).first + 1];
+    }
+    for (std::size_t v = 0; v < n; ++v) begin[v + 1] += begin[v];
+    ids.resize(begin[n]);
+    succ.resize(begin[n]);
+    std::vector<std::size_t> fill(begin.begin(), begin.end() - 1);
+    for (std::size_t e = 0; e < num_edges; ++e) {
+      if (!keep(e)) continue;
+      const auto [from, to] = ends(e);
+      ids[fill[from]] = e;
+      succ[fill[from]++] = to;
+    }
+  }
+};
+
+/// The one SCC routine: each node's strongly connected component in `g`,
+/// the components numbered in reverse topological order.
+std::vector<std::size_t> strongly_connected_components(const EdgeIndex& g);
 
 }  // namespace liplib::graph

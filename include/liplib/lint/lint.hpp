@@ -21,8 +21,8 @@
 //             (warning: reachable only under worst-case occupancy) and
 //             reset-reachable when the cycle has no station slack at all
 //             (error).  Fix-it: substitute one half station with a full one.
-//   LIP007  reconvergence imbalance  (info)     predicted T = (m-i)/m < 1;
-//                                               fix-it: equalization plan
+//   LIP007  reconvergence imbalance  (info)     an implicit loop sets T < 1
+//             below the loop bound; fix-it: equalization plan (feedforward)
 //   LIP008  slowest cycle bottleneck (info)     loop bound via the exact MCR
 //   LIP009  transient bound          (info)     predictable-upfront transient
 //

@@ -73,7 +73,9 @@ namespace liplib::prove {
 /// Proof strategy.
 enum class Method : std::uint8_t {
   /// Reachability first; when the state budget runs out before the
-  /// space closes, fall back to the k-induction certificates.
+  /// space closes, fall back to the k-induction certificates.  A design
+  /// with no cycle to certify goes to induction at once when induction
+  /// is sound (variant protocol, pessimistic settling).
   kAuto,
   /// Exhaustive BFS over the reachable space (unbounded proof when it
   /// closes within the state budget).
@@ -185,9 +187,9 @@ struct ProveResult {
   /// path and sampled frontier states); a failure is a prover bug, not
   /// a design bug, and forces kUnknown.
   bool token_conservation_ok = true;
-  /// Analytic throughput bound min over cycles of S/(S+R) — reported
-  /// for the throughput-consistency cross-check (a proved-live design
-  /// must screen at or below it).
+  /// Analytic throughput bound min over cycles of S/(S+R)
+  /// (graph::min_cycle_ratio) — reported for the throughput-consistency
+  /// cross-check (a proved-live design must screen at or below it).
   Rational cycle_bound{1};
   std::vector<CycleCertificate> certificates;
   std::optional<Counterexample> counterexample;

@@ -6,8 +6,8 @@
 #include <sstream>
 #include <utility>
 
-#include "liplib/graph/analysis.hpp"
 #include "liplib/graph/generators.hpp"
+#include "liplib/graph/mcr.hpp"
 #include "liplib/lip/design.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/pearls/design_io.hpp"
@@ -90,13 +90,6 @@ void mix_station_kinds(graph::Topology& topo, Rng& rng) {
   }
 }
 
-JobResult fuzz_reconvergent(const FuzzSpec& spec, Rng& rng,
-                            std::uint64_t budget);
-JobResult fuzz_composite(const FuzzSpec& spec, Rng& rng,
-                         std::uint64_t budget);
-JobResult fuzz_feedforward(const FuzzSpec& spec, Rng& rng,
-                           std::uint64_t budget);
-
 }  // namespace
 
 Job make_screening_job(std::string name, graph::Topology topo,
@@ -148,99 +141,61 @@ Job make_spot_check_job(std::string name, graph::Topology topo,
 
 namespace {
 
-JobResult fuzz_reconvergent(const FuzzSpec& spec, Rng& rng,
-                            std::uint64_t budget) {
-  const std::size_t short_st = 1 + rng.below(3);
-  const std::size_t long_shells =
-      1 + rng.below(std::max<std::size_t>(spec.size, 1));
-  const std::size_t per_hop = 1 + rng.below(3);
-  auto gen = graph::make_reconvergent(short_st, long_shells, per_hop);
-  mix_station_kinds(gen.topo, rng);
-
-  JobResult r = analyze_steady_state(gen.topo, {spec.policy}, budget);
+/// One fuzz job: a design of the spec's shape, its steady state on the
+/// scalar engine, the one throughput check and, on composite and
+/// feedforward designs, the full-data latency-equivalence check.  A live
+/// job runs exactly at graph::throughput_bound under the variant
+/// protocol, and at most at it under strict (EXPERIMENTS.md §T1
+/// sharpening 2).
+JobResult fuzz(const FuzzSpec& spec, Rng& rng, std::uint64_t budget) {
+  const std::size_t size = std::max<std::size_t>(spec.size, 1);
+  graph::Topology topo;
   std::ostringstream shape;
-  shape << "reconvergent short=" << short_st << " shells=" << long_shells
-        << " per_hop=" << per_hop
-        << " policy=" << lip::policy_name(spec.policy);
+  switch (spec.shape) {
+    case FuzzSpec::Shape::kReconvergent: {
+      const std::size_t short_st = 1 + rng.below(3);
+      const std::size_t long_shells = 1 + rng.below(size);
+      const std::size_t per_hop = 1 + rng.below(3);
+      topo = graph::make_reconvergent(short_st, long_shells, per_hop).topo;
+      mix_station_kinds(topo, rng);
+      shape << "reconvergent short=" << short_st << " shells=" << long_shells
+            << " per_hop=" << per_hop
+            << " policy=" << lip::policy_name(spec.policy);
+      break;
+    }
+    case FuzzSpec::Shape::kComposite: {
+      const std::size_t segments = 1 + rng.below(size);
+      topo = graph::make_random_composite(rng, segments, /*allow_half=*/true,
+                                          /*allow_half_in_loops=*/false)
+                 .topo;
+      shape << "composite segments=" << segments;
+      break;
+    }
+    case FuzzSpec::Shape::kFeedforward: {
+      const std::size_t processes = 2 + rng.below(size);
+      topo = graph::make_random_feedforward(rng, processes).topo;
+      shape << "feedforward processes=" << processes;
+      break;
+    }
+  }
+
+  JobResult r = analyze_steady_state(topo, {spec.policy}, budget);
   if (r.outcome != Outcome::kLive) {
     r.detail += " (" + shape.str() + ")";
     return r;
   }
-
-  const Rational bound = graph::exact_implicit_loop_bound(gen.topo);
-  const bool variant = spec.policy == lip::StopPolicy::kCasuDiscardOnVoid;
-  // The implicit-loop model is exact for the variant protocol; strict
-  // can only be slower (EXPERIMENTS.md §T1 sharpening 2).
-  if ((variant && r.throughput != bound) ||
-      (!variant && r.throughput > bound)) {
+  const Rational bound = graph::throughput_bound(topo).ratio;
+  if (spec.policy == lip::StopPolicy::kCasuDiscardOnVoid
+          ? r.throughput != bound
+          : bound < r.throughput) {
     r.outcome = Outcome::kMismatch;
-    std::ostringstream os;
-    os << "measured " << r.throughput.str() << " vs implicit-loop bound "
-       << bound.str() << " (" << shape.str() << ")";
-    r.detail = os.str();
-  }
-  return r;
-}
-
-JobResult fuzz_composite(const FuzzSpec& spec, Rng& rng,
-                         std::uint64_t budget) {
-  const std::size_t segments =
-      1 + rng.below(std::max<std::size_t>(spec.size, 1));
-  auto gen = graph::make_random_composite(rng, segments,
-                                          /*allow_half=*/true,
-                                          /*allow_half_in_loops=*/false);
-
-  JobResult r = analyze_steady_state(gen.topo, {spec.policy}, budget);
-  if (r.outcome != Outcome::kLive) {
-    r.detail += " (composite segments=" + std::to_string(segments) + ")";
+    r.detail = "measured " + r.throughput.str() + " vs throughput bound " +
+               bound.str() + " (" + shape.str() + ")";
     return r;
   }
-
-  // The paper's "slowest subtopology" rule: measured throughput must not
-  // exceed min(loop bound, exact implicit-loop bound).
-  const auto pred = graph::predict_throughput(gen.topo);
-  Rational bound = pred.cycle_bound;
-  if (gen.topo.is_feedforward()) {
-    const Rational implicit = graph::exact_implicit_loop_bound(gen.topo);
-    if (implicit < bound) bound = implicit;
-  }
-  if (r.throughput > bound) {
-    r.outcome = Outcome::kMismatch;
-    std::ostringstream os;
-    os << "measured " << r.throughput.str() << " above analytic bound "
-       << bound.str() << " (composite segments=" << segments << ")";
-    r.detail = os.str();
-    return r;
-  }
-
-  if (spec.check_equivalence) {
-    auto design = make_default_design(gen.topo);
-    lip::SystemOptions opts;
-    opts.policy = spec.policy;
-    const std::uint64_t horizon = std::min<std::uint64_t>(budget, 400);
-    const auto equiv = lip::check_latency_equivalence(design, opts, horizon);
-    if (!equiv.ok) {
-      r.outcome = Outcome::kMismatch;
-      r.detail = "latency equivalence broken: " + equiv.detail;
-    }
-  }
-  return r;
-}
-
-JobResult fuzz_feedforward(const FuzzSpec& spec, Rng& rng,
-                           std::uint64_t budget) {
-  const std::size_t processes =
-      2 + rng.below(std::max<std::size_t>(spec.size, 1));
-  auto gen = graph::make_random_feedforward(rng, processes);
-
-  JobResult r = analyze_steady_state(gen.topo, {spec.policy}, budget);
-  if (r.outcome != Outcome::kLive) {
-    r.detail += " (feedforward processes=" + std::to_string(processes) + ")";
-    return r;
-  }
-
-  if (spec.check_equivalence) {
-    auto design = make_default_design(gen.topo);
+  if (spec.check_equivalence &&
+      spec.shape != FuzzSpec::Shape::kReconvergent) {
+    auto design = make_default_design(topo);
     lip::SystemOptions opts;
     opts.policy = spec.policy;
     const std::uint64_t horizon = std::min<std::uint64_t>(budget, 400);
@@ -344,18 +299,7 @@ std::vector<Job> make_probe_campaign(std::size_t n) {
 Job make_fuzz_job(std::string name, FuzzSpec spec) {
   return Job{std::move(name), [spec](const JobContext& ctx) {
                Rng rng(ctx.seed);
-               switch (spec.shape) {
-                 case FuzzSpec::Shape::kReconvergent:
-                   return fuzz_reconvergent(spec, rng, ctx.cycle_budget);
-                 case FuzzSpec::Shape::kComposite:
-                   return fuzz_composite(spec, rng, ctx.cycle_budget);
-                 case FuzzSpec::Shape::kFeedforward:
-                   return fuzz_feedforward(spec, rng, ctx.cycle_budget);
-               }
-               JobResult r;
-               r.outcome = Outcome::kError;
-               r.detail = "unknown fuzz shape";
-               return r;
+               return fuzz(spec, rng, ctx.cycle_budget);
              }};
 }
 

@@ -116,12 +116,10 @@ FlowResult run_design_flow(const graph::Topology& topo,
   }
 
   // 5. Analytic sign-off.
-  r.loop_bound = graph::min_cycle_ratio(r.topology);
-  r.implicit_loop_bound = graph::exact_implicit_loop_bound(r.topology);
-  r.predicted_throughput = r.implicit_loop_bound;
-  if (r.loop_bound && *r.loop_bound < r.predicted_throughput) {
-    r.predicted_throughput = *r.loop_bound;
+  if (const auto loop = graph::min_cycle_ratio(r.topology)) {
+    r.loop_bound = loop->ratio;
   }
+  r.predicted_throughput = graph::throughput_bound(r.topology).ratio;
   r.transient_bound = graph::transient_bound(r.topology);
   say("sign-off: T = " + r.predicted_throughput.str() +
       (r.loop_bound ? " (loop bound " + r.loop_bound->str() + ")" : "") +

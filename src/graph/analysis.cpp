@@ -1,6 +1,8 @@
 #include "liplib/graph/analysis.hpp"
 
+#include <algorithm>
 #include <functional>
+#include <utility>
 
 namespace liplib::graph {
 
@@ -20,39 +22,77 @@ Rational reconvergent_throughput(std::size_t m, std::size_t i) {
 std::vector<CycleInfo> enumerate_cycles(
     const Topology& topo, std::size_t max_cycles,
     const std::function<bool(ChannelId)>& keep) {
-  // Every simple cycle through a node stays in that node's strongly
-  // connected component, so the walk never leaves the root's component.
   const std::size_t n = topo.nodes().size();
-  std::vector<std::size_t> comp_of(n, 0);
-  const auto sccs = topo.process_sccs(keep);
-  for (std::size_t i = 0; i < sccs.size(); ++i) {
-    for (NodeId v : sccs[i]) comp_of[v] = i;
-  }
-
+  const auto kept = [&](ChannelId c) { return !keep || keep(c); };
   std::vector<CycleInfo> cycles;
+  // Every simple cycle through a node stays in that node's strongly
+  // connected component.  reaches[v] == root: v is in the root's
+  // component, above the root, and reaches it through such nodes.  To
+  // report each cycle once, a root's walk enters only those, so it finds
+  // the cycles whose smallest node is the root; a root on no cycle costs
+  // a look at its channels.
+  const auto comp = topo.components(keep);
+  const auto inside = [&](NodeId root, NodeId v) {
+    return v >= root && comp[v] == comp[root];
+  };
+  std::vector<NodeId> reaches(n, n);
   std::vector<bool> on_path(n, false);
-  std::vector<NodeId> path_nodes;
-  std::vector<ChannelId> path_channels;
+  std::vector<NodeId> work;
+  struct Frame {
+    NodeId v;
+    std::size_t next;  // position in channels_from(v)
+    ChannelId via;     // channel that entered v
+  };
+  std::vector<Frame> path;
 
-  // To report each cycle once, only enumerate cycles whose smallest node
-  // id equals the DFS root.
-  std::function<void(NodeId, NodeId)> dfs = [&](NodeId root, NodeId v) {
-    for (ChannelId c : topo.channels_from(v)) {
-      const NodeId w = topo.channel(c).to.node;
-      if (w < root || comp_of[w] != comp_of[root] || (keep && !keep(c))) {
+  for (NodeId root = 0; root < n; ++root) {
+    if (topo.node(root).kind != NodeKind::kProcess) continue;
+    const auto& out = topo.channels_from(root);
+    if (std::none_of(out.begin(), out.end(), [&](ChannelId c) {
+          return inside(root, topo.channel(c).to.node) && kept(c);
+        })) {
+      continue;
+    }
+    reaches[root] = root;
+    work.assign(1, root);
+    while (!work.empty()) {
+      const NodeId v = work.back();
+      work.pop_back();
+      for (std::size_t p = 0; p < topo.node(v).num_inputs; ++p) {
+        const auto c = topo.channel_into({v, p});
+        if (!c || !kept(*c)) continue;
+        const NodeId u = topo.channel(*c).from.node;
+        if (!inside(root, u) || reaches[u] == root) continue;
+        reaches[u] = root;
+        work.push_back(u);
+      }
+    }
+
+    on_path[root] = true;
+    path.assign(1, {root, 0, 0});
+    while (!path.empty()) {
+      Frame& f = path.back();
+      const auto& next = topo.channels_from(f.v);
+      if (f.next == next.size()) {
+        on_path[f.v] = false;
+        path.pop_back();
         continue;
       }
+      const ChannelId c = next[f.next++];
+      const NodeId w = topo.channel(c).to.node;
+      if (reaches[w] != root || !kept(c)) continue;
       if (w == root) {
         LIPLIB_EXPECT(cycles.size() < max_cycles,
                       "cycle enumeration budget exceeded");
         CycleInfo info;
-        info.nodes = path_nodes;
-        info.channels = path_channels;
+        for (std::size_t k = 0; k < path.size(); ++k) {
+          info.nodes.push_back(path[k].v);
+          if (k > 0) info.channels.push_back(path[k].via);
+        }
         info.channels.push_back(c);
-        info.shells = path_nodes.size();
-        info.stations = 0;
-        for (ChannelId hop : info.channels) {
-          info.stations += topo.channel(hop).num_stations();
+        info.shells = info.nodes.size();
+        for (ChannelId h : info.channels) {
+          info.stations += topo.channel(h).num_stations();
         }
         info.throughput = loop_throughput(info.shells, info.stations);
         cycles.push_back(std::move(info));
@@ -60,209 +100,71 @@ std::vector<CycleInfo> enumerate_cycles(
       }
       if (on_path[w]) continue;
       on_path[w] = true;
-      path_nodes.push_back(w);
-      path_channels.push_back(c);
-      dfs(root, w);
-      path_channels.pop_back();
-      path_nodes.pop_back();
-      on_path[w] = false;
+      path.push_back({w, 0, c});
     }
-  };
-
-  for (NodeId root = 0; root < n; ++root) {
-    if (topo.node(root).kind != NodeKind::kProcess) continue;
-    on_path[root] = true;
-    path_nodes.push_back(root);
-    dfs(root, root);
-    path_nodes.pop_back();
-    on_path[root] = false;
   }
   return cycles;
 }
 
-namespace {
-
-/// A simple path fork -> join, as its channels in order.
-using Path = std::vector<ChannelId>;
-
-/// The one fork -> join walker: the simple paths from `fork` to `join`
-/// through process nodes, in depth-first order over channel ids, at most
-/// `max_paths` of them (ApiError beyond).  The walk enters only nodes
-/// that reach the join, found by one reverse search over the input index,
-/// so a pair the fork cannot complete costs no more than that search.
-std::vector<Path> fork_join_paths(const Topology& topo, NodeId fork,
-                                  NodeId join, std::size_t max_paths) {
+std::vector<ReconvergenceInfo> analyze_reconvergence(const Topology& topo) {
   const std::size_t n = topo.nodes().size();
-  std::vector<bool> reaches(n, false);
-  std::vector<NodeId> stack{join};
-  reaches[join] = true;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (std::size_t p = 0; p < topo.node(v).num_inputs; ++p) {
-      const auto c = topo.channel_into({v, p});
-      if (!c || reaches[topo.channel(*c).from.node]) continue;
-      stack.push_back(topo.channel(*c).from.node);
-      reaches[stack.back()] = true;
+  const auto order = topo.topological_order();
+  if (order.size() != n) return {};
+  // to_join[v]: v reaches a join.  A fork that reaches none (a sink
+  // among them) pairs with nothing, so it costs a look at its channels.
+  std::vector<bool> is_join(n, false), to_join(n, false);
+  for (auto v = order.rbegin(); v != order.rend(); ++v) {
+    is_join[*v] = topo.node(*v).kind == NodeKind::kProcess &&
+                  topo.channels_into(*v).size() >= 2;
+    to_join[*v] = is_join[*v];
+    for (ChannelId c : topo.channels_from(*v)) {
+      if (to_join[topo.channel(c).to.node]) to_join[*v] = true;
     }
   }
+  std::vector<std::size_t> position(n);
+  for (std::size_t i = 0; i < n; ++i) position[order[i]] = i;
 
-  std::vector<Path> results;
-  std::vector<bool> on_path(n, false);
-  Path cur;
-  std::function<void(NodeId)> dfs = [&](NodeId v) {
-    for (ChannelId c : topo.channels_from(v)) {
-      const NodeId w = topo.channel(c).to.node;
-      if (w == join) {
-        LIPLIB_EXPECT(results.size() < max_paths,
-                      "path enumeration budget exceeded");
-        results.push_back(cur);
-        results.back().push_back(c);
-        continue;
-      }
-      if (on_path[w] || !reaches[w] ||
-          topo.node(w).kind != NodeKind::kProcess) {
-        continue;
-      }
-      on_path[w] = true;
-      cur.push_back(c);
-      dfs(w);
-      cur.pop_back();
-      on_path[w] = false;
-    }
-  };
-  on_path[fork] = true;
-  dfs(fork);
-  return results;
-}
-
-/// Calls `visit(fork, join, paths)` for every fork/join pair with at
-/// least two simple paths between them, in (fork, join) id order: a fork
-/// is any non-sink with two or more outgoing channels, a join any other
-/// process with two or more driven inputs.
-void for_each_reconvergence(
-    const Topology& topo, std::size_t max_paths,
-    const std::function<void(NodeId, NodeId, const std::vector<Path>&)>&
-        visit) {
-  const std::size_t n = topo.nodes().size();
-  std::vector<NodeId> joins;
-  for (NodeId v = 0; v < n; ++v) {
-    if (topo.node(v).kind == NodeKind::kProcess &&
-        topo.channels_into(v).size() >= 2) {
-      joins.push_back(v);
-    }
-  }
-  for (NodeId fork = 0; fork < n; ++fork) {
-    if (topo.node(fork).kind == NodeKind::kSink) continue;
-    if (topo.channels_from(fork).size() < 2) continue;
-    for (NodeId join : joins) {
-      if (join == fork) continue;
-      const auto paths = fork_join_paths(topo, fork, join, max_paths);
-      if (paths.size() >= 2) visit(fork, join, paths);
-    }
-  }
-}
-
-/// Shells strictly between a path's endpoints.
-std::size_t interior_shells(const Path& p) { return p.size() - 1; }
-
-std::size_t path_stations(const Topology& topo, const Path& p) {
-  std::size_t st = 0;
-  for (ChannelId c : p) st += topo.channel(c).num_stations();
-  return st;
-}
-
-bool interiors_disjoint(const std::vector<NodeId>& a,
-                        const std::vector<NodeId>& b) {
-  for (NodeId x : a) {
-    for (NodeId y : b) {
-      if (x == y) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-std::vector<ReconvergenceInfo> analyze_reconvergence(const Topology& topo,
-                                                     std::size_t max_paths) {
+  // Per node, over the paths from the fork: how many (counted to 2), and
+  // the lightest and heaviest station sums, with the most channels on a
+  // heaviest path (the paper counts its intermediate shells plus the join
+  // shell as part of the implicit loop: one per channel).
+  std::vector<std::size_t> count(n);
+  std::vector<ReconvergenceInfo> paths(n);
   std::vector<ReconvergenceInfo> found;
-  for_each_reconvergence(topo, max_paths, [&](NodeId fork, NodeId join,
-                                              const std::vector<Path>& paths) {
-    ReconvergenceInfo info;
-    info.fork = fork;
-    info.join = join;
-    info.min_stations = path_stations(topo, paths.front());
-    info.max_stations = info.min_stations;
-    std::size_t heavy_shells = interior_shells(paths.front());
-    for (const auto& p : paths) {
-      const std::size_t st = path_stations(topo, p);
-      if (st < info.min_stations) info.min_stations = st;
-      if (st > info.max_stations ||
-          (st == info.max_stations && interior_shells(p) > heavy_shells)) {
-        info.max_stations = st;
-        heavy_shells = interior_shells(p);
-      }
-    }
-    // The paper counts the shells on the heaviest branch as part of the
-    // implicit loop: the intermediate shells plus the join shell.
-    info.heavy_path_shells = heavy_shells + 1;
-    found.push_back(info);
-  });
-  return found;
-}
-
-std::vector<ImplicitLoopInfo> analyze_implicit_loops(const Topology& topo,
-                                                     std::size_t max_paths) {
-  std::vector<ImplicitLoopInfo> loops;
-  for_each_reconvergence(topo, max_paths, [&](NodeId fork, NodeId join,
-                                              const std::vector<Path>& paths) {
-    // Nodes strictly between fork and join, per path.
-    std::vector<std::vector<NodeId>> interior(paths.size());
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      for (std::size_t h = 0; h + 1 < paths[i].size(); ++h) {
-        interior[i].push_back(topo.channel(paths[i][h]).to.node);
-      }
-    }
-    for (std::size_t f = 0; f < paths.size(); ++f) {
-      for (std::size_t b = 0; b < paths.size(); ++b) {
-        if (f == b) continue;
-        if (!interiors_disjoint(interior[f], interior[b])) continue;
-        ImplicitLoopInfo info;
-        info.fork = fork;
-        info.join = join;
-        for (ChannelId c : paths[f]) {
-          info.registers_fwd += topo.channel(c).num_stations() + 1;
-          info.tokens_fwd += 1;
+  for (NodeId fork = 0; fork < n; ++fork) {
+    if (!to_join[fork] || topo.channels_from(fork).size() < 2) continue;
+    std::fill(count.begin(), count.end(), 0);
+    count[fork] = 1;
+    paths[fork] = {fork, fork};
+    for (std::size_t i = position[fork]; i < n; ++i) {
+      if (count[order[i]] == 0) continue;
+      for (ChannelId c : topo.channels_from(order[i])) {
+        const NodeId w = topo.channel(c).to.node;
+        ReconvergenceInfo via = paths[order[i]];
+        via.min_stations += topo.channel(c).num_stations();
+        via.max_stations += topo.channel(c).num_stations();
+        ++via.heavy_path_shells;
+        ReconvergenceInfo& to = paths[w];
+        if (count[w] == 0) to = {fork, w, via.min_stations};  // heaviest: below
+        to.min_stations = std::min(to.min_stations, via.min_stations);
+        if (std::pair(via.max_stations, via.heavy_path_shells) >
+            std::pair(to.max_stations, to.heavy_path_shells)) {
+          to.max_stations = via.max_stations;
+          to.heavy_path_shells = via.heavy_path_shells;
         }
-        for (ChannelId c : paths[b]) {
-          info.slack_back +=
-              2 * topo.channel(c).num_full() + topo.channel(c).num_half();
-          info.stops_back += topo.channel(c).num_full();
-        }
-        loops.push_back(info);
+        count[w] = std::min<std::size_t>(2, count[w] + count[order[i]]);
       }
     }
-  });
-  return loops;
-}
-
-Rational exact_implicit_loop_bound(const Topology& topo,
-                                   std::size_t max_paths) {
-  Rational best(1);
-  for (const auto& loop : analyze_implicit_loops(topo, max_paths)) {
-    const auto t = loop.throughput();
-    if (t < best) best = t;
+    for (NodeId join = 0; join < n; ++join) {
+      if (is_join[join] && count[join] >= 2) found.push_back(paths[join]);
+    }
   }
-  return best;
+  return found;
 }
 
 ThroughputPrediction predict_throughput(const Topology& topo) {
   ThroughputPrediction pred;
-  pred.cycles = enumerate_cycles(topo);
-  for (const auto& c : pred.cycles) {
-    if (c.throughput < pred.cycle_bound) pred.cycle_bound = c.throughput;
-  }
+  if (const auto loop = min_cycle_ratio(topo)) pred.cycle_bound = loop->ratio;
   pred.reconvergences = analyze_reconvergence(topo);
   for (const auto& r : pred.reconvergences) {
     if (r.throughput() < pred.reconvergence_bound) {

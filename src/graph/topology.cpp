@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace liplib::graph {
 
@@ -143,53 +144,49 @@ std::size_t Topology::num_sinks() const {
   return n;
 }
 
-std::vector<std::vector<NodeId>> Topology::process_sccs(
-    const std::function<bool(ChannelId)>& keep) const {
-  // Iterative Tarjan over all nodes; sources/sinks end up in singleton
-  // components which callers can ignore.
-  const std::size_t n = nodes_.size();
+std::vector<std::size_t> strongly_connected_components(const EdgeIndex& g) {
+  // Iterative Tarjan.
+  const std::size_t n = g.begin.size() - 1;
   std::vector<int> index(n, -1), low(n, 0);
   std::vector<bool> on_stack(n, false);
   std::vector<NodeId> stack;
-  std::vector<std::vector<NodeId>> sccs;
+  std::vector<std::size_t> comp(n, 0);
+  std::size_t num_comps = 0;
   int next_index = 0;
 
   struct Frame {
     NodeId v;
-    std::size_t child = 0;
+    std::size_t next;
   };
+  std::vector<Frame> frames;
 
   for (NodeId root = 0; root < n; ++root) {
     if (index[root] != -1) continue;
-    std::vector<Frame> frames{{root, 0}};
+    frames.assign(1, {root, g.begin[root]});
     index[root] = low[root] = next_index++;
     stack.push_back(root);
     on_stack[root] = true;
     while (!frames.empty()) {
       Frame& f = frames.back();
-      if (f.child < out_channels_[f.v].size()) {
-        const ChannelId c = out_channels_[f.v][f.child++];
-        if (keep && !keep(c)) continue;
-        const NodeId w = channels_[c].to.node;
+      if (f.next < g.begin[f.v + 1]) {
+        const NodeId w = g.succ[f.next++];
         if (index[w] == -1) {
           index[w] = low[w] = next_index++;
           stack.push_back(w);
           on_stack[w] = true;
-          frames.push_back({w, 0});
+          frames.push_back({w, g.begin[w]});
         } else if (on_stack[w]) {
           low[f.v] = std::min(low[f.v], index[w]);
         }
       } else {
         if (low[f.v] == index[f.v]) {
-          std::vector<NodeId> comp;
-          for (;;) {
-            NodeId w = stack.back();
+          for (NodeId w = ~NodeId{0}; w != f.v;) {
+            w = stack.back();
             stack.pop_back();
             on_stack[w] = false;
-            comp.push_back(w);
-            if (w == f.v) break;
+            comp[w] = num_comps;
           }
-          sccs.push_back(std::move(comp));
+          ++num_comps;
         }
         NodeId v = f.v;
         frames.pop_back();
@@ -199,30 +196,26 @@ std::vector<std::vector<NodeId>> Topology::process_sccs(
       }
     }
   }
-  return sccs;
+  return comp;
+}
+
+std::vector<std::size_t> Topology::components(
+    const std::function<bool(ChannelId)>& keep) const {
+  return strongly_connected_components(EdgeIndex(
+      nodes_.size(), channels_.size(),
+      [&](ChannelId c) {
+        return std::pair(channels_[c].from.node, channels_[c].to.node);
+      },
+      [&](ChannelId c) { return !keep || keep(c); }));
 }
 
 std::vector<bool> Topology::channels_on_cycles() const {
-  const auto sccs = process_sccs();
-  std::vector<std::size_t> comp_of(nodes_.size(), 0);
-  std::vector<std::size_t> comp_size(sccs.size(), 0);
-  for (std::size_t i = 0; i < sccs.size(); ++i) {
-    comp_size[i] = sccs[i].size();
-    for (NodeId v : sccs[i]) comp_of[v] = i;
-  }
-  // A channel lies on a directed cycle iff both endpoints are in the same
-  // SCC and that SCC is nontrivial (size > 1, or size 1 with a self loop).
-  std::vector<bool> on_cycle(channels_.size(), false);
+  // A channel lies on a directed cycle iff its endpoints share a strongly
+  // connected component (a self-loop's always do).
+  const auto comp = components();
+  std::vector<bool> on_cycle(channels_.size());
   for (ChannelId c = 0; c < channels_.size(); ++c) {
-    const auto& ch = channels_[c];
-    if (ch.from.node == ch.to.node) {
-      on_cycle[c] = true;
-      continue;
-    }
-    if (comp_of[ch.from.node] == comp_of[ch.to.node] &&
-        comp_size[comp_of[ch.from.node]] > 1) {
-      on_cycle[c] = true;
-    }
+    on_cycle[c] = comp[channels_[c].from.node] == comp[channels_[c].to.node];
   }
   return on_cycle;
 }

@@ -41,8 +41,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "S+H register positions, so the latch closes from reset only when "
        "the cycle has no station slack"},
       {"LIP007", "reconvergence-imbalance", Severity::kInfo, true,
-       "imbalanced reconvergent paths cap throughput at T = (m-i)/m; the "
-       "fix-it is the equalization plan",
+       "an implicit loop (data forward, stops back) caps T below the loop "
+       "bound; the fix-it is the equalization plan (feedforward designs)",
        "paper, section 6: reconvergent feedforward throughput"},
       {"LIP008", "slowest-cycle-bottleneck", Severity::kInfo, false,
        "the slowest feedback loop bounds system throughput at "

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,25 +44,27 @@ std::string node_list(const Topology& topo, const std::vector<NodeId>& ids) {
 }
 
 /// The strongly connected components of the node graph restricted to the
-/// channels accepted by `keep` that contain a directed cycle (size > 1,
-/// or a kept self-loop), each sorted by node id, ordered by their
-/// smallest node id.
+/// channels accepted by `keep` that contain a directed cycle (a kept
+/// channel inside), each sorted by node id, ordered by their smallest
+/// node id.
 std::vector<std::vector<NodeId>> cyclic_components(
     const Topology& topo, const std::function<bool(ChannelId)>& keep) {
-  std::vector<bool> self_loop(topo.nodes().size(), false);
+  const auto comp = topo.components(keep);
+  std::vector<std::vector<NodeId>> members(comp.size());
+  for (NodeId v = 0; v < comp.size(); ++v) members[comp[v]].push_back(v);
+  std::vector<bool> on_cycle(comp.size(), false);
   for (ChannelId c = 0; c < topo.channels().size(); ++c) {
     const auto& ch = topo.channel(c);
-    if (ch.from.node == ch.to.node && keep(c)) self_loop[ch.from.node] = true;
-  }
-  std::vector<std::vector<NodeId>> cyclic;
-  for (auto& comp : topo.process_sccs(keep)) {
-    if (comp.size() > 1 || self_loop[comp.front()]) {
-      std::sort(comp.begin(), comp.end());
-      cyclic.push_back(std::move(comp));
+    if (comp[ch.from.node] == comp[ch.to.node] && keep(c)) {
+      on_cycle[comp[ch.from.node]] = true;
     }
   }
-  std::sort(cyclic.begin(), cyclic.end(),
-            [](const auto& a, const auto& b) { return a.front() < b.front(); });
+  std::vector<std::vector<NodeId>> cyclic;
+  for (NodeId v = 0; v < comp.size(); ++v) {
+    if (on_cycle[comp[v]] && members[comp[v]].front() == v) {
+      cyclic.push_back(members[comp[v]]);
+    }
+  }
   return cyclic;
 }
 
@@ -263,95 +266,68 @@ void rule_stop_cycles(const Topology& topo, std::vector<Diagnostic>& out) {
   }
 }
 
-// ---- LIP007: reconvergence imbalance (predicted T = (m-i)/m) -------------
+// ---- LIP007: an implicit loop below the loop bound -----------------------
 
-void rule_reconvergence(const Topology& topo, std::vector<Diagnostic>& out) {
-  if (!topo.is_feedforward()) return;
-  // Gate on the exact implicit-loop bound, not on raw station imbalance:
-  // the paper's closed form counts stations only, so an equalized design
-  // (where shell registers make up the difference) still shows i > 0 —
-  // but its exact bound is 1 and nothing is wrong.
-  Rational exact(1);
-  std::vector<graph::ReconvergenceInfo> pairs;
-  try {
-    exact = graph::exact_implicit_loop_bound(topo);
-    pairs = graph::analyze_reconvergence(topo);
-  } catch (const ApiError&) {
-    out.push_back({"LIP007", Severity::kInfo, std::nullopt, std::nullopt,
-                   "reconvergence analysis exceeded its path budget; "
-                   "imbalance not checked",
-                   {}});
-    return;
-  }
-  if (!(exact < Rational(1))) return;  // balanced: full throughput
-
-  // One equalization plan cures every imbalance at once; attach it to
-  // the first diagnostic so applying all fix-its applies it once.
+void rule_reconvergence(const Topology& topo,
+                        const std::optional<graph::CriticalCycle>& loop,
+                        std::vector<Diagnostic>& out) {
+  // The system bound counts stop edges as well as data edges, so it sees
+  // the implicit loops that reconvergent paths close.  The rule fires only
+  // where such a loop, not an explicit one (LIP008), sets T; an equalized
+  // design whose shell registers make up a raw station imbalance has
+  // bound 1 and is not flagged.
+  const auto bound = graph::throughput_bound(topo);
+  if (!(bound.ratio < Rational(1))) return;
+  if (loop && !(bound.ratio < loop->ratio)) return;
+  std::ostringstream msg;
+  msg << "implicit loop " << graph::hops_str(topo, bound.hops)
+      << " (data forward, stops back) limits throughput to T = "
+      << bound.ratio.str();
   std::vector<FixIt> fixits;
-  const auto plan = graph::plan_equalization(topo);
-  for (ChannelId c = 0; c < plan.stations_to_add.size(); ++c) {
-    if (plan.stations_to_add[c] == 0) continue;
-    FixIt fix;
-    fix.kind = FixIt::Kind::kAppendStations;
-    fix.channel = c;
-    fix.count = plan.stations_to_add[c];
-    fix.station = RsKind::kFull;
-    fix.description = "append " + std::to_string(plan.stations_to_add[c]) +
-                      " full relay station(s) to channel " +
-                      channel_label(topo, c) + " (equalization)";
-    fixits.push_back(std::move(fix));
+  if (loop) {
+    msg << ", below the loop bound " << loop->ratio.str();
+  } else {
+    // One equalization plan cures every imbalance at once.
+    msg << "; equalize the branches";
+    const auto plan = graph::plan_equalization(topo);
+    for (ChannelId c = 0; c < plan.stations_to_add.size(); ++c) {
+      if (plan.stations_to_add[c] == 0) continue;
+      FixIt fix;
+      fix.kind = FixIt::Kind::kAppendStations;
+      fix.channel = c;
+      fix.count = plan.stations_to_add[c];
+      fix.station = RsKind::kFull;
+      fix.description = "append " +
+                        std::to_string(plan.stations_to_add[c]) +
+                        " full relay station(s) to channel " +
+                        channel_label(topo, c) + " (equalization)";
+      fixits.push_back(std::move(fix));
+    }
   }
-  bool emitted = false;
-  for (const auto& p : pairs) {
-    if (p.i() == 0) continue;
-    std::ostringstream msg;
-    msg << "reconvergent paths from " << topo.node(p.fork).name << " to "
-        << topo.node(p.join).name << " are imbalanced by " << p.i()
-        << " relay station(s): predicted T = (m-i)/m = "
-        << p.throughput().str() << " (exact bound " << exact.str()
-        << "); equalize the branches";
-    out.push_back({"LIP007", Severity::kInfo, p.join, std::nullopt, msg.str(),
-                   emitted ? std::vector<FixIt>{} : std::move(fixits)});
-    emitted = true;
-  }
-  if (!emitted) {
-    out.push_back({"LIP007", Severity::kInfo, std::nullopt, std::nullopt,
-                   "reconvergent paths limit throughput to " + exact.str() +
-                       " (exact implicit-loop bound); equalize the branches",
-                   std::move(fixits)});
-  }
+  out.push_back({"LIP007", Severity::kInfo,
+                 graph::hop_from(topo, bound.hops.front()), std::nullopt,
+                 msg.str(), std::move(fixits)});
 }
 
 // ---- LIP008: slowest-cycle bottleneck via the exact MCR ------------------
 
-void rule_slowest_cycle(const Topology& topo, std::vector<Diagnostic>& out) {
-  const auto mcr = graph::min_cycle_ratio(topo);
-  if (!mcr || !(*mcr < Rational(1))) return;
-  std::optional<graph::CycleInfo> witness;
-  try {
-    for (const auto& c : graph::enumerate_cycles(topo)) {
-      if (c.throughput == *mcr) {
-        witness = c;
-        break;
-      }
-    }
-  } catch (const ApiError&) {
-    // Too many cycles to enumerate a witness; report the bound alone.
+void rule_slowest_cycle(const Topology& topo,
+                        const std::optional<graph::CriticalCycle>& loop,
+                        std::vector<Diagnostic>& out) {
+  if (!loop || !(loop->ratio < Rational(1))) return;
+  std::vector<NodeId> shells;
+  std::size_t stations = 0;
+  for (const auto& hop : loop->hops) {
+    shells.push_back(graph::hop_from(topo, hop));
+    stations += topo.channel(hop.channel).num_stations();
   }
   std::ostringstream msg;
-  if (witness) {
-    msg << "slowest cycle through shells " << node_list(topo, witness->nodes)
-        << ": " << witness->shells << " shell(s), " << witness->stations
-        << " relay station(s); loop bound T = S/(S+R) = " << mcr->str()
-        << " limits system throughput";
-  } else {
-    msg << "loop bound (min cycle ratio) T = " << mcr->str()
-        << " limits system throughput";
-  }
-  out.push_back({"LIP008", Severity::kInfo,
-                 witness ? std::optional<NodeId>(witness->nodes.front())
-                         : std::nullopt,
-                 std::nullopt, msg.str(), {}});
+  msg << "slowest cycle through shells " << node_list(topo, shells) << ": "
+      << shells.size() << " shell(s), " << stations
+      << " relay station(s); loop bound T = S/(S+R) = " << loop->ratio.str()
+      << " limits system throughput";
+  out.push_back({"LIP008", Severity::kInfo, shells.front(), std::nullopt,
+                 msg.str(), {}});
 }
 
 // ---- LIP009: predictable-upfront transient bound -------------------------
@@ -390,8 +366,12 @@ Report run_lint(const graph::Topology& topo, const Options& options) {
     rule_stop_cycles(topo, out);
   }
   if (!options.structural_only) {
-    if (enabled("LIP007")) rule_reconvergence(topo, out);
-    if (enabled("LIP008")) rule_slowest_cycle(topo, out);
+    std::optional<graph::CriticalCycle> loop;
+    if (enabled("LIP007") || enabled("LIP008")) {
+      loop = graph::min_cycle_ratio(topo);
+    }
+    if (enabled("LIP007")) rule_reconvergence(topo, loop, out);
+    if (enabled("LIP008")) rule_slowest_cycle(topo, loop, out);
     if (enabled("LIP009")) rule_transient(topo, out);
   }
   return report;

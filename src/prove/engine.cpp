@@ -481,13 +481,9 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
   } catch (const ApiError&) {
     have_certs = false;
   }
-  // The loop bound min S/(S+R) over the certified cycles; past the
-  // enumeration budget, the minimum cycle ratio (the same number).
-  if (!have_certs) r.cycle_bound = graph::min_cycle_ratio(topo).value_or(1);
-  for (const CycleCertificate& c : r.certificates) {
-    r.cycle_bound = std::min(
-        r.cycle_bound,
-        graph::loop_throughput(c.shells, c.half_stations + c.full_stations));
+  // The loop bound min S/(S+R), past the enumeration budget too.
+  if (const auto loop = graph::min_cycle_ratio(topo)) {
+    r.cycle_bound = loop->ratio;
   }
   const bool induction_sound = have_certs && !prog->strict && prog->pessimistic;
   bool certs_hold = have_certs;
@@ -598,8 +594,9 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
     case Method::kAuto:
       // Exhaustive reachability first (it yields minimal counterexamples
       // and exact state counts); fall back to the certificates when the
-      // space or the environment alphabet is out of reach.
-      if (env.exhaustive) {
+      // space or the environment alphabet is out of reach.  With no cycle
+      // to certify, sound induction proves the design at once.
+      if (env.exhaustive && !(induction_sound && r.certificates.empty())) {
         run_search(~0ull, Method::kReachability);
         if (r.verdict != Verdict::kUnknown) {
           r.method_used = Method::kReachability;

@@ -1,6 +1,7 @@
 // Minimum cycle ratio analysis vs explicit cycle enumeration: the two
-// must agree exactly on every cyclic topology, and MCR must also agree
-// with measured loop throughput.
+// must agree exactly on every cyclic topology, the loop solve's critical
+// cycle is the first slowest cycle the enumeration finds, and the system
+// bound must agree with measured throughput.
 
 #include <gtest/gtest.h>
 
@@ -34,7 +35,7 @@ TEST(Mcr, MatchesEnumerationOnRings) {
       auto gen = graph::make_closed_ring(std::vector<std::size_t>(s, per));
       const auto mcr = graph::min_cycle_ratio(gen.topo);
       ASSERT_TRUE(mcr.has_value());
-      EXPECT_EQ(*mcr, graph::loop_throughput(s, s * per))
+      EXPECT_EQ(mcr->ratio, graph::loop_throughput(s, s * per))
           << "S=" << s << " per=" << per;
     }
   }
@@ -50,7 +51,7 @@ TEST(Mcr, MatchesEnumerationOnLoopChains) {
     auto gen = graph::make_loop_chain(specs);
     const auto mcr = graph::min_cycle_ratio(gen.topo);
     ASSERT_TRUE(mcr.has_value());
-    EXPECT_EQ(*mcr, enumeration_bound(gen.topo));
+    EXPECT_EQ(mcr->ratio, enumeration_bound(gen.topo));
   }
 }
 
@@ -68,8 +69,8 @@ TEST(Mcr, MatchesEnumerationOnParallelChannelMeshes) {
   ASSERT_TRUE(mcr.has_value());
   // The binding (slowest) cycle combines the 3-station and 2-station
   // channels: 2 shells / (2 + 5) positions.
-  EXPECT_EQ(*mcr, Rational(2, 7));
-  EXPECT_EQ(*mcr, enumeration_bound(t));
+  EXPECT_EQ(mcr->ratio, Rational(2, 7));
+  EXPECT_EQ(mcr->ratio, enumeration_bound(t));
 }
 
 TEST(Mcr, MatchesEnumerationOnRandomComposites) {
@@ -82,8 +83,35 @@ TEST(Mcr, MatchesEnumerationOnRandomComposites) {
       continue;
     }
     ASSERT_TRUE(mcr.has_value()) << "iteration " << i;
-    EXPECT_EQ(*mcr, enumeration_bound(gen.topo)) << "iteration " << i;
+    EXPECT_EQ(mcr->ratio, enumeration_bound(gen.topo)) << "iteration " << i;
   }
+}
+
+// LIP008 names the loop solve's critical cycle: the first cycle in
+// enumeration order whose ratio is the minimum, hop for hop.
+TEST(Mcr, CriticalCycleIsTheFirstSlowestEnumeratedCycle) {
+  Rng rng(321);
+  std::size_t checked = 0;
+  for (int i = 0; i < 300; ++i) {
+    auto gen = graph::make_random_composite(rng, 1 + i % 5, true, false);
+    const auto mcr = graph::min_cycle_ratio(gen.topo);
+    if (!mcr || !(mcr->ratio < Rational(1))) continue;
+    std::vector<graph::ChannelId> first;
+    for (const auto& c : graph::enumerate_cycles(gen.topo)) {
+      if (c.throughput == mcr->ratio) {
+        first = c.channels;
+        break;
+      }
+    }
+    std::vector<graph::ChannelId> hops;
+    for (const auto& hop : mcr->hops) {
+      EXPECT_FALSE(hop.stop);
+      hops.push_back(hop.channel);
+    }
+    EXPECT_EQ(hops, first) << "iteration " << i;
+    ++checked;
+  }
+  EXPECT_GE(checked, 100u);
 }
 
 TEST(Mcr, MatchesMeasuredThroughputOnComposites) {
@@ -93,15 +121,14 @@ TEST(Mcr, MatchesMeasuredThroughputOnComposites) {
     if (gen.topo.is_feedforward()) continue;
     const auto mcr = graph::min_cycle_ratio(gen.topo);
     ASSERT_TRUE(mcr.has_value());
-    const auto reconv = graph::predict_throughput(gen.topo);
+    const auto bound = graph::throughput_bound(gen.topo);
+    EXPECT_LE(bound.ratio, mcr->ratio);
     auto d = testutil::make_design(std::move(gen));
     auto sys = d.instantiate();
     const auto ss = lip::measure_steady_state(*sys, 1u << 20);
     ASSERT_TRUE(ss.found) << "iteration " << i;
-    // The system runs at min(loop bound, reconvergence bound).
-    const Rational expected =
-        *mcr < reconv.reconvergence_bound ? *mcr : reconv.reconvergence_bound;
-    EXPECT_EQ(ss.system_throughput(), expected) << "iteration " << i;
+    // The system runs at the system bound (loops and implicit loops).
+    EXPECT_EQ(ss.system_throughput(), bound.ratio) << "iteration " << i;
   }
 }
 
@@ -113,7 +140,8 @@ TEST(Mcr, UnvalidatedZeroStationLoop) {
   t.connect({a, 0}, {a, 0});
   const auto mcr = graph::min_cycle_ratio(t);
   ASSERT_TRUE(mcr.has_value());
-  EXPECT_EQ(*mcr, Rational(1));
+  EXPECT_EQ(mcr->ratio, Rational(1));
+  EXPECT_TRUE(mcr->hops.empty());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -312,7 +313,8 @@ TEST(Prove, CounterexampleReplaysLockstepWithWatchdog) {
 }
 
 // Throughput-bound consistency: a proved-live design's measured steady
-// state never beats the analytic cycle bound the prover reports.
+// state never beats the analytic cycle bound the prover reports, and that
+// bound (the loop solve) is the slowest certified cycle's S/(S+R).
 TEST(Prove, ThroughputBoundConsistent) {
   for (std::uint64_t i = 0; i < 60; ++i) {
     const auto topo = random_composite(campaign::job_seed(7, i));
@@ -323,7 +325,13 @@ TEST(Prove, ThroughputBoundConsistent) {
     const auto screened = xir::screen_for_deadlock(topo, {}, 1u << 16);
     if (!screened.found || screened.deadlock_found()) continue;
     EXPECT_LE(screened.system_throughput(), r.cycle_bound) << "seed " << i;
-    EXPECT_EQ(r.cycle_bound, graph::predict_throughput(topo).cycle_bound);
+    Rational slowest(1);
+    for (const auto& c : r.certificates) {
+      slowest = std::min(slowest,
+                         graph::loop_throughput(
+                             c.shells, c.half_stations + c.full_stations));
+    }
+    EXPECT_EQ(r.cycle_bound, slowest) << "seed " << i;
   }
 }
 
@@ -465,7 +473,7 @@ TEST(Prove, CycleBudgetExceededLeavesANoteAndAnAnswer) {
     EXPECT_TRUE(r.certificates.empty());
     EXPECT_EQ(r.note, "cycle enumeration budget exceeded");
     EXPECT_EQ(r.cycle_bound, Rational(1, 2));
-    EXPECT_EQ(r.cycle_bound, graph::min_cycle_ratio(topo));
+    EXPECT_EQ(r.cycle_bound, graph::min_cycle_ratio(topo)->ratio);
     opts.method = prove::Method::kInduction;
     const auto induction = prove::prove(topo, opts);
     EXPECT_EQ(induction.verdict, prove::Verdict::kUnknown);
@@ -473,13 +481,15 @@ TEST(Prove, CycleBudgetExceededLeavesANoteAndAnAnswer) {
   }
 }
 
-// Thirteen diamonds in a row have 2^13 fork->join paths, past the
-// reconvergence analysis's 4096-path budget, and no cycle at all.
-// Prove reads no reconvergence analysis, so induction proves the design
-// with no certificate to check, and the loop bound is 1.
+// Thirteen diamonds in a row have 2^13 fork->join paths and no cycle at
+// all.  The reconvergence analysis answers with one pass per fork (91
+// balanced pairs), and induction proves the design with no certificate
+// to check; the loop bound is 1.
 TEST(Prove, FeedforwardDesignNeedsNoPathBudget) {
   const auto topo = diamond_chain(13);
-  EXPECT_THROW(graph::analyze_reconvergence(topo), ApiError);
+  const auto pairs = graph::analyze_reconvergence(topo);
+  EXPECT_EQ(pairs.size(), 13u * 14u / 2u);
+  for (const auto& p : pairs) EXPECT_EQ(p.i(), 0u);
   for (const bool worst_case : {false, true}) {
     prove::ProveOptions opts;
     opts.method = prove::Method::kInduction;
@@ -493,8 +503,29 @@ TEST(Prove, FeedforwardDesignNeedsNoPathBudget) {
   }
 }
 
-// The 26-diamond fixture is acyclic.  The cycle walk stays inside each
-// root's strongly connected component, so it finds no cycle at once
+// With no cycle to certify, sound induction (variant protocol,
+// pessimistic resolution) proves a design outright, so auto mode answers
+// by induction instead of exploring 2^14 states first.
+TEST(Prove, AutoProvesACycleFreeDesignByInduction) {
+  const auto topo = diamond_chain(13);
+  for (const bool worst_case : {false, true}) {
+    prove::ProveOptions opts;
+    opts.worst_case_occupancy = worst_case;
+    const auto r = prove::prove(topo, opts);
+    EXPECT_EQ(r.verdict, prove::Verdict::kProved);
+    EXPECT_EQ(r.method_used, prove::Method::kInduction);
+    EXPECT_EQ(r.states_explored, 0u);
+    EXPECT_TRUE(r.induction_closed);
+  }
+  // Strict induction is unsound, so auto still searches there.
+  prove::ProveOptions strict;
+  strict.skeleton.policy = lip::StopPolicy::kCarloniStrict;
+  strict.max_states = 1u << 10;
+  EXPECT_NE(prove::prove(diamond_chain(2), strict).states_explored, 0u);
+}
+
+// The 26-diamond fixture is acyclic.  A root's cycle walk enters only
+// the nodes above the root that reach it, so it finds no cycle at once
 // instead of walking every path below every root.
 TEST(Prove, CycleWalkSkipsTheAcyclicPartOfADesign) {
   std::ifstream in(std::string(LIPLIB_FIXTURES_DIR) + "/diamond_chain.lid");

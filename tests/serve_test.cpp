@@ -1267,6 +1267,33 @@ TEST(Server, EightConcurrentClientsGetByteIdenticalAnswersAndCacheHits) {
   server.wait();  // returns only after a full drain
 }
 
+// A closed ring of 30,000 shells, one full station per channel (a
+// 1.5 MB netlist): prove walks its one cycle with an explicit stack, so
+// the daemon answers instead of overflowing its worker's stack.
+TEST(Server, ProvesAThirtyThousandShellRing) {
+  constexpr std::size_t kShells = 30000;
+  std::string ring;
+  for (std::size_t i = 0; i < kShells; ++i) {
+    ring += "process P" + std::to_string(i) + " 1 1\n";
+  }
+  for (std::size_t i = 0; i < kShells; ++i) {
+    ring += "channel P" + std::to_string(i) + ".0 -> P" +
+            std::to_string((i + 1) % kShells) + ".0 : F\n";
+  }
+  ServerOptions opts;
+  opts.port = 0;
+  Server server(opts);
+  server.start();
+  const auto answers = roundtrip(
+      server.port(), {request_json("prove", ring.c_str()),
+                      request_json("shutdown", nullptr)});
+  ASSERT_EQ(answers.size(), 2u);
+  const Json doc = Json::parse(answers[0]);
+  ASSERT_TRUE(doc.find("ok")->as_bool()) << answers[0].substr(0, 400);
+  EXPECT_EQ(doc.find("result")->find("verdict")->as_string(), "proved");
+  server.wait();
+}
+
 TEST(Server, ProtocolViolationGetsAnErrorFrameAndTheConnectionDropped) {
   ServerOptions opts;
   opts.port = 0;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "liplib/graph/analysis.hpp"
 #include "liplib/graph/generators.hpp"
 #include "liplib/graph/netlist_io.hpp"
@@ -186,11 +188,13 @@ TEST(Topology, SelfLoopDetected) {
 
 TEST(Topology, ProcessSccs) {
   auto gen = graph::make_loop_chain({{2, 3}, {1, 2}});
-  const auto sccs = gen.topo.process_sccs();
+  const auto comp = gen.topo.components();
   // Two nontrivial components (the loops) of sizes 3 and 2.
+  std::vector<std::size_t> count(comp.size(), 0);
+  for (std::size_t c : comp) ++count[c];
   std::vector<std::size_t> sizes;
-  for (const auto& c : sccs) {
-    if (c.size() > 1) sizes.push_back(c.size());
+  for (std::size_t n : count) {
+    if (n > 1) sizes.push_back(n);
   }
   std::sort(sizes.begin(), sizes.end());
   ASSERT_EQ(sizes.size(), 2u);
@@ -240,6 +244,46 @@ TEST(Analysis, EnumerateCyclesFindsAllRingCycles) {
   EXPECT_EQ(cycles[0].shells, 3u);
   EXPECT_EQ(cycles[0].stations, 6u);
   EXPECT_EQ(cycles[0].throughput, Rational(1, 3));
+}
+
+// The walk keeps its path on an explicit stack, so a cycle through
+// 100,000 shells costs no call depth; a root's walk enters only the nodes
+// above it that reach it, so the other roots cost one look at their
+// channels each.
+TEST(Analysis, EnumerateCyclesWalksAHundredThousandShellRing) {
+  constexpr std::size_t kShells = 100000;
+  Topology t;
+  for (std::size_t i = 0; i < kShells; ++i) {
+    t.add_process("P" + std::to_string(i), 1, 1);
+  }
+  for (graph::NodeId i = 0; i < kShells; ++i) {
+    t.connect({i, 0}, {(i + 1) % kShells, 0}, {RsKind::kFull});
+  }
+  const auto cycles = graph::enumerate_cycles(t);
+  ASSERT_EQ(cycles.size(), 1u);
+  EXPECT_EQ(cycles[0].shells, kShells);
+  EXPECT_EQ(cycles[0].nodes.front(), 0u);
+  EXPECT_EQ(cycles[0].throughput, Rational(1, 2));
+}
+
+// A chain declared downstream first, each stage tapped to a sink declared
+// after the chain, has no cycle, though every stage drives a node above
+// it.  A stage's walk starts only on a channel inside its own component,
+// so each stage costs a look at its channels; a reverse search from each
+// would climb the rest of the chain, 1.25e9 steps in all.
+TEST(Analysis, EnumerateCyclesSkipsAReversedTappedChainInLinearTime) {
+  constexpr std::size_t kStages = 50000;
+  Topology t;
+  for (std::size_t i = 0; i < kStages; ++i) {
+    t.add_process("P" + std::to_string(i), 1, 2);
+  }
+  for (graph::NodeId i = 0; i < kStages; ++i) {
+    if (i + 1 < kStages) t.connect({i + 1, 0}, {i, 0}, {RsKind::kFull});
+    t.connect({i, 1}, {t.add_sink("Q" + std::to_string(i)), 0});
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(graph::enumerate_cycles(t).empty());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3));
 }
 
 TEST(Analysis, EnumerateCyclesHandlesParallelChannels) {
