@@ -351,7 +351,8 @@ int cmd_analyze(const graph::Topology& topo) {
   try {
     cycles = graph::enumerate_cycles(topo);  // at most 4096
   } catch (const ApiError&) {
-    std::cout << "cycle table skipped: more than 4096 cycles\n";
+    std::cout << "cycle table skipped: past the enumeration budget (4096 "
+              << "cycles, " << graph::kCycleIdBudget << " ids)\n";
   }
   if (!cycles.empty()) {
     Table t({"cycle (shells)", "S", "R", "T = S/(S+R)"});

@@ -43,8 +43,14 @@ struct CycleInfo {
   Rational throughput{1};      ///< shells / (shells + stations)
 };
 
+/// The most node and channel ids enumerate_cycles holds (32 MiB): one
+/// cycle can be as long as the design, so a cycle count alone does not
+/// bound the walk's memory.
+inline constexpr std::size_t kCycleIdBudget = std::size_t{1} << 22;
+
 /// Enumerates simple directed cycles over process nodes, up to
-/// `max_cycles`; throws ApiError when the budget is exceeded.  Each cycle
+/// `max_cycles` holding at most kCycleIdBudget node and channel ids;
+/// throws ApiError when either budget is exceeded.  Each cycle
 /// is rooted at its smallest node id and channels are walked in id order,
 /// so the order is deterministic.  Self-loops count.  Sources and sinks
 /// never lie on cycles.  When `keep` is given, only the channels it

@@ -10,15 +10,15 @@
 // lip::System (measure_steady_state), xir::ScalarEngine::analyze and
 // every lane of xir::SlicedEngine::analyze report it, and
 // derive_steady_state turns every host's repeat into transient, period,
-// exact rates and the deadlock verdict under one rule.  The two scalar
-// hosts share one search, first_repeat; the sliced engine keeps its own
-// per-lane repeat tables.
+// exact rates and the deadlock verdict under one rule.  System's search
+// keeps every visited key with its run counts, the reference the xir
+// engines' search (xir::RepeatIndex, O(visited cycles) memory) is held
+// to.  Runs that need only the period use PeriodSearch.
 
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -93,32 +93,26 @@ struct RunCounts {
 SteadyState derive_steady_state(const RunCounts& first, const RunCounts& now,
                                 const std::vector<graph::NodeId>& shell_ids);
 
-/// The first-repeat search of a scalar host (System, xir::ScalarEngine):
-/// for at most max_cycles + 1 cycles, keys the host's protocol state
-/// `key()` (with the environment phase appended when `env_period`
-/// exceeds 1) and either derives the steady state from the run counts
-/// `counts()` of the key's two visits or records it and calls `step()`.
-template <class Key, class Counts, class Step>
-SteadyState first_repeat(std::uint64_t env_period, std::uint64_t max_cycles,
-                         const std::vector<graph::NodeId>& shell_ids,
-                         Key key, Counts counts, Step step) {
-  std::unordered_map<std::string, RunCounts> seen;
-  for (std::uint64_t i = 0; i <= max_cycles; ++i) {
-    RunCounts now = counts();
-    std::string k = key();
-    if (env_period > 1) {
-      const std::uint64_t phase = now.cycle % env_period;
-      k.append(reinterpret_cast<const char*>(&phase), sizeof phase);
+/// Brent's search for the period of a deterministic run in O(1) memory:
+/// one saved key meets every later key until a window of cycles has
+/// passed, then the current key replaces it and the window doubles.  It
+/// finds no transient: run_profiled and prove's audit need only this.
+struct PeriodSearch {
+  std::string saved;  ///< the first cycle's key, then each window's
+  std::uint64_t window = 1, since_saved = 0;
+
+  /// Takes the key of the run's next cycle; returns the period once it
+  /// equals the saved key, 0 before.
+  std::uint64_t offer(std::string key) {
+    if (key == saved) return ++since_saved;
+    if (++since_saved == window) {
+      saved = std::move(key);
+      since_saved = 0;
+      window *= 2;
     }
-    // try_emplace leaves `now` intact when the key is already there.
-    const auto [it, inserted] = seen.try_emplace(std::move(k), std::move(now));
-    if (!inserted) return derive_steady_state(it->second, now, shell_ids);
-    step();
+    return 0;
   }
-  SteadyState none;
-  none.cycles = counts().cycle;
-  return none;
-}
+};
 
 /// Runs `sys` until its protocol state, combined with the phase of
 /// System::environment_period(), repeats, or `max_cycles` elapse.  An

@@ -235,7 +235,8 @@ std::unique_ptr<SkeletonModel> make_skeleton_model(
 /// graph::enumerate_cycles, in its order), with their initial token
 /// counts under `opts`.  Exposed for tests and for the lint cross-check
 /// (an all-half cycle's certificate fails exactly when LIP006 fires).
-/// Throws ApiError beyond graph::enumerate_cycles' budget of 4096.
+/// Throws ApiError beyond graph::enumerate_cycles' budget (4096 cycles,
+/// 2^22 node and channel ids).
 std::vector<CycleCertificate> cycle_certificates(const graph::Topology& topo,
                                                  const ProveOptions& opts = {});
 

@@ -18,13 +18,11 @@
 // whole protocol state (load_state_keys) and, one cycle at a time, the
 // sink stops (step(sink_stops)).  What is shared: the topology shape,
 // the stop policy/resolution and the sink patterns that step() and
-// analyze() follow.  Lane divergence in *time* (one lane reaches its
-// steady state early) is handled in analyze() by per-lane rho
-// detection: finished lanes simply keep stepping — their state is
-// periodic, so the extra work is wasted but harmless — until every
-// lane has an answer or the budget runs out.  Each lane answers with
-// lip::SteadyState, derived by lip::derive_steady_state like System's
-// and ScalarEngine's.
+// analyze() follow.  In analyze() each lane runs ScalarEngine's repeat
+// search with its own RepeatIndex and a bitplane checkpoint shared by
+// all lanes; finished lanes keep stepping (their state is periodic, so
+// the extra work is harmless) until every lane has an answer, each a
+// lip::SteadyState derived by lip::derive_steady_state.
 //
 // See docs/xir.md for the exact masked-settle semantics.
 
@@ -100,12 +98,12 @@ class SlicedEngine {
   /// station kinds and sink patterns are kept.
   void load_state_keys(std::span<const std::string* const> keys);
 
-  /// Per-lane rho detection over all live lanes (the environment's
+  /// Per-lane repeat search over all live lanes (the environment's
   /// period is the lcm of the sink pattern lengths); one batched pass of
-  /// the protocol dynamics serves every lane, and each lane's repeat
-  /// goes through lip::derive_steady_state.  Returns one steady state per
-  /// live lane, equal to ScalarEngine::analyze() on the lane's scenario
-  /// alone (`cycles` included: a lane's cycle when its repeat showed).
+  /// the protocol dynamics serves every lane.  Returns one steady state
+  /// per live lane, equal to ScalarEngine::analyze() on the lane's
+  /// scenario alone (`cycles` included: a lane's cycle when its repeat
+  /// showed).
   std::vector<lip::SteadyState> analyze(std::uint64_t max_cycles = 1u << 20);
 
  private:
@@ -113,9 +111,12 @@ class SlicedEngine {
   std::uint64_t shell_ready_word(std::size_t k) const;
   std::uint64_t advance(const std::uint64_t* sink_stops);
   void settle_stops(const std::uint64_t* sink_stops);
-  void settle_station(std::size_t s);
-  void settle_shell(std::size_t k);
+  /// Settles one unit's stop outputs; returns whether one changed.
+  bool settle_unit(std::uint32_t unit);
   void step_stations();
+  /// analyze()'s checkpoint: state bitplanes, fire counts, sink tokens.
+  void save_checkpoint(std::vector<std::uint64_t>* out) const;
+  void load_checkpoint(const std::uint64_t* in);
   /// Every lane's plane key, transposed out of the state planes:
   /// afterwards (*planes)[64 * w + lane] is word w of the lane's key.
   void lane_key_words(std::vector<std::uint64_t>* planes) const;
@@ -138,8 +139,8 @@ class SlicedEngine {
   std::vector<std::uint64_t> stop_reg_;
   std::vector<std::uint64_t> pend_w_;     ///< per shell out branch
   std::vector<std::uint64_t> src_pend_w_; ///< per source branch
-  std::vector<std::uint64_t> fires_;      ///< [shell * 64 + lane]
-  /// Per lane: tokens taken by Program::src_fed_sinks.
+  std::vector<std::uint64_t> fires_;  ///< [shell * num_lanes_ + lane]
+  /// Per live lane: tokens taken by Program::src_fed_sinks.
   std::vector<std::uint64_t> sink_tokens_;
   std::vector<std::vector<std::uint8_t>> sink_pattern_;  ///< per sink
 };

@@ -28,11 +28,11 @@
 // cure, replay and deadlock evidence run on ScalarEngine; batched
 // variant screens run 64 variants per SlicedEngine pass; prove's
 // frontiers step both engines under explicit sink stops.  Both engines
-// encode the protocol state one way, the plane key (KeyLayout), and
-// answer with System's own result type, lip::SteadyState, derived by
-// lip::derive_steady_state under System's deadlock rule.  lip::System is
-// the reference model the differential suite holds both against, whole
-// result to whole result.
+// encode the protocol state one way, the plane key (KeyLayout), find
+// its first repeat one way (RepeatIndex) and answer with System's own
+// result type, lip::SteadyState, derived by lip::derive_steady_state
+// under System's deadlock rule.  lip::System is the reference model the
+// differential suite holds both against, whole result to whole result.
 //
 // See docs/xir.md for the IR layout and lowering rules.
 
@@ -40,7 +40,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "liplib/graph/topology.hpp"
@@ -154,6 +156,48 @@ struct KeyLayout {
   }
 };
 
+/// Both engines' first-repeat search indexes every visited cycle by a
+/// 64-bit hash of its plane key and environment phase, 16 bytes a slot
+/// whatever the design.  A hash hit is confirmed by a replay from the
+/// exact checkpoint before it, so a collision never changes a verdict.
+class RepeatIndex {
+ public:
+  static std::uint64_t hash(std::string_view key, std::uint64_t phase);
+
+  /// Offers the cycles recorded under `hash` to `same(cycle)` in
+  /// insertion order and returns the first it accepts; if it accepts
+  /// none, records `cycle` under `hash`.
+  template <class Same>
+  std::optional<std::uint64_t> find_or_insert(std::uint64_t hash,
+                                              std::uint64_t cycle,
+                                              Same&& same) {
+    if (3 * (size_ + 1) > 2 * slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t pos = hash & mask;
+    for (; slots_[pos].cycle != kFree; pos = (pos + 1) & mask) {
+      if (slots_[pos].hash == hash && same(slots_[pos].cycle)) {
+        return slots_[pos].cycle;
+      }
+    }
+    slots_[pos] = {hash, cycle};
+    ++size_;
+    return std::nullopt;
+  }
+
+ private:
+  static constexpr std::uint64_t kFree = ~0ull;
+  struct Slot { std::uint64_t hash = 0, cycle = kFree; };
+  void grow();  ///< doubles the table; one hash's cycles keep their order
+
+  std::vector<Slot> slots_ = std::vector<Slot>(64);
+  std::size_t size_ = 0;
+};
+
+/// The checkpoint stride K = max(1, (key bytes + 8 x shells) / 32): an
+/// exact checkpoint (plane key, fire counts, sink tokens) every K cycles
+/// costs about as much as the K index slots between.
+std::size_t repeat_stride(const Program& p);
+
 /// Whether sink `sink` stops under an explicit stop mask: bit s stops
 /// sink s, and bit 63 stops sink 63 and every sink past it, so ~0 stops
 /// every sink of any design.
@@ -243,10 +287,10 @@ class ScalarEngine {
   /// the cycle, fire counts and sink patterns are kept.
   void load_state_key(const std::string& key);
 
-  /// Runs lip::first_repeat until the protocol state and the
-  /// environment's phase repeat (the period is the lcm of the sink
-  /// pattern lengths), or max_cycles elapse: lip::measure_steady_state's
-  /// answer for the same design, field for field.
+  /// Runs until the protocol state and the environment's phase repeat
+  /// (the period is the lcm of the sink pattern lengths), or max_cycles
+  /// elapse: lip::measure_steady_state's answer for the same design,
+  /// field for field, found by the RepeatIndex search.
   lip::SteadyState analyze(std::uint64_t max_cycles = 1u << 20);
 
   /// Attaches a probe through the same Wiring contract as lip::System
@@ -259,8 +303,8 @@ class ScalarEngine {
   bool shell_ready(std::size_t k) const;
   bool advance(const std::uint64_t* sink_stops);
   void settle_stops(const std::uint64_t* sink_stops);
-  void eval_settle_unit(std::uint32_t unit);
-  bool eval_settle_unit_changed(std::uint32_t unit);
+  /// Settles one unit's stop outputs; returns whether one changed.
+  bool eval_settle_unit(std::uint32_t unit);
   void observe_probe();
 
   ProgramRef prog_;

@@ -11,9 +11,10 @@
 # cycle), and that `lidtool screen` and `lidtool client screen` exit
 # alike, then assert via `status` that the cache actually served hits, that the
 # design memo answered repeat texts without a parse, that the deadlock
-# was answered as a verdict (not a hang), that 200 more one-request
-# connections leave the daemon's VmSize where it was, and that a
-# `shutdown` request drains cleanly.
+# was answered as a verdict (not a hang), that screening a 4,000-process
+# chain raises the daemon's peak RSS (VmHWM) by at most 64 MiB, that 200
+# more one-request connections leave the daemon's VmSize where it was,
+# and that a `shutdown` request drains cleanly.
 #
 # Usage: scripts/serve_smoke.sh [path/to/lidtool]
 # (default: build/examples/lidtool relative to the repo root)
@@ -297,6 +298,37 @@ verdicts="$(get deadlock_verdicts)"
 [ -n "$memo_hits" ] && [ "$memo_hits" -ge 90 ] \
   || fail "status reports ${memo_hits:-no} design-memo hits, want >= 90"
 echo "serve_smoke: cache hits $hits / $total requests, design-memo hits $memo_hits"
+
+# ---- a long chain: screen memory does not grow with its states ---------
+
+# A 4,000-process chain (one F station per channel) visits 8,002 states
+# before its first repeat.  The screen's repeat search keeps a hash per
+# visited state and an exact checkpoint every few hundred, so the
+# daemon's peak RSS must rise by at most 64 MiB; a search that kept
+# every visited state's fire counts raised it by 271 MiB.
+awk 'BEGIN {
+  n = 4000
+  print "source src"
+  for (i = 0; i < n; i++) print "process P" i " 1 1"
+  print "sink out"
+  print "channel src.0 -> P0.0 : F"
+  for (i = 1; i < n; i++) print "channel P" (i - 1) ".0 -> P" i ".0 : F"
+  print "channel P" (n - 1) ".0 -> out.0 : F"
+}' > "$work/chain4000.lid"
+vm_hwm_kib() {
+  sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$server_pid/status"
+}
+hwm_before="$(vm_hwm_kib)"
+client screen "$work/chain4000.lid" > "$work/screen_chain.json" \
+  || fail "screen of a 4,000-process chain did not exit 0"
+grep -q '"verdict": "live"' "$work/screen_chain.json" \
+  || fail "the 4,000-process chain was not screened live"
+hwm_after="$(vm_hwm_kib)"
+[ -n "$hwm_before" ] && [ -n "$hwm_after" ] \
+  || fail "could not read the daemon's VmHWM"
+[ $((hwm_after - hwm_before)) -le $((64 * 1024)) ] \
+  || fail "VmHWM rose from $hwm_before to $hwm_after kB screening a 4,000-process chain"
+echo "serve_smoke: VmHWM $hwm_before -> $hwm_after kB screening a 4,000-process chain"
 
 # ---- connection churn: memory does not grow per connection -------------
 

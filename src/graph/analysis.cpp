@@ -44,6 +44,7 @@ std::vector<CycleInfo> enumerate_cycles(
     ChannelId via;     // channel that entered v
   };
   std::vector<Frame> path;
+  std::size_t ids = 0;  // node and channel ids held by `cycles`
 
   for (NodeId root = 0; root < n; ++root) {
     if (topo.node(root).kind != NodeKind::kProcess) continue;
@@ -82,7 +83,8 @@ std::vector<CycleInfo> enumerate_cycles(
       const NodeId w = topo.channel(c).to.node;
       if (reaches[w] != root || !kept(c)) continue;
       if (w == root) {
-        LIPLIB_EXPECT(cycles.size() < max_cycles,
+        ids += 2 * path.size();
+        LIPLIB_EXPECT(cycles.size() < max_cycles && ids <= kCycleIdBudget,
                       "cycle enumeration budget exceeded");
         CycleInfo info;
         for (std::size_t k = 0; k < path.size(); ++k) {

@@ -1,5 +1,7 @@
 #include "liplib/lip/steady_state.hpp"
 
+#include <unordered_map>
+
 namespace liplib::lip {
 
 Rational SteadyState::system_throughput() const {
@@ -43,26 +45,30 @@ SteadyState derive_steady_state(const RunCounts& first, const RunCounts& now,
 SteadyState measure_steady_state(System& sys, std::uint64_t max_cycles) {
   sys.finalize();
   const std::uint64_t env_period = sys.environment_period();
-  if (env_period == 0) {
-    SteadyState none;
-    none.cycles = sys.cycle();
-    return none;
-  }
   const auto& topo = sys.topology();
   std::vector<graph::NodeId> shell_ids;
   for (graph::NodeId v = 0; v < topo.nodes().size(); ++v) {
     if (topo.node(v).kind == graph::NodeKind::kProcess) shell_ids.push_back(v);
   }
-  return first_repeat(
-      env_period, max_cycles, shell_ids, [&] { return sys.protocol_state(); },
-      [&] {
-        RunCounts c{sys.cycle(), {}, sys.total_consumed()};
-        for (const auto id : shell_ids) {
-          c.fires.push_back(sys.shell_fire_count(id));
-        }
-        return c;
-      },
-      [&] { sys.step(); });
+  // The reference search: every visited state keeps its exact key (with
+  // the environment phase) and run counts.
+  std::unordered_map<std::string, RunCounts> seen;
+  for (std::uint64_t i = 0; env_period != 0 && i <= max_cycles; ++i) {
+    RunCounts now{sys.cycle(), {}, sys.total_consumed()};
+    for (const auto id : shell_ids) {
+      now.fires.push_back(sys.shell_fire_count(id));
+    }
+    std::string k = sys.protocol_state();
+    const std::uint64_t phase = now.cycle % env_period;
+    k.append(reinterpret_cast<const char*>(&phase), sizeof phase);
+    // try_emplace leaves `now` intact when the key is already there.
+    const auto [it, inserted] = seen.try_emplace(std::move(k), std::move(now));
+    if (!inserted) return derive_steady_state(it->second, now, shell_ids);
+    sys.step();
+  }
+  SteadyState none;
+  none.cycles = sys.cycle();
+  return none;
 }
 
 }  // namespace liplib::lip

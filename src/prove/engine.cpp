@@ -611,10 +611,8 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
   // are audited in full while finishing): replay the greedy environment
   // and require every certificate count to hold still.  The greedy run
   // is deterministic and its plane key is its whole protocol state, so
-  // once a key repeats every later state is one already audited.
-  // Brent: `saved` meets every later key until `window` cycles have
-  // passed, then the current key replaces it and the window doubles.
-  // The transient bound caps the replay.
+  // once a key repeats (lip::PeriodSearch) every later state is one
+  // already audited.  The transient bound caps the replay.
   if (r.verdict == Verdict::kProved && induction_sound &&
       !r.certificates.empty()) {
     xir::ScalarEngine eng(prog);
@@ -623,9 +621,7 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
     for (std::size_t c = 0; c < r.certificates.size(); ++c) {
       tokens0[c] = detail::cycle_tokens(eng, cm, r.certificates[c]);
     }
-    std::string saved = eng.state_key();
-    std::uint64_t window = 1;
-    std::uint64_t since_saved = 0;
+    lip::PeriodSearch search{eng.state_key()};
     const std::uint64_t probe_cycles = graph::transient_bound(topo);
     for (std::uint64_t i = 0; i < probe_cycles; ++i) {
       eng.step();
@@ -634,13 +630,7 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
           r.token_conservation_ok = false;
         }
       }
-      std::string key = eng.state_key();
-      if (key == saved) break;
-      if (++since_saved == window) {
-        saved = std::move(key);
-        since_saved = 0;
-        window *= 2;
-      }
+      if (search.offer(eng.state_key()) != 0) break;
     }
     if (!r.token_conservation_ok) {
       r.verdict = Verdict::kUnknown;  // a broken lemma voids the proof

@@ -365,13 +365,9 @@ GuardedRun run_profiled(lip::System& sys, Watchdog& dog,
     s.append(reinterpret_cast<const char*>(&phase), sizeof phase);
     return s;
   };
-  // Brent: `saved` (the state at cycle saved_at) meets every later state
-  // until `window` cycles have passed, then the current state replaces
-  // it and the window doubles.
-  bool search = env != 0;
-  std::string saved = search ? state() : std::string();
-  std::uint64_t saved_at = sys.cycle();
-  std::uint64_t window = 1;
+  std::optional<lip::PeriodSearch> search;
+  if (env != 0) search = lip::PeriodSearch{state()};
+  const std::uint64_t start = sys.cycle();
   std::uint64_t period = 0;      // found, and its growth not yet counted
   std::uint64_t count_from = 0;  // first cycle of the counted period
   probe::Probe::WindowCounters from;
@@ -379,18 +375,13 @@ GuardedRun run_profiled(lip::System& sys, Watchdog& dog,
   GuardedRun r;
   while (r.cycles < max_cycles && !dog.tripped()) {
     const std::uint64_t now = sys.cycle();
-    if (search && now > saved_at) {
-      std::string s = state();
-      if (s == saved) {
-        search = false;
-        period = now - saved_at;
+    if (search && now > start) {
+      period = search->offer(state());
+      if (period != 0) {
+        search.reset();
         // (b): every frozen run of the periodic regime has ended or
         // tripped by now + K - 1.
         count_from = now + dog.options().no_progress_threshold;
-      } else if (now - saved_at == window) {
-        saved = std::move(s);
-        saved_at = now;
-        window *= 2;
       }
     }
     if (period != 0 && now == count_from) {

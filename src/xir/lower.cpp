@@ -1,7 +1,9 @@
 // Lowering graph::Topology into the flattened xir IR, plus the settle
 // schedule (Kahn order over the stop-dependency graph), the plane-key
-// layout and the probe wiring replay shared by both engines.
+// layout, the repeat index and the probe wiring shared by both engines.
 
+#include <algorithm>
+#include <functional>
 #include <queue>
 
 #include "liplib/probe/probe.hpp"
@@ -21,6 +23,29 @@ KeyLayout::KeyLayout(const Program& p)
       n_st(p.num_stations()),
       num_planes(n_pend + n_src + 5 * n_st),
       num_words((num_planes + 63) / 64) {}
+
+std::uint64_t RepeatIndex::hash(std::string_view key, std::uint64_t phase) {
+  return std::hash<std::string_view>{}(key) ^ (phase * 0x9e3779b97f4a7c15ull);
+}
+
+void RepeatIndex::grow() {
+  std::vector<Slot> old(2 * slots_.size());
+  old.swap(slots_);
+  size_ = 0;
+  // From a free slot, each probe run is walked from its start in order.
+  std::size_t i = 0;
+  while (old[i].cycle != kFree) ++i;
+  for (std::size_t n = 0; n < old.size(); ++n, i = (i + 1) % old.size()) {
+    if (old[i].cycle != kFree) {
+      find_or_insert(old[i].hash, old[i].cycle, [](auto) { return false; });
+    }
+  }
+}
+
+std::size_t repeat_stride(const Program& p) {
+  return std::max<std::size_t>(
+      1, (KeyLayout(p).key_bytes() + 8 * p.num_shells()) / 32);
+}
 
 SettleSchedule build_settle_schedule(
     const Program& p, const std::vector<std::uint8_t>& station_dynamic) {

@@ -68,49 +68,25 @@ bool ScalarEngine::shell_ready(std::size_t k) const {
   return true;
 }
 
-void ScalarEngine::eval_settle_unit(std::uint32_t unit) {
-  const Program& p = *prog_;
-  if (unit < p.num_stations()) {
-    const std::size_t s = unit;
-    const bool front_valid = st_occ_[s] > 0 && st_v0_[s];
-    const bool s_eff = p.strict ? (stop_[p.st_out[s]] != 0)
-                                : (stop_[p.st_out[s]] && front_valid);
-    stop_[p.st_in[s]] = (st_occ_[s] > 0 && s_eff) ? 1 : 0;
-  } else {
-    const std::size_t k = unit - p.num_stations();
-    const bool stalled = !shell_ready(k);
-    for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-         ++i) {
-      const std::uint32_t in = p.shell_in_seg[i];
-      stop_[in] = (stalled && fwd_[in]) ? 1 : 0;
-    }
-  }
-}
-
-bool ScalarEngine::eval_settle_unit_changed(std::uint32_t unit) {
+bool ScalarEngine::eval_settle_unit(std::uint32_t unit) {
   const Program& p = *prog_;
   bool changed = false;
+  auto set = [&](std::uint32_t seg, bool up) {
+    changed |= stop_[seg] != up;
+    stop_[seg] = up ? 1 : 0;
+  };
   if (unit < p.num_stations()) {
     const std::size_t s = unit;
     const bool front_valid = st_occ_[s] > 0 && st_v0_[s];
     const bool s_eff = p.strict ? (stop_[p.st_out[s]] != 0)
                                 : (stop_[p.st_out[s]] && front_valid);
-    const std::uint8_t up = (st_occ_[s] > 0 && s_eff) ? 1 : 0;
-    if (stop_[p.st_in[s]] != up) {
-      stop_[p.st_in[s]] = up;
-      changed = true;
-    }
+    set(p.st_in[s], st_occ_[s] > 0 && s_eff);
   } else {
     const std::size_t k = unit - p.num_stations();
     const bool stalled = !shell_ready(k);
     for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
          ++i) {
-      const std::uint32_t in = p.shell_in_seg[i];
-      const std::uint8_t up = (stalled && fwd_[in]) ? 1 : 0;
-      if (stop_[in] != up) {
-        stop_[in] = up;
-        changed = true;
-      }
+      set(p.shell_in_seg[i], stalled && fwd_[p.shell_in_seg[i]]);
     }
   }
   return changed;
@@ -146,7 +122,7 @@ void ScalarEngine::settle_stops(const std::uint64_t* sink_stops) {
       LIPLIB_ENSURE(++sweeps <= guard, "stop fixpoint failed to converge");
       changed = false;
       for (std::uint32_t unit : p.schedule.iterate) {
-        changed = eval_settle_unit_changed(unit) || changed;
+        changed = eval_settle_unit(unit) || changed;
       }
     }
   }
@@ -172,20 +148,13 @@ void ScalarEngine::observe_probe() {
   }
   probe::Activity* act = probe_->activity_scratch();
   for (std::size_t k = 0; k < p.num_shells(); ++k) {
-    if (shell_ready(k)) {
-      act[k] = probe::Activity::kFired;
-    } else {
-      bool missing = false;
-      for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-           ++i) {
-        if (!fwd_[p.shell_in_seg[i]]) {
-          missing = true;
-          break;
-        }
-      }
-      act[k] = missing ? probe::Activity::kWaitingInput
-                       : probe::Activity::kStoppedOutput;
-    }
+    const std::uint32_t* in = p.shell_in_seg.data();
+    const bool missing =
+        std::any_of(in + p.shell_in_begin[k], in + p.shell_in_begin[k + 1],
+                    [&](std::uint32_t seg) { return !fwd_[seg]; });
+    act[k] = shell_ready(k) ? probe::Activity::kFired
+             : missing      ? probe::Activity::kWaitingInput
+                            : probe::Activity::kStoppedOutput;
   }
   probe_->commit_cycle(cycle_);
 }
@@ -394,10 +363,47 @@ lip::SteadyState ScalarEngine::analyze(std::uint64_t max_cycles) {
     env_period =
         lip::lcm_period(env_period, std::max<std::size_t>(pat.size(), 1));
   }
-  return lip::first_repeat(
-      env_period, max_cycles, prog_->shell_node, [this] { return state_key(); },
-      [this] { return lip::RunCounts{cycle_, fire_count_, sink_tokens_}; },
-      [this] { step(); });
+  // A hit between checkpoints is replayed from the one before it, on an
+  // engine built from the program, so a replay never drives a probe.
+  const std::size_t stride = repeat_stride(*prog_);
+  const std::uint64_t start = cycle_;
+  std::vector<std::pair<std::string, lip::RunCounts>> checkpoints;
+  RepeatIndex index;
+  std::optional<ScalarEngine> replay;
+  lip::RunCounts then;
+  for (std::uint64_t i = 0; i <= max_cycles; ++i) {
+    const std::string key = state_key();
+    if (i % stride == 0) {
+      checkpoints.emplace_back(key, lip::RunCounts{cycle_, fire_count_,
+                                                   sink_tokens_});
+    }
+    const auto seen = index.find_or_insert(
+        RepeatIndex::hash(key, cycle_ % env_period), cycle_,
+        [&](std::uint64_t at) {
+          if ((cycle_ - at) % env_period != 0) return false;
+          const auto& [cp_key, cp] = checkpoints[(at - start) / stride];
+          then = cp;
+          if (at == cp.cycle) return cp_key == key;
+          if (!replay || replay->cycle_ < cp.cycle || replay->cycle_ > at) {
+            if (!replay) replay.emplace(prog_).sink_pattern_ = sink_pattern_;
+            replay->load_state_key(cp_key);
+            replay->fire_count_ = cp.fires;
+            replay->sink_tokens_ = cp.sink_tokens;
+            replay->cycle_ = cp.cycle;
+          }
+          replay->run(at - replay->cycle_);
+          then = {at, replay->fire_count_, replay->sink_tokens_};
+          return replay->state_key() == key;
+        });
+    if (seen) {
+      return lip::derive_steady_state(
+          then, {cycle_, fire_count_, sink_tokens_}, prog_->shell_node);
+    }
+    step();
+  }
+  lip::SteadyState none;
+  none.cycles = cycle_;
+  return none;
 }
 
 lip::SteadyState screen_for_deadlock(const ProgramRef& prog,

@@ -14,24 +14,23 @@ namespace liplib::xir {
 
 namespace {
 constexpr std::uint64_t kAll = ~0ull;
-constexpr std::uint32_t kEmptySlot = ~0u;
-
-std::uint64_t mask_of(std::size_t lanes) {
-  return lanes >= 64 ? kAll : ((1ull << lanes) - 1);
-}
 
 // In-place 64x64 bit-matrix transpose (Hacker's Delight 7-3): afterwards
 // m[i] bit j == the input's m[j] bit i, i.e. word i collects lane i's
-// bit from each of the 64 input planes.
+// bit from each of the 64 input planes.  A compile-time round width lets
+// the compiler vectorize each round (2.5x), and analyze() runs it every
+// cycle.
+template <unsigned j = 32>
 void transpose64(std::uint64_t m[64]) {
-  std::uint64_t mask = 0x00000000FFFFFFFFull;
-  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = (m[k] ^ (m[k + j] << j)) & ~mask;
-      m[k] ^= t;
-      m[k + j] ^= t >> j;
+  constexpr std::uint64_t keep = ~0ull / ((1ull << j) + 1);
+  for (unsigned k = 0; k < 64; k += 2 * j) {
+    for (unsigned i = k; i < k + j; ++i) {
+      const std::uint64_t t = (m[i] ^ (m[i + j] << j)) & ~keep;
+      m[i] ^= t;
+      m[i + j] ^= t >> j;
     }
   }
+  if constexpr (j > 1) transpose64<j / 2>(m);
 }
 }  // namespace
 
@@ -40,7 +39,7 @@ SlicedEngine::SlicedEngine(ProgramRef program, std::size_t num_lanes)
   LIPLIB_EXPECT(prog_ != nullptr, "null xir program");
   LIPLIB_EXPECT(num_lanes_ >= 1 && num_lanes_ <= kLanes,
                 "sliced engine carries 1..64 lanes");
-  live_mask_ = mask_of(num_lanes_);
+  live_mask_ = num_lanes_ >= 64 ? kAll : (1ull << num_lanes_) - 1;
   const Program& p = *prog_;
   fwd_w_.assign(p.num_segments, 0);
   stop_w_.assign(p.num_segments, 0);
@@ -55,8 +54,8 @@ SlicedEngine::SlicedEngine(ProgramRef program, std::size_t num_lanes)
   stop_reg_.assign(p.num_stations(), 0);
   pend_w_.assign(p.shell_br_seg.size(), kAll);
   src_pend_w_.assign(p.src_br_seg.size(), kAll);
-  fires_.assign(p.num_shells() * kLanes, 0);
-  sink_tokens_.assign(kLanes, 0);
+  fires_.assign(p.num_shells() * num_lanes_, 0);
+  sink_tokens_.assign(num_lanes_, 0);
   sink_pattern_.resize(p.num_sinks());
   schedule_ = p.schedule;
 }
@@ -128,24 +127,29 @@ std::uint64_t SlicedEngine::shell_ready_word(std::size_t k) const {
   return ready;
 }
 
-void SlicedEngine::settle_station(std::size_t s) {
+bool SlicedEngine::settle_unit(std::uint32_t unit) {
   const Program& p = *prog_;
-  const std::uint64_t front_valid = occ1_[s] & v0_[s];
-  const std::uint64_t s_eff =
-      p.strict ? stop_w_[p.st_out[s]] : (stop_w_[p.st_out[s]] & front_valid);
-  const std::uint64_t up = occ1_[s] & s_eff;
-  const std::uint64_t hm = half_mask_[s];
-  stop_w_[p.st_in[s]] = (stop_w_[p.st_in[s]] & ~hm) | (up & hm);
-}
-
-void SlicedEngine::settle_shell(std::size_t k) {
-  const Program& p = *prog_;
-  const std::uint64_t stalled = ~shell_ready_word(k);
-  for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-       ++i) {
-    const std::uint32_t in = p.shell_in_seg[i];
-    stop_w_[in] = stalled & fwd_w_[in];
+  std::uint64_t changed = 0;
+  auto set = [&](std::uint32_t seg, std::uint64_t up) {
+    changed |= stop_w_[seg] ^ up;
+    stop_w_[seg] = up;
+  };
+  if (unit < p.num_stations()) {
+    const std::size_t s = unit;
+    const std::uint64_t front_valid = occ1_[s] & v0_[s];
+    const std::uint64_t s_eff =
+        p.strict ? stop_w_[p.st_out[s]] : (stop_w_[p.st_out[s]] & front_valid);
+    const std::uint64_t hm = half_mask_[s];
+    set(p.st_in[s], (stop_w_[p.st_in[s]] & ~hm) | (occ1_[s] & s_eff & hm));
+  } else {
+    const std::size_t k = unit - p.num_stations();
+    const std::uint64_t stalled = ~shell_ready_word(k);
+    for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
+         ++i) {
+      set(p.shell_in_seg[i], stalled & fwd_w_[p.shell_in_seg[i]]);
+    }
   }
+  return changed != 0;
 }
 
 void SlicedEngine::settle_stops(const std::uint64_t* sink_stops) {
@@ -166,13 +170,7 @@ void SlicedEngine::settle_stops(const std::uint64_t* sink_stops) {
     const std::uint64_t hm = half_mask_[s];
     stop_w_[p.st_in[s]] = (init & hm) | (stop_reg_[s] & ~hm);
   }
-  for (std::uint32_t unit : schedule_.order) {
-    if (unit < p.num_stations()) {
-      settle_station(unit);
-    } else {
-      settle_shell(unit - p.num_stations());
-    }
-  }
+  for (std::uint32_t unit : schedule_.order) settle_unit(unit);
   if (!schedule_.iterate.empty()) {
     const std::size_t guard = 2 * stop_w_.size() + 4;
     std::size_t sweeps = 0;
@@ -181,23 +179,7 @@ void SlicedEngine::settle_stops(const std::uint64_t* sink_stops) {
       LIPLIB_ENSURE(++sweeps <= guard, "stop fixpoint failed to converge");
       changed = false;
       for (std::uint32_t unit : schedule_.iterate) {
-        if (unit < p.num_stations()) {
-          const std::uint64_t before = stop_w_[p.st_in[unit]];
-          settle_station(unit);
-          changed = changed || stop_w_[p.st_in[unit]] != before;
-        } else {
-          const std::size_t k = unit - p.num_stations();
-          const std::uint64_t stalled = ~shell_ready_word(k);
-          for (std::uint32_t i = p.shell_in_begin[k];
-               i < p.shell_in_begin[k + 1]; ++i) {
-            const std::uint32_t in = p.shell_in_seg[i];
-            const std::uint64_t up = stalled & fwd_w_[in];
-            if (stop_w_[in] != up) {
-              stop_w_[in] = up;
-              changed = true;
-            }
-          }
-        }
+        changed = settle_unit(unit) || changed;
       }
     }
   }
@@ -287,7 +269,7 @@ std::uint64_t SlicedEngine::advance(const std::uint64_t* sink_stops) {
     std::uint64_t fired = fire & live_mask_;
     while (fired != 0) {
       const int lane = std::countr_zero(fired);
-      ++fires_[k * kLanes + static_cast<std::size_t>(lane)];
+      ++fires_[k * num_lanes_ + static_cast<std::size_t>(lane)];
       fired &= fired - 1;
     }
   }
@@ -321,7 +303,22 @@ std::uint64_t SlicedEngine::fires(std::size_t lane,
   LIPLIB_EXPECT(process < p.topo.nodes().size() &&
                     p.topo.node(process).kind == graph::NodeKind::kProcess,
                 "node is not a process");
-  return fires_[p.node_index[process] * kLanes + lane];
+  return fires_[p.node_index[process] * num_lanes_ + lane];
+}
+
+void SlicedEngine::save_checkpoint(std::vector<std::uint64_t>* out) const {
+  for (const auto* v : {&pend_w_, &src_pend_w_, &occ1_, &occ2_, &v0_, &v1_,
+                        &stop_reg_, &fires_, &sink_tokens_}) {
+    out->insert(out->end(), v->begin(), v->end());
+  }
+}
+
+void SlicedEngine::load_checkpoint(const std::uint64_t* in) {
+  for (auto* v : {&pend_w_, &src_pend_w_, &occ1_, &occ2_, &v0_, &v1_,
+                  &stop_reg_, &fires_, &sink_tokens_}) {
+    std::copy_n(in, v->size(), v->begin());
+    in += v->size();
+  }
 }
 
 void SlicedEngine::lane_key_words(std::vector<std::uint64_t>* planes) const {
@@ -385,131 +382,65 @@ std::vector<lip::SteadyState> SlicedEngine::analyze(std::uint64_t max_cycles) {
     env_period =
         lip::lcm_period(env_period, std::max<std::size_t>(pat.size(), 1));
   }
-  const std::size_t shells = p.num_shells();
-  // Sink tokens matter only when a source feeds a sink directly; without
-  // one, the records keep no count.
-  const bool count_sinks = !p.src_fed_sinks.empty();
+  // Each lane runs ScalarEngine::analyze's search with its own
+  // RepeatIndex over one batched pass of the dynamics; one transpose of
+  // the state planes yields every lane's key.  The lanes share one
+  // checkpoint every `stride` cycles.
+  const KeyLayout L(p);
+  const std::size_t stride = repeat_stride(p);
+  const std::size_t record = L.num_planes + fires_.size() + num_lanes_;
+  const std::uint64_t start = cycle_;
+  std::vector<std::uint64_t> checkpoints, planes, replayed, key(L.num_words);
+  std::vector<RepeatIndex> index(num_lanes_);
+  SlicedEngine replay = *this;
+  replay.cycle_ = ~0ull;  // no checkpoint loaded yet
+  auto counts = [&](const SlicedEngine& e, std::size_t lane) {
+    lip::RunCounts c{e.cycle_, {}, e.sink_tokens_[lane]};
+    for (std::size_t k = 0; k < p.num_shells(); ++k) {
+      c.fires.push_back(e.fires_[k * num_lanes_ + lane]);
+    }
+    return c;
+  };
 
   std::vector<lip::SteadyState> out(num_lanes_);
-
-  // Repeat detection runs every cycle for every undecided lane, so both
-  // halves of it are kept off the per-lane slow path:
-  //
-  //  - Every lane's plane key is extracted at once by transposing the
-  //    state planes 64 at a time (lane_key_words), one word per lane per
-  //    block, instead of a per-lane per-bit gather.  The environment
-  //    phase rides as one extra key word.
-  //
-  //  - Visited states live in per-lane append-only pools (key words,
-  //    fire counts and, with source-fed sinks, sink tokens), indexed by
-  //    a flat open-addressed hash table with exact word comparison on
-  //    probe hits, so a cycle costs a few bump-appends instead of
-  //    per-lane heap allocations.
-  const std::size_t num_words = KeyLayout(p).num_words;
-  const std::size_t key_words = num_words + 1;  ///< + environment phase
-  std::vector<std::uint64_t> lane_words(num_lanes_ * key_words);
-  std::vector<std::uint64_t> planes;
-
-  struct LaneSeen {
-    std::vector<std::uint64_t> slot_hash;  ///< valid where slot_rec set
-    std::vector<std::uint32_t> slot_rec;   ///< kEmptySlot = free slot
-    std::vector<std::uint64_t> rec_cycle;  ///< per record
-    std::vector<std::uint64_t> keys;       ///< key_words per record
-    std::vector<std::uint64_t> fires;      ///< shells per record
-    std::vector<std::uint64_t> tokens;     ///< per record, if count_sinks
-  };
-  std::vector<LaneSeen> seen(num_lanes_);
-  for (auto& ls : seen) {
-    ls.slot_hash.assign(1024, 0);
-    ls.slot_rec.assign(1024, kEmptySlot);
-  }
-
-  auto hash_key = [key_words](const std::uint64_t* w) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::size_t i = 0; i < key_words; ++i) {
-      h = (h ^ w[i]) * 1099511628211ull;
-    }
-    return h;
-  };
-  auto grow_table = [](LaneSeen& ls) {
-    const std::size_t cap = ls.slot_rec.size() * 2;
-    std::vector<std::uint64_t> hashes(cap, 0);
-    std::vector<std::uint32_t> recs(cap, kEmptySlot);
-    for (std::size_t s = 0; s < ls.slot_rec.size(); ++s) {
-      if (ls.slot_rec[s] == kEmptySlot) continue;
-      std::size_t pos = ls.slot_hash[s] & (cap - 1);
-      while (recs[pos] != kEmptySlot) pos = (pos + 1) & (cap - 1);
-      hashes[pos] = ls.slot_hash[s];
-      recs[pos] = ls.slot_rec[s];
-    }
-    ls.slot_hash.swap(hashes);
-    ls.slot_rec.swap(recs);
-  };
-
   std::uint64_t active = live_mask_;
   for (std::uint64_t i = 0; i <= max_cycles && active != 0; ++i) {
+    if (i % stride == 0) save_checkpoint(&checkpoints);
     lane_key_words(&planes);
-    const std::uint64_t phase = cycle_ % env_period;
-    for (std::size_t lane = 0; lane < num_lanes_; ++lane) {
-      for (std::size_t w = 0; w < num_words; ++w) {
-        lane_words[lane * key_words + w] = planes[64 * w + lane];
+    for (std::uint64_t todo = active; todo != 0; todo &= todo - 1) {
+      const auto lane = static_cast<std::size_t>(std::countr_zero(todo));
+      for (std::size_t w = 0; w < L.num_words; ++w) {
+        key[w] = planes[64 * w + lane];
       }
-      lane_words[lane * key_words + num_words] = phase;
-    }
-    for (std::size_t lane = 0; lane < num_lanes_; ++lane) {
-      const std::uint64_t bit = 1ull << lane;
-      if (!(active & bit)) continue;
-      LaneSeen& ls = seen[lane];
-      const std::uint64_t* key = &lane_words[lane * key_words];
-      if ((ls.rec_cycle.size() + 1) * 3 >= ls.slot_rec.size() * 2) {
-        grow_table(ls);
+      const std::string_view bytes(reinterpret_cast<const char*>(key.data()),
+                                   L.key_bytes());
+      const auto seen = index[lane].find_or_insert(
+          RepeatIndex::hash(bytes, cycle_ % env_period), cycle_,
+          [&](std::uint64_t at) {
+            if ((cycle_ - at) % env_period != 0) return false;
+            const std::uint64_t c = (at - start) / stride;
+            if (replay.cycle_ < start + c * stride || replay.cycle_ > at) {
+              replay.load_checkpoint(&checkpoints[c * record]);
+              replay.cycle_ = start + c * stride;
+            }
+            replay.run(at - replay.cycle_);
+            replay.lane_key_words(&replayed);
+            for (std::size_t w = 0; w < L.num_words; ++w) {
+              if (replayed[64 * w + lane] != key[w]) return false;
+            }
+            return true;
+          });
+      if (seen) {
+        out[lane] = lip::derive_steady_state(counts(replay, lane),
+                                             counts(*this, lane), p.shell_node);
+        active &= ~(1ull << lane);
       }
-      const std::uint64_t h = hash_key(key);
-      const std::size_t mask = ls.slot_rec.size() - 1;
-      std::size_t pos = h & mask;
-      std::uint32_t first = kEmptySlot;
-      while (ls.slot_rec[pos] != kEmptySlot) {
-        if (ls.slot_hash[pos] == h &&
-            std::equal(key, key + key_words,
-                       ls.keys.begin() +
-                           static_cast<std::ptrdiff_t>(ls.slot_rec[pos]) *
-                               static_cast<std::ptrdiff_t>(key_words))) {
-          first = ls.slot_rec[pos];  // true repeat of a visited state
-          break;
-        }
-        pos = (pos + 1) & mask;
-      }
-      if (first == kEmptySlot) {
-        const auto index = static_cast<std::uint32_t>(ls.rec_cycle.size());
-        ls.slot_hash[pos] = h;
-        ls.slot_rec[pos] = index;
-        ls.rec_cycle.push_back(cycle_);
-        ls.keys.insert(ls.keys.end(), key, key + key_words);
-        for (std::size_t k = 0; k < shells; ++k) {
-          ls.fires.push_back(fires_[k * kLanes + lane]);
-        }
-        if (count_sinks) ls.tokens.push_back(sink_tokens_[lane]);
-        continue;
-      }
-      const auto from = ls.fires.begin() +
-                        static_cast<std::ptrdiff_t>(first * shells);
-      lip::RunCounts then{ls.rec_cycle[first],
-                          {from, from + static_cast<std::ptrdiff_t>(shells)},
-                          count_sinks ? ls.tokens[first] : 0};
-      lip::RunCounts now{cycle_, {}, count_sinks ? sink_tokens_[lane] : 0};
-      for (std::size_t k = 0; k < shells; ++k) {
-        now.fires.push_back(fires_[k * kLanes + lane]);
-      }
-      out[lane] = lip::derive_steady_state(then, now, p.shell_node);
-      active &= ~bit;
     }
     // Finished lanes keep stepping (their state is periodic; the extra
     // work is harmless) until every lane has an answer.
     if (active != 0) step();
   }
-  for (std::size_t lane = 0; lane < num_lanes_; ++lane) {
-    if (active & (1ull << lane)) out[lane].cycles = cycle_;
-  }
+  for (auto& lane : out) lane.cycles = lane.found ? lane.cycles : cycle_;
   return out;
 }
 

@@ -286,6 +286,36 @@ TEST(Analysis, EnumerateCyclesSkipsAReversedTappedChainInLinearTime) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3));
 }
 
+// A ring of `shells` shells with 11 chords, chord k from shell
+// k * spacing to shell k * spacing + 2: 2^11 = 2,048 simple cycles, each
+// taking or skipping each chord.
+Topology chorded_ring(std::size_t shells, std::size_t spacing) {
+  constexpr std::size_t kChords = 11;
+  auto chord_from = [&](std::size_t i) {
+    return i % spacing == 0 && i / spacing < kChords;
+  };
+  auto chord_to = [&](std::size_t i) { return i >= 2 && chord_from(i - 2); };
+  Topology t;
+  for (std::size_t i = 0; i < shells; ++i) {
+    t.add_process("P" + std::to_string(i), chord_to(i) ? 2 : 1,
+                  chord_from(i) ? 2 : 1);
+  }
+  for (graph::NodeId i = 0; i < shells; ++i) {
+    t.connect({i, 0}, {(i + 1) % shells, 0}, {RsKind::kFull});
+    if (chord_from(i)) t.connect({i, 1}, {i + 2, 1}, {RsKind::kFull});
+  }
+  return t;
+}
+
+// The walk holds at most kCycleIdBudget node and channel ids: 2,048
+// cycles are within the cycle budget, but 2,048 cycles through about
+// 1,200 shells each hold 4.9M ids, so that enumeration stops where a
+// short ring's does not.
+TEST(Analysis, EnumerateCyclesCapsTheIdsItHolds) {
+  EXPECT_EQ(graph::enumerate_cycles(chorded_ring(50, 4)).size(), 2048u);
+  EXPECT_THROW(graph::enumerate_cycles(chorded_ring(1200, 100)), ApiError);
+}
+
 TEST(Analysis, EnumerateCyclesHandlesParallelChannels) {
   Topology t;
   const auto a = t.add_process("A", 2, 2);

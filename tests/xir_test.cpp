@@ -14,6 +14,9 @@
 // and the campaign jobs that run on the engines.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <fstream>
@@ -530,6 +533,166 @@ TEST(XirKey, LoadEmitRoundTrips) {
     EXPECT_EQ(out, stepped) << what;
   }
 }
+
+// ---- the repeat search ---------------------------------------------------
+
+// The index takes hashes as input, so collisions can be forced: every
+// cycle under one hash reaches the confirm step, in insertion order, and
+// a rejected candidate still records the new cycle.
+TEST(XirRepeatIndex, CollidingCyclesReachTheConfirmStepInInsertionOrder) {
+  xir::RepeatIndex index;
+  std::vector<std::uint64_t> offered;
+  auto reject = [&](std::uint64_t at) {
+    offered.push_back(at);
+    return false;
+  };
+  EXPECT_FALSE(index.find_or_insert(7, 10, reject));
+  EXPECT_FALSE(index.find_or_insert(7, 11, reject));
+  EXPECT_FALSE(index.find_or_insert(8, 12, reject));
+  EXPECT_EQ(offered, (std::vector<std::uint64_t>{10}));
+  offered.clear();
+  EXPECT_FALSE(index.find_or_insert(7, 13, reject));
+  EXPECT_EQ(offered, (std::vector<std::uint64_t>{10, 11}));
+  offered.clear();
+  const auto hit = index.find_or_insert(7, 14, [&](std::uint64_t at) {
+    offered.push_back(at);
+    return at == 13;
+  });
+  EXPECT_EQ(hit, std::optional<std::uint64_t>(13));
+  EXPECT_EQ(offered, (std::vector<std::uint64_t>{10, 11, 13}));
+}
+
+// Growth past 2/3 load keeps every entry, and cycles under one hash keep
+// their order through it, even when every hash starts its probe run in
+// the table's last slot and the run wraps.
+TEST(XirRepeatIndex, GrowthKeepsEveryEntryInOrder) {
+  constexpr std::uint64_t kCycles = 1000;
+  auto hash_of = [](std::uint64_t cycle) {
+    return ((cycle / 2) << 32) | 0xfffff;  // two cycles per hash
+  };
+  xir::RepeatIndex index;
+  for (std::uint64_t c = 0; c < kCycles; ++c) {
+    ASSERT_FALSE(index.find_or_insert(hash_of(c), c,
+                                      [](std::uint64_t) { return false; }));
+  }
+  for (std::uint64_t c = 0; c < kCycles; ++c) {
+    std::vector<std::uint64_t> offered;
+    const auto hit = index.find_or_insert(hash_of(c), kCycles,
+                                          [&](std::uint64_t at) {
+                                            offered.push_back(at);
+                                            return at == c;
+                                          });
+    ASSERT_EQ(hit, std::optional<std::uint64_t>(c));
+    const std::vector<std::uint64_t> want =
+        c % 2 == 0 ? std::vector<std::uint64_t>{c}
+                   : std::vector<std::uint64_t>{c - 1, c};
+    ASSERT_EQ(offered, want) << "cycle " << c;
+  }
+}
+
+// A ring of `shells` shells, one full or half station per channel at
+// random, whose first shell also feeds a sink.
+graph::Generated tapped_ring(std::size_t shells, std::uint64_t seed) {
+  Rng rng(seed);
+  graph::Generated g;
+  for (std::size_t i = 0; i < shells; ++i) {
+    g.processes.push_back(
+        g.topo.add_process("P" + std::to_string(i), 1, i == 0 ? 2 : 1));
+  }
+  for (graph::NodeId i = 0; i < shells; ++i) {
+    g.topo.connect({i, 0}, {(i + 1) % shells, 0},
+                   {rng.chance(1, 2) ? graph::RsKind::kFull
+                                     : graph::RsKind::kHalf});
+  }
+  g.sinks.push_back(g.topo.add_sink("tap"));
+  g.topo.connect({0, 1}, {g.sinks[0], 0}, {graph::RsKind::kFull});
+  return g;
+}
+
+// Designs whose checkpoint stride is in the hundreds (101), behind a
+// sink that stops two cycles in three, so every repeat shows at a cycle
+// between checkpoints (the transients run 139 to 927 cycles) and is
+// confirmed by restoring a checkpoint, replaying and comparing the phase
+// and the exact key: each engine still equals System field for field.  The
+// 64-lane engine runs odd lanes from worst-case occupancy and even lanes
+// from reset, so its lanes confirm repeats at different cycles.
+TEST(XirDifferential, RepeatSearchReplaysFromCheckpoints) {
+  constexpr std::uint64_t kBudget = 1u << 16;
+  const std::vector<bool> pattern = {true, true, false};
+  for (const graph::Generated& gen :
+       {graph::make_pipeline(370, 1), tapped_ring(370, 3)}) {
+    const graph::NodeId sink = gen.sinks.at(0);
+    for (const lip::StopPolicy policy : kPolicies) {
+      for (const lip::StopResolution resolution : kResolutions) {
+        const skeleton::SkeletonOptions opts{policy, resolution};
+        ASSERT_GE(xir::repeat_stride(*xir::lower(gen.topo, opts)), 100u);
+        lip::SteadyState want[2];
+        for (const bool worst_case : {false, true}) {
+          const std::string what =
+              scenario_name(gen.processes.size(), opts, worst_case);
+          auto design = testutil::make_design(gen.topo);
+          design.set_sink(sink, lip::SinkBehavior::script(pattern));
+          const auto sys = design.instantiate({policy, resolution});
+          if (worst_case) sys->saturate_stations();
+          want[worst_case] = lip::measure_steady_state(*sys, kBudget);
+          ASSERT_TRUE(want[worst_case].found) << what;
+
+          xir::ScalarEngine compiled(gen.topo, opts);
+          compiled.set_sink_pattern(sink, pattern);
+          if (worst_case) compiled.saturate_stations();
+          EXPECT_EQ(want[worst_case], compiled.analyze(kBudget))
+              << what << " compiled";
+
+          xir::SlicedEngine sliced(gen.topo, opts, /*num_lanes=*/1);
+          sliced.set_sink_pattern(sink, pattern);
+          if (worst_case) sliced.saturate_stations(1ull);
+          EXPECT_EQ(want[worst_case], sliced.analyze(kBudget).at(0))
+              << what << " sliced";
+        }
+        xir::SlicedEngine wide(gen.topo, opts);
+        wide.set_sink_pattern(sink, pattern);
+        wide.saturate_stations(0xaaaaaaaaaaaaaaaaull);
+        const auto lanes = wide.analyze(kBudget);
+        for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+          EXPECT_EQ(want[lane % 2], lanes[lane])
+              << scenario_name(gen.processes.size(), opts, lane % 2 == 1)
+              << " lane " << lane;
+        }
+      }
+    }
+  }
+}
+
+// Sanitizers' shadow memory makes a resident-set bound meaningless, so
+// the memory test is compiled out under ASan and TSan.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define LIPLIB_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define LIPLIB_TEST_SANITIZED 1
+#endif
+#endif
+
+#ifndef LIPLIB_TEST_SANITIZED
+// The search keeps O(visited cycles) memory, not shells x visited
+// cycles: a forked child screens a 4,000-process chain (8,000 visited
+// cycles, 4,000 fire counts each) within 64 MiB of peak RSS.
+TEST(XirMemory, ScreeningAFourThousandProcessChainStaysSmall) {
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const auto verdict =
+        xir::screen_for_deadlock(graph::make_pipeline(4000, 1).topo);
+    _exit(verdict.found && !verdict.deadlock_found() ? 0 : 1);
+  }
+  int status = 0;
+  rusage usage{};
+  ASSERT_EQ(wait4(pid, &status, 0, &usage), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the chain did not screen live";
+  EXPECT_LT(usage.ru_maxrss, 64 * 1024) << "peak RSS in KiB";
+}
+#endif
 
 // ---- sliced lane independence -------------------------------------------
 
