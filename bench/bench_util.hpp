@@ -90,7 +90,10 @@ inline void heading(const std::string& title) {
 /// `metadata`, when non-null, lands verbatim as a top-level "metadata"
 /// object — benches that compare evaluators record the engine modes
 /// there (e.g. {"engines": [...]}) so perf trajectories distinguish
-/// which engine produced which record.
+/// which engine produced which record.  A bench whose `*_vs_*` ratios
+/// divide by a reference run names it in "reference", and changes that
+/// name when the reference itself changes on purpose: `bench diff`
+/// gates those ratios only against a baseline with the same reference.
 inline void write_bench_json(const std::string& name, Json records,
                              Json metadata = Json()) {
   const std::string path = "BENCH_" + name + ".json";

@@ -1,13 +1,12 @@
-// Compiled-engine speedup — the xir engines must beat the reference
-// model they are held to, lip::System, where it matters: a settle-heavy
-// deep half-station pipeline (System's unordered stop sweeps
-// re-propagate one hop per sweep; the compiled engine's Kahn-ordered
-// pass does it in one) and a 64-variant station-kind screen (one
-// bit-sliced evaluation vs a per-variant measure_steady_state loop).
-// Targets locked by the CI hard gate: >= 12x compiled scalar stepping,
-// >= 131x sliced aggregate screening, each side of a ratio timed as the
-// best of benchutil::kGateReps alternating runs.  Writes BENCH_xir.json
-// with the engine in record + metadata.
+// Compiled-engine speedup — the xir engines against the reference model
+// they are held to, lip::System, on settle-heavy work: a deep
+// half-station pipeline, one long combinational stop chain (System
+// settles it with a worklist, the compiled engine with a Kahn order fixed
+// at lowering), and a 64-variant station-kind screen (one bit-sliced
+// evaluation vs a per-variant measure_steady_state loop).  The CI hard
+// gate holds the floors below, each side of a ratio timed as the best of
+// benchutil::kGateReps alternating runs.  Writes BENCH_xir.json with the
+// engine in record + metadata.
 
 #include <iostream>
 #include <string>
@@ -82,9 +81,15 @@ Json record(const std::string& config, const char* engine,
 // The gate floors: 10x and 100x over the interpreted skeleton these
 // engines replaced as the baseline, scaled by System's measured cost
 // over it on these two workloads (stepping x1.05-1.17, screening
-// x1.16-1.31) and rounded up.
-constexpr double kScalarFloor = 12.0;
-constexpr double kSlicedFloor = 131.0;
+// x1.16-1.31) and rounded up to 12x and 131x; then divided by System's
+// own speed-up when its stop settle became one ordered pass, the
+// smallest over 5 alternating `bench_xir 20000` runs (stepping x18.9,
+// screening x15.7), and rounded up.  Each rescaling keeps the gate as
+// strict on the compiled and sliced engines' own times.  The stepping
+// floor is below 1x: it guards the compiled engine's stepping against
+// regression and does not show a speed-up over System.
+constexpr double kScalarFloor = 0.64;
+constexpr double kSlicedFloor = 8.4;
 
 }  // namespace
 
@@ -137,8 +142,7 @@ int main(int argc, char** argv) {
   // Cure-style variants of a deeper settle-heavy pipeline: each lane
   // upgrades a random ~1/64 of the half stations to full (the paper's
   // low-intrusive cure move), leaving every lane dominated by long
-  // combinational stop chains — the regime System re-sweeps one hop at
-  // a time.
+  // combinational stop chains.
   const graph::Topology base = make_half_pipeline(8, 64);
   const std::size_t num_stations = [&] {
     std::size_t n = 0;
@@ -240,6 +244,7 @@ int main(int argc, char** argv) {
   benchutil::write_bench_json(
       "xir", std::move(records),
       Json::object()
+          .set("reference", "lip::System with a worklist stop settle")
           .set("engines", Json::array()
                               .push("system")
                               .push("compiled")

@@ -91,9 +91,11 @@ struct EquivalenceReport {
 };
 
 /// The paper's safety definition, checked dynamically: runs the LID for
-/// `lid_cycles`, runs the reference, and verifies that every sink's valid
-/// token sequence is a prefix of the reference stream on the same wire.
-/// Any policy, any relay-station mix, any environment must pass.
+/// `lid_cycles`, runs the reference for as many cycles as the longest LID
+/// sink stream has tokens (it produces one datum per sink per cycle), and
+/// verifies that every sink's valid token sequence is a prefix of the
+/// reference stream on the same wire.  Any policy, any relay-station mix,
+/// any environment must pass.
 EquivalenceReport check_latency_equivalence(const Design& design,
                                             System::Options opts,
                                             std::uint64_t lid_cycles);

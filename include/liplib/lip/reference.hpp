@@ -39,7 +39,9 @@ class ReferenceExecutor {
                           std::function<std::uint64_t(std::uint64_t)> value);
 
   /// Runs `cycles` cycles.  Every cycle each sink records the datum on
-  /// its input wire and then every pearl fires simultaneously.
+  /// its input wire and then every pearl fires simultaneously.  The first
+  /// run of at least one cycle resolves the driver of every sink and
+  /// pearl input once.
   void run(std::uint64_t cycles);
 
   /// Golden stream observed by a sink so far (one datum per cycle run).
@@ -48,12 +50,20 @@ class ReferenceExecutor {
   std::uint64_t cycle() const { return cycle_; }
 
  private:
+  /// The driver of a wire: output register `port` of process `index`, or
+  /// source `index`.
+  struct Driver {
+    bool source = false;
+    std::size_t index = 0;
+    std::size_t port = 0;
+  };
   struct Proc {
     graph::NodeId node = 0;
     std::unique_ptr<Pearl> pearl;
     std::vector<std::uint64_t> regs;      // current output registers
     std::vector<std::uint64_t> next_regs;
     std::vector<std::uint64_t> in_scratch;
+    std::vector<Driver> in_driver;        // one per input port
   };
   struct Src {
     graph::NodeId node = 0;
@@ -61,10 +71,15 @@ class ReferenceExecutor {
   };
   struct Snk {
     graph::NodeId node = 0;
+    Driver driver;
     std::vector<std::uint64_t> stream;
   };
 
-  std::uint64_t wire_value(const graph::OutRef& from) const;
+  Driver driver_of(graph::InRef in) const;
+  std::uint64_t read(const Driver& d) const {
+    return d.source ? srcs_[d.index].value(cycle_)
+                    : procs_[d.index].regs[d.port];
+  }
 
   graph::Topology topo_;
   std::vector<Proc> procs_;

@@ -10,10 +10,14 @@
 //   1. forward phase — every producer presents (valid, data) on its
 //      output segments; all forward values are register outputs, so this
 //      is a single pass over the state;
-//   2. backward phase — the stop network is evaluated to its least fixed
-//      point: full relay stations contribute their *registered* stop,
-//      while shells and half relay stations are stop-transparent
-//      (combinational), exactly as in the paper;
+//   2. backward phase — the stop network is settled to its extreme fixed
+//      point (least or greatest, see StopResolution): sinks and full relay
+//      stations contribute their *registered* stop, while shells and half
+//      relay stations are stop-transparent (combinational), exactly as in
+//      the paper.  One ordered pass evaluates every shell and half
+//      station once, consumers before producers, and a worklist
+//      re-evaluates a unit only when a stop it reads changes after its
+//      evaluation (around a combinational stop cycle);
 //   3. clock edge — every block updates its registers using the settled
 //      wire values (shells fire and step their pearls; gated shells hold).
 //
@@ -276,6 +280,9 @@ class System {
     /// front at index 0.
     std::vector<std::vector<std::uint64_t>> in_q;
     std::uint64_t fires = 0;
+    /// Whether the shell fires this cycle: its last evaluation in
+    /// settle_stops, which sees the settled stops.
+    bool fire = false;
     ShellActivity activity = ShellActivity::kWaitingInput;
     std::vector<std::uint64_t> in_scratch;
     std::vector<std::uint64_t> out_scratch;
@@ -305,6 +312,9 @@ class System {
   void check_hold_invariant();
   void clock_edge();
 
+  void build_settle_order();
+  void eval_stop_unit(std::uint32_t unit);
+  void set_stop(SegId seg, bool stop);
   bool shell_can_fire(const ShellState& s) const;
   void present_port(const OutPort& p);
 
@@ -334,6 +344,23 @@ class System {
   // channel id -> ordered segment ids / station indices
   std::vector<std::vector<SegId>> channel_segs_;
   std::vector<std::vector<std::size_t>> channel_stations_;
+
+  // The stop network's combinational units, each before the units that
+  // read the stops it writes (outside combinational stop cycles): shell
+  // shells_[index], or half station stations_[index].
+  struct StopUnit {
+    bool shell = false;
+    std::size_t index = 0;
+  };
+  static constexpr std::uint32_t kNoUnit = ~std::uint32_t{0};
+  std::vector<StopUnit> units_;
+  // segment -> the unit (a place in units_) that reads its stop, or kNoUnit
+  std::vector<std::uint32_t> stop_reader_;
+  // the unit the ordered pass of settle_stops is at (units_.size() after)
+  std::uint32_t cursor_ = 0;
+  // units to evaluate again after that pass, and whether a unit waits there
+  std::vector<std::uint32_t> pending_;
+  std::vector<std::uint8_t> queued_;
 };
 
 }  // namespace liplib::lip

@@ -9,9 +9,15 @@
 // (throughput-like: *per_s*, *speedup*, *throughput*, *rate*),
 // lower-is-better (cost-like: *seconds*, *overhead*) or informational
 // (sizes, counts — never gated), and a delta beyond the threshold in the
-// bad direction is a regression.  `lidtool bench diff` exposes this with
-// exit codes 0 (clean) / 1 (regression) / 2 (bad input), which is what
-// the CI bench-smoke job runs against the previous run's artifacts.
+// bad direction is a regression.  A ratio against a reference run
+// (a field named *_vs_*, e.g. "speedup_vs_system") is gated only when
+// both documents name the same reference in "metadata.reference": a
+// bench whose reference changes on purpose names the new one, and its
+// first comparison against the old baseline reports those ratios as
+// informational (with a note) while every other field stays gated.
+// `lidtool bench diff` exposes this with exit codes 0 (clean) /
+// 1 (regression) / 2 (bad input), which is what the CI bench-smoke job
+// runs against the previous run's artifacts.
 //
 // See docs/telemetry.md for the threshold model.
 
@@ -61,7 +67,8 @@ struct BenchDiff {
   double threshold_pct = 10.0;
   std::vector<BenchDelta> deltas;  ///< matched-record order, field order
   /// Structural asymmetries: records present on only one side,
-  /// fields that changed type, zero baselines.  Never gate.
+  /// fields that changed type, zero baselines, a changed reference.
+  /// Never gate.
   std::vector<std::string> notes;
 
   bool has_regression() const;

@@ -17,7 +17,7 @@
 //    the paper's hazard case — iterates to the fixpoint.  Because the
 //    stop system is monotone from its pessimistic (all-1) or optimistic
 //    (all-0) start, the ordered single pass lands on the same extreme
-//    fixpoint as System's repeated sweeps.
+//    fixpoint as System's settle.
 //
 //  - SlicedEngine (xir/sliced.hpp): a bit-sliced evaluator packing 64
 //    independent scenarios of one lowered program into each machine

@@ -1,5 +1,6 @@
 #include "liplib/lip/design.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace liplib::lip {
@@ -10,14 +11,19 @@ EquivalenceReport check_latency_equivalence(const Design& design,
   auto lid = design.instantiate(opts);
   lid->run(lid_cycles);
 
-  // The reference produces one datum per sink per cycle, so running it for
-  // lid_cycles is always enough to cover every LID stream.
+  // The reference produces one datum per sink per cycle, so it runs for as
+  // many cycles as the longest LID sink stream has tokens.
+  const auto& topo = design.topology();
+  std::uint64_t longest = 0;
+  for (graph::NodeId v = 0; v < topo.nodes().size(); ++v) {
+    if (topo.node(v).kind != graph::NodeKind::kSink) continue;
+    longest = std::max<std::uint64_t>(longest, lid->sink_stream(v).size());
+  }
   auto ref = design.instantiate_reference();
-  ref->run(lid_cycles);
+  ref->run(longest);
 
   EquivalenceReport report;
   report.ok = true;
-  const auto& topo = design.topology();
   for (graph::NodeId v = 0; v < topo.nodes().size(); ++v) {
     if (topo.node(v).kind != graph::NodeKind::kSink) continue;
     const auto& lid_stream = lid->sink_stream(v);

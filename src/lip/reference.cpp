@@ -60,13 +60,18 @@ void ReferenceExecutor::bind_source_values(
   srcs_[node_index_[node]].value = std::move(value);
 }
 
-std::uint64_t ReferenceExecutor::wire_value(const graph::OutRef& from) const {
+ReferenceExecutor::Driver ReferenceExecutor::driver_of(
+    graph::InRef in) const {
+  const auto c = topo_.channel_into(in);
+  LIPLIB_ENSURE(c.has_value(),
+                topo_.node(in.node).kind == graph::NodeKind::kSink
+                    ? "sink input not driven"
+                    : "process input not driven");
+  const graph::OutRef from = topo_.channel(*c).from;
   const auto& n = topo_.node(from.node);
-  if (n.kind == graph::NodeKind::kProcess) {
-    return procs_[node_index_[from.node]].regs[from.port];
-  }
-  LIPLIB_ENSURE(n.kind == graph::NodeKind::kSource, "sink cannot drive");
-  return srcs_[node_index_[from.node]].value(cycle_);
+  LIPLIB_ENSURE(n.kind != graph::NodeKind::kSink, "sink cannot drive");
+  return {n.kind == graph::NodeKind::kSource, node_index_[from.node],
+          from.port};
 }
 
 void ReferenceExecutor::run(std::uint64_t cycles) {
@@ -76,21 +81,22 @@ void ReferenceExecutor::run(std::uint64_t cycles) {
                     "process node " + topo_.node(p.node).name +
                         " has no pearl bound in the reference executor");
     }
+    if (cycles == 0) return;
+    for (auto& s : snks_) s.driver = driver_of({s.node, 0});
+    for (auto& p : procs_) {
+      for (std::size_t port = 0; port < p.in_scratch.size(); ++port) {
+        p.in_driver.push_back(driver_of({p.node, port}));
+      }
+    }
     checked_ = true;
   }
   for (std::uint64_t i = 0; i < cycles; ++i) {
     // Observe: every sink records what its input wire carries this cycle.
-    for (auto& s : snks_) {
-      const auto c = topo_.channel_into({s.node, 0});
-      LIPLIB_ENSURE(c.has_value(), "sink input not driven");
-      s.stream.push_back(wire_value(topo_.channel(*c).from));
-    }
+    for (auto& s : snks_) s.stream.push_back(read(s.driver));
     // Fire: every pearl steps simultaneously on the current wire values.
     for (auto& p : procs_) {
       for (std::size_t port = 0; port < p.in_scratch.size(); ++port) {
-        const auto c = topo_.channel_into({p.node, port});
-        LIPLIB_ENSURE(c.has_value(), "process input not driven");
-        p.in_scratch[port] = wire_value(topo_.channel(*c).from);
+        p.in_scratch[port] = read(p.in_driver[port]);
       }
       p.pearl->step(p.in_scratch, p.next_regs);
     }

@@ -125,6 +125,64 @@ System::System(const graph::Topology& topo, Options opts)
     }
     channel_segs_[c] = std::move(ids);
   }
+  build_settle_order();
+}
+
+void System::build_settle_order() {
+  // A segment's stop is written by its consumer and read by its producer
+  // when that producer is a shell or a half station: a full station's
+  // upstream stop is its register, and sources read no stop.
+  std::vector<StopUnit> units;
+  for (std::size_t k = 0; k < shells_.size(); ++k) units.push_back({true, k});
+  for (std::size_t k = 0; k < stations_.size(); ++k) {
+    if (stations_[k].kind == graph::RsKind::kHalf) units.push_back({false, k});
+  }
+  stop_reader_.assign(segs_.size(), kNoUnit);
+  for (std::uint32_t u = 0; u < units.size(); ++u) {
+    if (!units[u].shell) {
+      stop_reader_[stations_[units[u].index].out_seg] = u;
+      continue;
+    }
+    for (const auto& port : shells_[units[u].index].out) {
+      for (SegId seg : port.branch) stop_reader_[seg] = u;
+    }
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> edges;  // writer -> reader
+  auto wire = [&](std::uint32_t writer, SegId seg) {
+    if (stop_reader_[seg] != kNoUnit) {
+      edges.emplace_back(writer, stop_reader_[seg]);
+    }
+  };
+  for (std::uint32_t u = 0; u < units.size(); ++u) {
+    if (!units[u].shell) {
+      wire(u, stations_[units[u].index].in_seg);
+      continue;
+    }
+    for (SegId in : shells_[units[u].index].in_seg) wire(u, in);
+  }
+  // Tarjan numbers the components in reverse topological order, so
+  // descending component numbers put every writer before its readers
+  // outside combinational stop cycles.
+  const auto comp = graph::strongly_connected_components(graph::EdgeIndex(
+      units.size(), edges.size(), [&](std::size_t e) { return edges[e]; },
+      [](std::size_t) { return true; }));
+  std::vector<std::uint32_t> order(units.size());
+  for (std::uint32_t u = 0; u < units.size(); ++u) order[u] = u;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return comp[a] > comp[b];
+                   });
+  // Units are renumbered by their place in that order.
+  std::vector<std::uint32_t> place(units.size());
+  for (std::uint32_t k = 0; k < order.size(); ++k) {
+    units_.push_back(units[order[k]]);
+    place[order[k]] = k;
+  }
+  for (auto& reader : stop_reader_) {
+    if (reader != kNoUnit) reader = place[reader];
+  }
+  queued_.assign(units_.size(), 0);
+  pending_.reserve(segs_.size());
 }
 
 void System::bind_pearl(graph::NodeId node, std::unique_ptr<Pearl> pearl) {
@@ -231,7 +289,7 @@ void System::settle_stops() {
   // Every segment's stop has a unique writer — its consumer.  Roots
   // (sinks and full relay stations, whose stop is a register) are set
   // exactly; combinational writers (half relay stations, shells) start
-  // at bottom (optimistic) or top (pessimistic) and iterate to the least
+  // at bottom (optimistic) or top (pessimistic) and settle to the least
   // or greatest fixed point of the monotone stop network.  For acyclic
   // stop networks both fixed points coincide; they differ exactly when a
   // loop closes a combinational stop cycle through half relay stations —
@@ -249,53 +307,62 @@ void System::settle_stops() {
       segs_[st.in_seg].stop = st.stop_reg;
     }
   }
-  // Source-driven segments are never stopped by their own producer, and
-  // segments consumed by stations/shells were pre-set above; nothing
-  // else to clear: all remaining segments belong to half stations or
-  // shell inputs, handled below.
+  // All remaining segments belong to half stations or shell inputs, the
+  // units.  The ordered pass evaluates every unit once, writers first; a
+  // unit whose evaluation changes a stop that an evaluated unit reads
+  // queues that reader again.  Every stop rule is monotone and every stop
+  // starts at an extreme value, so each stop changes at most once: at
+  // most one evaluation per segment follows the pass, and the settle
+  // lands on the extreme fixpoint that any evaluation order reaches.
+  for (cursor_ = 0; cursor_ < units_.size(); ++cursor_) {
+    eval_stop_unit(cursor_);
+  }
+  for (std::size_t head = 0; head < pending_.size(); ++head) {
+    LIPLIB_ENSURE(head < segs_.size(), "stop fixpoint failed to converge");
+    queued_[pending_[head]] = 0;
+    eval_stop_unit(pending_[head]);
+  }
+  pending_.clear();
+}
 
-  const std::size_t guard = 2 * segs_.size() + 4;
-  std::size_t sweeps = 0;
-  bool changed = true;
-  while (changed) {
-    LIPLIB_ENSURE(++sweeps <= guard, "stop fixpoint failed to converge");
-    changed = false;
-    for (const auto& st : stations_) {
-      if (st.kind != graph::RsKind::kHalf) continue;
-      const bool front_valid = st.occ > 0 && st.slot[0].valid;
-      const bool s_eff = strict() ? segs_[st.out_seg].stop
-                                  : (segs_[st.out_seg].stop && front_valid);
-      const bool up = st.occ > 0 && s_eff;
-      if (segs_[st.in_seg].stop != up) {
-        segs_[st.in_seg].stop = up;
-        changed = true;
-      }
-    }
-    for (const auto& s : shells_) {
-      const bool stalled = !shell_can_fire(s);
-      for (std::size_t i = 0; i < s.in_seg.size(); ++i) {
-        const SegId in = s.in_seg[i];
-        bool up;
-        if (opts_.input_queue_depth == 0) {
-          // Back pressure of the simplified shell: a stalled shell stops
-          // the producers of its *valid* inputs (a void needs no holding
-          // — shells discard voids under both policies; what "stops
-          // regardless of validity" means for the strict protocol is
-          // relay-station freezing and shell output blocking, not stop
-          // generation on voids).
-          up = stalled && segs_[in].fwd.valid;
-        } else {
-          // Carloni-style buffered shell: back pressure only when the
-          // input FIFO is full and will not drain this cycle.
-          up = s.in_q[i].size() >= opts_.input_queue_depth && stalled;
-        }
-        if (segs_[in].stop != up) {
-          segs_[in].stop = up;
-          changed = true;
-        }
-      }
+void System::eval_stop_unit(std::uint32_t unit) {
+  const StopUnit u = units_[unit];
+  if (!u.shell) {
+    const Station& st = stations_[u.index];
+    const bool front_valid = st.occ > 0 && st.slot[0].valid;
+    const bool s_eff = strict() ? segs_[st.out_seg].stop
+                                : (segs_[st.out_seg].stop && front_valid);
+    set_stop(st.in_seg, st.occ > 0 && s_eff);
+    return;
+  }
+  ShellState& s = shells_[u.index];
+  s.fire = shell_can_fire(s);
+  for (std::size_t i = 0; i < s.in_seg.size(); ++i) {
+    const SegId in = s.in_seg[i];
+    if (opts_.input_queue_depth == 0) {
+      // Back pressure of the simplified shell: a stalled shell stops
+      // the producers of its *valid* inputs (a void needs no holding
+      // — shells discard voids under both policies; what "stops
+      // regardless of validity" means for the strict protocol is
+      // relay-station freezing and shell output blocking, not stop
+      // generation on voids).
+      set_stop(in, !s.fire && segs_[in].fwd.valid);
+    } else {
+      // Carloni-style buffered shell: back pressure only when the
+      // input FIFO is full and will not drain this cycle.
+      set_stop(in, s.in_q[i].size() >= opts_.input_queue_depth && !s.fire);
     }
   }
+}
+
+void System::set_stop(SegId seg, bool stop) {
+  if (segs_[seg].stop == stop) return;
+  segs_[seg].stop = stop;
+  // A reader after the cursor is still due in the ordered pass.
+  const std::uint32_t reader = stop_reader_[seg];
+  if (reader == kNoUnit || reader > cursor_ || queued_[reader]) return;
+  queued_[reader] = 1;
+  pending_.push_back(reader);
 }
 
 void System::check_hold_invariant() {
@@ -319,11 +386,6 @@ void System::check_hold_invariant() {
 void System::clock_edge() {
   // Shells: consume delivered outputs, then fire if possible.
   for (auto& s : shells_) {
-    const bool fire = shell_can_fire(s);
-    bool missing_input = false;
-    for (SegId in : s.in_seg) {
-      if (!segs_[in].fwd.valid) missing_input = true;
-    }
     for (auto& port : s.out) {
       for (std::size_t b = 0; b < port.branch.size(); ++b) {
         if (((port.pend >> b) & 1u) && !segs_[port.branch[b]].stop) {
@@ -331,7 +393,7 @@ void System::clock_edge() {
         }
       }
     }
-    if (fire) {
+    if (s.fire) {
       if (opts_.input_queue_depth == 0) {
         for (std::size_t i = 0; i < s.in_seg.size(); ++i) {
           s.in_scratch[i] = segs_[s.in_seg[i]].fwd.data;
@@ -351,8 +413,12 @@ void System::clock_edge() {
       ++s.fires;
       s.activity = ShellActivity::kFired;
     } else {
-      if (opts_.input_queue_depth > 0) {
-        missing_input = false;
+      bool missing_input = false;
+      if (opts_.input_queue_depth == 0) {
+        for (SegId in : s.in_seg) {
+          if (!segs_[in].fwd.valid) missing_input = true;
+        }
+      } else {
         for (const auto& q : s.in_q) {
           if (q.empty()) missing_input = true;
         }
@@ -536,7 +602,7 @@ void System::observe_probe() {
   probe::Activity* act = probe_->activity_scratch();
   for (std::size_t k = 0; k < shells_.size(); ++k) {
     const ShellState& s = shells_[k];
-    if (shell_can_fire(s)) {
+    if (s.fire) {
       act[k] = probe::Activity::kFired;
     } else {
       bool missing = false;

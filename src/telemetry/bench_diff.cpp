@@ -46,6 +46,7 @@ std::string fmt_pct(double v) {
 struct BenchDoc {
   std::string bench;
   const Json* records;
+  std::string reference;  ///< metadata.reference, "" when absent
 };
 
 BenchDoc open_bench(const Json& doc, const char* which) {
@@ -64,7 +65,17 @@ BenchDoc open_bench(const Json& doc, const char* which) {
     throw ApiError(std::string("bench ") + which +
                    " file is missing \"bench\" or \"records\"");
   }
-  return {bench->as_string(), records};
+  std::string reference;
+  if (const Json* meta = doc.find("metadata"); meta && meta->is_object()) {
+    if (const Json* ref = meta->find("reference"); ref && ref->is_string()) {
+      reference = ref->as_string();
+    }
+  }
+  return {bench->as_string(), records, std::move(reference)};
+}
+
+std::string quoted_or_none(const std::string& s) {
+  return s.empty() ? "none" : "\"" + s + "\"";
 }
 
 }  // namespace
@@ -162,6 +173,15 @@ BenchDiff bench_diff(const Json& old_doc, const Json& new_doc,
   BenchDiff diff;
   diff.bench = newb.bench;
   diff.threshold_pct = opts.threshold_pct;
+  // A ratio against a reference run ("speedup_vs_system") only compares
+  // with a baseline measured against the same reference.
+  const bool re_anchored = oldb.reference != newb.reference;
+  if (re_anchored) {
+    diff.notes.push_back("reference changed from " +
+                         quoted_or_none(oldb.reference) + " to " +
+                         quoted_or_none(newb.reference) +
+                         "; *_vs_* ratios not gated");
+  }
 
   // Old records by key; duplicate keys keep the first occurrence and a
   // note (bench records are config rows — duplicates mean a bad file).
@@ -201,7 +221,9 @@ BenchDiff bench_diff(const Json& old_doc, const Json& new_doc,
       d.field = field;
       d.old_value = old_val->as_double();
       d.new_value = value.as_double();
-      d.cls = classify_bench_field(field);
+      d.cls = re_anchored && contains(field, "_vs_")
+                  ? DeltaClass::kInfo
+                  : classify_bench_field(field);
       if (d.old_value == 0.0) {
         if (d.cls != DeltaClass::kInfo && d.new_value != 0.0) {
           diff.notes.push_back("field \"" + field + "\" of \"" + key +

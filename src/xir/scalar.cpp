@@ -108,12 +108,12 @@ void ScalarEngine::settle_stops(const std::uint64_t* sink_stops) {
   }
   // The acyclic part of the stop network: every unit's inputs are final
   // when it is visited, so a single ordered pass lands directly on the
-  // fixpoint System's repeated sweeps converge to (the stop system is
+  // fixpoint System's settle converges to (the stop system is
   // monotone from its extreme init, so the extreme fixpoint is
   // order-independent).
   for (std::uint32_t unit : p.schedule.order) eval_settle_unit(unit);
-  // The combinational-cycle remainder iterates, exactly like System but
-  // over only the cyclic units.
+  // The combinational-cycle remainder sweeps to the fixpoint, over only
+  // the cyclic units.
   if (!p.schedule.iterate.empty()) {
     const std::size_t guard = 2 * stop_.size() + 4;
     std::size_t sweeps = 0;

@@ -124,6 +124,13 @@ TEST(ApiEdges, ReferenceExecutorContracts) {
   EXPECT_EQ(stream[1], 10u);  // f(2*0)
   EXPECT_EQ(stream[2], 12u);  // f(2*1)
   EXPECT_THROW(ref.sink_stream(gen.processes[0]), ApiError);
+
+  // An undriven input only matters once a cycle reads it.
+  graph::Topology sink_only;
+  sink_only.add_sink("s");
+  lip::ReferenceExecutor undriven(sink_only);
+  undriven.run(0);
+  EXPECT_THROW(undriven.run(1), InternalError);
 }
 
 // The steady state follows the environment the System is bound to: a

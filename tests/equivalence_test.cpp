@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "liplib/graph/equalize.hpp"
 #include "liplib/graph/generators.hpp"
 #include "liplib/lip/design.hpp"
@@ -24,6 +26,24 @@ struct EquivCase {
 };
 
 class RandomEquivalence : public ::testing::TestWithParam<EquivCase> {};
+
+/// The valid tokens a separate run of `d` delivers to its sinks within
+/// `cycles`: what the check must compare, every one of them.  Only for
+/// deterministic environments (a jittery sink's generator is shared by
+/// every instantiation, so a second run sees other stops).
+std::uint64_t lid_tokens(const lip::Design& d, lip::SystemOptions opts,
+                         std::uint64_t cycles) {
+  auto sys = d.instantiate(opts);
+  sys->run(cycles);
+  std::uint64_t n = 0;
+  const auto& topo = d.topology();
+  for (graph::NodeId v = 0; v < topo.nodes().size(); ++v) {
+    if (topo.node(v).kind == graph::NodeKind::kSink) {
+      n += sys->sink_stream(v).size();
+    }
+  }
+  return n;
+}
 
 TEST_P(RandomEquivalence, LidMatchesReference) {
   const auto p = GetParam();
@@ -49,11 +69,14 @@ TEST_P(RandomEquivalence, LidMatchesReference) {
       d.set_sink(s, lip::SinkBehavior::random_stop(rng.next_u64(), 1, 4));
     }
   }
-  const auto report = lip::check_latency_equivalence(
-      d, {p.policy, StopResolution::kPessimistic, /*hold_monitor=*/true},
-      400);
+  const lip::SystemOptions opts{p.policy, StopResolution::kPessimistic,
+                                /*hold_monitor=*/true};
+  const auto report = lip::check_latency_equivalence(d, opts, 400);
   EXPECT_TRUE(report.ok) << report.detail;
   EXPECT_GT(report.tokens_checked, 0u);
+  if (!p.jittery_env) {
+    EXPECT_EQ(report.tokens_checked, lid_tokens(d, opts, 400));
+  }
 }
 
 std::vector<EquivCase> equivalence_cases() {
@@ -90,6 +113,7 @@ TEST(Equivalence, FeedbackLoopsMatchReference) {
     const auto report = lip::check_latency_equivalence(d, {pol}, 300);
     EXPECT_TRUE(report.ok) << report.detail;
     EXPECT_GT(report.tokens_checked, 50u);
+    EXPECT_EQ(report.tokens_checked, lid_tokens(d, {pol}, 300));
   }
 }
 
@@ -97,6 +121,7 @@ TEST(Equivalence, LoopChainMatchesReference) {
   auto d = testutil::make_design(graph::make_loop_chain({{1, 2}, {2, 3}}));
   const auto report = lip::check_latency_equivalence(d, {}, 400);
   EXPECT_TRUE(report.ok) << report.detail;
+  EXPECT_EQ(report.tokens_checked, lid_tokens(d, {}, 400));
 }
 
 TEST(Equivalence, EqualizedDesignStillEquivalent) {
@@ -105,6 +130,42 @@ TEST(Equivalence, EqualizedDesignStillEquivalent) {
   auto d = testutil::make_design(std::move(gen));
   const auto report = lip::check_latency_equivalence(d, {}, 300);
   EXPECT_TRUE(report.ok) << report.detail;
+  EXPECT_EQ(report.tokens_checked, lid_tokens(d, {}, 300));
+}
+
+/// Breaks the determinism contract: every clone adds the activations of
+/// all clones so far to its input, so the reference, which runs after
+/// the LID, starts from the LID's count instead of zero.
+class SharedCounterPearl final : public lip::Pearl {
+ public:
+  explicit SharedCounterPearl(std::shared_ptr<std::uint64_t> count)
+      : count_(std::move(count)) {}
+  std::size_t num_inputs() const override { return 1; }
+  std::size_t num_outputs() const override { return 1; }
+  void step(std::span<const std::uint64_t> in,
+            std::span<std::uint64_t> out) override {
+    out[0] = in[0] + (*count_)++;
+  }
+  std::unique_ptr<lip::Pearl> clone_reset() const override {
+    return std::make_unique<SharedCounterPearl>(count_);
+  }
+
+ private:
+  std::shared_ptr<std::uint64_t> count_;
+};
+
+TEST(Equivalence, PearlsSharingStateFailTheCheck) {
+  auto gen = graph::make_pipeline(1, 1);
+  lip::Design d(std::move(gen.topo));
+  d.set_pearl(gen.processes[0], std::make_unique<SharedCounterPearl>(
+                                    std::make_shared<std::uint64_t>(0)));
+  // The shell fires 9 times in the LID's 10 cycles (its input crosses
+  // one station), so the reference's first activation outputs 0 + 9.  The
+  // reset token 0 matches; token 1 is the first mismatch.
+  const auto report = lip::check_latency_equivalence(d, {}, 10);
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.detail, "sink out token 1: LID=0 reference=9");
+  EXPECT_EQ(report.tokens_checked, 2u);
 }
 
 TEST(Equivalence, StatefulPearlsMatchReference) {

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "liplib/graph/generators.hpp"
 #include "liplib/lip/design.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/pearls/pearls.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -245,6 +248,40 @@ TEST(System, HoldMonitorCatchesInjectedViolation) {
   sys->run(20);  // stations now hold stopped valid data
   sys->saturate_stations(0xdeadbeef);  // overwrite held fronts
   EXPECT_THROW(sys->step(), ProtocolError);
+}
+
+// One half station per channel makes the whole pipeline one
+// combinational stop path.  With every station full and a sink that
+// stops every other cycle, each stop runs the length of the chain within
+// its cycle.  The settle must reach it in work linear in the chain, not
+// one stage per pass over every unit, and land where the skeleton engine
+// does.
+TEST(System, DeepHalfStationPipelineStepsInLinearTime) {
+  constexpr std::uint64_t kCycles = 200;
+  const auto gen = graph::make_pipeline(3000, 1, graph::RsKind::kHalf);
+  const std::vector<bool> script = {true, false};
+  auto d = testutil::make_design(gen);
+  d.set_sink(gen.sinks[0], lip::SinkBehavior::script(script));
+  auto sys = d.instantiate();
+  sys->saturate_stations();
+  const auto t0 = std::chrono::steady_clock::now();
+  sys->run(kCycles);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+
+  xir::ScalarEngine eng(gen.topo);
+  eng.set_sink_pattern(gen.sinks[0], script);
+  eng.saturate_stations();
+  const std::uint32_t sink_seg = eng.program().sink_seg.at(0);
+  std::uint64_t consumed = 0;
+  for (std::uint64_t c = 0; c < kCycles; ++c) {
+    eng.step();
+    consumed += eng.valid_wire(sink_seg) && !eng.stop_wire(sink_seg);
+  }
+  EXPECT_EQ(sys->sink_count(gen.sinks[0]), 100u);
+  EXPECT_EQ(sys->sink_count(gen.sinks[0]), consumed);
+  for (graph::NodeId p : gen.processes) {
+    ASSERT_EQ(sys->shell_fire_count(p), eng.fires(p)) << "shell " << p;
+  }
 }
 
 }  // namespace

@@ -788,6 +788,49 @@ TEST(BenchDiff, StructuralAsymmetriesAreNotedNotGated) {
   EXPECT_FALSE(diff.notes.empty());
 }
 
+// A ratio against a reference run is gated only against a baseline that
+// names the same reference; a changed reference re-anchors those ratios
+// once and leaves every other field gated.
+TEST(BenchDiff, ChangedReferenceReanchorsOnlyItsRatios) {
+  auto doc = [](const char* reference, double seconds, double speedup) {
+    Json meta = Json::object();
+    if (reference != nullptr) meta.set("reference", reference);
+    return Json::object()
+        .set("schema", "liplib.bench/1")
+        .set("bench", "xir")
+        .set("records", Json::array().push(
+                            Json::object()
+                                .set("config", "step")
+                                .set("engine", "compiled")
+                                .set("seconds", seconds)
+                                .set("speedup_vs_system", speedup)))
+        .set("metadata", std::move(meta));
+  };
+  const Json before = doc(nullptr, 1.0, 20.0);
+  const Json after = doc("faster system", 1.0, 1.0);
+  const auto diff = telemetry::bench_diff(before, after);
+  EXPECT_FALSE(diff.has_regression());
+  ASSERT_EQ(diff.notes.size(), 1u);
+  EXPECT_EQ(diff.notes[0],
+            "reference changed from none to \"faster system\"; *_vs_* "
+            "ratios not gated");
+  for (const auto& d : diff.deltas) {
+    if (d.field == "speedup_vs_system") {
+      EXPECT_EQ(d.cls, telemetry::DeltaClass::kInfo);
+      EXPECT_NEAR(d.change_pct, -95.0, 1e-9);
+    }
+  }
+  // The engine's own time stays gated across the change of reference.
+  EXPECT_TRUE(
+      telemetry::bench_diff(before, doc("faster system", 1.2, 1.0))
+          .has_regression());
+  // Under one reference the same ratio drop is a regression.
+  EXPECT_TRUE(telemetry::bench_diff(doc("faster system", 1.0, 20.0), after)
+                  .has_regression());
+  EXPECT_TRUE(
+      telemetry::bench_diff(before, doc(nullptr, 1.0, 1.0)).has_regression());
+}
+
 TEST(BenchDiff, RejectsMismatchedOrMalformedDocuments) {
   const Json a = bench_doc("probe", 100.0, 1.0, 100000);
   const Json b = bench_doc("campaign", 100.0, 1.0, 100000);
