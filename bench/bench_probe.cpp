@@ -2,35 +2,37 @@
 // attached must pay exactly one null-pointer test per step, and the
 // instrumented configurations must degrade gracefully (counters <
 // counters+attribution < +trace).  Also measures the raw trace-sink
-// write throughput.  Writes BENCH_probe.json.
+// write throughput.  Each row is the best of benchutil::kGateReps
+// alternating runs.  Writes BENCH_probe.json.
 
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "liplib/lip/system.hpp"
 #include "liplib/probe/probe.hpp"
 #include "liplib/probe/trace.hpp"
-#include "liplib/support/table.hpp"
 
 using namespace liplib;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-struct Config {
-  const char* name;
-  bool attach = false;
-  bool counters = false;
-  bool attribution = false;
-  bool trace = false;
-};
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+/// Writes `events` span events (and a counter event every 16th) to a
+/// sink on /dev/null; returns the bytes written.  Out of line, so the
+/// timed loop does not move with the code laid out around it.
+[[gnu::noinline]] std::uint64_t write_trace_events(std::uint64_t events) {
+  std::ofstream null_os("/dev/null");
+  probe::TraceSink sink(null_os);
+  for (std::uint64_t i = 0; i < events; ++i) {
+    sink.complete_event("fire", "shell", i, 1, 1, 1 + (i & 7));
+    if ((i & 15) == 0) {
+      sink.counter_event("occ", i, 1, {{"valid", i & 3}, {"stop", i & 1}});
+    }
+  }
+  sink.finish();
+  return sink.bytes_written();
 }
 
 }  // namespace
@@ -43,70 +45,47 @@ int main(int argc, char** argv) {
   const std::vector<graph::RingSpec> specs = {{1, 2}, {2, 6}, {1, 3}};
   auto design = benchutil::make_design(graph::make_loop_chain(specs));
 
-  const Config configs[] = {
-      {"no probe"},
-      {"counters", true, true, false, false},
-      {"counters+attribution", true, true, true, false},
-      {"counters+attribution+trace", true, true, true, true},
+  // A fresh system per run, under one probe configuration.
+  auto probed = [&](bool attach, bool counters, bool attribution,
+                    bool trace) {
+    return [=, &design] {
+      auto sys = design.instantiate();
+      std::ofstream null_os("/dev/null");
+      probe::TraceSink sink(null_os);
+      probe::Probe probe({.counters = counters,
+                          .attribution = attribution,
+                          .trace = trace ? &sink : nullptr,
+                          .observer = nullptr});
+      if (attach) sys->attach_probe(probe);
+      sys->run(cycles);
+      probe.finish_trace();
+    };
   };
-
   Json records = Json::array();
-  Table t({"config", "cycles", "seconds", "Mcycles/s", "vs baseline"});
-  double baseline = 0;
-  for (const auto& c : configs) {
-    auto sys = design.instantiate();
-    std::ofstream null_os("/dev/null");
-    probe::TraceSink sink(null_os);
-    probe::ProbeConfig cfg;
-    cfg.counters = c.counters;
-    cfg.attribution = c.attribution;
-    cfg.trace = c.trace ? &sink : nullptr;
-    probe::Probe probe(cfg);
-    if (c.attach) sys->attach_probe(probe);
-
-    const auto t0 = Clock::now();
-    sys->run(cycles);
-    probe.finish_trace();
-    const double s = seconds_since(t0);
-
-    const double mcps = static_cast<double>(cycles) / s / 1e6;
-    if (baseline == 0) baseline = s;
-    const double ratio = s / baseline;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2fx", ratio);
-    t.add_row({c.name, std::to_string(cycles), std::to_string(s),
-               std::to_string(mcps), buf});
-    records.push(Json::object()
-                     .set("config", c.name)
-                     .set("cycles", cycles)
-                     .set("seconds", s)
-                     .set("mcycles_per_s", mcps)
-                     .set("overhead_vs_baseline", ratio));
+  for (Json& r : benchutil::overhead_table(
+           {"no probe", "counters", "counters+attribution",
+            "counters+attribution+trace"},
+           {probed(false, false, false, false), probed(true, true, false, false),
+            probed(true, true, true, false), probed(true, true, true, true)},
+           cycles)) {
+    records.push(std::move(r));
   }
-  t.print(std::cout);
 
   benchutil::heading("trace sink write throughput");
   {
-    std::ofstream null_os("/dev/null");
-    probe::TraceSink sink(null_os);
     const std::uint64_t events = 2000000;
-    const auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < events; ++i) {
-      sink.complete_event("fire", "shell", i, 1, 1, 1 + (i & 7));
-      if ((i & 15) == 0) {
-        sink.counter_event("occ", i, 1, {{"valid", i & 3}, {"stop", i & 1}});
-      }
-    }
-    sink.finish();
-    const double s = seconds_since(t0);
-    const double mb = static_cast<double>(sink.bytes_written()) / 1e6;
+    std::uint64_t bytes = 0;
+    const double s = benchutil::best_seconds(
+        benchutil::kGateReps,
+        {[&] { bytes = write_trace_events(events); }})[0];
+    const double mb = static_cast<double>(bytes) / 1e6;
     std::cout << events << " span events + " << events / 16
               << " counter events: " << mb << " MB in " << s << " s = "
               << mb / s << " MB/s\n";
     records.push(Json::object()
                      .set("config", "trace_write")
                      .set("events", events)
-                     .set("bytes", sink.bytes_written())
+                     .set("bytes", bytes)
                      .set("seconds", s)
                      .set("mb_per_s", mb / s));
   }

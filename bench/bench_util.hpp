@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -20,6 +21,7 @@
 #include "liplib/pearls/pearls.hpp"
 #include "liplib/support/json.hpp"
 #include "liplib/support/rational.hpp"
+#include "liplib/support/table.hpp"
 
 namespace liplib::benchutil {
 
@@ -52,6 +54,34 @@ inline std::vector<double> best_seconds(
     }
   }
   return best;
+}
+
+/// Times `runs` of `cycles` cycles each with best_seconds, prints their
+/// overhead against the first and returns one record per run: config
+/// (its name in `configs`), cycles, seconds, mcycles_per_s and
+/// overhead_vs_baseline.
+inline std::vector<Json> overhead_table(
+    const std::vector<std::string>& configs,
+    const std::vector<std::function<void()>>& runs, std::uint64_t cycles) {
+  const auto seconds = best_seconds(kGateReps, runs);
+  Table t({"config", "cycles", "seconds", "Mcycles/s", "vs baseline"});
+  std::vector<Json> records;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const double mcps = static_cast<double>(cycles) / seconds[i] / 1e6;
+    const double ratio = seconds[i] / seconds[0];
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.2fx", ratio);
+    t.add_row({configs[i], std::to_string(cycles),
+               std::to_string(seconds[i]), std::to_string(mcps), buf});
+    records.push_back(Json::object()
+                          .set("config", configs[i])
+                          .set("cycles", cycles)
+                          .set("seconds", seconds[i])
+                          .set("mcycles_per_s", mcps)
+                          .set("overhead_vs_baseline", ratio));
+  }
+  t.print(std::cout);
+  return records;
 }
 
 inline lip::Design make_design(graph::Generated g) {

@@ -1,34 +1,8 @@
 // lidtool — command-line front end for latency-insensitive designs in the
-// .lid netlist format (see liplib/graph/netlist_io.hpp).
-//
-//   lidtool validate  <file.lid>    structural checks + warnings
-//   lidtool lint      <file.lid>    static protocol analysis (LIP001...)
-//   lidtool analyze   <file.lid>    analytic throughput (formulas + MCR)
-//   lidtool simulate  <file.lid>    skeleton simulation to steady state
-//   lidtool screen    <file.lid>    deadlock screening (reset + worst case)
-//   lidtool cure      <file.lid>    substitute stations until deadlock free
-//   lidtool equalize  <file.lid>    insert spare stations, print new netlist
-//   lidtool flow      <file.lid>    full flow: screen, cure, sign off
-//   lidtool run       <file.lid> [n] full-data simulation (annotated file)
-//   lidtool profile   <file.lid>    probe-instrumented run: counters, stall
-//                                   attribution, optional Perfetto trace
-//   lidtool dot       <file.lid>    graphviz rendering
-//   lidtool campaign  ...           parallel mass-simulation campaigns
-//                                   (sweep / fuzz / probe / t1; see --help)
-//   lidtool merge     ...           deterministic reunion of shard partials
-//   lidtool dist      ...           distributed campaigns: lease coordinator
-//                                   and pull workers (see docs/dist.md)
-//   lidtool replay    <bundle.json> re-run a watchdog post-mortem bundle and
-//                                   check the deadlock reproduces
-//   lidtool bench diff <old> <new>  perf regression gate over BENCH_*.json
-//   lidtool serve     ...           multi-tenant lint/screen/profile daemon
-//                                   with a content-addressed result cache
-//   lidtool client    ...           scripted requests against a daemon
-//   lidtool trace     ...           merge/scrape liplib.trace/1 span docs and
-//                                   probe Perfetto files into one timeline
+// .lid netlist format (see liplib/graph/netlist_io.hpp).  kUsage below
+// lists every command and its options.
 //
 // Run without arguments for a demo on the paper's Fig. 1 design.
-
 
 #include <algorithm>
 #include <cstdint>
@@ -54,7 +28,6 @@
 #include "liplib/lint/lint.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/pearls/design_io.hpp"
-#include "liplib/probe/probe.hpp"
 #include "liplib/probe/trace.hpp"
 #include "liplib/prove/prove.hpp"
 #include "liplib/serve/server.hpp"
@@ -95,6 +68,8 @@ structural commands (take a .lid netlist file):
                        with `lidtool replay`) to FILE
   screen    <file.lid>          deadlock screening (reset + worst case);
                                 exit 0 live / 1 deadlock or no steady state
+    --policy variant|strict  stop policy (default variant)
+    --budget N         cycle budget of each pass (default 2^18; 0 = default)
   prove     <file.lid>          static deadlock-freedom proof: exhaustive
                                 reachability, bounded model checking and
                                 k-induction over every sink-stop environment
@@ -121,8 +96,9 @@ behavioural commands (annotated netlists):
     --postmortem FILE  on watchdog trip, write the bundle to FILE
   profile   <file.lid>          probe-instrumented full-data run: per-shell
                                 activity counters, measured throughput and
-                                stall attribution (see docs/probe.md)
-    --cycles N  cycles to simulate (default 10000)
+                                stall attribution (see docs/probe.md),
+                                watchdog-guarded (deadlock -> exit 1)
+    --cycles N  cycles to simulate (default 10000; 0 = default)
     --trace F   stream a Chrome trace-event / Perfetto JSON file to F
     --json      render the probe report as canonical JSON
 
@@ -268,9 +244,9 @@ std::vector<FlagSpec> with(std::vector<FlagSpec> a,
 }
 
 /// The command's positional arguments, which must number exactly `n`.
-const Args& expect_args(const Flags& f, std::size_t n, const char* usage) {
-  require(f.positional().size() == n,
-          std::string("usage: lidtool ") + usage);
+const Args& expect_args(const Flags& f, std::size_t n,
+                        const std::string& usage) {
+  require(f.positional().size() == n, "usage: lidtool " + usage);
   return f.positional();
 }
 
@@ -408,34 +384,38 @@ void print_trip(const telemetry::PostMortem& pm) {
   }
 }
 
-/// One screening pass's verdict for lidtool's text output.
-std::string screen_line(const lip::SteadyState& v, std::uint64_t budget) {
-  if (v.deadlock_found()) return "DEADLOCK";
-  if (!v.found) {
-    return "no steady state within " + std::to_string(budget) + " cycles";
-  }
-  return "live, T = " + v.system_throughput().str();
+/// The daemon's default options, budget ceiling lifted, for local runs.
+const serve::ServerOptions kLocal = [] {
+  serve::ServerOptions opts;
+  opts.max_budget = UINT64_MAX;
+  return opts;
+}();
+
+/// A member of a result document as text: a string as is, else its JSON.
+std::string text(const Json& doc, const char* member) {
+  const Json& v = *doc.find(member);
+  return v.is_string() ? v.as_string() : v.dump();
 }
 
 int cmd_simulate(const graph::Topology& topo, bool worst_case,
                  std::uint64_t budget, const std::string& pm_path) {
-  // The one screen: run to the first repeated state within the budget.
-  // Only a deadlock verdict re-runs the design under the watchdog, for
-  // the trip and its post-mortem bundle.
-  const xir::ProgramRef prog = xir::lower(topo);
-  const auto r = xir::screen_for_deadlock(prog, worst_case, budget);
-  telemetry::WatchdogOptions wopts;
-  wopts.worst_case_occupancy = worst_case;
-  if (const auto pm = telemetry::deadlock_evidence(prog, r, wopts)) {
-    print_trip(*pm);
-    if (!pm_path.empty()) write_postmortem(*pm, pm_path);
-    std::cout << "summary: simulate cycles=" << pm->trip_cycle + 1
+  // The daemon's screening pass: run to the first repeated state within
+  // the budget; only a deadlock verdict re-runs the design under the
+  // watchdog, for the trip and its post-mortem bundle.
+  lip::SteadyState r;
+  const Json pass = serve::screen_one(xir::lower(topo), worst_case, budget,
+                                      kLocal.watchdog_threshold, &r);
+  if (const Json* bundle = pass.find("post_mortem")) {
+    const auto pm = telemetry::PostMortem::from_json(*bundle);
+    print_trip(pm);
+    if (!pm_path.empty()) write_postmortem(pm, pm_path);
+    std::cout << "summary: simulate cycles=" << pm.trip_cycle + 1
               << " seed=0 (skeleton runs are deterministic) "
                  "verdict=deadlock\n";
     return 1;
   }
   if (!r.found) {
-    std::cout << screen_line(r, budget) << "\n";
+    std::cout << "no steady state within " << budget << " cycles\n";
     return 1;
   }
   std::cout << "transient: " << r.transient << " cycles, period: " << r.period
@@ -461,23 +441,47 @@ int cmd_simulate(const graph::Topology& topo, bool worst_case,
   return r.deadlock_found() ? 1 : 0;
 }
 
-int cmd_screen(const graph::Topology& topo) {
-  const std::uint64_t budget = 1u << 20;
-  const xir::ProgramRef prog = xir::lower(topo);
-  const auto a = xir::screen_for_deadlock(prog, /*worst_case=*/false, budget);
-  std::cout << "from reset: " << screen_line(a, budget) << " (" << a.cycles
-            << " skeleton cycles)\n";
-  const auto b = xir::screen_for_deadlock(prog, /*worst_case=*/true, budget);
-  std::cout << "worst-case occupancy: " << screen_line(b, budget) << "\n";
-  for (auto n : b.starved_shells()) {
-    std::cout << "  starved shell: " << topo.node(n).name << "\n";
-  }
-  const std::string verdict = skeleton::screening_verdict_name(a, b);
-  std::cout << "summary: screen cycles=" << a.cycles + b.cycles << " (reset "
-            << a.cycles << " + worst-case " << b.cycles
-            << ") seed=0 (skeleton runs are deterministic) verdict="
-            << verdict << "\n";
+/// The daemon's screen request, run in-process and rendered from its
+/// result document; exit 0 live, 1 otherwise.
+int screen_request(const serve::Request& req) {
+  const Json doc = serve::compute_screen(
+      graph::parse_netlist_annotated_string(req.netlist).topo, req, kLocal);
+  const std::string budget = text(doc, "budget");
+  // One pass: its verdict (and a trip's top blame), then one line per
+  // starved shell.
+  auto pass = [&](const char* title, const char* member) {
+    const Json& p = *doc.find(member);
+    std::cout << title;
+    if (const Json* bundle = p.find("post_mortem")) {
+      print_trip(telemetry::PostMortem::from_json(*bundle));
+    } else if (!p.find("found")->as_bool()) {
+      std::cout << "no steady state within " << budget << " cycles\n";
+    } else {
+      std::cout << (p.find("deadlock")->as_bool() ? "DEADLOCK" : "live")
+                << ", T = " << text(p, "throughput") << " (transient "
+                << text(p, "transient") << ", period " << text(p, "period")
+                << ")\n";
+    }
+    if (const Json* starved = p.find("starved")) {
+      for (const Json& n : starved->elements()) {
+        std::cout << "  starved shell: " << n.as_string() << "\n";
+      }
+    }
+  };
+  pass("from reset: ", "from_reset");
+  pass("worst-case occupancy: ", "worst_case");
+  const std::string verdict = text(doc, "verdict");
+  std::cout << "summary: screen policy=" << text(doc, "policy")
+            << " budget=" << budget
+            << " seed=0 (skeleton runs are deterministic) verdict=" << verdict
+            << "\n";
   return verdict == "live" ? 0 : 1;
+}
+
+int cmd_screen(const Args& args) {
+  Flags f(args, serve::knob_flags(serve::RequestKind::kScreen));
+  expect_args(f, 1, "screen <file.lid> [--policy P] [--budget N]");
+  return screen_request(load_request(serve::RequestKind::kScreen, f));
 }
 
 /// `prove <file.lid>`: the daemon's prove request, run locally — the
@@ -532,6 +536,11 @@ int cmd_flow(const graph::Topology& topo) {
   return result.ok ? 0 : 1;
 }
 
+int cmd_dot(const graph::Topology& topo) {
+  std::cout << topo.to_dot();
+  return 0;
+}
+
 int cmd_run(const Args& args) {
   const Flags f(args, {{"--postmortem"}});
   const auto& pos = f.positional();
@@ -583,13 +592,15 @@ int cmd_run(const Args& args) {
   return equiv.ok ? 0 : 1;
 }
 
+/// `profile <file.lid>`: the daemon's profile request, run in-process
+/// and rendered from its result document (`--trace` streams the same
+/// run's Chrome trace); exit 0 live, 1 deadlock.
 int cmd_profile(const Args& args) {
-  const Flags f(args, {{"--cycles"}, {"--trace"}, {"--json", false}});
-  const auto& pos = expect_args(f, 1, "profile <file.lid> [options]");
-  const std::uint64_t cycles = f.number("--cycles", 10000);
-  auto design = pearls::parse_design_string(read_text(pos[0]));
-  auto sys = design.instantiate();
-
+  Flags f(args, with(serve::knob_flags(serve::RequestKind::kProfile),
+                     {{"--trace"}, {"--json", false}}));
+  expect_args(f, 1, "profile <file.lid> [options]");
+  const serve::Request req = load_request(serve::RequestKind::kProfile, f);
+  const auto net = graph::parse_netlist_annotated_string(req.netlist);
   std::ofstream trace_os;
   std::unique_ptr<probe::TraceSink> sink;
   const std::string trace_path = f.value("--trace");
@@ -598,49 +609,47 @@ int cmd_profile(const Args& args) {
     require(trace_os.good(), "cannot write " + trace_path);
     sink = std::make_unique<probe::TraceSink>(trace_os);
   }
-  probe::ProbeConfig cfg;
-  cfg.trace = sink.get();
-  probe::Probe probe(cfg);
-  sys->attach_probe(probe);
-  sys->run(cycles);
-  probe.finish_trace();
-
-  const auto report = probe.report();
+  const Json doc = serve::compute_profile(net, req, kLocal, sink.get());
+  const int rc = text(doc, "verdict") == "live" ? 0 : 1;
+  const Json& report = *doc.find("report");
   if (f.has("--json")) {
-    std::cout << report.to_json().dump(2) << "\n";
-    return 0;
+    std::cout << report.dump(2) << "\n";
+    return rc;
   }
   Table t({"shell", "fired", "waiting", "stopped", "measured T"});
-  for (const auto& s : report.shells) {
-    t.add_row({s.name, std::to_string(s.fired), std::to_string(s.waiting),
-               std::to_string(s.stopped), report.throughput(s.node).str()});
+  for (const Json& s : report.find("shells")->elements()) {
+    t.add_row({text(s, "name"), text(s, "fired"), text(s, "waiting"),
+               text(s, "stopped"), text(s, "throughput")});
   }
   t.print(std::cout);
-  std::cout << "measured system throughput: " << report.min_throughput().str()
+  std::cout << "measured system throughput: " << text(report, "min_throughput")
             << " (includes the transient; see docs/probe.md)\n";
-  if (!report.blame.empty()) {
+  const auto& blame = report.find("blame")->elements();
+  if (!blame.empty()) {
     std::cout << "\nstall attribution (top 10):\n\n";
     Table b({"victim", "state", "culprit", "cycles"});
-    const std::size_t show = std::min<std::size_t>(report.blame.size(), 10);
+    const std::size_t show = std::min<std::size_t>(blame.size(), 10);
     for (std::size_t i = 0; i < show; ++i) {
-      const auto& e = report.blame[i];
-      b.add_row({e.victim_name,
-                 e.why == probe::Activity::kWaitingInput ? "waiting"
-                                                        : "stopped",
-                 e.culprit_name, std::to_string(e.cycles)});
+      b.add_row({text(blame[i], "victim"), text(blame[i], "why"),
+                 text(blame[i], "culprit"), text(blame[i], "cycles")});
     }
     b.print(std::cout);
-    if (report.blame.size() > show) {
-      std::cout << "... and " << report.blame.size() - show << " more\n";
+    if (blame.size() > show) {
+      std::cout << "... and " << blame.size() - show << " more\n";
     }
+  }
+  if (const Json* bundle = doc.find("post_mortem")) {
+    std::cout << "\n";
+    print_trip(telemetry::PostMortem::from_json(*bundle));
   }
   if (sink) {
     std::cout << "\nwrote " << trace_path << " (" << sink->bytes_written()
               << " bytes; open at ui.perfetto.dev)\n";
   }
-  std::cout << "summary: profile cycles=" << cycles
-            << " seed=0 (full-data runs are deterministic)\n";
-  return 0;
+  std::cout << "summary: profile cycles=" << text(doc, "cycles")
+            << " seed=0 (full-data runs are deterministic)"
+            << (rc ? " verdict=deadlock" : "") << "\n";
+  return rc;
 }
 
 int cmd_replay(const Args& args) {
@@ -700,7 +709,8 @@ int cmd_bench(const Args& args) {
   return diff.exit_code();
 }
 
-int cmd_equalize(graph::Topology topo) {
+int cmd_equalize(const graph::Topology& design) {
+  graph::Topology topo = design;
   if (!topo.is_feedforward()) {
     std::cout << "design has feedback loops; equalization applies to "
                  "feed-forward designs only\n";
@@ -1244,7 +1254,7 @@ int cmd_client(const Args& args) {
 /// A structural command: one <file.lid> argument and the given flags.
 template <class Run>
 int structural(const Args& args, const std::vector<FlagSpec>& flags,
-               const char* usage, Run run) {
+               const std::string& usage, Run run) {
   const Flags f(args, flags);
   return run(load_topology(expect_args(f, 1, usage)[0]), f);
 }
@@ -1262,16 +1272,26 @@ int demo() {
   std::cout << "--- simulate ---\n";
   cmd_simulate(topo, /*worst_case=*/false, serve::kDefaultCycleBudget, "");
   std::cout << "--- screen ---\n";
-  cmd_screen(topo);
+  serve::Request screen;
+  screen.kind = serve::RequestKind::kScreen;
+  screen.netlist = kFig1Netlist;
+  screen_request(screen);
   std::cout << "--- equalize ---\n";
-  return cmd_equalize(std::move(topo));
+  return cmd_equalize(topo);
 }
 
 int dispatch(const std::string& cmd, const Args& args) {
   using T = const graph::Topology&;
-  if (cmd == "validate") {
-    return structural(args, {}, "validate <file.lid>",
-                      [](T t, const Flags&) { return cmd_validate(t); });
+  // Structural commands without flags: one <file.lid> argument.
+  const std::pair<const char*, int (*)(T)> plain[] = {
+      {"validate", cmd_validate}, {"analyze", cmd_analyze},
+      {"cure", cmd_cure},         {"equalize", cmd_equalize},
+      {"flow", cmd_flow},         {"dot", cmd_dot}};
+  for (const auto& [name, run] : plain) {
+    if (cmd == name) {
+      return structural(args, {}, std::string(name) + " <file.lid>",
+                        [run](T t, const Flags&) { return run(t); });
+    }
   }
   if (cmd == "lint") {
     return structural(args, {{"--json", false}, {"--fix", false}, {"-o"}},
@@ -1280,10 +1300,6 @@ int dispatch(const std::string& cmd, const Args& args) {
                         return cmd_lint(t, f.has("--json"), f.has("--fix"),
                                         f.value("-o"));
                       });
-  }
-  if (cmd == "analyze") {
-    return structural(args, {}, "analyze <file.lid>",
-                      [](T t, const Flags&) { return cmd_analyze(t); });
   }
   if (cmd == "simulate") {
     return structural(
@@ -1295,32 +1311,11 @@ int dispatch(const std::string& cmd, const Args& args) {
                               f.value("--postmortem"));
         });
   }
-  if (cmd == "screen") {
-    return structural(args, {}, "screen <file.lid>",
-                      [](T t, const Flags&) { return cmd_screen(t); });
-  }
-  if (cmd == "cure") {
-    return structural(args, {}, "cure <file.lid>",
-                      [](T t, const Flags&) { return cmd_cure(t); });
-  }
-  if (cmd == "equalize") {
-    return structural(args, {}, "equalize <file.lid>",
-                      [](T t, const Flags&) { return cmd_equalize(t); });
-  }
-  if (cmd == "flow") {
-    return structural(args, {}, "flow <file.lid>",
-                      [](T t, const Flags&) { return cmd_flow(t); });
-  }
-  if (cmd == "dot") {
-    return structural(args, {}, "dot <file.lid>", [](T t, const Flags&) {
-      std::cout << t.to_dot();
-      return 0;
-    });
-  }
   const std::pair<const char*, int (*)(const Args&)> commands[] = {
-      {"prove", cmd_prove},       {"run", cmd_run},
-      {"profile", cmd_profile},   {"replay", cmd_replay},
-      {"bench", cmd_bench},       {"campaign", cmd_campaign},
+      {"prove", cmd_prove},       {"screen", cmd_screen},
+      {"run", cmd_run},           {"profile", cmd_profile},
+      {"replay", cmd_replay},     {"bench", cmd_bench},
+      {"campaign", cmd_campaign},
       {"merge", cmd_merge},       {"dist", cmd_dist},
       {"trace", cmd_trace},       {"serve", cmd_serve},
       {"client", cmd_client}};

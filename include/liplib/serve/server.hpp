@@ -31,7 +31,8 @@
 //
 // The request handler (handle_payload) is pure protocol — it maps a
 // request payload plus a ServeContext to a response payload — so the
-// full dispatch/cache layer is unit-testable without sockets.
+// full dispatch/cache layer is unit-testable without sockets.  lidtool
+// runs its screen and profile computations below in-process.
 
 #pragma once
 
@@ -45,10 +46,13 @@
 #include <string_view>
 #include <thread>
 
+#include "liplib/graph/netlist_io.hpp"
+#include "liplib/probe/trace.hpp"
 #include "liplib/serve/cache.hpp"
 #include "liplib/serve/protocol.hpp"
 #include "liplib/support/json.hpp"
 #include "liplib/support/metrics.hpp"
+#include "liplib/xir/xir.hpp"
 
 namespace liplib::serve {
 
@@ -124,6 +128,27 @@ struct ServeContext {
 /// Never throws — every failure becomes an {"ok": false} envelope.
 /// This is the whole daemon except the sockets.
 std::string handle_payload(std::string_view payload, ServeContext& ctx);
+
+/// One screening pass from reset or worst-case occupancy: the
+/// steady-state search within `budget` cycles (into `*v`), then, on a
+/// deadlock verdict, the watchdog re-run (threshold `threshold`) for the
+/// trip and post-mortem when the whole design froze, else starved shells.
+Json screen_one(const xir::ProgramRef& prog, bool worst_case,
+                std::uint64_t budget, std::uint64_t threshold,
+                lip::SteadyState* v);
+
+/// The screen request's result ("liplib.serve.screen/2"): both passes
+/// on one lowered program, under the request's policy and budget.
+Json compute_screen(const graph::Topology& topo, const Request& req,
+                    const ServerOptions& opts);
+
+/// The profile request's result ("liplib.serve.profile/1"): the
+/// full-data design under the watchdog, counted in whole periods
+/// (telemetry::run_profiled).  A `trace` sink streams the run's Chrome
+/// trace, and the run then steps every cycle.
+Json compute_profile(const graph::AnnotatedNetlist& net, const Request& req,
+                     const ServerOptions& opts,
+                     probe::TraceSink* trace = nullptr);
 
 /// The loopback TCP listener of both daemons (Server, dist::Coordinator):
 /// one thread per connection, at most kMaxConnections at once, each

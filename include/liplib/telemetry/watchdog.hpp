@@ -125,7 +125,9 @@ struct GuardedRun;
 /// host (or use run_guarded), then inspect tripped()/post_mortem().
 class Watchdog final : public probe::CycleObserver {
  public:
-  explicit Watchdog(WatchdogOptions opts = {});
+  /// A `trace` sink (not owned) streams the run's Chrome trace.
+  explicit Watchdog(WatchdogOptions opts = {},
+                    probe::TraceSink* trace = nullptr);
 
   /// Attaches to a host — lip::System or xir::ScalarEngine — via an
   /// internally-owned probe (counters + attribution on, so the bundle
@@ -218,8 +220,9 @@ GuardedRun run_guarded(Host& host, Watchdog& dog, std::uint64_t max_cycles) {
 ///  (c) one more period has been stepped and its counter growth taken.
 /// The probe then counts that growth once per remaining whole period
 /// (probe::Probe::advance) and the loop steps only the remainder.  An
-/// aperiodic environment (System::environment_period() == 0), a budget
-/// that ends first or a trip simply keep stepping.  The GuardedRun, the
+/// aperiodic environment (System::environment_period() == 0), a
+/// watchdog whose probe streams a trace, a budget that ends first or a
+/// trip simply keep stepping.  The GuardedRun, the
 /// verdict, trip fields, post-mortem and probe report equal
 /// run_guarded's on the same fresh System; the System's own record
 /// (cycle(), sink streams, segment stats, a VCD) covers only the cycles

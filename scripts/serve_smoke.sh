@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Smoke test for the lidtool serve daemon, exercised end-to-end through
-# the shipped binary: start a daemon on an ephemeral port, fire 112
+# the shipped binary: start a daemon on an ephemeral port, fire 131
 # mixed requests at it from `lidtool client` (lint / screen / profile /
 # campaign / prove, including a design with a deliberate worst-case
 # deadlock), check that a reformatted copy of a design is answered from
 # the original's cache entries, that a prove and a campaign request
 # answer with the same documents as the local `lidtool prove` /
-# `lidtool campaign`, that the daemon's profile reports (counted in
-# whole periods) equal `lidtool profile --json` (which steps every
-# cycle), and that `lidtool screen` and `lidtool client screen` exit
-# alike, then assert via `status` that the cache actually served hits, that the
-# design memo answered repeat texts without a parse, that the deadlock
+# `lidtool campaign`, that on every shipped design `lidtool lint --json`
+# and `lidtool profile --json` print the daemon's report byte for byte
+# and `lidtool screen` exits with the daemon's verdict, then assert via
+# `status` that the cache actually served hits, that the design memo
+# answered repeat texts without a parse, that the deadlock
 # was answered as a verdict (not a hang), that screening a 4,000-process
 # chain raises the daemon's peak RSS (VmHWM) by at most 64 MiB, that 200
 # more one-request connections leave the daemon's VmSize where it was,
@@ -131,12 +131,12 @@ result_member() {
 # ---- 98 mixed requests --------------------------------------------------
 
 # 24 rounds x 4 request kinds = 96, plus 2 campaigns = 98; plus the 2
-# reformatted-twin requests, the prove, campaign, 5 profiles and 3
-# screens of the next sections, plus the final status + shutdown = 112
-# frames total.  After round one, every lint/screen/profile answer must
-# be a cache hit; from round two on, every one of them also finds its
-# text in the design memo (round two admits the 2 texts: 2 + 22 x 4 = 90
-# memo hits).
+# reformatted-twin requests, the prove, campaign and the lint, profile
+# and screen of 9 designs of the next sections, plus the final status +
+# shutdown = 131 frames total.  After round one, every
+# lint/screen/profile answer must be a cache hit; from round two on,
+# every one of them also finds its text in the design memo (round two
+# admits the 2 texts: 2 + 22 x 4 = 90 memo hits).
 requests=0
 deadlock_answers=0
 for _ in $(seq 1 24); do
@@ -215,49 +215,55 @@ cmp -s "$work/campaign_local.json" "$work/campaign_member.json" \
 $(diff "$work/campaign_local.json" "$work/campaign_member.json" | head -n 12)"
 echo "serve_smoke: daemon campaign aggregate == lidtool campaign --json"
 
-# ---- one profile on two surfaces: whole periods vs every cycle ---------
+# ---- one answer on two surfaces: every shipped design ------------------
 
-# The daemon stops stepping once a design settles and counts the
-# remaining whole periods; `lidtool profile` steps all 10000 cycles.
-# Their probe reports must be the same document.
-for design in "$repo_root/examples/designs/fig1.lid" \
-              "$repo_root/examples/designs/half_ring.lid" \
-              "$repo_root/examples/designs/coder.lid" \
-              "$work/every3.lid" "$work/script5.lid"; do
+# `lidtool lint`, `screen` and `profile` run the daemon's computation
+# in-process, so on every shipped design (plus the latch beside a live
+# pipeline and the rate-limited sinks) their JSON is the daemon's
+# "report" member byte for byte, and screen exits alike with the same
+# verdict word.  wide_port.lid's profile deadlocks: both surfaces trip.
+designs=0
+for design in "$repo_root"/examples/designs/*.lid \
+              "$repo_root"/tests/fixtures/*.lid \
+              "$work/ring_pipe.lid" "$work/every3.lid" "$work/script5.lid"; do
   name="$(basename "$design")"
-  "$lidtool" profile "$design" --cycles 10000 --json > "$work/profile_local.json" \
-    || fail "lidtool profile $name failed"
-  client profile "$design" --cycles 10000 > "$work/profile_daemon.json" \
-    || fail "client profile $name did not exit 0"
-  requests=$((requests + 1))
-  python3 - "$work/profile_local.json" "$work/profile_daemon.json" <<'EOF' \
-    || fail "client profile $name report differs from lidtool profile --json"
-import json, sys
-local = json.load(open(sys.argv[1]))
-daemon = json.load(open(sys.argv[2]))["result"]["report"]
-sys.exit(0 if local == daemon else 1)
-EOF
-done
-echo "serve_smoke: daemon profile reports == lidtool profile --json"
+  designs=$((designs + 1))
+  "$lidtool" lint "$design" --json > "$work/lint_local.json"
+  client lint "$design" > "$work/lint_daemon.json"
+  result_member report "$work/lint_daemon.json" > "$work/lint_member.json"
+  cmp -s "$work/lint_local.json" "$work/lint_member.json" \
+    || fail "client lint $name report differs from lidtool lint --json:
+$(diff "$work/lint_local.json" "$work/lint_member.json" | head -n 12)"
 
-# ---- one verdict on two surfaces: lidtool screen vs client screen ------
-
-# Both ask the one steady-state search, so they exit alike: 0 live, 1
-# deadlock — including the latch beside a live pipeline.
-for pair in fig1:0 deadlock:1 ring_pipe:1; do
-  design="${pair%%:*}"
-  want="${pair##*:}"
-  "$lidtool" screen "$work/$design.lid" > /dev/null
+  "$lidtool" profile "$design" --cycles 10000 --json \
+    > "$work/profile_local.json"
   local_rc=$?
-  client screen "$work/$design.lid" > /dev/null
+  client profile "$design" --cycles 10000 > "$work/profile_daemon.json"
   daemon_rc=$?
-  requests=$((requests + 1))
-  [ "$local_rc" -eq "$want" ] \
-    || fail "lidtool screen $design.lid exited $local_rc, want $want"
+  [ "$local_rc" -eq "$daemon_rc" ] \
+    || fail "lidtool profile $name exited $local_rc, client profile $daemon_rc"
+  result_member report "$work/profile_daemon.json" \
+    > "$work/profile_member.json"
+  cmp -s "$work/profile_local.json" "$work/profile_member.json" \
+    || fail "client profile $name report differs from lidtool profile --json:
+$(diff "$work/profile_local.json" "$work/profile_member.json" | head -n 12)"
+
+  "$lidtool" screen "$design" > "$work/screen_local.txt"
+  local_rc=$?
+  client screen "$design" > "$work/screen_daemon.json"
+  daemon_rc=$?
   [ "$daemon_rc" -eq "$local_rc" ] \
-    || fail "client screen $design.lid exited $daemon_rc, lidtool screen $local_rc"
+    || fail "client screen $name exited $daemon_rc, lidtool screen $local_rc"
+  local_verdict="$(sed -n 's/^summary: screen .* verdict=\([a-z]*\)$/\1/p' \
+                     "$work/screen_local.txt")"
+  daemon_verdict="$(sed -n 's/^    "verdict": "\([a-z]*\)",\{0,1\}$/\1/p' \
+                      "$work/screen_daemon.json")"
+  [ -n "$local_verdict" ] && [ "$local_verdict" = "$daemon_verdict" ] \
+    || fail "lidtool screen $name says '$local_verdict', client screen '$daemon_verdict'"
+  requests=$((requests + 3))
 done
-echo "serve_smoke: lidtool screen and client screen exit alike"
+[ "$designs" -ge 9 ] || fail "only $designs designs cross-checked"
+echo "serve_smoke: lint, profile and screen of $designs designs answer alike on both surfaces"
 echo "serve_smoke: $requests requests served, $deadlock_answers deadlock verdicts"
 
 # ---- status: the cache must have served hits ----------------------------
@@ -283,12 +289,12 @@ verdicts="$(get deadlock_verdicts)"
 [ -n "$hits" ] || fail "status did not report cache hits"
 [ "$total" -eq $((requests + 1)) ] \
   || fail "status reports $total requests, want $((requests + 1))"
-# 10 distinct cache keys (lint/screen/profile of fig1, screen of the
-# deadlock ring and of the ring beside a pipeline, the 5 cross-checked
-# profiles) computed once each + 2 campaign keys + 1 prove key:
+# 4 distinct cache keys of the mixed loop (lint/screen/profile of fig1,
+# screen of the deadlock ring), 2 campaign keys, 1 prove key and 3 keys
+# (lint, profile, screen) per cross-checked design, each computed once:
 # everything else, the reformatted twin included, must have come from
 # the cache.
-[ "$hits" -ge $((requests - 13)) ] \
+[ "$hits" -ge $((requests - 7 - 3 * designs)) ] \
   || fail "only $hits cache hits across $requests requests"
 # deadlock_verdicts counts computed deadlock answers; the repeat
 # answers came from the cache without re-running the screen.

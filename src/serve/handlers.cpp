@@ -127,6 +127,11 @@ struct Computed {
   bool deadlock = false;  ///< a deadlock verdict was answered
 };
 
+/// A screen or profile result, serialized once.
+Computed with_verdict(const Json& result) {
+  return {result.dump(), result.find("verdict")->as_string() == "deadlock"};
+}
+
 // ---- lint ---------------------------------------------------------------
 
 Computed compute_lint(const ParsedDesign& d) {
@@ -140,101 +145,6 @@ Computed compute_lint(const ParsedDesign& d) {
                                                      : "errors")
                     .set("report", report.to_json(d.net.topo));
   return {result.dump(), false};
-}
-
-// ---- screen -------------------------------------------------------------
-
-/// One screening pass (reset or worst-case occupancy): the one
-/// steady-state search within the budget, then — on a deadlock verdict
-/// only — the watchdog re-run for evidence.  A pass whose whole design
-/// froze carries the trip and its post-mortem bundle; a deadlock that
-/// leaves some token moving names its starved shells instead.
-Json screen_one(const xir::ProgramRef& prog, bool worst_case,
-                std::uint64_t budget, std::uint64_t threshold,
-                lip::SteadyState* v) {
-  *v = xir::screen_for_deadlock(prog, worst_case, budget);
-  telemetry::WatchdogOptions wopts;
-  wopts.no_progress_threshold = threshold;
-  wopts.worst_case_occupancy = worst_case;
-  if (const auto pm = telemetry::deadlock_evidence(prog, *v, wopts)) {
-    return Json::object()
-        .set("deadlock", true)
-        .set("reason", telemetry::trip_reason_str(pm->reason))
-        .set("no_progress_since", pm->no_progress_since)
-        .set("trip_cycle", pm->trip_cycle)
-        .set("cycles", pm->trip_cycle + 1)
-        .set("post_mortem", pm->to_json());
-  }
-  Json j = Json::object()
-               .set("deadlock", v->deadlock_found())
-               .set("found", v->found);
-  if (v->found) {
-    j.set("transient", v->transient)
-        .set("period", v->period)
-        .set("throughput", v->system_throughput());
-  }
-  if (v->deadlock_found()) {
-    Json starved = Json::array();
-    for (graph::NodeId n : v->starved_shells()) {
-      starved.push(prog->topo.node(n).name);
-    }
-    j.set("starved", std::move(starved));
-  }
-  return j;
-}
-
-Computed compute_screen(const ParsedDesign& d, const Request& req,
-                        const ServerOptions& opts) {
-  const std::uint64_t budget = effective_budget(req, opts);
-  // Both passes, and the evidence re-run of either, run one lowered
-  // program.
-  const xir::ProgramRef prog = xir::lower(d.net.topo, {req.policy});
-  lip::SteadyState reset, worst;
-  Json from_reset = screen_one(prog, /*worst_case=*/false, budget,
-                               opts.watchdog_threshold, &reset);
-  Json worst_case = screen_one(prog, /*worst_case=*/true, budget,
-                               opts.watchdog_threshold, &worst);
-  const std::string verdict = skeleton::screening_verdict_name(reset, worst);
-  Json result = Json::object()
-                    .set("schema", "liplib.serve.screen/2")
-                    .set("topology_hash", hex64(topology_hash(d.net.topo)))
-                    .set("policy", lip::policy_name(req.policy))
-                    .set("budget", budget)
-                    .set("verdict", verdict)
-                    .set("from_reset", std::move(from_reset))
-                    .set("worst_case", std::move(worst_case));
-  return {result.dump(), verdict == "deadlock"};
-}
-
-// ---- profile ------------------------------------------------------------
-
-Computed compute_profile(const ParsedDesign& d, const Request& req,
-                         const ServerOptions& opts) {
-  // Full-data probe-instrumented run, counted in whole periods once the
-  // design settles; annotations select pearls and environments,
-  // unannotated nodes get the documented defaults.
-  const lip::Design design = pearls::build_design(d.net);
-  auto sys = design.instantiate();
-  telemetry::WatchdogOptions wopts;
-  wopts.no_progress_threshold = opts.watchdog_threshold;
-  telemetry::Watchdog dog(wopts);
-  dog.attach(*sys);
-  const std::uint64_t cycles = effective_cycles(req, opts);
-  const auto run = telemetry::run_profiled(*sys, dog, cycles);
-
-  Json result = Json::object()
-                    .set("schema", "liplib.serve.profile/1")
-                    .set("topology_hash", hex64(topology_hash(d.net.topo)))
-                    .set("verdict", dog.tripped() ? "deadlock" : "live")
-                    .set("cycles", run.cycles);
-  if (dog.tripped()) {
-    result.set("reason", telemetry::trip_reason_str(dog.reason()))
-        .set("no_progress_since", dog.no_progress_since())
-        .set("trip_cycle", dog.trip_cycle())
-        .set("post_mortem", dog.post_mortem().to_json());
-  }
-  result.set("report", dog.probe().report().to_json());
-  return {result.dump(), dog.tripped()};
 }
 
 // ---- prove --------------------------------------------------------------
@@ -364,6 +274,95 @@ std::string trace_response(const Json& id, const ServeContext& ctx) {
 }
 
 }  // namespace
+
+// ---- screen -------------------------------------------------------------
+
+Json screen_one(const xir::ProgramRef& prog, bool worst_case,
+                std::uint64_t budget, std::uint64_t threshold,
+                lip::SteadyState* v) {
+  *v = xir::screen_for_deadlock(prog, worst_case, budget);
+  telemetry::WatchdogOptions wopts;
+  wopts.no_progress_threshold = threshold;
+  wopts.worst_case_occupancy = worst_case;
+  if (const auto pm = telemetry::deadlock_evidence(prog, *v, wopts)) {
+    return Json::object()
+        .set("deadlock", true)
+        .set("reason", telemetry::trip_reason_str(pm->reason))
+        .set("no_progress_since", pm->no_progress_since)
+        .set("trip_cycle", pm->trip_cycle)
+        .set("cycles", pm->trip_cycle + 1)
+        .set("post_mortem", pm->to_json());
+  }
+  Json j = Json::object()
+               .set("deadlock", v->deadlock_found())
+               .set("found", v->found);
+  if (v->found) {
+    j.set("transient", v->transient)
+        .set("period", v->period)
+        .set("throughput", v->system_throughput());
+  }
+  if (v->deadlock_found()) {
+    Json starved = Json::array();
+    for (graph::NodeId n : v->starved_shells()) {
+      starved.push(prog->topo.node(n).name);
+    }
+    j.set("starved", std::move(starved));
+  }
+  return j;
+}
+
+Json compute_screen(const graph::Topology& topo, const Request& req,
+                    const ServerOptions& opts) {
+  const std::uint64_t budget = effective_budget(req, opts);
+  // Both passes, and the evidence re-run of either, run one lowered
+  // program.
+  const xir::ProgramRef prog = xir::lower(topo, {req.policy});
+  lip::SteadyState reset, worst;
+  Json from_reset = screen_one(prog, /*worst_case=*/false, budget,
+                               opts.watchdog_threshold, &reset);
+  Json worst_case = screen_one(prog, /*worst_case=*/true, budget,
+                               opts.watchdog_threshold, &worst);
+  Json result = Json::object();
+  result.set("schema", "liplib.serve.screen/2")
+      .set("topology_hash", hex64(topology_hash(topo)))
+      .set("policy", lip::policy_name(req.policy))
+      .set("budget", budget)
+      .set("verdict", skeleton::screening_verdict_name(reset, worst))
+      .set("from_reset", std::move(from_reset))
+      .set("worst_case", std::move(worst_case));
+  return result;
+}
+
+// ---- profile ------------------------------------------------------------
+
+Json compute_profile(const graph::AnnotatedNetlist& net, const Request& req,
+                     const ServerOptions& opts, probe::TraceSink* trace) {
+  // Full-data probe-instrumented run, counted in whole periods once the
+  // design settles; annotations select pearls and environments,
+  // unannotated nodes get the documented defaults.
+  const lip::Design design = pearls::build_design(net);
+  auto sys = design.instantiate();
+  telemetry::WatchdogOptions wopts;
+  wopts.no_progress_threshold = opts.watchdog_threshold;
+  telemetry::Watchdog dog(wopts, trace);
+  dog.attach(*sys);
+  const std::uint64_t cycles = effective_cycles(req, opts);
+  const auto run = telemetry::run_profiled(*sys, dog, cycles);
+
+  Json result = Json::object()
+                    .set("schema", "liplib.serve.profile/1")
+                    .set("topology_hash", hex64(topology_hash(net.topo)))
+                    .set("verdict", dog.tripped() ? "deadlock" : "live")
+                    .set("cycles", run.cycles);
+  if (dog.tripped()) {
+    result.set("reason", telemetry::trip_reason_str(dog.reason()))
+        .set("no_progress_since", dog.no_progress_since())
+        .set("trip_cycle", dog.trip_cycle())
+        .set("post_mortem", dog.post_mortem().to_json());
+  }
+  result.set("report", dog.probe().report().to_json());
+  return result;
+}
 
 std::string handle_payload(std::string_view payload, ServeContext& ctx) {
   const std::uint64_t t0 = ctx.recorder.now_us();
@@ -544,10 +543,11 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
     switch (req.kind) {
       case RequestKind::kLint: computed = compute_lint(design); break;
       case RequestKind::kScreen:
-        computed = compute_screen(design, req, ctx.opts);
+        computed =
+            with_verdict(compute_screen(design.net.topo, req, ctx.opts));
         break;
       case RequestKind::kProfile:
-        computed = compute_profile(design, req, ctx.opts);
+        computed = with_verdict(compute_profile(design.net, req, ctx.opts));
         break;
       case RequestKind::kProve:
         computed = compute_prove(design, req, ctx.opts);

@@ -56,15 +56,6 @@ void rerun(const xir::ProgramRef& prog, Watchdog& dog,
   run_guarded(eng, dog, max_cycles);
 }
 
-probe::ProbeConfig watchdog_probe_config(probe::CycleObserver* observer) {
-  probe::ProbeConfig cfg;
-  cfg.counters = true;
-  cfg.attribution = true;  // the bundle's blame histogram
-  cfg.trace = nullptr;     // the trace is replayed from the ring on trip
-  cfg.observer = observer;
-  return cfg;
-}
-
 }  // namespace
 
 const char* trip_reason_str(TripReason r) {
@@ -149,8 +140,12 @@ PostMortem PostMortem::from_json(const Json& j) {
 
 // ---- Watchdog -----------------------------------------------------------
 
-Watchdog::Watchdog(WatchdogOptions opts)
-    : opts_(opts), probe_(watchdog_probe_config(this)) {
+// Attribution gives the bundle its blame histogram; the bundle's trace
+// is replayed from the ring, and `trace` streams the run's own.
+Watchdog::Watchdog(WatchdogOptions opts, probe::TraceSink* trace)
+    : opts_(opts),
+      probe_({.counters = true, .attribution = true, .trace = trace,
+              .observer = this}) {
   LIPLIB_EXPECT(opts_.no_progress_threshold > 0,
                 "watchdog no_progress_threshold must be positive");
   LIPLIB_EXPECT(opts_.ring_cycles > 0, "watchdog ring_cycles must be positive");
@@ -356,7 +351,10 @@ GuardedRun run_profiled(lip::System& sys, Watchdog& dog,
   LIPLIB_EXPECT(dog.bound_ == &dog.probe_,
                 "run_profiled needs the watchdog attached to the system");
   sys.finalize();
-  const std::uint64_t env = sys.environment_period();
+  // A trace cannot skip cycles: a traced run steps them all, as an
+  // aperiodic one does.
+  const std::uint64_t env =
+      dog.probe_.config().trace ? 0 : sys.environment_period();
   // Two cycles with equal protocol state and environment phase see the
   // same valid/stop/activity frames from then on.
   auto state = [&] {

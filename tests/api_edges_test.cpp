@@ -216,6 +216,20 @@ int run_lidtool(const std::string& args) {
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
+/// lidtool's standard output for `args`.
+std::string lidtool_stdout(const std::string& args) {
+  const std::string cmd = std::string(LIDTOOL_PATH) + " " + args +
+                          " 2>/dev/null";
+  std::string out;
+  if (FILE* pipe = ::popen(cmd.c_str(), "r")) {
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+    ::pclose(pipe);
+  }
+  return out;
+}
+
 /// Writes a netlist to a per-process temp path and returns the path.
 std::string write_lid(const char* name, const std::string& text) {
   const std::string path = testing::TempDir() + name + "." +
@@ -332,6 +346,15 @@ channel p.0 -> snk.0 : F
   EXPECT_EQ(run_lidtool("screen " + fig1), 0);
   EXPECT_EQ(run_lidtool("screen " + half_ring), 1);
   EXPECT_EQ(run_lidtool("screen " + ring_pipe), 1);
+  // screen is the daemon's request: it takes the daemon's knobs, and a
+  // budget too small for a steady state answers "unknown" (exit 1).
+  EXPECT_EQ(run_lidtool("screen " + fig1 + " --policy strict --budget 64"), 0);
+  EXPECT_NE(lidtool_stdout("screen " + fig1 + " --policy strict --budget 64")
+                .find("policy=strict budget=64 "),
+            std::string::npos);
+  EXPECT_EQ(run_lidtool("screen " + fig1 + " --budget 3"), 1);
+  EXPECT_EQ(run_lidtool("screen " + fig1 + " --policy bogus"), 2);
+  EXPECT_EQ(run_lidtool("screen " + fig1 + " --cycles 5"), 2);
 
   std::remove(fig1.c_str());
   std::remove(half_ring.c_str());
@@ -343,20 +366,6 @@ channel p.0 -> snk.0 : F
 // `run` measures the steady state with the environment's own period
 // (System::environment_period), so a rate-limited sink reports its true
 // throughput, and an aperiodic environment reports none.
-
-/// lidtool's standard output for `args`.
-std::string lidtool_stdout(const std::string& args) {
-  const std::string cmd = std::string(LIDTOOL_PATH) + " " + args +
-                          " 2>/dev/null";
-  std::string out;
-  if (FILE* pipe = ::popen(cmd.c_str(), "r")) {
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
-    ::pclose(pipe);
-  }
-  return out;
-}
 
 TEST(ApiEdges, LidtoolRunSteadyStateFollowsTheEnvironmentPeriod) {
   auto chain = [](const char* name, const std::string& sink) {
@@ -401,6 +410,64 @@ std::string read_file(const std::string& path) {
   std::ifstream is(path);
   return std::string((std::istreambuf_iterator<char>(is)),
                      std::istreambuf_iterator<char>());
+}
+
+// ---- lidtool profile: the daemon's request, run in-process -------------
+//
+// `lidtool profile` runs the daemon's profile computation, so it answers
+// what `lidtool client profile` answers: a design that freezes trips the
+// watchdog and exits 1 instead of stepping its whole cycle count.
+
+TEST(ApiEdges, LidtoolProfileTripsLikeTheDaemon) {
+  // A sink that stops every cycle: the chain freezes once its stations
+  // fill, and the watchdog trips K = 64 cycles later.
+  const std::string stuck = write_lid("stuck", R"(source src
+process p 1 1
+sink out script(1)
+channel src.0 -> p.0 : F
+channel p.0 -> out.0 : F
+)");
+  const std::string text = lidtool_stdout("profile " + stuck);
+  EXPECT_NE(text.find("DEADLOCK: watchdog tripped (stop_saturation), no "
+                      "progress since cycle 4, tripped at cycle 67\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("summary: profile cycles=68 "), std::string::npos);
+  EXPECT_EQ(run_lidtool("profile " + stuck), 1);
+  EXPECT_EQ(run_lidtool("profile " + stuck + " --json"), 1);
+  std::remove(stuck.c_str());
+}
+
+// `profile --trace` streams the Chrome trace of the run it reports: the
+// file folds into `lidtool trace` as probe events, and the traced run,
+// which steps every cycle, reports what the untraced one counts in whole
+// periods.
+TEST(ApiEdges, LidtoolProfileTraceSplicesIntoTheTimeline) {
+  const std::string every3 = write_lid("every3_trace", R"(source src
+process p 1 1
+sink out periodic(3)
+channel src.0 -> p.0 : F
+channel p.0 -> out.0 : F
+)");
+  const std::string trace = testing::TempDir() + "profile_trace." +
+                            std::to_string(::getpid()) + ".json";
+
+  const std::string untraced =
+      lidtool_stdout("profile " + every3 + " --cycles 3000 --json");
+  EXPECT_NE(untraced.find("\"schema\": \"liplib.probe/1\""), std::string::npos);
+  EXPECT_EQ(lidtool_stdout("profile " + every3 +
+                           " --cycles 3000 --json --trace " + trace),
+            untraced);
+  EXPECT_NE(read_file(trace).find("\"traceEvents\""), std::string::npos);
+
+  const std::string folded = lidtool_stdout("trace " + trace + " --check");
+  EXPECT_NE(folded.find("0 span(s) across 0 trace(s), "), std::string::npos);
+  EXPECT_EQ(folded.find(" 0 spliced probe event(s)"), std::string::npos);
+  EXPECT_NE(folded.find(" spliced probe event(s); integrity ok"),
+            std::string::npos);
+  EXPECT_EQ(run_lidtool("trace " + trace + " --check"), 0);
+
+  std::remove(every3.c_str());
+  std::remove(trace.c_str());
 }
 
 // ---- lidtool campaign seed / shard CLI contract --------------------------
