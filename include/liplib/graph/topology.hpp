@@ -248,4 +248,10 @@ struct EdgeIndex {
 /// the components numbered in reverse topological order.
 std::vector<std::size_t> strongly_connected_components(const EdgeIndex& g);
 
+/// The nodes of a writer -> reader graph in descending component number,
+/// ties by node id: outside its cycles every node precedes the nodes it
+/// points to.  lip::System and xir lowering order their stop settles by
+/// it.
+std::vector<std::uint32_t> writers_first(const EdgeIndex& g);
+
 }  // namespace liplib::graph

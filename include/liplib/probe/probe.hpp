@@ -144,9 +144,12 @@ struct ProbeReport {
   Json to_json() const;
 };
 
-/// Static description of the instrumented structure, built by the host
-/// simulator at attach time.  Indices are the host's dense per-kind
-/// indices; segment ids index the host's segment array.
+/// Static description of the instrumented structure, derived by
+/// Probe::bind from the topology in the layout both hosts share:
+/// segments channel by channel, hop by hop; stations channel-major;
+/// shells, sources and sinks in node order, each shell's out branches
+/// port-major in channel-id order.  Indices are the hosts' dense per-kind
+/// indices; segment ids index their segment arrays.
 struct Wiring {
   struct Endpoint {
     UnitKind kind = UnitKind::kShell;
@@ -204,9 +207,11 @@ class Probe {
 
   // ---- host-simulator interface ----------------------------------------
 
-  /// Called once by the simulator the probe is attached to.  Sizes all
-  /// scratch storage; after bind() the per-cycle path allocates nothing.
-  void bind(const graph::Topology& topo, Wiring wiring);
+  /// Called once by the simulator the probe is attached to, with its
+  /// stop policy (StopPolicy::kCarloniStrict or not).  Derives the
+  /// wiring and sizes all scratch storage; after bind() the per-cycle
+  /// path allocates nothing.
+  void bind(const graph::Topology& topo, bool strict);
 
   /// Per-cycle scratch the host fills before commit_cycle(): settled
   /// valid/stop bit per segment, activity per shell (wiring order).
@@ -247,6 +252,16 @@ class Probe {
 
   /// Human-readable name of a unit ("B", "A_to_B.rs0", ...).
   std::string unit_name(const Unit& u) const;
+
+  /// A channel's segments, producer hop first, and the name of its
+  /// occupancy counter track ("occ A_to_B", "#<channel>" appended to
+  /// repeats), as the trace shows them (valid after bind()).
+  const std::vector<std::size_t>& channel_segments(graph::ChannelId c) const {
+    return channel_segs_[c];
+  }
+  const std::string& channel_track(graph::ChannelId c) const {
+    return channel_track_[c];
+  }
 
   /// Closes open trace spans and finishes the sink's JSON document.
   /// Idempotent; also run by the destructor.  No-op without a trace.

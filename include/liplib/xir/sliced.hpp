@@ -107,12 +107,9 @@ class SlicedEngine {
   std::vector<lip::SteadyState> analyze(std::uint64_t max_cycles = 1u << 20);
 
  private:
-  void refresh_schedule();
-  std::uint64_t shell_ready_word(std::size_t k) const;
+  void use_plan(SettlePlan plan);
   std::uint64_t advance(const std::uint64_t* sink_stops);
   void settle_stops(const std::uint64_t* sink_stops);
-  /// Settles one unit's stop outputs; returns whether one changed.
-  bool settle_unit(std::uint32_t unit);
   void step_stations();
   /// analyze()'s checkpoint: state bitplanes, fire counts, sink tokens.
   void save_checkpoint(std::vector<std::uint64_t>* out) const;
@@ -125,8 +122,13 @@ class SlicedEngine {
   std::size_t num_lanes_ = kLanes;
   std::uint64_t live_mask_ = ~0ull;  ///< bits [0, num_lanes)
   std::uint64_t cycle_ = 0;
-  bool schedule_dirty_ = false;
-  SettleSchedule schedule_;  ///< for the union of per-lane dynamic sets
+  /// The settle plan for the union of every lane's half stations, rebuilt
+  /// by the first settle after set_station_kinds; the re-queued units
+  /// (places in the plan) and, per place, whether one is queued.
+  bool plan_dirty_ = false;
+  SettlePlan plan_;
+  std::vector<std::uint32_t> queue_;
+  std::vector<std::uint8_t> queued_;
 
   // Bitplanes: bit i = lane i.
   std::vector<std::uint64_t> fwd_w_;      ///< per segment
@@ -139,6 +141,9 @@ class SlicedEngine {
   std::vector<std::uint64_t> stop_reg_;
   std::vector<std::uint64_t> pend_w_;     ///< per shell out branch
   std::vector<std::uint64_t> src_pend_w_; ///< per source branch
+  /// Per shell: the lanes in which it fires this cycle, from its last
+  /// evaluation in settle_stops.
+  std::vector<std::uint64_t> fire_w_;
   std::vector<std::uint64_t> fires_;  ///< [shell * num_lanes_ + lane]
   /// Per live lane: tokens taken by Program::src_fed_sinks.
   std::vector<std::uint64_t> sink_tokens_;

@@ -9,15 +9,14 @@
 //
 //  - ScalarEngine: a compiled scalar evaluator, bit-exact against the
 //    protocol trajectory of the full-data lip::System.  The stop network
-//    is settled by straight-line sweeps over the CSR arrays in a
-//    precomputed dependency order: every stop producer outside a
-//    combinational cycle is evaluated exactly once per cycle (Kahn
-//    topological order over the stop-dependency graph); only the cyclic
-//    remainder — half stations and shells on combinational stop loops,
-//    the paper's hazard case — iterates to the fixpoint.  Because the
-//    stop system is monotone from its pessimistic (all-1) or optimistic
-//    (all-0) start, the ordered single pass lands on the same extreme
-//    fixpoint as System's settle.
+//    is settled the way System settles it: every combinational unit
+//    (half station or shell) is evaluated once per cycle, writers before
+//    readers (SettlePlan), and a unit is evaluated again only when a
+//    stop it reads changes after its evaluation — on combinational stop
+//    loops, the paper's hazard case.  Because the stop system is monotone
+//    from its pessimistic (all-1) or optimistic (all-0) start, each stop
+//    changes at most once per settle, and every order lands on the same
+//    extreme fixpoint.
 //
 //  - SlicedEngine (xir/sliced.hpp): a bit-sliced evaluator packing 64
 //    independent scenarios of one lowered program into each machine
@@ -51,18 +50,26 @@
 
 namespace liplib::probe {
 class Probe;
-struct Wiring;
 }  // namespace liplib::probe
 
 namespace liplib::xir {
 
-/// The settle schedule of a lowered program: the stop producers that can
-/// be evaluated exactly once in dependency order, and the combinational
-/// remainder that must iterate.  Unit ids: u < num_stations is station
-/// u; otherwise shell (u - num_stations).
-struct SettleSchedule {
-  std::vector<std::uint32_t> order;    ///< acyclic units, consumers first
-  std::vector<std::uint32_t> iterate;  ///< units on/behind stop cycles
+/// How a lowered program settles its stops each cycle.  The units are
+/// the combinational stop writers: every shell, and every station whose
+/// stop is combinational (half, in some lane of a SlicedEngine).  Unit
+/// id u < num_stations is station u; otherwise shell (u - num_stations).
+/// A station writes its upstream segment's stop from its downstream one;
+/// a shell writes its input stops from its branch stops and input
+/// valids.  Each segment's stop has at most one reader: its producer,
+/// when that is a unit.
+struct SettlePlan {
+  static constexpr std::uint32_t kNoReader = ~std::uint32_t{0};
+  /// Unit ids in evaluation order, writers first (graph::writers_first
+  /// over the writer -> reader edges; ties by unit id).
+  std::vector<std::uint32_t> units;
+  /// Per segment: the place in `units` of the unit reading its stop, or
+  /// kNoReader.
+  std::vector<std::uint32_t> reader;
 };
 
 /// The flattened IR: one topology lowered into CSR index arrays.  All
@@ -90,10 +97,6 @@ struct Program {
   std::vector<std::uint32_t> shell_in_seg;    ///< input segment per port
   std::vector<std::uint32_t> shell_br_begin;  ///< size shells+1
   std::vector<std::uint32_t> shell_br_seg;    ///< out branch segments
-  /// Port boundaries inside the branch list (size = total out ports + 1,
-  /// indexed via shell_port_begin); kept for probe wiring replay.
-  std::vector<std::uint32_t> shell_port_begin;  ///< size shells+1
-  std::vector<std::uint32_t> port_br_begin;     ///< per port, +1 sentinel
 
   // Sources and sinks, node-id order.
   std::vector<graph::NodeId> src_node;
@@ -109,9 +112,9 @@ struct Program {
   /// NodeId -> dense per-kind index (shell/source/sink), or npos.
   std::vector<std::size_t> node_index;
 
-  /// Base settle schedule (computed from st_half; a SlicedEngine whose
-  /// lanes upgrade stations to half builds its own).
-  SettleSchedule schedule;
+  /// The settle plan of the base station kinds (st_half); a
+  /// SlicedEngine whose lanes make other stations half builds its own.
+  SettlePlan settle;
 
   std::size_t num_stations() const { return st_in.size(); }
   std::size_t num_shells() const { return shell_node.size(); }
@@ -211,11 +214,11 @@ inline bool sink_stopped(std::uint64_t sink_stops, std::size_t sink) {
 ProgramRef lower(const graph::Topology& topo,
                  skeleton::SkeletonOptions opts = {});
 
-/// Builds a settle schedule for a given dynamic-station set (1 = the
-/// station's stop output is combinational, i.e. half in at least one
-/// lane).  Shells are always dynamic.
-SettleSchedule build_settle_schedule(
-    const Program& p, const std::vector<std::uint8_t>& station_dynamic);
+/// Builds the settle plan whose station units are those flagged in
+/// `station_unit` (1 = the station's stop is combinational: half in at
+/// least one lane).  Shells are always units.
+SettlePlan settle_plan(const Program& p,
+                       const std::vector<std::uint8_t>& station_unit);
 
 /// The compiled scalar engine: the skeleton simulator.  Its protocol
 /// dynamics, steady states and probe observations are bit-exact against
@@ -300,11 +303,8 @@ class ScalarEngine {
   void attach_probe(probe::Probe& probe);
 
  private:
-  bool shell_ready(std::size_t k) const;
   bool advance(const std::uint64_t* sink_stops);
   void settle_stops(const std::uint64_t* sink_stops);
-  /// Settles one unit's stop outputs; returns whether one changed.
-  bool eval_settle_unit(std::uint32_t unit);
   void observe_probe();
 
   ProgramRef prog_;
@@ -323,6 +323,13 @@ class ScalarEngine {
   std::vector<std::uint64_t> fire_count_;  ///< per shell
   std::uint64_t sink_tokens_ = 0;  ///< taken by Program::src_fed_sinks
   std::vector<std::vector<std::uint8_t>> sink_pattern_;  ///< per sink
+  /// Per shell: whether it fires this cycle, from its last evaluation in
+  /// settle_stops, which sees the settled stops.
+  std::vector<std::uint8_t> fire_;
+  // The settle's re-queued units (places in the plan) and, per place,
+  // whether it is queued.
+  std::vector<std::uint32_t> queue_;
+  std::vector<std::uint8_t> queued_;
 };
 
 /// The paper's deadlock screen, the one answer to "does this design
@@ -347,10 +354,6 @@ lip::SteadyState screen_for_deadlock(
 skeleton::CureResult cure_deadlocks(const graph::Topology& topo,
                                     skeleton::ScreeningOptions opts = {},
                                     std::uint64_t max_cycles = 1u << 20);
-
-/// Builds the probe::Wiring of a lowered program (the wiring
-/// lip::System::attach_probe builds for the same topology).
-void build_probe_wiring(const Program& p, probe::Wiring* out);
 
 }  // namespace liplib::xir
 

@@ -12,9 +12,11 @@
 # `status` that the cache actually served hits, that the design memo
 # answered repeat texts without a parse, that the deadlock
 # was answered as a verdict (not a hang), that screening a 4,000-process
-# chain raises the daemon's peak RSS (VmHWM) by at most 64 MiB, that 200
-# more one-request connections leave the daemon's VmSize where it was,
-# and that a `shutdown` request drains cleanly.
+# chain raises the daemon's peak RSS (VmHWM) by at most 64 MiB, that one
+# screen and one prove of 2,000 half stations feeding a stop cycle each
+# answer within 5 s with the right verdicts, that 200 more one-request
+# connections leave the daemon's VmSize where it was, and that a
+# `shutdown` request drains cleanly (334 frames in all).
 #
 # Usage: scripts/serve_smoke.sh [path/to/lidtool]
 # (default: build/examples/lidtool relative to the repo root)
@@ -133,7 +135,8 @@ result_member() {
 # 24 rounds x 4 request kinds = 96, plus 2 campaigns = 98; plus the 2
 # reformatted-twin requests, the prove, campaign and the lint, profile
 # and screen of 9 designs of the next sections, plus the final status +
-# shutdown = 131 frames total.  After round one, every
+# shutdown = 131 frames (334 with the two chains' screens, the stop-cycle
+# chain's prove and the 200 churn connections).  After round one, every
 # lint/screen/profile answer must be a cache hit; from round two on,
 # every one of them also finds its text in the design memo (round two
 # admits the 2 texts: 2 + 22 x 4 = 90 memo hits).
@@ -335,6 +338,46 @@ hwm_after="$(vm_hwm_kib)"
 [ $((hwm_after - hwm_before)) -le $((64 * 1024)) ] \
   || fail "VmHWM rose from $hwm_before to $hwm_after kB screening a 4,000-process chain"
 echo "serve_smoke: VmHWM $hwm_before -> $hwm_after kB screening a 4,000-process chain"
+
+# ---- a half-station chain into a stop cycle: settled in linear time ----
+
+# A source feeds 2,000 half stations into a two-shell loop of half
+# stations, so the chain's stops hang off a combinational stop cycle.
+# Every cycle model settles it in one writers-first pass plus re-queues,
+# so one screen and one prove each answer within 5 s; sweeping the
+# chain until no stop changed took 13 s and 27.5 s in-process.  The
+# screen is live from reset and latched under worst-case occupancy, and
+# prove (from reset) answers proved.
+awk 'BEGIN {
+  print "source src"; print "process A 2 1"; print "process B 1 1"
+  print "sink out"
+  line = "channel src.0 -> A.0 :"
+  for (i = 0; i < 2000; i++) line = line " H"
+  print line
+  print "channel A.0 -> B.0 : H"
+  print "channel B.0 -> A.1 : H"
+  print "channel B.0 -> out.0 : H"
+}' > "$work/chainloop.lid"
+for kind in screen prove; do
+  start_ns="$(date +%s%N)"
+  client "$kind" "$work/chainloop.lid" > "$work/${kind}_chainloop.json"
+  rc=$?
+  elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+  [ "$elapsed_ms" -le 5000 ] \
+    || fail "client $kind of the chain into a stop cycle took $elapsed_ms ms"
+  python3 - "$kind" "$rc" "$work/${kind}_chainloop.json" <<'PY' \
+    || fail "client $kind of the chain into a stop cycle answered wrongly (exit $rc)"
+import json, sys
+kind, rc, result = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3]))["result"]
+if kind == "screen":
+    ok = (rc == 1 and result["from_reset"]["deadlock"] is False
+          and result["worst_case"]["deadlock"] is True)
+else:
+    ok = rc == 0 and result["prove"]["verdict"] == "proved"
+sys.exit(0 if ok else 1)
+PY
+  echo "serve_smoke: client $kind of a 2,000-station chain into a stop cycle: $elapsed_ms ms"
+done
 
 # ---- connection churn: memory does not grow per connection -------------
 

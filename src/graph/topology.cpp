@@ -199,6 +199,18 @@ std::vector<std::size_t> strongly_connected_components(const EdgeIndex& g) {
   return comp;
 }
 
+std::vector<std::uint32_t> writers_first(const EdgeIndex& g) {
+  // Tarjan numbers the components in reverse topological order.
+  const auto comp = strongly_connected_components(g);
+  std::vector<std::uint32_t> order(comp.size());
+  for (std::uint32_t v = 0; v < order.size(); ++v) order[v] = v;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return comp[a] > comp[b];
+                   });
+  return order;
+}
+
 std::vector<std::size_t> Topology::components(
     const std::function<bool(ChannelId)>& keep) const {
   return strongly_connected_components(EdgeIndex(

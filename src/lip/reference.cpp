@@ -25,7 +25,7 @@ ReferenceExecutor::ReferenceExecutor(const graph::Topology& topo)
       }
       case graph::NodeKind::kSink: {
         node_index_[v] = snks_.size();
-        snks_.push_back({v, {}});
+        snks_.emplace_back().node = v;
         break;
       }
     }

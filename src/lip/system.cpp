@@ -160,19 +160,11 @@ void System::build_settle_order() {
     }
     for (SegId in : shells_[units[u].index].in_seg) wire(u, in);
   }
-  // Tarjan numbers the components in reverse topological order, so
-  // descending component numbers put every writer before its readers
-  // outside combinational stop cycles.
-  const auto comp = graph::strongly_connected_components(graph::EdgeIndex(
+  // Every writer precedes its readers outside combinational stop cycles,
+  // and units are renumbered by their place in that order.
+  const auto order = graph::writers_first(graph::EdgeIndex(
       units.size(), edges.size(), [&](std::size_t e) { return edges[e]; },
       [](std::size_t) { return true; }));
-  std::vector<std::uint32_t> order(units.size());
-  for (std::uint32_t u = 0; u < units.size(); ++u) order[u] = u;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return comp[a] > comp[b];
-                   });
-  // Units are renumbered by their place in that order.
   std::vector<std::uint32_t> place(units.size());
   for (std::uint32_t k = 0; k < order.size(); ++k) {
     units_.push_back(units[order[k]]);
@@ -532,63 +524,7 @@ void System::attach_probe(probe::Probe& probe) {
                 "probe requires the paper's simplified shell "
                 "(input_queue_depth == 0)");
 
-  probe::Wiring w;
-  w.strict = strict();
-  w.segments.resize(segs_.size());
-  w.stations.resize(stations_.size());
-  for (graph::ChannelId c = 0; c < topo_.channels().size(); ++c) {
-    const auto& ch = topo_.channel(c);
-    const auto& ids = channel_segs_[c];
-    const std::size_t n_st = ch.num_stations();
-    for (std::size_t h = 0; h < ids.size(); ++h) {
-      probe::Wiring::Segment& seg = w.segments[ids[h]];
-      seg.channel = c;
-      seg.hop = h;
-      if (h == 0) {
-        const auto& from = topo_.node(ch.from.node);
-        seg.producer.kind = from.kind == graph::NodeKind::kProcess
-                                ? probe::UnitKind::kShell
-                                : probe::UnitKind::kSource;
-        seg.producer.index = node_index_[ch.from.node];
-      } else {
-        seg.producer.kind = probe::UnitKind::kStation;
-        seg.producer.index = channel_stations_[c][h - 1];
-      }
-      if (h < n_st) {
-        seg.consumer.kind = probe::UnitKind::kStation;
-        seg.consumer.index = channel_stations_[c][h];
-      } else {
-        const auto& to = topo_.node(ch.to.node);
-        seg.consumer.kind = to.kind == graph::NodeKind::kProcess
-                                ? probe::UnitKind::kShell
-                                : probe::UnitKind::kSink;
-        seg.consumer.index = node_index_[ch.to.node];
-      }
-    }
-    for (std::size_t k = 0; k < n_st; ++k) {
-      const std::size_t idx = channel_stations_[c][k];
-      probe::Wiring::Station& st = w.stations[idx];
-      st.channel = c;
-      st.index = k;
-      st.full = stations_[idx].kind == graph::RsKind::kFull;
-      st.in_seg = stations_[idx].in_seg;
-      st.out_seg = stations_[idx].out_seg;
-    }
-  }
-  for (const auto& s : shells_) {
-    probe::Wiring::Shell sh;
-    sh.node = s.node;
-    sh.in_segs = s.in_seg;
-    for (const auto& port : s.out) {
-      sh.out_segs.insert(sh.out_segs.end(), port.branch.begin(),
-                         port.branch.end());
-    }
-    w.shells.push_back(std::move(sh));
-  }
-  for (const auto& s : sources_) w.sources.push_back({s.node});
-  for (const auto& s : sinks_) w.sinks.push_back({s.node});
-
-  probe.bind(topo_, std::move(w));
+  probe.bind(topo_, strict());
   probe_ = &probe;
 }
 

@@ -41,11 +41,66 @@ Probe::Probe(ProbeConfig cfg) : cfg_(cfg) {}
 
 Probe::~Probe() { finish_trace(); }
 
-void Probe::bind(const graph::Topology& topo, Wiring wiring) {
+void Probe::bind(const graph::Topology& topo, bool strict) {
   LIPLIB_EXPECT(!bound_, "probe already bound to a simulator");
   topo_ = topo;
-  wiring_ = std::move(wiring);
   bound_ = true;
+
+  wiring_ = Wiring{};
+  wiring_.strict = strict;
+  std::vector<std::size_t> index(topo_.nodes().size());
+  // Out branches per shell and port, flattened port-major below.
+  std::vector<std::vector<std::vector<std::size_t>>> branches;
+  for (graph::NodeId v = 0; v < topo_.nodes().size(); ++v) {
+    const auto& node = topo_.node(v);
+    if (node.kind == graph::NodeKind::kProcess) {
+      index[v] = wiring_.shells.size();
+      wiring_.shells.push_back(
+          {v, std::vector<std::size_t>(node.num_inputs), {}});
+      branches.emplace_back(node.num_outputs);
+    } else {
+      auto& env = node.kind == graph::NodeKind::kSource ? wiring_.sources
+                                                        : wiring_.sinks;
+      index[v] = env.size();
+      env.push_back({v});
+    }
+  }
+  auto endpoint = [&](graph::NodeId v, UnitKind env) {
+    const bool shell = topo_.node(v).kind == graph::NodeKind::kProcess;
+    return Wiring::Endpoint{shell ? UnitKind::kShell : env, index[v]};
+  };
+  channel_segs_.assign(topo_.channels().size(), {});
+  for (graph::ChannelId c = 0; c < topo_.channels().size(); ++c) {
+    const auto& ch = topo_.channel(c);
+    const std::size_t n_st = ch.num_stations();
+    const std::size_t seg = wiring_.segments.size();
+    const std::size_t station = wiring_.stations.size();
+    for (std::size_t h = 0; h <= n_st; ++h) {
+      wiring_.segments.push_back(
+          {c, h,
+           h == 0 ? endpoint(ch.from.node, UnitKind::kSource)
+                  : Wiring::Endpoint{UnitKind::kStation, station + h - 1},
+           h < n_st ? Wiring::Endpoint{UnitKind::kStation, station + h}
+                    : endpoint(ch.to.node, UnitKind::kSink)});
+      channel_segs_[c].push_back(seg + h);
+    }
+    for (std::size_t k = 0; k < n_st; ++k) {
+      wiring_.stations.push_back({c, k, ch.stations[k] == graph::RsKind::kFull,
+                                  seg + k, seg + k + 1});
+    }
+    if (topo_.node(ch.from.node).kind == graph::NodeKind::kProcess) {
+      branches[index[ch.from.node]][ch.from.port].push_back(seg);
+    }
+    if (topo_.node(ch.to.node).kind == graph::NodeKind::kProcess) {
+      wiring_.shells[index[ch.to.node]].in_segs[ch.to.port] = seg + n_st;
+    }
+  }
+  for (std::size_t k = 0; k < wiring_.shells.size(); ++k) {
+    for (const auto& port : branches[k]) {
+      auto& out = wiring_.shells[k].out_segs;
+      out.insert(out.end(), port.begin(), port.end());
+    }
+  }
 
   valid_.assign(wiring_.segments.size(), 0);
   stop_.assign(wiring_.segments.size(), 0);
@@ -74,10 +129,6 @@ void Probe::bind(const graph::Topology& topo, Wiring wiring) {
     unit_names_.push_back(base(st.channel) + ".rs" + std::to_string(st.index));
   }
 
-  channel_segs_.assign(topo_.channels().size(), {});
-  for (std::size_t i = 0; i < wiring_.segments.size(); ++i) {
-    channel_segs_[wiring_.segments[i].channel].push_back(i);
-  }
   channel_track_.clear();
   std::map<std::string, std::size_t> track_uses;
   for (graph::ChannelId c = 0; c < topo_.channels().size(); ++c) {

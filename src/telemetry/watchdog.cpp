@@ -1,6 +1,5 @@
 #include "liplib/telemetry/watchdog.hpp"
 
-#include <map>
 #include <sstream>
 
 #include "liplib/graph/netlist_io.hpp"
@@ -244,22 +243,6 @@ std::string Watchdog::render_ring_trace() const {
     sink.name_thread(kTracePid, k + 1, shell_names[k]);
   }
 
-  // Channel -> segments, and deduplicated counter-track names (same
-  // convention as the live probe).
-  std::vector<std::vector<std::size_t>> channel_segs(topo.channels().size());
-  for (std::size_t i = 0; i < w.segments.size(); ++i) {
-    channel_segs[w.segments[i].channel].push_back(i);
-  }
-  std::vector<std::string> channel_track;
-  std::map<std::string, std::size_t> track_uses;
-  for (graph::ChannelId c = 0; c < topo.channels().size(); ++c) {
-    const auto& ch = topo.channel(c);
-    std::string name = "occ " + topo.node(ch.from.node).name + "_to_" +
-                       topo.node(ch.to.node).name;
-    if (track_uses[name]++ > 0) name += "#" + std::to_string(c);
-    channel_track.push_back(std::move(name));
-  }
-
   struct Span {
     std::uint8_t act = 0;
     std::uint64_t start = 0;
@@ -292,15 +275,15 @@ std::string Watchdog::render_ring_trace() const {
       }
       sp = {a, cycle, true};
     }
-    for (std::size_t c = 0; c < channel_segs.size(); ++c) {
+    for (graph::ChannelId c = 0; c < chan.size(); ++c) {
       std::uint64_t v = 0;
       std::uint64_t s = 0;
-      for (std::size_t seg : channel_segs[c]) {
+      for (std::size_t seg : bound_->channel_segments(c)) {
         v += ring_valid_[slot * segs_ + seg];
         s += ring_stop_[slot * segs_ + seg];
       }
       if (v != chan[c].valid || s != chan[c].stopped) {
-        sink.counter_event(channel_track[c], cycle, kTracePid,
+        sink.counter_event(bound_->channel_track(c), cycle, kTracePid,
                            {{"valid", v}, {"stop", s}});
         chan[c] = {v, s};
       }

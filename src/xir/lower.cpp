@@ -1,12 +1,10 @@
 // Lowering graph::Topology into the flattened xir IR, plus the settle
-// schedule (Kahn order over the stop-dependency graph), the plane-key
-// layout, the repeat index and the probe wiring shared by both engines.
+// plan (writers-first unit order and stop readers), the plane-key layout
+// and the repeat index shared by both engines.
 
 #include <algorithm>
 #include <functional>
-#include <queue>
 
-#include "liplib/probe/probe.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/xir/xir.hpp"
 
@@ -14,7 +12,6 @@ namespace liplib::xir {
 
 namespace {
 constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
-constexpr std::uint32_t kNoUnit = static_cast<std::uint32_t>(-1);
 }  // namespace
 
 KeyLayout::KeyLayout(const Program& p)
@@ -47,84 +44,57 @@ std::size_t repeat_stride(const Program& p) {
       1, (KeyLayout(p).key_bytes() + 8 * p.num_shells()) / 32);
 }
 
-SettleSchedule build_settle_schedule(
-    const Program& p, const std::vector<std::uint8_t>& station_dynamic) {
-  LIPLIB_EXPECT(station_dynamic.size() == p.num_stations(),
-                "dynamic-station flags do not match the program");
+SettlePlan settle_plan(const Program& p,
+                       const std::vector<std::uint8_t>& station_unit) {
+  LIPLIB_EXPECT(station_unit.size() == p.num_stations(),
+                "station-unit flags do not match the program");
+  constexpr std::uint32_t kNone = SettlePlan::kNoReader;
   const std::size_t n_st = p.num_stations();
-  const std::size_t n_units = n_st + p.num_shells();
-
-  // Who writes each segment's stop during the dynamic part of a settle?
-  // Dynamic (kHalf in some lane) stations write their upstream segment;
-  // shells write every one of their input segments.  Everything else
-  // (sink patterns, full-station stop_reg) is written once, before the
-  // dynamic part, and is a constant for the schedule.
-  std::vector<std::uint32_t> seg_writer(p.num_segments, kNoUnit);
-  for (std::size_t s = 0; s < n_st; ++s) {
-    if (station_dynamic[s]) {
-      seg_writer[p.st_in[s]] = static_cast<std::uint32_t>(s);
-    }
+  // The units in id order, and the one reading each segment's stop.
+  std::vector<std::uint32_t> ids;
+  std::vector<std::uint32_t> reader(p.num_segments, kNone);
+  for (std::uint32_t s = 0; s < n_st; ++s) {
+    if (!station_unit[s]) continue;
+    reader[p.st_out[s]] = static_cast<std::uint32_t>(ids.size());
+    ids.push_back(s);
   }
   for (std::size_t k = 0; k < p.num_shells(); ++k) {
-    const auto unit = static_cast<std::uint32_t>(n_st + k);
-    for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-         ++i) {
-      seg_writer[p.shell_in_seg[i]] = unit;
-    }
-  }
-
-  // Dependency edges writer -> reader: a dynamic station reads the stop
-  // of its downstream segment; a shell reads the stop of every out
-  // branch.  (Valid bits are constants during a settle and contribute no
-  // edges.)
-  std::vector<std::vector<std::uint32_t>> out_edges(n_units);
-  std::vector<std::uint32_t> indegree(n_units, 0);
-  std::vector<std::uint8_t> is_dynamic(n_units, 1);
-  auto add_edge = [&](std::size_t read_seg, std::uint32_t reader) {
-    const std::uint32_t w = seg_writer[read_seg];
-    if (w == kNoUnit) return;
-    out_edges[w].push_back(reader);
-    ++indegree[reader];
-  };
-  for (std::size_t s = 0; s < n_st; ++s) {
-    if (!station_dynamic[s]) {
-      is_dynamic[s] = 0;
-      continue;
-    }
-    add_edge(p.st_out[s], static_cast<std::uint32_t>(s));
-  }
-  for (std::size_t k = 0; k < p.num_shells(); ++k) {
-    const auto unit = static_cast<std::uint32_t>(n_st + k);
     for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
          ++b) {
-      add_edge(p.shell_br_seg[b], unit);
+      reader[p.shell_br_seg[b]] = static_cast<std::uint32_t>(ids.size());
+    }
+    ids.push_back(static_cast<std::uint32_t>(n_st + k));
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> edges;  // writer -> reader
+  auto wire = [&](std::size_t writer, std::uint32_t seg) {
+    if (reader[seg] != kNone) edges.emplace_back(writer, reader[seg]);
+  };
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] < n_st) {
+      wire(i, p.st_in[ids[i]]);
+      continue;
+    }
+    const std::size_t k = ids[i] - n_st;
+    for (std::uint32_t j = p.shell_in_begin[k]; j < p.shell_in_begin[k + 1];
+         ++j) {
+      wire(i, p.shell_in_seg[j]);
     }
   }
-
-  // Kahn's algorithm.  Units it releases have all their stop inputs
-  // final when visited in order, so one evaluation each computes their
-  // fixpoint value; the remainder sits on (or behind) combinational stop
-  // cycles and must iterate.  Both pieces are deterministic: the ready
-  // queue is seeded and drained in unit-id order.
-  SettleSchedule sched;
-  std::queue<std::uint32_t> ready;
-  for (std::uint32_t u = 0; u < n_units; ++u) {
-    if (is_dynamic[u] && indegree[u] == 0) ready.push(u);
+  const auto order = graph::writers_first(graph::EdgeIndex(
+      ids.size(), edges.size(), [&](std::size_t e) { return edges[e]; },
+      [](std::size_t) { return true; }));
+  // Readers are renumbered by their place in that order.
+  SettlePlan plan;
+  std::vector<std::uint32_t> place(order.size());
+  for (std::uint32_t k = 0; k < order.size(); ++k) {
+    plan.units.push_back(ids[order[k]]);
+    place[order[k]] = k;
   }
-  std::vector<std::uint8_t> placed(n_units, 0);
-  while (!ready.empty()) {
-    const std::uint32_t u = ready.front();
-    ready.pop();
-    sched.order.push_back(u);
-    placed[u] = 1;
-    for (std::uint32_t v : out_edges[u]) {
-      if (--indegree[v] == 0) ready.push(v);
-    }
+  for (auto& r : reader) {
+    if (r != kNone) r = place[r];
   }
-  for (std::uint32_t u = 0; u < n_units; ++u) {
-    if (is_dynamic[u] && !placed[u]) sched.iterate.push_back(u);
-  }
-  return sched;
+  plan.reader = std::move(reader);
+  return plan;
 }
 
 ProgramRef lower(const graph::Topology& topo, skeleton::SkeletonOptions opts) {
@@ -223,18 +193,12 @@ ProgramRef lower(const graph::Topology& topo, skeleton::SkeletonOptions opts) {
 
   // Flatten the branch lists into CSR form.
   p.shell_br_begin.assign(1, 0);
-  p.shell_port_begin.assign(1, 0);
-  p.port_br_begin.assign(1, 0);
   for (std::size_t k = 0; k < p.num_shells(); ++k) {
     for (const auto& port : shell_br[k]) {
       p.shell_br_seg.insert(p.shell_br_seg.end(), port.begin(), port.end());
-      p.port_br_begin.push_back(
-          static_cast<std::uint32_t>(p.shell_br_seg.size()));
     }
     p.shell_br_begin.push_back(
         static_cast<std::uint32_t>(p.shell_br_seg.size()));
-    p.shell_port_begin.push_back(
-        static_cast<std::uint32_t>(p.port_br_begin.size() - 1));
   }
   p.src_br_begin.assign(1, 0);
   for (std::size_t s = 0; s < p.num_sources(); ++s) {
@@ -243,78 +207,8 @@ ProgramRef lower(const graph::Topology& topo, skeleton::SkeletonOptions opts) {
     p.src_br_begin.push_back(static_cast<std::uint32_t>(p.src_br_seg.size()));
   }
 
-  p.schedule = build_settle_schedule(p, p.st_half);
+  p.settle = settle_plan(p, p.st_half);
   return prog;
-}
-
-void build_probe_wiring(const Program& p, probe::Wiring* out) {
-  const graph::Topology& topo = p.topo;
-  probe::Wiring& w = *out;
-  w = probe::Wiring{};
-  w.strict = p.strict;
-  w.segments.resize(p.num_segments);
-  w.stations.resize(p.num_stations());
-  std::size_t seg = 0;
-  std::size_t station = 0;
-  for (graph::ChannelId c = 0; c < topo.channels().size(); ++c) {
-    const auto& ch = topo.channel(c);
-    const std::size_t n_st = ch.num_stations();
-    for (std::size_t h = 0; h <= n_st; ++h) {
-      probe::Wiring::Segment& s = w.segments[seg + h];
-      s.channel = c;
-      s.hop = h;
-      if (h == 0) {
-        const auto& from = topo.node(ch.from.node);
-        s.producer.kind = from.kind == graph::NodeKind::kProcess
-                              ? probe::UnitKind::kShell
-                              : probe::UnitKind::kSource;
-        s.producer.index = p.node_index[ch.from.node];
-      } else {
-        s.producer.kind = probe::UnitKind::kStation;
-        s.producer.index = station + h - 1;
-      }
-      if (h < n_st) {
-        s.consumer.kind = probe::UnitKind::kStation;
-        s.consumer.index = station + h;
-      } else {
-        const auto& to = topo.node(ch.to.node);
-        s.consumer.kind = to.kind == graph::NodeKind::kProcess
-                              ? probe::UnitKind::kShell
-                              : probe::UnitKind::kSink;
-        s.consumer.index = p.node_index[ch.to.node];
-      }
-    }
-    for (std::size_t k = 0; k < n_st; ++k) {
-      probe::Wiring::Station& st = w.stations[station + k];
-      st.channel = c;
-      st.index = k;
-      st.full = p.st_half[station + k] == 0;
-      st.in_seg = p.st_in[station + k];
-      st.out_seg = p.st_out[station + k];
-    }
-    seg += n_st + 1;
-    station += n_st;
-  }
-  for (std::size_t k = 0; k < p.num_shells(); ++k) {
-    probe::Wiring::Shell sh;
-    sh.node = p.shell_node[k];
-    for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-         ++i) {
-      sh.in_segs.push_back(p.shell_in_seg[i]);
-    }
-    for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
-         ++b) {
-      sh.out_segs.push_back(p.shell_br_seg[b]);
-    }
-    w.shells.push_back(std::move(sh));
-  }
-  for (graph::NodeId v = 0; v < topo.nodes().size(); ++v) {
-    if (topo.node(v).kind == graph::NodeKind::kSource) {
-      w.sources.push_back({v});
-    } else if (topo.node(v).kind == graph::NodeKind::kSink) {
-      w.sinks.push_back({v});
-    }
-  }
 }
 
 }  // namespace liplib::xir

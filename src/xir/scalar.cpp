@@ -9,6 +9,7 @@
 #include "liplib/probe/probe.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/xir/xir.hpp"
+#include "settle.hpp"
 
 namespace liplib::xir {
 
@@ -26,6 +27,9 @@ ScalarEngine::ScalarEngine(ProgramRef program) : prog_(std::move(program)) {
   src_pend_.assign(p.src_br_seg.size(), 1);
   fire_count_.assign(p.num_shells(), 0);
   sink_pattern_.resize(p.num_sinks());
+  fire_.assign(p.num_shells(), 0);
+  queue_.assign(p.settle.units.size(), 0);
+  queued_.assign(p.settle.units.size(), 0);
 }
 
 ScalarEngine::ScalarEngine(const graph::Topology& topo,
@@ -50,91 +54,65 @@ void ScalarEngine::saturate_stations() {
   }
 }
 
-bool ScalarEngine::shell_ready(std::size_t k) const {
-  const Program& p = *prog_;
-  for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-       ++i) {
-    if (!fwd_[p.shell_in_seg[i]]) return false;
-  }
-  for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
-       ++b) {
-    const bool stopped = stop_[p.shell_br_seg[b]] != 0;
-    if (p.strict) {
-      if (stopped) return false;
-    } else if (stopped && pend_[b]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ScalarEngine::eval_settle_unit(std::uint32_t unit) {
-  const Program& p = *prog_;
-  bool changed = false;
-  auto set = [&](std::uint32_t seg, bool up) {
-    changed |= stop_[seg] != up;
-    stop_[seg] = up ? 1 : 0;
-  };
-  if (unit < p.num_stations()) {
-    const std::size_t s = unit;
-    const bool front_valid = st_occ_[s] > 0 && st_v0_[s];
-    const bool s_eff = p.strict ? (stop_[p.st_out[s]] != 0)
-                                : (stop_[p.st_out[s]] && front_valid);
-    set(p.st_in[s], st_occ_[s] > 0 && s_eff);
-  } else {
-    const std::size_t k = unit - p.num_stations();
-    const bool stalled = !shell_ready(k);
-    for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-         ++i) {
-      set(p.shell_in_seg[i], stalled && fwd_[p.shell_in_seg[i]]);
-    }
-  }
-  return changed;
-}
-
 void ScalarEngine::settle_stops(const std::uint64_t* sink_stops) {
   const Program& p = *prog_;
-  const std::uint8_t init = p.pessimistic ? 1 : 0;
-  for (auto& s : stop_) s = init;
+  std::uint8_t* const stop = stop_.data();
+  std::fill(stop_.begin(), stop_.end(), p.pessimistic ? 1 : 0);
   for (std::size_t s = 0; s < p.num_sinks(); ++s) {
     const auto& pat = sink_pattern_[s];
     const bool stopped = sink_stops != nullptr
                              ? sink_stopped(*sink_stops, s)
                              : !pat.empty() && pat[cycle_ % pat.size()];
-    stop_[p.sink_seg[s]] = stopped ? 1 : 0;
+    stop[p.sink_seg[s]] = stopped ? 1 : 0;
   }
   for (std::size_t s = 0; s < p.num_stations(); ++s) {
-    if (!p.st_half[s]) stop_[p.st_in[s]] = st_stop_reg_[s];
+    if (!p.st_half[s]) stop[p.st_in[s]] = st_stop_reg_[s];
   }
-  // The acyclic part of the stop network: every unit's inputs are final
-  // when it is visited, so a single ordered pass lands directly on the
-  // fixpoint System's settle converges to (the stop system is
-  // monotone from its extreme init, so the extreme fixpoint is
-  // order-independent).
-  for (std::uint32_t unit : p.schedule.order) eval_settle_unit(unit);
-  // The combinational-cycle remainder sweeps to the fixpoint, over only
-  // the cyclic units.
-  if (!p.schedule.iterate.empty()) {
-    const std::size_t guard = 2 * stop_.size() + 4;
-    std::size_t sweeps = 0;
-    bool changed = true;
-    while (changed) {
-      LIPLIB_ENSURE(++sweeps <= guard, "stop fixpoint failed to converge");
-      changed = false;
-      for (std::uint32_t unit : p.schedule.iterate) {
-        changed = eval_settle_unit(unit) || changed;
-      }
-    }
-  }
+  // Then the units, in one ordered pass plus re-queues (settle.hpp): at
+  // most one queued evaluation per segment.
+  const std::uint32_t* const st_in = p.st_in.data();
+  const std::uint32_t* const st_out = p.st_out.data();
+  const std::uint32_t* const in_begin = p.shell_in_begin.data();
+  const std::uint32_t* const in_seg = p.shell_in_seg.data();
+  const std::uint32_t* const br_begin = p.shell_br_begin.data();
+  const std::uint32_t* const br_seg = p.shell_br_seg.data();
+  const std::uint8_t* const fwd = fwd_.data();
+  const std::uint8_t* const occ = st_occ_.data();
+  const std::uint8_t* const v0 = st_v0_.data();
+  const std::uint8_t* const pend = pend_.data();
+  std::uint8_t* const fire = fire_.data();
+  const std::size_t n_st = p.num_stations();
+  const bool strict = p.strict;
+  settle_units(
+      p.settle, stop, queue_.data(), queued_.data(), p.num_segments,
+      [&](std::uint32_t unit, auto& set) {
+        if (unit < n_st) {
+          set(st_in[unit], occ[unit] > 0 && stop[st_out[unit]] &&
+                               (strict || v0[unit]));
+          return;
+        }
+        const std::size_t k = unit - n_st;
+        bool ready = true;
+        for (std::uint32_t i = in_begin[k]; ready && i < in_begin[k + 1];
+             ++i) {
+          ready = fwd[in_seg[i]] != 0;
+        }
+        for (std::uint32_t b = br_begin[k]; ready && b < br_begin[k + 1];
+             ++b) {
+          ready = !(stop[br_seg[b]] && (strict || pend[b]));
+        }
+        fire[k] = ready;
+        for (std::uint32_t i = in_begin[k]; i < in_begin[k + 1]; ++i) {
+          set(in_seg[i], !ready && fwd[in_seg[i]]);
+        }
+      });
 }
 
 void ScalarEngine::attach_probe(probe::Probe& probe) {
   LIPLIB_EXPECT(cycle_ == 0, "attach_probe after stepping");
   LIPLIB_EXPECT(probe_ == nullptr, "attach_probe called twice");
   LIPLIB_EXPECT(!probe.bound(), "probe is already bound to a simulator");
-  probe::Wiring w;
-  build_probe_wiring(*prog_, &w);
-  probe.bind(prog_->topo, std::move(w));
+  probe.bind(prog_->topo, prog_->strict);
   probe_ = &probe;
 }
 
@@ -152,9 +130,9 @@ void ScalarEngine::observe_probe() {
     const bool missing =
         std::any_of(in + p.shell_in_begin[k], in + p.shell_in_begin[k + 1],
                     [&](std::uint32_t seg) { return !fwd_[seg]; });
-    act[k] = shell_ready(k) ? probe::Activity::kFired
-             : missing      ? probe::Activity::kWaitingInput
-                            : probe::Activity::kStoppedOutput;
+    act[k] = fire_[k] ? probe::Activity::kFired
+             : missing ? probe::Activity::kWaitingInput
+                       : probe::Activity::kStoppedOutput;
   }
   probe_->commit_cycle(cycle_);
 }
@@ -191,12 +169,11 @@ bool ScalarEngine::advance(const std::uint64_t* sink_stops) {
   // Phase 3: clock edge.
   bool any_fired = false;
   for (std::size_t k = 0; k < p.num_shells(); ++k) {
-    const bool fire = shell_ready(k);
     for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
          ++b) {
       if (pend_[b] && !stop_[p.shell_br_seg[b]]) pend_[b] = 0;
     }
-    if (fire) {
+    if (fire_[k]) {
       for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
            ++b) {
         LIPLIB_ENSURE(pend_[b] == 0, "xir shell fired while pending");

@@ -9,6 +9,7 @@
 
 #include "liplib/support/check.hpp"
 #include "liplib/xir/sliced.hpp"
+#include "settle.hpp"
 
 namespace liplib::xir {
 
@@ -57,7 +58,8 @@ SlicedEngine::SlicedEngine(ProgramRef program, std::size_t num_lanes)
   fires_.assign(p.num_shells() * num_lanes_, 0);
   sink_tokens_.assign(num_lanes_, 0);
   sink_pattern_.resize(p.num_sinks());
-  schedule_ = p.schedule;
+  fire_w_.assign(p.num_shells(), 0);
+  use_plan(p.settle);
 }
 
 SlicedEngine::SlicedEngine(const graph::Topology& topo,
@@ -79,7 +81,7 @@ void SlicedEngine::set_station_kinds(std::size_t lane,
       half_mask_[s] &= ~bit;
     }
   }
-  schedule_dirty_ = true;
+  plan_dirty_ = true;
 }
 
 void SlicedEngine::set_sink_pattern(graph::NodeId node,
@@ -100,89 +102,80 @@ void SlicedEngine::saturate_stations(std::uint64_t lane_mask) {
   }
 }
 
-void SlicedEngine::refresh_schedule() {
-  if (!schedule_dirty_) return;
-  // The union of every lane's dynamic stations; a mixed station's update
-  // is masked to its half lanes, so full lanes just see a no-op.
-  std::vector<std::uint8_t> dynamic(prog_->num_stations(), 0);
-  for (std::size_t s = 0; s < prog_->num_stations(); ++s) {
-    dynamic[s] = half_mask_[s] != 0 ? 1 : 0;
-  }
-  schedule_ = build_settle_schedule(*prog_, dynamic);
-  schedule_dirty_ = false;
-}
-
-std::uint64_t SlicedEngine::shell_ready_word(std::size_t k) const {
-  const Program& p = *prog_;
-  std::uint64_t ready = kAll;
-  for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-       ++i) {
-    ready &= fwd_w_[p.shell_in_seg[i]];
-  }
-  for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
-       ++b) {
-    const std::uint64_t stopped = stop_w_[p.shell_br_seg[b]];
-    ready &= ~(p.strict ? stopped : (stopped & pend_w_[b]));
-  }
-  return ready;
-}
-
-bool SlicedEngine::settle_unit(std::uint32_t unit) {
-  const Program& p = *prog_;
-  std::uint64_t changed = 0;
-  auto set = [&](std::uint32_t seg, std::uint64_t up) {
-    changed |= stop_w_[seg] ^ up;
-    stop_w_[seg] = up;
-  };
-  if (unit < p.num_stations()) {
-    const std::size_t s = unit;
-    const std::uint64_t front_valid = occ1_[s] & v0_[s];
-    const std::uint64_t s_eff =
-        p.strict ? stop_w_[p.st_out[s]] : (stop_w_[p.st_out[s]] & front_valid);
-    const std::uint64_t hm = half_mask_[s];
-    set(p.st_in[s], (stop_w_[p.st_in[s]] & ~hm) | (occ1_[s] & s_eff & hm));
-  } else {
-    const std::size_t k = unit - p.num_stations();
-    const std::uint64_t stalled = ~shell_ready_word(k);
-    for (std::uint32_t i = p.shell_in_begin[k]; i < p.shell_in_begin[k + 1];
-         ++i) {
-      set(p.shell_in_seg[i], stalled & fwd_w_[p.shell_in_seg[i]]);
-    }
-  }
-  return changed != 0;
+void SlicedEngine::use_plan(SettlePlan plan) {
+  plan_ = std::move(plan);
+  queue_.assign(plan_.units.size(), 0);
+  queued_.assign(plan_.units.size(), 0);
+  plan_dirty_ = false;
 }
 
 void SlicedEngine::settle_stops(const std::uint64_t* sink_stops) {
   const Program& p = *prog_;
-  refresh_schedule();
+  if (plan_dirty_) {
+    // A station is a unit when it is half in any lane; a mixed station's
+    // update is masked to its half lanes.
+    std::vector<std::uint8_t> half(p.num_stations(), 0);
+    for (std::size_t s = 0; s < p.num_stations(); ++s) {
+      half[s] = half_mask_[s] != 0 ? 1 : 0;
+    }
+    use_plan(settle_plan(p, half));
+  }
   const std::uint64_t init = p.pessimistic ? kAll : 0;
-  for (auto& s : stop_w_) s = init;
+  std::uint64_t* const stop = stop_w_.data();
+  std::fill(stop_w_.begin(), stop_w_.end(), init);
   for (std::size_t s = 0; s < p.num_sinks(); ++s) {
     const auto& pat = sink_pattern_[s];
-    stop_w_[p.sink_seg[s]] =
+    stop[p.sink_seg[s]] =
         sink_stops != nullptr                          ? sink_stops[s]
         : (!pat.empty() && pat[cycle_ % pat.size()]) ? kAll
                                                        : 0;
   }
   for (std::size_t s = 0; s < p.num_stations(); ++s) {
     // Full lanes present the registered stop; half lanes keep the init
-    // value until the dynamic part runs.
+    // value until their unit runs.
     const std::uint64_t hm = half_mask_[s];
-    stop_w_[p.st_in[s]] = (init & hm) | (stop_reg_[s] & ~hm);
+    stop[p.st_in[s]] = (init & hm) | (stop_reg_[s] & ~hm);
   }
-  for (std::uint32_t unit : schedule_.order) settle_unit(unit);
-  if (!schedule_.iterate.empty()) {
-    const std::size_t guard = 2 * stop_w_.size() + 4;
-    std::size_t sweeps = 0;
-    bool changed = true;
-    while (changed) {
-      LIPLIB_ENSURE(++sweeps <= guard, "stop fixpoint failed to converge");
-      changed = false;
-      for (std::uint32_t unit : schedule_.iterate) {
-        changed = settle_unit(unit) || changed;
-      }
-    }
-  }
+  // Each lane's stop bits change at most once per settle, so at most 64
+  // queued evaluations per segment follow the ordered pass.
+  const std::uint32_t* const st_in = p.st_in.data();
+  const std::uint32_t* const st_out = p.st_out.data();
+  const std::uint32_t* const in_begin = p.shell_in_begin.data();
+  const std::uint32_t* const in_seg = p.shell_in_seg.data();
+  const std::uint32_t* const br_begin = p.shell_br_begin.data();
+  const std::uint32_t* const br_seg = p.shell_br_seg.data();
+  const std::uint64_t* const fwd = fwd_w_.data();
+  const std::uint64_t* const half = half_mask_.data();
+  const std::uint64_t* const occ1 = occ1_.data();
+  const std::uint64_t* const v0 = v0_.data();
+  const std::uint64_t* const pend = pend_w_.data();
+  std::uint64_t* const fire = fire_w_.data();
+  const std::size_t n_st = p.num_stations();
+  const bool strict = p.strict;
+  settle_units(
+      plan_, stop, queue_.data(), queued_.data(), kLanes * p.num_segments,
+      [&](std::uint32_t unit, auto& set) {
+        if (unit < n_st) {
+          const std::uint64_t hm = half[unit];
+          const std::uint64_t s_eff =
+              stop[st_out[unit]] & (strict ? kAll : occ1[unit] & v0[unit]);
+          set(st_in[unit],
+              (stop[st_in[unit]] & ~hm) | (occ1[unit] & s_eff & hm));
+          return;
+        }
+        const std::size_t k = unit - n_st;
+        std::uint64_t ready = kAll;
+        for (std::uint32_t i = in_begin[k]; i < in_begin[k + 1]; ++i) {
+          ready &= fwd[in_seg[i]];
+        }
+        for (std::uint32_t b = br_begin[k]; b < br_begin[k + 1]; ++b) {
+          ready &= ~(stop[br_seg[b]] & (strict ? kAll : pend[b]));
+        }
+        fire[k] = ready;
+        for (std::uint32_t i = in_begin[k]; i < in_begin[k + 1]; ++i) {
+          set(in_seg[i], ~ready & fwd[in_seg[i]]);
+        }
+      });
 }
 
 void SlicedEngine::step_stations() {
@@ -258,7 +251,7 @@ std::uint64_t SlicedEngine::advance(const std::uint64_t* sink_stops) {
   // Phase 3: clock edge.
   std::uint64_t any_fired = 0;
   for (std::size_t k = 0; k < p.num_shells(); ++k) {
-    const std::uint64_t fire = shell_ready_word(k);
+    const std::uint64_t fire = fire_w_[k];
     any_fired |= fire;
     for (std::uint32_t b = p.shell_br_begin[k]; b < p.shell_br_begin[k + 1];
          ++b) {

@@ -9,6 +9,7 @@
 #include "liplib/lip/design.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/pearls/pearls.hpp"
+#include "liplib/xir/sliced.hpp"
 #include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
@@ -282,6 +283,65 @@ TEST(System, DeepHalfStationPipelineStepsInLinearTime) {
   for (graph::NodeId p : gen.processes) {
     ASSERT_EQ(sys->shell_fire_count(p), eng.fires(p)) << "shell " << p;
   }
+}
+
+// A source feeds a chain of half stations into a two-shell loop of half
+// stations, so the chain's stops hang off a combinational stop cycle,
+// the paper's potential-deadlock configuration.  Every cycle model must
+// settle the chain in work linear in its length, not one station per
+// sweep over it, and both xir engines must land where System does: from
+// reset and from worst-case occupancy, under both resolutions.
+TEST(System, HalfStationChainIntoAStopCycleSettlesInLinearTime) {
+  constexpr std::size_t kChain = 2000;
+  graph::Topology topo;
+  const auto src = topo.add_source("src");
+  const auto a = topo.add_process("A", 2, 1);
+  const auto b = topo.add_process("B", 1, 1);
+  const auto out = topo.add_sink("out");
+  topo.connect({src, 0}, {a, 0},
+               std::vector<graph::RsKind>(kChain, graph::RsKind::kHalf));
+  topo.connect({a, 0}, {b, 0}, {graph::RsKind::kHalf});
+  topo.connect({b, 0}, {a, 1}, {graph::RsKind::kHalf});
+  topo.connect({b, 0}, {out, 0}, {graph::RsKind::kHalf});
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const auto resolution : {lip::StopResolution::kPessimistic,
+                                lip::StopResolution::kOptimistic}) {
+    const skeleton::SkeletonOptions opts{StopPolicy::kCasuDiscardOnVoid,
+                                         resolution};
+    for (const bool worst_case : {false, true}) {
+      const std::string what =
+          std::string(resolution == lip::StopResolution::kPessimistic
+                          ? "pessimistic"
+                          : "optimistic") +
+          (worst_case ? " worst-case" : " reset");
+      const auto sys = testutil::make_design(topo).instantiate(
+          {opts.policy, opts.resolution});
+      if (worst_case) sys->saturate_stations();
+      const auto want = lip::measure_steady_state(*sys);
+      ASSERT_TRUE(want.found) << what;
+      // Saturated, the loop latches where its stops settle high.
+      EXPECT_EQ(want.deadlock_found(),
+                worst_case && resolution == lip::StopResolution::kPessimistic)
+          << what;
+
+      xir::ScalarEngine scalar(topo, opts);
+      if (worst_case) scalar.saturate_stations();
+      EXPECT_EQ(want, scalar.analyze()) << what << " scalar";
+      for (const std::size_t lanes : {std::size_t{1}, std::size_t{64}}) {
+        xir::SlicedEngine sliced(topo, opts, lanes);
+        if (worst_case) sliced.saturate_stations(~0ull);
+        for (const auto& got : sliced.analyze()) {
+          EXPECT_EQ(want, got) << what << " " << lanes << " lanes";
+        }
+      }
+    }
+  }
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // Sanitized builds run several times slower, so they check the answers
+  // only.
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3));
+#endif
 }
 
 }  // namespace
